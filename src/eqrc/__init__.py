@@ -14,18 +14,16 @@ from .model import (
     MODE_CONSTANT,
     MODE_RADEMACHER,
     MODE_RADEMACHER_RARB,
-    MeasurementRecord,
     Outcome,
-    PairClass,
     PairEvent,
     PairStream,
     Setting,
-    classify_pair,
     derive_subseed,
     gauge_eval,
     measure_left,
     measure_pairs,
     measure_right,
+    outcome_columns,
     rademacher,
     rarb_eval,
     sample_pair_stream,
@@ -36,10 +34,8 @@ from .stats import (
     build_triple_table,
     estimate_expectation,
     estimate_marginals,
-    match_records,
 )
 from .inequalities import (
-    CyclicRow,
     CyclicTable,
     InequalityReport,
     analytic_expectation,

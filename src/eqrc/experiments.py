@@ -14,14 +14,12 @@ from __future__ import annotations
 import datetime as _dt
 import math
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
 from .inequalities import InequalityReport, bell_check, chsh_check, wigner_check, cyclic_concatenate
 from .model import (
     GaugeKey,
-    MeasurementRecord,
     Setting,
     derive_subseed,
     measure_pairs,
@@ -113,14 +111,6 @@ class RunGroup:
 
     def products(self) -> np.ndarray:
         return self.left.astype(np.int64) * self.right
-
-    def records(self) -> Iterator[tuple[MeasurementRecord, MeasurementRecord]]:
-        for i in range(len(self)):
-            n = int(self.pair_index[i])
-            yield (
-                MeasurementRecord(n, "L", self.left_setting, int(self.left[i])),
-                MeasurementRecord(n, "R", self.right_setting, int(self.right[i])),
-            )
 
 
 @dataclass
@@ -312,7 +302,7 @@ def run_wigner_suite(seed: int, n: int, key: GaugeKey, mode: str = "per-space") 
     if mode == "single-space":
         events = sample_pair_stream(derive_subseed(seed, 0), n)
         table = cyclic_concatenate(events, key, (a, c, b))
-        return wigner_check(table)
+        return wigner_check(table.equal_tallies(), mode="simulated-single-space")
     raise ValueError(f"unknown wigner mode {mode!r}")
 
 

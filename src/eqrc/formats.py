@@ -101,19 +101,22 @@ def _dataset_header(ds: RunDataset) -> dict:
     return header
 
 
+def _dataset_file_lines(ds: RunDataset) -> Iterable[str]:
+    """Header line, then record lines, each newline-terminated."""
+    yield _dumps(_dataset_header(ds)) + "\n"
+    for line in dataset_record_lines(ds):
+        yield line + "\n"
+
+
 def run_dataset_text(ds: RunDataset) -> str:
-    """Header line plus record lines, ready to write or stream."""
-    out = [_dumps(_dataset_header(ds))]
-    out.extend(dataset_record_lines(ds))
-    return "\n".join(out) + "\n"
+    """The dataset file's full text."""
+    return "".join(_dataset_file_lines(ds))
 
 
 def write_run_dataset(ds: RunDataset, path) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write(_dumps(_dataset_header(ds)) + "\n")
-        for line in dataset_record_lines(ds):
-            fh.write(line + "\n")
+    """Stream the dataset file to ``path`` line by line."""
+    with Path(path).open("w", encoding="utf-8") as fh:
+        fh.writelines(_dataset_file_lines(ds))
 
 
 def load_run_dataset(path) -> RunDataset:

@@ -14,16 +14,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
-from .model import GaugeKey, PairStream, Setting, gauge_eval
-from .stats import ExpectationEstimate, TripleTable
+from .model import GaugeKey, PairStream, Setting, outcome_columns
+from .stats import ExpectationEstimate
 
 __all__ = [
     "InequalityReport",
-    "CyclicRow",
     "CyclicTable",
     "analytic_expectation",
     "bell_check",
@@ -175,35 +174,24 @@ EqualCounts = tuple[int, int]  # (n_equal, n_total) for one setting-pair experim
 
 
 def wigner_check(
-    counts,
-    mode: str | None = None,
+    tallies: Sequence[EqualCounts],
+    mode: str = "simulated-per-space",
 ) -> InequalityReport:
     """Count bound over equal-outcome frequencies for three setting pairs.
 
     Template: with pairs (x,y), (x,z), (z,y), require
     f_equal(x,y) <= f_equal(x,z) + f_equal(z,y).
 
-    ``counts`` is either three (n_equal, n_total) tallies in template
-    order (per-space mode: one tally per independently run experiment),
-    or a single common assignment (a CyclicTable or an 8-cell counts map
-    over sign triples), from which all three tallies are derived; that
-    single-space form satisfies the bound identically, since the
+    ``tallies`` are three (n_equal, n_total) tallies in template order:
+    one per independently run experiment in per-space mode, or all three
+    from one table (``CyclicTable.equal_tallies``) in single-space mode.
+    The single-space form satisfies the bound identically, since the
     equal-count between two columns of one table is a Hamming distance
     and distances obey the triangle inequality.
     """
-    if isinstance(counts, CyclicTable):
-        counts = counts.to_counts()
-    if isinstance(counts, TripleTable):
-        counts = counts.counts
-    if isinstance(counts, dict):
-        tallies = _pair_equal_counts_from_assignment(counts)
-        mode = mode or "simulated-single-space"
-    else:
-        tallies = [(int(ne), int(nt)) for ne, nt in counts]
-        if len(tallies) != 3:
-            raise ValueError("need equal/different tallies for exactly three setting pairs")
-        mode = mode or "simulated-per-space"
-
+    tallies = [(int(ne), int(nt)) for ne, nt in tallies]
+    if len(tallies) != 3:
+        raise ValueError("need equal/different tallies for exactly three setting pairs")
     if mode == "simulated-single-space":
         totals = {nt for _, nt in tallies}
         if len(totals) != 1:
@@ -229,41 +217,6 @@ def wigner_check(
     )
 
 
-def _pair_equal_counts_from_assignment(counts: dict) -> list[EqualCounts]:
-    """Equal-outcome tallies for pairs (1,2), (1,3), (3,2) of one sign-triple table.
-
-    Measured pair outcomes are (A(x), -A(y)), so the pair registers
-    "equal" exactly when the two assignment columns differ.
-    """
-    total = sum(counts.values())
-    if total < 1:
-        raise ValueError("assignment table is empty")
-    tallies = []
-    for i, j in ((0, 1), (0, 2), (2, 1)):
-        n_eq = sum(n for s, n in counts.items() if s[i] != s[j])
-        tallies.append((n_eq, total))
-    return tallies
-
-
-@dataclass(frozen=True)
-class CyclicRow:
-    """One hidden-variable draw shared by all three settings (the closed loop)."""
-
-    h: int
-    s_a: int
-    s_b: int
-    s_c: int
-
-    def __post_init__(self) -> None:
-        for v in (self.s_a, self.s_b, self.s_c):
-            if v not in (1, -1):
-                raise ValueError("assignment values must be +1 or -1")
-
-    def pair_products(self) -> tuple[int, int, int]:
-        """Simulated pair products (ab, ac, bc); B = -A flips each sign."""
-        return (-self.s_a * self.s_b, -self.s_a * self.s_c, -self.s_b * self.s_c)
-
-
 @dataclass(frozen=True)
 class CyclicTable:
     """Single-space concatenation: columns A(a), A(b), A(c) on one draw per row."""
@@ -275,13 +228,6 @@ class CyclicTable:
 
     def __len__(self) -> int:
         return len(self.h)
-
-    def __getitem__(self, i: int) -> CyclicRow:
-        return CyclicRow(int(self.h[i]), int(self.s_a[i]), int(self.s_b[i]), int(self.s_c[i]))
-
-    def __iter__(self) -> Iterator[CyclicRow]:
-        for i in range(len(self)):
-            yield self[i]
 
     def pair_expectations(self) -> tuple[Fraction, Fraction, Fraction]:
         """Row-averaged pair products (E_ab, E_ac, E_bc) as exact rationals.
@@ -297,19 +243,15 @@ class CyclicTable:
         e_bc = Fraction(-int(np.sum(self.s_b.astype(np.int64) * self.s_c)), n)
         return e_ab, e_ac, e_bc
 
-    def to_counts(self) -> dict[tuple[int, int, int], int]:
-        idx = (
-            ((self.s_a > 0).astype(np.int64) << 2)
-            | ((self.s_b > 0).astype(np.int64) << 1)
-            | (self.s_c > 0).astype(np.int64)
-        )
-        tally = np.bincount(idx, minlength=8)
-        return {
-            (sa, sb, sc): int(tally[((sa > 0) << 2) | ((sb > 0) << 1) | (sc > 0)])
-            for sa in (1, -1)
-            for sb in (1, -1)
-            for sc in (1, -1)
-        }
+    def equal_tallies(self) -> list[EqualCounts]:
+        """Equal-outcome tallies for column pairs (a,b), (a,c), (c,b), in that order.
+
+        Measured pair outcomes are (A(x), -A(y)), so a pair registers
+        "equal" exactly when the two assignment columns differ.
+        """
+        n = len(self)
+        return [(int(np.count_nonzero(x != y)), n)
+                for x, y in ((self.s_a, self.s_b), (self.s_a, self.s_c), (self.s_c, self.s_b))]
 
 
 def cyclic_concatenate(
@@ -330,12 +272,8 @@ def cyclic_concatenate(
             raise ValueError("the three settings must be pairwise distinct")
     if len(events) == 0:
         raise ValueError("no events to concatenate")
-    g = np.asarray(gauge_eval(key, events.t), dtype=np.int8)
-    cols = [g]
-    for x in (b, c):
-        flip = events.lam <= 0.5 * (1.0 + x.b2)
-        cols.append(np.where(flip, g, -g).astype(np.int8))
-    return CyclicTable(h=events.n.copy(), s_a=cols[0], s_b=cols[1], s_c=cols[2])
+    g, (a_b, a_c) = outcome_columns(events.lam, events.t, key, (b, c))
+    return CyclicTable(h=events.n.copy(), s_a=g, s_b=a_b, s_c=a_c)
 
 
 @dataclass(frozen=True)
@@ -358,7 +296,8 @@ def cyclic_oracle() -> list[OracleRow]:
     for s_a in (1, -1):
         for s_b in (1, -1):
             for s_c in (1, -1):
-                p_ab, p_ac, p_bc = CyclicRow(1, s_a, s_b, s_c).pair_products()
+                # simulated pair products; B = -A flips each sign
+                p_ab, p_ac, p_bc = -s_a * s_b, -s_a * s_c, -s_b * s_c
                 lhs = abs(p_ab - p_ac)
                 rhs = 1 + p_bc
                 rows.append(OracleRow((s_a, s_b, s_c), lhs, rhs, lhs <= rhs))

@@ -11,19 +11,19 @@ key file). The product of the two outcomes averages to minus the dot
 product of the two settings; a balanced gauge (e.g. a Rademacher
 function) makes both marginal means vanish.
 
-All operations here are pure and deterministic: identical inputs give
-identical outcomes, so everything is safe to evaluate concurrently.
-Scalar entry points accept numpy arrays as well and vectorize.
+The rule lives in one vectorized kernel, ``outcome_columns``; the
+pair, scalar and table entry points all call it. All operations here
+are pure and deterministic: identical inputs give identical outcomes,
+so everything is safe to evaluate concurrently.
 """
 
 from __future__ import annotations
 
-import enum
 import hashlib
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
@@ -37,17 +37,15 @@ __all__ = [
     "MODE_RADEMACHER",
     "MODE_RADEMACHER_RARB",
     "Outcome",
-    "PairClass",
-    "MeasurementRecord",
     "rademacher",
     "rarb_eval",
     "gauge_eval",
     "sample_pair_stream",
     "derive_subseed",
+    "outcome_columns",
     "measure_left",
     "measure_right",
     "measure_pairs",
-    "classify_pair",
 ]
 
 NORM_TOL = 1e-12
@@ -161,20 +159,31 @@ MODE_RADEMACHER = "rademacher"
 MODE_RADEMACHER_RARB = "rademacher-times-rarb"
 _MODES = (MODE_CONSTANT, MODE_RADEMACHER, MODE_RADEMACHER_RARB)
 
+#: Largest order whose wave is exact and balanced on the 2^-53 grid that
+#: ``sample_pair_stream`` draws ``t`` from.
+_MAX_ORDER = 52
+
+
+def _check_order(j) -> None:
+    if not isinstance(j, (int, np.integer)) or not 1 <= j <= _MAX_ORDER:
+        raise ValueError(f"Rademacher order must be an integer in [1, {_MAX_ORDER}], got {j!r}")
+
 
 def rademacher(j: int, t):
-    """Balanced ±1 square wave of order ``j``: sign(sin(2^(j+1) pi t)).
+    """Balanced ±1 square wave of order ``j``: (-1)^floor(2^(j+1) t).
 
-    Accepts a scalar in [0, 1) or an array; the (measure-zero) points
-    where the sine vanishes exactly map to +1.
+    This is sign(sin(2^(j+1) pi t)) away from the sine's zeros; each
+    dyadic point k/2^(j+1) takes the value of the interval it starts,
+    (-1)^k. Scaling by a power of two is exact in binary64, so the wave
+    is exact for every order up to 52. Accepts a scalar in [0, 1) or an
+    array.
     """
-    if not isinstance(j, (int, np.integer)) or j < 1:
-        raise ValueError(f"Rademacher order must be a positive integer, got {j!r}")
+    _check_order(j)
     arr = np.asarray(t, dtype=np.float64)
     if arr.size and (float(arr.min()) < 0.0 or float(arr.max()) >= 1.0):
         raise ValueError("t must lie in [0, 1)")
-    s = np.sin((2.0 ** (j + 1)) * np.pi * arr)
-    out = np.where(s < 0.0, -1, 1).astype(np.int8)
+    k = (arr * 2.0 ** (j + 1)).astype(np.int64)  # truncation is floor: the product is >= 0
+    out = (1 - 2 * (k & 1)).astype(np.int8)
     if arr.ndim == 0:
         return int(out)
     return out
@@ -222,16 +231,12 @@ class GaugeKey:
         if self.mode not in _MODES:
             raise ValueError(f"unknown gauge mode {self.mode!r}")
         if self.mode != MODE_CONSTANT:
-            if not isinstance(self.j, (int, np.integer)) or self.j < 1:
-                raise ValueError(f"gauge key needs a positive Rademacher order, got {self.j!r}")
+            _check_order(self.j)
         if self.mode == MODE_RADEMACHER_RARB:
             if self.rarb_seed is None:
                 raise ValueError("rademacher-times-rarb mode needs rarb_seed")
         elif self.rarb_seed is not None:
             raise ValueError(f"rarb_seed is only meaningful in {MODE_RADEMACHER_RARB} mode")
-
-    def evaluate(self, t):
-        return gauge_eval(self, t)
 
     def to_json(self) -> dict:
         return {"v": 1, "mode": self.mode, "j": int(self.j), "rarb_seed": self.rarb_seed}
@@ -286,6 +291,20 @@ def sample_pair_stream(seed: int, count: int) -> PairStream:
     return PairStream(n=np.arange(1, count + 1, dtype=np.int64), lam=lam, t=t)
 
 
+def outcome_columns(
+    lam: np.ndarray, t: np.ndarray, key: GaugeKey, settings: Sequence[Setting]
+) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """The outcome rule for a whole stream: the gauge plus one A(x) column per setting.
+
+    Returns int8 arrays ``(g, (A(x1), A(x2), ...))``. ``g = g(t)`` is the
+    left wing's outcome. ``A(x)`` is ``+g`` where ``lam <= (1 + x.b2)/2``
+    (inclusive) and ``-g`` elsewhere; a right wing set to ``x`` reports
+    ``-A(x)``. The gauge is evaluated once however many settings are given.
+    """
+    g = np.asarray(gauge_eval(key, t), dtype=np.int8)
+    return g, tuple(np.where(lam <= 0.5 * (1.0 + x.b2), g, -g) for x in settings)
+
+
 def measure_left(a: Setting, e: PairEvent, key: GaugeKey) -> Outcome:
     """Left-wing outcome: the gauge value at the event's ``t``, for every ``lam``.
 
@@ -298,58 +317,21 @@ def measure_left(a: Setting, e: PairEvent, key: GaugeKey) -> Outcome:
     return int(gauge_eval(key, e.t))
 
 
-def _threshold(b: Setting) -> float:
-    return 0.5 * (1.0 + b.b2)
-
-
 def measure_right(b: Setting, e: PairEvent, key: GaugeKey) -> Outcome:
     """Right-wing outcome from the local setting, the event, and the key only.
 
-    Flips the gauge value when ``lam <= (1 + b2)/2`` (inclusive), so equal
-    settings are anti-correlated with certainty.
+    ``-A(b)`` for one event, so equal settings are anti-correlated with
+    certainty.
     """
-    g = int(gauge_eval(key, e.t))
-    return -g if e.lam <= _threshold(b) else g
+    _, (a_b,) = outcome_columns(np.array([e.lam]), np.array([e.t]), key, (b,))
+    return -int(a_b[0])
 
 
 def measure_pairs(b: Setting, events: PairStream, key: GaugeKey) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized run of both wings over a pair stream.
 
-    Returns int8 arrays (left, right); elementwise identical to calling
-    measure_left / measure_right per event.
+    Returns int8 arrays (left, right) = (g, -A(b)); elementwise identical
+    to calling measure_left / measure_right per event.
     """
-    g = gauge_eval(key, events.t)
-    g = np.asarray(g, dtype=np.int8)
-    flip = events.lam <= _threshold(b)
-    right = np.where(flip, -g, g).astype(np.int8)
-    return g, right
-
-
-class PairClass(enum.Enum):
-    EQUAL = "equal"
-    DIFFERENT = "different"
-
-
-def classify_pair(left: Outcome, right: Outcome) -> PairClass:
-    """Equal iff both detectors carry the same number, i.e. the product is +1."""
-    if left not in (1, -1) or right not in (1, -1):
-        raise ValueError(f"outcomes must be +1 or -1, got ({left}, {right})")
-    return PairClass.EQUAL if left * right == 1 else PairClass.DIFFERENT
-
-
-@dataclass(frozen=True)
-class MeasurementRecord:
-    """One wing's registered outcome for one pair."""
-
-    pair_index: int
-    station: str  # "L" or "R"
-    setting: Setting
-    outcome: Outcome
-
-    def __post_init__(self) -> None:
-        if self.pair_index < 1:
-            raise ValueError(f"pair_index must be >= 1, got {self.pair_index}")
-        if self.station not in ("L", "R"):
-            raise ValueError(f"station must be 'L' or 'R', got {self.station!r}")
-        if self.outcome not in (1, -1):
-            raise ValueError(f"outcome must be +1 or -1, got {self.outcome!r}")
+    g, (a_b,) = outcome_columns(events.lam, events.t, key, (b,))
+    return g, -a_b

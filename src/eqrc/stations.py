@@ -24,7 +24,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -32,9 +32,11 @@ from .experiments import RunDataset, RunGroup
 from .model import (
     GaugeKey,
     PairEvent,
+    PairStream,
     Setting,
     derive_subseed,
     measure_left,
+    measure_pairs,
     measure_right,
     sample_pair_stream,
 )
@@ -252,12 +254,6 @@ class ReportBatch:
         )
 
 
-def _as_batch(stream: Union[ReportBatch, Sequence[StationReport]]) -> ReportBatch:
-    if isinstance(stream, ReportBatch):
-        return stream
-    return ReportBatch.from_reports(list(stream))
-
-
 def station_batches(group) -> tuple[ReportBatch, ReportBatch]:
     """The (L, R) report streams a run group would have produced on the wire."""
     left = ReportBatch(station="L", setting=group.left_setting,
@@ -403,7 +399,8 @@ def _accept_stations(server: socket.socket, schemas: dict, timeout: float) -> di
             station = msg["station"]
             if kind != "hello" or station not in ("L", "R") or station in conns:
                 raise SchemaError(f"unexpected hello for station {station!r}")
-        except (ProtocolError, SchemaError):
+        except (ProtocolError, SchemaError, OSError):
+            # A bad, silent or dropped hello costs only that connection.
             conn.close()
             continue
         conns[station] = conn
@@ -550,16 +547,20 @@ def station_run(
     return log
 
 
-def replay_station(emissions: Iterable[SourceEmit], station_id: str, setting: Setting, key: GaugeKey) -> list[int]:
-    """Recompute a station's outcomes from an emission log (purity check)."""
-    out = []
-    for e in emissions:
-        event = PairEvent(n=e.n, lam=e.lam, t=e.t)
-        if station_id == "L":
-            out.append(measure_left(setting, event, key))
-        else:
-            out.append(measure_right(setting, event, key))
-    return out
+def replay_station(emissions: Sequence[SourceEmit], station_id: str, setting: Setting, key: GaugeKey) -> list[int]:
+    """Recompute a station's outcomes from an emission log (purity check).
+
+    Runs the vectorized ``measure_pairs`` over the logged events, so a
+    match with the live reports also cross-checks the stations' per-event
+    path against the array path.
+    """
+    events = PairStream(
+        n=np.array([e.n for e in emissions], dtype=np.int64),
+        lam=np.array([e.lam for e in emissions], dtype=np.float64),
+        t=np.array([e.t for e in emissions], dtype=np.float64),
+    )
+    left, right = measure_pairs(setting, events, key)
+    return (left if station_id == "L" else right).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -578,70 +579,69 @@ class CollationResult:
 
 
 def collate(
-    left: Union[ReportBatch, Sequence[StationReport]],
-    right: Union[ReportBatch, Sequence[StationReport]],
+    left: ReportBatch,
+    right: ReportBatch,
     strategy: str = "pair-id",
     emission_log: SourceLog | None = None,
     group_label: str = "pair0",
 ) -> CollationResult:
-    """Join the two wings' report streams into a dataset.
+    """Join the two wings' report batches into a dataset.
 
     pair-id joins on the pair index: duplicates are a hard error, gaps
     are reported and the rest survives untouched. sequence-order zips
     the streams by arrival position; a join whose misalignment after a
     lost report is undetectable by construction.
     """
-    lb, rb = _as_batch(left), _as_batch(right)
-    if lb.station != "L" or rb.station != "R":
-        raise CollationError(f"expected an L stream and an R stream, got {lb.station!r}/{rb.station!r}")
+    if left.station != "L" or right.station != "R":
+        raise CollationError(f"expected an L stream and an R stream, got {left.station!r}/{right.station!r}")
     if strategy not in ("pair-id", "sequence-order"):
         raise CollationError(f"unknown matching strategy {strategy!r}")
 
     incomplete: list[int] = []
     if strategy == "pair-id":
-        for batch in (lb, rb):
+        for batch in (left, right):
             uniq, counts = np.unique(batch.n, return_counts=True)
             if np.any(counts > 1):
                 dup = int(uniq[np.argmax(counts > 1)])
                 raise CollationError(f"duplicate pair index {dup} in station {batch.station} stream")
-        common = np.intersect1d(lb.n, rb.n)
-        only_l = np.setdiff1d(lb.n, rb.n)
-        only_r = np.setdiff1d(rb.n, lb.n)
+        common = np.intersect1d(left.n, right.n)
+        only_l = np.setdiff1d(left.n, right.n)
+        only_r = np.setdiff1d(right.n, left.n)
         incomplete = sorted(int(x) for x in np.concatenate([only_l, only_r]))
         if emission_log is not None:
             emitted = np.array([e.n for e in emission_log.emissions], dtype=np.int64)
             stray = np.setdiff1d(common, emitted)
             if stray.size:
                 raise CollationError(f"report for never-emitted pair index {int(stray[0])}")
-            lost = np.setdiff1d(emitted, np.union1d(lb.n, rb.n))
+            lost = np.setdiff1d(emitted, np.union1d(left.n, right.n))
             incomplete = sorted(set(incomplete) | {int(x) for x in lost})
-        l_order = np.argsort(lb.n, kind="stable")
-        r_order = np.argsort(rb.n, kind="stable")
-        l_sorted_n, l_sorted_out = lb.n[l_order], lb.outcome[l_order]
-        r_sorted_n, r_sorted_out = rb.n[r_order], rb.outcome[r_order]
+        l_order = np.argsort(left.n, kind="stable")
+        r_order = np.argsort(right.n, kind="stable")
+        l_sorted_n, l_sorted_out = left.n[l_order], left.outcome[l_order]
+        r_sorted_n, r_sorted_out = right.n[r_order], right.outcome[r_order]
         l_sel = np.searchsorted(l_sorted_n, common)
         r_sel = np.searchsorted(r_sorted_n, common)
         idx = common
         l_out = l_sorted_out[l_sel]
         r_out = r_sorted_out[r_sel]
     else:
-        m = min(len(lb), len(rb))
+        m = min(len(left), len(right))
         if m == 0:
             raise CollationError("nothing to collate")
-        idx = lb.n[:m]
-        l_out = lb.outcome[:m]
-        r_out = rb.outcome[:m]
+        idx = left.n[:m]
+        l_out = left.outcome[:m]
+        r_out = right.outcome[:m]
 
     group = RunGroup(
         label=group_label,
-        left_setting=lb.setting,
-        right_setting=rb.setting,
+        left_setting=left.setting,
+        right_setting=right.setting,
         pair_index=np.asarray(idx, dtype=np.int64),
         left=np.asarray(l_out, dtype=np.int8),
         right=np.asarray(r_out, dtype=np.int8),
     )
     ds = RunDataset(
-        canonical_pairs=((lb.setting, rb.setting),),
+        canonical_pairs=((left.setting, right.setting),),
         groups=(group,),
         spec=None,
         meta={"schema_version": 1, "collation": strategy},
@@ -650,49 +650,38 @@ def collate(
         dataset=ds,
         strategy=strategy,
         incomplete=tuple(incomplete),
-        left_count=len(lb),
-        right_count=len(rb),
+        left_count=len(left),
+        right_count=len(right),
     )
 
 
-def inject_fault(kind: str, position: int, stream: Union[ReportBatch, Sequence[StationReport]]):
-    """Deterministically mutate a report stream: drop, duplicate, or reorder.
+def inject_fault(kind: str, position: int, stream: ReportBatch) -> ReportBatch:
+    """Deterministically mutate a report batch: drop, duplicate, or reorder.
 
-    Returns the same representation as the input. ``reorder`` swaps the
-    reports at ``position`` and ``position + 1``.
+    Returns a new batch. ``reorder`` swaps the reports at ``position``
+    and ``position + 1``.
     """
-    if isinstance(stream, ReportBatch):
-        n = len(stream)
-        _check_fault_position(kind, position, n)
-        cols = {"n": stream.n, "outcome": stream.outcome}
-        if stream.clock_ns is not None:
-            cols["clock_ns"] = stream.clock_ns
-        out = {}
-        for name, arr in cols.items():
-            if kind == "drop":
-                out[name] = np.delete(arr, position)
-            elif kind == "duplicate":
-                out[name] = np.insert(arr, position + 1, arr[position])
-            else:  # reorder
-                swapped = arr.copy()
-                swapped[position], swapped[position + 1] = arr[position + 1], arr[position]
-                out[name] = swapped
-        return ReportBatch(
-            station=stream.station,
-            setting=stream.setting,
-            n=out["n"],
-            outcome=out["outcome"],
-            clock_ns=out.get("clock_ns"),
-        )
-    reports = list(stream)
-    _check_fault_position(kind, position, len(reports))
-    if kind == "drop":
-        del reports[position]
-    elif kind == "duplicate":
-        reports.insert(position + 1, reports[position])
-    else:
-        reports[position], reports[position + 1] = reports[position + 1], reports[position]
-    return reports
+    _check_fault_position(kind, position, len(stream))
+    cols = {"n": stream.n, "outcome": stream.outcome}
+    if stream.clock_ns is not None:
+        cols["clock_ns"] = stream.clock_ns
+    out = {}
+    for name, arr in cols.items():
+        if kind == "drop":
+            out[name] = np.delete(arr, position)
+        elif kind == "duplicate":
+            out[name] = np.insert(arr, position + 1, arr[position])
+        else:  # reorder
+            swapped = arr.copy()
+            swapped[position], swapped[position + 1] = arr[position + 1], arr[position]
+            out[name] = swapped
+    return ReportBatch(
+        station=stream.station,
+        setting=stream.setting,
+        n=out["n"],
+        outcome=out["outcome"],
+        clock_ns=out.get("clock_ns"),
+    )
 
 
 def _check_fault_position(kind: str, position: int, length: int) -> None:
@@ -813,7 +802,8 @@ def collator_serve(
     if not reports["L"] or not reports["R"]:
         raise CollationError("one or both stations sent no reports")
 
-    result = collate(reports["L"], reports["R"], strategy=match)
+    left, right = (ReportBatch.from_reports(reports[side]) for side in ("L", "R"))
+    result = collate(left, right, strategy=match)
     result.digests = dict(digests)
     result.partial = partial["flag"]
     result.dataset.meta["max_lead"] = dict(max_lead)

@@ -1,4 +1,4 @@
-"""Estimators over runs of measurement records.
+"""Estimators over matched runs of outcomes.
 
 Pair-product expectations, single-wing marginals, and the triple tables
 obtained by appending a hypothetical constant third column to a measured
@@ -11,28 +11,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .model import GaugeKey, MeasurementRecord, PairStream, Setting, gauge_eval
+from .model import GaugeKey, PairStream, Setting, outcome_columns
 
 __all__ = [
     "ExpectationEstimate",
     "TripleTable",
     "TRIPLE_KINDS",
-    "RecordMatchError",
-    "match_records",
     "estimate_expectation",
     "estimate_marginals",
     "build_triple_table",
 ]
 
 TRIPLE_KINDS = ("abc'", "ab'c")
-
-
-class RecordMatchError(ValueError):
-    """A pair index lacks its partner record (or appears twice on one side)."""
 
 
 @dataclass(frozen=True)
@@ -58,68 +52,22 @@ def _estimate_from_pm1(values: np.ndarray) -> ExpectationEstimate:
     return ExpectationEstimate(value=value, n_samples=n, std_error=math.sqrt(var / n))
 
 
-def match_records(records: Iterable[MeasurementRecord]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Join a mixed L/R record sequence on pair index.
+def estimate_expectation(group) -> ExpectationEstimate:
+    """Mean of left×right products over a run group's matched pairs.
 
-    Returns (pair_index, left, right) arrays sorted by index. Every index
-    must occur exactly once per station; anything unmatched raises a
-    RecordMatchError naming the offending index; silent drops would mask
-    exactly the pairing bugs this code exists to expose.
+    ``group`` is anything with equal-length ``left`` and ``right`` ±1
+    outcome arrays, such as a ``RunGroup``.
     """
-    left: dict[int, int] = {}
-    right: dict[int, int] = {}
-    for rec in records:
-        side = left if rec.station == "L" else right
-        if rec.pair_index in side:
-            raise RecordMatchError(f"duplicate {rec.station} record for pair index {rec.pair_index}")
-        side[rec.pair_index] = rec.outcome
-    for n in left:
-        if n not in right:
-            raise RecordMatchError(f"pair index {n} has no R record")
-    for n in right:
-        if n not in left:
-            raise RecordMatchError(f"pair index {n} has no L record")
-    idx = np.array(sorted(left), dtype=np.int64)
-    l_arr = np.array([left[int(n)] for n in idx], dtype=np.int8)
-    r_arr = np.array([right[int(n)] for n in idx], dtype=np.int8)
-    return idx, l_arr, r_arr
-
-
-def _as_matched_arrays(records) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # Fast path: anything exposing matched outcome arrays (e.g. a run group).
-    if hasattr(records, "pair_index") and hasattr(records, "left") and hasattr(records, "right"):
-        return (
-            np.asarray(records.pair_index, dtype=np.int64),
-            np.asarray(records.left, dtype=np.int8),
-            np.asarray(records.right, dtype=np.int8),
-        )
-    records = list(records)
-    if records and isinstance(records[0], tuple):
-        flat: list[MeasurementRecord] = []
-        for pair in records:
-            flat.extend(pair)
-        records = flat
-    return match_records(records)
-
-
-def estimate_expectation(records) -> ExpectationEstimate:
-    """Mean of left×right products over matched pairs.
-
-    Accepts a run group (array-backed), a flat L/R record sequence, or a
-    sequence of (left, right) record tuples.
-    """
-    _, l_arr, r_arr = _as_matched_arrays(records)
-    if l_arr.size == 0:
+    if len(group.left) == 0:
         raise ValueError("no records to estimate from")
-    return _estimate_from_pm1(l_arr.astype(np.int64) * r_arr)
+    return _estimate_from_pm1(group.left.astype(np.int64) * group.right)
 
 
-def estimate_marginals(records) -> tuple[ExpectationEstimate, ExpectationEstimate]:
+def estimate_marginals(group) -> tuple[ExpectationEstimate, ExpectationEstimate]:
     """Single-wing means (left, right) over the same matched pairs."""
-    _, l_arr, r_arr = _as_matched_arrays(records)
-    if l_arr.size == 0:
+    if len(group.left) == 0:
         raise ValueError("no records to estimate from")
-    return _estimate_from_pm1(l_arr), _estimate_from_pm1(r_arr)
+    return _estimate_from_pm1(group.left), _estimate_from_pm1(group.right)
 
 
 @dataclass(frozen=True)
@@ -176,11 +124,7 @@ def build_triple_table(
         raise ValueError("no events to tally")
 
     partner = b if kind == "abc'" else c
-    g = np.asarray(gauge_eval(key, events.t), dtype=np.int8)
-    col1 = g
-    # A(x) = -B(x): +g below the threshold of x, -g above.
-    flip = events.lam <= 0.5 * (1.0 + partner.b2)
-    col2 = np.where(flip, g, -g).astype(np.int8)
+    col1, (col2,) = outcome_columns(events.lam, events.t, key, (partner,))
 
     # Encode (s1, s2, +1) as a 2-bit cell index and tally.
     idx = ((col1 > 0).astype(np.int64) << 1) | (col2 > 0).astype(np.int64)

@@ -12,6 +12,8 @@ from eqrc.experiments import (
     BELL_SETTINGS,
     CANONICAL_LEFT,
     ExperimentSpec,
+    RunDataset,
+    RunGroup,
     rotate_to_canonical,
     run_bell_suite,
     run_chsh_suite,
@@ -113,6 +115,24 @@ class TestRunExperiment:
         g2 = run_experiment(canon).groups[0]
         assert np.array_equal(g1.left, g2.left)
         assert np.array_equal(g1.right, g2.right)
+
+
+def _group(label, first, last):
+    idx = np.arange(first, last + 1, dtype=np.int64)
+    ones = np.ones(len(idx), dtype=np.int8)
+    return RunGroup(label, CANONICAL_LEFT, B, idx, ones, -ones)
+
+
+class TestDatasetDisjointness:
+    def test_groups_sharing_a_pair_index_are_rejected(self):
+        with pytest.raises(ValueError, match="disjoint"):
+            RunDataset(canonical_pairs=((CANONICAL_LEFT, B),) * 2,
+                       groups=(_group("pair0", 1, 10), _group("pair1", 10, 20)))
+
+    def test_adjacent_ranges_are_accepted(self):
+        ds = RunDataset(canonical_pairs=((CANONICAL_LEFT, B),) * 2,
+                        groups=(_group("pair0", 1, 10), _group("pair1", 11, 20)))
+        assert [len(g) for g in ds.groups] == [10, 10]
 
 
 class TestSwitching:

@@ -4,13 +4,14 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from eqrc.experiments import BELL_SETTINGS, CHSH_PAIRS
 from eqrc.inequalities import (
-    CyclicRow,
+    CyclicTable,
     InequalityReport,
     analytic_expectation,
     bell_check,
@@ -35,6 +36,17 @@ RAD3 = GaugeKey(mode=MODE_RADEMACHER, j=3)
 A, B, C = BELL_SETTINGS
 
 e_values = st.floats(-1, 1, allow_nan=False)
+CELLS = list(itertools.product((1, -1), repeat=3))
+
+
+def _table(weights):
+    """A cyclic table holding ``weights[i]`` rows of the sign assignment ``CELLS[i]``."""
+    cols = np.repeat(np.array(CELLS, dtype=np.int8), weights, axis=0)
+    return CyclicTable(h=np.arange(1, len(cols) + 1), s_a=cols[:, 0], s_b=cols[:, 1], s_c=cols[:, 2])
+
+
+def _single_space_wigner(table):
+    return wigner_check(table.equal_tallies(), mode="simulated-single-space")
 
 
 class TestAnalyticExpectation:
@@ -128,21 +140,18 @@ class TestWignerCheck:
 
     def test_single_assignment_tables_never_violate(self):
         # brute force over the 8 concentrated tables and all two-point mixtures
-        cells = list(itertools.product((1, -1), repeat=3))
-        for loaded in cells:
-            counts = {c: (10 if c == loaded else 0) for c in cells}
-            assert not wigner_check(counts).violated
-        for c1, c2 in itertools.combinations(cells, 2):
-            counts = {c: (7 if c == c1 else 3 if c == c2 else 0) for c in cells}
-            assert not wigner_check(counts).violated
+        for loaded in CELLS:
+            weights = [10 if c == loaded else 0 for c in CELLS]
+            assert not _single_space_wigner(_table(weights)).violated
+        for c1, c2 in itertools.combinations(CELLS, 2):
+            weights = [7 if c == c1 else 3 if c == c2 else 0 for c in CELLS]
+            assert not _single_space_wigner(_table(weights)).violated
 
     @given(st.lists(st.integers(0, 50), min_size=8, max_size=8))
     def test_random_assignment_tables_never_violate(self, weights):
-        cells = list(itertools.product((1, -1), repeat=3))
-        counts = dict(zip(cells, weights))
         if sum(weights) == 0:
-            counts[(1, 1, 1)] = 1
-        rep = wigner_check(counts)
+            weights[0] = 1
+        rep = _single_space_wigner(_table(weights))
         assert rep.mode == "simulated-single-space"
         assert not rep.violated
 
@@ -166,23 +175,22 @@ class TestCyclic:
         events = sample_pair_stream(5, 300)
         table = cyclic_concatenate(events, RAD3, BELL_SETTINGS)
         for i, e in enumerate(events):
-            row = table[i]
-            assert row.h == e.n
-            assert row.s_a == measure_left(A, e, RAD3)
-            assert row.s_b == -measure_right(B, e, RAD3)
-            assert row.s_c == -measure_right(C, e, RAD3)
+            assert table.h[i] == e.n
+            assert table.s_a[i] == measure_left(A, e, RAD3)
+            assert table.s_b[i] == -measure_right(B, e, RAD3)
+            assert table.s_c[i] == -measure_right(C, e, RAD3)
 
     def test_every_row_satisfies_the_three_pair_bound(self):
         events = sample_pair_stream(23, 5_000)
         table = cyclic_concatenate(events, RAD3, BELL_SETTINGS)
-        for row in itertools.islice(table, 500):
-            p_ab, p_ac, p_bc = row.pair_products()
-            assert abs(p_ab - p_ac) <= 1 + p_bc
+        s_a, s_b, s_c = (col.astype(np.int64) for col in (table.s_a, table.s_b, table.s_c))
+        p_ab, p_ac, p_bc = -s_a * s_b, -s_a * s_c, -s_b * s_c  # B = -A flips each sign
+        assert np.all(np.abs(p_ab - p_ac) <= 1 + p_bc)
 
     def test_pairwise_product_of_products_is_minus_one(self):
-        for s_a, s_b, s_c in itertools.product((1, -1), repeat=3):
-            p_ab, p_ac, p_bc = CyclicRow(1, s_a, s_b, s_c).pair_products()
-            assert p_ab * p_ac * p_bc == -1
+        table = cyclic_concatenate(sample_pair_stream(8, 2_000), RAD3, BELL_SETTINGS)
+        s_a, s_b, s_c = (col.astype(np.int64) for col in (table.s_a, table.s_b, table.s_c))
+        assert np.all((-s_a * s_b) * (-s_a * s_c) * (-s_b * s_c) == -1)
 
     @pytest.mark.parametrize("key", [ONE, RAD3], ids=["identity-gauge", "rademacher"])
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -204,13 +212,16 @@ class TestCyclic:
         for seed in range(5):
             events = sample_pair_stream(seed, 20_000)
             table = cyclic_concatenate(events, RAD3, (A, C, B))
-            assert not wigner_check(table).violated
+            assert not _single_space_wigner(table).violated
 
     def test_counts_round_trip(self):
         events = sample_pair_stream(4, 3_000)
         table = cyclic_concatenate(events, RAD3, BELL_SETTINGS)
-        counts = table.to_counts()
-        assert sum(counts.values()) == len(table)
+        # the table's tallies agree with a per-row count and share its total
+        tallies = table.equal_tallies()
+        rows = list(zip(table.s_a.tolist(), table.s_b.tolist(), table.s_c.tolist()))
+        expected = [(sum(r[i] != r[j] for r in rows), len(table)) for i, j in ((0, 1), (0, 2), (2, 1))]
+        assert tallies == expected
 
     def test_duplicate_settings_rejected(self):
         with pytest.raises(ValueError, match="distinct"):

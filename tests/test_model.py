@@ -1,6 +1,7 @@
 """Core model: settings, events, gauge, and the two wing functions."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,16 +13,14 @@ from eqrc.model import (
     MODE_CONSTANT,
     MODE_RADEMACHER,
     MODE_RADEMACHER_RARB,
-    MeasurementRecord,
-    PairClass,
     PairEvent,
     Setting,
-    classify_pair,
     derive_subseed,
     gauge_eval,
     measure_left,
     measure_pairs,
     measure_right,
+    outcome_columns,
     rademacher,
     rarb_eval,
     sample_pair_stream,
@@ -108,15 +107,33 @@ class TestRademacher:
         with pytest.raises(ValueError):
             rademacher(0, 0.5)
         with pytest.raises(ValueError):
+            rademacher(53, 0.5)  # 2^54 t is even for every t on the sampling grid
+        with pytest.raises(ValueError):
             rademacher(1, 1.0)
         with pytest.raises(ValueError):
             rademacher(1, -0.25)
 
-    @given(st.integers(1, 8), unit_t)
+    @given(st.integers(1, 52), unit_t)
     def test_matches_sign_of_sine_oracle(self, j, t):
-        s = math.sin(2 ** (j + 1) * math.pi * t)
-        expected = 1 if s >= 0 else -1
+        # exact sign of sin(2^(j+1) pi t) in rational arithmetic: positive
+        # exactly where floor(2^(j+1) t) is even (zeros take the interval
+        # they start)
+        expected = 1 if math.floor(Fraction(t) * 2 ** (j + 1)) % 2 == 0 else -1
         assert rademacher(j, t) == expected
+
+    @pytest.mark.parametrize("j", [1, 3, 10, 30, 40, 50, 52])
+    def test_dyadic_points_take_the_interval_they_start(self, j):
+        m = 2 ** (j + 1)
+        ks = [0, 1, 2, 3, m // 2 - 1, m // 2, m // 2 + 1, m - 2, m - 1]
+        ts = np.array([k / m for k in ks])  # exact in binary64
+        expected = [1 if k % 2 == 0 else -1 for k in ks]
+        assert rademacher(j, ts).tolist() == expected
+        assert [rademacher(j, float(t)) for t in ts] == expected
+
+    @pytest.mark.parametrize("j", [1, 3, 30, 51, 52])
+    def test_balanced_on_the_sampling_grid(self, j):
+        vals = rademacher(j, sample_pair_stream(6, 200_000).t)
+        assert abs(float(vals.mean())) < 0.01
 
     @pytest.mark.parametrize("j", range(1, 7))
     def test_sign_change_count_on_fine_grid(self, j):
@@ -157,6 +174,8 @@ class TestGauge:
             GaugeKey(mode="bogus")
         with pytest.raises(ValueError):
             GaugeKey(mode=MODE_RADEMACHER, j=0)
+        with pytest.raises(ValueError):
+            GaugeKey(mode=MODE_RADEMACHER_RARB, j=53, rarb_seed=1)
         with pytest.raises(ValueError):
             GaugeKey(mode=MODE_RADEMACHER_RARB, j=1)  # seed required
         with pytest.raises(ValueError):
@@ -260,24 +279,22 @@ class TestWingFunctions:
             assert int(r_vec[i]) == measure_right(b, e, key)
 
 
-class TestClassifyAndRecords:
-    @pytest.mark.parametrize(
-        "l,r,expected",
-        [(1, 1, PairClass.EQUAL), (1, -1, PairClass.DIFFERENT), (-1, -1, PairClass.EQUAL), (-1, 1, PairClass.DIFFERENT)],
-    )
-    def test_classification(self, l, r, expected):
-        assert classify_pair(l, r) is expected
+class TestOutcomeKernel:
+    @settings(deadline=None)
+    @given(st.lists(settings_st, min_size=1, max_size=4), st.integers(0, 2**32), keys_st)
+    def test_columns_match_the_rule_per_event(self, xs, seed, key):
+        events = sample_pair_stream(seed, 32)
+        g, cols = outcome_columns(events.lam, events.t, key, xs)
+        assert len(cols) == len(xs)
+        for i, e in enumerate(events):
+            g_e = gauge_eval(key, e.t)  # scalar gauge path
+            assert int(g[i]) == g_e
+            for x, col in zip(xs, cols):
+                assert int(col[i]) == (g_e if e.lam <= (1 + x.b2) / 2 else -g_e)
 
-    def test_rejects_non_sign_outcomes(self):
-        with pytest.raises(ValueError):
-            classify_pair(0, 1)
-
-    def test_record_validation(self):
-        s = Setting(1, 0)
-        MeasurementRecord(1, "L", s, 1)
-        with pytest.raises(ValueError):
-            MeasurementRecord(0, "L", s, 1)
-        with pytest.raises(ValueError):
-            MeasurementRecord(1, "X", s, 1)
-        with pytest.raises(ValueError):
-            MeasurementRecord(1, "R", s, 2)
+    def test_threshold_is_inclusive(self):
+        x = Setting(0.5, math.sqrt(3) / 2)  # threshold exactly 3/4
+        lam = np.array([0.75, np.nextafter(0.75, 1.0)])
+        g, (a_x,) = outcome_columns(lam, np.array([0.1, 0.1]), ONE, (x,))
+        assert g.tolist() == [1, 1] and a_x.tolist() == [1, -1]
+        assert g.dtype == a_x.dtype == np.int8

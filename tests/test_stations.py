@@ -297,6 +297,29 @@ class TestSourceEdgeCases:
         assert seen_l == [] and seen_r == []
         assert st.load_emission_log(tmp_path / "log.jsonl").emissions == []
 
+    def test_silent_connection_does_not_abort_the_source(self):
+        sock = st.make_server_socket()
+        port = sock.getsockname()[1]
+        # connects first and never says hello; the source must drop it and go on
+        silent = socket.create_connection(("127.0.0.1", port), timeout=10)
+        seen_l, seen_r = [], []
+        threads = [threading.Thread(target=self._fake_station, args=(port, "L", seen_l)),
+                   threading.Thread(target=self._fake_station, args=(port, "R", seen_r))]
+        for t in threads:
+            t.start()
+        try:
+            log = st.source_run(seed=1, count=5, sock=sock, timeout=1.0)
+        finally:
+            silent.close()
+        for t in threads:
+            t.join(timeout=15)
+        assert log.status == "complete" and len(log.emissions) == 5
+        assert [m["n"] for m in seen_l] == [m["n"] for m in seen_r] == [1, 2, 3, 4, 5]
+
+    def test_no_station_is_an_accept_timeout(self):
+        with pytest.raises(TimeoutError):
+            st.source_run(seed=1, count=5, sock=st.make_server_socket(), timeout=0.2)
+
     def test_station_disconnect_marks_the_log_partial(self):
         sock = st.make_server_socket()
         port = sock.getsockname()[1]
@@ -430,17 +453,6 @@ class TestInjectFault:
             st.inject_fault("reorder", 19, lb)
         with pytest.raises(ValueError):
             st.inject_fault("smudge", 0, lb)
-
-    def test_list_and_batch_paths_agree(self):
-        grp = _group(n=30)
-        lb, _ = st.station_batches(grp)
-        reports = [st.StationReport(int(n), "L", grp.left_setting, int(o), 0)
-                   for n, o in zip(lb.n, lb.outcome)]
-        for kind, pos in (("drop", 4), ("duplicate", 7), ("reorder", 2)):
-            batch_out = st.inject_fault(kind, pos, lb)
-            list_out = st.inject_fault(kind, pos, reports)
-            assert [r.n for r in list_out] == batch_out.n.tolist()
-            assert [r.outcome for r in list_out] == batch_out.outcome.tolist()
 
 
 class TestBackpressure:

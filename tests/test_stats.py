@@ -10,7 +10,6 @@ from eqrc.model import (
     MODE_CONSTANT,
     MODE_RADEMACHER,
     MODE_RADEMACHER_RARB,
-    MeasurementRecord,
     Setting,
     gauge_eval,
     measure_left,
@@ -18,14 +17,12 @@ from eqrc.model import (
     measure_right,
     sample_pair_stream,
 )
-from eqrc.experiments import BELL_SETTINGS, CANONICAL_LEFT, ExperimentSpec, run_experiment
+from eqrc.experiments import BELL_SETTINGS, CANONICAL_LEFT, ExperimentSpec, RunGroup, run_experiment
 from eqrc.stats import (
-    RecordMatchError,
     TripleTable,
     build_triple_table,
     estimate_expectation,
     estimate_marginals,
-    match_records,
 )
 
 ONE = GaugeKey(mode=MODE_CONSTANT)
@@ -56,19 +53,13 @@ class TestExpectation:
         est = estimate_expectation(grp)
         assert est.value == pytest.approx(0.5, abs=0.0045)
 
-    def test_record_list_path_equals_array_path(self):
-        grp = _run_group(B, 300, 9, RAD3)
-        flat = [rec for pair in grp.records() for rec in pair]
-        assert estimate_expectation(flat) == estimate_expectation(grp)
-        pairs = list(grp.records())
-        assert estimate_expectation(pairs) == estimate_expectation(grp)
-
     def test_permutation_invariance(self):
         grp = _run_group(B, 500, 11, RAD3)
-        flat = [rec for pair in grp.records() for rec in pair]
-        rng = np.random.Generator(np.random.PCG64(0))
-        shuffled = [flat[i] for i in rng.permutation(len(flat))]
+        order = np.random.Generator(np.random.PCG64(0)).permutation(len(grp))
+        shuffled = RunGroup("shuffled", grp.left_setting, grp.right_setting,
+                            grp.pair_index[order], grp.left[order], grp.right[order])
         assert estimate_expectation(shuffled) == estimate_expectation(grp)
+        assert estimate_marginals(shuffled) == estimate_marginals(grp)
 
     def test_gauge_key_replacement_invariance(self):
         events = sample_pair_stream(21, 20_000)
@@ -78,29 +69,22 @@ class TestExpectation:
             vals.append(int(np.sum(l_out.astype(np.int64) * r_out)))
         assert vals[0] == vals[1] == vals[2]
 
-    def test_unmatched_pair_index_is_an_error_naming_it(self):
-        grp = _run_group(B, 10, 2, ONE)
-        flat = [rec for pair in grp.records() for rec in pair]
-        dropped = [r for r in flat if not (r.station == "R" and r.pair_index == 7)]
-        with pytest.raises(RecordMatchError, match="7"):
-            estimate_expectation(dropped)
-
-    def test_duplicate_record_is_an_error(self):
-        grp = _run_group(B, 5, 2, ONE)
-        flat = [rec for pair in grp.records() for rec in pair]
-        with pytest.raises(RecordMatchError, match="duplicate"):
-            match_records(flat + [flat[0]])
-
     def test_std_error_formula(self):
         # products 3x(+1), 1x(-1): mean 0.5, se = sqrt((1 - 0.25)/4)
         s = Setting(1, 0)
-        recs = []
-        for n, (l, r) in enumerate([(1, 1), (1, 1), (1, 1), (1, -1)], start=1):
-            recs.append(MeasurementRecord(n, "L", s, l))
-            recs.append(MeasurementRecord(n, "R", s, r))
-        est = estimate_expectation(recs)
+        grp = RunGroup("g", s, s, np.arange(1, 5, dtype=np.int64),
+                       np.array([1, 1, 1, 1], dtype=np.int8), np.array([1, 1, 1, -1], dtype=np.int8))
+        est = estimate_expectation(grp)
         assert est.value == 0.5
         assert est.std_error == pytest.approx(math.sqrt(0.75 / 4))
+
+    def test_empty_group_rejected(self):
+        s = Setting(1, 0)
+        empty = RunGroup("g", s, s, np.empty(0, np.int64), np.empty(0, np.int8), np.empty(0, np.int8))
+        with pytest.raises(ValueError, match="no records"):
+            estimate_expectation(empty)
+        with pytest.raises(ValueError, match="no records"):
+            estimate_marginals(empty)
 
     def test_error_shrinks_like_inverse_sqrt_n(self):
         def spread(n):
