@@ -296,10 +296,12 @@ def outcome_columns(
 ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """The outcome rule for a whole stream: the gauge plus one A(x) column per setting.
 
-    Returns int8 arrays ``(g, (A(x1), A(x2), ...))``. ``g = g(t)`` is the
-    left wing's outcome. ``A(x)`` is ``+g`` where ``lam <= (1 + x.b2)/2``
-    (inclusive) and ``-g`` elsewhere; a right wing set to ``x`` reports
-    ``-A(x)``. The gauge is evaluated once however many settings are given.
+    ``lam`` and ``t`` share one shape (scalars for a single event); the
+    result is int8 arrays of that shape, ``(g, (A(x1), A(x2), ...))``.
+    ``g = g(t)`` is the left wing's outcome. ``A(x)`` is ``+g`` where
+    ``lam <= (1 + x.b2)/2`` (inclusive) and ``-g`` elsewhere; a right wing
+    set to ``x`` reports ``-A(x)``. The gauge is evaluated once however
+    many settings are given.
     """
     g = np.asarray(gauge_eval(key, t), dtype=np.int8)
     return g, tuple(np.where(lam <= 0.5 * (1.0 + x.b2), g, -g) for x in settings)
@@ -323,8 +325,8 @@ def measure_right(b: Setting, e: PairEvent, key: GaugeKey) -> Outcome:
     ``-A(b)`` for one event, so equal settings are anti-correlated with
     certainty.
     """
-    _, (a_b,) = outcome_columns(np.array([e.lam]), np.array([e.t]), key, (b,))
-    return -int(a_b[0])
+    _, (a_b,) = outcome_columns(e.lam, e.t, key, (b,))
+    return -int(a_b)
 
 
 def measure_pairs(b: Setting, events: PairStream, key: GaugeKey) -> tuple[np.ndarray, np.ndarray]:
