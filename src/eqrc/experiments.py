@@ -102,7 +102,7 @@ class RunGroup:
     label: str
     left_setting: Setting
     right_setting: Setting
-    pair_index: np.ndarray  # int64, ascending
+    pair_index: np.ndarray  # int64; ascending except after sequence-order collation
     left: np.ndarray  # int8 outcomes
     right: np.ndarray  # int8 outcomes
 
@@ -131,9 +131,11 @@ class RunDataset:
     """Results of one experiment run.
 
     Fixed-mode runs carry per-pair groups; randomly switched runs carry
-    the interleaved tagged sequence until sorted. Pair-index ranges never
-    overlap across groups. ``spec`` is None for datasets reassembled by a
-    collator, which does not know how the events were generated.
+    the interleaved tagged sequence until sorted. No pair index occurs
+    twice in the groups, whether in two groups or within one; a group's
+    indices need not be ascending. ``spec`` is None for datasets
+    reassembled by a collator, which does not know how the events were
+    generated.
     """
 
     canonical_pairs: tuple[tuple[Setting, Setting], ...]
@@ -143,10 +145,21 @@ class RunDataset:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.groups:
-            all_idx = np.concatenate([g.pair_index for g in self.groups])
-            if len(np.unique(all_idx)) != len(all_idx):
-                raise ValueError("pair-index ranges of separate groups must be disjoint")
+        indices = [g.pair_index for g in self.groups if len(g.pair_index)]
+        # Strictly ascending groups whose [first, last] intervals do not
+        # overlap are disjoint: O(n) to check, no sort.
+        spans = []
+        for idx in indices:
+            if not np.all(idx[1:] > idx[:-1]):
+                break
+            spans.append((int(idx[0]), int(idx[-1])))
+        else:
+            spans.sort()
+            if all(prev[1] < nxt[0] for prev, nxt in zip(spans, spans[1:])):
+                return
+        all_idx = np.sort(np.concatenate(indices))
+        if np.any(all_idx[1:] == all_idx[:-1]):
+            raise ValueError("pair-index ranges of separate groups must be disjoint")
 
     def group_expectations(self) -> list[ExpectationEstimate]:
         return [estimate_expectation(g) for g in self.groups]

@@ -189,25 +189,29 @@ def rademacher(j: int, t):
     return out
 
 
-def _splitmix64(z: np.ndarray) -> np.ndarray:
-    # Standard splitmix64 finalizer; uint64 arithmetic wraps silently.
-    z = (z + np.uint64(0x9E3779B97F4A7C15)).astype(np.uint64)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
-
-
 def rarb_eval(seed: int, t):
     """Keyed deterministic ±1 factor of ``t``: a hash of (seed, bits of t).
 
-    Stands in for an arbitrary extra ±1 gauge component while staying
-    reproducible and shareable as part of a key file.
+    The hash is the standard splitmix64 finalizer of ``bits(t) ^ seed``;
+    the factor is +1 where its lowest bit is set. Stands in for an
+    arbitrary extra ±1 gauge component while staying reproducible and
+    shareable as part of a key file.
     """
     scalar = np.ndim(t) == 0
     arr = np.ascontiguousarray(t, dtype=np.float64)  # promotes 0-d to 1-d
-    bits = arr.reshape(-1).view(np.uint64)
-    z = _splitmix64(bits ^ np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF))
-    out = np.where(z & np.uint64(1), 1, -1).astype(np.int8)
+    # In place on one uint64 buffer plus one shift buffer; uint64 arithmetic wraps.
+    z = np.bitwise_xor(arr.reshape(-1).view(np.uint64), np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF))
+    shifted = np.empty_like(z)
+    z += np.uint64(0x9E3779B97F4A7C15)
+    z ^= np.right_shift(z, np.uint64(30), out=shifted)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= np.right_shift(z, np.uint64(27), out=shifted)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= np.right_shift(z, np.uint64(31), out=shifted)
+    z &= np.uint64(1)
+    out = z.astype(np.int8)
+    out *= 2
+    out -= 1
     if scalar:
         return int(out[0])
     return out.reshape(arr.shape)

@@ -490,7 +490,8 @@ def station_run(
     key file). The station dials exactly two endpoints (source and
     collator), and the grammar of what it can receive contains no field
     that could carry the remote setting. Refuses to start without the
-    key file; malformed events are rejected and logged, not measured.
+    key file; malformed events, and events whose pair index is not above
+    the last accepted one, are rejected and logged, not measured.
     """
     if station_id not in ("L", "R"):
         raise ValueError(f"station_id must be 'L' or 'R', got {station_id!r}")
@@ -507,6 +508,7 @@ def station_run(
         send_frame(src, {"v": WIRE_VERSION, "type": "hello", "station": station_id})
         send_frame(col, {"v": WIRE_VERSION, "type": "key_digest", "station": station_id,
                          "digest_hex": log.key_digest})
+        last_n = 0  # last accepted pair index; PairEvent requires n >= 1
         while True:
             msg = recv_frame(src)
             if msg is None:
@@ -524,6 +526,10 @@ def station_run(
             except ValueError as exc:
                 log.rejected.append(f"emit rejected: {exc}")
                 continue
+            if event.n <= last_n:
+                log.rejected.append(f"non-increasing pair index {event.n} after {last_n}")
+                continue
+            last_n = event.n
             if station_id == "L":
                 outcome = measure_left(setting, event, key)
             else:
@@ -599,14 +605,17 @@ def collate(
 
     incomplete: list[int] = []
     if strategy == "pair-id":
-        for batch in (left, right):
-            uniq, counts = np.unique(batch.n, return_counts=True)
-            if np.any(counts > 1):
-                dup = int(uniq[np.argmax(counts > 1)])
-                raise CollationError(f"duplicate pair index {dup} in station {batch.station} stream")
-        common = np.intersect1d(left.n, right.n)
-        only_l = np.setdiff1d(left.n, right.n)
-        only_r = np.setdiff1d(right.n, left.n)
+        l_order = np.argsort(left.n, kind="stable")
+        r_order = np.argsort(right.n, kind="stable")
+        l_sorted_n, l_sorted_out = left.n[l_order], left.outcome[l_order]
+        r_sorted_n, r_sorted_out = right.n[r_order], right.outcome[r_order]
+        for batch, sorted_n in ((left, l_sorted_n), (right, r_sorted_n)):
+            repeats = sorted_n[1:][sorted_n[1:] == sorted_n[:-1]]
+            if repeats.size:
+                raise CollationError(f"duplicate pair index {int(repeats[0])} in station {batch.station} stream")
+        common = np.intersect1d(l_sorted_n, r_sorted_n, assume_unique=True)
+        only_l = np.setdiff1d(l_sorted_n, r_sorted_n, assume_unique=True)
+        only_r = np.setdiff1d(r_sorted_n, l_sorted_n, assume_unique=True)
         incomplete = sorted(int(x) for x in np.concatenate([only_l, only_r]))
         if emission_log is not None:
             emitted = np.array([e.n for e in emission_log.emissions], dtype=np.int64)
@@ -615,10 +624,6 @@ def collate(
                 raise CollationError(f"report for never-emitted pair index {int(stray[0])}")
             lost = np.setdiff1d(emitted, np.union1d(left.n, right.n))
             incomplete = sorted(set(incomplete) | {int(x) for x in lost})
-        l_order = np.argsort(left.n, kind="stable")
-        r_order = np.argsort(right.n, kind="stable")
-        l_sorted_n, l_sorted_out = left.n[l_order], left.outcome[l_order]
-        r_sorted_n, r_sorted_out = right.n[r_order], right.outcome[r_order]
         l_sel = np.searchsorted(l_sorted_n, common)
         r_sel = np.searchsorted(r_sorted_n, common)
         idx = common
@@ -706,10 +711,13 @@ def collator_serve(
 ) -> CollationResult:
     """Accept both stations, verify key agreement, join their reports.
 
-    Refuses to collate unless the two stations' key digests are equal.
-    The high-water mark bounds how far ahead one station may run before
-    its connection stops being read (TCP backpressure); receipt resumes
-    once the other wing catches up or finishes.
+    Refuses to collate unless the two stations' key digests are equal,
+    when a station's end marker counts other than the reports received
+    (CollationError), or when a reader is still running after its join
+    deadline of ``4 * timeout`` (ProtocolError). The high-water mark
+    bounds how far ahead one station may run before its connection stops
+    being read (TCP backpressure); receipt resumes once the other wing
+    catches up or finishes.
     """
     server = sock if sock is not None else make_server_socket(*(bind or ("127.0.0.1", 0)))
     server.settimeout(timeout)
@@ -757,6 +765,9 @@ def collator_serve(
                 kind = validate_message(msg, COLLATOR_RECEIVABLE_SCHEMAS)
                 if kind == "end":
                     with lock:
+                        if msg["count"] != len(reports[station]):
+                            raise CollationError(f"station {station} end marker counts {msg['count']} reports, "
+                                                 f"{len(reports[station])} received")
                         done[station] = True
                         lock.notify_all()
                     return
@@ -791,12 +802,16 @@ def collator_serve(
             holder: list = []
             th = threading.Thread(target=reader, args=(conn, holder), daemon=True)
             th.start()
-            threads.append(th)
-        for th in threads:
+            threads.append((th, holder))
+        for th, _holder in threads:
             th.join(timeout=timeout * 4)
     finally:
         server.close()
 
+    for th, holder in threads:
+        if th.is_alive():  # still appending: its report list is not final
+            name = holder[0] if holder else "(not yet identified)"
+            raise ProtocolError(f"reader for station {name} still running after the join deadline")
     for exc in errors:
         raise exc
     if not reports["L"] or not reports["R"]:

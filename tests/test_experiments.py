@@ -118,9 +118,17 @@ class TestRunExperiment:
 
 
 def _group(label, first, last):
-    idx = np.arange(first, last + 1, dtype=np.int64)
+    return _group_of(label, np.arange(first, last + 1, dtype=np.int64))
+
+
+def _group_of(label, idx):
     ones = np.ones(len(idx), dtype=np.int8)
     return RunGroup(label, CANONICAL_LEFT, B, idx, ones, -ones)
+
+
+def _dataset(indices):
+    groups = tuple(_group_of(f"pair{i}", idx) for i, idx in enumerate(indices))
+    return RunDataset(canonical_pairs=((CANONICAL_LEFT, B),) * len(groups), groups=groups)
 
 
 class TestDatasetDisjointness:
@@ -133,6 +141,37 @@ class TestDatasetDisjointness:
         ds = RunDataset(canonical_pairs=((CANONICAL_LEFT, B),) * 2,
                         groups=(_group("pair0", 1, 10), _group("pair1", 11, 20)))
         assert [len(g) for g in ds.groups] == [10, 10]
+
+    def test_repeat_within_one_group_is_rejected(self):
+        with pytest.raises(ValueError, match="disjoint"):
+            _dataset([np.array([1, 2, 3, 2])])
+        with pytest.raises(ValueError, match="disjoint"):
+            _dataset([np.array([1, 2, 2, 3]), np.array([10, 11])])
+
+    def test_interleaved_odd_and_even_groups_are_accepted(self):
+        odd, even = np.arange(1, 200, 2), np.arange(2, 201, 2)
+        ds = _dataset([odd, even, np.array([], dtype=np.int64)])
+        assert [len(g) for g in ds.groups] == [100, 100, 0]
+
+    @given(st.data())
+    def test_rejects_exactly_the_datasets_with_a_repeated_index(self, data):
+        groups = []
+        for g in range(data.draw(st.integers(0, 5))):
+            values = data.draw(st.lists(st.integers(1, 40), max_size=25))
+            shape = data.draw(st.sampled_from(["ascending", "shuffled", "odd-even", "as-drawn"]))
+            if shape == "ascending":
+                values = sorted(set(values))
+            elif shape == "shuffled":
+                values = data.draw(st.permutations(sorted(set(values))))
+            elif shape == "odd-even":  # overlapping ranges, disjoint values
+                values = sorted({2 * v + g % 2 for v in values})
+            groups.append(np.array(values, dtype=np.int64))
+        all_idx = np.concatenate(groups) if groups else np.array([], dtype=np.int64)
+        if len(np.unique(all_idx)) != len(all_idx):
+            with pytest.raises(ValueError, match="disjoint"):
+                _dataset(groups)
+        else:
+            _dataset(groups)
 
 
 class TestSwitching:

@@ -1,6 +1,7 @@
 """Core model: settings, events, gauge, and the two wing functions."""
 
 import math
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -194,6 +195,24 @@ class TestGauge:
         assert set(np.unique(vals)) <= {-1, 1}
         assert abs(float(vals.mean())) < 0.02
         assert [rarb_eval(123, float(t)) for t in ts[:200]] == vals[:200].tolist()
+
+    @staticmethod
+    def _rarb_reference(seed, t):
+        # splitmix64 finalizer of bits(t) ^ seed in Python ints, masked to 64 bits
+        mask = 2**64 - 1
+        bits = int.from_bytes(struct.pack("<d", t), "little")
+        z = ((bits ^ (seed & mask)) + 0x9E3779B97F4A7C15) & mask
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        z ^= z >> 31
+        return 1 if z & 1 else -1
+
+    @given(st.integers(-(2**63), 2**64 - 1), st.lists(unit_t, min_size=1, max_size=40))
+    def test_rarb_matches_python_int_splitmix64(self, seed, ts):
+        ts = ts + [0.0, 5e-324, 1 - 2**-53]
+        expected = [self._rarb_reference(seed, t) for t in ts]
+        assert rarb_eval(seed, np.array(ts)).tolist() == expected
+        assert [rarb_eval(seed, t) for t in ts] == expected
 
 
 class TestPairStream:

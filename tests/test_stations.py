@@ -261,6 +261,42 @@ class TestStationRejection:
         assert len(log.reports) == 1 and log.reports[0].n == 1
         assert len(log.rejected) == 2
 
+    def test_non_increasing_pair_indices_are_rejected_and_logged(self, tmp_path):
+        key_path = tmp_path / "key.json"
+        st.write_key_file(key_path, RAD3)
+        src_sock = st.make_server_socket()
+        sink_sock = st.make_server_socket()
+        sunk = []
+
+        def fake_source():
+            conn, _ = src_sock.accept()
+            st.recv_frame(conn)  # hello
+            for n in (1, 2, 2, 1, 3):  # a duplicate, then a step back
+                st.send_frame(conn, {"v": 1, "type": "emit", "n": n, "lambda": 0.5, "t": 0.25})
+            st.send_frame(conn, {"v": 1, "type": "end", "count": 5})
+            conn.close()
+            src_sock.close()
+
+        def sink():
+            conn, _ = sink_sock.accept()
+            while (msg := st.recv_frame(conn)) is not None:
+                sunk.append(msg)
+            conn.close()
+            sink_sock.close()
+
+        threads = [threading.Thread(target=fake_source), threading.Thread(target=sink)]
+        for t in threads:
+            t.start()
+        log = st.station_run("L", CANONICAL_LEFT, key_path, ("127.0.0.1", src_sock.getsockname()[1]),
+                             ("127.0.0.1", sink_sock.getsockname()[1]), timeout=15)
+        for t in threads:
+            t.join(timeout=15)
+            assert not t.is_alive()
+        assert [r.n for r in log.reports] == [1, 2, 3]
+        assert [m["n"] for m in sunk if m["type"] == "report"] == [1, 2, 3]
+        assert sunk[-1] == {"v": 1, "type": "end", "station": "L", "count": 3}
+        assert log.rejected == ["non-increasing pair index 2 after 2", "non-increasing pair index 1 after 2"]
+
     def test_missing_key_file_refuses_to_start(self, tmp_path):
         with pytest.raises(st.KeyFileError):
             st.station_run("L", CANONICAL_LEFT, tmp_path / "no-key.json",
@@ -453,6 +489,54 @@ class TestInjectFault:
             st.inject_fault("reorder", 19, lb)
         with pytest.raises(ValueError):
             st.inject_fault("smudge", 0, lb)
+
+
+class TestCollatorChecks:
+    def _serve(self, senders, timeout):
+        """Run collator_serve against fake stations ``senders[station](conn)``."""
+        col_sock = st.make_server_socket()
+        port = col_sock.getsockname()[1]
+        digest = RAD3.digest_hex()
+
+        def fake_station(station):
+            conn = socket.create_connection(("127.0.0.1", port), timeout=15)
+            st.send_frame(conn, {"v": 1, "type": "key_digest", "station": station, "digest_hex": digest})
+            senders[station](conn, station)
+            conn.close()
+
+        threads = [threading.Thread(target=fake_station, args=(s,)) for s in ("L", "R")]
+        for t in threads:
+            t.start()
+        try:
+            return st.collator_serve(sock=col_sock, timeout=timeout)
+        finally:
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+
+    @staticmethod
+    def _report(station, n):
+        return {"v": 1, "type": "report", "n": n, "station": station,
+                "setting": [1.0, 0.0], "outcome": 1, "clock_ns": n}
+
+    def _send(self, count, claimed=None, pause=0.0):
+        def send(conn, station):
+            for n in range(1, count + 1):
+                time.sleep(pause)
+                st.send_frame(conn, self._report(station, n))
+            st.send_frame(conn, {"v": 1, "type": "end", "station": station,
+                                 "count": count if claimed is None else claimed})
+        return send
+
+    def test_end_count_must_match_the_reports_received(self):
+        with pytest.raises(st.CollationError, match=r"station L .* 6 reports, 5 received"):
+            self._serve({"L": self._send(5, claimed=6), "R": self._send(5)}, timeout=10)
+
+    def test_reader_alive_after_the_join_deadline_is_an_error(self):
+        # Each frame arrives inside the 0.5 s receive timeout, but the whole
+        # stream (about 3.2 s) outlasts the 4 * 0.5 s join deadline.
+        with pytest.raises(st.ProtocolError, match="station R still running"):
+            self._serve({"L": self._send(3), "R": self._send(16, pause=0.2)}, timeout=0.5)
 
 
 class TestBackpressure:
