@@ -171,10 +171,11 @@ def rotate_to_canonical(pair: tuple[Setting, Setting]) -> tuple[Setting, Setting
     The right setting keeps its signed angle to the left one; the new
     components are plain dot/cross products, so the inter-setting angle
     (and with it the predicted correlation) is preserved exactly. A pair
-    whose left setting is already canonical is returned unchanged.
+    whose left setting is exactly [1, 0] is returned unchanged; one merely
+    close to it is rotated, so the angle stays exact.
     """
     left, right = pair
-    if left.close_to(CANONICAL_LEFT):
+    if left == CANONICAL_LEFT:
         return (CANONICAL_LEFT, right)
     b2 = left.b2 * right.b2 + left.b3 * right.b3
     b3 = left.b2 * right.b3 - left.b3 * right.b2

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from array import array
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -47,17 +48,17 @@ def _setting_json(s: Setting) -> list[float]:
     return [s.b2, s.b3]
 
 
-def _record_line(group_label: str, n: int, station: str, setting: Setting, outcome: int) -> str:
-    return _dumps(
-        {
-            "v": SCHEMA_VERSION,
-            "group": group_label,
-            "n": n,
-            "station": station,
-            "setting": _setting_json(setting),
-            "outcome": outcome,
-        }
-    )
+def _line_template(group_label: str, station: str, setting: Setting) -> tuple[str, str]:
+    """The constant head and tail of a record line for one group and station.
+
+    A record's sorted keys are group, n, outcome, setting, station, v, so
+    only ``n`` and ``outcome`` sit between the two pieces. JSON renders an
+    int as ``str(int)``, so head, n, ``,"outcome":``, outcome and tail
+    joined are the same bytes as ``_dumps`` of the whole record.
+    """
+    head = _dumps({"group": group_label})[:-1] + ',"n":'
+    tail = "," + _dumps({"setting": _setting_json(setting), "station": station, "v": SCHEMA_VERSION})[1:]
+    return head, tail
 
 
 def dataset_record_lines(ds: RunDataset) -> Iterable[str]:
@@ -69,18 +70,22 @@ def dataset_record_lines(ds: RunDataset) -> Iterable[str]:
     """
     if ds.interleaved is not None:
         inter = ds.interleaved
-        for i in range(len(inter)):
-            gid = int(inter.group_ids[i])
-            lft, rgt = ds.canonical_pairs[gid]
-            n = int(inter.pair_index[i])
-            yield _record_line(f"pair{gid}", n, "L", lft, int(inter.left[i]))
-            yield _record_line(f"pair{gid}", n, "R", rgt, int(inter.right[i]))
+        templates = [
+            (*_line_template(f"pair{gid}", "L", lft), _line_template(f"pair{gid}", "R", rgt)[1])
+            for gid, (lft, rgt) in enumerate(ds.canonical_pairs)
+        ]
+        cols = (inter.group_ids.tolist(), inter.pair_index.tolist(), inter.left.tolist(), inter.right.tolist())
+        for gid, n, lo, ro in zip(*cols):
+            head, ltail, rtail = templates[gid]
+            yield f'{head}{n},"outcome":{lo}{ltail}'
+            yield f'{head}{n},"outcome":{ro}{rtail}'
         return
     for grp in ds.groups:
-        for i in range(len(grp)):
-            n = int(grp.pair_index[i])
-            yield _record_line(grp.label, n, "L", grp.left_setting, int(grp.left[i]))
-            yield _record_line(grp.label, n, "R", grp.right_setting, int(grp.right[i]))
+        head, ltail = _line_template(grp.label, "L", grp.left_setting)
+        rtail = _line_template(grp.label, "R", grp.right_setting)[1]
+        for n, lo, ro in zip(grp.pair_index.tolist(), grp.left.tolist(), grp.right.tolist()):
+            yield f'{head}{n},"outcome":{lo}{ltail}'
+            yield f'{head}{n},"outcome":{ro}{rtail}'
 
 
 def _dataset_header(ds: RunDataset) -> dict:
@@ -124,6 +129,10 @@ def load_run_dataset(path) -> RunDataset:
 
     Fixed-mode files come back as groups; randomly switched files come
     back interleaved (file order) so they can be sorted downstream.
+    Raises ValueError, naming the line or pair, for a record of another
+    schema version or an unknown group, a pair index that is not an
+    integer >= 1, an outcome other than -1/+1, a station other than
+    L/R, and a pair without exactly one L and one R record.
     """
     path = Path(path)
     with path.open("r", encoding="utf-8") as fh:
@@ -134,22 +143,41 @@ def load_run_dataset(path) -> RunDataset:
             (Setting(*l), Setting(*r)) for l, r in header["pairs"]
         )
         labels = [f"pair{i}" for i in range(len(pairs))]
-        # (group, n) -> {"L": outcome, "R": outcome}, in first-appearance order
-        slots: dict[tuple[int, int], dict] = {}
-        for raw in fh:
+        gid_of = {label: gid for gid, label in enumerate(labels)}
+        # (gid, n, station 0/1, outcome) per record, flat, in file order
+        flat = array("q")
+        for lineno, raw in enumerate(fh, start=2):
             rec = json.loads(raw)
             if rec.get("v") != SCHEMA_VERSION:
-                raise ValueError(f"record with unsupported schema version: {raw!r}")
+                raise ValueError(f"line {lineno}: record with unsupported schema version: {raw!r}")
             try:
-                gid = labels.index(rec["group"])
-            except ValueError:
-                raise ValueError(f"record tagged with unknown group {rec['group']!r}") from None
-            slot = slots.setdefault((gid, int(rec["n"])), {})
-            slot[rec["station"]] = int(rec["outcome"])
+                gid = gid_of[rec.get("group")]
+            except (KeyError, TypeError):
+                raise ValueError(f"line {lineno}: record tagged with unknown group {rec.get('group')!r}") from None
+            n = rec.get("n")
+            if type(n) is not int or not 0 < n < 2**63:  # bools and floats are refused too
+                raise ValueError(f"line {lineno}: pair index {n!r} is not an integer >= 1 in {path}")
+            station, outcome = rec.get("station"), rec.get("outcome")
+            if station not in ("L", "R"):
+                raise ValueError(f"line {lineno}: unknown station {station!r} for pair {n} in {path}")
+            if type(outcome) is not int or outcome not in (-1, 1):
+                raise ValueError(f"line {lineno}: outcome {outcome!r} of pair {n} is not -1 or +1 in {path}")
+            flat.extend((gid, n, station == "R", outcome))
 
-    for (gid, n), slot in slots.items():
-        if set(slot) != {"L", "R"}:
-            raise ValueError(f"pair {n} in group pair{gid} is incomplete in file {path}")
+    gids, ns, sides, outcomes = np.frombuffer(flat, dtype=np.int64).reshape(-1, 4).T
+    # Sorted by (gid, n, station), a valid file is a run of (L, R) couples;
+    # the first couple that is not starts a pair with a missing or extra record.
+    order = np.lexsort((sides, ns, gids))
+    lrow, rrow = order[0::2], order[1::2]
+    m = len(rrow)
+    coupled = (gids[lrow[:m]] == gids[rrow]) & (ns[lrow[:m]] == ns[rrow]) & (sides[lrow[:m]] < sides[rrow])
+    bad = np.flatnonzero(~coupled)
+    if bad.size or len(lrow) != m:
+        at = int(lrow[bad[0]] if bad.size else lrow[m])
+        raise ValueError(
+            f"pair {int(ns[at])} in group {labels[gids[at]]} (line {at + 2}) is incomplete or repeated: "
+            f"it needs exactly one L and one R record in file {path}"
+        )
 
     spec = None
     if header.get("seed") is not None:
@@ -164,31 +192,29 @@ def load_run_dataset(path) -> RunDataset:
     meta = dict(header.get("meta", {}))
 
     if header.get("switching") == "random-switched":
-        keys = list(slots)
-        gids = np.array([g for g, _ in keys], dtype=np.int64)
-        idx = np.array([n for _, n in keys], dtype=np.int64)
-        left = np.array([slots[k]["L"] for k in keys], dtype=np.int8)
-        right = np.array([slots[k]["R"] for k in keys], dtype=np.int8)
-        inter = InterleavedRecords(group_ids=gids, pair_index=idx, left=left, right=right)
+        # First-appearance order: a pair sits where the earlier of its records does.
+        first_seen = np.argsort(np.minimum(lrow, rrow))
+        lrow, rrow = lrow[first_seen], rrow[first_seen]
+        inter = InterleavedRecords(
+            group_ids=gids[lrow], pair_index=ns[lrow],
+            left=outcomes[lrow].astype(np.int8), right=outcomes[rrow].astype(np.int8),
+        )
         return RunDataset(canonical_pairs=pairs, groups=(), interleaved=inter, spec=spec, meta=meta)
 
-    groups = []
-    for gid, (lft, rgt) in enumerate(pairs):
-        ns = sorted(n for g, n in slots if g == gid)
-        idx = np.array(ns, dtype=np.int64)
-        left = np.array([slots[(gid, n)]["L"] for n in ns], dtype=np.int8)
-        right = np.array([slots[(gid, n)]["R"] for n in ns], dtype=np.int8)
-        groups.append(
-            RunGroup(
-                label=labels[gid],
-                left_setting=lft,
-                right_setting=rgt,
-                pair_index=idx,
-                left=left,
-                right=right,
-            )
+    bounds = np.searchsorted(gids[lrow], np.arange(len(pairs) + 1))
+    pair_index, left, right = ns[lrow], outcomes[lrow].astype(np.int8), outcomes[rrow].astype(np.int8)
+    groups = tuple(
+        RunGroup(
+            label=labels[gid],
+            left_setting=lft,
+            right_setting=rgt,
+            pair_index=pair_index[lo:hi],
+            left=left[lo:hi],
+            right=right[lo:hi],
         )
-    return RunDataset(canonical_pairs=pairs, groups=tuple(groups), spec=spec, meta=meta)
+        for gid, ((lft, rgt), lo, hi) in enumerate(zip(pairs, bounds[:-1], bounds[1:]))
+    )
+    return RunDataset(canonical_pairs=pairs, groups=groups, spec=spec, meta=meta)
 
 
 def sweep_csv_text(points: Sequence[SweepPoint]) -> str:

@@ -17,11 +17,13 @@ field can carry the other wing's setting.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import socket
 import struct
 import threading
 import time
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -350,6 +352,13 @@ def load_emission_log(path) -> SourceLog:
 
 
 def write_report_log(log: StationLog, path) -> None:
+    """Header line, then one ``StationReport.to_wire`` form per line.
+
+    A report's sorted keys are clock_ns, n, outcome, setting, station,
+    type, v: only the first three change from line to line, so the tail
+    is dumped once per (station, setting) object and each line is
+    formatted from the three ints, the same bytes as dumping the report.
+    """
     with Path(path).open("w", encoding="utf-8") as fh:
         header = {
             "v": WIRE_VERSION,
@@ -359,19 +368,71 @@ def write_report_log(log: StationLog, path) -> None:
             "key_digest": log.key_digest,
         }
         fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
+        station = setting = tail = None
         for r in log.reports:
-            fh.write(json.dumps(r.to_wire(), sort_keys=True, separators=(",", ":")) + "\n")
+            # Identity, not equality: -0.0 == 0.0 but they dump differently.
+            if r.station is not station or r.setting is not setting:
+                station, setting = r.station, r.setting
+                tail = "," + json.dumps(
+                    {"setting": [setting.b2, setting.b3], "station": station, "type": "report", "v": WIRE_VERSION},
+                    sort_keys=True, separators=(",", ":"),
+                )[1:]
+            fh.write(f'{{"clock_ns":{r.clock_ns},"n":{r.n},"outcome":{r.outcome}{tail}\n')
+
+
+def _log_int(msg: dict, name: str, path, lineno: int, lo: int = -(2**63), allowed=None) -> int:
+    value = msg.get(name)
+    if type(value) is not int or not lo <= value < 2**63 or (allowed is not None and value not in allowed):
+        raise ValueError(f"report log {path} line {lineno}: invalid {name} {value!r}")
+    return value
 
 
 def load_report_log(path) -> ReportBatch:
+    """Load a report log into one batch, column by column.
+
+    Raises ValueError naming the line for a report whose ``v``/``type``
+    is not 1/"report", whose ``n`` is not an integer >= 1, whose outcome
+    is not -1/+1 or whose ``clock_ns`` is not an integer, and for a
+    report from another station session than the first line's.
+    """
     with Path(path).open("r", encoding="utf-8") as fh:
         header = json.loads(fh.readline())
         if header.get("kind") != "report-log":
             raise ValueError(f"not a report log: {path}")
-        reports = [StationReport.from_wire(json.loads(raw)) for raw in fh]
-    if not reports:
+        flat = array("q")  # (n, outcome, clock_ns) per report
+        first = station = setting = None  # the first report's raw and parsed session
+        for lineno, raw in enumerate(fh, start=2):
+            msg = json.loads(raw)
+            if not isinstance(msg, dict) or msg.get("type") != "report":
+                raise ValueError(f"report log {path} line {lineno} is not a report: {raw!r}")
+            _log_int(msg, "v", path, lineno, allowed=(WIRE_VERSION,))
+            flat.extend((
+                _log_int(msg, "n", path, lineno, lo=1),
+                _log_int(msg, "outcome", path, lineno, allowed=(-1, 1)),
+                _log_int(msg, "clock_ns", path, lineno),
+            ))
+            session = (msg.get("station"), msg.get("setting"))
+            if session != first:
+                this_station, this_setting = _report_session(msg, path, lineno)
+                if first is None:
+                    first, station, setting = session, this_station, this_setting
+                elif this_station != station or not this_setting.close_to(setting):
+                    raise ValueError(f"report log {path} line {lineno}: a report batch must come from "
+                                     f"one station session")
+    if setting is None:
         raise ValueError(f"report log {path} holds no reports")
-    return ReportBatch.from_reports(reports)
+    n, outcome, clock_ns = np.frombuffer(flat, dtype=np.int64).reshape(-1, 3).T
+    return ReportBatch(station=station, setting=setting, n=n.copy(), outcome=outcome.astype(np.int8),
+                       clock_ns=clock_ns.copy())
+
+
+def _report_session(msg: dict, path, lineno: int) -> tuple[str, Setting]:
+    """The (station, setting) a report line names."""
+    try:
+        b2, b3 = msg["setting"]
+        return msg["station"], Setting(float(b2), float(b3))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"report log {path} line {lineno}: bad station or setting: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -714,10 +775,11 @@ def collator_serve(
     Refuses to collate unless the two stations' key digests are equal,
     when a station's end marker counts other than the reports received
     (CollationError), or when a reader is still running after its join
-    deadline of ``4 * timeout`` (ProtocolError). The high-water mark
-    bounds how far ahead one station may run before its connection stops
-    being read (TCP backpressure); receipt resumes once the other wing
-    catches up or finishes.
+    deadline of ``4 * timeout`` (ProtocolError; that reader's connection
+    is shut down first). The high-water mark bounds how far ahead one
+    station may run before its connection stops being read (TCP
+    backpressure); receipt resumes once the other wing catches up or
+    finishes.
     """
     server = sock if sock is not None else make_server_socket(*(bind or ("127.0.0.1", 0)))
     server.settimeout(timeout)
@@ -802,16 +864,22 @@ def collator_serve(
             holder: list = []
             th = threading.Thread(target=reader, args=(conn, holder), daemon=True)
             th.start()
-            threads.append((th, holder))
-        for th, _holder in threads:
+            threads.append((th, holder, conn))
+        for th, _holder, _conn in threads:
             th.join(timeout=timeout * 4)
     finally:
         server.close()
 
-    for th, holder in threads:
-        if th.is_alive():  # still appending: its report list is not final
-            name = holder[0] if holder else "(not yet identified)"
-            raise ProtocolError(f"reader for station {name} still running after the join deadline")
+    stuck = [(holder, conn) for th, holder, conn in threads if th.is_alive()]
+    for _holder, conn in stuck:
+        # Cut the peer off rather than leave a daemon reader on an open socket.
+        with contextlib.suppress(OSError):  # the reader may have closed it meanwhile
+            conn.shutdown(socket.SHUT_RDWR)
+        conn.close()
+    if stuck:  # still appending: its report list is not final
+        holder = stuck[0][0]
+        name = holder[0] if holder else "(not yet identified)"
+        raise ProtocolError(f"reader for station {name} still running after the join deadline")
     for exc in errors:
         raise exc
     if not reports["L"] or not reports["R"]:

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from eqrc.experiments import (
@@ -52,6 +52,7 @@ class TestRotation:
         assert analytic_expectation(lft, rgt) == pytest.approx(analytic_expectation(x, y), abs=1e-12)
 
     @given(angles, angles)
+    @example(alpha=1e-12, beta=1.192092896e-07)
     def test_orientation_preserved(self, alpha, beta):
         x, y = Setting.from_angle(alpha), Setting.from_angle(beta)
         cross = x.b2 * y.b3 - x.b3 * y.b2

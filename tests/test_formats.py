@@ -6,10 +6,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eqrc.experiments import (
     BELL_PAIRS,
     ExperimentSpec,
+    InterleavedRecords,
+    RunDataset,
+    RunGroup,
     run_experiment,
     sort_wigner_sets,
     sweep_angle,
@@ -25,7 +30,7 @@ from eqrc.formats import (
     write_triple_csv,
 )
 from eqrc.inequalities import bell_check
-from eqrc.model import GaugeKey, MODE_RADEMACHER, sample_pair_stream
+from eqrc.model import GaugeKey, MODE_RADEMACHER, Setting, sample_pair_stream
 from eqrc.stats import build_triple_table
 from eqrc.experiments import BELL_SETTINGS
 
@@ -112,6 +117,123 @@ class TestDatasetJsonl:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="unknown group"):
             load_run_dataset(path)
+
+
+def _rewrite(tmp_path, ds, edit):
+    """Write ``ds``, pass its record dicts through ``edit`` (returns the new list), save."""
+    lines = run_dataset_text(ds).splitlines()
+    records = edit([json.loads(line) for line in lines[1:]])
+    path = tmp_path / "edited.jsonl"
+    path.write_text("\n".join([lines[0], *(json.dumps(r) for r in records)]) + "\n")
+    return path
+
+
+class TestLoaderRefusals:
+    """What the writer never writes is refused, naming the pair or line."""
+
+    def test_any_json_rendering_in_any_order_loads(self, tmp_path):
+        ds = run_experiment(_spec(n=50))
+        # json.dumps without sort_keys or compact separators, records shuffled
+        order = np.random.default_rng(0).permutation(2 * 150)
+        back = load_run_dataset(_rewrite(tmp_path, ds, lambda recs: [recs[i] for i in order]))
+        for g1, g2 in zip(ds.groups, back.groups):
+            assert np.array_equal(g1.pair_index, g2.pair_index)
+            assert np.array_equal(g1.left, g2.left) and np.array_equal(g1.right, g2.right)
+
+    def test_switched_file_keeps_first_appearance_order(self, tmp_path):
+        ds = run_experiment(_spec(n=50, switching="random-switched"))
+
+        def reorder(recs):
+            # Every R ahead of its L, and the first pair's L after the whole
+            # second pair: a pair sits where its earlier record is.
+            out = [r for i in range(0, len(recs), 2) for r in (recs[i + 1], recs[i])]
+            out.insert(3, out.pop(1))
+            return out
+
+        back = load_run_dataset(_rewrite(tmp_path, ds, reorder)).interleaved
+        for name in ("group_ids", "pair_index", "left", "right"):
+            assert np.array_equal(getattr(back, name), getattr(ds.interleaved, name))
+
+    @pytest.mark.parametrize("extra", ["flipped L", "whole pair"])
+    def test_repeated_record_is_refused(self, tmp_path, extra):
+        ds = run_experiment(_spec(n=3))
+
+        def repeat(recs):
+            dup = [dict(recs[2], outcome=-recs[2]["outcome"])] if extra == "flipped L" else recs[2:4]
+            return recs + dup
+
+        with pytest.raises(ValueError, match=r"pair \d+ in group pair0 .*exactly one L and one R"):
+            load_run_dataset(_rewrite(tmp_path, ds, repeat))
+
+    @pytest.mark.parametrize("bad_n", [1.9, 2.0, True, 0, -4, "2", None])
+    def test_pair_index_must_be_an_integer_of_at_least_one(self, tmp_path, bad_n):
+        ds = run_experiment(_spec(n=3))
+        # Move the first pair (both records) to the bad index.
+        path = _rewrite(tmp_path, ds, lambda recs: [dict(r, n=bad_n) for r in recs[:2]] + recs[2:])
+        with pytest.raises(ValueError, match=r"line 2: pair index .* is not an integer >= 1"):
+            load_run_dataset(path)
+
+    @pytest.mark.parametrize("bad_outcome", [5, 0, 1.0, True, "1"])
+    def test_outcome_must_be_minus_or_plus_one(self, tmp_path, bad_outcome):
+        ds = run_experiment(_spec(n=3))
+        path = _rewrite(tmp_path, ds, lambda recs: recs[:3] + [dict(recs[3], outcome=bad_outcome)] + recs[4:])
+        with pytest.raises(ValueError, match=r"line 5: outcome .* is not -1 or \+1"):
+            load_run_dataset(path)
+
+
+# Settings from random angles plus components whose JSON form is easy to get
+# wrong: negative zero, the smallest subnormal next to 1.0, a pure -1.
+_EDGE_SETTINGS = [Setting(1.0, 0.0), Setting(1.0, -0.0), Setting(-0.0, 1.0), Setting(1.0, 5e-324),
+                  Setting(0.0, -1.0)]
+_settings = st.one_of(st.sampled_from(_EDGE_SETTINGS),
+                        st.floats(-math.pi, math.pi).map(Setting.from_angle))
+# collate(group_label=...) passes any string through, quotes, backslashes and non-ASCII included.
+_labels = st.one_of(st.just("pair0"), st.text(alphabet=st.sampled_from('ab"\\é∑😀\n\x00'), max_size=6))
+
+
+def _reference_lines(groups):
+    """The pre-template writer: one sorted-key dict dump per record."""
+    out = []
+    for label, lft, rgt, idx, left, right in groups:
+        for n, lo, ro in zip(idx, left, right):
+            for station, setting, o in (("L", lft, lo), ("R", rgt, ro)):
+                out.append(json.dumps({"v": 1, "group": label, "n": int(n), "station": station,
+                                       "setting": [setting.b2, setting.b3], "outcome": int(o)},
+                                      sort_keys=True, separators=(",", ":")))
+    return out
+
+
+@st.composite
+def _datasets(draw):
+    """Disjoint groups with n up to 2**62, as grouped or as interleaved records."""
+    k = draw(st.integers(1, 3))
+    ns = draw(st.lists(st.integers(1, 2**62), min_size=k, max_size=k + 12, unique=True))
+    cuts = sorted(draw(st.lists(st.integers(0, len(ns)), min_size=k - 1, max_size=k - 1)))
+    pairs = tuple((draw(_settings), draw(_settings)) for _ in range(k))
+    groups = []
+    for gid, (lo, hi) in enumerate(zip([0, *cuts], [*cuts, len(ns)])):
+        idx = np.array(sorted(ns[lo:hi]), dtype=np.int64)
+        signs = draw(st.lists(st.sampled_from([-1, 1]), min_size=2 * len(idx), max_size=2 * len(idx)))
+        outs = np.array(signs, dtype=np.int8).reshape(2, -1)
+        label = draw(_labels) if gid == 0 else f"pair{gid}"
+        groups.append(RunGroup(label, *pairs[gid], idx, outs[0], outs[1]))
+    if not draw(st.booleans()):
+        return RunDataset(canonical_pairs=pairs, groups=tuple(groups)), [
+            (g.label, g.left_setting, g.right_setting, g.pair_index, g.left, g.right) for g in groups]
+    perm = draw(st.permutations(range(len(ns))))
+    gids = np.concatenate([np.full(len(g), gid) for gid, g in enumerate(groups)])[perm]
+    idx, left, right = (np.concatenate([getattr(g, a) for g in groups])[perm] for a in ("pair_index", "left", "right"))
+    inter = InterleavedRecords(group_ids=gids.astype(np.int64), pair_index=idx, left=left, right=right)
+    ref = [(f"pair{g}", *pairs[g], [n], [lo], [ro]) for g, n, lo, ro in zip(gids, idx, left, right)]
+    return RunDataset(canonical_pairs=pairs, groups=(), interleaved=inter), ref
+
+
+class TestRecordTemplate:
+    @settings(max_examples=150, deadline=None)
+    @given(_datasets())
+    def test_template_lines_equal_dumping_each_record(self, case):
+        ds, ref = case
+        assert list(dataset_record_lines(ds)) == _reference_lines(ref)
 
 
 class TestCsv:

@@ -1,5 +1,6 @@
 """Distributed harness: framing, schemas, live runs, collation, faults."""
 
+import json
 import math
 import socket
 import threading
@@ -7,6 +8,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from helpers import run_live
 
@@ -113,6 +116,80 @@ class TestKeyFiles:
         path.write_text("{}")
         with pytest.raises(st.KeyFileError):
             st.load_key_file(path)
+
+
+def _report_log(tmp_path, count=4, side="L", setting=CANONICAL_LEFT):
+    log = st.StationLog(station=side, setting=setting, key_digest=RAD3.digest_hex(), reports=[
+        st.StationReport(n=i + 1, station=side, setting=setting, outcome=1 - 2 * (i % 2), clock_ns=10 * i)
+        for i in range(count)])
+    path = tmp_path / f"{side}.jsonl"
+    st.write_report_log(log, path)
+    return log, path
+
+
+def _edit_line(path, lineno, **fields):
+    lines = path.read_text().splitlines()
+    lines[lineno - 1] = json.dumps(dict(json.loads(lines[lineno - 1]), **fields))
+    path.write_text("\n".join(lines) + "\n")
+
+
+# Distinct objects, some equal as floats but not as JSON (-0.0 vs 0.0).
+_LOG_SETTINGS = [Setting(1.0, 0.0), Setting(1.0, -0.0), Setting(-0.0, 1.0), Setting(1.0, 5e-324),
+                 Setting(0.0, -1.0), B60]
+_log_settings = hst.one_of(hst.sampled_from(_LOG_SETTINGS),
+                           hst.floats(-math.pi, math.pi).map(Setting.from_angle))
+_reports = hst.builds(st.StationReport, n=hst.integers(1, 2**62), station=hst.sampled_from(["L", "R"]),
+                      setting=_log_settings, outcome=hst.sampled_from([-1, 1]),
+                      clock_ns=hst.integers(0, 2**63 - 1))
+
+
+class TestReportLogs:
+    @settings(max_examples=150, deadline=None)
+    @given(hst.lists(_reports, max_size=12))
+    def test_template_lines_equal_dumping_each_report(self, tmp_path_factory, reports):
+        path = tmp_path_factory.mktemp("log") / "log.jsonl"
+        log = st.StationLog(station="L", setting=CANONICAL_LEFT, key_digest="ab", reports=reports)
+        st.write_report_log(log, path)
+        reference = [json.dumps(r.to_wire(), sort_keys=True, separators=(",", ":")) for r in reports]
+        assert path.read_text(encoding="utf-8").splitlines()[1:] == reference
+
+    def test_round_trip_is_columnar(self, tmp_path):
+        log, path = _report_log(tmp_path, count=6, side="R", setting=B60)
+        batch = st.load_report_log(path)
+        assert batch.station == "R" and batch.setting == B60
+        assert batch.n.tolist() == [r.n for r in log.reports] and batch.n.dtype == np.int64
+        assert batch.outcome.tolist() == [r.outcome for r in log.reports] and batch.outcome.dtype == np.int8
+        assert batch.clock_ns.tolist() == [r.clock_ns for r in log.reports]
+
+    @pytest.mark.parametrize("fields", [
+        {"v": 7}, {"v": True}, {"type": "emit"}, {"v": 7, "type": "emit", "outcome": 3},
+        {"outcome": 3}, {"outcome": 1.0}, {"outcome": True},
+        {"n": 1.9}, {"n": True}, {"n": 0}, {"clock_ns": 1.5}, {"clock_ns": "10"},
+    ], ids=repr)
+    def test_line_the_writer_never_writes_is_refused(self, tmp_path, fields):
+        _, path = _report_log(tmp_path)
+        _edit_line(path, 3, **fields)
+        with pytest.raises(ValueError, match=r"line 3"):
+            st.load_report_log(path)
+
+    def test_another_station_session_is_refused(self, tmp_path):
+        _, path = _report_log(tmp_path)
+        _edit_line(path, 4, setting=[B60.b2, B60.b3])
+        with pytest.raises(ValueError, match="line 4: a report batch must come from one station session"):
+            st.load_report_log(path)
+        _edit_line(path, 4, setting=[1.0, 0.0], station="R")
+        with pytest.raises(ValueError, match="line 4: a report batch must come from one station session"):
+            st.load_report_log(path)
+
+    def test_setting_within_tolerance_is_the_same_session(self, tmp_path):
+        _, path = _report_log(tmp_path)
+        _edit_line(path, 4, setting=[1.0, 1e-15])
+        assert st.load_report_log(path).setting == CANONICAL_LEFT
+
+    def test_empty_log_is_refused(self, tmp_path):
+        _, path = _report_log(tmp_path, count=0)
+        with pytest.raises(ValueError, match="holds no reports"):
+            st.load_report_log(path)
 
 
 # ---------------------------------------------------------------------------
@@ -510,6 +587,7 @@ class TestCollatorChecks:
         try:
             return st.collator_serve(sock=col_sock, timeout=timeout)
         finally:
+            self.served_at = time.monotonic()
             for t in threads:
                 t.join(timeout=30)
                 assert not t.is_alive()
@@ -534,9 +612,21 @@ class TestCollatorChecks:
 
     def test_reader_alive_after_the_join_deadline_is_an_error(self):
         # Each frame arrives inside the 0.5 s receive timeout, but the whole
-        # stream (about 3.2 s) outlasts the 4 * 0.5 s join deadline.
+        # stream (about 5 s) outlasts the 4 * 0.5 s join deadline. Giving up
+        # on the reader must also cut the station off: its sends start failing.
+        send_r = self._send(25, pause=0.2)
+        failed_at = []
+
+        def send_until_refused(conn, station):
+            try:
+                send_r(conn, station)
+            except OSError:
+                failed_at.append(time.monotonic())
+
         with pytest.raises(st.ProtocolError, match="station R still running"):
-            self._serve({"L": self._send(3), "R": self._send(16, pause=0.2)}, timeout=0.5)
+            self._serve({"L": self._send(3), "R": send_until_refused}, timeout=0.5)
+        assert failed_at, "station R kept sending after the collator gave up on it"
+        assert failed_at[0] - self.served_at < 1.0
 
 
 class TestBackpressure:
