@@ -7,16 +7,25 @@ the ``triples --out`` CSV, and the stdout of ``bell`` and ``wigner``.
 Any refactor of the model, estimators or writers must reproduce them
 exactly. Pair products do not depend on the gauge, so the sweep, bell
 and wigner digests depend on the seed only.
+
+The two log writers are pinned the same way: a whole emission log from
+a source session served to two draining stations over loopback, and a
+whole report log from a fixed run group's right wing.
 """
 
 import contextlib
 import hashlib
 import io
+import socket
+import threading
 from pathlib import Path
 
 import pytest
 
+from eqrc import stations as st
 from eqrc.cli import main
+from eqrc.experiments import CANONICAL_LEFT, ExperimentSpec, run_experiment
+from eqrc.model import GaugeKey, MODE_RADEMACHER, Setting
 
 N = "2000"
 SEEDS = (1, 42, 12345)
@@ -105,3 +114,56 @@ EXPECTED = {
 def test_output_digest(kind, seed, gauge, tmp_path):
     digest = hashlib.sha256(output_bytes(kind, seed, gauge, tmp_path)).hexdigest()
     assert digest == EXPECTED[(kind, seed, gauge)]
+
+
+LOG_PAIRS = 300
+RAD3 = GaugeKey(mode=MODE_RADEMACHER, j=3)
+B60 = Setting(0.5, 0.8660254037844386)
+
+
+def _drain(port: int, station: str) -> None:
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as conn:
+        st.send_frame(conn, {"v": 1, "type": "hello", "station": station})
+        while (msg := st.recv_frame(conn)) is not None and msg["type"] != "end":
+            pass
+
+
+def log_bytes(kind: str, seed: int, workdir: Path) -> bytes:
+    path = workdir / f"{kind}.jsonl"
+    if kind == "emission-log":
+        sock = st.make_server_socket()
+        threads = [threading.Thread(target=_drain, args=(sock.getsockname()[1], s)) for s in ("L", "R")]
+        for t in threads:
+            t.start()
+        st.source_run(seed, LOG_PAIRS, sock=sock, session_index=1, log_path=path, timeout=10)
+        for t in threads:
+            t.join(timeout=10)
+    elif kind == "report-log":
+        spec = ExperimentSpec(setting_pairs=((CANONICAL_LEFT, B60),), pairs_per_setting=LOG_PAIRS,
+                              seed=seed, key=RAD3)
+        grp = run_experiment(spec).groups[0]
+        reports = [st.StationReport(n=int(n), station="R", setting=grp.right_setting, outcome=int(o),
+                                    clock_ns=1000 * i)
+                   for i, (n, o) in enumerate(zip(grp.pair_index, grp.right))]
+        st.write_report_log(st.StationLog(station="R", setting=grp.right_setting,
+                                          key_digest=RAD3.digest_hex(), reports=reports), path)
+    else:
+        raise ValueError(kind)
+    return path.read_bytes()
+
+
+LOG_EXPECTED = {
+    ('emission-log', 1): '6ce92a3263d35001a115b5443202df6551ffb5ef8c77f603ea4b11be1d35bdf6',
+    ('report-log', 1): 'a9e96d2abe3631de9c71ae76a924fddf8ba67c974f478bae6f40abc399c20d03',
+    ('emission-log', 42): '7788d72a53fc262207c9597a4c35cc5eff3c258edb68fb7f90a6c422fcd277de',
+    ('report-log', 42): '454896eda268ae40d6b7dc85286a6895e75fb72d18220eb4fd40571b2ddcb33e',
+    ('emission-log', 12345): '48b52b82fbae3d5c495badb83ef2160148e418b3dbec49f5ac745e7c8662c81e',
+    ('report-log', 12345): 'a7fbd90a9ff4afa3c7c1b2e53d67a864148928683fde17ba1c00635a80dcb2ce',
+}
+
+
+@pytest.mark.parametrize("kind", ("emission-log", "report-log"))
+@pytest.mark.parametrize("seed", SEEDS)
+def test_log_digest(kind, seed, tmp_path):
+    digest = hashlib.sha256(log_bytes(kind, seed, tmp_path)).hexdigest()
+    assert digest == LOG_EXPECTED[(kind, seed)]
