@@ -202,7 +202,7 @@ def run_experiment(spec: ExperimentSpec) -> RunDataset:
     n = spec.pairs_per_setting
     groups = []
     for i, (lft, rgt) in enumerate(canonical):
-        events = sample_pair_stream(derive_subseed(spec.seed, i), n).with_start_index(i * n + 1)
+        events = sample_pair_stream(derive_subseed(spec.seed, i), n, start=i * n + 1)
         l_out, r_out = measure_pairs(rgt, events, spec.key)
         groups.append(
             RunGroup(

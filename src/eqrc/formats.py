@@ -13,8 +13,9 @@ import csv
 import io
 import json
 from array import array
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NoReturn, Sequence
 
 import numpy as np
 
@@ -124,47 +125,145 @@ def write_run_dataset(ds: RunDataset, path) -> None:
         fh.writelines(_dataset_file_lines(ds))
 
 
+# ---------------------------------------------------------------------------
+# The record reader behind the dataset, report-log and emission-log loaders
+
+_decode = json.JSONDecoder().raw_decode
+
+
+# Numeric fields as the reader takes them: (name, validity of a column, refusal).
+_PAIR_INDEX = ("n", lambda n: n >= 1, "pair index {!r} is not an integer >= 1")
+_OUTCOME = ("outcome", lambda o: (o == 1) | (o == -1), "outcome {!r} is not -1 or +1")
+
+
+def _refuse(kind: str, path, row: int, problem: str) -> NoReturn:
+    raise ValueError(f"{kind} {path} line {row + 2}: {problem}")
+
+
+def _same_setting(raw, want: Setting) -> bool:
+    try:
+        return type(raw) is list and all(type(c) in (int, float) for c in raw) and Setting(*raw).close_to(want)
+    except (TypeError, ValueError):  # not two components, zero or not finite
+        return False
+
+
+def _read_records(path, kind: str, version: int, keys: frozenset, ints: tuple, floats: tuple = (),
+                  slot: tuple = (), slots_of=lambda header: {(): None}, foreign: str = "",
+                  trailer: frozenset = frozenset()):
+    """Read a header line and record lines into typed columns, refusing what the writer never writes.
+
+    ``ints`` and ``floats`` hold (name, validity of a column or None,
+    refusal formatted with the bad value). ``slot`` names the string
+    fields that pick a record's slot, and ``slots_of(header)`` maps each
+    slot key to the setting the header gives it (None: records have no
+    setting); ``foreign`` refuses any other. A line is one JSON object
+    and its newline, and a record has exactly ``keys``. Its numbers go
+    into int64 and float64 columns that are range-checked as columns;
+    its setting is checked only when it differs from the last one its
+    slot saw. Nothing may follow a line with the ``trailer`` keys.
+    Returns (header, slot number of each record, int columns, float
+    columns, trailer or None); raises ValueError naming the first bad line.
+    """
+    get_slot, get_ints, get_floats = (itemgetter(*names) if names else lambda rec: ()
+                                      for names in (slot, [f[0] for f in ints], [f[0] for f in floats]))
+    int_col, float_col, slot_col = array("q"), array("d"), array("q")
+    last = problem = None
+    with Path(path).open("r", encoding="utf-8") as fh:
+        try:
+            header = _decode(fh.readline())[0]
+        except json.JSONDecodeError:
+            header = None
+        if not isinstance(header, dict) or header.get("kind") != kind or header.get("v") != version:
+            raise ValueError(f"not a v{version} {kind} file: {path}")
+        # slot key -> [slot number, the header's setting, the last setting seen that matched it]
+        slots = {key: [i, want, object()] for i, (key, want) in enumerate(slots_of(header).items())}
+
+        def problem_of(rec) -> str | None:
+            """Why a decoded line is not a record (None if it is one)."""
+            if not isinstance(rec, dict) or rec.keys() != keys:
+                return f"{rec!r} does not have the keys {sorted(keys)}"
+            for fields, code in ((ints, "q"), (floats, "d")):
+                for name, _, what in fields:
+                    try:  # None stands in for a boolean, which a column would take as 1 or 0
+                        array(code, [None if type(rec[name]) is bool else rec[name]])
+                    except (TypeError, OverflowError):
+                        return what.format(rec[name])
+            try:
+                want = slots[get_slot(rec)][1]
+                if want is None or _same_setting(rec["setting"], want):
+                    return None
+            except (KeyError, TypeError):  # an unknown or unhashable slot
+                pass
+            return f"{foreign}: {get_slot(rec)!r} with setting {rec.get('setting')!r}"
+
+        for line in fh:
+            try:
+                rec, end = _decode(line)
+                at = slots[get_slot(rec)]
+                # The slow path refuses booleans, which the columns would take as 1 or 0.
+                if (line[end:] == "\n" and rec.keys() == keys and rec.get("setting") == at[2]
+                        and "true" not in line and "false" not in line):
+                    int_col.extend(get_ints(rec))
+                    float_col.extend(get_floats(rec))
+                    slot_col.append(at[0])
+                    continue
+            except (ValueError, TypeError, KeyError, AttributeError, OverflowError):
+                rows = len(slot_col)
+                del int_col[rows * len(ints):], float_col[rows * len(floats):]  # a failed extend's part
+            # The slow path: a slot's first or new setting, the trailer, or a bad line.
+            try:
+                rec, end = _decode(line)
+            except json.JSONDecodeError as exc:
+                problem = f"not a JSON object: {exc}"
+                break
+            if line[end:] not in ("\n", ""):
+                problem = f"text after the object: {line[end:]!r}"
+            elif trailer and isinstance(rec, dict) and rec.keys() == trailer:
+                last, problem = rec, "a line after the trailer" if fh.readline() else None
+            else:
+                problem = problem_of(rec)
+            if problem is not None or last is not None:
+                break
+            at = slots[get_slot(rec)]
+            at[2] = rec.get("setting")
+            int_col.extend(get_ints(rec))
+            float_col.extend(get_floats(rec))
+            slot_col.append(at[0])
+    rows = len(slot_col)
+    cols = (np.frombuffer(int_col, dtype=np.int64).reshape(rows, len(ints)),
+            np.frombuffer(float_col, dtype=np.float64).reshape(rows, len(floats)))
+    bad = [(rows + (last is not None), problem)] if problem else []
+    for fields, col in zip((ints, floats), cols):
+        for j, (_, ok, what) in enumerate(fields):
+            if ok is not None and (at := np.flatnonzero(~ok(col[:, j]))).size:
+                bad.append((int(at[0]), what.format(col[at[0], j].item())))
+    if bad:
+        _refuse(kind, path, *min(bad))
+    return header, np.frombuffer(slot_col, dtype=np.int64), *cols, last
+
+
 def load_run_dataset(path) -> RunDataset:
     """Rebuild a dataset from its JSONL form.
 
     Fixed-mode files come back as groups; randomly switched files come
     back interleaved (file order) so they can be sorted downstream.
-    Raises ValueError, naming the line or pair, for a record of another
-    schema version or an unknown group, a pair index that is not an
-    integer >= 1, an outcome other than -1/+1, a station other than
-    L/R, and a pair without exactly one L and one R record.
+    Raises ValueError, naming the line or pair, for what ``_read_records``
+    refuses, among it a record of another schema version, of an unknown
+    group or station, or with a setting other than its group's in the
+    header, a pair index that is not an integer >= 1 and an outcome other
+    than -1/+1; and for a pair without exactly one L and one R record.
     """
-    path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
-        header = json.loads(fh.readline())
-        if header.get("kind") != DATASET_KIND or header.get("v") != SCHEMA_VERSION:
-            raise ValueError(f"not a v{SCHEMA_VERSION} {DATASET_KIND} file: {path}")
-        pairs = tuple(
-            (Setting(*l), Setting(*r)) for l, r in header["pairs"]
-        )
-        labels = [f"pair{i}" for i in range(len(pairs))]
-        gid_of = {label: gid for gid, label in enumerate(labels)}
-        # (gid, n, station 0/1, outcome) per record, flat, in file order
-        flat = array("q")
-        for lineno, raw in enumerate(fh, start=2):
-            rec = json.loads(raw)
-            if rec.get("v") != SCHEMA_VERSION:
-                raise ValueError(f"line {lineno}: record with unsupported schema version: {raw!r}")
-            try:
-                gid = gid_of[rec.get("group")]
-            except (KeyError, TypeError):
-                raise ValueError(f"line {lineno}: record tagged with unknown group {rec.get('group')!r}") from None
-            n = rec.get("n")
-            if type(n) is not int or not 0 < n < 2**63:  # bools and floats are refused too
-                raise ValueError(f"line {lineno}: pair index {n!r} is not an integer >= 1 in {path}")
-            station, outcome = rec.get("station"), rec.get("outcome")
-            if station not in ("L", "R"):
-                raise ValueError(f"line {lineno}: unknown station {station!r} for pair {n} in {path}")
-            if type(outcome) is not int or outcome not in (-1, 1):
-                raise ValueError(f"line {lineno}: outcome {outcome!r} of pair {n} is not -1 or +1 in {path}")
-            flat.extend((gid, n, station == "R", outcome))
-
-    gids, ns, sides, outcomes = np.frombuffer(flat, dtype=np.int64).reshape(-1, 4).T
+    header, slot, ints, _, _ = _read_records(
+        path, DATASET_KIND, SCHEMA_VERSION, frozenset({"v", "group", "n", "outcome", "setting", "station"}),
+        ints=(("v", lambda v: v == SCHEMA_VERSION, "record with unsupported schema version {!r}"), _PAIR_INDEX, _OUTCOME),
+        slot=("group", "station"),
+        slots_of=lambda header: {(f"pair{gid}", station): Setting(*setting)
+                                 for gid, pair in enumerate(header["pairs"]) for station, setting in zip("LR", pair)},
+        foreign="unknown group or station, or a setting other than the header's")
+    pairs = tuple((Setting(*l), Setting(*r)) for l, r in header["pairs"])
+    labels = [f"pair{i}" for i in range(len(pairs))]
+    gids, sides = slot >> 1, slot & 1
+    _, ns, outcomes = ints.T
     # Sorted by (gid, n, station), a valid file is a run of (L, R) couples;
     # the first couple that is not starts a pair with a missing or extra record.
     order = np.lexsort((sides, ns, gids))

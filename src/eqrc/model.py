@@ -146,13 +146,6 @@ class PairStream:
         for i in range(len(self)):
             yield self[i]
 
-    def with_start_index(self, start: int) -> "PairStream":
-        """Same draws, reindexed to start at ``start`` (disjoint-range bookkeeping)."""
-        if start < 1:
-            raise ValueError("start index must be >= 1")
-        n = np.arange(start, start + len(self), dtype=np.int64)
-        return PairStream(n=n, lam=self.lam, t=self.t)
-
 
 MODE_CONSTANT = "constant-plus-one"
 MODE_RADEMACHER = "rademacher"
@@ -281,18 +274,21 @@ def derive_subseed(master_seed: int, index: int) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-def sample_pair_stream(seed: int, count: int) -> PairStream:
+def sample_pair_stream(seed: int, count: int, start: int = 1) -> PairStream:
     """Draw ``count`` pair events: independent uniforms on [0, 1) for lam and t.
 
-    Deterministic given ``seed``; indices run 1..count. ``lam`` is drawn
-    as one block, then ``t``.
+    Deterministic given ``seed``; indices run start..start+count-1, which
+    lets separate runs hold disjoint index ranges. ``lam`` is drawn as
+    one block, then ``t``.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
+    if start < 1:
+        raise ValueError(f"start index must be >= 1, got {start}")
     rng = np.random.Generator(np.random.PCG64(int(seed) & 0xFFFFFFFFFFFFFFFF))
     lam = rng.random(count)
     t = rng.random(count)
-    return PairStream(n=np.arange(1, count + 1, dtype=np.int64), lam=lam, t=t)
+    return PairStream(n=np.arange(start, start + count, dtype=np.int64), lam=lam, t=t)
 
 
 def outcome_columns(

@@ -31,6 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .experiments import RunDataset, RunGroup
+from .formats import _OUTCOME, _PAIR_INDEX, _read_records, _refuse
 from .model import (
     GaugeKey,
     PairEvent,
@@ -45,6 +46,8 @@ from .model import (
 
 __all__ = [
     "WIRE_VERSION",
+    "LOG_SCHEMA_VERSION",
+    "MAX_FRAME_BYTES",
     "STATION_RECEIVABLE_SCHEMAS",
     "COLLATOR_RECEIVABLE_SCHEMAS",
     "SOURCE_RECEIVABLE_SCHEMAS",
@@ -52,7 +55,6 @@ __all__ = [
     "SchemaError",
     "KeyFileError",
     "CollationError",
-    "SourceEmit",
     "StationReport",
     "ReportBatch",
     "SourceLog",
@@ -78,6 +80,10 @@ __all__ = [
 ]
 
 WIRE_VERSION = 1
+#: Version of the emission-log and report-log files; frames carry WIRE_VERSION.
+LOG_SCHEMA_VERSION = 1
+#: Largest frame body ``recv_frame`` accepts, far above any frame a role sends.
+MAX_FRAME_BYTES = 1 << 20
 
 _SCALAR = (int, float)
 
@@ -126,26 +132,33 @@ def send_frame(sock: socket.socket, obj: dict) -> None:
     sock.sendall(struct.pack("!I", len(raw)) + raw)
 
 
-def _recv_exact(sock: socket.socket, size: int) -> bytes | None:
-    buf = b""
-    while len(buf) < size:
-        chunk = sock.recv(size - len(buf))
-        if not chunk:
-            return None if not buf else buf
-        buf += chunk
+def _recv_exact(sock: socket.socket, size: int) -> bytearray:
+    """Up to ``size`` bytes into one buffer; fewer only if the peer closed."""
+    buf = bytearray(size)
+    got = 0
+    with memoryview(buf) as view:
+        while got < size and (chunk := sock.recv_into(view[got:])):
+            got += chunk
+    del buf[got:]
     return buf
 
 
 def recv_frame(sock: socket.socket) -> dict | None:
-    """Next message, or None on clean end-of-stream at a frame boundary."""
+    """Next message, or None on clean end-of-stream at a frame boundary.
+
+    A length prefix above ``MAX_FRAME_BYTES`` is a ProtocolError before
+    any buffer is allocated for the body.
+    """
     header = _recv_exact(sock, 4)
-    if header is None:
+    if not header:
         return None
     if len(header) < 4:
         raise ProtocolError("connection dropped inside a frame header")
     (size,) = struct.unpack("!I", header)
+    if size > MAX_FRAME_BYTES:
+        raise ProtocolError(f"frame length {size} exceeds the {MAX_FRAME_BYTES}-byte cap")
     payload = _recv_exact(sock, size)
-    if payload is None or len(payload) < size:
+    if len(payload) < size:
         raise ProtocolError("connection dropped inside a frame body")
     try:
         return json.loads(payload.decode("utf-8"))
@@ -174,22 +187,6 @@ def validate_message(msg, schemas: dict) -> str:
     if msg["v"] != WIRE_VERSION:
         raise SchemaError(f"unsupported wire version {msg['v']!r}")
     return kind
-
-
-@dataclass(frozen=True)
-class SourceEmit:
-    """One broadcast pair event; carries no setting information by schema."""
-
-    n: int
-    lam: float
-    t: float
-
-    def to_wire(self) -> dict:
-        return {"v": WIRE_VERSION, "type": "emit", "n": self.n, "lambda": self.lam, "t": self.t}
-
-    @classmethod
-    def from_wire(cls, msg: dict) -> "SourceEmit":
-        return cls(n=int(msg["n"]), lam=float(msg["lambda"]), t=float(msg["t"]))
 
 
 @dataclass(frozen=True)
@@ -296,7 +293,7 @@ class SourceLog:
     seed: int
     session_index: int
     count: int
-    emissions: list[SourceEmit]
+    emissions: PairStream  # the events sent to both stations, in order
     status: str = "complete"  # or "partial"
     detail: str = ""
 
@@ -312,43 +309,62 @@ class StationLog:
 
 
 def write_emission_log(log: SourceLog, path) -> None:
+    """Header line, one line per emitted event, then a trailer with the status."""
+    e = log.emissions
     with Path(path).open("w", encoding="utf-8") as fh:
         header = {
-            "v": WIRE_VERSION,
+            "v": LOG_SCHEMA_VERSION,
             "kind": "emission-log",
             "seed": log.seed,
             "session": log.session_index,
             "count": log.count,
         }
         fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
-        for e in log.emissions:
-            fh.write(json.dumps({"v": WIRE_VERSION, "n": e.n, "lambda": e.lam, "t": e.t},
-                                sort_keys=True, separators=(",", ":")) + "\n")
-        fh.write(json.dumps({"v": WIRE_VERSION, "status": log.status, "sent": len(log.emissions),
+        # The sorted-key dump of each event: JSON writes a finite float as its repr.
+        fh.writelines(f'{{"lambda":{lam!r},"n":{n},"t":{t!r},"v":{LOG_SCHEMA_VERSION}}}\n'
+                      for n, lam, t in zip(e.n.tolist(), e.lam.tolist(), e.t.tolist()))
+        fh.write(json.dumps({"v": LOG_SCHEMA_VERSION, "status": log.status, "sent": len(e),
                              "detail": log.detail}, sort_keys=True, separators=(",", ":")) + "\n")
 
 
+def _unit_interval(x):
+    return (x >= 0.0) & (x < 1.0)
+
+
+_LOG_VERSION = ("v", lambda v: v == LOG_SCHEMA_VERSION, "unsupported log schema version {!r}")
+
+
 def load_emission_log(path) -> SourceLog:
-    with Path(path).open("r", encoding="utf-8") as fh:
-        header = json.loads(fh.readline())
-        if header.get("kind") != "emission-log":
-            raise ValueError(f"not an emission log: {path}")
-        emissions = []
-        status, detail = "partial", "missing trailer"
-        for raw in fh:
-            obj = json.loads(raw)
-            if "status" in obj:
-                status, detail = obj["status"], obj.get("detail", "")
-                break
-            emissions.append(SourceEmit(n=int(obj["n"]), lam=float(obj["lambda"]), t=float(obj["t"])))
-    return SourceLog(
-        seed=int(header["seed"]),
-        session_index=int(header["session"]),
-        count=int(header["count"]),
-        emissions=emissions,
-        status=status,
-        detail=detail,
-    )
+    """Load an emission log; its events come back as one PairStream.
+
+    Raises ValueError naming the line for what the reader refuses, for
+    a pair index other than the next of the session's range
+    session*count+1 .. (session+1)*count (out of the range, repeated or
+    out of order), and for a trailer whose ``sent`` is not the number of
+    events or, if "complete", not the header's ``count``. A log without
+    a trailer loads as partial.
+    """
+    header, _, ints, floats, trailer = _read_records(
+        path, "emission-log", LOG_SCHEMA_VERSION, frozenset({"v", "n", "lambda", "t"}),
+        ints=(_LOG_VERSION, ("n", None, "pair index {!r} is not an integer")),
+        floats=(("lambda", _unit_interval, "lambda {!r} is not in [0, 1)"), ("t", _unit_interval, "t {!r} is not in [0, 1)")),
+        trailer=frozenset({"v", "status", "sent", "detail"}))
+    n, (lam, t) = ints[:, 1], floats.T
+    count, session = int(header["count"]), int(header["session"])
+    first, rows = session * count + 1, np.arange(len(n))
+    bad = np.flatnonzero((n != first + rows) | (rows >= count))
+    if bad.size:
+        _refuse("emission-log", path, bad[0], f"pair index {n[bad[0]]} is not {first + bad[0]}: out of the "
+                                              f"session's range {first}..{first + count - 1}, repeated or out of order")
+    status, detail = "partial", "missing trailer"
+    if trailer is not None:
+        status, sent, detail = trailer["status"], trailer["sent"], trailer["detail"]
+        if ([type(trailer["v"]), type(sent), type(detail)] != [int, int, str] or trailer["v"] != LOG_SCHEMA_VERSION
+                or status not in ("complete", "partial") or sent != len(n) or (status == "complete" and sent != count)):
+            _refuse("emission-log", path, len(n), f"trailer {trailer} does not close {len(n)} events "
+                                                  f"of a session of {count}")
+    return SourceLog(seed=int(header["seed"]), session_index=session, count=count,
+                     emissions=PairStream(n=n.copy(), lam=lam.copy(), t=t.copy()), status=status, detail=detail)
 
 
 def write_report_log(log: StationLog, path) -> None:
@@ -361,7 +377,7 @@ def write_report_log(log: StationLog, path) -> None:
     """
     with Path(path).open("w", encoding="utf-8") as fh:
         header = {
-            "v": WIRE_VERSION,
+            "v": LOG_SCHEMA_VERSION,
             "kind": "report-log",
             "station": log.station,
             "setting": [log.setting.b2, log.setting.b3],
@@ -374,65 +390,32 @@ def write_report_log(log: StationLog, path) -> None:
             if r.station is not station or r.setting is not setting:
                 station, setting = r.station, r.setting
                 tail = "," + json.dumps(
-                    {"setting": [setting.b2, setting.b3], "station": station, "type": "report", "v": WIRE_VERSION},
+                    {"setting": [setting.b2, setting.b3], "station": station, "type": "report",
+                     "v": LOG_SCHEMA_VERSION},
                     sort_keys=True, separators=(",", ":"),
                 )[1:]
             fh.write(f'{{"clock_ns":{r.clock_ns},"n":{r.n},"outcome":{r.outcome}{tail}\n')
 
 
-def _log_int(msg: dict, name: str, path, lineno: int, lo: int = -(2**63), allowed=None) -> int:
-    value = msg.get(name)
-    if type(value) is not int or not lo <= value < 2**63 or (allowed is not None and value not in allowed):
-        raise ValueError(f"report log {path} line {lineno}: invalid {name} {value!r}")
-    return value
-
-
 def load_report_log(path) -> ReportBatch:
     """Load a report log into one batch, column by column.
 
-    Raises ValueError naming the line for a report whose ``v``/``type``
-    is not 1/"report", whose ``n`` is not an integer >= 1, whose outcome
-    is not -1/+1 or whose ``clock_ns`` is not an integer, and for a
-    report from another station session than the first line's.
+    Raises ValueError naming the line for what the reader refuses: a
+    report whose ``v``/``type`` is not 1/"report", whose ``n`` is not an
+    integer >= 1, whose outcome is not -1/+1 or whose ``clock_ns`` is not
+    an integer, and a report from another station or setting than the
+    header's; and for a log that holds no reports.
     """
-    with Path(path).open("r", encoding="utf-8") as fh:
-        header = json.loads(fh.readline())
-        if header.get("kind") != "report-log":
-            raise ValueError(f"not a report log: {path}")
-        flat = array("q")  # (n, outcome, clock_ns) per report
-        first = station = setting = None  # the first report's raw and parsed session
-        for lineno, raw in enumerate(fh, start=2):
-            msg = json.loads(raw)
-            if not isinstance(msg, dict) or msg.get("type") != "report":
-                raise ValueError(f"report log {path} line {lineno} is not a report: {raw!r}")
-            _log_int(msg, "v", path, lineno, allowed=(WIRE_VERSION,))
-            flat.extend((
-                _log_int(msg, "n", path, lineno, lo=1),
-                _log_int(msg, "outcome", path, lineno, allowed=(-1, 1)),
-                _log_int(msg, "clock_ns", path, lineno),
-            ))
-            session = (msg.get("station"), msg.get("setting"))
-            if session != first:
-                this_station, this_setting = _report_session(msg, path, lineno)
-                if first is None:
-                    first, station, setting = session, this_station, this_setting
-                elif this_station != station or not this_setting.close_to(setting):
-                    raise ValueError(f"report log {path} line {lineno}: a report batch must come from "
-                                     f"one station session")
-    if setting is None:
+    header, _, ints, _, _ = _read_records(
+        path, "report-log", LOG_SCHEMA_VERSION, frozenset({"clock_ns", "n", "outcome", "setting", "station", "type", "v"}),
+        ints=(_LOG_VERSION, _PAIR_INDEX, _OUTCOME, ("clock_ns", None, "clock_ns {!r} is not an integer")),
+        slot=("station", "type"), slots_of=lambda header: {(header["station"], "report"): Setting(*header["setting"])},
+        foreign="a report batch must come from one station session")
+    if not len(ints):
         raise ValueError(f"report log {path} holds no reports")
-    n, outcome, clock_ns = np.frombuffer(flat, dtype=np.int64).reshape(-1, 3).T
-    return ReportBatch(station=station, setting=setting, n=n.copy(), outcome=outcome.astype(np.int8),
-                       clock_ns=clock_ns.copy())
-
-
-def _report_session(msg: dict, path, lineno: int) -> tuple[str, Setting]:
-    """The (station, setting) a report line names."""
-    try:
-        b2, b3 = msg["setting"]
-        return msg["station"], Setting(float(b2), float(b3))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"report log {path} line {lineno}: bad station or setting: {exc}") from None
+    _, n, outcome, clock_ns = ints.T
+    return ReportBatch(station=header["station"], setting=Setting(*header["setting"]), n=n.copy(),
+                       outcome=outcome.astype(np.int8), clock_ns=clock_ns.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -488,23 +471,25 @@ def source_run(
     if count < 0:
         raise ValueError("count must be >= 0")
     server = sock if sock is not None else make_server_socket(*(bind or ("127.0.0.1", 0)))
-    log = SourceLog(seed=seed, session_index=session_index, count=count, emissions=[])
+    log = SourceLog(seed=seed, session_index=session_index, count=count, emissions=PairStream(n=np.empty(0, dtype=np.int64), lam=np.empty(0), t=np.empty(0)))
     conns: dict[str, socket.socket] = {}
     try:
         conns = _accept_stations(server, SOURCE_RECEIVABLE_SCHEMAS, timeout)
         if count > 0:
-            stream = sample_pair_stream(derive_subseed(seed, session_index), count)
-            stream = stream.with_start_index(session_index * count + 1)
+            stream = sample_pair_stream(derive_subseed(seed, session_index), count, start=session_index * count + 1)
+            sent = 0
             try:
-                for event in stream:
-                    emit = SourceEmit(n=event.n, lam=event.lam, t=event.t)
-                    wire = emit.to_wire()
+                for n, lam, t in zip(stream.n.tolist(), stream.lam.tolist(), stream.t.tolist()):
+                    wire = {"v": WIRE_VERSION, "type": "emit", "n": n, "lambda": lam, "t": t}
                     for station in ("L", "R"):
                         send_frame(conns[station], wire)
-                    log.emissions.append(emit)
+                    sent += 1
             except OSError as exc:
                 log.status = "partial"
-                log.detail = f"station disconnected after {len(log.emissions)} emissions: {exc}"
+                log.detail = f"station disconnected after {sent} emissions: {exc}"
+            if sent < count:
+                stream = PairStream(n=stream.n[:sent], lam=stream.lam[:sent], t=stream.t[:sent])
+            log.emissions = stream
         if log.status == "complete":
             for station in ("L", "R"):
                 try:
@@ -614,19 +599,14 @@ def station_run(
     return log
 
 
-def replay_station(emissions: Sequence[SourceEmit], station_id: str, setting: Setting, key: GaugeKey) -> list[int]:
+def replay_station(emissions: PairStream, station_id: str, setting: Setting, key: GaugeKey) -> list[int]:
     """Recompute a station's outcomes from an emission log (purity check).
 
     Runs the vectorized ``measure_pairs`` over the logged events, so a
     match with the live reports also cross-checks the stations' per-event
     path against the array path.
     """
-    events = PairStream(
-        n=np.array([e.n for e in emissions], dtype=np.int64),
-        lam=np.array([e.lam for e in emissions], dtype=np.float64),
-        t=np.array([e.t for e in emissions], dtype=np.float64),
-    )
-    left, right = measure_pairs(setting, events, key)
+    left, right = measure_pairs(setting, emissions, key)
     return (left if station_id == "L" else right).tolist()
 
 
@@ -664,32 +644,23 @@ def collate(
     if strategy not in ("pair-id", "sequence-order"):
         raise CollationError(f"unknown matching strategy {strategy!r}")
 
-    incomplete: list[int] = []
+    incomplete = np.empty(0, dtype=np.int64)
     if strategy == "pair-id":
-        l_order = np.argsort(left.n, kind="stable")
-        r_order = np.argsort(right.n, kind="stable")
-        l_sorted_n, l_sorted_out = left.n[l_order], left.outcome[l_order]
-        r_sorted_n, r_sorted_out = right.n[r_order], right.outcome[r_order]
-        for batch, sorted_n in ((left, l_sorted_n), (right, r_sorted_n)):
+        for batch in (left, right):
+            sorted_n = np.sort(batch.n)
             repeats = sorted_n[1:][sorted_n[1:] == sorted_n[:-1]]
             if repeats.size:
                 raise CollationError(f"duplicate pair index {int(repeats[0])} in station {batch.station} stream")
-        common = np.intersect1d(l_sorted_n, r_sorted_n, assume_unique=True)
-        only_l = np.setdiff1d(l_sorted_n, r_sorted_n, assume_unique=True)
-        only_r = np.setdiff1d(r_sorted_n, l_sorted_n, assume_unique=True)
-        incomplete = sorted(int(x) for x in np.concatenate([only_l, only_r]))
+        idx, l_sel, r_sel = np.intersect1d(left.n, right.n, assume_unique=True, return_indices=True)
+        reported = np.union1d(left.n, right.n)
+        incomplete = np.setdiff1d(reported, idx, assume_unique=True)
         if emission_log is not None:
-            emitted = np.array([e.n for e in emission_log.emissions], dtype=np.int64)
-            stray = np.setdiff1d(common, emitted)
+            emitted = emission_log.emissions.n
+            stray = np.setdiff1d(reported, emitted)
             if stray.size:
                 raise CollationError(f"report for never-emitted pair index {int(stray[0])}")
-            lost = np.setdiff1d(emitted, np.union1d(left.n, right.n))
-            incomplete = sorted(set(incomplete) | {int(x) for x in lost})
-        l_sel = np.searchsorted(l_sorted_n, common)
-        r_sel = np.searchsorted(r_sorted_n, common)
-        idx = common
-        l_out = l_sorted_out[l_sel]
-        r_out = r_sorted_out[r_sel]
+            incomplete = np.union1d(incomplete, np.setdiff1d(emitted, reported))
+        l_out, r_out = left.outcome[l_sel], right.outcome[r_sel]
     else:
         m = min(len(left), len(right))
         if m == 0:
@@ -715,7 +686,7 @@ def collate(
     return CollationResult(
         dataset=ds,
         strategy=strategy,
-        incomplete=tuple(incomplete),
+        incomplete=tuple(incomplete.tolist()),
         left_count=len(left),
         right_count=len(right),
     )

@@ -181,6 +181,28 @@ class TestLoaderRefusals:
             load_run_dataset(path)
 
 
+    def test_record_setting_must_be_its_groups(self, tmp_path):
+        ds = run_experiment(_spec(n=3))
+        path = _rewrite(tmp_path, ds, lambda recs: recs[:5] + [dict(recs[5], setting=[0.0, 1.0])] + recs[6:])
+        with pytest.raises(ValueError, match=r"line 7: unknown group or station, or a setting other than the header's"):
+            load_run_dataset(path)
+
+    def test_record_with_an_extra_key_is_refused(self, tmp_path):
+        ds = run_experiment(_spec(n=3))
+        path = _rewrite(tmp_path, ds, lambda recs: [dict(recs[0], hint=1)] + recs[1:])
+        with pytest.raises(ValueError, match=r"line 2: .* does not have the keys"):
+            load_run_dataset(path)
+
+    @pytest.mark.parametrize("garbage", [" ", "\t", " x", "{}"], ids=repr)
+    def test_text_after_a_records_object_is_refused(self, tmp_path, garbage):
+        lines = run_dataset_text(run_experiment(_spec(n=3))).splitlines()
+        lines[3] += garbage
+        path = tmp_path / "garbage.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"line 4: text after the object"):
+            load_run_dataset(path)
+
+
 # Settings from random angles plus components whose JSON form is easy to get
 # wrong: negative zero, the smallest subnormal next to 1.0, a pure -1.
 _EDGE_SETTINGS = [Setting(1.0, 0.0), Setting(1.0, -0.0), Setting(-0.0, 1.0), Setting(1.0, 5e-324),

@@ -88,8 +88,11 @@ class TestPairEvent:
         assert events[3] == stream[3]
 
     def test_with_start_index(self):
-        stream = sample_pair_stream(5, 4).with_start_index(101)
+        stream = sample_pair_stream(5, 4, start=101)
         assert list(stream.n) == [101, 102, 103, 104]
+        assert np.array_equal(stream.t, sample_pair_stream(5, 4).t)  # same draws
+        with pytest.raises(ValueError, match="start index"):
+            sample_pair_stream(5, 4, start=0)
 
 
 class TestRademacher:

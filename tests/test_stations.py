@@ -3,6 +3,7 @@
 import json
 import math
 import socket
+import struct
 import threading
 import time
 
@@ -15,7 +16,7 @@ from helpers import run_live
 
 from eqrc.experiments import CANONICAL_LEFT, ExperimentSpec, run_experiment
 from eqrc.formats import run_dataset_text
-from eqrc.model import GaugeKey, MODE_RADEMACHER, Setting
+from eqrc.model import GaugeKey, MODE_RADEMACHER, PairStream, Setting
 from eqrc.stats import estimate_expectation
 from eqrc import stations as st
 
@@ -44,11 +45,29 @@ class TestFraming:
             st.recv_frame(b)
         b.close()
 
+    def test_length_above_the_cap_is_refused_before_reading(self):
+        a, b = socket.socketpair()
+        b.settimeout(5)
+        a.sendall(struct.pack("!I", st.MAX_FRAME_BYTES + 1))
+        a.close()
+        with pytest.raises(st.ProtocolError, match=f"frame length {st.MAX_FRAME_BYTES + 1} exceeds the"):
+            st.recv_frame(b)
+        b.close()
+
+    def test_frame_arriving_in_pieces_is_reassembled(self):
+        a, b = socket.socketpair()
+        payload = json.dumps({"v": 1, "type": "end", "count": 7}).encode()
+        frame = struct.pack("!I", len(payload)) + payload
+        sender = threading.Thread(target=lambda: [a.sendall(frame[i:i + 3]) or time.sleep(0.01)
+                                                  for i in range(0, len(frame), 3)])
+        sender.start()
+        assert st.recv_frame(b) == {"v": 1, "type": "end", "count": 7}
+        sender.join(timeout=5)
+        a.close(), b.close()
+
     def test_undecodable_payload_raises(self):
         a, b = socket.socketpair()
         payload = b"not json at all"
-        import struct
-
         a.sendall(struct.pack("!I", len(payload)) + payload)
         with pytest.raises(st.ProtocolError):
             st.recv_frame(b)
@@ -181,6 +200,13 @@ class TestReportLogs:
         with pytest.raises(ValueError, match="line 4: a report batch must come from one station session"):
             st.load_report_log(path)
 
+    @pytest.mark.parametrize("fields", [{"station": "R"}, {"setting": [0.0, 1.0]}], ids=repr)
+    def test_header_must_name_its_reports_session(self, tmp_path, fields):
+        _, path = _report_log(tmp_path)
+        _edit_line(path, 1, **fields)
+        with pytest.raises(ValueError, match="line 2: a report batch must come from one station session"):
+            st.load_report_log(path)
+
     def test_setting_within_tolerance_is_the_same_session(self, tmp_path):
         _, path = _report_log(tmp_path)
         _edit_line(path, 4, setting=[1.0, 1e-15])
@@ -190,6 +216,63 @@ class TestReportLogs:
         _, path = _report_log(tmp_path, count=0)
         with pytest.raises(ValueError, match="holds no reports"):
             st.load_report_log(path)
+
+
+def _emission_log(tmp_path, count=3, session=1):
+    first = session * count + 1
+    events = PairStream(n=np.arange(first, first + count), lam=np.array([0.5, 0.25, 0.0])[:count],
+                        t=np.array([0.125, 0.75, 0.5])[:count])
+    path = tmp_path / "emissions.jsonl"
+    st.write_emission_log(st.SourceLog(seed=9, session_index=session, count=count, emissions=events), path)
+    return events, path
+
+
+class TestEmissionLogs:
+    def test_round_trip_is_a_pair_stream(self, tmp_path):
+        events, path = _emission_log(tmp_path)
+        log = st.load_emission_log(path)
+        assert (log.seed, log.session_index, log.count, log.status) == (9, 1, 3, "complete")
+        for name in ("n", "lam", "t"):
+            assert np.array_equal(getattr(log.emissions, name), getattr(events, name))
+
+    def test_missing_trailer_loads_as_partial(self, tmp_path):
+        _, path = _emission_log(tmp_path)
+        path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
+        log = st.load_emission_log(path)
+        assert (log.status, log.detail, len(log.emissions)) == ("partial", "missing trailer", 3)
+
+    @pytest.mark.parametrize("lineno,fields,match", [
+        (3, {"n": 1.9}, "line 3: pair index 1.9 is not an integer"),
+        (3, {"n": 4}, "line 3: pair index 4 is not 5: .* repeated or out of order"),  # repeated
+        (2, {"n": 5}, "line 2: pair index 5 is not 4: .* repeated or out of order"),  # out of order
+        (4, {"n": 7}, r"line 4: pair index 7 is not 6: out of the session's range 4\.\.6"),
+        (2, {"n": 1}, "line 2: pair index 1 is not 4"),  # another session's index
+        (3, {"lambda": 7.0}, r"line 3: lambda 7.0 is not in \[0, 1\)"),
+        (4, {"t": -3.0}, r"line 4: t -3.0 is not in \[0, 1\)"),
+        (2, {"v": 9}, "line 2: unsupported log schema version 9"),
+        (5, {"sent": 1}, "line 5: trailer .* does not close 3 events"),
+        (5, {"status": "done"}, "line 5: trailer"),
+    ], ids=repr)
+    def test_line_the_writer_never_writes_is_refused(self, tmp_path, lineno, fields, match):
+        _, path = _emission_log(tmp_path)
+        _edit_line(path, lineno, **fields)
+        with pytest.raises(ValueError, match=match):
+            st.load_emission_log(path)
+
+    def test_complete_trailer_must_close_the_whole_session(self, tmp_path):
+        _, path = _emission_log(tmp_path, session=0)
+        _edit_line(path, 1, count=4)
+        with pytest.raises(ValueError, match="line 5: trailer .* of a session of 4"):
+            st.load_emission_log(path)
+        _edit_line(path, 5, status="partial")  # three of four sent
+        assert len(st.load_emission_log(path).emissions) == 3
+
+    def test_line_after_the_trailer_is_refused(self, tmp_path):
+        _, path = _emission_log(tmp_path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines + lines[-2:-1]))
+        with pytest.raises(ValueError, match="line 6: a line after the trailer"):
+            st.load_emission_log(path)
 
 
 # ---------------------------------------------------------------------------
@@ -406,9 +489,9 @@ class TestSourceEdgeCases:
         log = st.source_run(seed=1, count=0, sock=sock, log_path=tmp_path / "log.jsonl")
         for t in threads:
             t.join(timeout=15)
-        assert log.status == "complete" and log.emissions == []
+        assert log.status == "complete" and len(log.emissions) == 0
         assert seen_l == [] and seen_r == []
-        assert st.load_emission_log(tmp_path / "log.jsonl").emissions == []
+        assert len(st.load_emission_log(tmp_path / "log.jsonl").emissions) == 0
 
     def test_silent_connection_does_not_abort_the_source(self):
         sock = st.make_server_socket()
@@ -452,6 +535,10 @@ class TestSourceEdgeCases:
 
 # ---------------------------------------------------------------------------
 # Collation and faults
+
+
+def _emissions(count):
+    return PairStream(n=np.arange(1, count + 1), lam=np.full(count, 0.1), t=np.full(count, 0.1))
 
 
 def _group(n=20_000, seed=7, right=B60, key=RAD3):
@@ -512,18 +599,24 @@ class TestCollate:
     def test_emission_log_accounts_for_fully_lost_pairs(self):
         grp = _group(n=50)
         lb, rb = st.station_batches(grp)
-        emissions = [st.SourceEmit(n=int(i), lam=0.1, t=0.1) for i in range(1, 52)]  # pair 51 lost
-        log = st.SourceLog(seed=0, session_index=0, count=51, emissions=emissions)
+        log = st.SourceLog(seed=0, session_index=0, count=51, emissions=_emissions(51))  # pair 51 lost
         res = st.collate(lb, rb, strategy="pair-id", emission_log=log)
         assert res.incomplete == (51,)
 
     def test_emission_log_rejects_never_emitted_reports(self):
         grp = _group(n=50)
         lb, rb = st.station_batches(grp)
-        log = st.SourceLog(seed=0, session_index=0, count=10,
-                           emissions=[st.SourceEmit(n=i, lam=0.1, t=0.1) for i in range(1, 11)])
+        log = st.SourceLog(seed=0, session_index=0, count=10, emissions=_emissions(10))
         with pytest.raises(st.CollationError, match="never-emitted"):
             st.collate(lb, rb, strategy="pair-id", emission_log=log)
+
+    def test_stray_report_from_one_station_is_an_error(self):
+        grp = _group(n=50)
+        lb, rb = st.station_batches(grp)
+        stray = st.ReportBatch(station="L", setting=lb.setting, n=np.append(lb.n, 99), outcome=np.append(lb.outcome, 1))
+        log = st.SourceLog(seed=0, session_index=0, count=50, emissions=_emissions(50))
+        with pytest.raises(st.CollationError, match="never-emitted pair index 99"):
+            st.collate(stray, rb, strategy="pair-id", emission_log=log)
 
     def test_station_roles_enforced(self):
         grp = _group(n=10)
