@@ -155,14 +155,15 @@ def _read_records(path, kind: str, version: int, keys: frozenset, ints: tuple, f
     ``ints`` and ``floats`` hold (name, validity of a column or None,
     refusal formatted with the bad value). ``slot`` names the string
     fields that pick a record's slot, and ``slots_of(header)`` maps each
-    slot key to the setting the header gives it (None: records have no
-    setting); ``foreign`` refuses any other. A line is one JSON object
-    and its newline, and a record has exactly ``keys``. Its numbers go
-    into int64 and float64 columns that are range-checked as columns;
-    its setting is checked only when it differs from the last one its
-    slot saw. Nothing may follow a line with the ``trailer`` keys.
-    Returns (header, slot number of each record, int columns, float
-    columns, trailer or None); raises ValueError naming the first bad line.
+    slot key to the setting the header gives it (None: the records have
+    no setting); ``foreign`` is the refusal of a record of another slot
+    or setting. A line is one JSON object and its newline, and a record
+    has exactly ``keys``. Its numbers go into int64 and float64 columns
+    that are range-checked as columns; its setting is checked only when
+    it differs from the last one its slot saw. Nothing may follow a line
+    with the ``trailer`` keys. Returns (header, slot number of each
+    record, int columns, float columns, trailer or None); raises
+    ValueError naming the first bad line.
     """
     get_slot, get_ints, get_floats = (itemgetter(*names) if names else lambda rec: ()
                                       for names in (slot, [f[0] for f in ints], [f[0] for f in floats]))
@@ -175,8 +176,10 @@ def _read_records(path, kind: str, version: int, keys: frozenset, ints: tuple, f
             header = None
         if not isinstance(header, dict) or header.get("kind") != kind or header.get("v") != version:
             raise ValueError(f"not a v{version} {kind} file: {path}")
-        # slot key -> [slot number, the header's setting, the last setting seen that matched it]
-        slots = {key: [i, want, object()] for i, (key, want) in enumerate(slots_of(header).items())}
+        try:  # slot key -> [slot number, the header's setting, the last setting seen that matched it]
+            slots = {key: [i, want, object()] for i, (key, want) in enumerate(slots_of(header).items())}
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{kind} {path} line 1: header without valid slots: {exc!r}") from None
 
         def problem_of(rec) -> str | None:
             """Why a decoded line is not a record (None if it is one)."""
@@ -235,8 +238,8 @@ def _read_records(path, kind: str, version: int, keys: frozenset, ints: tuple, f
     bad = [(rows + (last is not None), problem)] if problem else []
     for fields, col in zip((ints, floats), cols):
         for j, (_, ok, what) in enumerate(fields):
-            if ok is not None and (at := np.flatnonzero(~ok(col[:, j]))).size:
-                bad.append((int(at[0]), what.format(col[at[0], j].item())))
+            if ok is not None and (wrong := np.flatnonzero(~ok(col[:, j]))).size:
+                bad.append((int(wrong[0]), what.format(col[wrong[0], j].item())))
     if bad:
         _refuse(kind, path, *min(bad))
     return header, np.frombuffer(slot_col, dtype=np.int64), *cols, last

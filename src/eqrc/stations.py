@@ -137,8 +137,8 @@ def _recv_exact(sock: socket.socket, size: int) -> bytearray:
     buf = bytearray(size)
     got = 0
     with memoryview(buf) as view:
-        while got < size and (chunk := sock.recv_into(view[got:])):
-            got += chunk
+        while got < size and (received := sock.recv_into(view[got:])):
+            got += received
     del buf[got:]
     return buf
 

@@ -99,6 +99,12 @@ class TestDatasetJsonl:
         with pytest.raises(ValueError, match="run-dataset"):
             load_run_dataset(path)
 
+    def test_load_rejects_a_header_without_valid_settings(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"v":1,"kind":"run-dataset","pairs":[[[1.0,0.0],[0.0,0.0]]]}\n')
+        with pytest.raises(ValueError, match="line 1: header without valid slots"):
+            load_run_dataset(path)
+
     def test_load_rejects_incomplete_pair(self, tmp_path):
         ds = run_experiment(_spec(n=3))
         lines = run_dataset_text(ds).splitlines()
