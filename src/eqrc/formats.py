@@ -202,6 +202,10 @@ def _read_records(path, kind: str, version: int, keys: frozenset, ints: tuple, f
         for line in fh:
             try:
                 rec, end = _decode(line)
+            except json.JSONDecodeError as exc:
+                problem = f"not a JSON object: {exc}"
+                break
+            try:
                 at = slots[get_slot(rec)]
                 # The slow path refuses booleans, which the columns would take as 1 or 0.
                 if (line[end:] == "\n" and rec.keys() == keys and rec.get("setting") == at[2]
@@ -210,15 +214,10 @@ def _read_records(path, kind: str, version: int, keys: frozenset, ints: tuple, f
                     float_col.extend(get_floats(rec))
                     slot_col.append(at[0])
                     continue
-            except (ValueError, TypeError, KeyError, AttributeError, OverflowError):
+            except (TypeError, KeyError, AttributeError, OverflowError):
                 rows = len(slot_col)
                 del int_col[rows * len(ints):], float_col[rows * len(floats):]  # a failed extend's part
             # The slow path: a slot's first or new setting, the trailer, or a bad line.
-            try:
-                rec, end = _decode(line)
-            except json.JSONDecodeError as exc:
-                problem = f"not a JSON object: {exc}"
-                break
             if line[end:] not in ("\n", ""):
                 problem = f"text after the object: {line[end:]!r}"
             elif trailer and isinstance(rec, dict) and rec.keys() == trailer:
@@ -258,10 +257,12 @@ def load_run_dataset(path) -> RunDataset:
     """
     header, slot, ints, _, _ = _read_records(
         path, DATASET_KIND, SCHEMA_VERSION, frozenset({"v", "group", "n", "outcome", "setting", "station"}),
-        ints=(("v", lambda v: v == SCHEMA_VERSION, "record with unsupported schema version {!r}"), _PAIR_INDEX, _OUTCOME),
+        ints=(("v", lambda v: v == SCHEMA_VERSION, "record with unsupported schema version {!r}"),
+              _PAIR_INDEX, _OUTCOME),
         slot=("group", "station"),
         slots_of=lambda header: {(f"pair{gid}", station): Setting(*setting)
-                                 for gid, pair in enumerate(header["pairs"]) for station, setting in zip("LR", pair)},
+                                 for gid, pair in enumerate(header["pairs"])
+                                 for station, setting in zip("LR", pair)},
         foreign="unknown group or station, or a setting other than the header's")
     pairs = tuple((Setting(*l), Setting(*r)) for l, r in header["pairs"])
     labels = [f"pair{i}" for i in range(len(pairs))]

@@ -347,20 +347,22 @@ def load_emission_log(path) -> SourceLog:
     header, _, ints, floats, trailer = _read_records(
         path, "emission-log", LOG_SCHEMA_VERSION, frozenset({"v", "n", "lambda", "t"}),
         ints=(_LOG_VERSION, ("n", None, "pair index {!r} is not an integer")),
-        floats=(("lambda", _unit_interval, "lambda {!r} is not in [0, 1)"), ("t", _unit_interval, "t {!r} is not in [0, 1)")),
+        floats=(("lambda", _unit_interval, "lambda {!r} is not in [0, 1)"),
+                ("t", _unit_interval, "t {!r} is not in [0, 1)")),
         trailer=frozenset({"v", "status", "sent", "detail"}))
     n, (lam, t) = ints[:, 1], floats.T
     count, session = int(header["count"]), int(header["session"])
     first, rows = session * count + 1, np.arange(len(n))
     bad = np.flatnonzero((n != first + rows) | (rows >= count))
     if bad.size:
-        _refuse("emission-log", path, bad[0], f"pair index {n[bad[0]]} is not {first + bad[0]}: out of the "
-                                              f"session's range {first}..{first + count - 1}, repeated or out of order")
+        _refuse("emission-log", path, bad[0], f"pair index {n[bad[0]]} is not {first + bad[0]}: out of the session's "
+                                              f"range {first}..{first + count - 1}, repeated or out of order")
     status, detail = "partial", "missing trailer"
     if trailer is not None:
         status, sent, detail = trailer["status"], trailer["sent"], trailer["detail"]
         if ([type(trailer["v"]), type(sent), type(detail)] != [int, int, str] or trailer["v"] != LOG_SCHEMA_VERSION
-                or status not in ("complete", "partial") or sent != len(n) or (status == "complete" and sent != count)):
+                or status not in ("complete", "partial") or sent != len(n)
+                or (status == "complete" and sent != count)):
             _refuse("emission-log", path, len(n), f"trailer {trailer} does not close {len(n)} events "
                                                   f"of a session of {count}")
     return SourceLog(seed=int(header["seed"]), session_index=session, count=count,
@@ -407,9 +409,11 @@ def load_report_log(path) -> ReportBatch:
     header's; and for a log that holds no reports.
     """
     header, _, ints, _, _ = _read_records(
-        path, "report-log", LOG_SCHEMA_VERSION, frozenset({"clock_ns", "n", "outcome", "setting", "station", "type", "v"}),
+        path, "report-log", LOG_SCHEMA_VERSION,
+        frozenset({"clock_ns", "n", "outcome", "setting", "station", "type", "v"}),
         ints=(_LOG_VERSION, _PAIR_INDEX, _OUTCOME, ("clock_ns", None, "clock_ns {!r} is not an integer")),
-        slot=("station", "type"), slots_of=lambda header: {(header["station"], "report"): Setting(*header["setting"])},
+        slot=("station", "type"),
+        slots_of=lambda header: {(header["station"], "report"): Setting(*header["setting"])},
         foreign="a report batch must come from one station session")
     if not len(ints):
         raise ValueError(f"report log {path} holds no reports")
@@ -471,12 +475,14 @@ def source_run(
     if count < 0:
         raise ValueError("count must be >= 0")
     server = sock if sock is not None else make_server_socket(*(bind or ("127.0.0.1", 0)))
-    log = SourceLog(seed=seed, session_index=session_index, count=count, emissions=PairStream(n=np.empty(0, dtype=np.int64), lam=np.empty(0), t=np.empty(0)))
+    nothing = PairStream(n=np.empty(0, dtype=np.int64), lam=np.empty(0), t=np.empty(0))
+    log = SourceLog(seed=seed, session_index=session_index, count=count, emissions=nothing)
     conns: dict[str, socket.socket] = {}
     try:
         conns = _accept_stations(server, SOURCE_RECEIVABLE_SCHEMAS, timeout)
         if count > 0:
-            stream = sample_pair_stream(derive_subseed(seed, session_index), count, start=session_index * count + 1)
+            stream = sample_pair_stream(derive_subseed(seed, session_index), count,
+                                        start=session_index * count + 1)
             sent = 0
             try:
                 for n, lam, t in zip(stream.n.tolist(), stream.lam.tolist(), stream.t.tolist()):

@@ -56,13 +56,20 @@ class TestFraming:
 
     def test_frame_arriving_in_pieces_is_reassembled(self):
         a, b = socket.socketpair()
+        b.settimeout(5)
         payload = json.dumps({"v": 1, "type": "end", "count": 7}).encode()
         frame = struct.pack("!I", len(payload)) + payload
-        sender = threading.Thread(target=lambda: [a.sendall(frame[i:i + 3]) or time.sleep(0.01)
-                                                  for i in range(0, len(frame), 3)])
+
+        def trickle():
+            for i in range(0, len(frame), 3):
+                a.sendall(frame[i:i + 3])
+                time.sleep(0.01)
+
+        sender = threading.Thread(target=trickle)
         sender.start()
         assert st.recv_frame(b) == {"v": 1, "type": "end", "count": 7}
         sender.join(timeout=5)
+        assert not sender.is_alive()
         a.close(), b.close()
 
     def test_undecodable_payload_raises(self):
