@@ -132,10 +132,18 @@ def send_frame(sock: socket.socket, obj: dict) -> None:
     sock.sendall(struct.pack("!I", len(raw)) + raw)
 
 
-def _recv_exact(sock: socket.socket, size: int) -> bytearray:
-    """Up to ``size`` bytes into one buffer; fewer only if the peer closed."""
+def _recv_exact(sock: socket.socket, size: int) -> bytes | bytearray:
+    """``size`` bytes, or fewer only if the peer closed.
+
+    Mostly one ``recv`` returns them all; the rest of a frame that
+    arrives in pieces is read into one preallocated buffer.
+    """
+    data = sock.recv(size)
+    if len(data) == size or not data:
+        return data
     buf = bytearray(size)
-    got = 0
+    got = len(data)
+    buf[:got] = data
     with memoryview(buf) as view:
         while got < size and (received := sock.recv_into(view[got:])):
             got += received
