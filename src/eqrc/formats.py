@@ -157,13 +157,15 @@ def _read_records(path, kind: str, version: int, keys: frozenset, ints: tuple, f
     fields that pick a record's slot, and ``slots_of(header)`` maps each
     slot key to the setting the header gives it (None: the records have
     no setting); ``foreign`` is the refusal of a record of another slot
-    or setting. A line is one JSON object and its newline, and a record
-    has exactly ``keys``. Its numbers go into int64 and float64 columns
-    that are range-checked as columns; its setting is checked only when
-    it differs from the last one its slot saw. Nothing may follow a line
-    with the ``trailer`` keys. Returns (header, slot number of each
-    record, int columns, float columns, trailer or None); raises
-    ValueError naming the first bad line.
+    or setting. ``ints``, ``floats`` and ``slot`` each name no field or
+    at least two, so that their getters return tuples. A line is one
+    JSON object and its newline, and a record has exactly ``keys``. Its
+    numbers go into int64 and float64 columns that are range-checked as
+    columns; its setting is checked only when it differs from the last
+    one its slot saw. Nothing may follow a line with the ``trailer``
+    keys. Returns (header, slot number of each record, int columns,
+    float columns, trailer or None); raises ValueError naming the first
+    bad line.
     """
     get_slot, get_ints, get_floats = (itemgetter(*names) if names else lambda rec: ()
                                       for names in (slot, [f[0] for f in ints], [f[0] for f in floats]))

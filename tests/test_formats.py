@@ -193,10 +193,11 @@ class TestLoaderRefusals:
         with pytest.raises(ValueError, match=r"line 7: unknown group or station, or a setting other than the header's"):
             load_run_dataset(path)
 
-    def test_record_with_an_extra_key_is_refused(self, tmp_path):
+    @pytest.mark.parametrize("at", [0, 4])  # a slot's first record, and a later one
+    def test_record_with_an_extra_key_is_refused(self, tmp_path, at):
         ds = run_experiment(_spec(n=3))
-        path = _rewrite(tmp_path, ds, lambda recs: [dict(recs[0], hint=1)] + recs[1:])
-        with pytest.raises(ValueError, match=r"line 2: .* does not have the keys"):
+        path = _rewrite(tmp_path, ds, lambda recs: recs[:at] + [dict(recs[at], hint=1)] + recs[at + 1:])
+        with pytest.raises(ValueError, match=rf"line {at + 2}: .* does not have the keys"):
             load_run_dataset(path)
 
     @pytest.mark.parametrize("garbage", [" ", "\t", " x", "{}"], ids=repr)
