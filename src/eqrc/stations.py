@@ -3,16 +3,19 @@
 Topology: a source process and a collator process listen; the two
 station processes dial both and nothing else. The source broadcasts
 identical pair events (index, hidden variable, time parameter) to both
-stations; each station computes its outcome from its OWN setting, the
-event, and a gauge key file distributed out-of-band; the key never
+stations; each station computes its outcomes from its OWN setting, the
+events, and a gauge key file distributed out-of-band; the key never
 travels on the wire. Stations stream outcome reports to the collator,
 which joins them into a dataset either by pair index or by arrival
 order (the latter deliberately fragile: one lost report misaligns the
 whole tail, and nothing in the data can reveal it).
 
-Wire format: 4-byte big-endian length prefix + UTF-8 JSON. The message
-grammar a station can receive is fixed and scalar-only; no receivable
-field can carry the other wing's setting.
+Wire format: 4-byte big-endian length prefix + UTF-8 JSON. Events and
+reports travel in columnar batches of at most ``BATCH_PAIRS`` pairs
+(``emit_batch``: n/lambda/t; ``report_batch``: n/outcome and one
+``clock_ns``, since a station measures a batch at one instant), and a
+batch with one bad element is rejected whole. No field of the fixed
+grammar a station can receive can carry the other wing's setting.
 """
 
 from __future__ import annotations
@@ -25,27 +28,19 @@ import threading
 import time
 from array import array
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, NoReturn
 
 import numpy as np
 
 from .experiments import RunDataset, RunGroup
 from .formats import _OUTCOME, _PAIR_INDEX, _read_records, _refuse
-from .model import (
-    GaugeKey,
-    PairEvent,
-    PairStream,
-    Setting,
-    derive_subseed,
-    measure_left,
-    measure_pairs,
-    measure_right,
-    sample_pair_stream,
-)
+from .model import GaugeKey, PairStream, Setting, derive_subseed, measure_pairs, sample_pair_stream
 
 __all__ = [
     "WIRE_VERSION",
+    "BATCH_PAIRS",
     "LOG_SCHEMA_VERSION",
     "MAX_FRAME_BYTES",
     "STATION_RECEIVABLE_SCHEMAS",
@@ -79,31 +74,25 @@ __all__ = [
     "load_report_log",
 ]
 
-WIRE_VERSION = 1
+WIRE_VERSION = 2
+#: Most pairs one emit_batch frame carries; a report_batch answers one emit_batch.
+BATCH_PAIRS = 4096
 #: Version of the emission-log and report-log files; frames carry WIRE_VERSION.
 LOG_SCHEMA_VERSION = 1
 #: Largest frame body ``recv_frame`` accepts, far above any frame a role sends.
 MAX_FRAME_BYTES = 1 << 20
 
-_SCALAR = (int, float)
-
-# Message grammars by receiving role: {type: {field: checker}}. Validation
-# is exact-key-set, so a field outside the grammar is rejected, not ignored.
+# Message grammars by receiving role: {type: {field: type}}. Validation is
+# exact-key-set, so a field outside the grammar is rejected, not ignored.
+# A list field is a batch column, checked element by element by its reader.
 STATION_RECEIVABLE_SCHEMAS = {
-    "emit": {"v": int, "type": str, "n": int, "lambda": _SCALAR, "t": _SCALAR},
+    "emit_batch": {"v": int, "type": str, "n": list, "lambda": list, "t": list},
     "end": {"v": int, "type": str, "count": int},
 }
 COLLATOR_RECEIVABLE_SCHEMAS = {
     "key_digest": {"v": int, "type": str, "station": str, "digest_hex": str},
-    "report": {
-        "v": int,
-        "type": str,
-        "n": int,
-        "station": str,
-        "setting": list,
-        "outcome": int,
-        "clock_ns": int,
-    },
+    "report_batch": {"v": int, "type": str, "station": str, "setting": list, "n": list, "outcome": list,
+                     "clock_ns": int},
     "end": {"v": int, "type": str, "station": str, "count": int},
 }
 SOURCE_RECEIVABLE_SCHEMAS = {
@@ -177,11 +166,14 @@ def recv_frame(sock: socket.socket) -> dict | None:
 def validate_message(msg, schemas: dict) -> str:
     """Check a message against a role grammar; returns the message type.
 
-    Exact key set, scalar/type check per field, wire version pinned.
-    Booleans are rejected where numbers are expected.
+    Wire version first, so a frame of another version is refused as
+    such; then exact key set and a type check per field. Booleans are
+    rejected where numbers are expected.
     """
     if not isinstance(msg, dict):
         raise SchemaError(f"message must be an object, got {type(msg).__name__}")
+    if type(msg.get("v")) is not int or msg["v"] != WIRE_VERSION:
+        raise SchemaError(f"unsupported wire version {msg.get('v')!r}")
     kind = msg.get("type")
     if kind not in schemas:
         raise SchemaError(f"unknown message type {kind!r} for this role")
@@ -192,14 +184,74 @@ def validate_message(msg, schemas: dict) -> str:
         value = msg[name]
         if isinstance(value, bool) or not isinstance(value, checker):
             raise SchemaError(f"field {name!r} of {kind!r} has invalid type {type(value).__name__}")
-    if msg["v"] != WIRE_VERSION:
-        raise SchemaError(f"unsupported wire version {msg['v']!r}")
     return kind
 
 
-@dataclass(frozen=True)
-class StationReport:
-    """One wing's outcome with its own setting and a station-local clock stamp."""
+def _unit_interval(x):
+    return (x >= 0.0) & (x < 1.0)
+
+
+def _refuse_at(kind: str, position: int, reason: str) -> NoReturn:
+    raise SchemaError(f"{kind} rejected at position {position}: {reason}")
+
+
+def _columns(kind: str, msg: dict, ints: tuple, floats: tuple = ()) -> list[np.ndarray]:
+    """Columns of a batch frame: JSON integers that fit int64 (``ints``), numbers that fit float64 (``floats``).
+
+    A boolean, which numpy and ``array`` would both take as 1 or 0, is
+    neither. Raises SchemaError at the first bad element, or unless the
+    columns are equally long and not empty.
+    """
+    cols = []
+    for name, code in [(name, "q") for name in ints] + [(name, "d") for name in floats]:
+        with contextlib.suppress(TypeError, OverflowError):
+            if bool not in set(map(type, msg[name])):
+                cols.append(np.frombuffer(array(code, msg[name]), dtype=code))
+                continue
+        for i, x in enumerate(msg[name]):
+            try:  # None stands in for a boolean
+                array(code, [None if type(x) is bool else x])
+            except (TypeError, OverflowError):
+                _refuse_at(kind, i, f"{name} {x!r} is not a {'64-bit integer' if code == 'q' else 'number'}")
+    if len({len(c) for c in cols}) > 1 or not len(cols[0]):
+        raise SchemaError(f"{kind} rejected: columns {list(ints + floats)} of lengths {[len(c) for c in cols]}")
+    return cols
+
+
+def _report_batch(msg: dict, last_n: int, station_id: str, setting: Setting, key: GaugeKey) -> dict:
+    """The report_batch frame a station sends for a validated emit_batch frame.
+
+    Every element is checked first: ``n`` must rise strictly from
+    ``last_n``, the last pair index accepted (0 before the first), and
+    ``lambda`` and ``t`` must lie in [0, 1), which NaN does not; raises
+    SchemaError naming the first bad position. One ``measure_pairs``
+    call then measures the batch, stamped with the station clock once.
+    """
+    n, lam, t = _columns("emit_batch", msg, ("n",), ("lambda", "t"))
+    prev = np.concatenate(([last_n], n[:-1]))
+    rising, lam_ok, t_ok = n > prev, _unit_interval(lam), _unit_interval(t)
+    if not (ok := rising & lam_ok & t_ok).all():
+        i = int(np.argmin(ok))
+        _refuse_at("emit_batch", i, f"non-increasing pair index {n[i]} after {prev[i]}" if not rising[i]
+                   else f"lambda {float(lam[i])!r} is not in [0, 1)" if not lam_ok[i]
+                   else f"t {float(t[i])!r} is not in [0, 1)")
+    left, right = measure_pairs(setting, PairStream(n=n, lam=lam, t=t), key)
+    return {"v": WIRE_VERSION, "type": "report_batch", "station": station_id, "setting": [setting.b2, setting.b3],
+            "n": msg["n"], "outcome": (left if station_id == "L" else right).tolist(),
+            "clock_ns": time.monotonic_ns()}
+
+
+def _report_columns(msg: dict) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, outcome) columns of a validated report_batch frame: integers >= 1 and outcomes of -1/+1."""
+    n, outcome = _columns("report_batch", msg, ("n", "outcome"))
+    if not (ok := (n >= 1) & (np.abs(outcome) == 1)).all():
+        i = int(np.argmin(ok))
+        _refuse_at("report_batch", i, f"pair index {n[i]} with outcome {outcome[i]}")
+    return n, outcome.astype(np.int8)
+
+
+class StationReport(NamedTuple):
+    """One wing's outcome with its own setting and its batch's station-local clock stamp."""
 
     n: int
     station: str
@@ -207,32 +259,10 @@ class StationReport:
     outcome: int
     clock_ns: int
 
-    def to_wire(self) -> dict:
-        return {
-            "v": WIRE_VERSION,
-            "type": "report",
-            "n": self.n,
-            "station": self.station,
-            "setting": [self.setting.b2, self.setting.b3],
-            "outcome": self.outcome,
-            "clock_ns": self.clock_ns,
-        }
-
-    @classmethod
-    def from_wire(cls, msg: dict) -> "StationReport":
-        b2, b3 = msg["setting"]
-        return cls(
-            n=int(msg["n"]),
-            station=msg["station"],
-            setting=Setting(float(b2), float(b3)),
-            outcome=int(msg["outcome"]),
-            clock_ns=int(msg["clock_ns"]),
-        )
-
 
 @dataclass(frozen=True)
 class ReportBatch:
-    """Columnar report stream of one station (fast path for large runs)."""
+    """Columnar report stream of one station session."""
 
     station: str
     setting: Setting
@@ -242,23 +272,6 @@ class ReportBatch:
 
     def __len__(self) -> int:
         return len(self.n)
-
-    @classmethod
-    def from_reports(cls, reports: Sequence[StationReport]) -> "ReportBatch":
-        if not reports:
-            raise ValueError("empty report stream")
-        station = reports[0].station
-        setting = reports[0].setting
-        for r in reports:
-            if r.station != station or not r.setting.close_to(setting):
-                raise ValueError("a report batch must come from one station session")
-        return cls(
-            station=station,
-            setting=setting,
-            n=np.array([r.n for r in reports], dtype=np.int64),
-            outcome=np.array([r.outcome for r in reports], dtype=np.int8),
-            clock_ns=np.array([r.clock_ns for r in reports], dtype=np.int64),
-        )
 
 
 def station_batches(group) -> tuple[ReportBatch, ReportBatch]:
@@ -335,10 +348,6 @@ def write_emission_log(log: SourceLog, path) -> None:
                              "detail": log.detail}, sort_keys=True, separators=(",", ":")) + "\n")
 
 
-def _unit_interval(x):
-    return (x >= 0.0) & (x < 1.0)
-
-
 _LOG_VERSION = ("v", lambda v: v == LOG_SCHEMA_VERSION, "unsupported log schema version {!r}")
 
 
@@ -346,7 +355,8 @@ def load_emission_log(path) -> SourceLog:
     """Load an emission log; its events come back as one PairStream.
 
     Raises ValueError naming the line for what the reader refuses, for
-    a pair index other than the next of the session's range
+    a header ``seed``, ``session`` or ``count`` that is not an integer
+    >= 0, for a pair index other than the next of the session's range
     session*count+1 .. (session+1)*count (out of the range, repeated or
     out of order), and for a trailer whose ``sent`` is not the number of
     events or, if "complete", not the header's ``count``. A log without
@@ -358,8 +368,11 @@ def load_emission_log(path) -> SourceLog:
         floats=(("lambda", _unit_interval, "lambda {!r} is not in [0, 1)"),
                 ("t", _unit_interval, "t {!r} is not in [0, 1)")),
         trailer=frozenset({"v", "status", "sent", "detail"}))
+    for name in ("seed", "session", "count"):
+        if type(header.get(name)) is not int or header[name] < 0:
+            _refuse("emission-log", path, -1, f"header {name} {header.get(name)!r} is not an integer >= 0")
     n, (lam, t) = ints[:, 1], floats.T
-    count, session = int(header["count"]), int(header["session"])
+    count, session = header["count"], header["session"]
     first, rows = session * count + 1, np.arange(len(n))
     bad = np.flatnonzero((n != first + rows) | (rows >= count))
     if bad.size:
@@ -373,17 +386,18 @@ def load_emission_log(path) -> SourceLog:
                 or (status == "complete" and sent != count)):
             _refuse("emission-log", path, len(n), f"trailer {trailer} does not close {len(n)} events "
                                                   f"of a session of {count}")
-    return SourceLog(seed=int(header["seed"]), session_index=session, count=count,
+    return SourceLog(seed=header["seed"], session_index=session, count=count,
                      emissions=PairStream(n=n.copy(), lam=lam.copy(), t=t.copy()), status=status, detail=detail)
 
 
 def write_report_log(log: StationLog, path) -> None:
-    """Header line, then one ``StationReport.to_wire`` form per line.
+    """Header line, then one line per report: its fields, ``type`` "report" and ``v``.
 
-    A report's sorted keys are clock_ns, n, outcome, setting, station,
-    type, v: only the first three change from line to line, so the tail
-    is dumped once per (station, setting) object and each line is
-    formatted from the three ints, the same bytes as dumping the report.
+    A report line's sorted keys are clock_ns, n, outcome, setting,
+    station, type, v: only the first three change from line to line, so
+    the tail is dumped once per (station, setting) object and each line
+    is formatted from the three ints, the same bytes as dumping the
+    line's object.
     """
     with Path(path).open("w", encoding="utf-8") as fh:
         header = {
@@ -477,11 +491,13 @@ def source_run(
     Session ``i`` draws from sub-seed ``i`` of the master seed and owns
     pair indices i*count+1 .. (i+1)*count, so successive sessions (e.g.
     the right wing re-running with another setting) live on disjoint
-    sample spaces. Waits for both stations before emitting. A station
-    disconnect aborts the run and marks the log partial.
+    sample spaces. Waits for both stations before emitting, then sends
+    the sampled stream in emit_batch frames of ``BATCH_PAIRS`` pairs. A
+    station disconnect aborts the run and marks the log partial; the log
+    keeps the batches sent to both stations.
     """
-    if count < 0:
-        raise ValueError("count must be >= 0")
+    if min(seed, session_index, count) < 0:  # the emission log's loader refuses them
+        raise ValueError(f"seed, session_index and count must be >= 0, got {seed}, {session_index}, {count}")
     server = sock if sock is not None else make_server_socket(*(bind or ("127.0.0.1", 0)))
     nothing = PairStream(n=np.empty(0, dtype=np.int64), lam=np.empty(0), t=np.empty(0))
     log = SourceLog(seed=seed, session_index=session_index, count=count, emissions=nothing)
@@ -493,11 +509,13 @@ def source_run(
                                         start=session_index * count + 1)
             sent = 0
             try:
-                for n, lam, t in zip(stream.n.tolist(), stream.lam.tolist(), stream.t.tolist()):
-                    wire = {"v": WIRE_VERSION, "type": "emit", "n": n, "lambda": lam, "t": t}
+                for lo in range(0, count, BATCH_PAIRS):
+                    batch = slice(lo, lo + BATCH_PAIRS)
+                    wire = {"v": WIRE_VERSION, "type": "emit_batch", "n": stream.n[batch].tolist(),
+                            "lambda": stream.lam[batch].tolist(), "t": stream.t[batch].tolist()}
                     for station in ("L", "R"):
                         send_frame(conns[station], wire)
-                    sent += 1
+                    sent += len(wire["n"])
             except OSError as exc:
                 log.status = "partial"
                 log.detail = f"station disconnected after {sent} emissions: {exc}"
@@ -550,8 +568,11 @@ def station_run(
     key file). The station dials exactly two endpoints (source and
     collator), and the grammar of what it can receive contains no field
     that could carry the remote setting. Refuses to start without the
-    key file; malformed events, and events whose pair index is not above
-    the last accepted one, are rejected and logged, not measured.
+    key file. Each emit_batch frame is measured with one
+    ``measure_pairs`` call and answered with one report_batch frame;
+    a malformed batch, or one holding a bad element (such as a pair
+    index not above the one before it), is rejected whole and logged
+    once with its first bad position, not measured.
     """
     if station_id not in ("L", "R"):
         raise ValueError(f"station_id must be 'L' or 'R', got {station_id!r}")
@@ -568,41 +589,23 @@ def station_run(
         send_frame(src, {"v": WIRE_VERSION, "type": "hello", "station": station_id})
         send_frame(col, {"v": WIRE_VERSION, "type": "key_digest", "station": station_id,
                          "digest_hex": log.key_digest})
-        last_n = 0  # last accepted pair index; PairEvent requires n >= 1
+        last_n = 0  # last accepted pair index; pair indices are >= 1
         while True:
             msg = recv_frame(src)
             if msg is None:
                 log.rejected.append("stream ended without an end marker")
                 break
             try:
-                kind = validate_message(msg, STATION_RECEIVABLE_SCHEMAS)
+                if validate_message(msg, STATION_RECEIVABLE_SCHEMAS) == "end":
+                    break
+                report = _report_batch(msg, last_n, station_id, setting, key)
             except SchemaError as exc:
                 log.rejected.append(str(exc))
                 continue
-            if kind == "end":
-                break
-            try:
-                event = PairEvent(n=int(msg["n"]), lam=float(msg["lambda"]), t=float(msg["t"]))
-            except ValueError as exc:
-                log.rejected.append(f"emit rejected: {exc}")
-                continue
-            if event.n <= last_n:
-                log.rejected.append(f"non-increasing pair index {event.n} after {last_n}")
-                continue
-            last_n = event.n
-            if station_id == "L":
-                outcome = measure_left(setting, event, key)
-            else:
-                outcome = measure_right(setting, event, key)
-            report = StationReport(
-                n=event.n,
-                station=station_id,
-                setting=setting,
-                outcome=outcome,
-                clock_ns=time.monotonic_ns(),
-            )
-            send_frame(col, report.to_wire())
-            log.reports.append(report)
+            last_n = report["n"][-1]
+            send_frame(col, report)
+            log.reports += map(StationReport, report["n"], repeat(station_id), repeat(setting),
+                               report["outcome"], repeat(report["clock_ns"]))
         send_frame(col, {"v": WIRE_VERSION, "type": "end", "station": station_id,
                          "count": len(log.reports)})
     finally:
@@ -616,9 +619,9 @@ def station_run(
 def replay_station(emissions: PairStream, station_id: str, setting: Setting, key: GaugeKey) -> list[int]:
     """Recompute a station's outcomes from an emission log (purity check).
 
-    Runs the vectorized ``measure_pairs`` over the logged events, so a
-    match with the live reports also cross-checks the stations' per-event
-    path against the array path.
+    Runs ``measure_pairs`` over the whole logged stream at once, so a
+    match with the live reports also shows that measuring batch by batch
+    changed no outcome.
     """
     left, right = measure_pairs(setting, emissions, key)
     return (left if station_id == "L" else right).tolist()
@@ -651,12 +654,15 @@ def collate(
     pair-id joins on the pair index: duplicates are a hard error, gaps
     are reported and the rest survives untouched. sequence-order zips
     the streams by arrival position; a join whose misalignment after a
-    lost report is undetectable by construction.
+    lost report is undetectable by construction, and which cannot use
+    an emission log (CollationError).
     """
     if left.station != "L" or right.station != "R":
         raise CollationError(f"expected an L stream and an R stream, got {left.station!r}/{right.station!r}")
     if strategy not in ("pair-id", "sequence-order"):
         raise CollationError(f"unknown matching strategy {strategy!r}")
+    if strategy == "sequence-order" and emission_log is not None:
+        raise CollationError("sequence-order matching cannot account for an emission log; use pair-id")
 
     incomplete = np.empty(0, dtype=np.int64)
     if strategy == "pair-id":
@@ -712,35 +718,19 @@ def inject_fault(kind: str, position: int, stream: ReportBatch) -> ReportBatch:
     Returns a new batch. ``reorder`` swaps the reports at ``position``
     and ``position + 1``.
     """
-    _check_fault_position(kind, position, len(stream))
-    cols = {"n": stream.n, "outcome": stream.outcome}
-    if stream.clock_ns is not None:
-        cols["clock_ns"] = stream.clock_ns
-    out = {}
-    for name, arr in cols.items():
-        if kind == "drop":
-            out[name] = np.delete(arr, position)
-        elif kind == "duplicate":
-            out[name] = np.insert(arr, position + 1, arr[position])
-        else:  # reorder
-            swapped = arr.copy()
-            swapped[position], swapped[position + 1] = arr[position + 1], arr[position]
-            out[name] = swapped
-    return ReportBatch(
-        station=stream.station,
-        setting=stream.setting,
-        n=out["n"],
-        outcome=out["outcome"],
-        clock_ns=out.get("clock_ns"),
-    )
-
-
-def _check_fault_position(kind: str, position: int, length: int) -> None:
     if kind not in ("drop", "duplicate", "reorder"):
         raise ValueError(f"unknown fault kind {kind!r}")
-    last_ok = length - 2 if kind == "reorder" else length - 1
-    if not 0 <= position <= last_ok:
-        raise ValueError(f"fault position {position} out of range for a stream of {length}")
+    if not 0 <= position <= len(stream) - (2 if kind == "reorder" else 1):
+        raise ValueError(f"fault position {position} out of range for a stream of {len(stream)}")
+    rows = np.arange(len(stream))
+    if kind == "drop":
+        rows = np.delete(rows, position)
+    elif kind == "duplicate":
+        rows = np.insert(rows, position + 1, position)
+    else:  # reorder
+        rows[[position, position + 1]] = position + 1, position
+    clock_ns = None if stream.clock_ns is None else stream.clock_ns[rows]
+    return ReportBatch(stream.station, stream.setting, stream.n[rows], stream.outcome[rows], clock_ns)
 
 
 # ---------------------------------------------------------------------------
@@ -755,30 +745,30 @@ def collator_serve(
     hwm: int = 100_000,
     timeout: float = 60.0,
 ) -> CollationResult:
-    """Accept both stations, verify key agreement, join their reports.
+    """Accept both stations, verify key agreement, join their report batches.
 
     Refuses to collate unless the two stations' key digests are equal,
     when a station's end marker counts other than the reports received
-    (CollationError), or when a reader is still running after its join
-    deadline of ``4 * timeout`` (ProtocolError; that reader's connection
-    is shut down first). The high-water mark bounds how far ahead one
-    station may run before its connection stops being read (TCP
-    backpressure); receipt resumes once the other wing catches up or
-    finishes.
+    or its setting changes between batches (CollationError), when a
+    batch holds a bad element (SchemaError), or when a reader is still
+    running after its join deadline of ``4 * timeout`` (ProtocolError;
+    that reader's connection is shut down first). A reader stops reading
+    (TCP backpressure) while its wing leads by ``hwm`` reports or more;
+    a batch is taken whole, so the lead stays below ``hwm`` plus one
+    batch. Receipt resumes once the other wing catches up or finishes.
     """
     server = sock if sock is not None else make_server_socket(*(bind or ("127.0.0.1", 0)))
     server.settimeout(timeout)
 
     lock = threading.Condition()
     digests: dict[str, str] = {}
-    reports: dict[str, list[StationReport]] = {"L": [], "R": []}
+    batches: dict[str, list] = {"L": [], "R": []}  # (n, outcome, clock_ns) columns per batch
+    counts = {"L": 0, "R": 0}  # reports received
+    settings: dict[str, Setting] = {}
     done: dict[str, bool] = {"L": False, "R": False}
     partial = {"flag": False}
     max_lead = {"L": 0, "R": 0}
     errors: list[Exception] = []
-
-    def other(station: str) -> str:
-        return "R" if station == "L" else "L"
 
     def reader(conn: socket.socket, station_holder: list) -> None:
         station = None
@@ -791,6 +781,7 @@ def collator_serve(
             if station not in ("L", "R"):
                 raise SchemaError(f"unknown station {station!r}")
             station_holder.append(station)
+            rival = "R" if station == "L" else "L"
             with lock:
                 if station in digests:
                     raise SchemaError(f"duplicate station {station!r}")
@@ -801,6 +792,7 @@ def collator_serve(
                         raise ProtocolError("timed out waiting for the other station's key digest")
                 if digests["L"] != digests["R"]:
                     raise CollationError("gauge key digests differ between stations; refusing to collate")
+            first_setting = None
             while True:
                 msg = recv_frame(conn)
                 if msg is None:
@@ -812,25 +804,32 @@ def collator_serve(
                 kind = validate_message(msg, COLLATOR_RECEIVABLE_SCHEMAS)
                 if kind == "end":
                     with lock:
-                        if msg["count"] != len(reports[station]):
+                        if msg["count"] != counts[station]:
                             raise CollationError(f"station {station} end marker counts {msg['count']} reports, "
-                                                 f"{len(reports[station])} received")
+                                                 f"{counts[station]} received")
                         done[station] = True
                         lock.notify_all()
                     return
-                if kind != "report" or msg["station"] != station:
+                if kind != "report_batch" or msg["station"] != station:
                     raise SchemaError(f"unexpected {kind!r} message from station {station!r}")
-                report = StationReport.from_wire(msg)
+                if first_setting is None:
+                    first_setting = msg["setting"]
+                    components = _columns("report_batch", msg, (), ("setting",))[0]
+                    if len(components) != 2:
+                        raise SchemaError(f"report_batch setting {first_setting} is not two numbers")
+                    settings[station] = Setting(*components)
+                elif msg["setting"] != first_setting:
+                    raise CollationError(f"station {station} batch with setting {msg['setting']}: "
+                                         "a report batch must come from one station session")
+                n, outcome = _report_columns(msg)
                 with lock:
-                    # Backpressure: stop reading while this wing leads too far.
-                    while (
-                        len(reports[station]) - len(reports[other(station)]) >= hwm
-                        and not done[other(station)]
-                    ):
+                    # Backpressure: stop reading while this wing leads too far. Waiting after the
+                    # append instead would stall both wings once a batch outgrows the mark.
+                    while counts[station] - counts[rival] >= hwm and not done[rival]:
                         lock.wait(timeout=0.1)
-                    reports[station].append(report)
-                    lead = len(reports[station]) - len(reports[other(station)])
-                    max_lead[station] = max(max_lead[station], lead)
+                    batches[station].append((n, outcome, np.full(len(n), msg["clock_ns"], dtype=np.int64)))
+                    counts[station] += len(n)
+                    max_lead[station] = max(max_lead[station], counts[station] - counts[rival])
                     lock.notify_all()
         except Exception as exc:  # propagated after join
             with lock:
@@ -867,10 +866,11 @@ def collator_serve(
         raise ProtocolError(f"reader for station {name} still running after the join deadline")
     for exc in errors:
         raise exc
-    if not reports["L"] or not reports["R"]:
+    if not counts["L"] or not counts["R"]:
         raise CollationError("one or both stations sent no reports")
 
-    left, right = (ReportBatch.from_reports(reports[side]) for side in ("L", "R"))
+    left, right = (ReportBatch(side, settings[side], *map(np.concatenate, zip(*batches[side])))
+                   for side in ("L", "R"))
     result = collate(left, right, strategy=match)
     result.digests = dict(digests)
     result.partial = partial["flag"]

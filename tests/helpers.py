@@ -7,8 +7,12 @@ from eqrc import stations as st
 
 
 def run_live(seed, count, key, right_setting, key_path, match="pair-id", session_index=0,
-             emission_log=None, report_logs=(None, None)):
-    """Source + two stations + collator over real TCP sockets; returns all results."""
+             emission_log=None, report_logs=(None, None), hwm=100_000):
+    """Source + two stations + collator over real TCP sockets; returns all results.
+
+    Fails, naming each role still running when its 120 s join times out:
+    a hang is a bug, not a slow pass.
+    """
     col_sock = st.make_server_socket()
     src_sock = st.make_server_socket()
     col_port = col_sock.getsockname()[1]
@@ -23,7 +27,7 @@ def run_live(seed, count, key, right_setting, key_path, match="pair-id", session
 
     threads = [
         threading.Thread(target=guard, args=("collator", st.collator_serve),
-                         kwargs=dict(sock=col_sock, match=match)),
+                         kwargs=dict(sock=col_sock, match=match, hwm=hwm)),
         threading.Thread(target=guard, args=("source", st.source_run, seed, count),
                          kwargs=dict(sock=src_sock, session_index=session_index, log_path=emission_log)),
         threading.Thread(target=guard, args=("L", st.station_run, "L", CANONICAL_LEFT, key_path,
@@ -33,10 +37,14 @@ def run_live(seed, count, key, right_setting, key_path, match="pair-id", session
                                              ("127.0.0.1", src_port), ("127.0.0.1", col_port)),
                          kwargs=dict(log_path=report_logs[1])),
     ]
-    for t in threads:
+    for t, name in zip(threads, ("collator", "source", "L", "R")):
+        t.name, t.daemon = name, True  # a hung role must not keep the test process alive
         t.start()
     for t in threads:
         t.join(timeout=120)
+    alive = [t.name for t in threads if t.is_alive()]
+    if alive:
+        raise AssertionError(f"live run hung: {alive} still running after the join deadline")
     if failures:
         raise AssertionError(f"live run failed: {failures}")
     return results

@@ -7,6 +7,7 @@ import socket
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from eqrc.cli import main
@@ -165,6 +166,22 @@ class TestExitCodes:
         bad.write_text('{"kind":"other"}\n')
         rc, _, err = run_cli(["collate", "--left", str(bad), "--right", str(bad)], capsys)
         assert rc == 2 and "runtime error" in err
+
+    def test_sequence_collation_with_emissions_is_exit_two(self, capsys, tmp_path):
+        from eqrc.experiments import CANONICAL_LEFT
+        from eqrc.model import PairStream, Setting
+        from eqrc import stations as st
+
+        paths = {name: tmp_path / f"{name}.jsonl" for name in ("L", "R", "emissions")}
+        for side, setting in (("L", CANONICAL_LEFT), ("R", Setting(0.0, 1.0))):
+            reports = [st.StationReport(n=n, station=side, setting=setting, outcome=1, clock_ns=0) for n in (1, 2, 3)]
+            st.write_report_log(st.StationLog(station=side, setting=setting, key_digest="ab", reports=reports),
+                                paths[side])
+        emitted = PairStream(n=np.arange(1, 3), lam=np.full(2, 0.5), t=np.full(2, 0.5))
+        st.write_emission_log(st.SourceLog(seed=1, session_index=0, count=2, emissions=emitted), paths["emissions"])
+        rc, out, err = run_cli(["collate", "--left", str(paths["L"]), "--right", str(paths["R"]),
+                                "--match", "sequence", "--emissions", str(paths["emissions"])], capsys)
+        assert rc == 2 and out == "" and "cannot account for an emission log" in err
 
     def test_keygen_writes_loadable_key(self, capsys, tmp_path):
         path = tmp_path / "key.json"

@@ -123,7 +123,7 @@ B60 = Setting(0.5, 0.8660254037844386)
 
 def _drain(port: int, station: str) -> None:
     with socket.create_connection(("127.0.0.1", port), timeout=10) as conn:
-        st.send_frame(conn, {"v": 1, "type": "hello", "station": station})
+        st.send_frame(conn, {"v": st.WIRE_VERSION, "type": "hello", "station": station})
         while (msg := st.recv_frame(conn)) is not None and msg["type"] != "end":
             pass
 

@@ -1,5 +1,6 @@
 """Distributed harness: framing, schemas, live runs, collation, faults."""
 
+import contextlib
 import json
 import math
 import socket
@@ -16,12 +17,19 @@ from helpers import run_live
 
 from eqrc.experiments import CANONICAL_LEFT, ExperimentSpec, run_experiment
 from eqrc.formats import run_dataset_text
-from eqrc.model import GaugeKey, MODE_RADEMACHER, PairStream, Setting
+from eqrc.model import GaugeKey, MODE_RADEMACHER, PairStream, Setting, measure_pairs
 from eqrc.stats import estimate_expectation
 from eqrc import stations as st
 
 RAD3 = GaugeKey(mode=MODE_RADEMACHER, j=3)
 B60 = Setting(0.5, math.sqrt(3) / 2)
+V = st.WIRE_VERSION
+
+
+def _emit_batch(n, lam=None, t=None):
+    """An emit_batch frame; lambda and t default to 0.5 and 0.25 for every pair."""
+    return {"v": V, "type": "emit_batch", "n": list(n), "lambda": [0.5] * len(n) if lam is None else lam,
+            "t": [0.25] * len(n) if t is None else t}
 
 
 # ---------------------------------------------------------------------------
@@ -83,12 +91,10 @@ class TestFraming:
 
 class TestSchemas:
     def _emit(self, **overrides):
-        msg = {"v": 1, "type": "emit", "n": 1, "lambda": 0.5, "t": 0.25}
-        msg.update(overrides)
-        return msg
+        return dict(_emit_batch([1]), **overrides)
 
     def test_valid_emit_passes(self):
-        assert st.validate_message(self._emit(), st.STATION_RECEIVABLE_SCHEMAS) == "emit"
+        assert st.validate_message(self._emit(), st.STATION_RECEIVABLE_SCHEMAS) == "emit_batch"
 
     def test_extra_field_rejected(self):
         with pytest.raises(st.SchemaError):
@@ -110,19 +116,116 @@ class TestSchemas:
 
     def test_unknown_type_rejected(self):
         with pytest.raises(st.SchemaError):
-            st.validate_message({"v": 1, "type": "report"}, st.STATION_RECEIVABLE_SCHEMAS)
+            st.validate_message({"v": V, "type": "report_batch"}, st.STATION_RECEIVABLE_SCHEMAS)
 
     def test_wire_version_pinned(self):
-        with pytest.raises(st.SchemaError):
-            st.validate_message(self._emit(v=2), st.STATION_RECEIVABLE_SCHEMAS)
+        for v in (V + 1, float(V), True):
+            with pytest.raises(st.SchemaError, match="unsupported wire version"):
+                st.validate_message(self._emit(v=v), st.STATION_RECEIVABLE_SCHEMAS)
+
+    def test_v1_emit_frame_is_refused_by_its_version(self):
+        for schemas in (st.STATION_RECEIVABLE_SCHEMAS, st.COLLATOR_RECEIVABLE_SCHEMAS):
+            with pytest.raises(st.SchemaError, match="unsupported wire version 1"):
+                st.validate_message({"v": 1, "type": "emit", "n": 1, "lambda": 0.5, "t": 0.25}, schemas)
 
     def test_station_grammar_cannot_carry_a_setting(self):
-        # locality by schema: scalar-only fields, none of them setting-like
+        # Locality by schema: no field is setting-like, and the list fields are
+        # columns of numbers, so a setting cannot ride in one of their elements.
         for kind, grammar in st.STATION_RECEIVABLE_SCHEMAS.items():
             for name, checker in grammar.items():
                 assert "setting" not in name.lower()
-                assert checker in (int, str, (int, float)), (kind, name)
-                assert checker not in (list, dict)
+                assert checker in (int, str, list), (kind, name)
+        for column in ("n", "lambda", "t"):
+            msg = _emit_batch([1, 2])
+            msg[column] = [msg[column][0], [0.0, 1.0]]
+            with pytest.raises(st.SchemaError, match=f"position 1: {column} \\[0.0, 1.0\\] is not a"):
+                st._report_batch(msg, 0, "R", B60, RAD3)
+
+
+_unit_floats = hst.floats(0.0, 1.0, exclude_max=True)
+
+
+@hst.composite
+def _good_batches(draw):
+    """(emit_batch frame, last accepted n): rising indices above last_n, lambda and t in [0, 1)."""
+    last_n = draw(hst.integers(0, 2**62))
+    steps = draw(hst.lists(hst.integers(1, 2**20), min_size=1, max_size=40))
+    n = (last_n + np.cumsum(steps)).tolist()
+    size = len(n)
+    lam = draw(hst.lists(_unit_floats, min_size=size, max_size=size))
+    t = draw(hst.lists(_unit_floats | hst.sampled_from([0, 0.5 - 2**-53]), min_size=size, max_size=size))
+    return _emit_batch(n, lam, t), last_n
+
+
+_BAD_NUMBERS = [True, False, None, "0.5", [0.5], {"x": 0.5}, 10**400]
+_BAD_UNIT = [1.0, 1, -2**-1074, -0.5, 7.0, math.nan, math.inf, -math.inf] + _BAD_NUMBERS
+
+
+class TestBatches:
+    @settings(max_examples=200, deadline=None)
+    @given(_good_batches(), hst.sampled_from(["L", "R"]),
+           hst.sampled_from([CANONICAL_LEFT, B60, Setting(-1.0, 0.0)]),
+           hst.sampled_from([RAD3, GaugeKey(mode="rademacher-times-rarb", j=5, rarb_seed=11)]))
+    def test_good_batch_reports_equal_measure_pairs(self, batch, side, setting, key):
+        msg, last_n = batch
+        assert st.validate_message(msg, st.STATION_RECEIVABLE_SCHEMAS) == "emit_batch"
+        report = st._report_batch(msg, last_n, side, setting, key)
+        assert st.validate_message(report, st.COLLATOR_RECEIVABLE_SCHEMAS) == "report_batch"
+        events = PairStream(n=np.array(msg["n"]), lam=np.array(msg["lambda"], dtype=float),
+                            t=np.array(msg["t"], dtype=float))
+        left, right = measure_pairs(setting, events, key)
+        assert report["n"] == msg["n"] and report["station"] == side
+        assert report["outcome"] == (left if side == "L" else right).tolist()
+        assert report["setting"] == [setting.b2, setting.b3]
+
+    @settings(max_examples=300, deadline=None)
+    @given(_good_batches(), hst.sampled_from(["n", "lambda", "t"]), hst.data())
+    def test_one_bad_element_rejects_the_batch_at_its_position(self, batch, column, data):
+        msg, last_n = batch
+        i = data.draw(hst.integers(0, len(msg["n"]) - 1), label="position")
+        if column == "n":
+            prev = msg["n"][i - 1] if i else last_n
+            bad = data.draw(hst.sampled_from([prev, prev - 1, 0, -5, float(msg["n"][i]), str(msg["n"][i]),
+                                              2**63, -2**63 - 1] + _BAD_NUMBERS), label="bad")
+        else:
+            bad = data.draw(hst.sampled_from(_BAD_UNIT), label="bad")
+        msg[column] = msg[column][:i] + [bad] + msg[column][i + 1:]
+        with pytest.raises(st.SchemaError, match=f"^emit_batch rejected at position {i}: "):
+            st._report_batch(msg, last_n, "L", CANONICAL_LEFT, RAD3)
+
+    def test_non_increasing_text_names_both_indices(self):
+        with pytest.raises(st.SchemaError, match="position 2: non-increasing pair index 5 after 6$"):
+            st._report_batch(_emit_batch([3, 6, 5]), 2, "L", CANONICAL_LEFT, RAD3)
+        with pytest.raises(st.SchemaError, match="position 0: non-increasing pair index 2 after 2$"):
+            st._report_batch(_emit_batch([2, 3]), 2, "L", CANONICAL_LEFT, RAD3)
+
+    @pytest.mark.parametrize("columns", [
+        {"n": [], "lambda": [], "t": []}, {"n": [1, 2]}, {"lambda": [0.5, 0.5]}, {"t": []},
+    ], ids=repr)
+    def test_unequal_or_empty_columns_are_refused(self, columns):
+        msg = dict(_emit_batch([1]), **columns)
+        with pytest.raises(st.SchemaError, match="emit_batch rejected: columns"):
+            st._report_batch(msg, 0, "L", CANONICAL_LEFT, RAD3)
+
+    def test_longest_full_batches_fit_under_the_frame_cap(self):
+        top, size = 2**63 - 1, st.BATCH_PAIRS
+        n = list(range(top - size + 1, top + 1))
+        longest = 2.2250738585072014e-308  # 17 digits and a three-digit exponent: the longest repr in [0, 1)
+        emit = _emit_batch(n, [longest] * size, [0.9999999999999999] * size)
+        report = st._report_batch(emit, top - size, "R", Setting(-0.7071067811865476, -0.7071067811865475), RAD3)
+        report.update(clock_ns=top, outcome=[-1] * size)
+        for frame, schemas in ((emit, st.STATION_RECEIVABLE_SCHEMAS), (report, st.COLLATOR_RECEIVABLE_SCHEMAS)):
+            raw = json.dumps(frame, sort_keys=True, separators=(",", ":")).encode()
+            assert len(raw) < st.MAX_FRAME_BYTES
+            a, b = socket.socketpair()
+            b.settimeout(10)
+            sender = threading.Thread(target=st.send_frame, args=(a, frame))
+            sender.start()
+            got = st.recv_frame(b)
+            sender.join(timeout=10)
+            assert not sender.is_alive()
+            a.close(), b.close()
+            assert got == frame and st.validate_message(got, schemas) == frame["type"]
 
 
 class TestKeyFiles:
@@ -176,7 +279,9 @@ class TestReportLogs:
         path = tmp_path_factory.mktemp("log") / "log.jsonl"
         log = st.StationLog(station="L", setting=CANONICAL_LEFT, key_digest="ab", reports=reports)
         st.write_report_log(log, path)
-        reference = [json.dumps(r.to_wire(), sort_keys=True, separators=(",", ":")) for r in reports]
+        reference = [json.dumps(dict(r._asdict(), setting=[r.setting.b2, r.setting.b3], type="report",
+                                     v=st.LOG_SCHEMA_VERSION), sort_keys=True, separators=(",", ":"))
+                     for r in reports]
         assert path.read_text(encoding="utf-8").splitlines()[1:] == reference
 
     def test_round_trip_is_columnar(self, tmp_path):
@@ -264,6 +369,17 @@ class TestEmissionLogs:
         _, path = _emission_log(tmp_path)
         _edit_line(path, lineno, **fields)
         with pytest.raises(ValueError, match=match):
+            st.load_emission_log(path)
+
+    @pytest.mark.parametrize("fields", [
+        {"count": 2.7, "seed": "9"}, {"count": True}, {"count": -3}, {"seed": "9"}, {"seed": -1}, {"seed": None},
+        {"session": 1.0}, {"session": False}, {"session": -1},
+    ], ids=repr)
+    def test_header_fields_must_be_integers_at_least_zero(self, tmp_path, fields):
+        _, path = _emission_log(tmp_path)
+        _edit_line(path, 1, **fields)
+        name = next(f for f in ("seed", "session", "count") if f in fields)  # the first field checked
+        with pytest.raises(ValueError, match=f"line 1: header {name} .* is not an integer >= 0"):
             st.load_emission_log(path)
 
     def test_complete_trailer_must_close_the_whole_session(self, tmp_path):
@@ -370,7 +486,7 @@ class TestLiveRun:
         def fake_station(key_path, station):
             key = st.load_key_file(key_path)
             conn = socket.create_connection(("127.0.0.1", col_port), timeout=10)
-            st.send_frame(conn, {"v": 1, "type": "key_digest", "station": station,
+            st.send_frame(conn, {"v": V, "type": "key_digest", "station": station,
                                  "digest_hex": key.digest_hex()})
             time.sleep(0.2)
             conn.close()
@@ -398,11 +514,11 @@ class TestStationRejection:
         def fake_source():
             conn, _ = src_sock.accept()
             st.recv_frame(conn)  # hello
-            st.send_frame(conn, {"v": 1, "type": "emit", "n": 1, "lambda": 0.5, "t": 0.25})
-            st.send_frame(conn, {"v": 1, "type": "emit", "n": 2, "lambda": 0.5, "t": 0.25,
-                                 "other_setting": [0.0, 1.0]})  # schema violation
-            st.send_frame(conn, {"v": 1, "type": "emit", "n": 3, "lambda": 1.5, "t": 0.25})  # bad range
-            st.send_frame(conn, {"v": 1, "type": "end", "count": 3})
+            st.send_frame(conn, _emit_batch([1, 2]))
+            st.send_frame(conn, dict(_emit_batch([3]), other_setting=[0.0, 1.0]))  # schema violation
+            st.send_frame(conn, _emit_batch([3, 4], lam=[0.5, 1.5]))  # bad range: the whole batch goes
+            st.send_frame(conn, _emit_batch([3]))
+            st.send_frame(conn, {"v": V, "type": "end", "count": 4})
             conn.close()
             src_sock.close()
 
@@ -425,8 +541,10 @@ class TestStationRejection:
                              timeout=15)
         for t in threads:
             t.join(timeout=15)
-        assert len(log.reports) == 1 and log.reports[0].n == 1
+        assert [r.n for r in log.reports] == [1, 2, 3]
+        assert [m["n"] for m in sunk if m["type"] == "report_batch"] == [[1, 2], [3]]
         assert len(log.rejected) == 2
+        assert log.rejected[1] == "emit_batch rejected at position 1: lambda 1.5 is not in [0, 1)"
 
     def test_non_increasing_pair_indices_are_rejected_and_logged(self, tmp_path):
         key_path = tmp_path / "key.json"
@@ -438,9 +556,9 @@ class TestStationRejection:
         def fake_source():
             conn, _ = src_sock.accept()
             st.recv_frame(conn)  # hello
-            for n in (1, 2, 2, 1, 3):  # a duplicate, then a step back
-                st.send_frame(conn, {"v": 1, "type": "emit", "n": n, "lambda": 0.5, "t": 0.25})
-            st.send_frame(conn, {"v": 1, "type": "end", "count": 5})
+            for n in ([1, 2], [2, 5], [4, 3], [3]):  # a repeat across batches, then a step back within one
+                st.send_frame(conn, _emit_batch(n))
+            st.send_frame(conn, {"v": V, "type": "end", "count": 5})
             conn.close()
             src_sock.close()
 
@@ -460,9 +578,10 @@ class TestStationRejection:
             t.join(timeout=15)
             assert not t.is_alive()
         assert [r.n for r in log.reports] == [1, 2, 3]
-        assert [m["n"] for m in sunk if m["type"] == "report"] == [1, 2, 3]
-        assert sunk[-1] == {"v": 1, "type": "end", "station": "L", "count": 3}
-        assert log.rejected == ["non-increasing pair index 2 after 2", "non-increasing pair index 1 after 2"]
+        assert [m["n"] for m in sunk if m["type"] == "report_batch"] == [[1, 2], [3]]
+        assert sunk[-1] == {"v": V, "type": "end", "station": "L", "count": 3}
+        assert log.rejected == ["emit_batch rejected at position 0: non-increasing pair index 2 after 2",
+                                "emit_batch rejected at position 1: non-increasing pair index 3 after 4"]
 
     def test_missing_key_file_refuses_to_start(self, tmp_path):
         with pytest.raises(st.KeyFileError):
@@ -473,7 +592,7 @@ class TestStationRejection:
 class TestSourceEdgeCases:
     def _fake_station(self, port, station, collected, close_early=False):
         conn = socket.create_connection(("127.0.0.1", port), timeout=10)
-        st.send_frame(conn, {"v": 1, "type": "hello", "station": station})
+        st.send_frame(conn, {"v": V, "type": "hello", "station": station})
         if close_early:
             time.sleep(0.05)
             conn.close()
@@ -517,7 +636,16 @@ class TestSourceEdgeCases:
         for t in threads:
             t.join(timeout=15)
         assert log.status == "complete" and len(log.emissions) == 5
-        assert [m["n"] for m in seen_l] == [m["n"] for m in seen_r] == [1, 2, 3, 4, 5]
+        assert seen_l == seen_r == [_emit_batch([1, 2, 3, 4, 5], log.emissions.lam.tolist(),
+                                                log.emissions.t.tolist())]
+
+    @pytest.mark.parametrize("args", [dict(seed=-1), dict(session_index=-1), dict(count=-1)], ids=repr)
+    def test_negative_seed_session_or_count_is_refused(self, args):
+        # The emission log's loader refuses them, so the source never writes them.
+        sock = st.make_server_socket()
+        with pytest.raises(ValueError, match="seed, session_index and count must be >= 0"):
+            st.source_run(**dict(dict(seed=1, count=5, sock=sock, timeout=0.2), **args))
+        sock.close()
 
     def test_no_station_is_an_accept_timeout(self):
         with pytest.raises(TimeoutError):
@@ -537,7 +665,9 @@ class TestSourceEdgeCases:
         for t in threads:
             t.join(timeout=30)
         assert log.status == "partial"
-        assert 0 < len(log.emissions) < 50_000
+        # Whole batches only, and none after the one L refused (it may be the first).
+        assert len(log.emissions) < 50_000 and len(log.emissions) % st.BATCH_PAIRS == 0
+        assert log.detail.startswith(f"station disconnected after {len(log.emissions)} emissions")
 
 
 # ---------------------------------------------------------------------------
@@ -617,6 +747,16 @@ class TestCollate:
         with pytest.raises(st.CollationError, match="never-emitted"):
             st.collate(lb, rb, strategy="pair-id", emission_log=log)
 
+    def test_sequence_order_refuses_an_emission_log(self):
+        # Pairs 1-2 emitted, 1-3 reported: pair-id refuses pair 3, and
+        # sequence-order, which cannot see it, must not pair it silently.
+        lb, rb = st.station_batches(_group(n=3))
+        log = st.SourceLog(seed=0, session_index=0, count=2, emissions=_emissions(2))
+        with pytest.raises(st.CollationError, match="never-emitted pair index 3"):
+            st.collate(lb, rb, strategy="pair-id", emission_log=log)
+        with pytest.raises(st.CollationError, match="sequence-order matching cannot account for an emission log"):
+            st.collate(lb, rb, strategy="sequence-order", emission_log=log)
+
     def test_stray_report_from_one_station_is_an_error(self):
         grp = _group(n=50)
         lb, rb = st.station_batches(grp)
@@ -668,8 +808,14 @@ class TestInjectFault:
             st.inject_fault("smudge", 0, lb)
 
 
-class TestCollatorChecks:
-    def _serve(self, senders, timeout):
+def _report_frame(station, indices, **fields):
+    """A report_batch frame of +1 outcomes at the [1, 0] setting; ``fields`` replace any of its fields."""
+    return dict({"v": V, "type": "report_batch", "station": station, "setting": [1.0, 0.0], "n": list(indices),
+                 "outcome": [1] * len(indices), "clock_ns": 7}, **fields)
+
+
+class _FakeStations:
+    def _serve(self, senders, timeout, hwm=100_000):
         """Run collator_serve against fake stations ``senders[station](conn)``."""
         col_sock = st.make_server_socket()
         port = col_sock.getsockname()[1]
@@ -677,15 +823,16 @@ class TestCollatorChecks:
 
         def fake_station(station):
             conn = socket.create_connection(("127.0.0.1", port), timeout=15)
-            st.send_frame(conn, {"v": 1, "type": "key_digest", "station": station, "digest_hex": digest})
-            senders[station](conn, station)
+            st.send_frame(conn, {"v": V, "type": "key_digest", "station": station, "digest_hex": digest})
+            with contextlib.suppress(OSError):  # the collator may hang up on a refused batch
+                senders[station](conn, station)
             conn.close()
 
         threads = [threading.Thread(target=fake_station, args=(s,)) for s in ("L", "R")]
         for t in threads:
             t.start()
         try:
-            return st.collator_serve(sock=col_sock, timeout=timeout)
+            return st.collator_serve(sock=col_sock, timeout=timeout, hwm=hwm)
         finally:
             self.served_at = time.monotonic()
             for t in threads:
@@ -693,22 +840,50 @@ class TestCollatorChecks:
                 assert not t.is_alive()
 
     @staticmethod
-    def _report(station, n):
-        return {"v": 1, "type": "report", "n": n, "station": station,
-                "setting": [1.0, 0.0], "outcome": 1, "clock_ns": n}
-
-    def _send(self, count, claimed=None, pause=0.0):
+    def _send(count, claimed=None, pause=0.0, batch=1, delay=0.0, **fields):
+        """Send reports 1..count in report_batch frames of ``batch``, then an end marker."""
         def send(conn, station):
-            for n in range(1, count + 1):
+            time.sleep(delay)
+            for lo in range(1, count + 1, batch):
                 time.sleep(pause)
-                st.send_frame(conn, self._report(station, n))
-            st.send_frame(conn, {"v": 1, "type": "end", "station": station,
+                st.send_frame(conn, _report_frame(station, range(lo, min(lo + batch, count + 1)), **fields))
+            st.send_frame(conn, {"v": V, "type": "end", "station": station,
                                  "count": count if claimed is None else claimed})
         return send
 
+
+class TestCollatorChecks(_FakeStations):
     def test_end_count_must_match_the_reports_received(self):
         with pytest.raises(st.CollationError, match=r"station L .* 6 reports, 5 received"):
-            self._serve({"L": self._send(5, claimed=6), "R": self._send(5)}, timeout=10)
+            self._serve({"L": self._send(5, claimed=6, batch=2), "R": self._send(5)}, timeout=10)
+
+    def test_end_count_counts_reports_not_frames(self):
+        result = self._serve({"L": self._send(5, batch=2), "R": self._send(5, batch=5)}, timeout=10)
+        grp = result.dataset.groups[0]
+        assert grp.pair_index.tolist() == [1, 2, 3, 4, 5] and result.incomplete == ()
+
+    @pytest.mark.parametrize("fields,error,match", [
+        ({"outcome": [1, 0, 1]}, st.SchemaError, "report_batch rejected at position 1: pair index 2 with outcome 0"),
+        ({"outcome": [1, 1, True]}, st.SchemaError, "report_batch rejected at position 2: outcome True is not a"),
+        ({"n": [1, 2.0, 3]}, st.SchemaError, "report_batch rejected at position 1: n 2.0 is not a 64-bit"),
+        ({"n": [1, 2, 2**63]}, st.SchemaError, "report_batch rejected at position 2: n 9223372036854775808"),
+        ({"n": [0, 2, 3]}, st.SchemaError, "report_batch rejected at position 0: pair index 0"),
+        ({"outcome": [1, 1]}, st.SchemaError, "report_batch rejected: columns"),
+        ({"setting": [1.0, 0.0, 0.0]}, st.SchemaError, "is not two numbers"),
+        ({"setting": [1.0, "0"]}, st.SchemaError, "report_batch rejected at position 1: setting '0'"),
+    ], ids=repr)
+    def test_bad_report_batch_is_refused(self, fields, error, match):
+        with pytest.raises(error, match=match):
+            self._serve({"L": self._send(3, batch=3, **fields), "R": self._send(3)}, timeout=10)
+
+    def test_setting_change_between_batches_is_refused(self):
+        def send(conn, station):
+            st.send_frame(conn, _report_frame(station, [1, 2]))
+            st.send_frame(conn, _report_frame(station, [3], setting=[0.5, math.sqrt(3) / 2]))
+            st.send_frame(conn, {"v": V, "type": "end", "station": station, "count": 3})
+
+        with pytest.raises(st.CollationError, match="station R .* must come from one station session"):
+            self._serve({"L": self._send(3), "R": send}, timeout=10)
 
     def test_reader_alive_after_the_join_deadline_is_an_error(self):
         # Each frame arrives inside the 0.5 s receive timeout, but the whole
@@ -729,31 +904,21 @@ class TestCollatorChecks:
         assert failed_at[0] - self.served_at < 1.0
 
 
-class TestBackpressure:
+class TestBackpressure(_FakeStations):
     def test_high_water_mark_bounds_the_lead(self):
-        col_sock = st.make_server_socket()
-        port = col_sock.getsockname()[1]
-        digest = RAD3.digest_hex()
-        n = 800
-        hwm = 50
-
-        def fake_station(station, delay):
-            conn = socket.create_connection(("127.0.0.1", port), timeout=15)
-            st.send_frame(conn, {"v": 1, "type": "key_digest", "station": station,
-                                 "digest_hex": digest})
-            time.sleep(delay)
-            for i in range(1, n + 1):
-                st.send_frame(conn, {"v": 1, "type": "report", "n": i, "station": station,
-                                     "setting": [1.0, 0.0], "outcome": 1, "clock_ns": i})
-            st.send_frame(conn, {"v": 1, "type": "end", "station": station, "count": n})
-            conn.close()
-
-        threads = [threading.Thread(target=fake_station, args=("L", 0.0)),
-                   threading.Thread(target=fake_station, args=("R", 0.4))]
-        for t in threads:
-            t.start()
-        result = st.collator_serve(sock=col_sock, match="pair-id", hwm=hwm, timeout=30)
-        for t in threads:
-            t.join(timeout=30)
+        # Batches of 64 against a mark of 50: a batch is taken whole, so the
+        # lead may reach hwm + 63 but no further, and the run still completes.
+        n, hwm, batch = 800, 50, 64
+        result = self._serve({"L": self._send(n, batch=batch), "R": self._send(n, batch=batch, delay=0.4)},
+                             timeout=30, hwm=hwm)
         assert len(result.dataset.groups[0]) == n
-        assert result.dataset.meta["max_lead"]["L"] <= hwm
+        assert hwm <= result.dataset.meta["max_lead"]["L"] <= hwm + batch - 1
+
+    def test_live_run_with_the_mark_below_one_batch_completes(self, tmp_path):
+        key_path = tmp_path / "key.json"
+        st.write_key_file(key_path, RAD3)
+        count = 2 * st.BATCH_PAIRS + 100
+        results = run_live(seed=3, count=count, key=RAD3, right_setting=B60, key_path=key_path, hwm=100)
+        col = results["collator"]
+        assert len(col.dataset.groups[0]) == count and col.incomplete == () and not col.partial
+        assert max(col.dataset.meta["max_lead"].values()) <= 100 + st.BATCH_PAIRS - 1
