@@ -304,6 +304,8 @@ def cmd_collate(args) -> int:
     strategy = "sequence-order" if args.match == "sequence" else "pair-id"
     if (args.port is None) == (args.left is None and args.right is None):
         raise UsageError("collate needs either --port (live) or --left/--right report logs")
+    if args.hwm < 1:
+        raise UsageError(f"--hwm must be at least 1 report, got {args.hwm}")
     if args.port is not None:
         result = stations.collator_serve(bind=("127.0.0.1", args.port), match=strategy,
                                          out_path=args.out, hwm=args.hwm)

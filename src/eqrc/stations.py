@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import contextlib
 import json
+import select
 import socket
 import struct
-import threading
 import time
 from array import array
 from dataclasses import dataclass, field
@@ -35,7 +35,7 @@ from typing import NamedTuple, NoReturn
 import numpy as np
 
 from .experiments import RunDataset, RunGroup
-from .formats import _OUTCOME, _PAIR_INDEX, _read_records, _refuse
+from .formats import _OUTCOME, _PAIR_INDEX, _read_records, _refuse, write_run_dataset
 from .model import GaugeKey, PairStream, Setting, derive_subseed, measure_pairs, sample_pair_stream
 
 __all__ = [
@@ -63,7 +63,6 @@ __all__ = [
     "make_server_socket",
     "source_run",
     "station_run",
-    "replay_station",
     "collate",
     "station_batches",
     "inject_fault",
@@ -81,6 +80,8 @@ BATCH_PAIRS = 4096
 LOG_SCHEMA_VERSION = 1
 #: Largest frame body ``recv_frame`` accepts, far above any frame a role sends.
 MAX_FRAME_BYTES = 1 << 20
+#: Connection attempts a station makes per endpoint, and the pause after a failed one.
+_DIAL_ATTEMPTS, _DIAL_PAUSE_S = 20, 0.15
 
 # Message grammars by receiving role: {type: {field: type}}. Validation is
 # exact-key-set, so a field outside the grammar is rejected, not ignored.
@@ -125,7 +126,9 @@ def _recv_exact(sock: socket.socket, size: int) -> bytes | bytearray:
     """``size`` bytes, or fewer only if the peer closed.
 
     Mostly one ``recv`` returns them all; the rest of a frame that
-    arrives in pieces is read into one preallocated buffer.
+    arrives in pieces is read into one preallocated buffer, and is a
+    ProtocolError if still short once the socket's timeout has passed
+    since the first piece, so a peer cannot hold a reader by trickling.
     """
     data = sock.recv(size)
     if len(data) == size or not data:
@@ -133,9 +136,12 @@ def _recv_exact(sock: socket.socket, size: int) -> bytes | bytearray:
     buf = bytearray(size)
     got = len(data)
     buf[:got] = data
+    limit, begun = sock.gettimeout(), time.monotonic()
     with memoryview(buf) as view:
         while got < size and (received := sock.recv_into(view[got:])):
             got += received
+            if got < size and limit is not None and time.monotonic() - begun > limit:
+                raise ProtocolError(f"frame still incomplete {limit} s after its first piece")
     del buf[got:]
     return buf
 
@@ -542,14 +548,14 @@ def source_run(
 # Station process
 
 
-def _dial(endpoint: tuple[str, int], timeout: float, retries: int = 20, delay: float = 0.15) -> socket.socket:
+def _dial(endpoint: tuple[str, int], timeout: float) -> socket.socket:
     last: Exception | None = None
-    for _ in range(retries):
+    for _ in range(_DIAL_ATTEMPTS):
         try:
             return socket.create_connection(endpoint, timeout=timeout)
         except OSError as exc:
             last = exc
-            time.sleep(delay)
+            time.sleep(_DIAL_PAUSE_S)
     raise ProtocolError(f"cannot connect to {endpoint[0]}:{endpoint[1]}: {last}")
 
 
@@ -614,17 +620,6 @@ def station_run(
         if log_path is not None:
             write_report_log(log, log_path)
     return log
-
-
-def replay_station(emissions: PairStream, station_id: str, setting: Setting, key: GaugeKey) -> list[int]:
-    """Recompute a station's outcomes from an emission log (purity check).
-
-    Runs ``measure_pairs`` over the whole logged stream at once, so a
-    match with the live reports also shows that measuring batch by batch
-    changed no outcome.
-    """
-    left, right = measure_pairs(setting, emissions, key)
-    return (left if station_id == "L" else right).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -747,136 +742,108 @@ def collator_serve(
 ) -> CollationResult:
     """Accept both stations, verify key agreement, join their report batches.
 
-    Refuses to collate unless the two stations' key digests are equal,
-    when a station's end marker counts other than the reports received
-    or its setting changes between batches (CollationError), when a
-    batch holds a bad element (SchemaError), or when a reader is still
-    running after its join deadline of ``4 * timeout`` (ProtocolError;
-    that reader's connection is shut down first). A reader stops reading
-    (TCP backpressure) while its wing leads by ``hwm`` reports or more;
-    a batch is taken whole, so the lead stays below ``hwm`` plus one
-    batch. Receipt resumes once the other wing catches up or finishes.
+    Reads both connections in the calling thread with ``select``. Refuses
+    to collate when the stations' key digests differ, a station's end
+    marker counts other than the reports received or its setting changes
+    between batches (CollationError), a batch holds a bad element
+    (SchemaError), the stations waited on send no frame for ``timeout``,
+    or a station is still running ``4 * timeout`` after both connected
+    (ProtocolError naming them). A station is read only once both digests
+    are in, and not while its wing leads by ``hwm`` (>= 1, else a
+    ValueError before accepting) reports or more and the other is not
+    done (TCP backpressure); a batch is taken whole, so the lead stays
+    below ``hwm`` plus one batch.
     """
     server = sock if sock is not None else make_server_socket(*(bind or ("127.0.0.1", 0)))
-    server.settimeout(timeout)
-
-    lock = threading.Condition()
+    rival = {"L": "R", "R": "L"}
+    station: dict[socket.socket, str] = {}  # connection -> the station its key digest named
     digests: dict[str, str] = {}
+    ended: dict[str, bool] = {}  # station -> whether it ended with an end marker, not end-of-stream
     batches: dict[str, list] = {"L": [], "R": []}  # (n, outcome, clock_ns) columns per batch
     counts = {"L": 0, "R": 0}  # reports received
-    settings: dict[str, Setting] = {}
-    done: dict[str, bool] = {"L": False, "R": False}
-    partial = {"flag": False}
+    settings: dict[str, tuple[list, Setting]] = {}  # station -> its first batch's setting, as sent and parsed
     max_lead = {"L": 0, "R": 0}
-    errors: list[Exception] = []
 
-    def reader(conn: socket.socket, station_holder: list) -> None:
-        station = None
-        try:
-            conn.settimeout(timeout)
-            first = recv_frame(conn)
-            if validate_message(first, COLLATOR_RECEIVABLE_SCHEMAS) != "key_digest":
+    def who(conns) -> str:
+        return " and ".join(f"station {station[c]}" if c in station else "a station without a key digest"
+                            for c in conns)
+
+    def readable(conn: socket.socket) -> bool:
+        if conn not in station:
+            return True
+        name = station[conn]
+        return len(digests) == 2 and (counts[name] - counts[rival[name]] < hwm or rival[name] in ended)
+
+    def take_frame(conn: socket.socket) -> None:
+        msg = recv_frame(conn)
+        if conn not in station:
+            if validate_message(msg, COLLATOR_RECEIVABLE_SCHEMAS) != "key_digest":
                 raise SchemaError("station must announce its key digest first")
-            station = first["station"]
-            if station not in ("L", "R"):
-                raise SchemaError(f"unknown station {station!r}")
-            station_holder.append(station)
-            rival = "R" if station == "L" else "L"
-            with lock:
-                if station in digests:
-                    raise SchemaError(f"duplicate station {station!r}")
-                digests[station] = first["digest_hex"]
-                lock.notify_all()
-                while len(digests) < 2:
-                    if not lock.wait(timeout=timeout):
-                        raise ProtocolError("timed out waiting for the other station's key digest")
-                if digests["L"] != digests["R"]:
-                    raise CollationError("gauge key digests differ between stations; refusing to collate")
-            first_setting = None
-            while True:
-                msg = recv_frame(conn)
-                if msg is None:
-                    with lock:
-                        partial["flag"] = True
-                        done[station] = True
-                        lock.notify_all()
-                    return
-                kind = validate_message(msg, COLLATOR_RECEIVABLE_SCHEMAS)
-                if kind == "end":
-                    with lock:
-                        if msg["count"] != counts[station]:
-                            raise CollationError(f"station {station} end marker counts {msg['count']} reports, "
-                                                 f"{counts[station]} received")
-                        done[station] = True
-                        lock.notify_all()
-                    return
-                if kind != "report_batch" or msg["station"] != station:
-                    raise SchemaError(f"unexpected {kind!r} message from station {station!r}")
-                if first_setting is None:
-                    first_setting = msg["setting"]
-                    components = _columns("report_batch", msg, (), ("setting",))[0]
-                    if len(components) != 2:
-                        raise SchemaError(f"report_batch setting {first_setting} is not two numbers")
-                    settings[station] = Setting(*components)
-                elif msg["setting"] != first_setting:
-                    raise CollationError(f"station {station} batch with setting {msg['setting']}: "
-                                         "a report batch must come from one station session")
-                n, outcome = _report_columns(msg)
-                with lock:
-                    # Backpressure: stop reading while this wing leads too far. Waiting after the
-                    # append instead would stall both wings once a batch outgrows the mark.
-                    while counts[station] - counts[rival] >= hwm and not done[rival]:
-                        lock.wait(timeout=0.1)
-                    batches[station].append((n, outcome, np.full(len(n), msg["clock_ns"], dtype=np.int64)))
-                    counts[station] += len(n)
-                    max_lead[station] = max(max_lead[station], counts[station] - counts[rival])
-                    lock.notify_all()
-        except Exception as exc:  # propagated after join
-            with lock:
-                errors.append(exc)
-                if station is not None:
-                    done[station] = True
-                partial["flag"] = True
-                lock.notify_all()
-        finally:
-            conn.close()
+            if msg["station"] not in ("L", "R"):
+                raise SchemaError(f"unknown station {msg['station']!r}")
+            if msg["station"] in digests:
+                raise SchemaError(f"duplicate station {msg['station']!r}")
+            station[conn] = msg["station"]
+            digests[msg["station"]] = msg["digest_hex"]
+            if len(digests) == 2 and digests["L"] != digests["R"]:
+                raise CollationError("gauge key digests differ between stations; refusing to collate")
+            return
+        name = station[conn]
+        kind = None if msg is None else validate_message(msg, COLLATOR_RECEIVABLE_SCHEMAS)
+        if kind in (None, "end"):  # end-of-stream, or an end marker that counts the reports received
+            if kind == "end" and msg["count"] != counts[name]:
+                raise CollationError(f"station {name} end marker counts {msg['count']} reports, "
+                                     f"{counts[name]} received")
+            ended[name] = kind == "end"
+            return
+        if kind != "report_batch" or msg["station"] != name:
+            raise SchemaError(f"unexpected {kind!r} message from station {name!r}")
+        if name not in settings:
+            components = _columns("report_batch", msg, (), ("setting",))[0]
+            if len(components) != 2:
+                raise SchemaError(f"report_batch setting {msg['setting']} is not two numbers")
+            settings[name] = (msg["setting"], Setting(*components))
+        elif msg["setting"] != settings[name][0]:
+            raise CollationError(f"station {name} batch with setting {msg['setting']}: "
+                                 "a report batch must come from one station session")
+        n, outcome = _report_columns(msg)
+        batches[name].append((n, outcome, np.full(len(n), msg["clock_ns"], dtype=np.int64)))
+        counts[name] += len(n)
+        max_lead[name] = max(max_lead[name], counts[name] - counts[rival[name]])
 
-    threads = []
+    conns: list[socket.socket] = []
     try:
+        if hwm < 1:
+            raise ValueError(f"hwm must be at least 1 report, got {hwm}")
+        server.settimeout(timeout)
         for _ in range(2):
-            conn, _addr = server.accept()
-            holder: list = []
-            th = threading.Thread(target=reader, args=(conn, holder), daemon=True)
-            th.start()
-            threads.append((th, holder, conn))
-        for th, _holder, _conn in threads:
-            th.join(timeout=timeout * 4)
+            conns.append(server.accept()[0])
+            conns[-1].settimeout(timeout)  # bounds the rest of a frame select saw begin
+        deadline = time.monotonic() + 4 * timeout
+        while len(ended) < 2:
+            running = [c for c in conns if station.get(c) not in ended]
+            wait = min(timeout, deadline - time.monotonic())
+            if wait <= 0:
+                raise ProtocolError(f"{who(running)} still running after the session deadline of {4 * timeout} s")
+            wanted = [c for c in running if readable(c)]
+            ready = select.select(wanted, [], [], wait)[0]
+            if not ready and wait == timeout:
+                raise ProtocolError(f"no frame in {timeout} s from {who(wanted)}")
+            for conn in ready:
+                take_frame(conn)
     finally:
+        for conn in conns:
+            conn.close()
         server.close()
-
-    stuck = [(holder, conn) for th, holder, conn in threads if th.is_alive()]
-    for _holder, conn in stuck:
-        # Cut the peer off rather than leave a daemon reader on an open socket.
-        with contextlib.suppress(OSError):  # the reader may have closed it meanwhile
-            conn.shutdown(socket.SHUT_RDWR)
-        conn.close()
-    if stuck:  # still appending: its report list is not final
-        holder = stuck[0][0]
-        name = holder[0] if holder else "(not yet identified)"
-        raise ProtocolError(f"reader for station {name} still running after the join deadline")
-    for exc in errors:
-        raise exc
     if not counts["L"] or not counts["R"]:
         raise CollationError("one or both stations sent no reports")
 
-    left, right = (ReportBatch(side, settings[side], *map(np.concatenate, zip(*batches[side])))
+    left, right = (ReportBatch(side, settings[side][1], *map(np.concatenate, zip(*batches[side])))
                    for side in ("L", "R"))
     result = collate(left, right, strategy=match)
     result.digests = dict(digests)
-    result.partial = partial["flag"]
+    result.partial = not all(ended.values())
     result.dataset.meta["max_lead"] = dict(max_lead)
     if out_path is not None:
-        from .formats import write_run_dataset
-
         write_run_dataset(result.dataset, out_path)
     return result

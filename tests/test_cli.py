@@ -161,6 +161,10 @@ class TestExitCodes:
         rc, _, err = run_cli(["collate"], capsys)
         assert rc == 1
 
+    def test_collate_mark_below_one_is_a_usage_error(self, capsys):
+        rc, _, err = run_cli(["collate", "--port", "0", "--hwm", "0"], capsys)
+        assert rc == 1 and "--hwm must be at least 1 report, got 0" in err
+
     def test_runtime_error_is_exit_two(self, capsys, tmp_path):
         bad = tmp_path / "junk.jsonl"
         bad.write_text('{"kind":"other"}\n')

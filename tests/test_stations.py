@@ -80,6 +80,20 @@ class TestFraming:
         assert not sender.is_alive()
         a.close(), b.close()
 
+    def test_frame_trickled_past_the_timeout_is_refused(self):
+        a, b = socket.socketpair()
+        b.settimeout(0.3)
+        sender = threading.Thread(target=_trickle, args=(a, "L"))
+        sender.start()
+        started = time.monotonic()
+        with pytest.raises(st.ProtocolError, match=r"frame still incomplete 0\.3 s after its first piece"):
+            st.recv_frame(b)
+        assert time.monotonic() - started < 0.6
+        b.close()
+        sender.join(timeout=5)
+        assert not sender.is_alive()
+        a.close()
+
     def test_undecodable_payload_raises(self):
         a, b = socket.socketpair()
         payload = b"not json at all"
@@ -443,10 +457,12 @@ class TestLiveRun:
             assert kinds == ["source", "collator"]
 
     def test_replaying_the_emission_log_reproduces_the_outcomes(self, live):
+        # One measure_pairs call over the whole logged stream: a match also
+        # shows that measuring batch by batch changed no outcome.
         log = st.load_emission_log(live["emission_log_path"])
-        for side, setting in (("L", CANONICAL_LEFT), ("R", B60)):
-            replayed = st.replay_station(log.emissions, side, setting, RAD3)
-            assert replayed == [r.outcome for r in live[side].reports]
+        left, right = measure_pairs(B60, log.emissions, RAD3)
+        assert left.tolist() == [r.outcome for r in live["L"].reports]
+        assert right.tolist() == [r.outcome for r in live["R"].reports]
 
     def test_report_logs_load_as_batches(self, live):
         lp, rp = live["report_log_paths"]
@@ -814,16 +830,41 @@ def _report_frame(station, indices, **fields):
                  "outcome": [1] * len(indices), "clock_ns": 7}, **fields)
 
 
+def _digest_frame(station, digest=RAD3.digest_hex()):
+    return {"v": V, "type": "key_digest", "station": station, "digest_hex": digest}
+
+
+def _trickle(conn, station):
+    """Send a report_batch frame's header whole, then its body a byte every 0.1 s until the peer hangs up."""
+    body = json.dumps(_report_frame(station, [1])).encode()
+    conn.sendall(struct.pack("!I", len(body)))
+    with contextlib.suppress(OSError):
+        for i in range(len(body)):
+            time.sleep(0.1)
+            conn.sendall(body[i:i + 1])
+
+
+def _await_hangup(conn, station):
+    """A silent station: sends nothing more and returns once the collator closes the connection."""
+    conn.recv(1)
+
+
 class _FakeStations:
-    def _serve(self, senders, timeout, hwm=100_000):
-        """Run collator_serve against fake stations ``senders[station](conn)``."""
+    def _serve(self, senders, timeout, hwm=100_000, first=None):
+        """Run collator_serve against fake stations ``senders[station](conn)``.
+
+        Each station first sends ``first[station]`` in place of its key
+        digest frame, or nothing if that is None. Sets ``served_at`` and
+        ``elapsed``, the seconds collator_serve ran.
+        """
         col_sock = st.make_server_socket()
         port = col_sock.getsockname()[1]
-        digest = RAD3.digest_hex()
+        first = first or {}
 
         def fake_station(station):
             conn = socket.create_connection(("127.0.0.1", port), timeout=15)
-            st.send_frame(conn, {"v": V, "type": "key_digest", "station": station, "digest_hex": digest})
+            if (frame := first.get(station, _digest_frame(station))) is not None:
+                st.send_frame(conn, frame)
             with contextlib.suppress(OSError):  # the collator may hang up on a refused batch
                 senders[station](conn, station)
             conn.close()
@@ -831,24 +872,27 @@ class _FakeStations:
         threads = [threading.Thread(target=fake_station, args=(s,)) for s in ("L", "R")]
         for t in threads:
             t.start()
+        started = time.monotonic()
         try:
             return st.collator_serve(sock=col_sock, timeout=timeout, hwm=hwm)
         finally:
             self.served_at = time.monotonic()
+            self.elapsed = self.served_at - started
             for t in threads:
                 t.join(timeout=30)
                 assert not t.is_alive()
 
     @staticmethod
-    def _send(count, claimed=None, pause=0.0, batch=1, delay=0.0, **fields):
-        """Send reports 1..count in report_batch frames of ``batch``, then an end marker."""
+    def _send(count, claimed=None, pause=0.0, batch=1, delay=0.0, end=True, **fields):
+        """Send reports 1..count in report_batch frames of ``batch``, then an end marker unless ``end`` is false."""
         def send(conn, station):
             time.sleep(delay)
             for lo in range(1, count + 1, batch):
                 time.sleep(pause)
                 st.send_frame(conn, _report_frame(station, range(lo, min(lo + batch, count + 1)), **fields))
-            st.send_frame(conn, {"v": V, "type": "end", "station": station,
-                                 "count": count if claimed is None else claimed})
+            if end:
+                st.send_frame(conn, {"v": V, "type": "end", "station": station,
+                                     "count": count if claimed is None else claimed})
         return send
 
 
@@ -876,6 +920,22 @@ class TestCollatorChecks(_FakeStations):
         with pytest.raises(error, match=match):
             self._serve({"L": self._send(3, batch=3, **fields), "R": self._send(3)}, timeout=10)
 
+    @pytest.mark.parametrize("first,left,error,match", [
+        ({"R": _digest_frame("L")}, {}, st.SchemaError, "duplicate station 'L'"),
+        ({"R": _digest_frame("X")}, {}, st.SchemaError, "unknown station 'X'"),
+        ({"R": _report_frame("R", [1])}, {}, st.SchemaError, "must announce its key digest first"),
+        ({}, {"end": False}, None, None),
+        ({}, {"count": 0}, st.CollationError, "one or both stations sent no reports"),
+    ], ids=["duplicate-station", "unknown-station", "report-before-digest", "no-end-marker", "no-reports"])
+    def test_session_faults(self, first, left, error, match):
+        senders = {"L": self._send(**{"count": 3, **left}), "R": self._send(3)}
+        if error is None:  # end-of-stream without an end marker: the dataset is kept, marked partial
+            result = self._serve(senders, timeout=0.5, first=first)
+            assert result.partial and result.dataset.groups[0].pair_index.tolist() == [1, 2, 3]
+            return
+        with pytest.raises(error, match=match):
+            self._serve(senders, timeout=0.5, first=first)
+
     def test_setting_change_between_batches_is_refused(self):
         def send(conn, station):
             st.send_frame(conn, _report_frame(station, [1, 2]))
@@ -902,6 +962,30 @@ class TestCollatorChecks(_FakeStations):
             self._serve({"L": self._send(3), "R": send_until_refused}, timeout=0.5)
         assert failed_at, "station R kept sending after the collator gave up on it"
         assert failed_at[0] - self.served_at < 1.0
+
+    @pytest.mark.parametrize("senders,first,hwm,match", [
+        ({"L": _await_hangup}, {}, 100_000, r"no frame in 0\.5 s from station L$"),
+        ({"R": _await_hangup}, {"R": None}, 100_000, r"no frame in 0\.5 s from a station without a key digest$"),
+        ({"L": _FakeStations._send(640, batch=64), "R": _await_hangup}, {}, 50,
+         r"no frame in 0\.5 s from station R$"),
+    ], ids=["silent-after-digest", "no-digest", "silent-rival-past-hwm"])
+    def test_silent_station_is_named_within_the_timeout(self, senders, first, hwm, match):
+        timeout = 0.5
+        with pytest.raises(st.ProtocolError, match=match):
+            self._serve({"L": self._send(3), "R": self._send(3), **senders}, timeout=timeout, hwm=hwm, first=first)
+        assert self.elapsed < 2 * timeout
+
+    def test_trickled_frame_is_cut_off_within_the_timeout(self):
+        timeout = 0.5
+        with pytest.raises(st.ProtocolError, match=r"frame still incomplete 0\.5 s after its first piece"):
+            self._serve({"L": self._send(3), "R": _trickle}, timeout=timeout)
+        assert self.elapsed < 2 * timeout
+
+    def test_mark_below_one_report_is_refused_before_accepting(self):
+        sock = st.make_server_socket()
+        with pytest.raises(ValueError, match="hwm must be at least 1 report, got 0"):
+            st.collator_serve(sock=sock, hwm=0, timeout=10)
+        assert sock.fileno() == -1
 
 
 class TestBackpressure(_FakeStations):
