@@ -164,7 +164,6 @@ def build_parser() -> _Parser:
     p.add_argument("--inject", default=None, help="fault kind@position applied before joining")
     p.add_argument("--inject-station", choices=("L", "R"), default="L")
     p.add_argument("--emissions", default=None, help="emission log for gap accounting")
-    p.add_argument("--hwm", type=int, default=100_000, help="unmatched-report high-water mark")
     p.add_argument("--out", default=None, help="dataset path (JSONL)")
 
     p = sub.add_parser("keygen", help="write a gauge key file")
@@ -282,7 +281,7 @@ def cmd_cyclic_demo(args) -> int:
 
 def cmd_source(args) -> int:
     log = stations.source_run(
-        seed=_seed_of(args), count=args.pairs, bind=("127.0.0.1", args.port),
+        seed=_seed_of(args), count=args.pairs, sock=stations.make_server_socket("127.0.0.1", args.port),
         session_index=args.session, log_path=args.out,
     )
     print(json.dumps({"sent": len(log.emissions), "status": log.status}, sort_keys=True))
@@ -304,11 +303,8 @@ def cmd_collate(args) -> int:
     strategy = "sequence-order" if args.match == "sequence" else "pair-id"
     if (args.port is None) == (args.left is None and args.right is None):
         raise UsageError("collate needs either --port (live) or --left/--right report logs")
-    if args.hwm < 1:
-        raise UsageError(f"--hwm must be at least 1 report, got {args.hwm}")
     if args.port is not None:
-        result = stations.collator_serve(bind=("127.0.0.1", args.port), match=strategy,
-                                         out_path=args.out, hwm=args.hwm)
+        result = stations.collator_serve(stations.make_server_socket("127.0.0.1", args.port), match=strategy)
     else:
         if args.left is None or args.right is None:
             raise UsageError("offline collation needs both --left and --right report logs")
@@ -322,8 +318,8 @@ def cmd_collate(args) -> int:
                 right = stations.inject_fault(kind, pos, right)
         emission_log = stations.load_emission_log(args.emissions) if args.emissions else None
         result = stations.collate(left, right, strategy=strategy, emission_log=emission_log)
-        if args.out is not None:
-            formats.write_run_dataset(result.dataset, args.out)
+    if args.out is not None:
+        formats.write_run_dataset(result.dataset, args.out)
     grp = result.dataset.groups[0]
     prods = grp.products()
     summary = {

@@ -240,10 +240,20 @@ class GaugeKey:
 
     @classmethod
     def from_json(cls, obj: dict) -> "GaugeKey":
-        if obj.get("v") != 1:
-            raise ValueError(f"unsupported gauge key schema version: {obj.get('v')!r}")
-        seed = obj.get("rarb_seed")
-        return cls(mode=obj["mode"], j=int(obj.get("j", 1)), rarb_seed=None if seed is None else int(seed))
+        """The key ``to_json`` wrote, or ValueError.
+
+        Requires exactly its four keys, ``v`` 1, an int ``j`` and an int or
+        null ``rarb_seed`` (a bool is neither), so no other value loads
+        under a real key's digest.
+        """
+        if set(obj) != {"v", "mode", "j", "rarb_seed"}:
+            raise ValueError(f"a gauge key has the keys j, mode, rarb_seed and v, got {sorted(obj)}")
+        if type(obj["v"]) is not int or obj["v"] != 1:
+            raise ValueError(f"unsupported gauge key schema version: {obj['v']!r}")
+        if type(obj["j"]) is not int or type(obj["rarb_seed"]) not in (int, type(None)):
+            raise ValueError(f"gauge key j {obj['j']!r} is not an int or rarb_seed {obj['rarb_seed']!r} "
+                             "is neither an int nor null")
+        return cls(mode=obj["mode"], j=obj["j"], rarb_seed=obj["rarb_seed"])
 
     def digest_hex(self) -> str:
         payload = json.dumps(self.to_json(), sort_keys=True, separators=(",", ":")).encode()

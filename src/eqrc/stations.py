@@ -35,7 +35,7 @@ from typing import NamedTuple, NoReturn
 import numpy as np
 
 from .experiments import RunDataset, RunGroup
-from .formats import _OUTCOME, _PAIR_INDEX, _read_records, _refuse, write_run_dataset
+from .formats import _OUTCOME, _PAIR_INDEX, _read_records, _refuse
 from .model import GaugeKey, PairStream, Setting, derive_subseed, measure_pairs, sample_pair_stream
 
 __all__ = [
@@ -304,10 +304,10 @@ def load_key_file(path) -> GaugeKey:
         raise KeyFileError(f"gauge key file not found: {path}")
     try:
         obj = json.loads(path.read_text(encoding="utf-8"))
-        if obj.get("kind") != "gauge-key":
+        if not isinstance(obj, dict) or obj.pop("kind", None) != "gauge-key":
             raise ValueError("not a gauge-key file")
         return GaugeKey.from_json(obj)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         raise KeyFileError(f"unreadable gauge key file {path}: {exc}") from exc
 
 
@@ -486,8 +486,7 @@ def _accept_stations(server: socket.socket, schemas: dict, timeout: float) -> di
 def source_run(
     seed: int,
     count: int,
-    sock: socket.socket | None = None,
-    bind: tuple[str, int] | None = None,
+    sock: socket.socket,
     session_index: int = 0,
     log_path=None,
     timeout: float = 60.0,
@@ -498,47 +497,42 @@ def source_run(
     pair indices i*count+1 .. (i+1)*count, so successive sessions (e.g.
     the right wing re-running with another setting) live on disjoint
     sample spaces. Waits for both stations before emitting, then sends
-    the sampled stream in emit_batch frames of ``BATCH_PAIRS`` pairs. A
-    station disconnect aborts the run and marks the log partial; the log
-    keeps the batches sent to both stations.
+    the sampled stream in emit_batch frames of ``BATCH_PAIRS`` pairs. The
+    log is partial until both end markers have gone out: a station
+    disconnect aborts the run, and the log keeps the batches sent to
+    both stations.
     """
     if min(seed, session_index, count) < 0:  # the emission log's loader refuses them
         raise ValueError(f"seed, session_index and count must be >= 0, got {seed}, {session_index}, {count}")
-    server = sock if sock is not None else make_server_socket(*(bind or ("127.0.0.1", 0)))
     nothing = PairStream(n=np.empty(0, dtype=np.int64), lam=np.empty(0), t=np.empty(0))
-    log = SourceLog(seed=seed, session_index=session_index, count=count, emissions=nothing)
+    log = SourceLog(seed=seed, session_index=session_index, count=count, emissions=nothing,
+                    status="partial", detail="ended before both end markers went out")
     conns: dict[str, socket.socket] = {}
     try:
-        conns = _accept_stations(server, SOURCE_RECEIVABLE_SCHEMAS, timeout)
-        if count > 0:
-            stream = sample_pair_stream(derive_subseed(seed, session_index), count,
-                                        start=session_index * count + 1)
-            sent = 0
-            try:
-                for lo in range(0, count, BATCH_PAIRS):
-                    batch = slice(lo, lo + BATCH_PAIRS)
-                    wire = {"v": WIRE_VERSION, "type": "emit_batch", "n": stream.n[batch].tolist(),
-                            "lambda": stream.lam[batch].tolist(), "t": stream.t[batch].tolist()}
-                    for station in ("L", "R"):
-                        send_frame(conns[station], wire)
-                    sent += len(wire["n"])
-            except OSError as exc:
-                log.status = "partial"
-                log.detail = f"station disconnected after {sent} emissions: {exc}"
-            if sent < count:
-                stream = PairStream(n=stream.n[:sent], lam=stream.lam[:sent], t=stream.t[:sent])
-            log.emissions = stream
-        if log.status == "complete":
+        conns = _accept_stations(sock, SOURCE_RECEIVABLE_SCHEMAS, timeout)
+        stream, sent = nothing, 0
+        try:
+            if count > 0:
+                stream = sample_pair_stream(derive_subseed(seed, session_index), count,
+                                            start=session_index * count + 1)
+            for lo in range(0, count, BATCH_PAIRS):
+                batch = slice(lo, lo + BATCH_PAIRS)
+                wire = {"v": WIRE_VERSION, "type": "emit_batch", "n": stream.n[batch].tolist(),
+                        "lambda": stream.lam[batch].tolist(), "t": stream.t[batch].tolist()}
+                for station in ("L", "R"):
+                    send_frame(conns[station], wire)
+                sent += len(wire["n"])
             for station in ("L", "R"):
-                try:
-                    send_frame(conns[station], {"v": WIRE_VERSION, "type": "end", "count": len(log.emissions)})
-                except OSError as exc:
-                    log.status = "partial"
-                    log.detail = f"end marker undeliverable to {station}: {exc}"
+                send_frame(conns[station], {"v": WIRE_VERSION, "type": "end", "count": sent})
+            log.status, log.detail = "complete", ""
+        except OSError as exc:
+            log.detail = f"station disconnected after {sent} emissions: {exc}"
+        log.emissions = stream if sent == count else PairStream(n=stream.n[:sent], lam=stream.lam[:sent],
+                                                                t=stream.t[:sent])
     finally:
         for conn in conns.values():
             conn.close()
-        server.close()
+        sock.close()
         if log_path is not None:
             write_emission_log(log, log_path)
     return log
@@ -597,7 +591,10 @@ def station_run(
                          "digest_hex": log.key_digest})
         last_n = 0  # last accepted pair index; pair indices are >= 1
         while True:
-            msg = recv_frame(src)
+            try:
+                msg = recv_frame(src)
+            except TimeoutError:
+                raise ProtocolError(f"no frame in {timeout} s from the source") from None
             if msg is None:
                 log.rejected.append("stream ended without an end marker")
                 break
@@ -631,8 +628,6 @@ class CollationResult:
     dataset: RunDataset
     strategy: str
     incomplete: tuple[int, ...] = ()
-    left_count: int = 0
-    right_count: int = 0
     digests: dict = field(default_factory=dict)
     partial: bool = False
 
@@ -642,7 +637,6 @@ def collate(
     right: ReportBatch,
     strategy: str = "pair-id",
     emission_log: SourceLog | None = None,
-    group_label: str = "pair0",
 ) -> CollationResult:
     """Join the two wings' report batches into a dataset.
 
@@ -685,7 +679,7 @@ def collate(
         r_out = right.outcome[:m]
 
     group = RunGroup(
-        label=group_label,
+        label="pair0",
         left_setting=left.setting,
         right_setting=right.setting,
         pair_index=np.asarray(idx, dtype=np.int64),
@@ -698,13 +692,7 @@ def collate(
         spec=None,
         meta={"schema_version": 1, "collation": strategy},
     )
-    return CollationResult(
-        dataset=ds,
-        strategy=strategy,
-        incomplete=tuple(incomplete.tolist()),
-        left_count=len(left),
-        right_count=len(right),
-    )
+    return CollationResult(dataset=ds, strategy=strategy, incomplete=tuple(incomplete.tolist()))
 
 
 def inject_fault(kind: str, position: int, stream: ReportBatch) -> ReportBatch:
@@ -733,28 +721,22 @@ def inject_fault(kind: str, position: int, stream: ReportBatch) -> ReportBatch:
 
 
 def collator_serve(
-    sock: socket.socket | None = None,
-    bind: tuple[str, int] | None = None,
+    sock: socket.socket,
     match: str = "pair-id",
-    out_path=None,
-    hwm: int = 100_000,
     timeout: float = 60.0,
 ) -> CollationResult:
     """Accept both stations, verify key agreement, join their report batches.
 
-    Reads both connections in the calling thread with ``select``. Refuses
-    to collate when the stations' key digests differ, a station's end
-    marker counts other than the reports received or its setting changes
-    between batches (CollationError), a batch holds a bad element
-    (SchemaError), the stations waited on send no frame for ``timeout``,
-    or a station is still running ``4 * timeout`` after both connected
-    (ProtocolError naming them). A station is read only once both digests
-    are in, and not while its wing leads by ``hwm`` (>= 1, else a
-    ValueError before accepting) reports or more and the other is not
-    done (TCP backpressure); a batch is taken whole, so the lead stays
-    below ``hwm`` plus one batch.
+    Reads both connections in the calling thread with ``select``; a
+    station is read from its key digest on, and its reports once both
+    digests are in. Refuses to collate when the stations' key digests
+    differ, a station's end marker counts other than the reports
+    received or its setting changes between batches (CollationError), a
+    batch holds a bad element (SchemaError), a station waited on sends
+    no frame for ``timeout``, counted from its last frame or from the
+    second digest, whichever is later, or a station is still running
+    ``4 * timeout`` after both connected (ProtocolError naming it).
     """
-    server = sock if sock is not None else make_server_socket(*(bind or ("127.0.0.1", 0)))
     rival = {"L": "R", "R": "L"}
     station: dict[socket.socket, str] = {}  # connection -> the station its key digest named
     digests: dict[str, str] = {}
@@ -763,19 +745,15 @@ def collator_serve(
     counts = {"L": 0, "R": 0}  # reports received
     settings: dict[str, tuple[list, Setting]] = {}  # station -> its first batch's setting, as sent and parsed
     max_lead = {"L": 0, "R": 0}
+    heard: dict[socket.socket, float] = {}  # connection -> when its silence clock started
 
     def who(conns) -> str:
         return " and ".join(f"station {station[c]}" if c in station else "a station without a key digest"
                             for c in conns)
 
-    def readable(conn: socket.socket) -> bool:
-        if conn not in station:
-            return True
-        name = station[conn]
-        return len(digests) == 2 and (counts[name] - counts[rival[name]] < hwm or rival[name] in ended)
-
     def take_frame(conn: socket.socket) -> None:
         msg = recv_frame(conn)
+        heard[conn] = time.monotonic()
         if conn not in station:
             if validate_message(msg, COLLATOR_RECEIVABLE_SCHEMAS) != "key_digest":
                 raise SchemaError("station must announce its key digest first")
@@ -785,8 +763,10 @@ def collator_serve(
                 raise SchemaError(f"duplicate station {msg['station']!r}")
             station[conn] = msg["station"]
             digests[msg["station"]] = msg["digest_hex"]
-            if len(digests) == 2 and digests["L"] != digests["R"]:
-                raise CollationError("gauge key digests differ between stations; refusing to collate")
+            if len(digests) == 2:
+                if digests["L"] != digests["R"]:
+                    raise CollationError("gauge key digests differ between stations; refusing to collate")
+                heard.update(dict.fromkeys(heard, heard[conn]))  # waiting on the rival was not silence
             return
         name = station[conn]
         kind = None if msg is None else validate_message(msg, COLLATOR_RECEIVABLE_SCHEMAS)
@@ -813,28 +793,28 @@ def collator_serve(
 
     conns: list[socket.socket] = []
     try:
-        if hwm < 1:
-            raise ValueError(f"hwm must be at least 1 report, got {hwm}")
-        server.settimeout(timeout)
+        sock.settimeout(timeout)
         for _ in range(2):
-            conns.append(server.accept()[0])
+            conns.append(sock.accept()[0])
             conns[-1].settimeout(timeout)  # bounds the rest of a frame select saw begin
+            heard[conns[-1]] = time.monotonic()
         deadline = time.monotonic() + 4 * timeout
         while len(ended) < 2:
-            running = [c for c in conns if station.get(c) not in ended]
-            wait = min(timeout, deadline - time.monotonic())
-            if wait <= 0:
-                raise ProtocolError(f"{who(running)} still running after the session deadline of {4 * timeout} s")
-            wanted = [c for c in running if readable(c)]
-            ready = select.select(wanted, [], [], wait)[0]
-            if not ready and wait == timeout:
-                raise ProtocolError(f"no frame in {timeout} s from {who(wanted)}")
+            # Before both digests are in, only a connection yet to send its digest is waited on.
+            waited = [c for c in conns if station.get(c) not in ended and (c not in station or len(digests) == 2)]
+            wake = min(deadline, *(heard[c] + timeout for c in waited))
+            ready = select.select(waited, [], [], max(0.0, wake - time.monotonic()))[0]
+            now = time.monotonic()
+            if now >= deadline:
+                raise ProtocolError(f"{who(waited)} still running after the session deadline of {4 * timeout} s")
+            if silent := [c for c in waited if c not in ready and now - heard[c] >= timeout]:
+                raise ProtocolError(f"no frame in {timeout} s from {who(silent)}")
             for conn in ready:
                 take_frame(conn)
     finally:
         for conn in conns:
             conn.close()
-        server.close()
+        sock.close()
     if not counts["L"] or not counts["R"]:
         raise CollationError("one or both stations sent no reports")
 
@@ -844,6 +824,4 @@ def collator_serve(
     result.digests = dict(digests)
     result.partial = not all(ended.values())
     result.dataset.meta["max_lead"] = dict(max_lead)
-    if out_path is not None:
-        write_run_dataset(result.dataset, out_path)
     return result

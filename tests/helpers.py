@@ -7,7 +7,7 @@ from eqrc import stations as st
 
 
 def run_live(seed, count, key, right_setting, key_path, match="pair-id", session_index=0,
-             emission_log=None, report_logs=(None, None), hwm=100_000):
+             emission_log=None, report_logs=(None, None)):
     """Source + two stations + collator over real TCP sockets; returns all results.
 
     Fails, naming each role still running when its 120 s join times out:
@@ -27,7 +27,7 @@ def run_live(seed, count, key, right_setting, key_path, match="pair-id", session
 
     threads = [
         threading.Thread(target=guard, args=("collator", st.collator_serve),
-                         kwargs=dict(sock=col_sock, match=match, hwm=hwm)),
+                         kwargs=dict(sock=col_sock, match=match)),
         threading.Thread(target=guard, args=("source", st.source_run, seed, count),
                          kwargs=dict(sock=src_sock, session_index=session_index, log_path=emission_log)),
         threading.Thread(target=guard, args=("L", st.station_run, "L", CANONICAL_LEFT, key_path,

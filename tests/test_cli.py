@@ -3,9 +3,11 @@
 import csv
 import json
 import math
+import os
 import socket
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -161,10 +163,6 @@ class TestExitCodes:
         rc, _, err = run_cli(["collate"], capsys)
         assert rc == 1
 
-    def test_collate_mark_below_one_is_a_usage_error(self, capsys):
-        rc, _, err = run_cli(["collate", "--port", "0", "--hwm", "0"], capsys)
-        assert rc == 1 and "--hwm must be at least 1 report, got 0" in err
-
     def test_runtime_error_is_exit_two(self, capsys, tmp_path):
         bad = tmp_path / "junk.jsonl"
         bad.write_text('{"kind":"other"}\n')
@@ -207,7 +205,9 @@ def _free_port():
 
 
 class TestDistributedFlow:
-    def test_processes_end_to_end(self, tmp_path):
+    def test_processes_end_to_end(self, tmp_path, monkeypatch):
+        # The role processes import eqrc from src/ whether or not it is installed.
+        monkeypatch.setenv("PYTHONPATH", str(Path(__file__).resolve().parent.parent / "src"), prepend=os.pathsep)
         env_cmd = [sys.executable, "-m", "eqrc.cli"]
         key = tmp_path / "key.json"
         subprocess.run(env_cmd + ["keygen", "--out", str(key)], check=True, timeout=60)

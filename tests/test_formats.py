@@ -216,7 +216,8 @@ _EDGE_SETTINGS = [Setting(1.0, 0.0), Setting(1.0, -0.0), Setting(-0.0, 1.0), Set
                   Setting(0.0, -1.0)]
 _settings = st.one_of(st.sampled_from(_EDGE_SETTINGS),
                         st.floats(-math.pi, math.pi).map(Setting.from_angle))
-# collate(group_label=...) passes any string through, quotes, backslashes and non-ASCII included.
+# RunGroup takes any string as its label: the template writer must escape quotes, backslashes and
+# non-ASCII exactly as json.dumps does.
 _labels = st.one_of(st.just("pair0"), st.text(alphabet=st.sampled_from('ab"\\é∑😀\n\x00'), max_size=6))
 
 

@@ -17,7 +17,8 @@ from helpers import run_live
 
 from eqrc.experiments import CANONICAL_LEFT, ExperimentSpec, run_experiment
 from eqrc.formats import run_dataset_text
-from eqrc.model import GaugeKey, MODE_RADEMACHER, PairStream, Setting, measure_pairs
+from eqrc.model import (GaugeKey, MODE_CONSTANT, MODE_RADEMACHER, MODE_RADEMACHER_RARB, PairStream, Setting,
+                        measure_pairs)
 from eqrc.stats import estimate_expectation
 from eqrc import stations as st
 
@@ -245,10 +246,30 @@ class TestBatches:
 class TestKeyFiles:
     def test_round_trip_and_digest(self, tmp_path):
         path = tmp_path / "key.json"
-        key = GaugeKey(mode=MODE_RADEMACHER, j=4)
-        st.write_key_file(path, key)
-        assert st.load_key_file(path) == key
-        assert st.load_key_file(path).digest_hex() == key.digest_hex()
+        for key in (GaugeKey(mode=MODE_RADEMACHER, j=4), GaugeKey(mode=MODE_CONSTANT),
+                    GaugeKey(mode=MODE_RADEMACHER_RARB, j=52, rarb_seed=2**63 - 1)):
+            st.write_key_file(path, key)
+            assert st.load_key_file(path) == key
+            assert st.load_key_file(path).digest_hex() == key.digest_hex()
+
+    @pytest.mark.parametrize("fields,match", [
+        ({"j": 3.7}, "j 3.7 is not an int"),
+        ({"j": True}, "j True is not an int"),
+        ({"j": "3"}, "j '3' is not an int"),
+        ({"mode": MODE_RADEMACHER_RARB, "rarb_seed": "9"}, "rarb_seed '9' is neither an int nor null"),
+        ({"mode": MODE_RADEMACHER_RARB, "rarb_seed": False}, "rarb_seed False is neither an int nor null"),
+        ({"j": ...}, r"got \['mode', 'rarb_seed', 'v'\]"),
+        ({"extra": 1}, r"got \['extra', 'j', 'mode', 'rarb_seed', 'v'\]"),
+        ({"v": True}, "unsupported gauge key schema version: True"),
+    ], ids=repr)
+    def test_what_the_writer_never_writes_is_refused(self, tmp_path, fields, match):
+        # RAD3's own file, with ``fields`` replaced (``...`` drops the key). A real j: 3
+        # loads under RAD3's digest; no other value may load under it.
+        obj = {k: v for k, v in {"kind": "gauge-key", **RAD3.to_json(), **fields}.items() if v is not ...}
+        path = tmp_path / "key.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(st.KeyFileError, match=match):
+            st.load_key_file(path)
 
     def test_missing_file_refused(self, tmp_path):
         with pytest.raises(st.KeyFileError, match="not found"):
@@ -599,6 +620,39 @@ class TestStationRejection:
         assert log.rejected == ["emit_batch rejected at position 0: non-increasing pair index 2 after 2",
                                 "emit_batch rejected at position 1: non-increasing pair index 3 after 4"]
 
+    def test_silent_source_is_named_within_the_timeout(self, tmp_path):
+        key_path = tmp_path / "key.json"
+        st.write_key_file(key_path, RAD3)
+        src_sock, sink_sock = st.make_server_socket(), st.make_server_socket()
+
+        def silent_source():  # takes the hello, then sends nothing until the station hangs up
+            conn, _ = src_sock.accept()
+            st.recv_frame(conn)
+            conn.recv(1)
+            conn.close()
+
+        def sink():
+            conn, _ = sink_sock.accept()
+            while st.recv_frame(conn) is not None:
+                pass
+            conn.close()
+
+        threads = [threading.Thread(target=silent_source), threading.Thread(target=sink)]
+        for t in threads:
+            t.start()
+        started = time.monotonic()
+        try:
+            with pytest.raises(st.ProtocolError, match=r"^no frame in 0\.3 s from the source$"):
+                st.station_run("L", CANONICAL_LEFT, key_path, ("127.0.0.1", src_sock.getsockname()[1]),
+                               ("127.0.0.1", sink_sock.getsockname()[1]), timeout=0.3)
+            assert time.monotonic() - started < 2 * 0.3
+        finally:
+            for t in threads:
+                t.join(timeout=15)
+                assert not t.is_alive()
+            src_sock.close()
+            sink_sock.close()
+
     def test_missing_key_file_refuses_to_start(self, tmp_path):
         with pytest.raises(st.KeyFileError):
             st.station_run("L", CANONICAL_LEFT, tmp_path / "no-key.json",
@@ -663,9 +717,12 @@ class TestSourceEdgeCases:
             st.source_run(**dict(dict(seed=1, count=5, sock=sock, timeout=0.2), **args))
         sock.close()
 
-    def test_no_station_is_an_accept_timeout(self):
+    def test_no_station_is_an_accept_timeout(self, tmp_path):
+        path = tmp_path / "log.jsonl"
         with pytest.raises(TimeoutError):
-            st.source_run(seed=1, count=5, sock=st.make_server_socket(), timeout=0.2)
+            st.source_run(seed=1, count=5, sock=st.make_server_socket(), log_path=path, timeout=0.2)
+        log = st.load_emission_log(path)  # a log the source writes, its loader takes
+        assert (log.status, len(log.emissions)) == ("partial", 0) and log.detail
 
     def test_station_disconnect_marks_the_log_partial(self):
         sock = st.make_server_socket()
@@ -850,7 +907,7 @@ def _await_hangup(conn, station):
 
 
 class _FakeStations:
-    def _serve(self, senders, timeout, hwm=100_000, first=None):
+    def _serve(self, senders, timeout, first=None):
         """Run collator_serve against fake stations ``senders[station](conn)``.
 
         Each station first sends ``first[station]`` in place of its key
@@ -874,7 +931,7 @@ class _FakeStations:
             t.start()
         started = time.monotonic()
         try:
-            return st.collator_serve(sock=col_sock, timeout=timeout, hwm=hwm)
+            return st.collator_serve(sock=col_sock, timeout=timeout)
         finally:
             self.served_at = time.monotonic()
             self.elapsed = self.served_at - started
@@ -883,10 +940,9 @@ class _FakeStations:
                 assert not t.is_alive()
 
     @staticmethod
-    def _send(count, claimed=None, pause=0.0, batch=1, delay=0.0, end=True, **fields):
+    def _send(count, claimed=None, pause=0.0, batch=1, end=True, **fields):
         """Send reports 1..count in report_batch frames of ``batch``, then an end marker unless ``end`` is false."""
         def send(conn, station):
-            time.sleep(delay)
             for lo in range(1, count + 1, batch):
                 time.sleep(pause)
                 st.send_frame(conn, _report_frame(station, range(lo, min(lo + batch, count + 1)), **fields))
@@ -963,16 +1019,17 @@ class TestCollatorChecks(_FakeStations):
         assert failed_at, "station R kept sending after the collator gave up on it"
         assert failed_at[0] - self.served_at < 1.0
 
-    @pytest.mark.parametrize("senders,first,hwm,match", [
-        ({"L": _await_hangup}, {}, 100_000, r"no frame in 0\.5 s from station L$"),
-        ({"R": _await_hangup}, {"R": None}, 100_000, r"no frame in 0\.5 s from a station without a key digest$"),
-        ({"L": _FakeStations._send(640, batch=64), "R": _await_hangup}, {}, 50,
-         r"no frame in 0\.5 s from station R$"),
-    ], ids=["silent-after-digest", "no-digest", "silent-rival-past-hwm"])
-    def test_silent_station_is_named_within_the_timeout(self, senders, first, hwm, match):
+    @pytest.mark.parametrize("senders,first,match", [
+        ({"L": _await_hangup}, {}, r"no frame in 0\.5 s from station L$"),
+        ({"R": _await_hangup}, {"R": None}, r"no frame in 0\.5 s from a station without a key digest$"),
+        ({"L": _FakeStations._send(640, batch=64), "R": _await_hangup}, {}, r"no frame in 0\.5 s from station R$"),
+        # L keeps sending inside the timeout: R's own silence still ends the session.
+        ({"L": _FakeStations._send(20, pause=0.3), "R": _await_hangup}, {}, r"^no frame in 0\.5 s from station R$"),
+    ], ids=["silent-after-digest", "no-digest", "silent-rival", "silent-while-rival-sends"])
+    def test_silent_station_is_named_within_the_timeout(self, senders, first, match):
         timeout = 0.5
         with pytest.raises(st.ProtocolError, match=match):
-            self._serve({"L": self._send(3), "R": self._send(3), **senders}, timeout=timeout, hwm=hwm, first=first)
+            self._serve({"L": self._send(3), "R": self._send(3), **senders}, timeout=timeout, first=first)
         assert self.elapsed < 2 * timeout
 
     def test_trickled_frame_is_cut_off_within_the_timeout(self):
@@ -980,29 +1037,3 @@ class TestCollatorChecks(_FakeStations):
         with pytest.raises(st.ProtocolError, match=r"frame still incomplete 0\.5 s after its first piece"):
             self._serve({"L": self._send(3), "R": _trickle}, timeout=timeout)
         assert self.elapsed < 2 * timeout
-
-    def test_mark_below_one_report_is_refused_before_accepting(self):
-        sock = st.make_server_socket()
-        with pytest.raises(ValueError, match="hwm must be at least 1 report, got 0"):
-            st.collator_serve(sock=sock, hwm=0, timeout=10)
-        assert sock.fileno() == -1
-
-
-class TestBackpressure(_FakeStations):
-    def test_high_water_mark_bounds_the_lead(self):
-        # Batches of 64 against a mark of 50: a batch is taken whole, so the
-        # lead may reach hwm + 63 but no further, and the run still completes.
-        n, hwm, batch = 800, 50, 64
-        result = self._serve({"L": self._send(n, batch=batch), "R": self._send(n, batch=batch, delay=0.4)},
-                             timeout=30, hwm=hwm)
-        assert len(result.dataset.groups[0]) == n
-        assert hwm <= result.dataset.meta["max_lead"]["L"] <= hwm + batch - 1
-
-    def test_live_run_with_the_mark_below_one_batch_completes(self, tmp_path):
-        key_path = tmp_path / "key.json"
-        st.write_key_file(key_path, RAD3)
-        count = 2 * st.BATCH_PAIRS + 100
-        results = run_live(seed=3, count=count, key=RAD3, right_setting=B60, key_path=key_path, hwm=100)
-        col = results["collator"]
-        assert len(col.dataset.groups[0]) == count and col.incomplete == () and not col.partial
-        assert max(col.dataset.meta["max_lead"].values()) <= 100 + st.BATCH_PAIRS - 1
