@@ -230,8 +230,8 @@ class GaugeKey:
         if self.mode != MODE_CONSTANT:
             _check_order(self.j)
         if self.mode == MODE_RADEMACHER_RARB:
-            if self.rarb_seed is None:
-                raise ValueError("rademacher-times-rarb mode needs rarb_seed")
+            if self.rarb_seed is None or not 0 <= self.rarb_seed < 2**64:  # rarb_eval hashes its low 64 bits
+                raise ValueError(f"rademacher-times-rarb mode needs a rarb_seed in [0, 2**64), got {self.rarb_seed}")
         elif self.rarb_seed is not None:
             raise ValueError(f"rarb_seed is only meaningful in {MODE_RADEMACHER_RARB} mode")
 

@@ -10,27 +10,26 @@ which joins them into a dataset either by pair index or by arrival
 order (the latter deliberately fragile: one lost report misaligns the
 whole tail, and nothing in the data can reveal it).
 
-Wire format: 4-byte big-endian length prefix + UTF-8 JSON. Events and
-reports travel in columnar batches of at most ``BATCH_PAIRS`` pairs
+Wire format: 4-byte big-endian length prefix + strict UTF-8 JSON. Events
+and reports travel in columnar batches of at most ``BATCH_PAIRS`` pairs
 (``emit_batch``: n/lambda/t; ``report_batch``: n/outcome and one
-``clock_ns``, since a station measures a batch at one instant), and a
-batch with one bad element is rejected whole. No field of the fixed
-grammar a station can receive can carry the other wing's setting.
+``clock_ns``), each column base64 of a little-endian fixed-width array,
+and a batch with one bad element is rejected whole. No field of the fixed
+grammar a station can receive is a list or can carry the other wing's setting.
 """
 
 from __future__ import annotations
 
-import contextlib
+import base64
 import json
 import select
 import socket
 import struct
 import time
-from array import array
 from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
-from typing import NamedTuple, NoReturn
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,7 +72,7 @@ __all__ = [
     "load_report_log",
 ]
 
-WIRE_VERSION = 2
+WIRE_VERSION = 3
 #: Most pairs one emit_batch frame carries; a report_batch answers one emit_batch.
 BATCH_PAIRS = 4096
 #: Version of the emission-log and report-log files; frames carry WIRE_VERSION.
@@ -85,14 +84,14 @@ _DIAL_ATTEMPTS, _DIAL_PAUSE_S = 20, 0.15
 
 # Message grammars by receiving role: {type: {field: type}}. Validation is
 # exact-key-set, so a field outside the grammar is rejected, not ignored.
-# A list field is a batch column, checked element by element by its reader.
+# A batch column is a str field: base64 of a little-endian fixed-width array.
 STATION_RECEIVABLE_SCHEMAS = {
-    "emit_batch": {"v": int, "type": str, "n": list, "lambda": list, "t": list},
+    "emit_batch": {"v": int, "type": str, "n": str, "lambda": str, "t": str},
     "end": {"v": int, "type": str, "count": int},
 }
 COLLATOR_RECEIVABLE_SCHEMAS = {
     "key_digest": {"v": int, "type": str, "station": str, "digest_hex": str},
-    "report_batch": {"v": int, "type": str, "station": str, "setting": list, "n": list, "outcome": list,
+    "report_batch": {"v": int, "type": str, "station": str, "setting": list, "n": str, "outcome": str,
                      "clock_ns": int},
     "end": {"v": int, "type": str, "station": str, "count": int},
 }
@@ -118,7 +117,7 @@ class CollationError(RuntimeError):
 
 
 def send_frame(sock: socket.socket, obj: dict) -> None:
-    raw = json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    raw = json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False).encode("utf-8")
     sock.sendall(struct.pack("!I", len(raw)) + raw)
 
 
@@ -150,7 +149,7 @@ def recv_frame(sock: socket.socket) -> dict | None:
     """Next message, or None on clean end-of-stream at a frame boundary.
 
     A length prefix above ``MAX_FRAME_BYTES`` is a ProtocolError before
-    any buffer is allocated for the body.
+    any buffer is allocated for the body; so is a body not a JSON object.
     """
     header = _recv_exact(sock, 4)
     if not header:
@@ -163,10 +162,13 @@ def recv_frame(sock: socket.socket) -> dict | None:
     payload = _recv_exact(sock, size)
     if len(payload) < size:
         raise ProtocolError("connection dropped inside a frame body")
-    try:
-        return json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    try:  # int() refuses the NaN and Infinity literals, which are not JSON
+        msg = json.loads(payload.decode("utf-8"), parse_constant=int)
+    except (ValueError, RecursionError) as exc:  # ValueError covers the decode errors
         raise ProtocolError(f"undecodable frame: {exc}") from exc
+    if not isinstance(msg, dict):
+        raise ProtocolError(f"frame holds a JSON {type(msg).__name__}, not an object")
+    return msg
 
 
 def validate_message(msg, schemas: dict) -> str:
@@ -174,22 +176,22 @@ def validate_message(msg, schemas: dict) -> str:
 
     Wire version first, so a frame of another version is refused as
     such; then exact key set and a type check per field. Booleans are
-    rejected where numbers are expected.
+    rejected where numbers are expected, and integers must fit 64 bits.
     """
     if not isinstance(msg, dict):
         raise SchemaError(f"message must be an object, got {type(msg).__name__}")
     if type(msg.get("v")) is not int or msg["v"] != WIRE_VERSION:
         raise SchemaError(f"unsupported wire version {msg.get('v')!r}")
     kind = msg.get("type")
-    if kind not in schemas:
+    if type(kind) is not str or kind not in schemas:
         raise SchemaError(f"unknown message type {kind!r} for this role")
     grammar = schemas[kind]
     if set(msg) != set(grammar):
         raise SchemaError(f"fields {sorted(msg)} do not match the {kind!r} grammar {sorted(grammar)}")
     for name, checker in grammar.items():
         value = msg[name]
-        if isinstance(value, bool) or not isinstance(value, checker):
-            raise SchemaError(f"field {name!r} of {kind!r} has invalid type {type(value).__name__}")
+        if isinstance(value, bool) or not isinstance(value, checker) or (checker is int and value.bit_length() > 63):
+            raise SchemaError(f"field {name!r} of {kind!r} is not a {'64-bit ' * (checker is int)}{checker.__name__}")
     return kind
 
 
@@ -197,35 +199,31 @@ def _unit_interval(x):
     return (x >= 0.0) & (x < 1.0)
 
 
-def _refuse_at(kind: str, position: int, reason: str) -> NoReturn:
-    raise SchemaError(f"{kind} rejected at position {position}: {reason}")
+def _pack(values, dtype: str) -> str:
+    return base64.b64encode(np.asarray(values, dtype=dtype).tobytes()).decode("ascii")
 
 
-def _columns(kind: str, msg: dict, ints: tuple, floats: tuple = ()) -> list[np.ndarray]:
-    """Columns of a batch frame: JSON integers that fit int64 (``ints``), numbers that fit float64 (``floats``).
+def _columns(kind: str, msg: dict, dtypes: dict) -> list[np.ndarray]:
+    """The batch columns of a validated frame, decoded as ``dtypes``.
 
-    A boolean, which numpy and ``array`` would both take as 1 or 0, is
-    neither. Raises SchemaError at the first bad element, or unless the
-    columns are equally long and not empty.
+    Raises SchemaError naming a column not base64 or not whole items, or for unequal or empty columns.
     """
     cols = []
-    for name, code in [(name, "q") for name in ints] + [(name, "d") for name in floats]:
-        with contextlib.suppress(TypeError, OverflowError):
-            if bool not in set(map(type, msg[name])):
-                cols.append(np.frombuffer(array(code, msg[name]), dtype=code))
-                continue
-        for i, x in enumerate(msg[name]):
-            try:  # None stands in for a boolean
-                array(code, [None if type(x) is bool else x])
-            except (TypeError, OverflowError):
-                _refuse_at(kind, i, f"{name} {x!r} is not a {'64-bit integer' if code == 'q' else 'number'}")
+    for name, dtype in dtypes.items():
+        try:
+            raw = base64.b64decode(msg[name], validate=True)
+        except ValueError:  # binascii.Error, or text that is not ASCII
+            raise SchemaError(f"{kind} rejected: column {name} is not base64") from None
+        if len(raw) % np.dtype(dtype).itemsize:
+            raise SchemaError(f"{kind} rejected: column {name} holds {len(raw)} bytes, not whole {dtype} items")
+        cols.append(np.frombuffer(raw, dtype=dtype))
     if len({len(c) for c in cols}) > 1 or not len(cols[0]):
-        raise SchemaError(f"{kind} rejected: columns {list(ints + floats)} of lengths {[len(c) for c in cols]}")
+        raise SchemaError(f"{kind} rejected: columns {list(dtypes)} of lengths {[len(c) for c in cols]}")
     return cols
 
 
-def _report_batch(msg: dict, last_n: int, station_id: str, setting: Setting, key: GaugeKey) -> dict:
-    """The report_batch frame a station sends for a validated emit_batch frame.
+def _report_batch(msg: dict, last_n: int, station_id: str, setting: Setting, key: GaugeKey) -> tuple:
+    """(report_batch frame, n, outcome) a station sends and logs for a validated emit_batch frame.
 
     Every element is checked first: ``n`` must rise strictly from
     ``last_n``, the last pair index accepted (0 before the first), and
@@ -233,27 +231,28 @@ def _report_batch(msg: dict, last_n: int, station_id: str, setting: Setting, key
     SchemaError naming the first bad position. One ``measure_pairs``
     call then measures the batch, stamped with the station clock once.
     """
-    n, lam, t = _columns("emit_batch", msg, ("n",), ("lambda", "t"))
+    n, lam, t = _columns("emit_batch", msg, {"n": "<i8", "lambda": "<f8", "t": "<f8"})
     prev = np.concatenate(([last_n], n[:-1]))
     rising, lam_ok, t_ok = n > prev, _unit_interval(lam), _unit_interval(t)
     if not (ok := rising & lam_ok & t_ok).all():
         i = int(np.argmin(ok))
-        _refuse_at("emit_batch", i, f"non-increasing pair index {n[i]} after {prev[i]}" if not rising[i]
-                   else f"lambda {float(lam[i])!r} is not in [0, 1)" if not lam_ok[i]
-                   else f"t {float(t[i])!r} is not in [0, 1)")
+        raise SchemaError(f"emit_batch rejected at position {i}: " + (
+            f"non-increasing pair index {n[i]} after {prev[i]}" if not rising[i]
+            else f"lambda {float(lam[i])!r} is not in [0, 1)" if not lam_ok[i]
+            else f"t {float(t[i])!r} is not in [0, 1)"))
     left, right = measure_pairs(setting, PairStream(n=n, lam=lam, t=t), key)
-    return {"v": WIRE_VERSION, "type": "report_batch", "station": station_id, "setting": [setting.b2, setting.b3],
-            "n": msg["n"], "outcome": (left if station_id == "L" else right).tolist(),
-            "clock_ns": time.monotonic_ns()}
+    out = left if station_id == "L" else right
+    return ({"v": WIRE_VERSION, "type": "report_batch", "station": station_id, "setting": [setting.b2, setting.b3],
+             "n": msg["n"], "outcome": _pack(out, "i1"), "clock_ns": time.monotonic_ns()}, n, out)
 
 
-def _report_columns(msg: dict) -> tuple[np.ndarray, np.ndarray]:
-    """The (n, outcome) columns of a validated report_batch frame: integers >= 1 and outcomes of -1/+1."""
-    n, outcome = _columns("report_batch", msg, ("n", "outcome"))
+def _report_columns(msg: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (n, outcome, clock_ns) columns of a validated report_batch frame: n >= 1, outcomes -1/+1."""
+    n, outcome = _columns("report_batch", msg, {"n": "<i8", "outcome": "i1"})
     if not (ok := (n >= 1) & (np.abs(outcome) == 1)).all():
         i = int(np.argmin(ok))
-        _refuse_at("report_batch", i, f"pair index {n[i]} with outcome {outcome[i]}")
-    return n, outcome.astype(np.int8)
+        raise SchemaError(f"report_batch rejected at position {i}: pair index {n[i]} with outcome {outcome[i]}")
+    return n, outcome, np.full(len(n), msg["clock_ns"], dtype=np.int64)
 
 
 class StationReport(NamedTuple):
@@ -516,12 +515,12 @@ def source_run(
                 stream = sample_pair_stream(derive_subseed(seed, session_index), count,
                                             start=session_index * count + 1)
             for lo in range(0, count, BATCH_PAIRS):
-                batch = slice(lo, lo + BATCH_PAIRS)
-                wire = {"v": WIRE_VERSION, "type": "emit_batch", "n": stream.n[batch].tolist(),
-                        "lambda": stream.lam[batch].tolist(), "t": stream.t[batch].tolist()}
+                hi = min(lo + BATCH_PAIRS, count)
+                wire = {"v": WIRE_VERSION, "type": "emit_batch", "n": _pack(stream.n[lo:hi], "<i8"),
+                        "lambda": _pack(stream.lam[lo:hi], "<f8"), "t": _pack(stream.t[lo:hi], "<f8")}
                 for station in ("L", "R"):
                     send_frame(conns[station], wire)
-                sent += len(wire["n"])
+                sent = hi
             for station in ("L", "R"):
                 send_frame(conns[station], {"v": WIRE_VERSION, "type": "end", "count": sent})
             log.status, log.detail = "complete", ""
@@ -601,14 +600,14 @@ def station_run(
             try:
                 if validate_message(msg, STATION_RECEIVABLE_SCHEMAS) == "end":
                     break
-                report = _report_batch(msg, last_n, station_id, setting, key)
+                report, n, outcome = _report_batch(msg, last_n, station_id, setting, key)
             except SchemaError as exc:
                 log.rejected.append(str(exc))
                 continue
-            last_n = report["n"][-1]
+            last_n = int(n[-1])
             send_frame(col, report)
-            log.reports += map(StationReport, report["n"], repeat(station_id), repeat(setting),
-                               report["outcome"], repeat(report["clock_ns"]))
+            log.reports += map(StationReport, n.tolist(), repeat(station_id), repeat(setting),
+                               outcome.tolist(), repeat(report["clock_ns"]))
         send_frame(col, {"v": WIRE_VERSION, "type": "end", "station": station_id,
                          "count": len(log.reports)})
     finally:
@@ -779,16 +778,17 @@ def collator_serve(
         if kind != "report_batch" or msg["station"] != name:
             raise SchemaError(f"unexpected {kind!r} message from station {name!r}")
         if name not in settings:
-            components = _columns("report_batch", msg, (), ("setting",))[0]
-            if len(components) != 2:
-                raise SchemaError(f"report_batch setting {msg['setting']} is not two numbers")
-            settings[name] = (msg["setting"], Setting(*components))
+            try:
+                if len(msg["setting"]) != 2 or {type(x) for x in msg["setting"]} - {int, float}:
+                    raise ValueError("it is not two numbers")
+                settings[name] = (msg["setting"], Setting(*msg["setting"]))
+            except (ValueError, OverflowError) as exc:
+                raise SchemaError(f"station {name} report_batch setting {msg['setting']} is refused: {exc}") from None
         elif msg["setting"] != settings[name][0]:
             raise CollationError(f"station {name} batch with setting {msg['setting']}: "
                                  "a report batch must come from one station session")
-        n, outcome = _report_columns(msg)
-        batches[name].append((n, outcome, np.full(len(n), msg["clock_ns"], dtype=np.int64)))
-        counts[name] += len(n)
+        batches[name].append(_report_columns(msg))
+        counts[name] += len(batches[name][-1][0])
         max_lead[name] = max(max_lead[name], counts[name] - counts[rival[name]])
 
     conns: list[socket.socket] = []

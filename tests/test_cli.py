@@ -151,8 +151,9 @@ class TestExitCodes:
         assert rc == 1 and "setting vector" in err
 
     def test_invalid_gauge(self, capsys):
-        rc, _, err = run_cli(["run", "--gauge", "spin:k=2"], capsys)
-        assert rc == 1 and "gauge" in err
+        for spec in ("spin:k=2", "rademacher-rarb:seed=-1", f"rademacher-rarb:j=2,seed={2**64}"):
+            rc, _, err = run_cli(["run", "--gauge", spec], capsys)
+            assert rc == 1 and "gauge" in err
 
     def test_missing_key_file(self, capsys, tmp_path):
         rc, _, err = run_cli(["station", "--station", "L", "--key", str(tmp_path / "nope.json"),

@@ -184,6 +184,13 @@ class TestGauge:
             GaugeKey(mode=MODE_RADEMACHER_RARB, j=1)  # seed required
         with pytest.raises(ValueError):
             GaugeKey(mode=MODE_RADEMACHER, j=1, rarb_seed=7)  # stray seed
+        # rarb_eval hashes the seed's low 64 bits: any other seed would give a
+        # known gauge under a new digest.
+        for seed in (-1, 2**64, 7 + 2**64):
+            with pytest.raises(ValueError, match=r"rarb_seed in \[0, 2\*\*64\)"):
+                GaugeKey(mode=MODE_RADEMACHER_RARB, j=1, rarb_seed=seed)
+        for seed in (0, 2**64 - 1):
+            assert GaugeKey(mode=MODE_RADEMACHER_RARB, j=1, rarb_seed=seed).rarb_seed == seed
 
     def test_key_json_round_trip_and_digest(self):
         key = GaugeKey(mode=MODE_RADEMACHER_RARB, j=4, rarb_seed=99)

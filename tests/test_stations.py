@@ -1,5 +1,6 @@
 """Distributed harness: framing, schemas, live runs, collation, faults."""
 
+import base64
 import contextlib
 import json
 import math
@@ -27,14 +28,37 @@ B60 = Setting(0.5, math.sqrt(3) / 2)
 V = st.WIRE_VERSION
 
 
+_DTYPES = {"n": "<i8", "lambda": "<f8", "t": "<f8", "outcome": "i1"}
+
+
+def _b64(raw: bytes) -> str:
+    return base64.b64encode(raw).decode()
+
+
+def _packed(frame):
+    """``frame`` with each list-valued batch column packed as the wire carries it.
+
+    A column travels as base64 of a little-endian fixed-width array; any
+    other value (a format case) is left as it is.
+    """
+    return {name: _b64(np.array(value, dtype=_DTYPES[name]).tobytes())
+            if name in _DTYPES and isinstance(value, list) else value for name, value in frame.items()}
+
+
 def _emit_batch(n, lam=None, t=None):
-    """An emit_batch frame; lambda and t default to 0.5 and 0.25 for every pair."""
-    return {"v": V, "type": "emit_batch", "n": list(n), "lambda": [0.5] * len(n) if lam is None else lam,
-            "t": [0.25] * len(n) if t is None else t}
+    """A packed emit_batch frame; lambda and t default to 0.5 and 0.25 for every pair."""
+    n = list(n)
+    return _packed({"v": V, "type": "emit_batch", "n": n, "lambda": [0.5] * len(n) if lam is None else lam,
+                    "t": [0.25] * len(n) if t is None else t})
 
 
 # ---------------------------------------------------------------------------
 # Framing and schemas
+
+_json_values = hst.recursive(
+    hst.none() | hst.booleans() | hst.integers() | hst.floats(allow_nan=False, allow_infinity=False) | hst.text(),
+    lambda inner: hst.lists(inner, max_size=4) | hst.dictionaries(hst.text(max_size=8), inner, max_size=4),
+    max_leaves=12)
 
 
 class TestFraming:
@@ -54,13 +78,16 @@ class TestFraming:
             st.recv_frame(b)
         b.close()
 
-    def test_length_above_the_cap_is_refused_before_reading(self):
+    @settings(max_examples=50, deadline=None)
+    @given(hst.integers(st.MAX_FRAME_BYTES + 1, 2**32 - 1), hst.binary(max_size=32))
+    def test_length_above_the_cap_is_refused_before_reading(self, size, body):
         a, b = socket.socketpair()
         b.settimeout(5)
-        a.sendall(struct.pack("!I", st.MAX_FRAME_BYTES + 1))
+        a.sendall(struct.pack("!I", size) + body)
         a.close()
-        with pytest.raises(st.ProtocolError, match=f"frame length {st.MAX_FRAME_BYTES + 1} exceeds the"):
+        with pytest.raises(st.ProtocolError, match=f"frame length {size} exceeds the"):
             st.recv_frame(b)
+        assert b.recv(len(body) + 1) == body  # the body is still unread
         b.close()
 
     def test_frame_arriving_in_pieces_is_reassembled(self):
@@ -103,6 +130,47 @@ class TestFraming:
             st.recv_frame(b)
         a.close(), b.close()
 
+    @pytest.mark.parametrize("payload,match", [
+        (b'{"v": 3, "x": NaN}', "undecodable frame: .*'NaN'"),
+        (b'{"v": 3, "x": [1.0, Infinity]}', "undecodable frame: .*'Infinity'"),
+        (b'{"v": 3, "x": -Infinity}', "undecodable frame: .*'-Infinity'"),
+        (b"[" * 100_000, "undecodable frame: maximum recursion depth"),
+        (b'[{"v": 3}]', "frame holds a JSON list, not an object"),
+        (b"3", "frame holds a JSON int, not an object"),
+    ], ids=["nan", "infinity", "minus-infinity", "deep-nesting", "list", "number"])
+    def test_only_a_strict_json_object_is_a_frame(self, payload, match):
+        a, b = socket.socketpair()
+        a.sendall(struct.pack("!I", len(payload)) + payload)
+        with pytest.raises(st.ProtocolError, match=match):
+            st.recv_frame(b)
+        a.close(), b.close()
+
+    def test_send_frame_refuses_nan_and_infinity(self):
+        a, b = socket.socketpair()
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="not JSON compliant"):
+                st.send_frame(a, {"v": V, "x": [1.0, bad]})
+        a.close(), b.close()
+
+    @settings(max_examples=200, deadline=None)
+    @given(hst.one_of(
+        hst.binary(max_size=64),
+        hst.binary(max_size=48).map(lambda body: struct.pack("!I", len(body)) + body),
+        _json_values.map(lambda v: json.dumps(v).encode()).map(lambda body: struct.pack("!I", len(body)) + body),
+    ))
+    def test_arbitrary_bytes_give_objects_none_or_a_protocol_error(self, data):
+        a, b = socket.socketpair()
+        b.settimeout(5)
+        a.sendall(data)
+        a.close()
+        try:
+            while (msg := st.recv_frame(b)) is not None:
+                assert type(msg) is dict
+        except st.ProtocolError:
+            pass
+        finally:
+            b.close()
+
 
 class TestSchemas:
     def _emit(self, **overrides):
@@ -122,16 +190,21 @@ class TestSchemas:
             st.validate_message(msg, st.STATION_RECEIVABLE_SCHEMAS)
 
     def test_wrong_type_rejected(self):
-        with pytest.raises(st.SchemaError):
-            st.validate_message(self._emit(n="1"), st.STATION_RECEIVABLE_SCHEMAS)
+        for column in ([1], 1, None):
+            with pytest.raises(st.SchemaError, match="field 'n' of 'emit_batch' is not a str"):
+                st.validate_message(self._emit(n=column), st.STATION_RECEIVABLE_SCHEMAS)
+        for count in (2**63, -2**63):
+            with pytest.raises(st.SchemaError, match="field 'count' of 'end' is not a 64-bit int"):
+                st.validate_message({"v": V, "type": "end", "count": count}, st.STATION_RECEIVABLE_SCHEMAS)
 
     def test_bool_is_not_a_number(self):
         with pytest.raises(st.SchemaError):
             st.validate_message(self._emit(n=True), st.STATION_RECEIVABLE_SCHEMAS)
 
     def test_unknown_type_rejected(self):
-        with pytest.raises(st.SchemaError):
-            st.validate_message({"v": V, "type": "report_batch"}, st.STATION_RECEIVABLE_SCHEMAS)
+        for kind in ("report_batch", [], {}, None):
+            with pytest.raises(st.SchemaError, match="unknown message type"):
+                st.validate_message({"v": V, "type": kind}, st.STATION_RECEIVABLE_SCHEMAS)
 
     def test_wire_version_pinned(self):
         for v in (V + 1, float(V), True):
@@ -144,16 +217,16 @@ class TestSchemas:
                 st.validate_message({"v": 1, "type": "emit", "n": 1, "lambda": 0.5, "t": 0.25}, schemas)
 
     def test_station_grammar_cannot_carry_a_setting(self):
-        # Locality by schema: no field is setting-like, and the list fields are
-        # columns of numbers, so a setting cannot ride in one of their elements.
+        # Locality by schema: no field is setting-like and none is a list; a
+        # column is fixed-width numbers, so a setting cannot ride in it as text.
         for kind, grammar in st.STATION_RECEIVABLE_SCHEMAS.items():
             for name, checker in grammar.items():
                 assert "setting" not in name.lower()
-                assert checker in (int, str, list), (kind, name)
+                assert checker in (int, str), (kind, name)
         for column in ("n", "lambda", "t"):
-            msg = _emit_batch([1, 2])
-            msg[column] = [msg[column][0], [0.0, 1.0]]
-            with pytest.raises(st.SchemaError, match=f"position 1: {column} \\[0.0, 1.0\\] is not a"):
+            msg = dict(_emit_batch([1, 2]), **{column: "[0.0,1.0]"})
+            assert st.validate_message(msg, st.STATION_RECEIVABLE_SCHEMAS) == "emit_batch"
+            with pytest.raises(st.SchemaError, match=f"^emit_batch rejected: column {column} is not base64$"):
                 st._report_batch(msg, 0, "R", B60, RAD3)
 
 
@@ -162,18 +235,17 @@ _unit_floats = hst.floats(0.0, 1.0, exclude_max=True)
 
 @hst.composite
 def _good_batches(draw):
-    """(emit_batch frame, last accepted n): rising indices above last_n, lambda and t in [0, 1)."""
+    """(n, lambda, t, last accepted n): rising indices above last_n, lambda and t in [0, 1)."""
     last_n = draw(hst.integers(0, 2**62))
     steps = draw(hst.lists(hst.integers(1, 2**20), min_size=1, max_size=40))
     n = (last_n + np.cumsum(steps)).tolist()
     size = len(n)
     lam = draw(hst.lists(_unit_floats, min_size=size, max_size=size))
     t = draw(hst.lists(_unit_floats | hst.sampled_from([0, 0.5 - 2**-53]), min_size=size, max_size=size))
-    return _emit_batch(n, lam, t), last_n
+    return n, lam, t, last_n
 
 
-_BAD_NUMBERS = [True, False, None, "0.5", [0.5], {"x": 0.5}, 10**400]
-_BAD_UNIT = [1.0, 1, -2**-1074, -0.5, 7.0, math.nan, math.inf, -math.inf] + _BAD_NUMBERS
+_BAD_UNIT = [1.0, 1, -2**-1074, -0.5, 7.0, math.nan, math.inf, -math.inf]
 
 
 class TestBatches:
@@ -182,56 +254,92 @@ class TestBatches:
            hst.sampled_from([CANONICAL_LEFT, B60, Setting(-1.0, 0.0)]),
            hst.sampled_from([RAD3, GaugeKey(mode="rademacher-times-rarb", j=5, rarb_seed=11)]))
     def test_good_batch_reports_equal_measure_pairs(self, batch, side, setting, key):
-        msg, last_n = batch
+        n, lam, t, last_n = batch
+        msg = _emit_batch(n, lam, t)
         assert st.validate_message(msg, st.STATION_RECEIVABLE_SCHEMAS) == "emit_batch"
-        report = st._report_batch(msg, last_n, side, setting, key)
+        report, n_out, outcome = st._report_batch(msg, last_n, side, setting, key)
         assert st.validate_message(report, st.COLLATOR_RECEIVABLE_SCHEMAS) == "report_batch"
-        events = PairStream(n=np.array(msg["n"]), lam=np.array(msg["lambda"], dtype=float),
-                            t=np.array(msg["t"], dtype=float))
-        left, right = measure_pairs(setting, events, key)
+        left, right = measure_pairs(setting, PairStream(n=np.array(n), lam=np.array(lam, dtype=float),
+                                                        t=np.array(t, dtype=float)), key)
+        expected = (left if side == "L" else right).tolist()
         assert report["n"] == msg["n"] and report["station"] == side
-        assert report["outcome"] == (left if side == "L" else right).tolist()
+        assert report["outcome"] == _packed({"outcome": expected})["outcome"]
         assert report["setting"] == [setting.b2, setting.b3]
+        assert n_out.tolist() == n and outcome.tolist() == expected
+        # The collator reads back what the station sent, and the float columns went bit for bit.
+        assert [c.tolist() for c in st._report_columns(report)[:2]] == [n, expected]
+        assert np.array_equal(st._columns("emit_batch", msg, {"lambda": "<f8"})[0].view(np.uint64),
+                              np.array(lam, dtype=float).view(np.uint64))
 
     @settings(max_examples=300, deadline=None)
     @given(_good_batches(), hst.sampled_from(["n", "lambda", "t"]), hst.data())
     def test_one_bad_element_rejects_the_batch_at_its_position(self, batch, column, data):
-        msg, last_n = batch
-        i = data.draw(hst.integers(0, len(msg["n"]) - 1), label="position")
+        n, lam, t, last_n = batch
+        columns = {"n": n, "lambda": lam, "t": t}
+        i = data.draw(hst.integers(0, len(n) - 1), label="position")
         if column == "n":
-            prev = msg["n"][i - 1] if i else last_n
-            bad = data.draw(hst.sampled_from([prev, prev - 1, 0, -5, float(msg["n"][i]), str(msg["n"][i]),
-                                              2**63, -2**63 - 1] + _BAD_NUMBERS), label="bad")
+            prev = n[i - 1] if i else last_n
+            bad = data.draw(hst.sampled_from([prev, prev - 1, 0, -5]), label="bad")
         else:
             bad = data.draw(hst.sampled_from(_BAD_UNIT), label="bad")
-        msg[column] = msg[column][:i] + [bad] + msg[column][i + 1:]
+        columns[column] = columns[column][:i] + [bad] + columns[column][i + 1:]
         with pytest.raises(st.SchemaError, match=f"^emit_batch rejected at position {i}: "):
-            st._report_batch(msg, last_n, "L", CANONICAL_LEFT, RAD3)
+            st._report_batch(_emit_batch(*columns.values()), last_n, "L", CANONICAL_LEFT, RAD3)
+
+    @pytest.mark.parametrize("lam,text", [
+        (math.nan, "lambda nan is not"), (math.inf, "lambda inf is not"), (-math.inf, "lambda -inf is not"),
+        (-2**-1074, "lambda -5e-324 is not"), (1.0, "lambda 1.0 is not"),
+    ])
+    def test_out_of_range_lambda_text_names_its_position(self, lam, text):
+        with pytest.raises(st.SchemaError, match=rf"^emit_batch rejected at position 1: {text} in \[0, 1\)$"):
+            st._report_batch(_emit_batch([1, 2, 3], lam=[0.5, lam, 0.5]), 0, "L", CANONICAL_LEFT, RAD3)
 
     def test_non_increasing_text_names_both_indices(self):
         with pytest.raises(st.SchemaError, match="position 2: non-increasing pair index 5 after 6$"):
             st._report_batch(_emit_batch([3, 6, 5]), 2, "L", CANONICAL_LEFT, RAD3)
         with pytest.raises(st.SchemaError, match="position 0: non-increasing pair index 2 after 2$"):
             st._report_batch(_emit_batch([2, 3]), 2, "L", CANONICAL_LEFT, RAD3)
+        with pytest.raises(st.SchemaError, match="position 0: non-increasing pair index 0 after 0$"):
+            st._report_batch(_emit_batch([0, 1]), 0, "L", CANONICAL_LEFT, RAD3)
 
     @pytest.mark.parametrize("columns", [
         {"n": [], "lambda": [], "t": []}, {"n": [1, 2]}, {"lambda": [0.5, 0.5]}, {"t": []},
     ], ids=repr)
     def test_unequal_or_empty_columns_are_refused(self, columns):
-        msg = dict(_emit_batch([1]), **columns)
+        msg = dict(_emit_batch([1]), **_packed(columns))
         with pytest.raises(st.SchemaError, match="emit_batch rejected: columns"):
             st._report_batch(msg, 0, "L", CANONICAL_LEFT, RAD3)
 
+    @pytest.mark.parametrize("column,text,match", [
+        ("n", "AQAAAAAAAA", "column n is not base64"),  # unpadded
+        ("n", "AQAA AAAAAAA=", "column n is not base64"),  # whitespace
+        ("lambda", "AAAAAAAA4D8*", "column lambda is not base64"),
+        ("t", "\u00e9" * 12, "column t is not base64"),  # not ASCII
+        ("n", _b64(bytes(7)), "column n holds 7 bytes, not whole <i8 items"),
+        ("lambda", _b64(bytes(12)), "column lambda holds 12 bytes, not whole <f8 items"),
+        ("t", "", r"columns \['n', 'lambda', 't'\] of lengths \[1, 1, 0\]"),
+    ], ids=["unpadded", "whitespace", "bad-character", "not-ascii", "ragged-n", "ragged-lambda", "empty-t"])
+    def test_column_that_is_not_whole_fixed_width_items_is_refused(self, column, text, match):
+        msg = dict(_emit_batch([1]), **{column: text})
+        assert st.validate_message(msg, st.STATION_RECEIVABLE_SCHEMAS) == "emit_batch"
+        with pytest.raises(st.SchemaError, match=f"^emit_batch rejected: {match}$"):
+            st._report_batch(msg, 0, "L", CANONICAL_LEFT, RAD3)
+
     def test_longest_full_batches_fit_under_the_frame_cap(self):
+        # A column's size depends only on its length: a full batch has one
+        # frame size whatever its values, and the report's setting and clock
+        # below are the longest a report can carry.
         top, size = 2**63 - 1, st.BATCH_PAIRS
         n = list(range(top - size + 1, top + 1))
-        longest = 2.2250738585072014e-308  # 17 digits and a three-digit exponent: the longest repr in [0, 1)
-        emit = _emit_batch(n, [longest] * size, [0.9999999999999999] * size)
-        report = st._report_batch(emit, top - size, "R", Setting(-0.7071067811865476, -0.7071067811865475), RAD3)
-        report.update(clock_ns=top, outcome=[-1] * size)
+        emit = _emit_batch(n, [2.2250738585072014e-308] * size, [0.9999999999999999] * size)
+        report, _, _ = st._report_batch(emit, top - size, "R", Setting(-0.7071067811865476, -0.7071067811865475),
+                                        RAD3)
+        report.update(clock_ns=top)
+        # 43,692 base64 characters per 8-byte column and 5,464 for outcome, plus the other fields.
+        expected = {"emit_batch": 131_129, "report_batch": 49_302}
         for frame, schemas in ((emit, st.STATION_RECEIVABLE_SCHEMAS), (report, st.COLLATOR_RECEIVABLE_SCHEMAS)):
             raw = json.dumps(frame, sort_keys=True, separators=(",", ":")).encode()
-            assert len(raw) < st.MAX_FRAME_BYTES
+            assert len(raw) == expected[frame["type"]] < st.MAX_FRAME_BYTES
             a, b = socket.socketpair()
             b.settimeout(10)
             sender = threading.Thread(target=st.send_frame, args=(a, frame))
@@ -242,12 +350,45 @@ class TestBatches:
             a.close(), b.close()
             assert got == frame and st.validate_message(got, schemas) == frame["type"]
 
+    @settings(max_examples=200, deadline=None)
+    @given(hst.sampled_from(["emit_batch", "report_batch"]), hst.integers(1, 6), hst.data())
+    def test_any_frame_past_the_grammar_raises_only_schema_errors(self, kind, size, data):
+        # Fields with the right names and arbitrary values: mostly a column of
+        # ``size`` items of arbitrary bytes, else base64 of any length, other
+        # text, or any JSON value at all.
+        fields = {"emit_batch": ("n", "lambda", "t"), "report_batch": ("station", "setting", "n", "outcome",
+                                                                       "clock_ns")}[kind]
+
+        def value(name):
+            width = size * (1 if name == "outcome" else 8)
+            return (hst.binary(min_size=width, max_size=width).map(_b64) | hst.binary(max_size=20).map(_b64)
+                    | hst.text(max_size=8) | hst.integers() | _json_values)
+
+        msg = {"v": data.draw(hst.just(V) | _json_values, label="v"),
+               "type": data.draw(hst.just(kind) | _json_values, label="type"),
+               **{name: data.draw(value(name), label=name) for name in fields}}
+        schemas = st.STATION_RECEIVABLE_SCHEMAS if kind == "emit_batch" else st.COLLATOR_RECEIVABLE_SCHEMAS
+        with contextlib.suppress(st.SchemaError):
+            if st.validate_message(msg, schemas) == "emit_batch":
+                st._report_batch(msg, data.draw(hst.integers(0, 2**63 - 1), label="last_n"), "L", B60, RAD3)
+            else:
+                st._report_columns(msg)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_json_values)
+    def test_any_json_value_raises_only_schema_errors(self, msg):
+        for schemas in (st.STATION_RECEIVABLE_SCHEMAS, st.COLLATOR_RECEIVABLE_SCHEMAS, st.SOURCE_RECEIVABLE_SCHEMAS):
+            with contextlib.suppress(st.SchemaError):
+                st.validate_message(msg, schemas)
+
 
 class TestKeyFiles:
     def test_round_trip_and_digest(self, tmp_path):
         path = tmp_path / "key.json"
         for key in (GaugeKey(mode=MODE_RADEMACHER, j=4), GaugeKey(mode=MODE_CONSTANT),
-                    GaugeKey(mode=MODE_RADEMACHER_RARB, j=52, rarb_seed=2**63 - 1)):
+                    GaugeKey(mode=MODE_RADEMACHER_RARB, j=52, rarb_seed=2**63 - 1),
+                    GaugeKey(mode=MODE_RADEMACHER_RARB, j=1, rarb_seed=0),
+                    GaugeKey(mode=MODE_RADEMACHER_RARB, j=1, rarb_seed=2**64 - 1)):
             st.write_key_file(path, key)
             assert st.load_key_file(path) == key
             assert st.load_key_file(path).digest_hex() == key.digest_hex()
@@ -258,6 +399,8 @@ class TestKeyFiles:
         ({"j": "3"}, "j '3' is not an int"),
         ({"mode": MODE_RADEMACHER_RARB, "rarb_seed": "9"}, "rarb_seed '9' is neither an int nor null"),
         ({"mode": MODE_RADEMACHER_RARB, "rarb_seed": False}, "rarb_seed False is neither an int nor null"),
+        ({"mode": MODE_RADEMACHER_RARB, "rarb_seed": -1}, r"rarb_seed in \[0, 2\*\*64\), got -1"),
+        ({"mode": MODE_RADEMACHER_RARB, "rarb_seed": 2**64}, r"rarb_seed in \[0, 2\*\*64\), got 18446744073709551616"),
         ({"j": ...}, r"got \['mode', 'rarb_seed', 'v'\]"),
         ({"extra": 1}, r"got \['extra', 'j', 'mode', 'rarb_seed', 'v'\]"),
         ({"v": True}, "unsupported gauge key schema version: True"),
@@ -554,6 +697,7 @@ class TestStationRejection:
             st.send_frame(conn, _emit_batch([1, 2]))
             st.send_frame(conn, dict(_emit_batch([3]), other_setting=[0.0, 1.0]))  # schema violation
             st.send_frame(conn, _emit_batch([3, 4], lam=[0.5, 1.5]))  # bad range: the whole batch goes
+            st.send_frame(conn, {"v": 2, "type": "emit_batch", "n": [3], "lambda": [0.5], "t": [0.25]})
             st.send_frame(conn, _emit_batch([3]))
             st.send_frame(conn, {"v": V, "type": "end", "count": 4})
             conn.close()
@@ -579,9 +723,10 @@ class TestStationRejection:
         for t in threads:
             t.join(timeout=15)
         assert [r.n for r in log.reports] == [1, 2, 3]
-        assert [m["n"] for m in sunk if m["type"] == "report_batch"] == [[1, 2], [3]]
-        assert len(log.rejected) == 2
-        assert log.rejected[1] == "emit_batch rejected at position 1: lambda 1.5 is not in [0, 1)"
+        assert [m["n"] for m in sunk if m["type"] == "report_batch"] == [_emit_batch(n)["n"] for n in ([1, 2], [3])]
+        assert len(log.rejected) == 3
+        assert log.rejected[1:] == ["emit_batch rejected at position 1: lambda 1.5 is not in [0, 1)",
+                                    "unsupported wire version 2"]
 
     def test_non_increasing_pair_indices_are_rejected_and_logged(self, tmp_path):
         key_path = tmp_path / "key.json"
@@ -615,7 +760,7 @@ class TestStationRejection:
             t.join(timeout=15)
             assert not t.is_alive()
         assert [r.n for r in log.reports] == [1, 2, 3]
-        assert [m["n"] for m in sunk if m["type"] == "report_batch"] == [[1, 2], [3]]
+        assert [m["n"] for m in sunk if m["type"] == "report_batch"] == [_emit_batch(n)["n"] for n in ([1, 2], [3])]
         assert sunk[-1] == {"v": V, "type": "end", "station": "L", "count": 3}
         assert log.rejected == ["emit_batch rejected at position 0: non-increasing pair index 2 after 2",
                                 "emit_batch rejected at position 1: non-increasing pair index 3 after 4"]
@@ -728,15 +873,19 @@ class TestSourceEdgeCases:
         sock = st.make_server_socket()
         port = sock.getsockname()[1]
         seen_r = []
+        # L has hung up before R connects, so the source cannot send every
+        # batch before it sees L gone, however fast it encodes.
         threads = [
             threading.Thread(target=self._fake_station, args=(port, "L", []), kwargs={"close_early": True}),
             threading.Thread(target=self._fake_station, args=(port, "R", seen_r)),
         ]
-        for t in threads:
-            t.start()
+        threads[0].start()
+        threads[0].join(timeout=30)
+        threads[1].start()
         log = st.source_run(seed=1, count=50_000, sock=sock, timeout=30)
         for t in threads:
             t.join(timeout=30)
+            assert not t.is_alive()
         assert log.status == "partial"
         # Whole batches only, and none after the one L refused (it may be the first).
         assert len(log.emissions) < 50_000 and len(log.emissions) % st.BATCH_PAIRS == 0
@@ -882,9 +1031,9 @@ class TestInjectFault:
 
 
 def _report_frame(station, indices, **fields):
-    """A report_batch frame of +1 outcomes at the [1, 0] setting; ``fields`` replace any of its fields."""
-    return dict({"v": V, "type": "report_batch", "station": station, "setting": [1.0, 0.0], "n": list(indices),
-                 "outcome": [1] * len(indices), "clock_ns": 7}, **fields)
+    """A packed report_batch frame of +1 outcomes at the [1, 0] setting; ``fields`` replace any of its fields."""
+    return _packed(dict({"v": V, "type": "report_batch", "station": station, "setting": [1.0, 0.0],
+                         "n": list(indices), "outcome": [1] * len(indices), "clock_ns": 7}, **fields))
 
 
 def _digest_frame(station, digest=RAD3.digest_hex()):
@@ -964,17 +1113,45 @@ class TestCollatorChecks(_FakeStations):
 
     @pytest.mark.parametrize("fields,error,match", [
         ({"outcome": [1, 0, 1]}, st.SchemaError, "report_batch rejected at position 1: pair index 2 with outcome 0"),
-        ({"outcome": [1, 1, True]}, st.SchemaError, "report_batch rejected at position 2: outcome True is not a"),
-        ({"n": [1, 2.0, 3]}, st.SchemaError, "report_batch rejected at position 1: n 2.0 is not a 64-bit"),
-        ({"n": [1, 2, 2**63]}, st.SchemaError, "report_batch rejected at position 2: n 9223372036854775808"),
+        ({"outcome": [1, -128, 1]}, st.SchemaError, "report_batch rejected at position 1: .* with outcome -128"),
         ({"n": [0, 2, 3]}, st.SchemaError, "report_batch rejected at position 0: pair index 0"),
+        ({"n": [1, 2, -3]}, st.SchemaError, "report_batch rejected at position 2: pair index -3"),
         ({"outcome": [1, 1]}, st.SchemaError, "report_batch rejected: columns"),
+        ({"n": [], "outcome": []}, st.SchemaError, r"report_batch rejected: columns \['n', 'outcome'\] of lengths"),
+        ({"outcome": 7}, st.SchemaError, "field 'outcome' of 'report_batch' is not a str"),
+        ({"n": "AQ==!"}, st.SchemaError, "report_batch rejected: column n is not base64"),
+        ({"n": _b64(bytes(20))}, st.SchemaError, "report_batch rejected: column n holds 20 bytes, not whole <i8"),
+        ({"clock_ns": 2**63}, st.SchemaError, "field 'clock_ns' of 'report_batch' is not a 64-bit int"),
         ({"setting": [1.0, 0.0, 0.0]}, st.SchemaError, "is not two numbers"),
-        ({"setting": [1.0, "0"]}, st.SchemaError, "report_batch rejected at position 1: setting '0'"),
+        ({"setting": [1.0, "0"]}, st.SchemaError, r"station L report_batch setting \[1.0, '0'\] is refused: it is not"),
+        ({"setting": [True, 0.0]}, st.SchemaError, r"station L report_batch setting \[True, 0.0\] is refused: it is"),
+        ({"setting": [0, 0]}, st.SchemaError, r"station L report_batch setting \[0, 0\] is refused: zero vector"),
+        ({"setting": [10**400, 1.0]}, st.SchemaError, "station L report_batch setting .* is refused: int too large"),
     ], ids=repr)
     def test_bad_report_batch_is_refused(self, fields, error, match):
         with pytest.raises(error, match=match):
             self._serve({"L": self._send(3, batch=3, **fields), "R": self._send(3)}, timeout=10)
+
+    @pytest.mark.parametrize("setting,error,match", [
+        ("[1e400, 1.0]", st.SchemaError, r"^station L report_batch setting \[inf, 1.0\] is refused: setting comp"),
+        ("[NaN, 1.0]", st.ProtocolError, "^undecodable frame: .*'NaN'"),
+        ("[1.0, -Infinity]", st.ProtocolError, "^undecodable frame: .*'-Infinity'"),
+    ])
+    def test_first_setting_the_collator_cannot_take_is_named(self, setting, error, match):
+        def send(conn, station):
+            body = json.dumps(_report_frame(station, [1], setting="SETTING")).replace('"SETTING"', setting)
+            conn.sendall(struct.pack("!I", len(body)) + body.encode())
+
+        with pytest.raises(error, match=match):
+            self._serve({"L": send, "R": self._send(1)}, timeout=10)
+
+    def test_v2_report_batch_is_refused_by_its_version(self):
+        def send(conn, station):
+            st.send_frame(conn, {"v": 2, "type": "report_batch", "station": station, "setting": [1.0, 0.0],
+                                 "n": [1], "outcome": [1], "clock_ns": 7})
+
+        with pytest.raises(st.SchemaError, match="^unsupported wire version 2$"):
+            self._serve({"L": self._send(1), "R": send}, timeout=10)
 
     @pytest.mark.parametrize("first,left,error,match", [
         ({"R": _digest_frame("L")}, {}, st.SchemaError, "duplicate station 'L'"),
