@@ -5,6 +5,10 @@ isolated in the JSONL header line (CSV outputs carry none at all), so
 identical inputs give byte-identical data lines. Floats are written via
 their shortest round-trip decimal form, which re-parses to the same
 64-bit value.
+
+Dataset and report-log data lines are loaded in chunks: one that the
+writer's template re-renders byte for byte from the int columns parsed
+out of it is taken from them, any other takes the JSON path line by line.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 from array import array
 from operator import itemgetter
 from pathlib import Path
@@ -129,6 +134,7 @@ def write_run_dataset(ds: RunDataset, path) -> None:
 # The record reader behind the dataset, report-log and emission-log loaders
 
 _decode = json.JSONDecoder().raw_decode
+_CHUNK_BYTES = 1 << 20  # about how much text of data lines a chunk parser takes at once
 
 
 # Numeric fields as the reader takes them: (name, validity of a column, refusal).
@@ -149,7 +155,7 @@ def _same_setting(raw, want: Setting) -> bool:
 
 def _read_records(path, kind: str, version: int, keys: frozenset, ints: tuple, floats: tuple = (),
                   slot: tuple = (), slots_of=lambda header: {(): None}, foreign: str = "",
-                  trailer: frozenset = frozenset()):
+                  trailer: frozenset = frozenset(), chunks_of=None):
     """Read a header line and record lines into typed columns, refusing what the writer never writes.
 
     ``ints`` and ``floats`` hold (name, validity of a column or None,
@@ -166,6 +172,10 @@ def _read_records(path, kind: str, version: int, keys: frozenset, ints: tuple, f
     keys. Returns (header, slot number of each record, int columns,
     float columns, trailer or None); raises ValueError naming the first
     bad line.
+
+    ``chunks_of(header)`` (no floats or trailer) parses a chunk of data
+    lines into slot and int columns, or gives None unless the writer
+    re-renders the chunk from them byte for byte.
     """
     get_slot, get_ints, get_floats = (itemgetter(*names) if names else lambda rec: ()
                                       for names in (slot, [f[0] for f in ints], [f[0] for f in floats]))
@@ -173,15 +183,29 @@ def _read_records(path, kind: str, version: int, keys: frozenset, ints: tuple, f
     last = problem = None
     with Path(path).open("r", encoding="utf-8") as fh:
         try:
-            header = _decode(fh.readline())[0]
+            header, end = _decode(line := fh.readline())
         except json.JSONDecodeError:
             header = None
         if not isinstance(header, dict) or header.get("kind") != kind or header.get("v") != version:
             raise ValueError(f"not a v{version} {kind} file: {path}")
+        if line[end:] not in ("\n", ""):
+            _refuse(kind, path, -1, f"text after the object: {line[end:]!r}")
         try:  # slot key -> [slot number, the header's setting, the last setting seen that matched it]
             slots = {key: [i, want, object()] for i, (key, want) in enumerate(slots_of(header).items())}
+            if odd := [key for key in slots if any(type(field) is not str for field in key)]:
+                raise TypeError(f"slot {odd[0]!r} is not all strings")
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{kind} {path} line 1: header without valid slots: {exc!r}") from None
+        parse = chunks_of(header) if chunks_of else None
+
+        def pieces():  # the data lines, less those of each chunk that ``parse`` takes into the columns
+            while parse is not None and (chunk := fh.readlines(_CHUNK_BYTES)):
+                if (cols := parse(chunk)) is None:
+                    yield from chunk
+                    continue
+                slot_col.frombytes(cols[0].tobytes())
+                int_col.frombytes(cols[1].tobytes())
+            yield from fh
 
         def problem_of(rec) -> str | None:
             """Why a decoded line is not a record (None if it is one)."""
@@ -201,7 +225,7 @@ def _read_records(path, kind: str, version: int, keys: frozenset, ints: tuple, f
                 pass
             return f"{foreign}: {get_slot(rec)!r} with setting {rec.get('setting')!r}"
 
-        for line in fh:
+        for line in pieces():
             try:
                 rec, end = _decode(line)
             except json.JSONDecodeError as exc:
@@ -246,6 +270,28 @@ def _read_records(path, kind: str, version: int, keys: frozenset, ints: tuple, f
     return header, np.frombuffer(slot_col, dtype=np.int64), *cols, last
 
 
+def _dataset_chunks(header):
+    """The chunk parser of a dataset with the header's pairs (see ``_read_records``)."""
+    heads, tails = zip(*(_line_template(f"pair{gid}", station, Setting(*setting))
+                         for gid, pair in enumerate(header["pairs"]) for station, setting in zip("LR", pair)))
+    # Each varying field of a line: its single-group pattern and the int of its text.
+    fields = [(re.compile(p), int) for p in ('"group":"pair([0-9]+)"', '"n":(-?[0-9]+)', '"outcome":(-?[0-9]+)')]
+    fields.append((re.compile('"station":"([LR])"'), "LR".index))
+
+    def parse(lines):
+        text = "".join(lines)
+        try:  # an unknown group, an n beyond int64 or ragged columns refuse the chunk
+            gid, n, outcome, side = (np.fromiter(map(f, p.findall(text)), np.int64) for p, f in fields)
+            slot = 2 * gid + side
+            rendered = [f'{heads[s]}{a},"outcome":{o}{tails[s]}\n'
+                        for s, a, o in zip(slot.tolist(), n.tolist(), outcome.tolist())]
+        except (IndexError, OverflowError, ValueError):
+            return None
+        return (slot, np.column_stack((np.full_like(n, SCHEMA_VERSION), n, outcome))) if rendered == lines else None
+
+    return parse
+
+
 def load_run_dataset(path) -> RunDataset:
     """Rebuild a dataset from its JSONL form.
 
@@ -255,7 +301,10 @@ def load_run_dataset(path) -> RunDataset:
     refuses, among it a record of another schema version, of an unknown
     group or station, or with a setting other than its group's in the
     header, a pair index that is not an integer >= 1 and an outcome other
-    than -1/+1; and for a pair without exactly one L and one R record.
+    than -1/+1; for a header ``seed`` or ``pairs_per_setting`` that is
+    not an integer >= 0 or >= 1, other spec fields ``ExperimentSpec``
+    refuses or a ``meta`` that is not an object; and for a pair without
+    exactly one L and one R record.
     """
     header, slot, ints, _, _ = _read_records(
         path, DATASET_KIND, SCHEMA_VERSION, frozenset({"v", "group", "n", "outcome", "setting", "station"}),
@@ -265,7 +314,22 @@ def load_run_dataset(path) -> RunDataset:
         slots_of=lambda header: {(f"pair{gid}", station): Setting(*setting)
                                  for gid, pair in enumerate(header["pairs"])
                                  for station, setting in zip("LR", pair)},
-        foreign="unknown group or station, or a setting other than the header's")
+        foreign="unknown group or station, or a setting other than the header's", chunks_of=_dataset_chunks)
+    spec, meta = None, header.get("meta", {})
+    if type(meta) is not dict:
+        _refuse(DATASET_KIND, path, -1, f"header meta {meta!r} is not an object")
+    if header.get("seed") is not None:
+        for name, least in (("seed", 0), ("pairs_per_setting", 1)):
+            if type(header.get(name)) is not int or header[name] < least:
+                _refuse(DATASET_KIND, path, -1, f"header {name} {header.get(name)!r} is not an integer >= {least}")
+        try:
+            spec = ExperimentSpec(
+                setting_pairs=tuple((Setting(*l), Setting(*r)) for l, r in header["spec_pairs"]),
+                pairs_per_setting=header["pairs_per_setting"], seed=header["seed"],
+                key=GaugeKey.from_json(header["gauge"]), switching=header["switching"])
+        except (KeyError, TypeError, ValueError) as exc:
+            _refuse(DATASET_KIND, path, -1, f"header spec is refused: {exc!r}")
+
     pairs = tuple((Setting(*l), Setting(*r)) for l, r in header["pairs"])
     labels = [f"pair{i}" for i in range(len(pairs))]
     gids, sides = slot >> 1, slot & 1
@@ -283,18 +347,6 @@ def load_run_dataset(path) -> RunDataset:
             f"pair {int(ns[at])} in group {labels[gids[at]]} (line {at + 2}) is incomplete or repeated: "
             f"it needs exactly one L and one R record in file {path}"
         )
-
-    spec = None
-    if header.get("seed") is not None:
-        spec_pairs = tuple((Setting(*l), Setting(*r)) for l, r in header["spec_pairs"])
-        spec = ExperimentSpec(
-            setting_pairs=spec_pairs,
-            pairs_per_setting=int(header["pairs_per_setting"]),
-            seed=int(header["seed"]),
-            key=GaugeKey.from_json(header["gauge"]),
-            switching=header["switching"],
-        )
-    meta = dict(header.get("meta", {}))
 
     if header.get("switching") == "random-switched":
         # First-appearance order: a pair sits where the earlier of its records does.

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import base64
 import json
+import re
 import select
 import socket
 import struct
@@ -395,14 +396,17 @@ def load_emission_log(path) -> SourceLog:
                      emissions=PairStream(n=n.copy(), lam=lam.copy(), t=t.copy()), status=status, detail=detail)
 
 
+def _report_tail(station: str, setting: Setting) -> str:
+    """The constant end of a report line: its sorted keys after outcome are setting, station, type and v."""
+    return "," + json.dumps({"setting": [setting.b2, setting.b3], "station": station, "type": "report",
+                             "v": LOG_SCHEMA_VERSION}, sort_keys=True, separators=(",", ":"))[1:]
+
+
 def write_report_log(log: StationLog, path) -> None:
     """Header line, then one line per report: its fields, ``type`` "report" and ``v``.
 
-    A report line's sorted keys are clock_ns, n, outcome, setting,
-    station, type, v: only the first three change from line to line, so
-    the tail is dumped once per (station, setting) object and each line
-    is formatted from the three ints, the same bytes as dumping the
-    line's object.
+    Each line is formatted from its three ints and a tail dumped once per
+    (station, setting) object: the same bytes as dumping the line's object.
     """
     with Path(path).open("w", encoding="utf-8") as fh:
         header = {
@@ -418,12 +422,27 @@ def write_report_log(log: StationLog, path) -> None:
             # Identity, not equality: -0.0 == 0.0 but they dump differently.
             if r.station is not station or r.setting is not setting:
                 station, setting = r.station, r.setting
-                tail = "," + json.dumps(
-                    {"setting": [setting.b2, setting.b3], "station": station, "type": "report",
-                     "v": LOG_SCHEMA_VERSION},
-                    sort_keys=True, separators=(",", ":"),
-                )[1:]
+                tail = _report_tail(station, setting)
             fh.write(f'{{"clock_ns":{r.clock_ns},"n":{r.n},"outcome":{r.outcome}{tail}\n')
+
+
+def _report_chunks(header):
+    """The chunk parser of a report log (see ``formats._read_records``)."""
+    tail = _report_tail(header["station"], Setting(*header["setting"]))
+    fields = [re.compile(f'"{name}":(-?[0-9]+)') for name in ("clock_ns", "n", "outcome")]
+
+    def parse(lines):
+        text = "".join(lines)
+        try:  # an int beyond int64 refuses the chunk
+            clock_ns, n, outcome = (np.fromiter(map(int, p.findall(text)), np.int64) for p in fields)
+        except OverflowError:
+            return None
+        if lines != [f'{{"clock_ns":{c},"n":{a},"outcome":{o}{tail}\n'
+                     for c, a, o in zip(clock_ns.tolist(), n.tolist(), outcome.tolist())]:
+            return None
+        return np.zeros_like(n), np.column_stack((np.full_like(n, LOG_SCHEMA_VERSION), n, outcome, clock_ns))
+
+    return parse
 
 
 def load_report_log(path) -> ReportBatch:
@@ -433,7 +452,8 @@ def load_report_log(path) -> ReportBatch:
     report whose ``v``/``type`` is not 1/"report", whose ``n`` is not an
     integer >= 1, whose outcome is not -1/+1 or whose ``clock_ns`` is not
     an integer, and a report from another station or setting than the
-    header's; and for a log that holds no reports.
+    header's (whose station must be a string); and for a log that holds
+    no reports.
     """
     header, _, ints, _, _ = _read_records(
         path, "report-log", LOG_SCHEMA_VERSION,
@@ -441,7 +461,7 @@ def load_report_log(path) -> ReportBatch:
         ints=(_LOG_VERSION, _PAIR_INDEX, _OUTCOME, ("clock_ns", None, "clock_ns {!r} is not an integer")),
         slot=("station", "type"),
         slots_of=lambda header: {(header["station"], "report"): Setting(*header["setting"])},
-        foreign="a report batch must come from one station session")
+        foreign="a report batch must come from one station session", chunks_of=_report_chunks)
     if not len(ints):
         raise ValueError(f"report log {path} holds no reports")
     _, n, outcome, clock_ns = ints.T

@@ -1,14 +1,17 @@
 """File schemas: dataset JSONL round trips, CSV layouts, byte reproducibility."""
 
+import contextlib
 import csv
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eqrc import formats, stations
 from eqrc.experiments import (
     BELL_PAIRS,
     ExperimentSpec,
@@ -209,6 +212,39 @@ class TestLoaderRefusals:
         with pytest.raises(ValueError, match=r"line 4: text after the object"):
             load_run_dataset(path)
 
+    def test_text_after_the_header_object_is_refused(self, tmp_path):
+        lines = run_dataset_text(run_experiment(_spec(n=3))).splitlines()
+        lines[0] += ' trailing garbage {"x":1}'
+        path = tmp_path / "garbage.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"line 1: text after the object: ' trailing garbage"):
+            load_run_dataset(path)
+
+    @pytest.mark.parametrize("fields,match", [  # a field set to KeyError is left out of the header
+        ({"seed": 1.7}, "header seed 1.7 is not an integer >= 0"),
+        ({"seed": "1"}, "header seed '1' is not an integer >= 0"),
+        ({"seed": True}, "header seed True is not an integer >= 0"),
+        ({"seed": -1}, "header seed -1 is not an integer >= 0"),
+        ({"pairs_per_setting": 5.9}, "header pairs_per_setting 5.9 is not an integer >= 1"),
+        ({"pairs_per_setting": 0}, "header pairs_per_setting 0 is not an integer >= 1"),
+        ({"pairs_per_setting": None}, "header pairs_per_setting None is not an integer >= 1"),
+        ({"spec_pairs": KeyError}, "header spec is refused: KeyError\\('spec_pairs'\\)"),
+        ({"gauge": KeyError}, "header spec is refused: KeyError\\('gauge'\\)"),
+        ({"spec_pairs": [[[0, 0], [1, 0]]]}, "header spec is refused: ValueError\\('zero vector"),
+        ({"gauge": [1]}, "header spec is refused: ValueError\\('a gauge key has the keys"),
+        ({"switching": "bogus"}, "header spec is refused: ValueError\\(\"unknown switching mode 'bogus'\"\\)"),
+        ({"meta": [["created", "x"]]}, r"header meta \[\['created', 'x'\]\] is not an object"),
+    ], ids=repr)
+    def test_header_field_the_writer_never_writes_is_refused(self, tmp_path, fields, match):
+        lines = run_dataset_text(run_experiment(_spec(n=3))).splitlines()
+        header = json.loads(lines[0])
+        header.update({k: v for k, v in fields.items() if v is not KeyError})
+        lines[0] = json.dumps({k: v for k, v in header.items() if fields.get(k) is not KeyError})
+        path = tmp_path / "header.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"run-dataset {path} line 1: {match}"):
+            load_run_dataset(path)
+
 
 # Settings from random angles plus components whose JSON form is easy to get
 # wrong: negative zero, the smallest subnormal next to 1.0, a pure -1.
@@ -264,6 +300,134 @@ class TestRecordTemplate:
     def test_template_lines_equal_dumping_each_record(self, case):
         ds, ref = case
         assert list(dataset_record_lines(ds)) == _reference_lines(ref)
+
+
+def _report_log_file(path, count, seed=0):
+    """Write station R's log of ``count`` reports with rising pair indices, random outcomes and clocks."""
+    rng, setting = np.random.default_rng(seed), BELL_SETTINGS[1]
+    ns = np.cumsum(rng.integers(1, 3, count)).tolist()
+    log = stations.StationLog(station="R", setting=setting, key_digest="ab", reports=[
+        stations.StationReport(n=n, station="R", setting=setting, outcome=int(o), clock_ns=int(c))
+        for n, o, c in zip(ns, rng.choice([-1, 1], count), rng.integers(0, 2**63, count))])
+    stations.write_report_log(log, path)
+
+
+def _loaded(path):
+    """What a load gives: its columns as lists, or its refusal's text."""
+    try:
+        if json.loads(path.read_text().split("\n", 1)[0])["kind"] == "report-log":
+            b = stations.load_report_log(path)
+            return b.station, b.setting, b.n.tolist(), b.outcome.tolist(), b.clock_ns.tolist(), b.outcome.dtype
+        ds = load_run_dataset(path)
+        inter = ds.interleaved
+        return (ds.canonical_pairs, ds.spec, ds.meta,
+                [(g.label, g.left_setting, g.right_setting, g.pair_index.tolist(), g.left.tolist(),
+                  g.right.tolist(), g.left.dtype) for g in ds.groups],
+                inter and [a.tolist() for a in (inter.group_ids, inter.pair_index, inter.left, inter.right)])
+    except ValueError as exc:
+        return str(exc)
+
+
+def _base_file(path, kind: str, seed=0) -> str:
+    """A small dataset ("fixed" or "random-switched") or report log as its writer writes it; returns its text."""
+    if kind == "report":
+        _report_log_file(path, 24, seed=seed)
+    else:
+        write_run_dataset(run_experiment(_spec(n=4, seed=seed, switching=kind)), path)
+    return path.read_text()
+
+
+def _int_fields(kind: str) -> list[str]:
+    return ["clock_ns", "n", "outcome"] if kind == "report" else ["n", "outcome"]
+
+
+# Renderings of a record's integer that the writer never writes, from its canonical text.
+_INT_TEXT = {"-0": lambda v: "-0", "leading zero": lambda v: "0" + v, "true": lambda v: "true",
+             "1.0": lambda v: v + ".0", "20 digits": lambda v: "12345678901234567890"}
+_EDITS = ["whitespace", "key order", "foreign setting", "extra key", "repeat", "no final newline", *_INT_TEXT]
+
+
+def _with_int_text(line: str, field: str, edit: str) -> str:
+    value = re.search(f'"{field}":(-?[0-9]+)', line)
+    return line if value is None else line[:value.start(1)] + _INT_TEXT[edit](value[1]) + line[value.end(1):]
+
+
+def _no_chunks(header):
+    return lambda lines: None
+
+
+def _assert_chunked_load_is_the_json_load(path, chunk_bytes: int) -> None:
+    """Chunks of ``chunk_bytes`` and the JSON path alone give the same columns or the same refusal."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(formats, "_CHUNK_BYTES", chunk_bytes)
+        chunked = _loaded(path)
+        mp.setattr(formats, "_dataset_chunks", _no_chunks)
+        mp.setattr(stations, "_report_chunks", _no_chunks)
+        assert chunked == _loaded(path)
+
+
+class TestChunkedLoads:
+    """A chunk of data lines the writer re-renders skips json; any other takes the JSON path."""
+
+    def test_chunk_parsers_take_every_line_the_writers_write(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(formats, "_CHUNK_BYTES", 2000)
+        paths = {name: tmp_path / f"{name}.jsonl" for name in ("fixed", "switched", "report")}
+        write_run_dataset(run_experiment(_spec(n=100)), paths["fixed"])
+        write_run_dataset(run_experiment(_spec(n=100, switching="random-switched")), paths["switched"])
+        _report_log_file(paths["report"], 200)
+        expected = {name: _loaded(path) for name, path in paths.items()}
+        decoded = []
+        decode = formats._decode
+        monkeypatch.setattr(formats, "_decode", lambda line: decoded.append(line) or decode(line))
+        for name, path in paths.items():
+            assert path.stat().st_size > 5 * formats._CHUNK_BYTES
+            decoded.clear()
+            assert _loaded(path) == expected[name]
+            assert decoded == [path.read_text().split("\n", 1)[0] + "\n"], name  # the header line only
+        monkeypatch.setattr(formats, "_dataset_chunks", _no_chunks)
+        monkeypatch.setattr(stations, "_report_chunks", _no_chunks)
+        for name, path in paths.items():
+            assert _loaded(path) == expected[name]  # the JSON path agrees
+
+    @pytest.mark.parametrize("kind", ["fixed", "random-switched", "report"])
+    @pytest.mark.parametrize("edit", list(_INT_TEXT))
+    def test_integer_text_the_writer_never_writes_takes_the_json_path(self, tmp_path, kind, edit):
+        path = tmp_path / "file.jsonl"
+        text = _base_file(path, kind)
+        for field in _int_fields(kind):
+            lines = text.splitlines(keepends=True)
+            lines[5] = _with_int_text(lines[5], field, edit)
+            path.write_text("".join(lines))
+            _assert_chunked_load_is_the_json_load(path, 300)
+
+    @settings(max_examples=250, deadline=None)
+    @given(st.data())
+    def test_chunked_and_json_loads_agree_on_edited_files(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("mixed") / "file.jsonl"
+        kind = data.draw(st.sampled_from(["fixed", "random-switched", "report"]))
+        lines = _base_file(path, kind, seed=data.draw(st.integers(0, 3))).splitlines(keepends=True)
+        for _ in range(data.draw(st.integers(0, 3))):
+            at = data.draw(st.integers(1, len(lines) - 1))
+            line, edit = lines[at], data.draw(st.sampled_from(_EDITS))
+            if edit == "whitespace":
+                pos = data.draw(st.integers(0, len(line) - 1))
+                line = line[:pos] + data.draw(st.sampled_from([" ", "\t", "\r"])) + line[pos:]
+            elif edit == "key order":
+                with contextlib.suppress(ValueError):  # a line an earlier edit left without a JSON object
+                    line = json.dumps(dict(reversed(json.loads(line).items())), separators=(",", ":")) + "\n"
+            elif edit == "repeat":
+                lines.insert(at, line)
+            elif edit == "no final newline":
+                at, line = len(lines) - 1, lines[-1].rstrip("\n")
+            elif edit == "foreign setting":
+                line = re.sub(r'"setting":\[[^]]*\]', '"setting":[0.0,1.0]', line)
+            elif edit == "extra key":
+                line = line[:-2] + ',"x":1}\n'
+            else:
+                line = _with_int_text(line, data.draw(st.sampled_from(_int_fields(kind))), edit)
+            lines[at] = line
+        path.write_text("".join(lines))
+        _assert_chunked_load_is_the_json_load(path, data.draw(st.sampled_from([200, 300, 500])))
 
 
 class TestCsv:

@@ -497,6 +497,20 @@ class TestReportLogs:
         with pytest.raises(ValueError, match="line 2: a report batch must come from one station session"):
             st.load_report_log(path)
 
+    def test_text_after_the_header_object_is_refused(self, tmp_path):
+        _, path = _report_log(tmp_path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text(lines[0][:-1] + ' trailing garbage {"x":1}\n' + "".join(lines[1:]))
+        with pytest.raises(ValueError, match=r"line 1: text after the object: ' trailing garbage"):
+            st.load_report_log(path)
+
+    @pytest.mark.parametrize("station", [1, True, None], ids=repr)
+    def test_header_station_must_be_a_string(self, tmp_path, station):
+        _, path = _report_log(tmp_path)
+        _edit_line(path, 1, station=station)
+        with pytest.raises(ValueError, match="line 1: header without valid slots: .* is not all strings"):
+            st.load_report_log(path)
+
     def test_setting_within_tolerance_is_the_same_session(self, tmp_path):
         _, path = _report_log(tmp_path)
         _edit_line(path, 4, setting=[1.0, 1e-15])
@@ -567,6 +581,13 @@ class TestEmissionLogs:
             st.load_emission_log(path)
         _edit_line(path, 5, status="partial")  # three of four sent
         assert len(st.load_emission_log(path).emissions) == 3
+
+    def test_text_after_the_header_object_is_refused(self, tmp_path):
+        _, path = _emission_log(tmp_path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text(lines[0][:-1] + ' trailing garbage {"x":1}\n' + "".join(lines[1:]))
+        with pytest.raises(ValueError, match=r"line 1: text after the object: ' trailing garbage"):
+            st.load_emission_log(path)
 
     def test_line_after_the_trailer_is_refused(self, tmp_path):
         _, path = _emission_log(tmp_path)
