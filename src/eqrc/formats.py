@@ -155,7 +155,7 @@ def _same_setting(raw, want: Setting) -> bool:
 
 def _read_records(path, kind: str, version: int, keys: frozenset, ints: tuple, floats: tuple = (),
                   slot: tuple = (), slots_of=lambda header: {(): None}, foreign: str = "",
-                  trailer: frozenset = frozenset(), chunks_of=None):
+                  trailer: frozenset = frozenset(), chunks_of=None, check_header=lambda header: header):
     """Read a header line and record lines into typed columns, refusing what the writer never writes.
 
     ``ints`` and ``floats`` hold (name, validity of a column or None,
@@ -169,7 +169,8 @@ def _read_records(path, kind: str, version: int, keys: frozenset, ints: tuple, f
     numbers go into int64 and float64 columns that are range-checked as
     columns; its setting is checked only when it differs from the last
     one its slot saw. Nothing may follow a line with the ``trailer``
-    keys. Returns (header, slot number of each record, int columns,
+    keys. ``check_header(header)`` runs before any data line is read.
+    Returns (what ``check_header`` gives, slot number of each record, int columns,
     float columns, trailer or None); raises ValueError naming the first
     bad line.
 
@@ -196,6 +197,7 @@ def _read_records(path, kind: str, version: int, keys: frozenset, ints: tuple, f
                 raise TypeError(f"slot {odd[0]!r} is not all strings")
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{kind} {path} line 1: header without valid slots: {exc!r}") from None
+        checked = check_header(header)
         parse = chunks_of(header) if chunks_of else None
 
         def pieces():  # the data lines, less those of each chunk that ``parse`` takes into the columns
@@ -267,7 +269,7 @@ def _read_records(path, kind: str, version: int, keys: frozenset, ints: tuple, f
                 bad.append((int(wrong[0]), what.format(col[wrong[0], j].item())))
     if bad:
         _refuse(kind, path, *min(bad))
-    return header, np.frombuffer(slot_col, dtype=np.int64), *cols, last
+    return checked, np.frombuffer(slot_col, dtype=np.int64), *cols, last
 
 
 def _dataset_chunks(header):
@@ -306,7 +308,24 @@ def load_run_dataset(path) -> RunDataset:
     refuses or a ``meta`` that is not an object; and for a pair without
     exactly one L and one R record.
     """
-    header, slot, ints, _, _ = _read_records(
+    def header_spec(header) -> tuple[dict, ExperimentSpec | None, dict]:
+        spec, meta = None, header.get("meta", {})
+        if type(meta) is not dict:
+            _refuse(DATASET_KIND, path, -1, f"header meta {meta!r} is not an object")
+        if header.get("seed") is not None:
+            for name, least in (("seed", 0), ("pairs_per_setting", 1)):
+                if type(header.get(name)) is not int or header[name] < least:
+                    _refuse(DATASET_KIND, path, -1, f"header {name} {header.get(name)!r} is not an integer >= {least}")
+            try:
+                spec = ExperimentSpec(
+                    setting_pairs=tuple((Setting(*l), Setting(*r)) for l, r in header["spec_pairs"]),
+                    pairs_per_setting=header["pairs_per_setting"], seed=header["seed"],
+                    key=GaugeKey.from_json(header["gauge"]), switching=header["switching"])
+            except (KeyError, TypeError, ValueError) as exc:
+                _refuse(DATASET_KIND, path, -1, f"header spec is refused: {exc!r}")
+        return header, spec, meta
+
+    (header, spec, meta), slot, ints, _, _ = _read_records(
         path, DATASET_KIND, SCHEMA_VERSION, frozenset({"v", "group", "n", "outcome", "setting", "station"}),
         ints=(("v", lambda v: v == SCHEMA_VERSION, "record with unsupported schema version {!r}"),
               _PAIR_INDEX, _OUTCOME),
@@ -314,22 +333,8 @@ def load_run_dataset(path) -> RunDataset:
         slots_of=lambda header: {(f"pair{gid}", station): Setting(*setting)
                                  for gid, pair in enumerate(header["pairs"])
                                  for station, setting in zip("LR", pair)},
-        foreign="unknown group or station, or a setting other than the header's", chunks_of=_dataset_chunks)
-    spec, meta = None, header.get("meta", {})
-    if type(meta) is not dict:
-        _refuse(DATASET_KIND, path, -1, f"header meta {meta!r} is not an object")
-    if header.get("seed") is not None:
-        for name, least in (("seed", 0), ("pairs_per_setting", 1)):
-            if type(header.get(name)) is not int or header[name] < least:
-                _refuse(DATASET_KIND, path, -1, f"header {name} {header.get(name)!r} is not an integer >= {least}")
-        try:
-            spec = ExperimentSpec(
-                setting_pairs=tuple((Setting(*l), Setting(*r)) for l, r in header["spec_pairs"]),
-                pairs_per_setting=header["pairs_per_setting"], seed=header["seed"],
-                key=GaugeKey.from_json(header["gauge"]), switching=header["switching"])
-        except (KeyError, TypeError, ValueError) as exc:
-            _refuse(DATASET_KIND, path, -1, f"header spec is refused: {exc!r}")
-
+        foreign="unknown group or station, or a setting other than the header's", chunks_of=_dataset_chunks,
+        check_header=header_spec)
     pairs = tuple((Setting(*l), Setting(*r)) for l, r in header["pairs"])
     labels = [f"pair{i}" for i in range(len(pairs))]
     gids, sides = slot >> 1, slot & 1

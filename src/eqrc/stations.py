@@ -30,7 +30,7 @@ import time
 from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -257,7 +257,7 @@ def _report_columns(msg: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 class StationReport(NamedTuple):
-    """One wing's outcome with its own setting and its batch's station-local clock stamp."""
+    """One row of a ReportBatch: a wing's outcome, its own setting and its batch's station-local clock stamp."""
 
     n: int
     station: str
@@ -268,7 +268,7 @@ class StationReport(NamedTuple):
 
 @dataclass(frozen=True)
 class ReportBatch:
-    """Columnar report stream of one station session."""
+    """Columnar report stream of one station session; iterates as ``StationReport`` rows."""
 
     station: str
     setting: Setting
@@ -278,6 +278,11 @@ class ReportBatch:
 
     def __len__(self) -> int:
         return len(self.n)
+
+    def __iter__(self) -> Iterator[StationReport]:
+        clock_ns = repeat(None) if self.clock_ns is None else self.clock_ns.tolist()
+        return map(StationReport, self.n.tolist(), repeat(self.station), repeat(self.setting),
+                   self.outcome.tolist(), clock_ns)
 
 
 def station_batches(group) -> tuple[ReportBatch, ReportBatch]:
@@ -327,12 +332,32 @@ class SourceLog:
 
 @dataclass
 class StationLog:
+    """One station session: its reports as one ReportBatch with clocks, its dials and its rejects.
+
+    ``StationReport`` rows given as ``reports`` become that batch; a row of another
+    station, or with a setting not the log's bit for bit, is a ValueError.
+    """
+
     station: str
     setting: Setting
     key_digest: str
-    reports: list[StationReport] = field(default_factory=list)
+    reports: ReportBatch | Sequence[StationReport] = ()
     connections: list[tuple[str, str, int]] = field(default_factory=list)
     rejected: list[str] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.reports, ReportBatch):
+            n, stations, settings, outcome, clock_ns = list(zip(*self.reports)) or [()] * 5
+            tail = _report_tail(self.station, self.setting)  # as written: -0.0 == 0.0, but not in the file
+            for station, setting in zip(stations, settings):
+                same = station is self.station and setting is self.setting
+                if not same and _report_tail(station, setting) != tail:
+                    raise ValueError(f"station {self.station} log of {self.setting} given a report of station "
+                                     f"{station!r} with {setting}")
+            self.reports = ReportBatch(self.station, self.setting, np.array(n, np.int64),
+                                       np.array(outcome, np.int8), np.array(clock_ns, np.int64))
+        if self.reports.clock_ns is None:  # the writer needs them: a file without them would not load
+            raise ValueError(f"station {self.station} log given reports without clock_ns")
 
 
 def write_emission_log(log: SourceLog, path) -> None:
@@ -368,15 +393,18 @@ def load_emission_log(path) -> SourceLog:
     events or, if "complete", not the header's ``count``. A log without
     a trailer loads as partial.
     """
+    def header_fields(header) -> dict:
+        for name in ("seed", "session", "count"):
+            if type(header.get(name)) is not int or header[name] < 0:
+                _refuse("emission-log", path, -1, f"header {name} {header.get(name)!r} is not an integer >= 0")
+        return header
+
     header, _, ints, floats, trailer = _read_records(
         path, "emission-log", LOG_SCHEMA_VERSION, frozenset({"v", "n", "lambda", "t"}),
         ints=(_LOG_VERSION, ("n", None, "pair index {!r} is not an integer")),
         floats=(("lambda", _unit_interval, "lambda {!r} is not in [0, 1)"),
                 ("t", _unit_interval, "t {!r} is not in [0, 1)")),
-        trailer=frozenset({"v", "status", "sent", "detail"}))
-    for name in ("seed", "session", "count"):
-        if type(header.get(name)) is not int or header[name] < 0:
-            _refuse("emission-log", path, -1, f"header {name} {header.get(name)!r} is not an integer >= 0")
+        trailer=frozenset({"v", "status", "sent", "detail"}), check_header=header_fields)
     n, (lam, t) = ints[:, 1], floats.T
     count, session = header["count"], header["session"]
     first, rows = session * count + 1, np.arange(len(n))
@@ -405,8 +433,8 @@ def _report_tail(station: str, setting: Setting) -> str:
 def write_report_log(log: StationLog, path) -> None:
     """Header line, then one line per report: its fields, ``type`` "report" and ``v``.
 
-    Each line is formatted from its three ints and a tail dumped once per
-    (station, setting) object: the same bytes as dumping the line's object.
+    Each line is formatted from the batch's int columns and the one tail of
+    the log's station and setting: the same bytes as dumping its object.
     """
     with Path(path).open("w", encoding="utf-8") as fh:
         header = {
@@ -417,13 +445,9 @@ def write_report_log(log: StationLog, path) -> None:
             "key_digest": log.key_digest,
         }
         fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
-        station = setting = tail = None
-        for r in log.reports:
-            # Identity, not equality: -0.0 == 0.0 but they dump differently.
-            if r.station is not station or r.setting is not setting:
-                station, setting = r.station, r.setting
-                tail = _report_tail(station, setting)
-            fh.write(f'{{"clock_ns":{r.clock_ns},"n":{r.n},"outcome":{r.outcome}{tail}\n')
+        tail, r = _report_tail(log.station, log.setting), log.reports
+        fh.writelines(f'{{"clock_ns":{c},"n":{n},"outcome":{o}{tail}\n'
+                      for c, n, o in zip(r.clock_ns.tolist(), r.n.tolist(), r.outcome.tolist()))
 
 
 def _report_chunks(header):
@@ -591,12 +615,14 @@ def station_run(
     ``measure_pairs`` call and answered with one report_batch frame;
     a malformed batch, or one holding a bad element (such as a pair
     index not above the one before it), is rejected whole and logged
-    once with its first bad position, not measured.
+    once with its first bad position, not measured. The log keeps the
+    accepted batches' columns and joins them once as the session ends.
     """
     if station_id not in ("L", "R"):
         raise ValueError(f"station_id must be 'L' or 'R', got {station_id!r}")
     key = load_key_file(key_path)  # KeyFileError if absent
     log = StationLog(station=station_id, setting=setting, key_digest=key.digest_hex())
+    batches = [(log.reports.n, log.reports.outcome, log.reports.clock_ns)]  # the empty log's, then each accepted
 
     src = _dial(source, timeout)
     log.connections.append(("source", source[0], source[1]))
@@ -626,13 +652,13 @@ def station_run(
                 continue
             last_n = int(n[-1])
             send_frame(col, report)
-            log.reports += map(StationReport, n.tolist(), repeat(station_id), repeat(setting),
-                               outcome.tolist(), repeat(report["clock_ns"]))
+            batches.append((n, outcome, np.full(len(n), report["clock_ns"], dtype=np.int64)))
         send_frame(col, {"v": WIRE_VERSION, "type": "end", "station": station_id,
-                         "count": len(log.reports)})
+                         "count": sum(len(b[0]) for b in batches)})
     finally:
         src.close()
         col.close()
+        log.reports = ReportBatch(station_id, setting, *map(np.concatenate, zip(*batches)))
         if log_path is not None:
             write_report_log(log, log_path)
     return log

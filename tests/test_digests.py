@@ -20,6 +20,7 @@ import socket
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from eqrc import stations as st
@@ -142,9 +143,8 @@ def log_bytes(kind: str, seed: int, workdir: Path) -> bytes:
         spec = ExperimentSpec(setting_pairs=((CANONICAL_LEFT, B60),), pairs_per_setting=LOG_PAIRS,
                               seed=seed, key=RAD3)
         grp = run_experiment(spec).groups[0]
-        reports = [st.StationReport(n=int(n), station="R", setting=grp.right_setting, outcome=int(o),
-                                    clock_ns=1000 * i)
-                   for i, (n, o) in enumerate(zip(grp.pair_index, grp.right))]
+        reports = st.ReportBatch(station="R", setting=grp.right_setting, n=grp.pair_index, outcome=grp.right,
+                                 clock_ns=1000 * np.arange(len(grp.pair_index)))
         st.write_report_log(st.StationLog(station="R", setting=grp.right_setting,
                                           key_digest=RAD3.digest_hex(), reports=reports), path)
     else:

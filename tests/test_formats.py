@@ -245,6 +245,15 @@ class TestLoaderRefusals:
         with pytest.raises(ValueError, match=f"run-dataset {path} line 1: {match}"):
             load_run_dataset(path)
 
+    def test_header_fault_is_named_before_a_record_fault(self, tmp_path):
+        lines = run_dataset_text(run_experiment(_spec(n=3))).splitlines()
+        lines[0] = json.dumps(dict(json.loads(lines[0]), seed=1.7))
+        lines[4] = "not a record"
+        path = tmp_path / "header.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"run-dataset {path} line 1: header seed 1.7 is not an integer >= 0$"):
+            load_run_dataset(path)
+
 
 # Settings from random angles plus components whose JSON form is easy to get
 # wrong: negative zero, the smallest subnormal next to 1.0, a pure -1.
@@ -305,10 +314,9 @@ class TestRecordTemplate:
 def _report_log_file(path, count, seed=0):
     """Write station R's log of ``count`` reports with rising pair indices, random outcomes and clocks."""
     rng, setting = np.random.default_rng(seed), BELL_SETTINGS[1]
-    ns = np.cumsum(rng.integers(1, 3, count)).tolist()
-    log = stations.StationLog(station="R", setting=setting, key_digest="ab", reports=[
-        stations.StationReport(n=n, station="R", setting=setting, outcome=int(o), clock_ns=int(c))
-        for n, o, c in zip(ns, rng.choice([-1, 1], count), rng.integers(0, 2**63, count))])
+    ns = np.cumsum(rng.integers(1, 3, count))
+    log = stations.StationLog(station="R", setting=setting, key_digest="ab", reports=stations.ReportBatch(
+        "R", setting, ns, rng.choice([-1, 1], count).astype(np.int8), rng.integers(0, 2**63, count)))
     stations.write_report_log(log, path)
 
 

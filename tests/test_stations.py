@@ -426,9 +426,9 @@ class TestKeyFiles:
 
 
 def _report_log(tmp_path, count=4, side="L", setting=CANONICAL_LEFT):
-    log = st.StationLog(station=side, setting=setting, key_digest=RAD3.digest_hex(), reports=[
-        st.StationReport(n=i + 1, station=side, setting=setting, outcome=1 - 2 * (i % 2), clock_ns=10 * i)
-        for i in range(count)])
+    rows = np.arange(count)
+    log = st.StationLog(station=side, setting=setting, key_digest=RAD3.digest_hex(), reports=st.ReportBatch(
+        side, setting, n=rows + 1, outcome=(1 - 2 * (rows % 2)).astype(np.int8), clock_ns=10 * rows))
     path = tmp_path / f"{side}.jsonl"
     st.write_report_log(log, path)
     return log, path
@@ -445,17 +445,17 @@ _LOG_SETTINGS = [Setting(1.0, 0.0), Setting(1.0, -0.0), Setting(-0.0, 1.0), Sett
                  Setting(0.0, -1.0), B60]
 _log_settings = hst.one_of(hst.sampled_from(_LOG_SETTINGS),
                            hst.floats(-math.pi, math.pi).map(Setting.from_angle))
-_reports = hst.builds(st.StationReport, n=hst.integers(1, 2**62), station=hst.sampled_from(["L", "R"]),
-                      setting=_log_settings, outcome=hst.sampled_from([-1, 1]),
-                      clock_ns=hst.integers(0, 2**63 - 1))
+# The (n, outcome, clock_ns) of one report.
+_report_fields = hst.tuples(hst.integers(1, 2**62), hst.sampled_from([-1, 1]), hst.integers(0, 2**63 - 1))
 
 
 class TestReportLogs:
     @settings(max_examples=150, deadline=None)
-    @given(hst.lists(_reports, max_size=12))
-    def test_template_lines_equal_dumping_each_report(self, tmp_path_factory, reports):
+    @given(hst.sampled_from(["L", "R"]), _log_settings, hst.lists(_report_fields, max_size=12))
+    def test_template_lines_equal_dumping_each_report(self, tmp_path_factory, station, setting, fields):
         path = tmp_path_factory.mktemp("log") / "log.jsonl"
-        log = st.StationLog(station="L", setting=CANONICAL_LEFT, key_digest="ab", reports=reports)
+        reports = [st.StationReport(n, station, setting, outcome, clock_ns) for n, outcome, clock_ns in fields]
+        log = st.StationLog(station=station, setting=setting, key_digest="ab", reports=reports)
         st.write_report_log(log, path)
         reference = [json.dumps(dict(r._asdict(), setting=[r.setting.b2, r.setting.b3], type="report",
                                      v=st.LOG_SCHEMA_VERSION), sort_keys=True, separators=(",", ":"))
@@ -466,9 +466,9 @@ class TestReportLogs:
         log, path = _report_log(tmp_path, count=6, side="R", setting=B60)
         batch = st.load_report_log(path)
         assert batch.station == "R" and batch.setting == B60
-        assert batch.n.tolist() == [r.n for r in log.reports] and batch.n.dtype == np.int64
-        assert batch.outcome.tolist() == [r.outcome for r in log.reports] and batch.outcome.dtype == np.int8
-        assert batch.clock_ns.tolist() == [r.clock_ns for r in log.reports]
+        assert batch.n.tolist() == log.reports.n.tolist() and batch.n.dtype == np.int64
+        assert batch.outcome.tolist() == log.reports.outcome.tolist() and batch.outcome.dtype == np.int8
+        assert batch.clock_ns.tolist() == log.reports.clock_ns.tolist()
 
     @pytest.mark.parametrize("fields", [
         {"v": 7}, {"v": True}, {"type": "emit"}, {"v": 7, "type": "emit", "outcome": 3},
@@ -522,6 +522,32 @@ class TestReportLogs:
             st.load_report_log(path)
 
 
+class TestStationLogs:
+    def test_rows_become_one_batch_that_iterates_as_the_same_rows(self):
+        rows = [st.StationReport(n, "R", B60, outcome, 10 * n) for n, outcome in ((2, 1), (5, -1), (9, -1))]
+        log = st.StationLog(station="R", setting=B60, key_digest="ab", reports=rows)
+        assert isinstance(log.reports, st.ReportBatch) and len(log.reports) == 3
+        assert (log.reports.n.dtype, log.reports.outcome.dtype, log.reports.clock_ns.dtype) == (
+            np.int64, np.int8, np.int64)
+        assert list(log.reports) == rows
+        assert len(st.StationLog(station="L", setting=CANONICAL_LEFT, key_digest="ab").reports) == 0
+
+    @pytest.mark.parametrize("station,setting,match", [
+        ("R", Setting(1.0, 0.0), r"given a report of station 'R' with Setting\(b2=1\.0, b3=0\.0\)$"),
+        ("L", Setting(1.0, -0.0), r"given a report of station 'L' with Setting\(b2=1\.0, b3=-0\.0\)$"),
+    ], ids=["foreign-station", "negative-zero-setting"])
+    def test_report_of_another_session_is_refused(self, station, setting, match):
+        own = Setting(1.0, 0.0)
+        rows = [st.StationReport(1, "L", own, 1, 0), st.StationReport(2, station, setting, -1, 0)]
+        with pytest.raises(ValueError, match=match):
+            st.StationLog(station="L", setting=own, key_digest="ab", reports=rows)
+
+    def test_batch_without_clocks_is_refused(self):
+        batch = st.station_batches(_group(n=3))[0]
+        with pytest.raises(ValueError, match="^station L log given reports without clock_ns$"):
+            st.StationLog(station="L", setting=batch.setting, key_digest="ab", reports=batch)
+
+
 def _emission_log(tmp_path, count=3, session=1):
     first = session * count + 1
     events = PairStream(n=np.arange(first, first + count), lam=np.array([0.5, 0.25, 0.0])[:count],
@@ -572,6 +598,14 @@ class TestEmissionLogs:
         _edit_line(path, 1, **fields)
         name = next(f for f in ("seed", "session", "count") if f in fields)  # the first field checked
         with pytest.raises(ValueError, match=f"line 1: header {name} .* is not an integer >= 0"):
+            st.load_emission_log(path)
+
+    def test_header_fault_is_named_before_a_record_fault(self, tmp_path):
+        _, path = _emission_log(tmp_path)
+        _edit_line(path, 1, seed=1.7)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:4]) + "not a record\n")
+        with pytest.raises(ValueError, match=f"emission-log {path} line 1: header seed 1.7 is not an integer >= 0$"):
             st.load_emission_log(path)
 
     def test_complete_trailer_must_close_the_whole_session(self, tmp_path):
@@ -700,6 +734,78 @@ class TestLiveRun:
             st.collator_serve(sock=col_sock, timeout=10)
         for t in threads:
             t.join()
+
+
+class TestNoPerReportObjects:
+    """A station keeps its reports as columns: building one StationReport on the live path fails the run."""
+
+    @pytest.fixture(autouse=True)
+    def _refuse_rows(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a StationReport was built")
+
+        monkeypatch.setattr(st, "StationReport", refuse)
+
+    def _same_columns(self, batch, loaded):
+        return all(np.array_equal(getattr(batch, c), getattr(loaded, c)) for c in ("n", "outcome", "clock_ns"))
+
+    def test_live_session_logs_columns(self, tmp_path, monkeypatch):
+        ends, send = {}, st.send_frame
+
+        def send_recording_ends(sock, obj):
+            if obj["type"] == "end" and "station" in obj:
+                ends[obj["station"]] = obj["count"]
+            send(sock, obj)
+
+        monkeypatch.setattr(st, "send_frame", send_recording_ends)
+        key_path, paths = tmp_path / "key.json", (tmp_path / "L.jsonl", tmp_path / "R.jsonl")
+        st.write_key_file(key_path, RAD3)
+        count = 2 * st.BATCH_PAIRS + 7
+        results = run_live(seed=3, count=count, key=RAD3, right_setting=B60, key_path=key_path, report_logs=paths)
+        grp = results["collator"].dataset.groups[0]
+        for side, outcome, path in (("L", grp.left, paths[0]), ("R", grp.right, paths[1])):
+            reports = results[side].reports
+            assert np.array_equal(reports.n, results["source"].emissions.n)
+            assert np.array_equal(reports.outcome, outcome) and reports.outcome.dtype == np.int8
+            assert len(reports) == ends[side] == count
+            assert len(np.unique(reports.clock_ns)) <= 3  # one stamp per batch
+            assert self._same_columns(reports, st.load_report_log(path))
+
+    def test_session_with_a_rejected_batch_writes_a_loadable_log(self, tmp_path):
+        key_path, log_path = tmp_path / "key.json", tmp_path / "R.jsonl"
+        st.write_key_file(key_path, RAD3)
+        src_sock, sink_sock = st.make_server_socket(), st.make_server_socket()
+
+        def fake_source():
+            conn, _ = src_sock.accept()
+            st.recv_frame(conn)  # hello
+            for n in ([1, 2], [2, 3], [3, 4]):  # the second repeats pair index 2
+                st.send_frame(conn, _emit_batch(n))
+            st.send_frame(conn, {"v": V, "type": "end", "count": 6})
+            conn.close()
+
+        def sink():
+            conn, _ = sink_sock.accept()
+            while st.recv_frame(conn) is not None:
+                pass
+            conn.close()
+
+        threads = [threading.Thread(target=fake_source), threading.Thread(target=sink)]
+        for t in threads:
+            t.start()
+        try:
+            log = st.station_run("R", B60, key_path, ("127.0.0.1", src_sock.getsockname()[1]),
+                                 ("127.0.0.1", sink_sock.getsockname()[1]), log_path=log_path, timeout=15)
+        finally:
+            for t in threads:
+                t.join(timeout=15)
+                assert not t.is_alive()
+            src_sock.close()
+            sink_sock.close()
+        assert log.rejected == ["emit_batch rejected at position 0: non-increasing pair index 2 after 2"]
+        assert log.reports.n.tolist() == [1, 2, 3, 4]
+        loaded = st.load_report_log(log_path)
+        assert (loaded.station, loaded.setting) == ("R", B60) and self._same_columns(log.reports, loaded)
 
 
 class TestStationRejection:
