@@ -173,14 +173,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _print_or_write(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-
-
 def _report_out(reports, out: str | None) -> None:
     for rep in reports:
         print(json.dumps(rep.to_json(), sort_keys=True))
@@ -204,8 +196,11 @@ def cmd_run(args) -> int:
         seed=_seed_of(args), key=key,
     )
     ds = experiments.run_experiment(spec)
-    if args.format == "jsonl":
-        _print_or_write(formats.run_dataset_text(ds), args.out)
+    if args.format == "jsonl":  # streamed block by block, never held whole
+        if args.out is None:
+            sys.stdout.writelines(block.decode("ascii") for block in formats.run_dataset_blocks(ds))
+        else:
+            formats.write_run_dataset(ds, args.out)
         return 0
     est = ds.group_expectations()[0]
     lft, rgt = ds.canonical_pairs[0]

@@ -6,9 +6,11 @@ identical inputs give byte-identical data lines. Floats are written via
 their shortest round-trip decimal form, which re-parses to the same
 64-bit value.
 
-Dataset and report-log data lines are loaded in chunks: one that the
-writer's template re-renders byte for byte from the int columns parsed
-out of it is taken from them, any other takes the JSON path line by line.
+Dataset and report-log lines have one layout each, a ``_LineCodec`` that
+renders blocks of lines from numpy columns for the writers, and parses
+chunks of lines into columns with array operations for the loaders. A
+chunk is taken only if its columns render back to its bytes; any other
+takes the JSON path line by line. Emission logs always take the latter.
 """
 
 from __future__ import annotations
@@ -16,11 +18,11 @@ from __future__ import annotations
 import csv
 import io
 import json
-import re
 from array import array
+from itertools import islice
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, NoReturn, Sequence
+from typing import Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -31,6 +33,7 @@ from .stats import TripleTable
 
 __all__ = [
     "dataset_record_lines",
+    "run_dataset_blocks",
     "run_dataset_text",
     "write_run_dataset",
     "load_run_dataset",
@@ -44,6 +47,8 @@ __all__ = [
 
 DATASET_KIND = "run-dataset"
 SCHEMA_VERSION = 1
+#: Version of the emission-log and report-log files.
+LOG_SCHEMA_VERSION = 1
 
 
 def _dumps(obj) -> str:
@@ -52,46 +57,6 @@ def _dumps(obj) -> str:
 
 def _setting_json(s: Setting) -> list[float]:
     return [s.b2, s.b3]
-
-
-def _line_template(group_label: str, station: str, setting: Setting) -> tuple[str, str]:
-    """The constant head and tail of a record line for one group and station.
-
-    A record's sorted keys are group, n, outcome, setting, station, v, so
-    only ``n`` and ``outcome`` sit between the two pieces. JSON renders an
-    int as ``str(int)``, so head, n, ``,"outcome":``, outcome and tail
-    joined are the same bytes as ``_dumps`` of the whole record.
-    """
-    head = _dumps({"group": group_label})[:-1] + ',"n":'
-    tail = "," + _dumps({"setting": _setting_json(setting), "station": station, "v": SCHEMA_VERSION})[1:]
-    return head, tail
-
-
-def dataset_record_lines(ds: RunDataset) -> Iterable[str]:
-    """The dataset payload: one record per line, L before R per pair.
-
-    Grouped datasets stream group by group in pair-index order;
-    interleaved (randomly switched, unsorted) datasets stream in
-    emission order with the active-pair tag.
-    """
-    if ds.interleaved is not None:
-        inter = ds.interleaved
-        templates = [
-            (*_line_template(f"pair{gid}", "L", lft), _line_template(f"pair{gid}", "R", rgt)[1])
-            for gid, (lft, rgt) in enumerate(ds.canonical_pairs)
-        ]
-        cols = (inter.group_ids.tolist(), inter.pair_index.tolist(), inter.left.tolist(), inter.right.tolist())
-        for gid, n, lo, ro in zip(*cols):
-            head, ltail, rtail = templates[gid]
-            yield f'{head}{n},"outcome":{lo}{ltail}'
-            yield f'{head}{n},"outcome":{ro}{rtail}'
-        return
-    for grp in ds.groups:
-        head, ltail = _line_template(grp.label, "L", grp.left_setting)
-        rtail = _line_template(grp.label, "R", grp.right_setting)[1]
-        for n, lo, ro in zip(grp.pair_index.tolist(), grp.left.tolist(), grp.right.tolist()):
-            yield f'{head}{n},"outcome":{lo}{ltail}'
-            yield f'{head}{n},"outcome":{ro}{rtail}'
 
 
 def _dataset_header(ds: RunDataset) -> dict:
@@ -112,22 +77,146 @@ def _dataset_header(ds: RunDataset) -> dict:
     return header
 
 
-def _dataset_file_lines(ds: RunDataset) -> Iterable[str]:
-    """Header line, then record lines, each newline-terminated."""
-    yield _dumps(_dataset_header(ds)) + "\n"
-    for line in dataset_record_lines(ds):
-        yield line + "\n"
+# ---------------------------------------------------------------------------
+# The line codec behind the dataset and report-log writers and their chunked loads
+
+# Most lines a writer renders at once: a block's arrays stay under glibc's 128 KiB mmap threshold. Freed
+# larger blocks raise it, and the heap then held about 3 MB more in the live benchmark's checks.
+_RENDER_ROWS = 1 << 10
+
+
+def _digit_block(col: np.ndarray) -> np.ndarray:
+    """Rows of each value's sign and decimal digits, right-aligned, with NULs for no byte."""
+    neg, mag = col < 0, col.view(np.uint64)
+    mag = np.where(neg, -mag, mag)  # int64 min's magnitude, 2**63, is a uint64
+    width = len(str(mag.max(initial=0)))
+    text = np.empty((len(col), width + 1), np.uint8)
+    text[:, 0] = neg * ord("-")
+    for at in range(width, 0, -1):
+        lead = mag == 0  # a leading zero, unless it is the last digit
+        mag, digit = np.divmod(mag, np.uint64(10))
+        text[:, at] = digit + ord("0") if at == width else np.where(lead, 0, digit + ord("0"))
+    return text
+
+
+def _span_ints(b: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray | None:
+    """The int64 each b[lo:hi] reads as, '-' and up to 19 digits (None: longer); a render check refuses a wrap."""
+    neg = b.take(lo, mode="clip") == ord("-")
+    lo = lo + neg
+    if (width := int((hi - lo).max(initial=0))) > 19:
+        return None
+    value = np.zeros(len(lo), np.int64)
+    for at in range(width, 0, -1):  # most significant first
+        value = value * 10 + np.where(hi - at >= lo, b.take(hi - at, mode="clip").astype(np.int64) - ord("0"), 0)
+    return np.where(neg, -value, value)
+
+
+class _LineCodec:
+    """One fixed line layout, rendered from int64 columns and parsed back into them.
+
+    ``parts`` are literal bytes, lists of literal bytes picked by each
+    line's slot, and the numbers of the columns whose decimal text sits
+    there. A column is parsed from the end of the literal before it to
+    the next comma, so a layout parses only if a comma follows each
+    column and the literal before it holds a comma or starts the line.
+    ``slot_of(b, starts, ends, commas)`` gives each parsed line's slot
+    from the bytes and the positions of each line's first byte, newline
+    and first comma (None, or any number, where no slot's line could be).
+    """
+
+    def __init__(self, parts: list, slot_of=lambda b, starts, *_: np.zeros(len(starts), np.int64)) -> None:
+        tables = [[part] if type(part) is bytes else part for part in parts]  # a literal: a table of one slot
+        line = [table if type(table) is int else table[0] for table in tables]  # slot 0's line
+        # Each column: its number, the commas before it in a line, and how far past the last it starts.
+        self.fields = [(col, b"".join(p for p in line[:i] if type(p) is bytes).count(b","),
+                        len(line[i - 1]) - line[i - 1].rfind(b",")) for i, col in enumerate(line) if type(col) is int]
+        self.parts = [table if type(table) is int else np.array(table).view(np.uint8).reshape(len(table), -1)
+                      for table in tables]  # a literal: one row of bytes per slot, padded with NULs
+        self.slots, self.slot_of = max(len(table) for table in tables if type(table) is list), slot_of
+
+    def render(self, slot: np.ndarray, cols: Sequence[np.ndarray]) -> bytes:
+        """The lines of rows with these slots and columns: laid out at a fixed width, less the NULs."""
+        rows = len(slot)
+        blocks = [_digit_block(np.asarray(cols[part], np.int64)) if type(part) is int
+                  else part.take(slot, axis=0) if len(part) > 1 else np.broadcast_to(part, (rows, part.shape[1]))
+                  for part in self.parts]
+        return np.concatenate(blocks, axis=1).tobytes().translate(None, b"\0")  # JSON text holds no NUL
+
+    def parse(self, data: bytes) -> tuple[np.ndarray, list[np.ndarray]] | None:
+        """The slots and columns of newline-ended lines, if they render back to ``data`` byte for byte."""
+        b = np.frombuffer(data, np.uint8)
+        ends, commas = np.flatnonzero(b == ord("\n")), np.flatnonzero(b == ord(","))
+        if not data.endswith(b"\n") or not len(commas):
+            return None
+        starts = np.r_[0, ends[:-1] + 1]
+        first = np.searchsorted(commas, starts)  # each line's first comma
+        cols = [None] * len(self.fields)
+        for col, before, since in self.fields:
+            lo = (commas.take(first + before - 1, mode="clip") if before else starts - 1) + since
+            if (value := _span_ints(b, lo, commas.take(first + before, mode="clip"))) is None:
+                return None
+            cols[col] = value
+        slot = self.slot_of(b, starts, ends, commas.take(first, mode="clip"))
+        if slot is None or ((slot < 0) | (slot >= self.slots)).any() or self.render(slot, cols) != data:
+            return None
+        return slot, cols
+
+
+def _dataset_slots(b: np.ndarray, starts: np.ndarray, ends: np.ndarray, commas: np.ndarray) -> np.ndarray | None:
+    """Slot 2 * gid + side of dataset lines: gid ends at the quote before the first comma, and the station
+    is 9 bytes before the newline."""
+    gid = _span_ints(b, starts + len('{"group":"pair'), commas - 1)
+    return None if gid is None else 2 * gid + (b.take(ends - 9, mode="clip") == ord("R"))
+
+
+def _dataset_codec(groups: Iterable[tuple[str, Setting, Setting]]) -> _LineCodec:
+    """Record lines of groups (label, left, right), columns (n, outcome): slot 2g is group g's L, 2g + 1 its R."""
+    heads, tails = [], []
+    for label, *settings in groups:  # a record's sorted keys: group, n, outcome, setting, station, v
+        for station, setting in zip("LR", settings):
+            heads.append(_dumps({"group": label})[:-1].encode())
+            tail = _dumps({"setting": _setting_json(setting), "station": station, "v": SCHEMA_VERSION})
+            tails.append(f",{tail[1:]}\n".encode())
+    return _LineCodec([heads, b',"n":', 0, b',"outcome":', 1, tails], _dataset_slots)
+
+
+def _report_codec(station: str, setting: Setting) -> _LineCodec:
+    """Report-log lines of a station session, with columns (n, outcome, clock_ns) and sorted keys."""
+    tail = _dumps({"setting": _setting_json(setting), "station": station, "type": "report", "v": LOG_SCHEMA_VERSION})
+    return _LineCodec([b'{"clock_ns":', 2, b',"n":', 0, b',"outcome":', 1, f",{tail[1:]}\n".encode()])
+
+
+def run_dataset_blocks(ds: RunDataset) -> Iterator[bytes]:
+    """The dataset file: its header line, then record lines, L before R per pair, ``_RENDER_ROWS`` at most at
+    a time. Groups stream in turn; interleaved (switched, unsorted) records in emission order."""
+    yield (_dumps(_dataset_header(ds)) + "\n").encode()
+    if (inter := ds.interleaved) is not None:
+        codec = _dataset_codec((f"pair{gid}", *pair) for gid, pair in enumerate(ds.canonical_pairs))
+        runs = [(inter.group_ids, inter.pair_index, inter.left, inter.right)]
+    else:
+        codec = _dataset_codec((g.label, g.left_setting, g.right_setting) for g in ds.groups)
+        runs = [(np.broadcast_to(gid, len(g)), g.pair_index, g.left, g.right) for gid, g in enumerate(ds.groups)]
+    for gids, n, left, right in runs:
+        for cut in (slice(at, at + _RENDER_ROWS // 2) for at in range(0, len(n), _RENDER_ROWS // 2)):
+            slot = 2 * np.asarray(gids[cut], np.int64)[:, None] + [0, 1]
+            # ndarray.repeat: each np.repeat call left a small object that kept arenas of line strings alive.
+            yield codec.render(slot.ravel(), [n[cut].repeat(2), np.column_stack((left[cut], right[cut])).ravel()])
+
+
+def dataset_record_lines(ds: RunDataset) -> Iterable[str]:
+    """The dataset payload: one record per line (see ``run_dataset_blocks``), without newlines."""
+    return (line for block in islice(run_dataset_blocks(ds), 1, None) for line in block.decode().split("\n")[:-1])
 
 
 def run_dataset_text(ds: RunDataset) -> str:
     """The dataset file's full text."""
-    return "".join(_dataset_file_lines(ds))
+    return b"".join(run_dataset_blocks(ds)).decode("ascii")
 
 
 def write_run_dataset(ds: RunDataset, path) -> None:
-    """Stream the dataset file to ``path`` line by line."""
-    with Path(path).open("w", encoding="utf-8") as fh:
-        fh.writelines(_dataset_file_lines(ds))
+    """Stream the dataset file to ``path`` block by block."""
+    with Path(path).open("wb") as fh:
+        fh.writelines(run_dataset_blocks(ds))
 
 
 # ---------------------------------------------------------------------------
@@ -174,9 +263,10 @@ def _read_records(path, kind: str, version: int, keys: frozenset, ints: tuple, f
     float columns, trailer or None); raises ValueError naming the first
     bad line.
 
-    ``chunks_of(header)`` (no floats or trailer) parses a chunk of data
-    lines into slot and int columns, or gives None unless the writer
-    re-renders the chunk from them byte for byte.
+    ``chunks_of(header)`` (no floats or trailer) gives the writer's
+    codec of the data lines, or None. A chunk of whole lines that it
+    parses is taken from its columns, which are those of ``ints`` after
+    ``v``: the codec's lines carry ``version`` as a literal.
     """
     get_slot, get_ints, get_floats = (itemgetter(*names) if names else lambda rec: ()
                                       for names in (slot, [f[0] for f in ints], [f[0] for f in floats]))
@@ -198,15 +288,15 @@ def _read_records(path, kind: str, version: int, keys: frozenset, ints: tuple, f
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{kind} {path} line 1: header without valid slots: {exc!r}") from None
         checked = check_header(header)
-        parse = chunks_of(header) if chunks_of else None
+        codec = chunks_of(header) if chunks_of else None
 
-        def pieces():  # the data lines, less those of each chunk that ``parse`` takes into the columns
-            while parse is not None and (chunk := fh.readlines(_CHUNK_BYTES)):
-                if (cols := parse(chunk)) is None:
-                    yield from chunk
+        def pieces():  # the data lines, less those of each chunk that ``codec`` takes into the columns
+            while codec is not None and (text := fh.read(_CHUNK_BYTES) + fh.readline()):
+                if (got := codec.parse(text.encode())) is None:
+                    yield from io.StringIO(text)  # split at newlines only, as ``fh`` splits
                     continue
-                slot_col.frombytes(cols[0].tobytes())
-                int_col.frombytes(cols[1].tobytes())
+                slot_col.frombytes(got[0].tobytes())
+                int_col.frombytes(np.column_stack((np.full(len(got[0]), version), *got[1])).tobytes())
             yield from fh
 
         def problem_of(rec) -> str | None:
@@ -272,26 +362,10 @@ def _read_records(path, kind: str, version: int, keys: frozenset, ints: tuple, f
     return checked, np.frombuffer(slot_col, dtype=np.int64), *cols, last
 
 
-def _dataset_chunks(header):
-    """The chunk parser of a dataset with the header's pairs (see ``_read_records``)."""
-    heads, tails = zip(*(_line_template(f"pair{gid}", station, Setting(*setting))
-                         for gid, pair in enumerate(header["pairs"]) for station, setting in zip("LR", pair)))
-    # Each varying field of a line: its single-group pattern and the int of its text.
-    fields = [(re.compile(p), int) for p in ('"group":"pair([0-9]+)"', '"n":(-?[0-9]+)', '"outcome":(-?[0-9]+)')]
-    fields.append((re.compile('"station":"([LR])"'), "LR".index))
-
-    def parse(lines):
-        text = "".join(lines)
-        try:  # an unknown group, an n beyond int64 or ragged columns refuse the chunk
-            gid, n, outcome, side = (np.fromiter(map(f, p.findall(text)), np.int64) for p, f in fields)
-            slot = 2 * gid + side
-            rendered = [f'{heads[s]}{a},"outcome":{o}{tails[s]}\n'
-                        for s, a, o in zip(slot.tolist(), n.tolist(), outcome.tolist())]
-        except (IndexError, OverflowError, ValueError):
-            return None
-        return (slot, np.column_stack((np.full_like(n, SCHEMA_VERSION), n, outcome))) if rendered == lines else None
-
-    return parse
+def _dataset_chunks(header) -> _LineCodec:
+    """The codec of a dataset with the header's pairs (see ``_read_records``)."""
+    return _dataset_codec((f"pair{gid}", *(Setting(*setting) for setting in pair))
+                          for gid, pair in enumerate(header["pairs"]))
 
 
 def load_run_dataset(path) -> RunDataset:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import base64
 import json
-import re
 import select
 import socket
 import struct
@@ -35,7 +34,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .experiments import RunDataset, RunGroup
-from .formats import _OUTCOME, _PAIR_INDEX, _read_records, _refuse
+from .formats import _OUTCOME, _PAIR_INDEX, _RENDER_ROWS, LOG_SCHEMA_VERSION, _read_records, _refuse, _report_codec
 from .model import GaugeKey, PairStream, Setting, derive_subseed, measure_pairs, sample_pair_stream
 
 __all__ = [
@@ -76,8 +75,6 @@ __all__ = [
 WIRE_VERSION = 3
 #: Most pairs one emit_batch frame carries; a report_batch answers one emit_batch.
 BATCH_PAIRS = 4096
-#: Version of the emission-log and report-log files; frames carry WIRE_VERSION.
-LOG_SCHEMA_VERSION = 1
 #: Largest frame body ``recv_frame`` accepts, far above any frame a role sends.
 MAX_FRAME_BYTES = 1 << 20
 #: Connection attempts a station makes per endpoint, and the pause after a failed one.
@@ -348,10 +345,10 @@ class StationLog:
     def __post_init__(self) -> None:
         if not isinstance(self.reports, ReportBatch):
             n, stations, settings, outcome, clock_ns = list(zip(*self.reports)) or [()] * 5
-            tail = _report_tail(self.station, self.setting)  # as written: -0.0 == 0.0, but not in the file
+            written = json.dumps([self.station, self.setting.b2, self.setting.b3])  # -0.0 == 0.0, but not as written
             for station, setting in zip(stations, settings):
                 same = station is self.station and setting is self.setting
-                if not same and _report_tail(station, setting) != tail:
+                if not same and json.dumps([station, setting.b2, setting.b3]) != written:
                     raise ValueError(f"station {self.station} log of {self.setting} given a report of station "
                                      f"{station!r} with {setting}")
             self.reports = ReportBatch(self.station, self.setting, np.array(n, np.int64),
@@ -424,49 +421,21 @@ def load_emission_log(path) -> SourceLog:
                      emissions=PairStream(n=n.copy(), lam=lam.copy(), t=t.copy()), status=status, detail=detail)
 
 
-def _report_tail(station: str, setting: Setting) -> str:
-    """The constant end of a report line: its sorted keys after outcome are setting, station, type and v."""
-    return "," + json.dumps({"setting": [setting.b2, setting.b3], "station": station, "type": "report",
-                             "v": LOG_SCHEMA_VERSION}, sort_keys=True, separators=(",", ":"))[1:]
-
-
 def write_report_log(log: StationLog, path) -> None:
-    """Header line, then one line per report: its fields, ``type`` "report" and ``v``.
-
-    Each line is formatted from the batch's int columns and the one tail of
-    the log's station and setting: the same bytes as dumping its object.
-    """
-    with Path(path).open("w", encoding="utf-8") as fh:
-        header = {
-            "v": LOG_SCHEMA_VERSION,
-            "kind": "report-log",
-            "station": log.station,
-            "setting": [log.setting.b2, log.setting.b3],
-            "key_digest": log.key_digest,
-        }
-        fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
-        tail, r = _report_tail(log.station, log.setting), log.reports
-        fh.writelines(f'{{"clock_ns":{c},"n":{n},"outcome":{o}{tail}\n'
-                      for c, n, o in zip(r.clock_ns.tolist(), r.n.tolist(), r.outcome.tolist()))
+    """Header line, then one line per report: its fields, ``type`` "report" and ``v``, the bytes of dumping
+    its object, rendered from the batch's int columns a block at a time."""
+    with Path(path).open("wb") as fh:
+        header = {"v": LOG_SCHEMA_VERSION, "kind": "report-log", "station": log.station,
+                  "setting": [log.setting.b2, log.setting.b3], "key_digest": log.key_digest}
+        fh.write((json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n").encode())
+        codec, r = _report_codec(log.station, log.setting), log.reports
+        for cut in (slice(at, at + _RENDER_ROWS) for at in range(0, len(r), _RENDER_ROWS)):
+            fh.write(codec.render(np.zeros(len(r.n[cut]), np.int64), (r.n[cut], r.outcome[cut], r.clock_ns[cut])))
 
 
 def _report_chunks(header):
-    """The chunk parser of a report log (see ``formats._read_records``)."""
-    tail = _report_tail(header["station"], Setting(*header["setting"]))
-    fields = [re.compile(f'"{name}":(-?[0-9]+)') for name in ("clock_ns", "n", "outcome")]
-
-    def parse(lines):
-        text = "".join(lines)
-        try:  # an int beyond int64 refuses the chunk
-            clock_ns, n, outcome = (np.fromiter(map(int, p.findall(text)), np.int64) for p in fields)
-        except OverflowError:
-            return None
-        if lines != [f'{{"clock_ns":{c},"n":{a},"outcome":{o}{tail}\n'
-                     for c, a, o in zip(clock_ns.tolist(), n.tolist(), outcome.tolist())]:
-            return None
-        return np.zeros_like(n), np.column_stack((np.full_like(n, LOG_SCHEMA_VERSION), n, outcome, clock_ns))
-
-    return parse
+    """The codec of a report log (see ``formats._read_records``)."""
+    return _report_codec(header["station"], Setting(*header["setting"]))
 
 
 def load_report_log(path) -> ReportBatch:

@@ -1,9 +1,12 @@
-"""Shared test machinery: run a live four-process experiment on loopback threads."""
+"""Shared test machinery: a live four-process experiment on loopback threads, and int64 edge values."""
 
 import threading
 
 from eqrc.experiments import CANONICAL_LEFT
 from eqrc import stations as st
+
+# int64 values where a decimal rendering changes digit count or sign, and int64's two ends.
+EDGE_INTS = [0, 1, -1, 9, 10, 99, 100, 10**18 - 1, 10**18, -2**63, 2**63 - 1]
 
 
 def run_live(seed, count, key, right_setting, key_path, match="pair-id", session_index=0,

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from eqrc.cli import main
-from eqrc.formats import load_run_dataset
+from eqrc.formats import load_run_dataset, run_dataset_text
 
 
 def run_cli(argv, capsys):
@@ -41,11 +41,14 @@ class TestRunCommand:
 
     def test_jsonl_dataset_output(self, tmp_path, capsys):
         path = tmp_path / "ds.jsonl"
-        rc, _, _ = run_cli(["run", "--pairs", "50", "--seed", "3", "--format", "jsonl",
-                            "--out", str(path)], capsys)
+        argv = ["run", "--pairs", "20000", "--seed", "3", "--format", "jsonl"]
+        rc, _, _ = run_cli([*argv, "--out", str(path)], capsys)
         assert rc == 0
         ds = load_run_dataset(path)
-        assert len(ds.groups[0]) == 50
+        assert len(ds.groups[0]) == 20000
+        rc, out, _ = run_cli(argv, capsys)  # streamed in blocks to stdout; only the header's created stamp may differ
+        text = path.read_text(encoding="utf-8")
+        assert rc == 0 and text == run_dataset_text(ds) and out.split("\n", 1)[1] == text.split("\n", 1)[1]
 
     def test_noncanonical_left_is_rotated_with_notice(self, capsys):
         rc, out, err = run_cli(["run", "--pairs", "40000", "--seed", "5",

@@ -8,8 +8,10 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+from helpers import EDGE_INTS
 
 from eqrc import formats, stations
 from eqrc.experiments import (
@@ -303,12 +305,55 @@ def _datasets(draw):
     return RunDataset(canonical_pairs=pairs, groups=(), interleaved=inter), ref
 
 
+def _edge_case(ns):
+    """A one-group dataset with these pair indices, and its reference groups."""
+    idx, outs = np.array(sorted(ns), np.int64), np.resize(np.array([1, -1], np.int8), len(ns))
+    group = RunGroup("pair0", Setting(1.0, 0.0), BELL_SETTINGS[1], idx, outs, -outs)
+    return RunDataset(canonical_pairs=((group.left_setting, group.right_setting),), groups=(group,)), [
+        (group.label, group.left_setting, group.right_setting, idx, outs, -outs)]
+
+
+def _at_edge_indices(test):
+    """``test`` with an example of one record pair per edge pair index, and one of all of them in one group."""
+    for n in EDGE_INTS:
+        test = example(case=_edge_case([n]))(test)
+    return example(case=_edge_case(EDGE_INTS))(test)
+
+
+def _dataset_reference(ds):
+    """``ds`` as the reference groups ``_reference_lines`` takes."""
+    if (inter := ds.interleaved) is None:
+        return [(g.label, g.left_setting, g.right_setting, g.pair_index, g.left, g.right) for g in ds.groups]
+    return [(f"pair{g}", *ds.canonical_pairs[g], [n], [lo], [ro])
+            for g, n, lo, ro in zip(inter.group_ids, inter.pair_index, inter.left, inter.right)]
+
+
 class TestRecordTemplate:
     @settings(max_examples=150, deadline=None)
-    @given(_datasets())
+    @given(case=_datasets())
+    @_at_edge_indices
     def test_template_lines_equal_dumping_each_record(self, case):
         ds, ref = case
         assert list(dataset_record_lines(ds)) == _reference_lines(ref)
+
+    @pytest.mark.parametrize("switching", ["fixed", "random-switched"])
+    def test_dataset_of_several_render_blocks_equals_dumping_and_loads_back(self, tmp_path, switching):
+        pairs = ((BELL_SETTINGS[0], BELL_SETTINGS[1]),) if switching == "fixed" else BELL_PAIRS
+        ds = run_experiment(ExperimentSpec(setting_pairs=pairs, pairs_per_setting=formats._RENDER_ROWS // 2 + 3,
+                                           seed=4, key=RAD2, switching=switching))
+        path = tmp_path / "run.jsonl"
+        write_run_dataset(ds, path)
+        lines = path.read_text(encoding="utf-8").splitlines()[1:]
+        assert len(lines) > formats._RENDER_ROWS and lines == _reference_lines(_dataset_reference(ds))
+        assert _columns(load_run_dataset(path)) == _columns(ds)
+
+
+def _columns(ds):
+    """A dataset's groups and interleaved records as plain lists."""
+    inter = ds.interleaved
+    return ([(g.label, g.left_setting, g.right_setting, g.pair_index.tolist(), g.left.tolist(), g.right.tolist())
+             for g in ds.groups], inter and [a.tolist() for a in (inter.group_ids, inter.pair_index, inter.left,
+                                                                  inter.right)])
 
 
 def _report_log_file(path, count, seed=0):
@@ -351,7 +396,9 @@ def _int_fields(kind: str) -> list[str]:
 
 # Renderings of a record's integer that the writer never writes, from its canonical text.
 _INT_TEXT = {"-0": lambda v: "-0", "leading zero": lambda v: "0" + v, "true": lambda v: "true",
-             "1.0": lambda v: v + ".0", "20 digits": lambda v: "12345678901234567890"}
+             "1.0": lambda v: v + ".0", "20 digits": lambda v: "12345678901234567890",
+             # 19 digits past int64's ends, where the chunk parser's accumulator wraps
+             "int64 max + 1": lambda v: "9223372036854775808", "int64 min - 1": lambda v: "-9223372036854775809"}
 _EDITS = ["whitespace", "key order", "foreign setting", "extra key", "repeat", "no final newline", *_INT_TEXT]
 
 
@@ -361,7 +408,7 @@ def _with_int_text(line: str, field: str, edit: str) -> str:
 
 
 def _no_chunks(header):
-    return lambda lines: None
+    return None  # no codec: every line takes the JSON path
 
 
 def _assert_chunked_load_is_the_json_load(path, chunk_bytes: int) -> None:

@@ -13,6 +13,8 @@ from pathlib import Path
 
 import pytest
 
+from eqrc import formats
+
 _PATH = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 
@@ -34,3 +36,18 @@ def test_workload_runs_and_passes_its_check(workloads, tmp_path, name):
     problems, digests = workload.check(workload.op())
     assert problems == []
     assert digests
+
+
+def test_export_files_at_benchmark_size_load_without_json(workloads, tmp_path, monkeypatch):
+    """Every data line of export's four files comes from the chunk parsers: json decodes the headers only.
+
+    A codec that fell back to the JSON path would load the same columns,
+    several times slower; this is where that shows.
+    """
+    workload = workloads.WORKLOADS["export"](1, workloads.SIZES["export"], tmp_path)
+    workload.op()
+    decoded, decode = [], formats._decode
+    monkeypatch.setattr(formats, "_decode", lambda line: decoded.append(line) or decode(line))
+    problems, _ = workload.check(workload.op())
+    headers = [path.read_text(encoding="utf-8").split("\n", 1)[0] + "\n" for path in workload.paths.values()]
+    assert problems == [] and sorted(decoded) == sorted(headers)

@@ -11,13 +11,13 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
-from helpers import run_live
+from helpers import EDGE_INTS, run_live
 
 from eqrc.experiments import CANONICAL_LEFT, ExperimentSpec, run_experiment
-from eqrc.formats import run_dataset_text
+from eqrc.formats import _RENDER_ROWS, run_dataset_text
 from eqrc.model import (GaugeKey, MODE_CONSTANT, MODE_RADEMACHER, MODE_RADEMACHER_RARB, PairStream, Setting,
                         measure_pairs)
 from eqrc.stats import estimate_expectation
@@ -445,22 +445,46 @@ _LOG_SETTINGS = [Setting(1.0, 0.0), Setting(1.0, -0.0), Setting(-0.0, 1.0), Sett
                  Setting(0.0, -1.0), B60]
 _log_settings = hst.one_of(hst.sampled_from(_LOG_SETTINGS),
                            hst.floats(-math.pi, math.pi).map(Setting.from_angle))
-# The (n, outcome, clock_ns) of one report.
-_report_fields = hst.tuples(hst.integers(1, 2**62), hst.sampled_from([-1, 1]), hst.integers(0, 2**63 - 1))
+# The (n, outcome, clock_ns) of one report: a clock may be any int64.
+_report_fields = hst.tuples(hst.integers(1, 2**62), hst.sampled_from([-1, 1]), hst.integers(-2**63, 2**63 - 1))
+
+
+def _at_edge_clocks(test):
+    """``test`` with an example of one report per edge clock, and one of all of them in one log."""
+    for clock in EDGE_INTS:
+        test = example(station="R", setting=B60, fields=[(7, -1, clock)])(test)
+    return example(station="L", setting=B60, fields=[(i + 1, 1, c) for i, c in enumerate(EDGE_INTS)])(test)
+
+
+def _reference_report_lines(reports) -> list[str]:
+    """The pre-codec writer: one sorted-key dump per report row."""
+    return [json.dumps(dict(r._asdict(), setting=[r.setting.b2, r.setting.b3], type="report",
+                            v=st.LOG_SCHEMA_VERSION), sort_keys=True, separators=(",", ":"))
+            for r in reports]
 
 
 class TestReportLogs:
     @settings(max_examples=150, deadline=None)
-    @given(hst.sampled_from(["L", "R"]), _log_settings, hst.lists(_report_fields, max_size=12))
+    @given(station=hst.sampled_from(["L", "R"]), setting=_log_settings, fields=hst.lists(_report_fields, max_size=12))
+    @_at_edge_clocks
     def test_template_lines_equal_dumping_each_report(self, tmp_path_factory, station, setting, fields):
         path = tmp_path_factory.mktemp("log") / "log.jsonl"
         reports = [st.StationReport(n, station, setting, outcome, clock_ns) for n, outcome, clock_ns in fields]
         log = st.StationLog(station=station, setting=setting, key_digest="ab", reports=reports)
         st.write_report_log(log, path)
-        reference = [json.dumps(dict(r._asdict(), setting=[r.setting.b2, r.setting.b3], type="report",
-                                     v=st.LOG_SCHEMA_VERSION), sort_keys=True, separators=(",", ":"))
-                     for r in reports]
-        assert path.read_text(encoding="utf-8").splitlines()[1:] == reference
+        assert path.read_text(encoding="utf-8").splitlines()[1:] == _reference_report_lines(reports)
+
+    def test_log_of_several_render_blocks_equals_dumping_and_loads_back(self, tmp_path):
+        count, rng = 2 * _RENDER_ROWS + 5, np.random.default_rng(13)
+        batch = st.ReportBatch("L", B60, n=np.cumsum(rng.integers(1, 4, count)),
+                               outcome=rng.choice(np.array([-1, 1], np.int8), count),
+                               clock_ns=rng.integers(-2**63, 2**63 - 1, count, endpoint=True))
+        path = tmp_path / "log.jsonl"
+        st.write_report_log(st.StationLog(station="L", setting=B60, key_digest="ab", reports=batch), path)
+        assert path.read_text(encoding="utf-8").splitlines()[1:] == _reference_report_lines(batch)
+        back = st.load_report_log(path)
+        for name in ("n", "outcome", "clock_ns"):
+            assert np.array_equal(getattr(back, name), getattr(batch, name)), name
 
     def test_round_trip_is_columnar(self, tmp_path):
         log, path = _report_log(tmp_path, count=6, side="R", setting=B60)
