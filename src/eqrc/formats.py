@@ -89,12 +89,14 @@ def _digit_block(col: np.ndarray) -> np.ndarray:
     """Rows of each value's sign and decimal digits, right-aligned, with NULs for no byte."""
     neg, mag = col < 0, col.view(np.uint64)
     mag = np.where(neg, -mag, mag)  # int64 min's magnitude, 2**63, is a uint64
-    width = len(str(mag.max(initial=0)))
+    width = len(str(top := mag.max(initial=0)))
+    if 1 < width and top < 2**32:  # uint32 division is the faster; one digit is not worth the cast
+        mag = mag.astype(np.uint32)
     text = np.empty((len(col), width + 1), np.uint8)
     text[:, 0] = neg * ord("-")
     for at in range(width, 0, -1):
         lead = mag == 0  # a leading zero, unless it is the last digit
-        mag, digit = np.divmod(mag, np.uint64(10))
+        mag, digit = np.divmod(mag, mag.dtype.type(10))
         text[:, at] = digit + ord("0") if at == width else np.where(lead, 0, digit + ord("0"))
     return text
 
@@ -272,7 +274,7 @@ def _read_records(path, kind: str, version: int, keys: frozenset, ints: tuple, f
                                       for names in (slot, [f[0] for f in ints], [f[0] for f in floats]))
     int_col, float_col, slot_col = array("q"), array("d"), array("q")
     last = problem = None
-    with Path(path).open("r", encoding="utf-8") as fh:
+    with Path(path).open("r", encoding="utf-8", newline="\n") as fh:  # a writer's lines end in \n alone
         try:
             header, end = _decode(line := fh.readline())
         except json.JSONDecodeError:

@@ -10,17 +10,18 @@ which joins them into a dataset either by pair index or by arrival
 order (the latter deliberately fragile: one lost report misaligns the
 whole tail, and nothing in the data can reveal it).
 
-Wire format: 4-byte big-endian length prefix + strict UTF-8 JSON. Events
-and reports travel in columnar batches of at most ``BATCH_PAIRS`` pairs
-(``emit_batch``: n/lambda/t; ``report_batch``: n/outcome and one
-``clock_ns``), each column base64 of a little-endian fixed-width array,
-and a batch with one bad element is rejected whole. No field of the fixed
-grammar a station can receive is a list or can carry the other wing's setting.
+Wire format: 4-byte big-endian length prefix, then a body of a 4-byte
+big-endian header length, a strict UTF-8 JSON header object and the raw
+bytes of the columns the header lists as [name, byte length] pairs.
+Events and reports travel in columnar batches of at most ``BATCH_PAIRS``
+pairs (``emit_batch``: n/lambda/t; ``report_batch``: n/outcome and one
+``clock_ns``), each column a little-endian fixed-width array, and a batch
+with one bad element is rejected whole. No field of the fixed grammar a
+station can receive is a list or can carry the other wing's setting.
 """
 
 from __future__ import annotations
 
-import base64
 import json
 import select
 import socket
@@ -72,7 +73,7 @@ __all__ = [
     "load_report_log",
 ]
 
-WIRE_VERSION = 3
+WIRE_VERSION = 4
 #: Most pairs one emit_batch frame carries; a report_batch answers one emit_batch.
 BATCH_PAIRS = 4096
 #: Largest frame body ``recv_frame`` accepts, far above any frame a role sends.
@@ -82,14 +83,14 @@ _DIAL_ATTEMPTS, _DIAL_PAUSE_S = 20, 0.15
 
 # Message grammars by receiving role: {type: {field: type}}. Validation is
 # exact-key-set, so a field outside the grammar is rejected, not ignored.
-# A batch column is a str field: base64 of a little-endian fixed-width array.
+# A batch column is a bytes field: a little-endian fixed-width array from the frame's tail.
 STATION_RECEIVABLE_SCHEMAS = {
-    "emit_batch": {"v": int, "type": str, "n": str, "lambda": str, "t": str},
+    "emit_batch": {"v": int, "type": str, "n": bytes, "lambda": bytes, "t": bytes},
     "end": {"v": int, "type": str, "count": int},
 }
 COLLATOR_RECEIVABLE_SCHEMAS = {
     "key_digest": {"v": int, "type": str, "station": str, "digest_hex": str},
-    "report_batch": {"v": int, "type": str, "station": str, "setting": list, "n": str, "outcome": str,
+    "report_batch": {"v": int, "type": str, "station": str, "setting": list, "n": bytes, "outcome": bytes,
                      "clock_ns": int},
     "end": {"v": int, "type": str, "station": str, "count": int},
 }
@@ -114,9 +115,13 @@ class CollationError(RuntimeError):
     """Reports cannot be joined into a dataset."""
 
 
-def send_frame(sock: socket.socket, obj: dict) -> None:
-    raw = json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False).encode("utf-8")
-    sock.sendall(struct.pack("!I", len(raw)) + raw)
+def send_frame(sock: socket.socket, obj: dict, columns: dict[str, bytes] | None = None) -> None:
+    """Send ``obj`` as the JSON header and ``columns`` (name -> bytes) as the tail, listed in the header."""
+    if columns:
+        obj = dict(obj, columns=[[name, len(col)] for name, col in columns.items()])
+    head = json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False).encode("utf-8")
+    tail = columns.values() if columns else ()
+    sock.sendall(b"".join((struct.pack("!II", 4 + len(head) + sum(map(len, tail)), len(head)), head, *tail)))
 
 
 def _recv_exact(sock: socket.socket, size: int) -> bytes | bytearray:
@@ -146,26 +151,49 @@ def _recv_exact(sock: socket.socket, size: int) -> bytes | bytearray:
 def recv_frame(sock: socket.socket) -> dict | None:
     """Next message, or None on clean end-of-stream at a frame boundary.
 
-    A length prefix above ``MAX_FRAME_BYTES`` is a ProtocolError before
-    any buffer is allocated for the body; so is a body not a JSON object.
+    The message is the header object, less its ``columns`` list, with
+    each listed column's bytes under its name. A length prefix above
+    ``MAX_FRAME_BYTES`` is a ProtocolError before any buffer is allocated
+    for the body; so is a header length past the body, a header not a
+    JSON object, a column list not of distinct [name, byte length] pairs
+    named unlike the header's fields, and columns that do not fill the
+    tail exactly.
     """
-    header = _recv_exact(sock, 4)
-    if not header:
+    prefix = _recv_exact(sock, 4)
+    if not prefix:
         return None
-    if len(header) < 4:
+    if len(prefix) < 4:
         raise ProtocolError("connection dropped inside a frame header")
-    (size,) = struct.unpack("!I", header)
+    (size,) = struct.unpack("!I", prefix)
     if size > MAX_FRAME_BYTES:
         raise ProtocolError(f"frame length {size} exceeds the {MAX_FRAME_BYTES}-byte cap")
-    payload = _recv_exact(sock, size)
-    if len(payload) < size:
+    body = _recv_exact(sock, size)
+    if len(body) < size:
         raise ProtocolError("connection dropped inside a frame body")
+    if body[:1] == b"{":  # a header length of at least 0x7b000000, past any body
+        raise ProtocolError("frame body is a bare JSON object, as wire v3 and older sent, not a v4 header length")
+    if size < 4:
+        raise ProtocolError(f"frame body of {size} bytes holds no header length")
+    if (head := struct.unpack_from("!I", body)[0]) > size - 4:
+        raise ProtocolError(f"header length {head} runs past the {size - 4} bytes after it")
     try:  # int() refuses the NaN and Infinity literals, which are not JSON
-        msg = json.loads(payload.decode("utf-8"), parse_constant=int)
+        msg = json.loads(body[4:4 + head].decode("utf-8"), parse_constant=int)
     except (ValueError, RecursionError) as exc:  # ValueError covers the decode errors
-        raise ProtocolError(f"undecodable frame: {exc}") from exc
+        raise ProtocolError(f"undecodable frame header: {exc}") from exc
     if not isinstance(msg, dict):
-        raise ProtocolError(f"frame holds a JSON {type(msg).__name__}, not an object")
+        raise ProtocolError(f"frame header holds a JSON {type(msg).__name__}, not an object")
+    layout = msg.pop("columns", [])
+    if type(layout) is not list or not all(type(c) is list and len(c) == 2 and type(c[0]) is str
+                                           and type(c[1]) is int and c[1] >= 0 for c in layout):
+        raise ProtocolError(f"column list {layout!r} is not [name, byte length] pairs")
+    names = [name for name, _ in layout]
+    if len(set(names)) < len(names) or set(names) & (msg.keys() | {"columns"}):
+        raise ProtocolError(f"column names {names} repeat or clash with the header fields {sorted(msg)}")
+    at, tail = 4 + head, memoryview(body)
+    if at + sum(length for _, length in layout) != size:
+        raise ProtocolError(f"columns {layout} do not fill the {size - at} bytes after the header")
+    for name, length in layout:
+        msg[name], at = bytes(tail[at:at + length]), at + length
     return msg
 
 
@@ -174,7 +202,8 @@ def validate_message(msg, schemas: dict) -> str:
 
     Wire version first, so a frame of another version is refused as
     such; then exact key set and a type check per field. Booleans are
-    rejected where numbers are expected, and integers must fit 64 bits.
+    rejected where numbers are expected, integers must fit 64 bits, and
+    a column must come from the frame's tail.
     """
     if not isinstance(msg, dict):
         raise SchemaError(f"message must be an object, got {type(msg).__name__}")
@@ -189,7 +218,8 @@ def validate_message(msg, schemas: dict) -> str:
     for name, checker in grammar.items():
         value = msg[name]
         if isinstance(value, bool) or not isinstance(value, checker) or (checker is int and value.bit_length() > 63):
-            raise SchemaError(f"field {name!r} of {kind!r} is not a {'64-bit ' * (checker is int)}{checker.__name__}")
+            what = "64-bit int" if checker is int else "column" if checker is bytes else checker.__name__
+            raise SchemaError(f"field {name!r} of {kind!r} is not a {what}")
     return kind
 
 
@@ -197,22 +227,18 @@ def _unit_interval(x):
     return (x >= 0.0) & (x < 1.0)
 
 
-def _pack(values, dtype: str) -> str:
-    return base64.b64encode(np.asarray(values, dtype=dtype).tobytes()).decode("ascii")
+def _pack(values, dtype: str) -> bytes:
+    return np.asarray(values, dtype=dtype).tobytes()
 
 
 def _columns(kind: str, msg: dict, dtypes: dict) -> list[np.ndarray]:
-    """The batch columns of a validated frame, decoded as ``dtypes``.
+    """The batch columns of a validated frame, read as ``dtypes``.
 
-    Raises SchemaError naming a column not base64 or not whole items, or for unequal or empty columns.
+    Raises SchemaError naming a column not of whole items, or for unequal or empty columns.
     """
     cols = []
     for name, dtype in dtypes.items():
-        try:
-            raw = base64.b64decode(msg[name], validate=True)
-        except ValueError:  # binascii.Error, or text that is not ASCII
-            raise SchemaError(f"{kind} rejected: column {name} is not base64") from None
-        if len(raw) % np.dtype(dtype).itemsize:
+        if len(raw := msg[name]) % np.dtype(dtype).itemsize:
             raise SchemaError(f"{kind} rejected: column {name} holds {len(raw)} bytes, not whole {dtype} items")
         cols.append(np.frombuffer(raw, dtype=dtype))
     if len({len(c) for c in cols}) > 1 or not len(cols[0]):
@@ -221,7 +247,7 @@ def _columns(kind: str, msg: dict, dtypes: dict) -> list[np.ndarray]:
 
 
 def _report_batch(msg: dict, last_n: int, station_id: str, setting: Setting, key: GaugeKey) -> tuple:
-    """(report_batch frame, n, outcome) a station sends and logs for a validated emit_batch frame.
+    """(report_batch header, columns, n, outcome) a station sends and logs for a validated emit_batch frame.
 
     Every element is checked first: ``n`` must rise strictly from
     ``last_n``, the last pair index accepted (0 before the first), and
@@ -241,7 +267,7 @@ def _report_batch(msg: dict, last_n: int, station_id: str, setting: Setting, key
     left, right = measure_pairs(setting, PairStream(n=n, lam=lam, t=t), key)
     out = left if station_id == "L" else right
     return ({"v": WIRE_VERSION, "type": "report_batch", "station": station_id, "setting": [setting.b2, setting.b3],
-             "n": msg["n"], "outcome": _pack(out, "i1"), "clock_ns": time.monotonic_ns()}, n, out)
+             "clock_ns": time.monotonic_ns()}, {"n": msg["n"], "outcome": _pack(out, "i1")}, n, out)
 
 
 def _report_columns(msg: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -529,10 +555,10 @@ def source_run(
                                             start=session_index * count + 1)
             for lo in range(0, count, BATCH_PAIRS):
                 hi = min(lo + BATCH_PAIRS, count)
-                wire = {"v": WIRE_VERSION, "type": "emit_batch", "n": _pack(stream.n[lo:hi], "<i8"),
-                        "lambda": _pack(stream.lam[lo:hi], "<f8"), "t": _pack(stream.t[lo:hi], "<f8")}
+                columns = {"n": _pack(stream.n[lo:hi], "<i8"), "lambda": _pack(stream.lam[lo:hi], "<f8"),
+                           "t": _pack(stream.t[lo:hi], "<f8")}
                 for station in ("L", "R"):
-                    send_frame(conns[station], wire)
+                    send_frame(conns[station], {"v": WIRE_VERSION, "type": "emit_batch"}, columns)
                 sent = hi
             for station in ("L", "R"):
                 send_frame(conns[station], {"v": WIRE_VERSION, "type": "end", "count": sent})
@@ -615,12 +641,12 @@ def station_run(
             try:
                 if validate_message(msg, STATION_RECEIVABLE_SCHEMAS) == "end":
                     break
-                report, n, outcome = _report_batch(msg, last_n, station_id, setting, key)
+                report, columns, n, outcome = _report_batch(msg, last_n, station_id, setting, key)
             except SchemaError as exc:
                 log.rejected.append(str(exc))
                 continue
             last_n = int(n[-1])
-            send_frame(col, report)
+            send_frame(col, report, columns)
             batches.append((n, outcome, np.full(len(n), report["clock_ns"], dtype=np.int64)))
         send_frame(col, {"v": WIRE_VERSION, "type": "end", "station": station_id,
                          "count": sum(len(b[0]) for b in batches)})
@@ -646,6 +672,14 @@ class CollationResult:
     partial: bool = False
 
 
+def _found_in(rising: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Whether each of ``values`` is in the strictly rising ``rising``."""
+    at = np.searchsorted(rising, values)
+    hit = at < len(rising)
+    hit[hit] = rising[at[hit]] == values[hit]
+    return hit
+
+
 def collate(
     left: ReportBatch,
     right: ReportBatch,
@@ -669,21 +703,27 @@ def collate(
 
     incomplete = np.empty(0, dtype=np.int64)
     if strategy == "pair-id":
+        streams = []  # each wing's (n, outcome) in rising pair index
         for batch in (left, right):
-            sorted_n = np.sort(batch.n)
-            repeats = sorted_n[1:][sorted_n[1:] == sorted_n[:-1]]
-            if repeats.size:
-                raise CollationError(f"duplicate pair index {int(repeats[0])} in station {batch.station} stream")
-        idx, l_sel, r_sel = np.intersect1d(left.n, right.n, assume_unique=True, return_indices=True)
-        reported = np.union1d(left.n, right.n)
-        incomplete = np.setdiff1d(reported, idx, assume_unique=True)
+            n, outcome = batch.n, batch.outcome
+            if not (n[1:] > n[:-1]).all():
+                order = np.argsort(n, kind="stable")
+                n, outcome = n[order], outcome[order]
+                repeats = n[1:][n[1:] == n[:-1]]
+                if repeats.size:
+                    raise CollationError(f"duplicate pair index {int(repeats[0])} in station {batch.station} stream")
+            streams.append((n, outcome))
+        (ls, l_outcome), (rs, r_outcome) = streams
+        l_hit, r_hit = _found_in(rs, ls), _found_in(ls, rs)
+        idx, l_out, r_out = ls[l_hit], l_outcome[l_hit], r_outcome[r_hit]
+        incomplete = np.sort(np.concatenate((ls[~l_hit], rs[~r_hit])))  # disjoint, each unique
         if emission_log is not None:
-            emitted = emission_log.emissions.n
-            stray = np.setdiff1d(reported, emitted)
+            emitted = emission_log.emissions.n  # rising, as a PairStream's pair indices are
+            stray = np.concatenate((ls[~_found_in(emitted, ls)], rs[~_found_in(emitted, rs)]))
             if stray.size:
-                raise CollationError(f"report for never-emitted pair index {int(stray[0])}")
-            incomplete = np.union1d(incomplete, np.setdiff1d(emitted, reported))
-        l_out, r_out = left.outcome[l_sel], right.outcome[r_sel]
+                raise CollationError(f"report for never-emitted pair index {int(stray.min())}")
+            lost = emitted[~_found_in(ls, emitted) & ~_found_in(rs, emitted)]
+            incomplete = np.sort(np.concatenate((incomplete, lost)))
     else:
         m = min(len(left), len(right))
         if m == 0:

@@ -35,7 +35,7 @@ from eqrc.formats import (
     write_triple_csv,
 )
 from eqrc.inequalities import bell_check
-from eqrc.model import GaugeKey, MODE_RADEMACHER, Setting, sample_pair_stream
+from eqrc.model import GaugeKey, MODE_RADEMACHER, PairStream, Setting, sample_pair_stream
 from eqrc.stats import build_triple_table
 from eqrc.experiments import BELL_SETTINGS
 
@@ -247,6 +247,31 @@ class TestLoaderRefusals:
         with pytest.raises(ValueError, match=f"run-dataset {path} line 1: {match}"):
             load_run_dataset(path)
 
+    @pytest.mark.parametrize("kind", ["run-dataset", "report-log", "emission-log"])
+    @pytest.mark.parametrize("ending,line,text", [
+        (b"\r\n", 1, r"'\\r\\n'"), (b"\r", 1, r"'\\r\{"), (b"one \r\n", 3, r"'\\r\\n'"),
+    ], ids=["crlf", "cr", "one-crlf"])
+    def test_cr_and_crlf_line_endings_are_refused(self, tmp_path, kind, ending, line, text):
+        # The writers end every line in \n alone; a file whose endings were rewritten does not load as theirs.
+        path = tmp_path / f"{kind}.jsonl"
+        if kind == "run-dataset":
+            write_run_dataset(run_experiment(_spec(n=3)), path)
+        elif kind == "report-log":
+            _report_log_file(path, 6)
+        else:
+            stations.write_emission_log(stations.SourceLog(seed=0, session_index=0, count=3, emissions=PairStream(
+                n=np.arange(1, 4), lam=np.full(3, 0.5), t=np.full(3, 0.25))), path)
+        raw = path.read_bytes()
+        if ending == b"one \r\n":  # the second data line alone
+            first, second, rest = raw.split(b"\n", 2)
+            path.write_bytes(first + b"\n" + second + b"\n" + rest.replace(b"\n", b"\r\n", 1))
+        else:
+            path.write_bytes(raw.replace(b"\n", ending))
+        load = {"run-dataset": load_run_dataset, "report-log": stations.load_report_log,
+                "emission-log": stations.load_emission_log}[kind]
+        with pytest.raises(ValueError, match=f"line {line}: text after the object: {text}"):
+            load(path)
+
     def test_header_fault_is_named_before_a_record_fault(self, tmp_path):
         lines = run_dataset_text(run_experiment(_spec(n=3))).splitlines()
         lines[0] = json.dumps(dict(json.loads(lines[0]), seed=1.7))
@@ -346,6 +371,39 @@ class TestRecordTemplate:
         lines = path.read_text(encoding="utf-8").splitlines()[1:]
         assert len(lines) > formats._RENDER_ROWS and lines == _reference_lines(_dataset_reference(ds))
         assert _columns(load_run_dataset(path)) == _columns(ds)
+
+
+def _uint64_digit_block(col):
+    """``formats._digit_block`` as it was before its uint32 path: every division in uint64."""
+    neg, mag = col < 0, col.view(np.uint64)
+    mag = np.where(neg, -mag, mag)
+    width = len(str(mag.max(initial=0)))
+    text = np.empty((len(col), width + 1), np.uint8)
+    text[:, 0] = neg * ord("-")
+    for at in range(width, 0, -1):
+        lead = mag == 0
+        mag, digit = np.divmod(mag, np.uint64(10))
+        text[:, at] = digit + ord("0") if at == width else np.where(lead, 0, digit + ord("0"))
+    return text
+
+
+_block_values = st.one_of(st.integers(-2**63, 2**63 - 1), st.sampled_from(EDGE_INTS),
+                          st.integers(-3, 3).map(lambda d: 2**32 + d), st.integers(-3, 3).map(lambda d: -2**32 + d),
+                          st.integers(-9, 9), st.integers(-10**10, 10**10))
+
+
+class TestDigitBlock:
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(_block_values, max_size=40) | st.lists(st.integers(-2**32, 2**32), max_size=40)
+           | st.lists(st.integers(-9, 9), max_size=40))
+    @example([2**32 - 1, 7])
+    @example([-(2**32 - 1)])
+    @example([2**32])
+    @example([-2**63, 2**63 - 1])
+    @example([])
+    def test_blocks_equal_those_of_uint64_division(self, values):
+        col = np.array(values, dtype=np.int64)
+        assert np.array_equal(formats._digit_block(col), _uint64_digit_block(col))
 
 
 def _columns(ds):

@@ -15,19 +15,31 @@ import pytest
 
 from eqrc import formats
 
-_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+_PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _module(name: str, path: Path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", _PATH)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up there
     try:
-        spec.loader.exec_module(module)
-        yield module
+        yield _module("perfbench_workloads", _PERFBENCH / "workloads.py")
     finally:
-        del sys.modules[spec.name]
+        del sys.modules["perfbench_workloads"]
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    try:
+        yield _module("perfbench_tracing", _PERFBENCH / "tracing.py")
+    finally:
+        del sys.modules["perfbench_tracing"]
 
 
 @pytest.mark.parametrize("name", ["sweep", "suite", "export", "live"])
@@ -51,3 +63,17 @@ def test_export_files_at_benchmark_size_load_without_json(workloads, tmp_path, m
     problems, _ = workload.check(workload.op())
     headers = [path.read_text(encoding="utf-8").split("\n", 1)[0] + "\n" for path in workload.paths.values()]
     assert problems == [] and sorted(decoded) == sorted(headers)
+
+
+def test_live_op_runs_under_the_tracer(workloads, tracing, tmp_path):
+    """``--trace 1`` wraps send_frame and JSON-dumps its header argument: the columns must travel apart from it."""
+    workload = workloads.WORKLOADS["live"](1, workloads.WARM_UP_SIZES["live"], tmp_path)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        out = tracer.run("op", workload.op, tracer, op=True)
+    finally:
+        tracer.uninstall()
+    problems, _ = workload.check(out)
+    sends = [span for span in tracer.spans if span.name == "stations.send_frame"]
+    assert problems == [] and sends and all(span.counts["bytes"] > 4 for span in sends)

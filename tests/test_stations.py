@@ -1,6 +1,5 @@
 """Distributed harness: framing, schemas, live runs, collation, faults."""
 
-import base64
 import contextlib
 import json
 import math
@@ -31,25 +30,49 @@ V = st.WIRE_VERSION
 _DTYPES = {"n": "<i8", "lambda": "<f8", "t": "<f8", "outcome": "i1"}
 
 
-def _b64(raw: bytes) -> str:
-    return base64.b64encode(raw).decode()
-
-
 def _packed(frame):
-    """``frame`` with each list-valued batch column packed as the wire carries it.
+    """``frame`` with each list-valued batch column packed as ``recv_frame`` gives it.
 
-    A column travels as base64 of a little-endian fixed-width array; any
-    other value (a format case) is left as it is.
+    A column travels as the raw bytes of a little-endian fixed-width
+    array; any other value (a format case) is left as it is.
     """
-    return {name: _b64(np.array(value, dtype=_DTYPES[name]).tobytes())
+    return {name: np.array(value, dtype=_DTYPES[name]).tobytes()
             if name in _DTYPES and isinstance(value, list) else value for name, value in frame.items()}
 
 
 def _emit_batch(n, lam=None, t=None):
-    """A packed emit_batch frame; lambda and t default to 0.5 and 0.25 for every pair."""
+    """A packed emit_batch message; lambda and t default to 0.5 and 0.25 for every pair."""
     n = list(n)
     return _packed({"v": V, "type": "emit_batch", "n": n, "lambda": [0.5] * len(n) if lam is None else lam,
                     "t": [0.25] * len(n) if t is None else t})
+
+
+def _split(msg):
+    """(header, columns) of a message as ``send_frame`` takes them: its bytes fields are the columns."""
+    return ({name: value for name, value in msg.items() if type(value) is not bytes},
+            {name: value for name, value in msg.items() if type(value) is bytes})
+
+
+def _send(sock, msg):
+    """Send a message as ``recv_frame`` gives it back."""
+    st.send_frame(sock, *_split(msg))
+
+
+class _Capture:
+    def sendall(self, data):
+        self.data = bytes(data)
+
+
+def _wire(msg) -> bytes:
+    """The bytes ``send_frame`` puts on the wire for a message."""
+    _send(capture := _Capture(), msg)
+    return capture.data
+
+
+def _frame(head: bytes, tail: bytes = b"", head_len=None) -> bytes:
+    """A frame of the v4 layout from raw header and tail bytes, with ``head_len`` in place of the true one."""
+    body = struct.pack("!I", len(head) if head_len is None else head_len) + head + tail
+    return struct.pack("!I", len(body)) + body
 
 
 # ---------------------------------------------------------------------------
@@ -61,6 +84,38 @@ _json_values = hst.recursive(
     max_leaves=12)
 
 
+_column_names = (hst.sampled_from(["n", "lambda", "t", "outcome", "v", "type", "count", "columns"])
+                 | hst.text(max_size=3))
+
+
+@hst.composite
+def _v4_frames(draw):
+    """Whole frames of the v4 layout with arbitrary header fields, column lists and tail bytes.
+
+    The column list is a batch's columns, other [name, byte length]
+    pairs (names that may repeat or clash with the header's, lengths
+    that may be negative) or any JSON value; the tail mostly fills the
+    listed lengths, else is any bytes; the header length mostly is the
+    header's, else any.
+    """
+    header = draw(hst.dictionaries(hst.text(max_size=3), _json_values, max_size=1)) | draw(hst.fixed_dictionaries(
+        {"v": hst.just(V) | _json_values, "type": hst.sampled_from(["emit_batch", "report_batch"]) | _json_values},
+        optional={"station": hst.just("L") | _json_values, "setting": hst.just([0.0, 1.0]) | _json_values,
+                  "clock_ns": hst.integers()}))
+    grammar = hst.sampled_from([("n", "lambda", "t"), ("n", "outcome")]).flatmap(  # a batch's columns of k items
+        lambda names: hst.integers(0, 3).map(lambda k: [[name, k * (1 if name == "outcome" else 8)] for name in names]))
+    layout = draw(grammar | hst.lists(hst.tuples(_column_names, hst.integers(-4, 40)).map(list), max_size=4)
+                  | _json_values)
+    if draw(hst.booleans()):
+        header["columns"] = layout
+    sizes = [c[1] for c in layout if type(c) is list and len(c) == 2 and type(c[1]) is int and c[1] >= 0] \
+        if type(layout) is list else []
+    want = sum(sizes) if "columns" in header else 0
+    tail = draw(hst.binary(min_size=want, max_size=want) | hst.binary(max_size=48))
+    head = json.dumps(header).encode()
+    return _frame(head, tail, head_len=draw(hst.just(None) | hst.integers(0, 2**32 - 1)))
+
+
 class TestFraming:
     def test_round_trip_over_socketpair(self):
         a, b = socket.socketpair()
@@ -69,6 +124,15 @@ class TestFraming:
         a.close()
         assert st.recv_frame(b) is None  # clean EOF at a boundary
         b.close()
+
+    def test_columns_travel_raw_behind_the_header(self):
+        msg = _emit_batch([1, 2], lam=[0.5, 2**-1074])
+        head = b'{"columns":[["n",16],["lambda",16],["t",16]],"type":"emit_batch","v":%d}' % V
+        assert _wire(msg) == _frame(head, msg["n"] + msg["lambda"] + msg["t"])
+        a, b = socket.socketpair()
+        _send(a, msg)
+        assert st.recv_frame(b) == msg
+        a.close(), b.close()
 
     def test_mid_frame_drop_raises(self):
         a, b = socket.socketpair()
@@ -93,8 +157,8 @@ class TestFraming:
     def test_frame_arriving_in_pieces_is_reassembled(self):
         a, b = socket.socketpair()
         b.settimeout(5)
-        payload = json.dumps({"v": 1, "type": "end", "count": 7}).encode()
-        frame = struct.pack("!I", len(payload)) + payload
+        msg = _emit_batch([7])
+        frame = _wire(msg)
 
         def trickle():
             for i in range(0, len(frame), 3):
@@ -103,7 +167,7 @@ class TestFraming:
 
         sender = threading.Thread(target=trickle)
         sender.start()
-        assert st.recv_frame(b) == {"v": 1, "type": "end", "count": 7}
+        assert st.recv_frame(b) == msg
         sender.join(timeout=5)
         assert not sender.is_alive()
         a.close(), b.close()
@@ -124,25 +188,74 @@ class TestFraming:
 
     def test_undecodable_payload_raises(self):
         a, b = socket.socketpair()
-        payload = b"not json at all"
-        a.sendall(struct.pack("!I", len(payload)) + payload)
-        with pytest.raises(st.ProtocolError):
+        a.sendall(_frame(b"not json at all"))
+        with pytest.raises(st.ProtocolError, match="^undecodable frame header"):
             st.recv_frame(b)
         a.close(), b.close()
 
     @pytest.mark.parametrize("payload,match", [
-        (b'{"v": 3, "x": NaN}', "undecodable frame: .*'NaN'"),
-        (b'{"v": 3, "x": [1.0, Infinity]}', "undecodable frame: .*'Infinity'"),
-        (b'{"v": 3, "x": -Infinity}', "undecodable frame: .*'-Infinity'"),
-        (b"[" * 100_000, "undecodable frame: maximum recursion depth"),
-        (b'[{"v": 3}]', "frame holds a JSON list, not an object"),
-        (b"3", "frame holds a JSON int, not an object"),
-    ], ids=["nan", "infinity", "minus-infinity", "deep-nesting", "list", "number"])
+        (b'{"v": 4, "x": NaN}', "undecodable frame header: .*'NaN'"),
+        (b'{"v": 4, "x": [1.0, Infinity]}', "undecodable frame header: .*'Infinity'"),
+        (b'{"v": 4, "x": -Infinity}', "undecodable frame header: .*'-Infinity'"),
+        (b"[" * 100_000, "undecodable frame header: maximum recursion depth"),
+        (b'[{"v": 4}]', "frame header holds a JSON list, not an object"),
+        (b"3", "frame header holds a JSON int, not an object"),
+        (b'{"v": 4}}', "undecodable frame header: Extra data"),
+    ], ids=["nan", "infinity", "minus-infinity", "deep-nesting", "list", "number", "extra-data"])
     def test_only_a_strict_json_object_is_a_frame(self, payload, match):
         a, b = socket.socketpair()
-        a.sendall(struct.pack("!I", len(payload)) + payload)
+        a.sendall(_frame(payload))
         with pytest.raises(st.ProtocolError, match=match):
             st.recv_frame(b)
+        a.close(), b.close()
+
+    @pytest.mark.parametrize("frame,match", [
+        (_frame(b'{"v":4}', head_len=8), "header length 8 runs past the 7 bytes after it"),
+        (_frame(b"", head_len=2**32 - 1), "header length 4294967295 runs past the 0 bytes after it"),
+        (struct.pack("!I", 3) + b"\0\0\0", "frame body of 3 bytes holds no header length"),
+        (_frame(b'{"columns":{"n":8},"v":4}', bytes(8)), r"column list \{'n': 8\} is not \[name, byte length\]"),
+        (_frame(b'{"columns":[["n"]],"v":4}'), r"column list \[\['n'\]\] is not"),
+        (_frame(b'{"columns":[["n",8,0]],"v":4}', bytes(8)), "is not \\[name, byte length\\] pairs"),
+        (_frame(b'{"columns":[[8,"n"]],"v":4}', bytes(8)), "is not \\[name, byte length\\] pairs"),
+        (_frame(b'{"columns":[["n","8"]],"v":4}', bytes(8)), "is not \\[name, byte length\\] pairs"),
+        (_frame(b'{"columns":[["n",true]],"v":4}', bytes(1)), "is not \\[name, byte length\\] pairs"),
+        (_frame(b'{"columns":[["n",8.0]],"v":4}', bytes(8)), "is not \\[name, byte length\\] pairs"),
+        (_frame(b'{"columns":[["n",-8],["t",16]],"v":4}', bytes(8)),
+         r"column list \[\['n', -8\], \['t', 16\]\] is not"),
+        (_frame(b'{"columns":[["n",8],["n",8]],"v":4}', bytes(16)), r"column names \['n', 'n'\] repeat or clash"),
+        (_frame(b'{"columns":[["type",8]],"type":"end","v":4}', bytes(8)),
+         r"column names \['type'\] repeat or clash with the header fields \['type', 'v'\]"),
+        (_frame(b'{"columns":[["columns",8]],"v":4}', bytes(8)), r"column names \['columns'\] repeat or clash"),
+        (_frame(b'{"columns":[["n",8]],"v":4}', bytes(9)), r"columns \[\['n', 8\]\] do not fill the 9 bytes after"),
+        (_frame(b'{"columns":[["n",8]],"v":4}', bytes(7)), r"columns \[\['n', 8\]\] do not fill the 7 bytes after"),
+        (_frame(b'{"v":4}', b"\0"), r"columns \[\] do not fill the 1 bytes after the header"),
+        (_frame(b'{"columns":[["n",8]],"v":4}', bytes(8), head_len=3), "undecodable frame header"),
+    ], ids=["header-past-body", "header-length-max", "no-header-length", "column-dict", "column-without-length",
+            "column-of-three", "length-first", "length-as-text", "length-true", "length-float", "negative-length",
+            "repeated-column", "column-named-type", "column-named-columns", "tail-too-long", "tail-too-short",
+            "tail-without-columns", "short-header-length"])
+    def test_malformed_v4_layout_is_a_named_protocol_error(self, frame, match):
+        a, b = socket.socketpair()
+        b.settimeout(5)
+        a.sendall(frame)
+        with pytest.raises(st.ProtocolError, match=match):
+            st.recv_frame(b)
+        a.close(), b.close()
+
+    def test_v3_frame_with_base64_columns_is_refused_by_name(self):
+        v3 = {"v": 3, "type": "emit_batch", "n": "AQAAAAAAAAA=", "lambda": "AAAAAAAA4D8=", "t": "AAAAAAAA0D8="}
+        body = json.dumps(v3, sort_keys=True, separators=(",", ":")).encode()
+        a, b = socket.socketpair()
+        a.sendall(struct.pack("!I", len(body)) + body)
+        with pytest.raises(st.ProtocolError, match="^frame body is a bare JSON object, as wire v3 and older sent"):
+            st.recv_frame(b)
+        # The same fields in a v4 header: refused by their version, then as text where columns belong.
+        st.send_frame(a, v3)
+        with pytest.raises(st.SchemaError, match="^unsupported wire version 3$"):
+            st.validate_message(st.recv_frame(b), st.STATION_RECEIVABLE_SCHEMAS)
+        st.send_frame(a, dict(v3, v=V))
+        with pytest.raises(st.SchemaError, match="^field 'n' of 'emit_batch' is not a column$"):
+            st.validate_message(st.recv_frame(b), st.STATION_RECEIVABLE_SCHEMAS)
         a.close(), b.close()
 
     def test_send_frame_refuses_nan_and_infinity(self):
@@ -152,20 +265,30 @@ class TestFraming:
                 st.send_frame(a, {"v": V, "x": [1.0, bad]})
         a.close(), b.close()
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(hst.one_of(
         hst.binary(max_size=64),
         hst.binary(max_size=48).map(lambda body: struct.pack("!I", len(body)) + body),
         _json_values.map(lambda v: json.dumps(v).encode()).map(lambda body: struct.pack("!I", len(body)) + body),
+        _json_values.map(lambda v: _frame(json.dumps(v).encode())),
+        hst.lists(_v4_frames(), min_size=1, max_size=3).map(b"".join),
     ))
     def test_arbitrary_bytes_give_objects_none_or_a_protocol_error(self, data):
+        # Whatever a frame holds, each role's grammar and batch decoder end it in a SchemaError or a message.
         a, b = socket.socketpair()
         b.settimeout(5)
         a.sendall(data)
         a.close()
         try:
             while (msg := st.recv_frame(b)) is not None:
-                assert type(msg) is dict
+                assert type(msg) is dict and "columns" not in msg
+                for schemas in (st.STATION_RECEIVABLE_SCHEMAS, st.COLLATOR_RECEIVABLE_SCHEMAS,
+                                st.SOURCE_RECEIVABLE_SCHEMAS):
+                    with contextlib.suppress(st.SchemaError):
+                        if (kind := st.validate_message(msg, schemas)) == "emit_batch":
+                            st._report_batch(msg, 0, "L", B60, RAD3)
+                        elif kind == "report_batch":
+                            st._report_columns(msg)
         except st.ProtocolError:
             pass
         finally:
@@ -190,8 +313,8 @@ class TestSchemas:
             st.validate_message(msg, st.STATION_RECEIVABLE_SCHEMAS)
 
     def test_wrong_type_rejected(self):
-        for column in ([1], 1, None):
-            with pytest.raises(st.SchemaError, match="field 'n' of 'emit_batch' is not a str"):
+        for column in ([1], 1, None, "AQAAAAAAAAA=", bytearray(8)):
+            with pytest.raises(st.SchemaError, match="field 'n' of 'emit_batch' is not a column"):
                 st.validate_message(self._emit(n=column), st.STATION_RECEIVABLE_SCHEMAS)
         for count in (2**63, -2**63):
             with pytest.raises(st.SchemaError, match="field 'count' of 'end' is not a 64-bit int"):
@@ -222,11 +345,13 @@ class TestSchemas:
         for kind, grammar in st.STATION_RECEIVABLE_SCHEMAS.items():
             for name, checker in grammar.items():
                 assert "setting" not in name.lower()
-                assert checker in (int, str), (kind, name)
-        for column in ("n", "lambda", "t"):
-            msg = dict(_emit_batch([1, 2]), **{column: "[0.0,1.0]"})
+                assert checker in (int, str, bytes), (kind, name)
+                assert checker is not str or name == "type", (kind, name)
+        for column, dtype in (("n", "<i8"), ("lambda", "<f8"), ("t", "<f8")):
+            msg = dict(_emit_batch([1, 2]), **{column: b"[0.0,1.0]"})
             assert st.validate_message(msg, st.STATION_RECEIVABLE_SCHEMAS) == "emit_batch"
-            with pytest.raises(st.SchemaError, match=f"^emit_batch rejected: column {column} is not base64$"):
+            with pytest.raises(st.SchemaError, match=f"^emit_batch rejected: column {column} holds 9 bytes, not whole"
+                                                     f" {dtype} items$"):
                 st._report_batch(msg, 0, "R", B60, RAD3)
 
 
@@ -257,7 +382,8 @@ class TestBatches:
         n, lam, t, last_n = batch
         msg = _emit_batch(n, lam, t)
         assert st.validate_message(msg, st.STATION_RECEIVABLE_SCHEMAS) == "emit_batch"
-        report, n_out, outcome = st._report_batch(msg, last_n, side, setting, key)
+        header, columns, n_out, outcome = st._report_batch(msg, last_n, side, setting, key)
+        report = {**header, **columns}  # as the collator receives it
         assert st.validate_message(report, st.COLLATOR_RECEIVABLE_SCHEMAS) == "report_batch"
         left, right = measure_pairs(setting, PairStream(n=np.array(n), lam=np.array(lam, dtype=float),
                                                         t=np.array(t, dtype=float)), key)
@@ -310,17 +436,17 @@ class TestBatches:
         with pytest.raises(st.SchemaError, match="emit_batch rejected: columns"):
             st._report_batch(msg, 0, "L", CANONICAL_LEFT, RAD3)
 
-    @pytest.mark.parametrize("column,text,match", [
-        ("n", "AQAAAAAAAA", "column n is not base64"),  # unpadded
-        ("n", "AQAA AAAAAAA=", "column n is not base64"),  # whitespace
-        ("lambda", "AAAAAAAA4D8*", "column lambda is not base64"),
-        ("t", "\u00e9" * 12, "column t is not base64"),  # not ASCII
-        ("n", _b64(bytes(7)), "column n holds 7 bytes, not whole <i8 items"),
-        ("lambda", _b64(bytes(12)), "column lambda holds 12 bytes, not whole <f8 items"),
-        ("t", "", r"columns \['n', 'lambda', 't'\] of lengths \[1, 1, 0\]"),
-    ], ids=["unpadded", "whitespace", "bad-character", "not-ascii", "ragged-n", "ragged-lambda", "empty-t"])
-    def test_column_that_is_not_whole_fixed_width_items_is_refused(self, column, text, match):
-        msg = dict(_emit_batch([1]), **{column: text})
+    @pytest.mark.parametrize("column,raw,match", [
+        ("n", bytes(7), "column n holds 7 bytes, not whole <i8 items"),
+        ("n", bytes(9), "column n holds 9 bytes, not whole <i8 items"),
+        ("lambda", bytes(12), "column lambda holds 12 bytes, not whole <f8 items"),
+        ("lambda", bytes(1), "column lambda holds 1 bytes, not whole <f8 items"),
+        ("t", b"AAAAAAAA4D8=", "column t holds 12 bytes, not whole <f8 items"),  # base64 text of one float
+        ("t", b"", r"columns \['n', 'lambda', 't'\] of lengths \[1, 1, 0\]"),
+        ("n", bytes(16), r"columns \['n', 'lambda', 't'\] of lengths \[2, 1, 1\]"),
+    ], ids=["ragged-n", "ragged-n-long", "ragged-lambda", "one-byte-lambda", "base64-t", "empty-t", "long-n"])
+    def test_column_that_is_not_whole_fixed_width_items_is_refused(self, column, raw, match):
+        msg = dict(_emit_batch([1]), **{column: raw})
         assert st.validate_message(msg, st.STATION_RECEIVABLE_SCHEMAS) == "emit_batch"
         with pytest.raises(st.SchemaError, match=f"^emit_batch rejected: {match}$"):
             st._report_batch(msg, 0, "L", CANONICAL_LEFT, RAD3)
@@ -332,17 +458,18 @@ class TestBatches:
         top, size = 2**63 - 1, st.BATCH_PAIRS
         n = list(range(top - size + 1, top + 1))
         emit = _emit_batch(n, [2.2250738585072014e-308] * size, [0.9999999999999999] * size)
-        report, _, _ = st._report_batch(emit, top - size, "R", Setting(-0.7071067811865476, -0.7071067811865475),
-                                        RAD3)
-        report.update(clock_ns=top)
-        # 43,692 base64 characters per 8-byte column and 5,464 for outcome, plus the other fields.
-        expected = {"emit_batch": 131_129, "report_batch": 49_302}
+        header, columns, _, _ = st._report_batch(emit, top - size, "R",
+                                                 Setting(-0.7071067811865476, -0.7071067811865475), RAD3)
+        report = dict(header, clock_ns=top, **columns)
+        # 32,768 bytes per 8-byte column and 4,096 for outcome, behind the two 4-byte lengths and the JSON
+        # header (80 bytes for an emit_batch, 167 for this report_batch).
+        expected = {"emit_batch": 8 + 80 + 98_304, "report_batch": 8 + 167 + 36_864}
         for frame, schemas in ((emit, st.STATION_RECEIVABLE_SCHEMAS), (report, st.COLLATOR_RECEIVABLE_SCHEMAS)):
-            raw = json.dumps(frame, sort_keys=True, separators=(",", ":")).encode()
+            raw = _wire(frame)
             assert len(raw) == expected[frame["type"]] < st.MAX_FRAME_BYTES
             a, b = socket.socketpair()
             b.settimeout(10)
-            sender = threading.Thread(target=st.send_frame, args=(a, frame))
+            sender = threading.Thread(target=_send, args=(a, frame))
             sender.start()
             got = st.recv_frame(b)
             sender.join(timeout=10)
@@ -354,14 +481,14 @@ class TestBatches:
     @given(hst.sampled_from(["emit_batch", "report_batch"]), hst.integers(1, 6), hst.data())
     def test_any_frame_past_the_grammar_raises_only_schema_errors(self, kind, size, data):
         # Fields with the right names and arbitrary values: mostly a column of
-        # ``size`` items of arbitrary bytes, else base64 of any length, other
-        # text, or any JSON value at all.
+        # ``size`` items of arbitrary bytes, else bytes of any length, text,
+        # or any JSON value at all.
         fields = {"emit_batch": ("n", "lambda", "t"), "report_batch": ("station", "setting", "n", "outcome",
                                                                        "clock_ns")}[kind]
 
         def value(name):
             width = size * (1 if name == "outcome" else 8)
-            return (hst.binary(min_size=width, max_size=width).map(_b64) | hst.binary(max_size=20).map(_b64)
+            return (hst.binary(min_size=width, max_size=width) | hst.binary(max_size=20)
                     | hst.text(max_size=8) | hst.integers() | _json_values)
 
         msg = {"v": data.draw(hst.just(V) | _json_values, label="v"),
@@ -776,10 +903,10 @@ class TestNoPerReportObjects:
     def test_live_session_logs_columns(self, tmp_path, monkeypatch):
         ends, send = {}, st.send_frame
 
-        def send_recording_ends(sock, obj):
+        def send_recording_ends(sock, obj, columns=None):
             if obj["type"] == "end" and "station" in obj:
                 ends[obj["station"]] = obj["count"]
-            send(sock, obj)
+            send(sock, obj, columns)
 
         monkeypatch.setattr(st, "send_frame", send_recording_ends)
         key_path, paths = tmp_path / "key.json", (tmp_path / "L.jsonl", tmp_path / "R.jsonl")
@@ -804,7 +931,7 @@ class TestNoPerReportObjects:
             conn, _ = src_sock.accept()
             st.recv_frame(conn)  # hello
             for n in ([1, 2], [2, 3], [3, 4]):  # the second repeats pair index 2
-                st.send_frame(conn, _emit_batch(n))
+                _send(conn, _emit_batch(n))
             st.send_frame(conn, {"v": V, "type": "end", "count": 6})
             conn.close()
 
@@ -845,11 +972,11 @@ class TestStationRejection:
         def fake_source():
             conn, _ = src_sock.accept()
             st.recv_frame(conn)  # hello
-            st.send_frame(conn, _emit_batch([1, 2]))
-            st.send_frame(conn, dict(_emit_batch([3]), other_setting=[0.0, 1.0]))  # schema violation
-            st.send_frame(conn, _emit_batch([3, 4], lam=[0.5, 1.5]))  # bad range: the whole batch goes
+            _send(conn, _emit_batch([1, 2]))
+            _send(conn, dict(_emit_batch([3]), other_setting=[0.0, 1.0]))  # schema violation
+            _send(conn, _emit_batch([3, 4], lam=[0.5, 1.5]))  # bad range: the whole batch goes
             st.send_frame(conn, {"v": 2, "type": "emit_batch", "n": [3], "lambda": [0.5], "t": [0.25]})
-            st.send_frame(conn, _emit_batch([3]))
+            _send(conn, _emit_batch([3]))
             st.send_frame(conn, {"v": V, "type": "end", "count": 4})
             conn.close()
             src_sock.close()
@@ -890,7 +1017,7 @@ class TestStationRejection:
             conn, _ = src_sock.accept()
             st.recv_frame(conn)  # hello
             for n in ([1, 2], [2, 5], [4, 3], [3]):  # a repeat across batches, then a step back within one
-                st.send_frame(conn, _emit_batch(n))
+                _send(conn, _emit_batch(n))
             st.send_frame(conn, {"v": V, "type": "end", "count": 5})
             conn.close()
             src_sock.close()
@@ -1138,6 +1265,39 @@ class TestCollate:
         with pytest.raises(st.CollationError, match="never-emitted pair index 99"):
             st.collate(stray, rb, strategy="pair-id", emission_log=log)
 
+    @settings(max_examples=300, deadline=None)
+    @given(hst.lists(hst.integers(1, 40), max_size=30), hst.lists(hst.integers(1, 40), max_size=30),
+           hst.none() | hst.sets(hst.integers(1, 40)))
+    def test_pair_id_join_equals_the_join_of_sets(self, ln, rn, emitted):
+        # Each wing's outcome is a function of the pair index, so a joined row shows which reports it took.
+        def left_outcome(n):
+            return np.where(n % 3 == 0, 1, -1).astype(np.int8)
+
+        def right_outcome(n):
+            return np.where(n % 2 == 0, 1, -1).astype(np.int8)
+
+        lb, rb = (st.ReportBatch(station, CANONICAL_LEFT, n, outcome(n)) for station, n, outcome in (
+            ("L", np.array(ln, dtype=np.int64), left_outcome), ("R", np.array(rn, dtype=np.int64), right_outcome)))
+        log = None
+        if emitted is not None:
+            e = np.array(sorted(emitted), dtype=np.int64)
+            log = st.SourceLog(seed=0, session_index=0, count=len(e), emissions=PairStream(n=e, lam=e * 0.0, t=e * 0.0))
+        lset, rset, error = set(ln), set(rn), None
+        for station, ns in (("R", rn), ("L", ln)):  # L's is the error named, if both repeat
+            if repeated := sorted(n for n in set(ns) if ns.count(n) > 1):
+                error = f"duplicate pair index {repeated[0]} in station {station} stream"
+        if error is None and emitted is not None and (stray := (lset | rset) - emitted):
+            error = f"report for never-emitted pair index {min(stray)}"
+        if error is not None:
+            with pytest.raises(st.CollationError, match=f"^{error}$"):
+                st.collate(lb, rb, emission_log=log)
+            return
+        result = st.collate(lb, rb, emission_log=log)
+        group, joined = result.dataset.groups[0], np.array(sorted(lset & rset), dtype=np.int64)
+        assert np.array_equal(group.pair_index, joined)
+        assert np.array_equal(group.left, left_outcome(joined)) and np.array_equal(group.right, right_outcome(joined))
+        assert result.incomplete == tuple(sorted((lset ^ rset) | ((emitted or set()) - lset - rset)))
+
     def test_station_roles_enforced(self):
         grp = _group(n=10)
         lb, rb = st.station_batches(grp)
@@ -1182,7 +1342,7 @@ class TestInjectFault:
 
 
 def _report_frame(station, indices, **fields):
-    """A packed report_batch frame of +1 outcomes at the [1, 0] setting; ``fields`` replace any of its fields."""
+    """A packed report_batch message of +1 outcomes at the [1, 0] setting; ``fields`` replace any of its fields."""
     return _packed(dict({"v": V, "type": "report_batch", "station": station, "setting": [1.0, 0.0],
                          "n": list(indices), "outcome": [1] * len(indices), "clock_ns": 7}, **fields))
 
@@ -1192,13 +1352,13 @@ def _digest_frame(station, digest=RAD3.digest_hex()):
 
 
 def _trickle(conn, station):
-    """Send a report_batch frame's header whole, then its body a byte every 0.1 s until the peer hangs up."""
-    body = json.dumps(_report_frame(station, [1])).encode()
-    conn.sendall(struct.pack("!I", len(body)))
+    """Send a report_batch frame's length prefix whole, then its body a byte every 0.1 s until the peer hangs up."""
+    frame = _wire(_report_frame(station, [1]))
+    conn.sendall(frame[:4])
     with contextlib.suppress(OSError):
-        for i in range(len(body)):
+        for i in range(4, len(frame)):
             time.sleep(0.1)
-            conn.sendall(body[i:i + 1])
+            conn.sendall(frame[i:i + 1])
 
 
 def _await_hangup(conn, station):
@@ -1221,7 +1381,7 @@ class _FakeStations:
         def fake_station(station):
             conn = socket.create_connection(("127.0.0.1", port), timeout=15)
             if (frame := first.get(station, _digest_frame(station))) is not None:
-                st.send_frame(conn, frame)
+                _send(conn, frame)
             with contextlib.suppress(OSError):  # the collator may hang up on a refused batch
                 senders[station](conn, station)
             conn.close()
@@ -1245,7 +1405,7 @@ class _FakeStations:
         def send(conn, station):
             for lo in range(1, count + 1, batch):
                 time.sleep(pause)
-                st.send_frame(conn, _report_frame(station, range(lo, min(lo + batch, count + 1)), **fields))
+                _send(conn, _report_frame(station, range(lo, min(lo + batch, count + 1)), **fields))
             if end:
                 st.send_frame(conn, {"v": V, "type": "end", "station": station,
                                      "count": count if claimed is None else claimed})
@@ -1269,9 +1429,9 @@ class TestCollatorChecks(_FakeStations):
         ({"n": [1, 2, -3]}, st.SchemaError, "report_batch rejected at position 2: pair index -3"),
         ({"outcome": [1, 1]}, st.SchemaError, "report_batch rejected: columns"),
         ({"n": [], "outcome": []}, st.SchemaError, r"report_batch rejected: columns \['n', 'outcome'\] of lengths"),
-        ({"outcome": 7}, st.SchemaError, "field 'outcome' of 'report_batch' is not a str"),
-        ({"n": "AQ==!"}, st.SchemaError, "report_batch rejected: column n is not base64"),
-        ({"n": _b64(bytes(20))}, st.SchemaError, "report_batch rejected: column n holds 20 bytes, not whole <i8"),
+        ({"outcome": 7}, st.SchemaError, "field 'outcome' of 'report_batch' is not a column"),
+        ({"n": "AQAAAAAAAAA="}, st.SchemaError, "field 'n' of 'report_batch' is not a column"),
+        ({"n": bytes(20)}, st.SchemaError, "report_batch rejected: column n holds 20 bytes, not whole <i8"),
         ({"clock_ns": 2**63}, st.SchemaError, "field 'clock_ns' of 'report_batch' is not a 64-bit int"),
         ({"setting": [1.0, 0.0, 0.0]}, st.SchemaError, "is not two numbers"),
         ({"setting": [1.0, "0"]}, st.SchemaError, r"station L report_batch setting \[1.0, '0'\] is refused: it is not"),
@@ -1285,13 +1445,15 @@ class TestCollatorChecks(_FakeStations):
 
     @pytest.mark.parametrize("setting,error,match", [
         ("[1e400, 1.0]", st.SchemaError, r"^station L report_batch setting \[inf, 1.0\] is refused: setting comp"),
-        ("[NaN, 1.0]", st.ProtocolError, "^undecodable frame: .*'NaN'"),
-        ("[1.0, -Infinity]", st.ProtocolError, "^undecodable frame: .*'-Infinity'"),
+        ("[NaN, 1.0]", st.ProtocolError, "^undecodable frame header: .*'NaN'"),
+        ("[1.0, -Infinity]", st.ProtocolError, "^undecodable frame header: .*'-Infinity'"),
     ])
     def test_first_setting_the_collator_cannot_take_is_named(self, setting, error, match):
         def send(conn, station):
-            body = json.dumps(_report_frame(station, [1], setting="SETTING")).replace('"SETTING"', setting)
-            conn.sendall(struct.pack("!I", len(body)) + body.encode())
+            header, columns = _split(_report_frame(station, [1], setting="SETTING"))
+            header["columns"] = [[name, len(col)] for name, col in columns.items()]
+            head = json.dumps(header).replace('"SETTING"', setting).encode()
+            conn.sendall(_frame(head, b"".join(columns.values())))
 
         with pytest.raises(error, match=match):
             self._serve({"L": send, "R": self._send(1)}, timeout=10)
@@ -1322,8 +1484,8 @@ class TestCollatorChecks(_FakeStations):
 
     def test_setting_change_between_batches_is_refused(self):
         def send(conn, station):
-            st.send_frame(conn, _report_frame(station, [1, 2]))
-            st.send_frame(conn, _report_frame(station, [3], setting=[0.5, math.sqrt(3) / 2]))
+            _send(conn, _report_frame(station, [1, 2]))
+            _send(conn, _report_frame(station, [3], setting=[0.5, math.sqrt(3) / 2]))
             st.send_frame(conn, {"v": V, "type": "end", "station": station, "count": 3})
 
         with pytest.raises(st.CollationError, match="station R .* must come from one station session"):
