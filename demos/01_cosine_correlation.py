@@ -30,10 +30,10 @@ events = sample_pair_stream(seed=1, count=5)
 b = Setting(0.5, math.sqrt(3) / 2)  # 60 degrees from the left wing's reference
 
 print("five pairs, measured wing by wing:")
-for e in events:
-    l_out = measure_left(CANONICAL_LEFT, e, key)
-    r_out = measure_right(b, e, key)
-    print(f"  pair {e.n}: lam={e.lam:.3f} t={e.t:.3f}  ->  L={l_out:+d}  R={r_out:+d}  product={l_out * r_out:+d}")
+l_col = measure_left(CANONICAL_LEFT, events, key)  # each wing: one int8 column from its own setting
+r_col = measure_right(b, events, key)
+for n, lam, t, l_out, r_out in zip(*(col.tolist() for col in (events.n, events.lam, events.t, l_col, r_col))):
+    print(f"  pair {n}: lam={lam:.3f} t={t:.3f}  ->  L={l_out:+d}  R={r_out:+d}  product={l_out * r_out:+d}")
 
 # ## A full run at one angle
 

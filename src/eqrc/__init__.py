@@ -14,8 +14,6 @@ from .model import (
     MODE_CONSTANT,
     MODE_RADEMACHER,
     MODE_RADEMACHER_RARB,
-    Outcome,
-    PairEvent,
     PairStream,
     Setting,
     derive_subseed,

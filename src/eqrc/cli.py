@@ -305,6 +305,9 @@ def cmd_collate(args) -> int:
             raise UsageError("offline collation needs both --left and --right report logs")
         left = stations.load_report_log(args.left)
         right = stations.load_report_log(args.right)
+        with open(args.left, encoding="utf-8") as lfh, open(args.right, encoding="utf-8") as rfh:  # checked by the loads
+            if json.loads(lfh.readline())["key_digest"] != json.loads(rfh.readline())["key_digest"]:
+                raise stations.CollationError("gauge key digests differ between stations; refusing to collate")
         if args.inject is not None:
             kind, pos = parse_inject(args.inject)
             if args.inject_station == "L":

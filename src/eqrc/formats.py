@@ -237,13 +237,6 @@ def _refuse(kind: str, path, row: int, problem: str) -> NoReturn:
     raise ValueError(f"{kind} {path} line {row + 2}: {problem}")
 
 
-def _same_setting(raw, want: Setting) -> bool:
-    try:
-        return type(raw) is list and all(type(c) in (int, float) for c in raw) and Setting(*raw).close_to(want)
-    except (TypeError, ValueError):  # not two components, zero or not finite
-        return False
-
-
 def _read_records(path, kind: str, version: int, keys: frozenset, ints: tuple, floats: tuple = (),
                   slot: tuple = (), slots_of=lambda header: {(): None}, foreign: str = "",
                   trailer: frozenset = frozenset(), chunks_of=None, check_header=lambda header: header):
@@ -258,9 +251,10 @@ def _read_records(path, kind: str, version: int, keys: frozenset, ints: tuple, f
     at least two, so that their getters return tuples. A line is one
     JSON object and its newline, and a record has exactly ``keys``. Its
     numbers go into int64 and float64 columns that are range-checked as
-    columns; its setting is checked only when it differs from the last
-    one its slot saw. Nothing may follow a line with the ``trailer``
-    keys. ``check_header(header)`` runs before any data line is read.
+    columns; its setting must be its slot's as the writer writes it (the
+    same floats: no int, and the sign of a zero kept). Nothing may follow
+    a line with the ``trailer`` keys. ``check_header(header)`` runs
+    before any data line is read.
     Returns (what ``check_header`` gives, slot number of each record, int columns,
     float columns, trailer or None); raises ValueError naming the first
     bad line.
@@ -283,8 +277,9 @@ def _read_records(path, kind: str, version: int, keys: frozenset, ints: tuple, f
             raise ValueError(f"not a v{version} {kind} file: {path}")
         if line[end:] not in ("\n", ""):
             _refuse(kind, path, -1, f"text after the object: {line[end:]!r}")
-        try:  # slot key -> [slot number, the header's setting, the last setting seen that matched it]
-            slots = {key: [i, want, object()] for i, (key, want) in enumerate(slots_of(header).items())}
+        try:  # slot key -> (slot number, repr of the header's setting, which JSON writes alike, or None)
+            slots = {key: (i, None if want is None else repr(_setting_json(want)))
+                     for i, (key, want) in enumerate(slots_of(header).items())}
             if odd := [key for key in slots if any(type(field) is not str for field in key)]:
                 raise TypeError(f"slot {odd[0]!r} is not all strings")
         except (KeyError, TypeError, ValueError) as exc:
@@ -301,6 +296,9 @@ def _read_records(path, kind: str, version: int, keys: frozenset, ints: tuple, f
                 int_col.frombytes(np.column_stack((np.full(len(got[0]), version), *got[1])).tobytes())
             yield from fh
 
+        def in_slot(rec, at) -> bool:  # -0.0 == 0 == 0.0, but repr, like JSON, writes each apart
+            return at[1] is None or repr(rec["setting"]) == at[1]
+
         def problem_of(rec) -> str | None:
             """Why a decoded line is not a record (None if it is one)."""
             if not isinstance(rec, dict) or rec.keys() != keys:
@@ -312,8 +310,7 @@ def _read_records(path, kind: str, version: int, keys: frozenset, ints: tuple, f
                     except (TypeError, OverflowError):
                         return what.format(rec[name])
             try:
-                want = slots[get_slot(rec)][1]
-                if want is None or _same_setting(rec["setting"], want):
+                if in_slot(rec, slots[get_slot(rec)]):
                     return None
             except (KeyError, TypeError):  # an unknown or unhashable slot
                 pass
@@ -328,7 +325,7 @@ def _read_records(path, kind: str, version: int, keys: frozenset, ints: tuple, f
             try:
                 at = slots[get_slot(rec)]
                 # The slow path refuses booleans, which the columns would take as 1 or 0.
-                if (line[end:] == "\n" and rec.keys() == keys and rec.get("setting") == at[2]
+                if (line[end:] == "\n" and rec.keys() == keys and in_slot(rec, at)
                         and "true" not in line and "false" not in line):
                     int_col.extend(get_ints(rec))
                     float_col.extend(get_floats(rec))
@@ -337,7 +334,7 @@ def _read_records(path, kind: str, version: int, keys: frozenset, ints: tuple, f
             except (TypeError, KeyError, AttributeError, OverflowError):
                 rows = len(slot_col)
                 del int_col[rows * len(ints):], float_col[rows * len(floats):]  # a failed extend's part
-            # The slow path: a slot's first or new setting, the trailer, or a bad line.
+            # The slow path: the trailer, or a line the fast path did not take.
             if line[end:] not in ("\n", ""):
                 problem = f"text after the object: {line[end:]!r}"
             elif trailer and isinstance(rec, dict) and rec.keys() == trailer:
@@ -346,11 +343,9 @@ def _read_records(path, kind: str, version: int, keys: frozenset, ints: tuple, f
                 problem = problem_of(rec)
             if problem is not None or last is not None:
                 break
-            at = slots[get_slot(rec)]
-            at[2] = rec.get("setting")
             int_col.extend(get_ints(rec))
             float_col.extend(get_floats(rec))
-            slot_col.append(at[0])
+            slot_col.append(slots[get_slot(rec)][0])
     rows = len(slot_col)
     cols = (np.frombuffer(int_col, dtype=np.int64).reshape(rows, len(ints)),
             np.frombuffer(float_col, dtype=np.float64).reshape(rows, len(floats)))
@@ -382,7 +377,8 @@ def load_run_dataset(path) -> RunDataset:
     than -1/+1; for a header ``seed`` or ``pairs_per_setting`` that is
     not an integer >= 0 or >= 1, other spec fields ``ExperimentSpec``
     refuses or a ``meta`` that is not an object; and for a pair without
-    exactly one L and one R record.
+    exactly one L and one R record, or a switched file's pair index with
+    records in two groups.
     """
     def header_spec(header) -> tuple[dict, ExperimentSpec | None, dict]:
         spec, meta = None, header.get("meta", {})
@@ -429,16 +425,6 @@ def load_run_dataset(path) -> RunDataset:
             f"it needs exactly one L and one R record in file {path}"
         )
 
-    if header.get("switching") == "random-switched":
-        # First-appearance order: a pair sits where the earlier of its records does.
-        first_seen = np.argsort(np.minimum(lrow, rrow))
-        lrow, rrow = lrow[first_seen], rrow[first_seen]
-        inter = InterleavedRecords(
-            group_ids=gids[lrow], pair_index=ns[lrow],
-            left=outcomes[lrow].astype(np.int8), right=outcomes[rrow].astype(np.int8),
-        )
-        return RunDataset(canonical_pairs=pairs, groups=(), interleaved=inter, spec=spec, meta=meta)
-
     bounds = np.searchsorted(gids[lrow], np.arange(len(pairs) + 1))
     pair_index, left, right = ns[lrow], outcomes[lrow].astype(np.int8), outcomes[rrow].astype(np.int8)
     groups = tuple(
@@ -452,7 +438,17 @@ def load_run_dataset(path) -> RunDataset:
         )
         for gid, ((lft, rgt), lo, hi) in enumerate(zip(pairs, bounds[:-1], bounds[1:]))
     )
-    return RunDataset(canonical_pairs=pairs, groups=groups, spec=spec, meta=meta)
+    if header.get("switching") != "random-switched":
+        return RunDataset(canonical_pairs=pairs, groups=groups, spec=spec, meta=meta)
+    try:  # the groups a switched file sorts into: RunDataset's check refuses a pair index in two of them
+        RunDataset(canonical_pairs=pairs, groups=groups)
+    except ValueError as exc:
+        raise ValueError(f"{exc}: a pair index has records in two groups of file {path}") from None
+    # First-appearance order: a pair sits where the earlier of its records does.
+    first_seen = np.argsort(np.minimum(lrow, rrow))
+    inter = InterleavedRecords(group_ids=gids[lrow][first_seen], pair_index=pair_index[first_seen],
+                               left=left[first_seen], right=right[first_seen])
+    return RunDataset(canonical_pairs=pairs, groups=(), interleaved=inter, spec=spec, meta=meta)
 
 
 def sweep_csv_text(points: Sequence[SweepPoint]) -> str:
@@ -507,12 +503,9 @@ def write_triple_csv(tables: Sequence[TripleTable], path) -> None:
                 )
 
 
-def write_reports_jsonl(reports: Sequence[InequalityReport], path, created: str | None = None) -> None:
+def write_reports_jsonl(reports: Sequence[InequalityReport], path) -> None:
     path = Path(path)
     with path.open("w", encoding="utf-8") as fh:
-        header = {"v": SCHEMA_VERSION, "kind": "inequality-reports"}
-        if created is not None:
-            header["created"] = created
-        fh.write(_dumps(header) + "\n")
+        fh.write(_dumps({"v": SCHEMA_VERSION, "kind": "inequality-reports"}) + "\n")
         for rep in reports:
             fh.write(_dumps(rep.to_json()) + "\n")

@@ -11,10 +11,10 @@ key file). The product of the two outcomes averages to minus the dot
 product of the two settings; a balanced gauge (e.g. a Rademacher
 function) makes both marginal means vanish.
 
-The rule lives in one vectorized kernel, ``outcome_columns``; the
-pair, scalar and table entry points all call it. All operations here
-are pure and deterministic: identical inputs give identical outcomes,
-so everything is safe to evaluate concurrently.
+The rule lives in one vectorized kernel, ``outcome_columns``, which
+the wing, pair-run and table functions call on ``PairStream`` columns.
+All operations here are pure and deterministic: identical inputs give
+identical outcomes, so everything is safe to evaluate concurrently.
 """
 
 from __future__ import annotations
@@ -23,20 +23,18 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
 __all__ = [
     "NORM_TOL",
     "Setting",
-    "PairEvent",
     "PairStream",
     "GaugeKey",
     "MODE_CONSTANT",
     "MODE_RADEMACHER",
     "MODE_RADEMACHER_RARB",
-    "Outcome",
     "rademacher",
     "rarb_eval",
     "gauge_eval",
@@ -50,24 +48,25 @@ __all__ = [
 
 NORM_TOL = 1e-12
 
-#: An outcome is the detector number encoded as a sign: +1 for detector 1,
-#: -1 for detector 2.
-Outcome = int
-
 
 @dataclass(frozen=True)
 class Setting:
     """Unit vector in the plane transverse to the emission axis.
 
     The constructor normalizes inputs that are off unit length by more
-    than ``NORM_TOL`` and rejects zero or non-finite vectors. Components
-    already within tolerance are kept bit-for-bit (reproducibility).
+    than ``NORM_TOL``, rejects zero or non-finite vectors, and refuses a
+    component that is not an int or a float, such as a bool or a str
+    (TypeError; numpy numbers are taken). Components already within
+    tolerance are kept bit-for-bit (reproducibility).
     """
 
     b2: float
     b3: float
 
     def __post_init__(self) -> None:
+        if not all(isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+                   for x in (self.b2, self.b3)):
+            raise TypeError(f"setting components must be ints or floats, got ({self.b2!r}, {self.b3!r})")
         b2 = float(self.b2)
         b3 = float(self.b3)
         if not (math.isfinite(b2) and math.isfinite(b3)):
@@ -85,10 +84,6 @@ class Setting:
     def from_angle(cls, theta: float) -> "Setting":
         return cls(math.cos(theta), math.sin(theta))
 
-    @property
-    def angle(self) -> float:
-        return math.atan2(self.b3, self.b2)
-
     def dot(self, other: "Setting") -> float:
         return self.b2 * other.b2 + self.b3 * other.b3
 
@@ -97,33 +92,14 @@ class Setting:
 
 
 @dataclass(frozen=True)
-class PairEvent:
-    """One emitted pair: index ``n``, hidden variable ``lam``, time parameter ``t``.
-
-    Both wings receive the same event; the shared ``t`` is what lets the
-    two stations evaluate the global gauge at an identical argument with
-    no channel between them.
-    """
-
-    n: int
-    lam: float
-    t: float
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"pair index must be >= 1, got {self.n}")
-        if not 0.0 <= self.lam < 1.0:
-            raise ValueError(f"lam must lie in [0, 1), got {self.lam}")
-        if not 0.0 <= self.t < 1.0:
-            raise ValueError(f"t must lie in [0, 1), got {self.t}")
-
-
-@dataclass(frozen=True)
 class PairStream:
-    """A run of pair events backed by arrays; iterates as ``PairEvent``s.
+    """A run of pair events as columns: index ``n``, hidden variable ``lam``, time parameter ``t``.
 
-    ``n`` is strictly increasing. Index ranges of separate runs are kept
-    disjoint by the caller (distinct sample spaces per experiment).
+    Both wings receive the same events; the shared ``t`` is what lets the
+    two stations evaluate the global gauge at an identical argument with
+    no channel between them. ``n`` is strictly increasing. Index ranges
+    of separate runs are kept disjoint by the caller (distinct sample
+    spaces per experiment).
     """
 
     n: np.ndarray
@@ -138,13 +114,6 @@ class PairStream:
 
     def __len__(self) -> int:
         return len(self.n)
-
-    def __getitem__(self, i: int) -> PairEvent:
-        return PairEvent(int(self.n[i]), float(self.lam[i]), float(self.t[i]))
-
-    def __iter__(self) -> Iterator[PairEvent]:
-        for i in range(len(self)):
-            yield self[i]
 
 
 MODE_CONSTANT = "constant-plus-one"
@@ -162,38 +131,35 @@ def _check_order(j) -> None:
         raise ValueError(f"Rademacher order must be an integer in [1, {_MAX_ORDER}], got {j!r}")
 
 
-def rademacher(j: int, t):
+def rademacher(j: int, t: np.ndarray) -> np.ndarray:
     """Balanced ±1 square wave of order ``j``: (-1)^floor(2^(j+1) t).
 
     This is sign(sin(2^(j+1) pi t)) away from the sine's zeros; each
     dyadic point k/2^(j+1) takes the value of the interval it starts,
     (-1)^k. Scaling by a power of two is exact in binary64, so the wave
-    is exact for every order up to 52. Accepts a scalar in [0, 1) or an
-    array.
+    is exact for every order up to 52. Takes an array of ``t`` in [0, 1)
+    and gives an int8 array of the same shape.
     """
     _check_order(j)
     arr = np.asarray(t, dtype=np.float64)
     if arr.size and (float(arr.min()) < 0.0 or float(arr.max()) >= 1.0):
         raise ValueError("t must lie in [0, 1)")
     k = (arr * 2.0 ** (j + 1)).astype(np.int64)  # truncation is floor: the product is >= 0
-    out = (1 - 2 * (k & 1)).astype(np.int8)
-    if arr.ndim == 0:
-        return int(out)
-    return out
+    return (1 - 2 * (k & 1)).astype(np.int8)
 
 
-def rarb_eval(seed: int, t):
+def rarb_eval(seed: int, t: np.ndarray) -> np.ndarray:
     """Keyed deterministic ±1 factor of ``t``: a hash of (seed, bits of t).
 
     The hash is the standard splitmix64 finalizer of ``bits(t) ^ seed``;
     the factor is +1 where its lowest bit is set. Stands in for an
     arbitrary extra ±1 gauge component while staying reproducible and
-    shareable as part of a key file.
+    shareable as part of a key file. Takes an array of ``t`` and gives an
+    int8 array of the same shape.
     """
-    scalar = np.ndim(t) == 0
-    arr = np.ascontiguousarray(t, dtype=np.float64)  # promotes 0-d to 1-d
+    arr = np.ascontiguousarray(t, dtype=np.float64)
     # In place on one uint64 buffer plus one shift buffer; uint64 arithmetic wraps.
-    z = np.bitwise_xor(arr.reshape(-1).view(np.uint64), np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF))
+    z = np.bitwise_xor(arr.view(np.uint64), np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF))
     shifted = np.empty_like(z)
     z += np.uint64(0x9E3779B97F4A7C15)
     z ^= np.right_shift(z, np.uint64(30), out=shifted)
@@ -205,9 +171,7 @@ def rarb_eval(seed: int, t):
     out = z.astype(np.int8)
     out *= 2
     out -= 1
-    if scalar:
-        return int(out[0])
-    return out.reshape(arr.shape)
+    return out
 
 
 @dataclass(frozen=True)
@@ -260,13 +224,10 @@ class GaugeKey:
         return hashlib.sha256(payload).hexdigest()
 
 
-def gauge_eval(key: GaugeKey, t):
-    """Evaluate the global gauge at ``t`` (scalar or array); always ±1."""
+def gauge_eval(key: GaugeKey, t: np.ndarray) -> np.ndarray:
+    """Evaluate the global gauge at an array of ``t``: an int8 array of ±1 of the same shape."""
     if key.mode == MODE_CONSTANT:
-        arr = np.asarray(t, dtype=np.float64)
-        if arr.ndim == 0:
-            return 1
-        return np.ones(arr.shape, dtype=np.int8)
+        return np.ones(np.shape(t), dtype=np.int8)
     r = rademacher(key.j, t)
     if key.mode == MODE_RADEMACHER:
         return r
@@ -306,19 +267,19 @@ def outcome_columns(
 ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """The outcome rule for a whole stream: the gauge plus one A(x) column per setting.
 
-    ``lam`` and ``t`` share one shape (scalars for a single event); the
-    result is int8 arrays of that shape, ``(g, (A(x1), A(x2), ...))``.
+    ``lam`` and ``t`` are arrays of one shape; the result is int8 arrays
+    of that shape, ``(g, (A(x1), A(x2), ...))``.
     ``g = g(t)`` is the left wing's outcome. ``A(x)`` is ``+g`` where
     ``lam <= (1 + x.b2)/2`` (inclusive) and ``-g`` elsewhere; a right wing
     set to ``x`` reports ``-A(x)``. The gauge is evaluated once however
     many settings are given.
     """
-    g = np.asarray(gauge_eval(key, t), dtype=np.int8)
+    g = gauge_eval(key, t)
     return g, tuple(np.where(lam <= 0.5 * (1.0 + x.b2), g, -g) for x in settings)
 
 
-def measure_left(a: Setting, e: PairEvent, key: GaugeKey) -> Outcome:
-    """Left-wing outcome: the gauge value at the event's ``t``, for every ``lam``.
+def measure_left(a: Setting, events: PairStream, key: GaugeKey) -> np.ndarray:
+    """Left-wing outcomes, an int8 column: the gauge value at each event's ``t``, for every ``lam``.
 
     The setting argument is accepted (keeping the conventional two-wing
     signature) but never read: runs are conditioned so the left magnet
@@ -326,24 +287,24 @@ def measure_left(a: Setting, e: PairEvent, key: GaugeKey) -> Outcome:
     """
     if not isinstance(a, Setting):
         raise TypeError("a must be a Setting")
-    return int(gauge_eval(key, e.t))
+    return gauge_eval(key, events.t)
 
 
-def measure_right(b: Setting, e: PairEvent, key: GaugeKey) -> Outcome:
-    """Right-wing outcome from the local setting, the event, and the key only.
+def measure_right(b: Setting, events: PairStream, key: GaugeKey) -> np.ndarray:
+    """Right-wing outcomes, an int8 column, from the local setting, the events and the key only.
 
-    ``-A(b)`` for one event, so equal settings are anti-correlated with
+    ``-A(b)`` per event, so equal settings are anti-correlated with
     certainty.
     """
-    _, (a_b,) = outcome_columns(e.lam, e.t, key, (b,))
-    return -int(a_b)
+    _, (a_b,) = outcome_columns(events.lam, events.t, key, (b,))
+    return -a_b
 
 
 def measure_pairs(b: Setting, events: PairStream, key: GaugeKey) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized run of both wings over a pair stream.
 
-    Returns int8 arrays (left, right) = (g, -A(b)); elementwise identical
-    to calling measure_left / measure_right per event.
+    Returns int8 arrays (left, right) = (g, -A(b)): the columns of
+    measure_left and measure_right, with the gauge evaluated once.
     """
     g, (a_b,) = outcome_columns(events.lam, events.t, key, (b,))
     return g, -a_b

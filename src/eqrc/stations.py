@@ -297,24 +297,21 @@ class ReportBatch:
     setting: Setting
     n: np.ndarray
     outcome: np.ndarray
-    clock_ns: np.ndarray | None = None
+    clock_ns: np.ndarray
 
     def __len__(self) -> int:
         return len(self.n)
 
     def __iter__(self) -> Iterator[StationReport]:
-        clock_ns = repeat(None) if self.clock_ns is None else self.clock_ns.tolist()
         return map(StationReport, self.n.tolist(), repeat(self.station), repeat(self.setting),
-                   self.outcome.tolist(), clock_ns)
+                   self.outcome.tolist(), self.clock_ns.tolist())
 
 
 def station_batches(group) -> tuple[ReportBatch, ReportBatch]:
-    """The (L, R) report streams a run group would have produced on the wire."""
-    left = ReportBatch(station="L", setting=group.left_setting,
-                       n=group.pair_index.copy(), outcome=group.left.copy())
-    right = ReportBatch(station="R", setting=group.right_setting,
-                        n=group.pair_index.copy(), outcome=group.right.copy())
-    return left, right
+    """The (L, R) report streams a run group would have produced on the wire, with zero clocks."""
+    return tuple(ReportBatch(station, setting, group.pair_index.copy(), outcome.copy(), np.zeros(len(group), np.int64))
+                 for station, setting, outcome in (("L", group.left_setting, group.left),
+                                                   ("R", group.right_setting, group.right)))
 
 
 # ---------------------------------------------------------------------------
@@ -379,8 +376,6 @@ class StationLog:
                                      f"{station!r} with {setting}")
             self.reports = ReportBatch(self.station, self.setting, np.array(n, np.int64),
                                        np.array(outcome, np.int8), np.array(clock_ns, np.int64))
-        if self.reports.clock_ns is None:  # the writer needs them: a file without them would not load
-            raise ValueError(f"station {self.station} log given reports without clock_ns")
 
 
 def write_emission_log(log: SourceLog, path) -> None:
@@ -471,16 +466,22 @@ def load_report_log(path) -> ReportBatch:
     report whose ``v``/``type`` is not 1/"report", whose ``n`` is not an
     integer >= 1, whose outcome is not -1/+1 or whose ``clock_ns`` is not
     an integer, and a report from another station or setting than the
-    header's (whose station must be a string); and for a log that holds
-    no reports.
+    header's (whose station and ``key_digest`` must be strings); and for a
+    log that holds no reports.
     """
+    def header_digest(header) -> dict:
+        if type(header.get("key_digest")) is not str:
+            _refuse("report-log", path, -1, f"header key_digest {header.get('key_digest')!r} is not a string")
+        return header
+
     header, _, ints, _, _ = _read_records(
         path, "report-log", LOG_SCHEMA_VERSION,
         frozenset({"clock_ns", "n", "outcome", "setting", "station", "type", "v"}),
         ints=(_LOG_VERSION, _PAIR_INDEX, _OUTCOME, ("clock_ns", None, "clock_ns {!r} is not an integer")),
         slot=("station", "type"),
         slots_of=lambda header: {(header["station"], "report"): Setting(*header["setting"])},
-        foreign="a report batch must come from one station session", chunks_of=_report_chunks)
+        foreign="a report batch must come from one station session", chunks_of=_report_chunks,
+        check_header=header_digest)
     if not len(ints):
         raise ValueError(f"report log {path} holds no reports")
     _, n, outcome, clock_ns = ints.T
@@ -766,8 +767,7 @@ def inject_fault(kind: str, position: int, stream: ReportBatch) -> ReportBatch:
         rows = np.insert(rows, position + 1, position)
     else:  # reorder
         rows[[position, position + 1]] = position + 1, position
-    clock_ns = None if stream.clock_ns is None else stream.clock_ns[rows]
-    return ReportBatch(stream.station, stream.setting, stream.n[rows], stream.outcome[rows], clock_ns)
+    return ReportBatch(stream.station, stream.setting, stream.n[rows], stream.outcome[rows], stream.clock_ns[rows])
 
 
 # ---------------------------------------------------------------------------
@@ -834,10 +834,10 @@ def collator_serve(
             raise SchemaError(f"unexpected {kind!r} message from station {name!r}")
         if name not in settings:
             try:
-                if len(msg["setting"]) != 2 or {type(x) for x in msg["setting"]} - {int, float}:
+                if len(msg["setting"]) != 2:
                     raise ValueError("it is not two numbers")
                 settings[name] = (msg["setting"], Setting(*msg["setting"]))
-            except (ValueError, OverflowError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise SchemaError(f"station {name} report_batch setting {msg['setting']} is refused: {exc}") from None
         elif msg["setting"] != settings[name][0]:
             raise CollationError(f"station {name} batch with setting {msg['setting']}: "

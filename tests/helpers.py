@@ -1,12 +1,48 @@
-"""Shared test machinery: a live four-process experiment on loopback threads, and int64 edge values."""
+"""Shared test machinery: a live four-process experiment on loopback threads, int64 edge values, and
+per-event oracles of the outcome rule written apart from the vectorized kernel."""
 
+import math
+import struct
 import threading
+from fractions import Fraction
 
 from eqrc.experiments import CANONICAL_LEFT
+from eqrc.model import MODE_CONSTANT, MODE_RADEMACHER_RARB
 from eqrc import stations as st
 
 # int64 values where a decimal rendering changes digit count or sign, and int64's two ends.
 EDGE_INTS = [0, 1, -1, 9, 10, 99, 100, 10**18 - 1, 10**18, -2**63, 2**63 - 1]
+
+
+def sign_of_sine(j, t):
+    """The exact sign of sin(2^(j+1) pi t) in rational arithmetic: positive exactly where
+    floor(2^(j+1) t) is even (zeros take the interval they start)."""
+    return 1 if math.floor(Fraction(t) * 2 ** (j + 1)) % 2 == 0 else -1
+
+
+def splitmix64_sign(seed, t):
+    """+1 where the splitmix64 finalizer of bits(t) ^ seed, in Python ints masked to 64 bits, is odd."""
+    mask = 2**64 - 1
+    bits = int.from_bytes(struct.pack("<d", t), "little")
+    z = ((bits ^ (seed & mask)) + 0x9E3779B97F4A7C15) & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    z ^= z >> 31
+    return 1 if z & 1 else -1
+
+
+def gauge_oracle(key, t):
+    """The gauge at one ``t``, from the two oracles above."""
+    if key.mode == MODE_CONSTANT:
+        return 1
+    g = sign_of_sine(key.j, t)
+    return g * splitmix64_sign(key.rarb_seed, t) if key.mode == MODE_RADEMACHER_RARB else g
+
+
+def a_oracle(key, x, lam, t):
+    """A(x) at one event: the gauge where lam <= (1 + x.b2)/2 in binary64, minus the gauge elsewhere."""
+    g = gauge_oracle(key, t)
+    return g if lam <= (1 + x.b2) / 2 else -g
 
 
 def run_live(seed, count, key, right_setting, key_path, match="pair-id", session_index=0,

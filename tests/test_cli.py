@@ -189,6 +189,20 @@ class TestExitCodes:
                                 "--match", "sequence", "--emissions", str(paths["emissions"])], capsys)
         assert rc == 2 and out == "" and "cannot account for an emission log" in err
 
+    def test_offline_collation_refuses_logs_of_different_keys(self, capsys, tmp_path):
+        from eqrc.experiments import CANONICAL_LEFT
+        from eqrc import stations as st
+
+        paths = []
+        for side, digest in (("L", "a" * 64), ("R", "b" * 64)):
+            reports = [st.StationReport(n=n, station=side, setting=CANONICAL_LEFT, outcome=1, clock_ns=0) for n in (1, 2)]
+            paths.append(tmp_path / f"{side}.jsonl")
+            st.write_report_log(st.StationLog(station=side, setting=CANONICAL_LEFT, key_digest=digest, reports=reports),
+                                paths[-1])
+        rc, out, err = run_cli(["collate", "--left", str(paths[0]), "--right", str(paths[1])], capsys)
+        assert (rc, out) == (2, "")
+        assert err == "eqrc: runtime error: gauge key digests differ between stations; refusing to collate\n"
+
     def test_keygen_writes_loadable_key(self, capsys, tmp_path):
         path = tmp_path / "key.json"
         rc, out, _ = run_cli(["keygen", "--gauge", "rademacher-rarb:j=2,seed=9",

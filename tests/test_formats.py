@@ -104,9 +104,10 @@ class TestDatasetJsonl:
         with pytest.raises(ValueError, match="run-dataset"):
             load_run_dataset(path)
 
-    def test_load_rejects_a_header_without_valid_settings(self, tmp_path):
+    @pytest.mark.parametrize("right", ["[0.0,0.0]", '["1.0","0.0"]', "[true,0.0]", "[1.0]"])
+    def test_load_rejects_a_header_without_valid_settings(self, tmp_path, right):
         path = tmp_path / "bad.jsonl"
-        path.write_text('{"v":1,"kind":"run-dataset","pairs":[[[1.0,0.0],[0.0,0.0]]]}\n')
+        path.write_text('{"v":1,"kind":"run-dataset","pairs":[[[1.0,0.0],%s]]}\n' % right)
         with pytest.raises(ValueError, match="line 1: header without valid slots"):
             load_run_dataset(path)
 
@@ -165,6 +166,24 @@ class TestLoaderRefusals:
         for name in ("group_ids", "pair_index", "left", "right"):
             assert np.array_equal(getattr(back, name), getattr(ds.interleaved, name))
 
+    @pytest.mark.parametrize("shape", ["repeated", "interleaved"])
+    def test_switched_file_cannot_repeat_a_pair_index_across_groups(self, tmp_path, shape):
+        ds = run_experiment(_spec(n=3, switching="random-switched"))  # group g holds pair indices 3g+1 .. 3g+3
+
+        def renumber(recs):
+            g_of = {f"pair{g}": g for g in range(3)}
+            if shape == "repeated":  # group pair1's indices become pair0's
+                return [dict(r, n=r["n"] - 3) if r["group"] == "pair1" else r for r in recs]
+            return [dict(r, n=3 * (r["n"] - 3 * g_of[r["group"]] - 1) + g_of[r["group"]] + 1) for r in recs]
+
+        path = _rewrite(tmp_path, ds, renumber)
+        if shape == "repeated":
+            with pytest.raises(ValueError, match="must be disjoint: a pair index has records in two groups of file"):
+                load_run_dataset(path)
+            return
+        groups = sort_wigner_sets(load_run_dataset(path)).groups  # overlapping ranges, disjoint indices
+        assert [g.pair_index.tolist() for g in groups] == [[1, 4, 7], [2, 5, 8], [3, 6, 9]]
+
     @pytest.mark.parametrize("extra", ["flipped L", "whole pair"])
     def test_repeated_record_is_refused(self, tmp_path, extra):
         ds = run_experiment(_spec(n=3))
@@ -192,10 +211,15 @@ class TestLoaderRefusals:
             load_run_dataset(path)
 
 
-    def test_record_setting_must_be_its_groups(self, tmp_path):
+    # recs[4] is group pair0's last L record, of setting [1.0, 0.0]; recs[5] its R record, of BELL_SETTINGS[1].
+    @pytest.mark.parametrize("at,setting", [
+        (5, [0.0, 1.0]), (5, [0.5 + 1e-13, math.sqrt(3.0) / 2.0]), (4, [1, 0]), (4, [1.0, -0.0]), (4, [1.0, 1e-15]),
+    ], ids=repr)
+    def test_record_setting_must_be_its_groups_as_written(self, tmp_path, at, setting):
         ds = run_experiment(_spec(n=3))
-        path = _rewrite(tmp_path, ds, lambda recs: recs[:5] + [dict(recs[5], setting=[0.0, 1.0])] + recs[6:])
-        with pytest.raises(ValueError, match=r"line 7: unknown group or station, or a setting other than the header's"):
+        path = _rewrite(tmp_path, ds, lambda recs: recs[:at] + [dict(recs[at], setting=setting)] + recs[at + 1:])
+        with pytest.raises(ValueError, match=rf"line {at + 2}: unknown group or station, or a setting other than "
+                                             "the header's"):
             load_run_dataset(path)
 
     @pytest.mark.parametrize("at", [0, 4])  # a slot's first record, and a later one
@@ -591,10 +615,9 @@ class TestReportsJsonl:
     def test_reports_file_has_header_and_machine_readable_rows(self, tmp_path):
         rep = bell_check(-0.5, 0.5, -0.5)
         path = tmp_path / "reports.jsonl"
-        write_reports_jsonl([rep], path, created="2026-01-01T00:00:00+00:00")
+        write_reports_jsonl([rep], path)
         lines = path.read_text().splitlines()
-        header = json.loads(lines[0])
-        assert header["kind"] == "inequality-reports" and header["v"] == 1
+        assert lines[0] == '{"kind":"inequality-reports","v":1}'
         row = json.loads(lines[1])
         assert row["violated"] is True
         assert row["name"] == "bell"

@@ -25,11 +25,10 @@ from eqrc.model import (
     MODE_CONSTANT,
     MODE_RADEMACHER,
     Setting,
-    measure_left,
-    measure_right,
     sample_pair_stream,
 )
 from eqrc.stats import ExpectationEstimate
+from helpers import a_oracle, gauge_oracle
 
 ONE = GaugeKey(mode=MODE_CONSTANT)
 RAD3 = GaugeKey(mode=MODE_RADEMACHER, j=3)
@@ -171,14 +170,14 @@ class TestWignerCheck:
 
 
 class TestCyclic:
-    def test_rows_match_scalar_wing_functions(self):
+    def test_rows_match_the_rule_oracle(self):
         events = sample_pair_stream(5, 300)
         table = cyclic_concatenate(events, RAD3, BELL_SETTINGS)
-        for i, e in enumerate(events):
-            assert table.h[i] == e.n
-            assert table.s_a[i] == measure_left(A, e, RAD3)
-            assert table.s_b[i] == -measure_right(B, e, RAD3)
-            assert table.s_c[i] == -measure_right(C, e, RAD3)
+        lam, t = events.lam.tolist(), events.t.tolist()
+        assert table.h.tolist() == events.n.tolist()
+        assert table.s_a.tolist() == [gauge_oracle(RAD3, t_i) for t_i in t]
+        for x, col in ((B, table.s_b), (C, table.s_c)):  # a right wing set to x reports -A(x); the table flips it
+            assert col.tolist() == [a_oracle(RAD3, x, lam_i, t_i) for lam_i, t_i in zip(lam, t)]
 
     def test_every_row_satisfies_the_three_pair_bound(self):
         events = sample_pair_stream(23, 5_000)

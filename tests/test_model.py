@@ -1,8 +1,6 @@
 """Core model: settings, events, gauge, and the two wing functions."""
 
 import math
-import struct
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,7 +12,7 @@ from eqrc.model import (
     MODE_CONSTANT,
     MODE_RADEMACHER,
     MODE_RADEMACHER_RARB,
-    PairEvent,
+    PairStream,
     Setting,
     derive_subseed,
     gauge_eval,
@@ -26,6 +24,7 @@ from eqrc.model import (
     rarb_eval,
     sample_pair_stream,
 )
+from helpers import a_oracle, gauge_oracle, sign_of_sine, splitmix64_sign
 
 ONE = GaugeKey(mode=MODE_CONSTANT)
 
@@ -36,6 +35,9 @@ settings_st = st.builds(
 )
 unit_t = st.floats(0.0, 1.0, exclude_max=True, allow_nan=False)
 unit_lam = st.floats(0.0, 1.0, exclude_max=True, allow_nan=False)
+unit_ts = st.lists(unit_t, min_size=1, max_size=40)
+events_st = st.lists(st.tuples(unit_lam, unit_t), min_size=1, max_size=40).map(
+    lambda pairs: _stream(*zip(*pairs)))
 keys_st = st.one_of(
     st.just(ONE),
     st.integers(1, 8).map(lambda j: GaugeKey(mode=MODE_RADEMACHER, j=j)),
@@ -43,6 +45,11 @@ keys_st = st.one_of(
         lambda a: GaugeKey(mode=MODE_RADEMACHER_RARB, j=a[0], rarb_seed=a[1])
     ),
 )
+
+
+def _stream(lam, t):
+    """Pair events 1..len with these lam and t."""
+    return PairStream(n=np.arange(1, len(t) + 1), lam=np.array(lam, dtype=np.float64), t=np.array(t, dtype=np.float64))
 
 
 class TestSetting:
@@ -64,6 +71,17 @@ class TestSetting:
         with pytest.raises(ValueError):
             Setting(float("nan"), 1.0)
 
+    @pytest.mark.parametrize("b2, b3", [("1.0", 0.0), (1.0, "0.0"), (True, 0.0), (1.0, False), (None, 1.0),
+                                        (np.bool_(True), 0.0)])
+    def test_refuses_a_component_that_is_not_an_int_or_a_float(self, b2, b3):
+        with pytest.raises(TypeError, match="setting components must be ints or floats"):
+            Setting(b2, b3)
+
+    def test_takes_numpy_numbers(self):
+        s = Setting(np.float64(0.5), np.float32(0.0)), Setting(np.int64(3), np.int8(4))
+        assert [(x.b2, x.b3) for x in s] == [(1.0, 0.0), (0.6, 0.8)]
+        assert all(type(c) is float for x in s for c in (x.b2, x.b3))
+
     @given(settings_st)
     def test_always_unit_norm(self, s):
         assert abs(s.b2**2 + s.b3**2 - 1.0) <= 1e-12
@@ -74,56 +92,31 @@ class TestSetting:
         assert Setting(1, 0).dot(s) == pytest.approx(0.5)
 
 
-class TestPairEvent:
-    @pytest.mark.parametrize("n,lam,t", [(0, 0.5, 0.5), (1, 1.0, 0.5), (1, -0.1, 0.5), (1, 0.5, 1.0)])
-    def test_rejects_out_of_range(self, n, lam, t):
-        with pytest.raises(ValueError):
-            PairEvent(n, lam, t)
-
-    def test_stream_indexing_and_iteration(self):
-        stream = sample_pair_stream(5, 10)
-        events = list(stream)
-        assert len(events) == 10
-        assert [e.n for e in events] == list(range(1, 11))
-        assert events[3] == stream[3]
-
-    def test_with_start_index(self):
-        stream = sample_pair_stream(5, 4, start=101)
-        assert list(stream.n) == [101, 102, 103, 104]
-        assert np.array_equal(stream.t, sample_pair_stream(5, 4).t)  # same draws
-        with pytest.raises(ValueError, match="start index"):
-            sample_pair_stream(5, 4, start=0)
-
-
 class TestRademacher:
     def test_examples_against_direct_sign_of_sine(self):
         # independent evaluation of sign(sin(2^(j+1) pi t))
         assert math.sin(0.4 * math.pi) > 0
-        assert rademacher(1, 0.1) == 1
         assert math.sin(1.2 * math.pi) < 0
-        assert rademacher(1, 0.3) == -1
+        out = rademacher(1, np.array([0.1, 0.3]))
+        assert out.tolist() == [1, -1] and out.dtype == np.int8
 
     def test_zero_of_sine_maps_to_plus_one(self):
         assert math.sin(0.0) == 0.0
-        assert rademacher(3, 0.0) == 1
+        assert rademacher(3, np.array([0.0])).tolist() == [1]
 
     def test_rejects_bad_order_and_domain(self):
         with pytest.raises(ValueError):
-            rademacher(0, 0.5)
+            rademacher(0, np.array([0.5]))
         with pytest.raises(ValueError):
-            rademacher(53, 0.5)  # 2^54 t is even for every t on the sampling grid
+            rademacher(53, np.array([0.5]))  # 2^54 t is even for every t on the sampling grid
         with pytest.raises(ValueError):
-            rademacher(1, 1.0)
+            rademacher(1, np.array([0.5, 1.0]))
         with pytest.raises(ValueError):
-            rademacher(1, -0.25)
+            rademacher(1, np.array([-0.25]))
 
-    @given(st.integers(1, 52), unit_t)
-    def test_matches_sign_of_sine_oracle(self, j, t):
-        # exact sign of sin(2^(j+1) pi t) in rational arithmetic: positive
-        # exactly where floor(2^(j+1) t) is even (zeros take the interval
-        # they start)
-        expected = 1 if math.floor(Fraction(t) * 2 ** (j + 1)) % 2 == 0 else -1
-        assert rademacher(j, t) == expected
+    @given(st.integers(1, 52), unit_ts)
+    def test_matches_sign_of_sine_oracle(self, j, ts):
+        assert rademacher(j, np.array(ts)).tolist() == [sign_of_sine(j, t) for t in ts]
 
     @pytest.mark.parametrize("j", [1, 3, 10, 30, 40, 50, 52])
     def test_dyadic_points_take_the_interval_they_start(self, j):
@@ -132,7 +125,6 @@ class TestRademacher:
         ts = np.array([k / m for k in ks])  # exact in binary64
         expected = [1 if k % 2 == 0 else -1 for k in ks]
         assert rademacher(j, ts).tolist() == expected
-        assert [rademacher(j, float(t)) for t in ts] == expected
 
     @pytest.mark.parametrize("j", [1, 3, 30, 51, 52])
     def test_balanced_on_the_sampling_grid(self, j):
@@ -147,31 +139,27 @@ class TestRademacher:
         changes = int(np.sum(vals[1:] != vals[:-1]))
         assert changes == 2 ** (j + 1) - 1
 
-    def test_array_and_scalar_paths_agree(self):
-        ts = np.linspace(0.0, 0.999, 777)
-        arr = rademacher(4, ts)
-        assert [rademacher(4, float(t)) for t in ts] == arr.tolist()
-
 
 class TestGauge:
     def test_constant_mode_is_identity(self):
-        assert gauge_eval(ONE, 0.123) == 1
-        assert np.all(gauge_eval(ONE, np.linspace(0, 0.99, 50)) == 1)
+        out = gauge_eval(ONE, np.linspace(0, 0.99, 50))
+        assert np.all(out == 1) and out.shape == (50,) and out.dtype == np.int8
 
     def test_rademacher_mode_equals_rademacher(self):
         key = GaugeKey(mode=MODE_RADEMACHER, j=1)
-        assert gauge_eval(key, 0.3) == rademacher(1, 0.3) == -1
+        assert gauge_eval(key, np.array([0.1, 0.3])).tolist() == [sign_of_sine(1, 0.1), sign_of_sine(1, 0.3)] == [1, -1]
 
-    @given(st.integers(1, 6), st.integers(0, 2**63), unit_t)
-    def test_product_mode_is_componentwise_product(self, j, seed, t):
+    @given(st.integers(1, 6), st.integers(0, 2**63), unit_ts)
+    def test_product_mode_is_componentwise_product(self, j, seed, ts):
         key = GaugeKey(mode=MODE_RADEMACHER_RARB, j=j, rarb_seed=seed)
-        assert gauge_eval(key, t) == rademacher(j, t) * rarb_eval(seed, t)
+        expected = [sign_of_sine(j, t) * splitmix64_sign(seed, t) for t in ts]
+        assert gauge_eval(key, np.array(ts)).tolist() == expected
 
-    @given(keys_st, unit_t)
-    def test_values_are_signs_and_deterministic(self, key, t):
-        v = gauge_eval(key, t)
-        assert v in (1, -1)
-        assert gauge_eval(key, t) == v
+    @given(keys_st, unit_ts)
+    def test_values_are_signs_and_deterministic(self, key, ts):
+        v = gauge_eval(key, np.array(ts))
+        assert v.dtype == np.int8 and v.tolist() == [gauge_oracle(key, t) for t in ts]
+        assert gauge_eval(key, np.array(ts)).tolist() == v.tolist()
 
     def test_key_validation(self):
         with pytest.raises(ValueError):
@@ -204,28 +192,23 @@ class TestGauge:
         vals = rarb_eval(123, ts)
         assert set(np.unique(vals)) <= {-1, 1}
         assert abs(float(vals.mean())) < 0.02
-        assert [rarb_eval(123, float(t)) for t in ts[:200]] == vals[:200].tolist()
+        assert [splitmix64_sign(123, float(t)) for t in ts[:200]] == vals[:200].tolist()
 
-    @staticmethod
-    def _rarb_reference(seed, t):
-        # splitmix64 finalizer of bits(t) ^ seed in Python ints, masked to 64 bits
-        mask = 2**64 - 1
-        bits = int.from_bytes(struct.pack("<d", t), "little")
-        z = ((bits ^ (seed & mask)) + 0x9E3779B97F4A7C15) & mask
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
-        z ^= z >> 31
-        return 1 if z & 1 else -1
-
-    @given(st.integers(-(2**63), 2**64 - 1), st.lists(unit_t, min_size=1, max_size=40))
+    @given(st.integers(-(2**63), 2**64 - 1), unit_ts)
     def test_rarb_matches_python_int_splitmix64(self, seed, ts):
         ts = ts + [0.0, 5e-324, 1 - 2**-53]
-        expected = [self._rarb_reference(seed, t) for t in ts]
-        assert rarb_eval(seed, np.array(ts)).tolist() == expected
-        assert [rarb_eval(seed, t) for t in ts] == expected
+        out = rarb_eval(seed, np.array(ts))
+        assert out.tolist() == [splitmix64_sign(seed, t) for t in ts] and out.dtype == np.int8
 
 
 class TestPairStream:
+    def test_with_start_index(self):
+        stream = sample_pair_stream(5, 4, start=101)
+        assert list(stream.n) == [101, 102, 103, 104] and len(stream) == 4
+        assert np.array_equal(stream.t, sample_pair_stream(5, 4).t)  # same draws
+        with pytest.raises(ValueError, match="start index"):
+            sample_pair_stream(5, 4, start=0)
+
     def test_deterministic_given_seed(self):
         a, b = sample_pair_stream(77, 1000), sample_pair_stream(77, 1000)
         assert np.array_equal(a.lam, b.lam) and np.array_equal(a.t, b.t)
@@ -254,23 +237,26 @@ class TestPairStream:
 
 class TestWingFunctions:
     def test_left_is_gauge_value_for_all_lam(self):
-        e = PairEvent(1, 0.99, 0.1)
-        assert measure_left(Setting(1, 0), e, ONE) == 1
-        # a t where the order-1 wave is negative
-        e2 = PairEvent(2, 0.0, 0.3)
-        assert measure_left(Setting(1, 0), e2, GaugeKey(mode=MODE_RADEMACHER, j=1)) == -1
+        events = _stream([0.99, 0.0], [0.1, 0.3])  # the second t is where the order-1 wave is negative
+        out = measure_left(Setting(1, 0), events, ONE)
+        assert out.tolist() == [1, 1] and out.dtype == np.int8
+        assert measure_left(Setting(1, 0), events, GaugeKey(mode=MODE_RADEMACHER, j=1)).tolist() == [1, -1]
 
-    @given(settings_st, settings_st, unit_lam, unit_t, keys_st)
-    def test_left_ignores_its_setting_argument(self, s1, s2, lam, t, key):
-        e = PairEvent(1, lam, t)
-        assert measure_left(s1, e, key) == measure_left(s2, e, key)
+    @given(settings_st, settings_st, events_st, keys_st)
+    def test_left_ignores_its_setting_argument(self, s1, s2, events, key):
+        assert measure_left(s1, events, key).tolist() == measure_left(s2, events, key).tolist()
+
+    def test_left_refuses_a_setting_that_is_not_one(self):
+        with pytest.raises(TypeError, match="a must be a Setting"):
+            measure_left((1.0, 0.0), _stream([0.5], [0.5]), ONE)
 
     def test_right_threshold_examples(self):
-        e = PairEvent(1, 0.5, 0.0)
+        events = _stream([0.5], [0.0])
         # threshold (1 + 1/2)/2 = 3/4 >= 0.5 -> flipped gauge
-        assert measure_right(Setting(0.5, math.sqrt(3) / 2), e, ONE) == -1
+        out = measure_right(Setting(0.5, math.sqrt(3) / 2), events, ONE)
+        assert out.tolist() == [-1] and out.dtype == np.int8
         # threshold 0 -> lam above it -> unflipped gauge; product with left is +1
-        assert measure_right(Setting(-1.0, 0.0), e, ONE) == 1
+        assert measure_right(Setting(-1.0, 0.0), events, ONE).tolist() == [1]
 
     def test_equal_settings_are_perfectly_anticorrelated(self):
         events = sample_pair_stream(3, 2000)
@@ -284,28 +270,27 @@ class TestWingFunctions:
         prods = l_out * r_out
         assert np.all(prods[events.lam > 0] == 1)
 
-    @given(settings_st, unit_lam, unit_t, keys_st, keys_st)
-    def test_gauge_invariance_of_products(self, b, lam, t, k1, k2):
-        e = PairEvent(1, lam, t)
-        p1 = measure_left(Setting(1, 0), e, k1) * measure_right(b, e, k1)
-        p2 = measure_left(Setting(1, 0), e, k2) * measure_right(b, e, k2)
-        assert p1 == p2
+    @given(settings_st, events_st, keys_st, keys_st)
+    def test_gauge_invariance_of_products(self, b, events, k1, k2):
+        p1 = measure_left(Setting(1, 0), events, k1) * measure_right(b, events, k1)
+        p2 = measure_left(Setting(1, 0), events, k2) * measure_right(b, events, k2)
+        assert p1.tolist() == p2.tolist()
 
-    @given(settings_st, unit_lam, unit_t, keys_st)
-    def test_determinism(self, b, lam, t, key):
-        e = PairEvent(1, lam, t)
-        assert measure_right(b, e, key) == measure_right(b, e, key)
-        assert measure_left(b, e, key) == measure_left(b, e, key)
+    @given(settings_st, events_st, keys_st)
+    def test_determinism(self, b, events, key):
+        assert measure_right(b, events, key).tolist() == measure_right(b, events, key).tolist()
+        assert measure_left(b, events, key).tolist() == measure_left(b, events, key).tolist()
 
     @settings(deadline=None)
     @given(settings_st, st.integers(0, 2**32), keys_st)
-    def test_vectorized_path_matches_scalar(self, b, seed, key):
+    def test_wing_and_pair_columns_match_the_oracle(self, b, seed, key):
         events = sample_pair_stream(seed, 64)
+        lam, t = events.lam.tolist(), events.t.tolist()
+        left = [gauge_oracle(key, t_i) for t_i in t]
+        right = [-a_oracle(key, b, lam_i, t_i) for lam_i, t_i in zip(lam, t)]
         l_vec, r_vec = measure_pairs(b, events, key)
-        left = Setting(1, 0)
-        for i, e in enumerate(events):
-            assert int(l_vec[i]) == measure_left(left, e, key)
-            assert int(r_vec[i]) == measure_right(b, e, key)
+        assert l_vec.tolist() == measure_left(Setting(1, 0), events, key).tolist() == left
+        assert r_vec.tolist() == measure_right(b, events, key).tolist() == right
 
 
 class TestOutcomeKernel:
@@ -313,13 +298,12 @@ class TestOutcomeKernel:
     @given(st.lists(settings_st, min_size=1, max_size=4), st.integers(0, 2**32), keys_st)
     def test_columns_match_the_rule_per_event(self, xs, seed, key):
         events = sample_pair_stream(seed, 32)
+        lam, t = events.lam.tolist(), events.t.tolist()
         g, cols = outcome_columns(events.lam, events.t, key, xs)
         assert len(cols) == len(xs)
-        for i, e in enumerate(events):
-            g_e = gauge_eval(key, e.t)  # scalar gauge path
-            assert int(g[i]) == g_e
-            for x, col in zip(xs, cols):
-                assert int(col[i]) == (g_e if e.lam <= (1 + x.b2) / 2 else -g_e)
+        assert g.tolist() == [gauge_oracle(key, t_i) for t_i in t]
+        for x, col in zip(xs, cols):
+            assert col.tolist() == [a_oracle(key, x, lam_i, t_i) for lam_i, t_i in zip(lam, t)]
 
     def test_threshold_is_inclusive(self):
         x = Setting(0.5, math.sqrt(3) / 2)  # threshold exactly 3/4

@@ -7,6 +7,7 @@ run once and checked, so an API change that would fail the benchmark
 fails here first.
 """
 
+import importlib
 import importlib.util
 import sys
 from pathlib import Path
@@ -40,6 +41,20 @@ def tracing():
         yield _module("perfbench_tracing", _PERFBENCH / "tracing.py")
     finally:
         del sys.modules["perfbench_tracing"]
+
+
+def test_every_traced_layer_resolves(tracing):
+    """Each (module, attribute) the tracer wraps is in eqrc: one that is not is named here, before a run."""
+    missing = []
+    for layer, targets in tracing.LAYERS.items():
+        for module_name, attr, _ in targets:
+            owner = importlib.import_module(module_name)
+            try:
+                for part in attr.split("."):
+                    owner = getattr(owner, part)
+            except AttributeError:
+                missing.append(f"{layer}: {module_name}.{attr}")
+    assert missing == []
 
 
 @pytest.mark.parametrize("name", ["sweep", "suite", "export", "live"])

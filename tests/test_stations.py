@@ -3,6 +3,7 @@
 import contextlib
 import json
 import math
+import re
 import socket
 import struct
 import threading
@@ -648,6 +649,13 @@ class TestReportLogs:
         with pytest.raises(ValueError, match="line 2: a report batch must come from one station session"):
             st.load_report_log(path)
 
+    @pytest.mark.parametrize("digest", [[1, 2], None, 7], ids=repr)
+    def test_header_key_digest_must_be_a_string(self, tmp_path, digest):
+        _, path = _report_log(tmp_path)
+        _edit_line(path, 1, key_digest=digest)
+        with pytest.raises(ValueError, match=rf"line 1: header key_digest {re.escape(repr(digest))} is not a string$"):
+            st.load_report_log(path)
+
     def test_text_after_the_header_object_is_refused(self, tmp_path):
         _, path = _report_log(tmp_path)
         lines = path.read_text().splitlines(keepends=True)
@@ -662,10 +670,19 @@ class TestReportLogs:
         with pytest.raises(ValueError, match="line 1: header without valid slots: .* is not all strings"):
             st.load_report_log(path)
 
-    def test_setting_within_tolerance_is_the_same_session(self, tmp_path):
+    @pytest.mark.parametrize("setting", [[1.0, 1e-15], [1.0 + 2**-52, 0.0], [1, 0], [1.0, 0], [1.0, -0.0]], ids=repr)
+    def test_a_setting_not_as_the_writer_writes_it_is_another_session(self, tmp_path, setting):
+        _, path = _report_log(tmp_path)  # the header's setting is [1.0, 0.0]
+        _edit_line(path, 4, setting=setting)
+        with pytest.raises(ValueError, match="line 4: a report batch must come from one station session"):
+            st.load_report_log(path)
+
+    @pytest.mark.parametrize("setting", [["1.0", "0.0"], [True, 0.0], [1.0, 0.0, 0.0]], ids=repr)
+    def test_header_setting_must_be_two_numbers(self, tmp_path, setting):
         _, path = _report_log(tmp_path)
-        _edit_line(path, 4, setting=[1.0, 1e-15])
-        assert st.load_report_log(path).setting == CANONICAL_LEFT
+        _edit_line(path, 1, setting=setting)
+        with pytest.raises(ValueError, match="line 1: header without valid slots"):
+            st.load_report_log(path)
 
     def test_empty_log_is_refused(self, tmp_path):
         _, path = _report_log(tmp_path, count=0)
@@ -693,10 +710,14 @@ class TestStationLogs:
         with pytest.raises(ValueError, match=match):
             st.StationLog(station="L", setting=own, key_digest="ab", reports=rows)
 
-    def test_batch_without_clocks_is_refused(self):
-        batch = st.station_batches(_group(n=3))[0]
-        with pytest.raises(ValueError, match="^station L log given reports without clock_ns$"):
-            st.StationLog(station="L", setting=batch.setting, key_digest="ab", reports=batch)
+    def test_a_group_gives_batches_with_zero_clocks_that_a_log_writes(self, tmp_path):
+        grp = _group(n=3)
+        for batch, outcome in zip(st.station_batches(grp), (grp.left, grp.right)):
+            assert batch.clock_ns.tolist() == [0, 0, 0] and batch.clock_ns.dtype == np.int64
+            assert batch.n.tolist() == grp.pair_index.tolist() and batch.outcome.tolist() == outcome.tolist()
+            path = tmp_path / f"{batch.station}.jsonl"
+            st.write_report_log(st.StationLog(batch.station, batch.setting, "ab", batch), path)
+            assert list(st.load_report_log(path)) == list(batch)
 
 
 def _emission_log(tmp_path, count=3, session=1):
@@ -811,11 +832,11 @@ class TestLiveRun:
 
     def test_both_stations_received_identical_triples(self, live):
         log = st.load_emission_log(live["emission_log_path"])
-        assert [e.n for e in log.emissions] == list(range(1, 801))
+        assert log.emissions.n.tolist() == list(range(1, 801))
         assert log.status == "complete"
         # reports from both wings cover exactly the emitted pairs
         for side in ("L", "R"):
-            assert [r.n for r in live[side].reports] == [e.n for e in log.emissions]
+            assert [r.n for r in live[side].reports] == log.emissions.n.tolist()
 
     def test_key_digests_agree_at_the_collator(self, live):
         digests = live["collator"].digests
@@ -1260,7 +1281,8 @@ class TestCollate:
     def test_stray_report_from_one_station_is_an_error(self):
         grp = _group(n=50)
         lb, rb = st.station_batches(grp)
-        stray = st.ReportBatch(station="L", setting=lb.setting, n=np.append(lb.n, 99), outcome=np.append(lb.outcome, 1))
+        stray = st.ReportBatch(station="L", setting=lb.setting, n=np.append(lb.n, 99), outcome=np.append(lb.outcome, 1),
+                               clock_ns=np.append(lb.clock_ns, 0))
         log = st.SourceLog(seed=0, session_index=0, count=50, emissions=_emissions(50))
         with pytest.raises(st.CollationError, match="never-emitted pair index 99"):
             st.collate(stray, rb, strategy="pair-id", emission_log=log)
@@ -1276,7 +1298,7 @@ class TestCollate:
         def right_outcome(n):
             return np.where(n % 2 == 0, 1, -1).astype(np.int8)
 
-        lb, rb = (st.ReportBatch(station, CANONICAL_LEFT, n, outcome(n)) for station, n, outcome in (
+        lb, rb = (st.ReportBatch(station, CANONICAL_LEFT, n, outcome(n), 0 * n) for station, n, outcome in (
             ("L", np.array(ln, dtype=np.int64), left_outcome), ("R", np.array(rn, dtype=np.int64), right_outcome)))
         log = None
         if emitted is not None:
@@ -1329,6 +1351,14 @@ class TestInjectFault:
         lb, _ = st.station_batches(grp)
         out = st.inject_fault("reorder", 5, lb)
         assert out.n[5] == lb.n[6] and out.n[6] == lb.n[5]
+
+    @pytest.mark.parametrize("kind,rows", [("drop", [0, 1, 3]), ("duplicate", [0, 1, 2, 2, 3]),
+                                           ("reorder", [0, 1, 3, 2])])
+    def test_clocks_move_with_their_reports(self, kind, rows):
+        lb, _ = st.station_batches(_group(n=4))
+        lb = st.ReportBatch("L", lb.setting, lb.n, lb.outcome, 10 * lb.n)
+        out = st.inject_fault(kind, 2, lb)
+        assert out.n.tolist() == lb.n[rows].tolist() and out.clock_ns.tolist() == lb.clock_ns[rows].tolist()
 
     def test_position_out_of_range(self):
         grp = _group(n=20)
@@ -1434,8 +1464,12 @@ class TestCollatorChecks(_FakeStations):
         ({"n": bytes(20)}, st.SchemaError, "report_batch rejected: column n holds 20 bytes, not whole <i8"),
         ({"clock_ns": 2**63}, st.SchemaError, "field 'clock_ns' of 'report_batch' is not a 64-bit int"),
         ({"setting": [1.0, 0.0, 0.0]}, st.SchemaError, "is not two numbers"),
-        ({"setting": [1.0, "0"]}, st.SchemaError, r"station L report_batch setting \[1.0, '0'\] is refused: it is not"),
-        ({"setting": [True, 0.0]}, st.SchemaError, r"station L report_batch setting \[True, 0.0\] is refused: it is"),
+        ({"setting": [1.0, "0"]}, st.SchemaError,
+         r"station L report_batch setting \[1.0, '0'\] is refused: setting components must be ints or floats"),
+        ({"setting": [True, 0.0]}, st.SchemaError,
+         r"station L report_batch setting \[True, 0.0\] is refused: setting components must be ints or floats"),
+        ({"setting": [{}, 0.0]}, st.SchemaError,
+         r"station L report_batch setting \[\{\}, 0.0\] is refused: setting components must be ints or floats"),
         ({"setting": [0, 0]}, st.SchemaError, r"station L report_batch setting \[0, 0\] is refused: zero vector"),
         ({"setting": [10**400, 1.0]}, st.SchemaError, "station L report_batch setting .* is refused: int too large"),
     ], ids=repr)

@@ -12,9 +12,7 @@ from eqrc.model import (
     MODE_RADEMACHER_RARB,
     Setting,
     gauge_eval,
-    measure_left,
     measure_pairs,
-    measure_right,
     sample_pair_stream,
 )
 from eqrc.experiments import BELL_SETTINGS, CANONICAL_LEFT, ExperimentSpec, RunGroup, run_experiment
@@ -24,6 +22,7 @@ from eqrc.stats import (
     estimate_expectation,
     estimate_marginals,
 )
+from helpers import a_oracle, gauge_oracle
 
 ONE = GaugeKey(mode=MODE_CONSTANT)
 RAD3 = GaugeKey(mode=MODE_RADEMACHER, j=3)
@@ -120,13 +119,13 @@ class TestMarginals:
 
 
 def _brute_force_triple(kind, events, key, settings):
-    """Per-event reference construction: left outcome, sign-flipped right, +1."""
-    a, b, c = settings
+    """Per-event reference construction: left outcome, sign-flipped right, +1, from the rule's oracle."""
+    _, b, c = settings
     partner = b if kind == "abc'" else c
     counts = {(s1, s2, s3): 0 for s1 in (1, -1) for s2 in (1, -1) for s3 in (1, -1)}
-    for e in events:
-        col1 = measure_left(a, e, key)
-        col2 = -measure_right(partner, e, key)
+    for lam, t in zip(events.lam.tolist(), events.t.tolist()):
+        col1 = gauge_oracle(key, t)  # the left wing reads no setting
+        col2 = a_oracle(key, partner, lam, t)  # minus the right wing's -A(partner)
         counts[(col1, col2, 1)] += 1
     return counts
 
