@@ -21,6 +21,7 @@ from .model import (
     measure_left,
     measure_pairs,
     measure_right,
+    measure_stream,
     outcome_columns,
     rademacher,
     rarb_eval,

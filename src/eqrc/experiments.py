@@ -14,6 +14,7 @@ from __future__ import annotations
 import datetime as _dt
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .model import (
     GaugeKey,
     Setting,
     derive_subseed,
-    measure_pairs,
+    measure_stream,
     sample_pair_stream,
 )
 from .stats import ExpectationEstimate, estimate_expectation
@@ -110,7 +111,7 @@ class RunGroup:
         return len(self.pair_index)
 
     def products(self) -> np.ndarray:
-        return self.left.astype(np.int64) * self.right
+        return self.left * self.right  # ±1 times ±1 is exact in int8
 
 
 @dataclass
@@ -202,18 +203,9 @@ def run_experiment(spec: ExperimentSpec) -> RunDataset:
     n = spec.pairs_per_setting
     groups = []
     for i, (lft, rgt) in enumerate(canonical):
-        events = sample_pair_stream(derive_subseed(spec.seed, i), n, start=i * n + 1)
-        l_out, r_out = measure_pairs(rgt, events, spec.key)
-        groups.append(
-            RunGroup(
-                label=f"pair{i}",
-                left_setting=lft,
-                right_setting=rgt,
-                pair_index=events.n,
-                left=l_out,
-                right=r_out,
-            )
-        )
+        left, right = measure_stream(rgt, derive_subseed(spec.seed, i), n, spec.key)
+        pair_index = np.arange(i * n + 1, (i + 1) * n + 1, dtype=np.int64)
+        groups.append(RunGroup(f"pair{i}", lft, rgt, pair_index, left, right))
 
     if spec.switching == "fixed":
         return RunDataset(canonical_pairs=canonical, groups=tuple(groups), spec=spec, meta=_meta())
@@ -337,9 +329,7 @@ def sweep_angle(seed: int, n_per_step: int, steps: int, key: GaugeKey) -> list[S
     points = []
     for k in range(steps):
         theta = 2.0 * math.pi * k / steps
-        right = Setting.from_angle(theta)
-        events = sample_pair_stream(derive_subseed(seed, k), n_per_step)
-        l_out, r_out = measure_pairs(right, events, key)
-        grp = RunGroup("sweep", CANONICAL_LEFT, right, events.n, l_out, r_out)
+        l_out, r_out = measure_stream(Setting.from_angle(theta), derive_subseed(seed, k), n_per_step, key)
+        grp = SimpleNamespace(left=l_out, right=r_out)  # the estimate reads no pair-index column: none is built
         points.append(SweepPoint(theta=theta, estimate=estimate_expectation(grp)))
     return points

@@ -15,6 +15,12 @@ The rule lives in one vectorized kernel, ``outcome_columns``, which
 the wing, pair-run and table functions call on ``PairStream`` columns.
 All operations here are pure and deterministic: identical inputs give
 identical outcomes, so everything is safe to evaluate concurrently.
+
+A seeded stream of ``count`` pairs is one PCG64 sequence: ``lam`` is its
+outputs 0..count-1 and ``t`` its outputs count..2*count-1. PCG64 jumps
+ahead in O(log n) steps (``PCG64.advance``), so any block of either
+column can be drawn alone, bit for bit the same; ``measure_stream``
+measures a stream in blocks of ``BLOCK_PAIRS`` pairs that way.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ import numpy as np
 
 __all__ = [
     "NORM_TOL",
+    "BLOCK_PAIRS",
     "Setting",
     "PairStream",
     "GaugeKey",
@@ -44,6 +51,7 @@ __all__ = [
     "measure_left",
     "measure_right",
     "measure_pairs",
+    "measure_stream",
 ]
 
 NORM_TOL = 1e-12
@@ -142,10 +150,11 @@ def rademacher(j: int, t: np.ndarray) -> np.ndarray:
     """
     _check_order(j)
     arr = np.asarray(t, dtype=np.float64)
-    if arr.size and (float(arr.min()) < 0.0 or float(arr.max()) >= 1.0):
+    if arr.size and not (float(arr.min()) >= 0.0 and float(arr.max()) < 1.0):  # NaN fails both
         raise ValueError("t must lie in [0, 1)")
     k = (arr * 2.0 ** (j + 1)).astype(np.int64)  # truncation is floor: the product is >= 0
-    return (1 - 2 * (k & 1)).astype(np.int8)
+    k &= 1
+    return 1 - 2 * k.astype(np.int8)  # the parity is taken in place, the sign in int8
 
 
 def rarb_eval(seed: int, t: np.ndarray) -> np.ndarray:
@@ -245,21 +254,31 @@ def derive_subseed(master_seed: int, index: int) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
+#: Pairs per ``measure_stream`` block: a float64 block (64 KiB) stays under glibc's 128 KiB mmap threshold.
+BLOCK_PAIRS = 8192
+
+
+def _stream_generators(seed: int, count: int) -> tuple[np.random.Generator, np.random.Generator]:
+    """The (lam, t) generators of a stream: outputs 0..count-1 and count..2*count-1 of one PCG64."""
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
+    seed = int(seed) & 0xFFFFFFFFFFFFFFFF
+    return np.random.Generator(np.random.PCG64(seed)), np.random.Generator(np.random.PCG64(seed).advance(count))
+
+
 def sample_pair_stream(seed: int, count: int, start: int = 1) -> PairStream:
     """Draw ``count`` pair events: independent uniforms on [0, 1) for lam and t.
 
     Deterministic given ``seed``; indices run start..start+count-1, which
-    lets separate runs hold disjoint index ranges. ``lam`` is drawn as
-    one block, then ``t``.
+    lets separate runs hold disjoint index ranges. ``lam`` is outputs
+    0..count-1 of the seed's PCG64 sequence and ``t`` outputs
+    count..2*count-1; PCG64's jump-ahead lets any block be drawn alone.
     """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    lam_rng, t_rng = _stream_generators(seed, count)
     if start < 1:
         raise ValueError(f"start index must be >= 1, got {start}")
-    rng = np.random.Generator(np.random.PCG64(int(seed) & 0xFFFFFFFFFFFFFFFF))
-    lam = rng.random(count)
-    t = rng.random(count)
-    return PairStream(n=np.arange(start, start + count, dtype=np.int64), lam=lam, t=t)
+    return PairStream(n=np.arange(start, start + count, dtype=np.int64), lam=lam_rng.random(count),
+                      t=t_rng.random(count))
 
 
 def outcome_columns(
@@ -275,7 +294,8 @@ def outcome_columns(
     many settings are given.
     """
     g = gauge_eval(key, t)
-    return g, tuple(np.where(lam <= 0.5 * (1.0 + x.b2), g, -g) for x in settings)
+    # int8 arithmetic on the comparison: 2 * 1 - 1 = +1 where lam <= threshold, 2 * 0 - 1 = -1 elsewhere.
+    return g, tuple((np.less_equal(lam, 0.5 * (1.0 + x.b2)).view(np.int8) * 2 - 1) * g for x in settings)
 
 
 def measure_left(a: Setting, events: PairStream, key: GaugeKey) -> np.ndarray:
@@ -308,3 +328,19 @@ def measure_pairs(b: Setting, events: PairStream, key: GaugeKey) -> tuple[np.nda
     """
     g, (a_b,) = outcome_columns(events.lam, events.t, key, (b,))
     return g, -a_b
+
+
+def measure_stream(b: Setting, seed: int, count: int, key: GaugeKey) -> tuple[np.ndarray, np.ndarray]:
+    """``measure_pairs(b, sample_pair_stream(seed, count), key)``, drawn and measured block by block.
+
+    Fills the int8 columns (left, right) in blocks of ``BLOCK_PAIRS`` pairs through two reused
+    float64 buffers, one ``outcome_columns`` call per block: no float column is built at full length.
+    """
+    lam_rng, t_rng = _stream_generators(seed, count)
+    left, right = np.empty(count, dtype=np.int8), np.empty(count, dtype=np.int8)
+    lam, t = np.empty((2, min(count, BLOCK_PAIRS)))
+    for lo in range(0, count, BLOCK_PAIRS):  # a slice past the end stops there: the last block is short
+        g, (a_b,) = outcome_columns(lam_rng.random(out=lam[:count - lo]), t_rng.random(out=t[:count - lo]), key, (b,))
+        left[lo:lo + BLOCK_PAIRS] = g
+        np.negative(a_b, out=right[lo:lo + BLOCK_PAIRS])
+    return left, right

@@ -797,7 +797,7 @@ def collator_serve(
     ended: dict[str, bool] = {}  # station -> whether it ended with an end marker, not end-of-stream
     batches: dict[str, list] = {"L": [], "R": []}  # (n, outcome, clock_ns) columns per batch
     counts = {"L": 0, "R": 0}  # reports received
-    settings: dict[str, tuple[list, Setting]] = {}  # station -> its first batch's setting, as sent and parsed
+    settings: dict[str, tuple[str, Setting]] = {}  # station -> its first batch's setting: repr as sent, parsed
     max_lead = {"L": 0, "R": 0}
     heard: dict[socket.socket, float] = {}  # connection -> when its silence clock started
 
@@ -836,10 +836,10 @@ def collator_serve(
             try:
                 if len(msg["setting"]) != 2:
                     raise ValueError("it is not two numbers")
-                settings[name] = (msg["setting"], Setting(*msg["setting"]))
+                settings[name] = (repr(msg["setting"]), Setting(*msg["setting"]))
             except (TypeError, ValueError, OverflowError) as exc:
                 raise SchemaError(f"station {name} report_batch setting {msg['setting']} is refused: {exc}") from None
-        elif msg["setting"] != settings[name][0]:
+        elif repr(msg["setting"]) != settings[name][0]:  # -0.0 == 0 == 0.0, but JSON writes each apart
             raise CollationError(f"station {name} batch with setting {msg['setting']}: "
                                  "a report batch must come from one station session")
         batches[name].append(_report_columns(msg))

@@ -60,7 +60,7 @@ def estimate_expectation(group) -> ExpectationEstimate:
     """
     if len(group.left) == 0:
         raise ValueError("no records to estimate from")
-    return _estimate_from_pm1(group.left.astype(np.int64) * group.right)
+    return _estimate_from_pm1(group.left * group.right)  # int8 products of ±1 are exact; summed in int64
 
 
 def estimate_marginals(group) -> tuple[ExpectationEstimate, ExpectationEstimate]:

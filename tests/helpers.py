@@ -1,13 +1,16 @@
 """Shared test machinery: a live four-process experiment on loopback threads, int64 edge values, and
-per-event oracles of the outcome rule written apart from the vectorized kernel."""
+per-event oracles of the outcome rule written apart from the vectorized kernel, and full-length oracles of the
+blocked experiment runs."""
 
 import math
 import struct
 import threading
 from fractions import Fraction
 
-from eqrc.experiments import CANONICAL_LEFT
-from eqrc.model import MODE_CONSTANT, MODE_RADEMACHER_RARB
+import numpy as np
+
+from eqrc.experiments import CANONICAL_LEFT, rotate_to_canonical
+from eqrc.model import MODE_CONSTANT, MODE_RADEMACHER_RARB, Setting, derive_subseed, measure_pairs, sample_pair_stream
 from eqrc import stations as st
 
 # int64 values where a decimal rendering changes digit count or sign, and int64's two ends.
@@ -43,6 +46,28 @@ def a_oracle(key, x, lam, t):
     """A(x) at one event: the gauge where lam <= (1 + x.b2)/2 in binary64, minus the gauge elsewhere."""
     g = gauge_oracle(key, t)
     return g if lam <= (1 + x.b2) / 2 else -g
+
+
+def run_experiment_oracle(spec):
+    """(pair_index, left, right) per group of a fixed run, each measured on its whole stream at once."""
+    n = spec.pairs_per_setting
+    out = []
+    for i, pair in enumerate(spec.setting_pairs):
+        events = sample_pair_stream(derive_subseed(spec.seed, i), n, start=i * n + 1)
+        out.append((events.n, *measure_pairs(rotate_to_canonical(pair)[1], events, spec.key)))
+    return out
+
+
+def sweep_oracle(seed, n_per_step, steps, key):
+    """(theta, value, std_error, n_samples) per sweep step, from whole streams and int64 products."""
+    out = []
+    for k in range(steps):
+        theta = 2.0 * math.pi * k / steps
+        left, right = measure_pairs(Setting.from_angle(theta), sample_pair_stream(derive_subseed(seed, k), n_per_step),
+                                    key)
+        value = int(np.sum(left.astype(np.int64) * right.astype(np.int64))) / n_per_step
+        out.append((theta, value, math.sqrt(max(0.0, 1.0 - value * value) / n_per_step), n_per_step))
+    return out
 
 
 def run_live(seed, count, key, right_setting, key_path, match="pair-id", session_index=0,

@@ -1,6 +1,7 @@
 """Suites, rotation, switching, sorting, and the angle sweep."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,10 +24,12 @@ from eqrc.experiments import (
     sweep_angle,
 )
 from eqrc.inequalities import analytic_expectation
-from eqrc.model import GaugeKey, MODE_CONSTANT, MODE_RADEMACHER, Setting
+from eqrc.model import BLOCK_PAIRS, GaugeKey, MODE_CONSTANT, MODE_RADEMACHER, MODE_RADEMACHER_RARB, Setting
+from helpers import run_experiment_oracle, sweep_oracle
 
 ONE = GaugeKey(mode=MODE_CONSTANT)
 RAD3 = GaugeKey(mode=MODE_RADEMACHER, j=3)
+RARB = GaugeKey(mode=MODE_RADEMACHER_RARB, j=3, rarb_seed=2**63 + 5)
 A, B, C = BELL_SETTINGS
 
 angles = st.floats(0, 2 * math.pi, allow_nan=False)
@@ -285,3 +288,41 @@ class TestSweep:
     def test_rejects_degenerate_grid(self):
         with pytest.raises(ValueError):
             sweep_angle(seed=1, n_per_step=10, steps=1, key=ONE)
+
+
+class TestBlockedRuns:
+    """Runs measured block by block equal the same runs measured on whole streams, and stay small."""
+
+    N = 3 * BLOCK_PAIRS + 7  # three whole blocks and a partial one
+
+    def test_run_experiment_matches_the_whole_stream_oracle(self):
+        spec = ExperimentSpec(setting_pairs=BELL_PAIRS, pairs_per_setting=self.N, seed=11, key=RARB)
+        for grp, (pair_index, left, right) in zip(run_experiment(spec).groups, run_experiment_oracle(spec),
+                                                  strict=True):
+            assert grp.pair_index.dtype == np.int64
+            assert np.array_equal(grp.pair_index, pair_index)
+            assert np.array_equal(grp.left, left) and np.array_equal(grp.right, right)
+
+    def test_sweep_matches_the_whole_stream_oracle(self):
+        points = sweep_angle(seed=5, n_per_step=self.N, steps=6, key=RARB)
+        got = [(p.theta, p.estimate.value, p.estimate.std_error, p.estimate.n_samples) for p in points]
+        assert got == sweep_oracle(5, self.N, 6, RARB)
+
+    @staticmethod
+    def _peak_bytes(fn, *args):
+        fn(*args)  # a first call outside the measurement settles one-time allocations
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_sweep_peak_stays_under_one_float_column(self):
+        n = 400_000
+        assert self._peak_bytes(sweep_angle, 3, n, 2, RARB) < 8 * n
+
+    def test_run_experiment_peak_stays_under_twelve_bytes_per_pair(self):
+        n = 200_000
+        spec = ExperimentSpec(setting_pairs=BELL_PAIRS, pairs_per_setting=n, seed=3, key=RARB)
+        assert self._peak_bytes(run_experiment, spec) < 12 * 3 * n

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eqrc.model import (
+    BLOCK_PAIRS,
     GaugeKey,
     MODE_CONSTANT,
     MODE_RADEMACHER,
@@ -19,6 +20,7 @@ from eqrc.model import (
     measure_left,
     measure_pairs,
     measure_right,
+    measure_stream,
     outcome_columns,
     rademacher,
     rarb_eval,
@@ -113,6 +115,8 @@ class TestRademacher:
             rademacher(1, np.array([0.5, 1.0]))
         with pytest.raises(ValueError):
             rademacher(1, np.array([-0.25]))
+        with pytest.raises(ValueError, match=r"t must lie in \[0, 1\)"):
+            rademacher(1, np.array([0.25, np.nan]))  # NaN compares false both ways
 
     @given(st.integers(1, 52), unit_ts)
     def test_matches_sign_of_sine_oracle(self, j, ts):
@@ -233,6 +237,37 @@ class TestPairStream:
         assert derive_subseed(42, 0) == derive_subseed(42, 0)
         assert derive_subseed(42, 0) != derive_subseed(42, 1)
         assert 0 <= derive_subseed(42, 3) < 2**64
+
+
+class TestMeasureStream:
+    """The blocked path against the whole stream, on both sides of every block edge."""
+
+    B = BLOCK_PAIRS
+    KEYS = (ONE, GaugeKey(mode=MODE_RADEMACHER, j=3), GaugeKey(mode=MODE_RADEMACHER_RARB, j=3, rarb_seed=2**64 - 1))
+
+    @pytest.mark.parametrize("key", KEYS, ids=lambda key: key.mode)
+    @pytest.mark.parametrize("count", [1, B - 1, B, B + 1, 3 * B + 7])
+    def test_matches_measure_pairs_on_the_whole_stream(self, count, key):
+        b = Setting(0.5, math.sqrt(3) / 2)
+        for seed in (0, 1, 2**63 + 5, 2**64 - 1, -3):  # -3 is taken modulo 2**64
+            left, right = measure_stream(b, seed, count, key)
+            want_left, want_right = measure_pairs(b, sample_pair_stream(seed, count), key)
+            assert left.dtype == right.dtype == np.int8
+            assert np.array_equal(left, want_left) and np.array_equal(right, want_right)
+
+    def test_negative_seed_is_masked_to_64_bits(self):
+        assert np.array_equal(measure_stream(Setting(0, 1), -3, 100, ONE)[1],
+                              measure_stream(Setting(0, 1), 2**64 - 3, 100, ONE)[1])
+
+    def test_stream_is_one_pcg64_sequence(self):
+        """lam is outputs 0..count-1 of the seed's PCG64 and t outputs count..2*count-1."""
+        whole = np.random.Generator(np.random.PCG64(7)).random(2 * 10)
+        stream = sample_pair_stream(7, 10)
+        assert np.array_equal(stream.lam, whole[:10]) and np.array_equal(stream.t, whole[10:])
+
+    def test_count_validation(self):
+        with pytest.raises(ValueError, match="count must be >= 1"):
+            measure_stream(Setting(1, 0), 1, 0, ONE)
 
 
 class TestWingFunctions:

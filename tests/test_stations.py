@@ -1525,6 +1525,17 @@ class TestCollatorChecks(_FakeStations):
         with pytest.raises(st.CollationError, match="station R .* must come from one station session"):
             self._serve({"L": self._send(3), "R": send}, timeout=10)
 
+    def test_setting_written_differently_between_batches_is_refused(self):
+        """[1, -0.0] equals [1.0, 0.0] as numbers, but a station session writes its setting one way."""
+        def send(conn, station):
+            _send(conn, _report_frame(station, [1, 2], setting=[1.0, 0.0]))
+            _send(conn, _report_frame(station, [3], setting=[1, -0.0]))
+            st.send_frame(conn, {"v": V, "type": "end", "station": station, "count": 3})
+
+        with pytest.raises(st.CollationError, match=r"station R batch with setting \[1, -0.0\]: .* must come from "
+                                                    "one station session"):
+            self._serve({"L": self._send(3), "R": send}, timeout=10)
+
     def test_reader_alive_after_the_join_deadline_is_an_error(self):
         # Each frame arrives inside the 0.5 s receive timeout, but the whole
         # stream (about 5 s) outlasts the 4 * 0.5 s join deadline. Giving up
