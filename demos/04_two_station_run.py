@@ -26,7 +26,7 @@ import numpy as np
 
 from eqrc import GaugeKey, Setting
 from eqrc.experiments import CANONICAL_LEFT, ExperimentSpec, run_experiment
-from eqrc.formats import run_dataset_text
+from eqrc.formats import dataset_record_lines
 from eqrc import stations as st
 
 key = GaugeKey(mode="rademacher", j=3)
@@ -72,7 +72,7 @@ print(f"collated {len(grp)} pairs; E = {float(np.mean(grp.products())):+.4f}")
 spec = ExperimentSpec(setting_pairs=((CANONICAL_LEFT, right),), pairs_per_setting=N,
                       seed=SEED, key=key)
 local = run_experiment(spec)
-same = run_dataset_text(live).splitlines()[1:] == run_dataset_text(local).splitlines()[1:]
+same = list(dataset_record_lines(live)) == list(dataset_record_lines(local))
 print(f"distributed dataset == in-process dataset, byte for byte: {same}")
 
 # ## One lost report under the two matching strategies

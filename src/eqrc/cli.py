@@ -11,6 +11,7 @@ as the default seed when --seed is omitted.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -43,14 +44,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _default_seed() -> int:
-    env = os.environ.get("EQRC_SEED")
-    if env is not None:
+def _seed_of(args) -> int:
+    """--seed, else EQRC_SEED, else ``DEFAULT_SEED``; a usage error unless an integer >= 0."""
+    seed, env = args.seed, os.environ.get("EQRC_SEED")
+    if seed is None and env is not None:
         try:
-            return int(env)
+            seed = int(env)
         except ValueError:
             raise UsageError(f"EQRC_SEED must be an integer, got {env!r}") from None
-    return DEFAULT_SEED
+    if (seed := DEFAULT_SEED if seed is None else seed) < 0:
+        raise UsageError(f"seed must be >= 0, got {seed}")
+    return seed
 
 
 def parse_setting(text: str) -> Setting:
@@ -94,7 +98,7 @@ def parse_hostport(text: str) -> tuple[str, int]:
 
 def parse_inject(text: str) -> tuple[str, int]:
     kind, _, pos = text.partition("@")
-    if kind not in ("drop", "duplicate", "reorder") or not pos.lstrip("-").isdigit():
+    if kind not in ("drop", "duplicate", "reorder") or not pos.removeprefix("-").isdecimal():
         raise UsageError(f"invalid fault spec {text!r}, expected kind@position")
     return kind, int(pos)
 
@@ -173,15 +177,22 @@ def build_parser() -> _Parser:
     return parser
 
 
+@contextlib.contextmanager
+def _output(path: str | None):
+    """The text stream an output goes to: stdout, or the file at ``path``, which gets the same bytes."""
+    if path is None:
+        yield sys.stdout
+    else:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+
+
 def _report_out(reports, out: str | None) -> None:
     for rep in reports:
         print(json.dumps(rep.to_json(), sort_keys=True))
     if out is not None:
-        formats.write_reports_jsonl(reports, out)
-
-
-def _seed_of(args) -> int:
-    return args.seed if args.seed is not None else _default_seed()
+        with _output(out) as fh:
+            formats.write_reports_jsonl(reports, fh)
 
 
 def cmd_run(args) -> int:
@@ -196,44 +207,31 @@ def cmd_run(args) -> int:
         seed=_seed_of(args), key=key,
     )
     ds = experiments.run_experiment(spec)
-    if args.format == "jsonl":  # streamed block by block, never held whole
-        if args.out is None:
-            sys.stdout.writelines(block.decode("ascii") for block in formats.run_dataset_blocks(ds))
-        else:
-            formats.write_run_dataset(ds, args.out)
-        return 0
-    est = ds.group_expectations()[0]
-    lft, rgt = ds.canonical_pairs[0]
-    row = {
-        "left_b2": lft.b2, "left_b3": lft.b3, "right_b2": rgt.b2, "right_b3": rgt.b3,
-        "n": est.n_samples, "expectation": est.value, "std_error": est.std_error,
-        "seed": spec.seed, "gauge": args.gauge,
-    }
-    if args.out is None:
-        sys.stdout.write(formats.expectation_csv_text([row]))
-    else:
-        formats.write_expectation_csv([row], args.out)
+    with _output(args.out) as fh:
+        if args.format == "jsonl":  # streamed block by block, never held whole
+            fh.writelines(block.decode("ascii") for block in formats.run_dataset_blocks(ds))
+            return 0
+        est = ds.group_expectations()[0]
+        lft, rgt = ds.canonical_pairs[0]
+        row = {
+            "left_b2": lft.b2, "left_b3": lft.b3, "right_b2": rgt.b2, "right_b3": rgt.b3,
+            "n": est.n_samples, "expectation": est.value, "std_error": est.std_error,
+            "seed": spec.seed, "gauge": args.gauge,
+        }
+        formats.write_expectation_csv([row], fh)
     return 0
 
 
 def cmd_sweep(args) -> int:
     points = experiments.sweep_angle(_seed_of(args), args.pairs, args.steps, parse_gauge(args.gauge))
-    if args.out is None:
-        sys.stdout.write(formats.sweep_csv_text(points))
-    else:
-        formats.write_sweep_csv(points, args.out)
+    with _output(args.out) as fh:
+        formats.write_sweep_csv(points, fh)
     return 0
 
 
-def cmd_bell(args) -> int:
-    rep = experiments.run_bell_suite(_seed_of(args), args.pairs, parse_gauge(args.gauge))
-    _report_out([rep], args.out)
-    return 0
-
-
-def cmd_chsh(args) -> int:
-    rep = experiments.run_chsh_suite(_seed_of(args), args.pairs, parse_gauge(args.gauge))
-    _report_out([rep], args.out)
+def cmd_suite(args) -> int:  # bell or chsh
+    suite = {"bell": experiments.run_bell_suite, "chsh": experiments.run_chsh_suite}[args.command]
+    _report_out([suite(_seed_of(args), args.pairs, parse_gauge(args.gauge))], args.out)
     return 0
 
 
@@ -253,7 +251,8 @@ def cmd_triples(args) -> int:
     for table in tables:
         print(f"{table.kind} fraction(+1,+1,+1) = {table.fraction((1, 1, 1))!r}  (n={table.total})")
     if args.out is not None:
-        formats.write_triple_csv(tables, args.out)
+        with _output(args.out) as fh:
+            formats.write_triple_csv(tables, fh)
     return 0
 
 
@@ -298,7 +297,10 @@ def cmd_collate(args) -> int:
     strategy = "sequence-order" if args.match == "sequence" else "pair-id"
     if (args.port is None) == (args.left is None and args.right is None):
         raise UsageError("collate needs either --port (live) or --left/--right report logs")
+    fault = None if args.inject is None else parse_inject(args.inject)
     if args.port is not None:
+        if fault is not None or args.emissions is not None:
+            raise UsageError("--inject and --emissions apply to offline collation from report logs, not --port")
         result = stations.collator_serve(stations.make_server_socket("127.0.0.1", args.port), match=strategy)
     else:
         if args.left is None or args.right is None:
@@ -308,23 +310,21 @@ def cmd_collate(args) -> int:
         with open(args.left, encoding="utf-8") as lfh, open(args.right, encoding="utf-8") as rfh:  # checked by the loads
             if json.loads(lfh.readline())["key_digest"] != json.loads(rfh.readline())["key_digest"]:
                 raise stations.CollationError("gauge key digests differ between stations; refusing to collate")
-        if args.inject is not None:
-            kind, pos = parse_inject(args.inject)
+        if fault is not None:
             if args.inject_station == "L":
-                left = stations.inject_fault(kind, pos, left)
+                left = stations.inject_fault(*fault, left)
             else:
-                right = stations.inject_fault(kind, pos, right)
+                right = stations.inject_fault(*fault, right)
         emission_log = stations.load_emission_log(args.emissions) if args.emissions else None
         result = stations.collate(left, right, strategy=strategy, emission_log=emission_log)
     if args.out is not None:
         formats.write_run_dataset(result.dataset, args.out)
     grp = result.dataset.groups[0]
-    prods = grp.products()
     summary = {
         "strategy": result.strategy,
         "pairs": len(grp),
         "incomplete": list(result.incomplete),
-        "expectation": float(int(np.sum(prods)) / len(grp)),
+        "expectation": int(np.sum(grp.products())) / len(grp) if len(grp) else None,  # None: no pair matched
     }
     print(json.dumps(summary, sort_keys=True))
     return 0
@@ -339,8 +339,8 @@ def cmd_keygen(args) -> int:
 _HANDLERS = {
     "run": cmd_run,
     "sweep": cmd_sweep,
-    "bell": cmd_bell,
-    "chsh": cmd_chsh,
+    "bell": cmd_suite,
+    "chsh": cmd_suite,
     "wigner": cmd_wigner,
     "triples": cmd_triples,
     "cyclic-demo": cmd_cyclic_demo,

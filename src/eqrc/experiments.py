@@ -90,8 +90,9 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if not self.setting_pairs:
             raise ValueError("at least one setting pair is required")
-        if self.pairs_per_setting < 1:
-            raise ValueError("pairs_per_setting must be >= 1")
+        for name, least in (("seed", 0), ("pairs_per_setting", 1)):  # what a dataset file's loader takes back
+            if type(value := getattr(self, name)) is not int or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         if self.switching not in ("fixed", "random-switched"):
             raise ValueError(f"unknown switching mode {self.switching!r}")
 
@@ -183,12 +184,8 @@ def rotate_to_canonical(pair: tuple[Setting, Setting]) -> tuple[Setting, Setting
     return (CANONICAL_LEFT, Setting(b2, b3))
 
 
-def _now_iso() -> str:
-    return _dt.datetime.now(_dt.timezone.utc).isoformat(timespec="seconds")
-
-
 def _meta() -> dict:
-    return {"schema_version": 1, "created": _now_iso()}
+    return {"schema_version": 1, "created": _dt.datetime.now(_dt.timezone.utc).isoformat(timespec="seconds")}
 
 
 def run_experiment(spec: ExperimentSpec) -> RunDataset:

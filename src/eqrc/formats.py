@@ -4,7 +4,7 @@ Every file carries a schema-version marker. Wall-clock metadata is
 isolated in the JSONL header line (CSV outputs carry none at all), so
 identical inputs give byte-identical data lines. Floats are written via
 their shortest round-trip decimal form, which re-parses to the same
-64-bit value.
+64-bit value. Table writers write to an open text stream.
 
 Dataset and report-log lines have one layout each, a ``_LineCodec`` that
 renders blocks of lines from numpy columns for the writers, and parses
@@ -22,7 +22,7 @@ from array import array
 from itertools import islice
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, NoReturn, Sequence
+from typing import Iterable, Iterator, NoReturn, Sequence, TextIO
 
 import numpy as np
 
@@ -34,12 +34,9 @@ from .stats import TripleTable
 __all__ = [
     "dataset_record_lines",
     "run_dataset_blocks",
-    "run_dataset_text",
     "write_run_dataset",
     "load_run_dataset",
-    "sweep_csv_text",
     "write_sweep_csv",
-    "expectation_csv_text",
     "write_expectation_csv",
     "write_triple_csv",
     "write_reports_jsonl",
@@ -52,16 +49,23 @@ LOG_SCHEMA_VERSION = 1
 
 
 def _dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    """The JSON every file and frame writer writes: sorted keys, compact separators, no NaN or infinity."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def _setting_json(s: Setting) -> list[float]:
     return [s.b2, s.b3]
 
 
+def _written(setting: list) -> str:
+    """What two settings as written, from ``_setting_json`` or a JSON reader, share when they are the same:
+    -0.0 == 0 == 0.0, but repr, like JSON, writes each apart."""
+    return repr(setting)
+
+
 def _dataset_header(ds: RunDataset) -> dict:
     spec = ds.spec
-    header = {
+    return {
         "v": SCHEMA_VERSION,
         "kind": DATASET_KIND,
         "pairs": [[_setting_json(l), _setting_json(r)] for l, r in ds.canonical_pairs],
@@ -74,7 +78,6 @@ def _dataset_header(ds: RunDataset) -> dict:
         "gauge": spec.key.to_json() if spec else None,
         "meta": ds.meta,
     }
-    return header
 
 
 # ---------------------------------------------------------------------------
@@ -210,11 +213,6 @@ def dataset_record_lines(ds: RunDataset) -> Iterable[str]:
     return (line for block in islice(run_dataset_blocks(ds), 1, None) for line in block.decode().split("\n")[:-1])
 
 
-def run_dataset_text(ds: RunDataset) -> str:
-    """The dataset file's full text."""
-    return b"".join(run_dataset_blocks(ds)).decode("ascii")
-
-
 def write_run_dataset(ds: RunDataset, path) -> None:
     """Stream the dataset file to ``path`` block by block."""
     with Path(path).open("wb") as fh:
@@ -237,9 +235,17 @@ def _refuse(kind: str, path, row: int, problem: str) -> NoReturn:
     raise ValueError(f"{kind} {path} line {row + 2}: {problem}")
 
 
-def _read_records(path, kind: str, version: int, keys: frozenset, ints: tuple, floats: tuple = (),
-                  slot: tuple = (), slots_of=lambda header: {(): None}, foreign: str = "",
-                  trailer: frozenset = frozenset(), chunks_of=None, check_header=lambda header: header):
+def _header_ints(kind: str, path, header: dict, least: dict) -> dict:
+    """The header, unless a field of ``least`` (name -> least value) is not an integer >= that value."""
+    for name, low in least.items():
+        if type(header.get(name)) is not int or header[name] < low:
+            _refuse(kind, path, -1, f"header {name} {header.get(name)!r} is not an integer >= {low}")
+    return header
+
+
+def _read_records(path, kind: str, version: int, ints: tuple, floats: tuple = (), slot: tuple = (),
+                  slots_of=lambda header: {(): None}, foreign: str = "", trailer: frozenset = frozenset(),
+                  chunks_of=None, check_header=lambda header: header):
     """Read a header line and record lines into typed columns, refusing what the writer never writes.
 
     ``ints`` and ``floats`` hold (name, validity of a column or None,
@@ -249,10 +255,11 @@ def _read_records(path, kind: str, version: int, keys: frozenset, ints: tuple, f
     no setting); ``foreign`` is the refusal of a record of another slot
     or setting. ``ints``, ``floats`` and ``slot`` each name no field or
     at least two, so that their getters return tuples. A line is one
-    JSON object and its newline, and a record has exactly ``keys``. Its
-    numbers go into int64 and float64 columns that are range-checked as
-    columns; its setting must be its slot's as the writer writes it (the
-    same floats: no int, and the sign of a zero kept). Nothing may follow
+    JSON object and its newline, and a record has exactly the keys they
+    name, and ``setting`` if ``slot`` names any. Its numbers go into
+    int64 and float64 columns that are range-checked as columns; its
+    setting must be its slot's as the writer writes it (``_written``:
+    the same floats, no int, and the sign of a zero kept). Nothing may follow
     a line with the ``trailer`` keys. ``check_header(header)`` runs
     before any data line is read.
     Returns (what ``check_header`` gives, slot number of each record, int columns,
@@ -266,6 +273,7 @@ def _read_records(path, kind: str, version: int, keys: frozenset, ints: tuple, f
     """
     get_slot, get_ints, get_floats = (itemgetter(*names) if names else lambda rec: ()
                                       for names in (slot, [f[0] for f in ints], [f[0] for f in floats]))
+    keys = frozenset([*slot, *(["setting"] if slot else []), *(f[0] for f in (*ints, *floats))])
     int_col, float_col, slot_col = array("q"), array("d"), array("q")
     last = problem = None
     with Path(path).open("r", encoding="utf-8", newline="\n") as fh:  # a writer's lines end in \n alone
@@ -277,8 +285,8 @@ def _read_records(path, kind: str, version: int, keys: frozenset, ints: tuple, f
             raise ValueError(f"not a v{version} {kind} file: {path}")
         if line[end:] not in ("\n", ""):
             _refuse(kind, path, -1, f"text after the object: {line[end:]!r}")
-        try:  # slot key -> (slot number, repr of the header's setting, which JSON writes alike, or None)
-            slots = {key: (i, None if want is None else repr(_setting_json(want)))
+        try:  # slot key -> (slot number, the header's setting as written, or None)
+            slots = {key: (i, None if want is None else _written(_setting_json(want)))
                      for i, (key, want) in enumerate(slots_of(header).items())}
             if odd := [key for key in slots if any(type(field) is not str for field in key)]:
                 raise TypeError(f"slot {odd[0]!r} is not all strings")
@@ -296,8 +304,8 @@ def _read_records(path, kind: str, version: int, keys: frozenset, ints: tuple, f
                 int_col.frombytes(np.column_stack((np.full(len(got[0]), version), *got[1])).tobytes())
             yield from fh
 
-        def in_slot(rec, at) -> bool:  # -0.0 == 0 == 0.0, but repr, like JSON, writes each apart
-            return at[1] is None or repr(rec["setting"]) == at[1]
+        def in_slot(rec, at) -> bool:
+            return at[1] is None or _written(rec["setting"]) == at[1]
 
         def problem_of(rec) -> str | None:
             """Why a decoded line is not a record (None if it is one)."""
@@ -385,9 +393,7 @@ def load_run_dataset(path) -> RunDataset:
         if type(meta) is not dict:
             _refuse(DATASET_KIND, path, -1, f"header meta {meta!r} is not an object")
         if header.get("seed") is not None:
-            for name, least in (("seed", 0), ("pairs_per_setting", 1)):
-                if type(header.get(name)) is not int or header[name] < least:
-                    _refuse(DATASET_KIND, path, -1, f"header {name} {header.get(name)!r} is not an integer >= {least}")
+            _header_ints(DATASET_KIND, path, header, {"seed": 0, "pairs_per_setting": 1})
             try:
                 spec = ExperimentSpec(
                     setting_pairs=tuple((Setting(*l), Setting(*r)) for l, r in header["spec_pairs"]),
@@ -398,7 +404,7 @@ def load_run_dataset(path) -> RunDataset:
         return header, spec, meta
 
     (header, spec, meta), slot, ints, _, _ = _read_records(
-        path, DATASET_KIND, SCHEMA_VERSION, frozenset({"v", "group", "n", "outcome", "setting", "station"}),
+        path, DATASET_KIND, SCHEMA_VERSION,
         ints=(("v", lambda v: v == SCHEMA_VERSION, "record with unsupported schema version {!r}"),
               _PAIR_INDEX, _OUTCOME),
         slot=("group", "station"),
@@ -451,61 +457,45 @@ def load_run_dataset(path) -> RunDataset:
     return RunDataset(canonical_pairs=pairs, groups=(), interleaved=inter, spec=spec, meta=meta)
 
 
-def sweep_csv_text(points: Sequence[SweepPoint]) -> str:
-    buf = io.StringIO()
-    buf.write("# schema=eqrc.sweep.v1\n")
-    writer = csv.writer(buf)
+def write_sweep_csv(points: Sequence[SweepPoint], fh: TextIO) -> None:
+    fh.write("# schema=eqrc.sweep.v1\n")
+    writer = csv.writer(fh)
     writer.writerow(["theta_radians", "expectation", "std_error", "n"])
     for p in points:
         writer.writerow([repr(p.theta), repr(p.estimate.value), repr(p.estimate.std_error), p.estimate.n_samples])
-    return buf.getvalue()
 
 
-def write_sweep_csv(points: Sequence[SweepPoint], path) -> None:
-    Path(path).write_text(sweep_csv_text(points), encoding="utf-8", newline="")
-
-
-def expectation_csv_text(rows: Sequence[dict]) -> str:
+def write_expectation_csv(rows: Sequence[dict], fh: TextIO) -> None:
     """One estimate per row, as produced by the run command."""
     cols = ["left_b2", "left_b3", "right_b2", "right_b3", "n", "expectation", "std_error", "seed", "gauge"]
-    buf = io.StringIO()
-    buf.write("# schema=eqrc.expectation.v1\n")
-    writer = csv.DictWriter(buf, fieldnames=cols)
+    fh.write("# schema=eqrc.expectation.v1\n")
+    writer = csv.DictWriter(fh, fieldnames=cols)
     writer.writeheader()
     for row in rows:
         out = dict(row)
         for key in ("left_b2", "left_b3", "right_b2", "right_b3", "expectation", "std_error"):
             out[key] = repr(float(out[key]))
         writer.writerow(out)
-    return buf.getvalue()
 
 
-def write_expectation_csv(rows: Sequence[dict], path) -> None:
-    Path(path).write_text(expectation_csv_text(rows), encoding="utf-8", newline="")
+def write_triple_csv(tables: Sequence[TripleTable], fh: TextIO) -> None:
+    fh.write("# schema=eqrc.triples.v1\n")
+    writer = csv.writer(fh)
+    writer.writerow(["kind", "s1", "s2", "s3", "count", "total", "fraction"])
+    for table in tables:
+        for pattern in sorted(table.counts, reverse=True):
+            writer.writerow(
+                [
+                    table.kind,
+                    *pattern,
+                    table.counts[pattern],
+                    table.total,
+                    repr(table.fraction(pattern)),
+                ]
+            )
 
 
-def write_triple_csv(tables: Sequence[TripleTable], path) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        fh.write("# schema=eqrc.triples.v1\n")
-        writer = csv.writer(fh)
-        writer.writerow(["kind", "s1", "s2", "s3", "count", "total", "fraction"])
-        for table in tables:
-            for pattern in sorted(table.counts, reverse=True):
-                writer.writerow(
-                    [
-                        table.kind,
-                        *pattern,
-                        table.counts[pattern],
-                        table.total,
-                        repr(table.fraction(pattern)),
-                    ]
-                )
-
-
-def write_reports_jsonl(reports: Sequence[InequalityReport], path) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write(_dumps({"v": SCHEMA_VERSION, "kind": "inequality-reports"}) + "\n")
-        for rep in reports:
-            fh.write(_dumps(rep.to_json()) + "\n")
+def write_reports_jsonl(reports: Sequence[InequalityReport], fh: TextIO) -> None:
+    fh.write(_dumps({"v": SCHEMA_VERSION, "kind": "inequality-reports"}) + "\n")
+    for rep in reports:
+        fh.write(_dumps(rep.to_json()) + "\n")

@@ -221,13 +221,12 @@ def wigner_check(
 class CyclicTable:
     """Single-space concatenation: columns A(a), A(b), A(c) on one draw per row."""
 
-    h: np.ndarray
     s_a: np.ndarray
     s_b: np.ndarray
     s_c: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.h)
+        return len(self.s_a)
 
     def pair_expectations(self) -> tuple[Fraction, Fraction, Fraction]:
         """Row-averaged pair products (E_ab, E_ac, E_bc) as exact rationals.
@@ -273,7 +272,7 @@ def cyclic_concatenate(
     if len(events) == 0:
         raise ValueError("no events to concatenate")
     g, (a_b, a_c) = outcome_columns(events.lam, events.t, key, (b, c))
-    return CyclicTable(h=events.n.copy(), s_a=g, s_b=a_b, s_c=a_c)
+    return CyclicTable(s_a=g, s_b=a_b, s_c=a_c)
 
 
 @dataclass(frozen=True)

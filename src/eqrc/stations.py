@@ -35,7 +35,8 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .experiments import RunDataset, RunGroup
-from .formats import _OUTCOME, _PAIR_INDEX, _RENDER_ROWS, LOG_SCHEMA_VERSION, _read_records, _refuse, _report_codec
+from .formats import (_OUTCOME, _PAIR_INDEX, _RENDER_ROWS, LOG_SCHEMA_VERSION, _dumps, _header_ints, _read_records,
+                      _refuse, _report_codec, _setting_json, _written)
 from .model import GaugeKey, PairStream, Setting, derive_subseed, measure_pairs, sample_pair_stream
 
 __all__ = [
@@ -119,7 +120,7 @@ def send_frame(sock: socket.socket, obj: dict, columns: dict[str, bytes] | None 
     """Send ``obj`` as the JSON header and ``columns`` (name -> bytes) as the tail, listed in the header."""
     if columns:
         obj = dict(obj, columns=[[name, len(col)] for name, col in columns.items()])
-    head = json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False).encode("utf-8")
+    head = _dumps(obj).encode("utf-8")
     tail = columns.values() if columns else ()
     sock.sendall(b"".join((struct.pack("!II", 4 + len(head) + sum(map(len, tail)), len(head)), head, *tail)))
 
@@ -266,7 +267,7 @@ def _report_batch(msg: dict, last_n: int, station_id: str, setting: Setting, key
             else f"t {float(t[i])!r} is not in [0, 1)"))
     left, right = measure_pairs(setting, PairStream(n=n, lam=lam, t=t), key)
     out = left if station_id == "L" else right
-    return ({"v": WIRE_VERSION, "type": "report_batch", "station": station_id, "setting": [setting.b2, setting.b3],
+    return ({"v": WIRE_VERSION, "type": "report_batch", "station": station_id, "setting": _setting_json(setting),
              "clock_ns": time.monotonic_ns()}, {"n": msg["n"], "outcome": _pack(out, "i1")}, n, out)
 
 
@@ -320,7 +321,7 @@ def station_batches(group) -> tuple[ReportBatch, ReportBatch]:
 
 def write_key_file(path, key: GaugeKey) -> None:
     payload = {"kind": "gauge-key", **key.to_json()}
-    Path(path).write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n", encoding="utf-8")
+    Path(path).write_text(_dumps(payload) + "\n", encoding="utf-8")
 
 
 def load_key_file(path) -> GaugeKey:
@@ -368,10 +369,10 @@ class StationLog:
     def __post_init__(self) -> None:
         if not isinstance(self.reports, ReportBatch):
             n, stations, settings, outcome, clock_ns = list(zip(*self.reports)) or [()] * 5
-            written = json.dumps([self.station, self.setting.b2, self.setting.b3])  # -0.0 == 0.0, but not as written
+            written = _written(_setting_json(self.setting))
             for station, setting in zip(stations, settings):
                 same = station is self.station and setting is self.setting
-                if not same and json.dumps([station, setting.b2, setting.b3]) != written:
+                if not same and (station != self.station or _written(_setting_json(setting)) != written):
                     raise ValueError(f"station {self.station} log of {self.setting} given a report of station "
                                      f"{station!r} with {setting}")
             self.reports = ReportBatch(self.station, self.setting, np.array(n, np.int64),
@@ -389,12 +390,11 @@ def write_emission_log(log: SourceLog, path) -> None:
             "session": log.session_index,
             "count": log.count,
         }
-        fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
+        fh.write(_dumps(header) + "\n")
         # The sorted-key dump of each event: JSON writes a finite float as its repr.
         fh.writelines(f'{{"lambda":{lam!r},"n":{n},"t":{t!r},"v":{LOG_SCHEMA_VERSION}}}\n'
                       for n, lam, t in zip(e.n.tolist(), e.lam.tolist(), e.t.tolist()))
-        fh.write(json.dumps({"v": LOG_SCHEMA_VERSION, "status": log.status, "sent": len(e),
-                             "detail": log.detail}, sort_keys=True, separators=(",", ":")) + "\n")
+        fh.write(_dumps({"v": LOG_SCHEMA_VERSION, "status": log.status, "sent": len(e), "detail": log.detail}) + "\n")
 
 
 _LOG_VERSION = ("v", lambda v: v == LOG_SCHEMA_VERSION, "unsupported log schema version {!r}")
@@ -411,18 +411,13 @@ def load_emission_log(path) -> SourceLog:
     events or, if "complete", not the header's ``count``. A log without
     a trailer loads as partial.
     """
-    def header_fields(header) -> dict:
-        for name in ("seed", "session", "count"):
-            if type(header.get(name)) is not int or header[name] < 0:
-                _refuse("emission-log", path, -1, f"header {name} {header.get(name)!r} is not an integer >= 0")
-        return header
-
     header, _, ints, floats, trailer = _read_records(
-        path, "emission-log", LOG_SCHEMA_VERSION, frozenset({"v", "n", "lambda", "t"}),
+        path, "emission-log", LOG_SCHEMA_VERSION,
         ints=(_LOG_VERSION, ("n", None, "pair index {!r} is not an integer")),
         floats=(("lambda", _unit_interval, "lambda {!r} is not in [0, 1)"),
                 ("t", _unit_interval, "t {!r} is not in [0, 1)")),
-        trailer=frozenset({"v", "status", "sent", "detail"}), check_header=header_fields)
+        trailer=frozenset({"v", "status", "sent", "detail"}),
+        check_header=lambda header: _header_ints("emission-log", path, header, {"seed": 0, "session": 0, "count": 0}))
     n, (lam, t) = ints[:, 1], floats.T
     count, session = header["count"], header["session"]
     first, rows = session * count + 1, np.arange(len(n))
@@ -447,8 +442,8 @@ def write_report_log(log: StationLog, path) -> None:
     its object, rendered from the batch's int columns a block at a time."""
     with Path(path).open("wb") as fh:
         header = {"v": LOG_SCHEMA_VERSION, "kind": "report-log", "station": log.station,
-                  "setting": [log.setting.b2, log.setting.b3], "key_digest": log.key_digest}
-        fh.write((json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n").encode())
+                  "setting": _setting_json(log.setting), "key_digest": log.key_digest}
+        fh.write((_dumps(header) + "\n").encode())
         codec, r = _report_codec(log.station, log.setting), log.reports
         for cut in (slice(at, at + _RENDER_ROWS) for at in range(0, len(r), _RENDER_ROWS)):
             fh.write(codec.render(np.zeros(len(r.n[cut]), np.int64), (r.n[cut], r.outcome[cut], r.clock_ns[cut])))
@@ -476,7 +471,6 @@ def load_report_log(path) -> ReportBatch:
 
     header, _, ints, _, _ = _read_records(
         path, "report-log", LOG_SCHEMA_VERSION,
-        frozenset({"clock_ns", "n", "outcome", "setting", "station", "type", "v"}),
         ints=(_LOG_VERSION, _PAIR_INDEX, _OUTCOME, ("clock_ns", None, "clock_ns {!r} is not an integer")),
         slot=("station", "type"),
         slots_of=lambda header: {(header["station"], "report"): Setting(*header["setting"])},
@@ -797,7 +791,7 @@ def collator_serve(
     ended: dict[str, bool] = {}  # station -> whether it ended with an end marker, not end-of-stream
     batches: dict[str, list] = {"L": [], "R": []}  # (n, outcome, clock_ns) columns per batch
     counts = {"L": 0, "R": 0}  # reports received
-    settings: dict[str, tuple[str, Setting]] = {}  # station -> its first batch's setting: repr as sent, parsed
+    settings: dict[str, tuple[str, Setting]] = {}  # station -> its first batch's setting: as written, parsed
     max_lead = {"L": 0, "R": 0}
     heard: dict[socket.socket, float] = {}  # connection -> when its silence clock started
 
@@ -836,10 +830,10 @@ def collator_serve(
             try:
                 if len(msg["setting"]) != 2:
                     raise ValueError("it is not two numbers")
-                settings[name] = (repr(msg["setting"]), Setting(*msg["setting"]))
+                settings[name] = (_written(msg["setting"]), Setting(*msg["setting"]))
             except (TypeError, ValueError, OverflowError) as exc:
                 raise SchemaError(f"station {name} report_batch setting {msg['setting']} is refused: {exc}") from None
-        elif repr(msg["setting"]) != settings[name][0]:  # -0.0 == 0 == 0.0, but JSON writes each apart
+        elif _written(msg["setting"]) != settings[name][0]:
             raise CollationError(f"station {name} batch with setting {msg['setting']}: "
                                  "a report batch must come from one station session")
         batches[name].append(_report_columns(msg))

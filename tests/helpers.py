@@ -1,4 +1,5 @@
-"""Shared test machinery: a live four-process experiment on loopback threads, int64 edge values, and
+"""Shared test machinery: a live four-process experiment on loopback threads, int64 edge values, a dataset's
+full text, and
 per-event oracles of the outcome rule written apart from the vectorized kernel, and full-length oracles of the
 blocked experiment runs."""
 
@@ -10,11 +11,17 @@ from fractions import Fraction
 import numpy as np
 
 from eqrc.experiments import CANONICAL_LEFT, rotate_to_canonical
+from eqrc.formats import run_dataset_blocks
 from eqrc.model import MODE_CONSTANT, MODE_RADEMACHER_RARB, Setting, derive_subseed, measure_pairs, sample_pair_stream
 from eqrc import stations as st
 
 # int64 values where a decimal rendering changes digit count or sign, and int64's two ends.
 EDGE_INTS = [0, 1, -1, 9, 10, 99, 100, 10**18 - 1, 10**18, -2**63, 2**63 - 1]
+
+
+def dataset_text(ds):
+    """A dataset file's full text, header line included, as the writer streams it."""
+    return b"".join(run_dataset_blocks(ds)).decode("ascii")
 
 
 def sign_of_sine(j, t):

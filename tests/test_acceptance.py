@@ -20,7 +20,7 @@ from eqrc.experiments import (
     run_experiment,
     sweep_angle,
 )
-from eqrc.formats import run_dataset_text, write_sweep_csv
+from eqrc.formats import dataset_record_lines, write_sweep_csv
 from eqrc.inequalities import bell_check, cyclic_concatenate, cyclic_oracle
 from eqrc.model import (
     GaugeKey,
@@ -127,10 +127,10 @@ def test_criterion_08_distributed_equivalence(tmp_path):
     key_path = tmp_path / "key.json"
     st.write_key_file(key_path, RAD3)
     results = run_live(seed=seed, count=n, key=RAD3, right_setting=B60, key_path=key_path)
-    live_lines = run_dataset_text(results["collator"].dataset).splitlines()[1:]
+    live_lines = list(dataset_record_lines(results["collator"].dataset))
     spec = ExperimentSpec(setting_pairs=((CANONICAL_LEFT, B60),), pairs_per_setting=n,
                           seed=seed, key=RAD3)
-    local_lines = run_dataset_text(run_experiment(spec)).splitlines()[1:]
+    local_lines = list(dataset_record_lines(run_experiment(spec)))
     ok = live_lines == local_lines
     criterion(8, f"live source + 2 stations + collator dataset is bit-identical to the in-process run (N={n})",
               ok, f"{len(live_lines)} payload lines compared")
@@ -155,7 +155,8 @@ def test_criterion_09_pairing_fragility():
 def test_criterion_10_sweep_shape(tmp_path):
     points = sweep_angle(seed=20260810, n_per_step=N, steps=72, key=RAD3)
     path = tmp_path / "sweep.csv"
-    write_sweep_csv(points, path)
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        write_sweep_csv(points, fh)
     rows = list(csv.DictReader(path.read_text().splitlines()[1:]))
     assert len(rows) == 72
     worst = max(abs(float(r["expectation"]) - (-math.cos(float(r["theta_radians"])))) for r in rows)

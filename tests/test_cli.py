@@ -12,8 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import dataset_text
+
 from eqrc.cli import main
-from eqrc.formats import load_run_dataset, run_dataset_text
+from eqrc.formats import load_run_dataset
 
 
 def run_cli(argv, capsys):
@@ -48,7 +50,7 @@ class TestRunCommand:
         assert len(ds.groups[0]) == 20000
         rc, out, _ = run_cli(argv, capsys)  # streamed in blocks to stdout; only the header's created stamp may differ
         text = path.read_text(encoding="utf-8")
-        assert rc == 0 and text == run_dataset_text(ds) and out.split("\n", 1)[1] == text.split("\n", 1)[1]
+        assert rc == 0 and text == dataset_text(ds) and out.split("\n", 1)[1] == text.split("\n", 1)[1]
 
     def test_noncanonical_left_is_rotated_with_notice(self, capsys):
         rc, out, err = run_cli(["run", "--pairs", "40000", "--seed", "5",
@@ -71,6 +73,29 @@ class TestSweepCommand:
             theta = float(row["theta_radians"])
             assert float(row["expectation"]) == pytest.approx(-math.cos(theta),
                                                               abs=4.5 / math.sqrt(20_000))
+
+
+class TestOutputPath:
+    """--out receives the bytes stdout would."""
+
+    @pytest.mark.parametrize("argv,skip", [
+        (["run", "--pairs", "3000", "--seed", "8"], 0),
+        (["run", "--pairs", "3000", "--seed", "8", "--format", "jsonl"], 1),  # the header's created stamp may differ
+        (["sweep", "--pairs", "500", "--steps", "5", "--seed", "8"], 0),
+    ], ids=["run-csv", "run-jsonl", "sweep"])
+    def test_out_file_holds_the_stdout_bytes(self, tmp_path, capsys, argv, skip):
+        path = tmp_path / "out"
+        rc, out, _ = run_cli(argv, capsys)
+        assert (rc, run_cli([*argv, "--out", str(path)], capsys)) == (0, (0, "", ""))
+        assert path.read_bytes().split(b"\n")[skip:] == out.encode("utf-8").split(b"\n")[skip:]
+        assert len(out.splitlines()) > 2
+
+    def test_reports_file_rows_are_the_stdout_reports(self, tmp_path, capsys):
+        path = tmp_path / "reports.jsonl"
+        rc, out, _ = run_cli(["bell", "--pairs", "2000", "--seed", "8", "--out", str(path)], capsys)
+        header, *rows = path.read_text(encoding="utf-8").splitlines()
+        assert rc == 0 and json.loads(header) == {"kind": "inequality-reports", "v": 1}
+        assert [json.loads(row) for row in rows] == [json.loads(line) for line in out.splitlines()]
 
 
 class TestInequalityCommands:
@@ -139,6 +164,14 @@ class TestSeedHandling:
         rc, _, err = run_cli(["run", "--pairs", "10"], capsys)
         assert rc == 1 and "EQRC_SEED" in err
 
+    @pytest.mark.parametrize("command", ["run", "sweep", "triples"])
+    def test_negative_seed_is_a_usage_error(self, capsys, monkeypatch, tmp_path, command):
+        path = tmp_path / "out"
+        rc, out, err = run_cli([command, "--pairs", "10", "--seed", "-1", "--out", str(path)], capsys)
+        assert (rc, out, err, path.exists()) == (1, "", "eqrc: seed must be >= 0, got -1\n", False)
+        monkeypatch.setenv("EQRC_SEED", "-2")
+        assert run_cli([command, "--pairs", "10"], capsys) == (1, "", "eqrc: seed must be >= 0, got -2\n")
+
 
 class TestExitCodes:
     def test_unknown_flag(self, capsys):
@@ -189,6 +222,30 @@ class TestExitCodes:
                                 "--match", "sequence", "--emissions", str(paths["emissions"])], capsys)
         assert rc == 2 and out == "" and "cannot account for an emission log" in err
 
+    @pytest.mark.parametrize("args", [
+        ["--left", "L.jsonl", "--right", "R.jsonl", "--inject", "drop@--1"],
+        ["--left", "L.jsonl", "--right", "R.jsonl", "--inject", "drop@1x"],
+        ["--port", "PORT", "--inject", "drop@1"],
+        ["--port", "PORT", "--emissions", "emissions.jsonl"],
+    ], ids=repr)
+    def test_collate_argument_it_cannot_use_is_a_usage_error(self, capsys, tmp_path, monkeypatch, args):
+        monkeypatch.chdir(tmp_path)
+        _report_logs(tmp_path, {"L": (1, 2), "R": (1, 2)})
+        with socket.create_server(("127.0.0.1", 0)) as busy:  # a live collator there would fail, not wait
+            port = str(busy.getsockname()[1])
+            rc, out, err = run_cli(["collate", *(port if arg == "PORT" else arg for arg in args)], capsys)
+        assert (rc, out) == (1, "") and err.startswith("eqrc: ") and "runtime error" not in err
+
+    def test_collate_with_no_shared_pair_index_reports_no_pairs(self, capsys, tmp_path):
+        paths = _report_logs(tmp_path, {"L": (1, 2), "R": (3, 4)})
+        out_path = tmp_path / "ds.jsonl"
+        rc, out, err = run_cli(["collate", "--left", str(paths["L"]), "--right", str(paths["R"]),
+                                "--out", str(out_path)], capsys)
+        assert (rc, err) == (0, "")
+        assert json.loads(out) == {"strategy": "pair-id", "pairs": 0, "incomplete": [1, 2, 3, 4], "expectation": None}
+        back = load_run_dataset(out_path)
+        assert [len(g) for g in back.groups] == [0] and back.groups[0].pair_index.dtype == np.int64
+
     def test_offline_collation_refuses_logs_of_different_keys(self, capsys, tmp_path):
         from eqrc.experiments import CANONICAL_LEFT
         from eqrc import stations as st
@@ -212,6 +269,20 @@ class TestExitCodes:
 
         key = load_key_file(path)
         assert key.j == 2 and key.rarb_seed == 9
+
+
+def _report_logs(tmp_path, pairs):
+    """Report logs L.jsonl and R.jsonl in ``tmp_path`` of +1 outcomes at ``pairs[side]``; their paths by side."""
+    from eqrc.experiments import CANONICAL_LEFT
+    from eqrc import stations as st
+
+    paths = {side: tmp_path / f"{side}.jsonl" for side in pairs}
+    for side, ns in pairs.items():
+        batch = st.ReportBatch(side, CANONICAL_LEFT, np.array(ns, np.int64), np.ones(len(ns), np.int8),
+                               np.zeros(len(ns), np.int64))
+        st.write_report_log(st.StationLog(station=side, setting=CANONICAL_LEFT, key_digest="ab", reports=batch),
+                            paths[side])
+    return paths
 
 
 def _free_port():

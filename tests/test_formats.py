@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import io
 import json
 import math
 import re
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import EDGE_INTS
+from helpers import EDGE_INTS, dataset_text
 
 from eqrc import formats, stations
 from eqrc.experiments import (
@@ -26,12 +27,11 @@ from eqrc.experiments import (
 )
 from eqrc.formats import (
     dataset_record_lines,
-    expectation_csv_text,
     load_run_dataset,
-    run_dataset_text,
-    sweep_csv_text,
+    write_expectation_csv,
     write_reports_jsonl,
     write_run_dataset,
+    write_sweep_csv,
     write_triple_csv,
 )
 from eqrc.inequalities import bell_check
@@ -74,8 +74,8 @@ class TestDatasetJsonl:
             assert np.array_equal(g1.right, g2.right)
 
     def test_payload_is_reproducible_and_header_isolated(self):
-        t1 = run_dataset_text(run_experiment(_spec()))
-        t2 = run_dataset_text(run_experiment(_spec()))
+        t1 = dataset_text(run_experiment(_spec()))
+        t2 = dataset_text(run_experiment(_spec()))
         lines1, lines2 = t1.splitlines(), t2.splitlines()
         assert lines1[1:] == lines2[1:]  # payload identical
         h1, h2 = json.loads(lines1[0]), json.loads(lines2[0])
@@ -113,7 +113,7 @@ class TestDatasetJsonl:
 
     def test_load_rejects_incomplete_pair(self, tmp_path):
         ds = run_experiment(_spec(n=3))
-        lines = run_dataset_text(ds).splitlines()
+        lines = dataset_text(ds).splitlines()
         path = tmp_path / "gap.jsonl"
         path.write_text("\n".join(lines[:-1]) + "\n")  # drop the final R record
         with pytest.raises(ValueError, match="incomplete"):
@@ -121,7 +121,7 @@ class TestDatasetJsonl:
 
     def test_load_rejects_unknown_group_tag(self, tmp_path):
         ds = run_experiment(_spec(n=3))
-        lines = run_dataset_text(ds).splitlines()
+        lines = dataset_text(ds).splitlines()
         bad = json.loads(lines[1])
         bad["group"] = "pair9"
         lines[1] = json.dumps(bad, sort_keys=True, separators=(",", ":"))
@@ -133,7 +133,7 @@ class TestDatasetJsonl:
 
 def _rewrite(tmp_path, ds, edit):
     """Write ``ds``, pass its record dicts through ``edit`` (returns the new list), save."""
-    lines = run_dataset_text(ds).splitlines()
+    lines = dataset_text(ds).splitlines()
     records = edit([json.loads(line) for line in lines[1:]])
     path = tmp_path / "edited.jsonl"
     path.write_text("\n".join([lines[0], *(json.dumps(r) for r in records)]) + "\n")
@@ -231,7 +231,7 @@ class TestLoaderRefusals:
 
     @pytest.mark.parametrize("garbage", [" ", "\t", " x", "{}"], ids=repr)
     def test_text_after_a_records_object_is_refused(self, tmp_path, garbage):
-        lines = run_dataset_text(run_experiment(_spec(n=3))).splitlines()
+        lines = dataset_text(run_experiment(_spec(n=3))).splitlines()
         lines[3] += garbage
         path = tmp_path / "garbage.jsonl"
         path.write_text("\n".join(lines) + "\n")
@@ -239,7 +239,7 @@ class TestLoaderRefusals:
             load_run_dataset(path)
 
     def test_text_after_the_header_object_is_refused(self, tmp_path):
-        lines = run_dataset_text(run_experiment(_spec(n=3))).splitlines()
+        lines = dataset_text(run_experiment(_spec(n=3))).splitlines()
         lines[0] += ' trailing garbage {"x":1}'
         path = tmp_path / "garbage.jsonl"
         path.write_text("\n".join(lines) + "\n")
@@ -262,7 +262,7 @@ class TestLoaderRefusals:
         ({"meta": [["created", "x"]]}, r"header meta \[\['created', 'x'\]\] is not an object"),
     ], ids=repr)
     def test_header_field_the_writer_never_writes_is_refused(self, tmp_path, fields, match):
-        lines = run_dataset_text(run_experiment(_spec(n=3))).splitlines()
+        lines = dataset_text(run_experiment(_spec(n=3))).splitlines()
         header = json.loads(lines[0])
         header.update({k: v for k, v in fields.items() if v is not KeyError})
         lines[0] = json.dumps({k: v for k, v in header.items() if fields.get(k) is not KeyError})
@@ -296,8 +296,29 @@ class TestLoaderRefusals:
         with pytest.raises(ValueError, match=f"line {line}: text after the object: {text}"):
             load(path)
 
+    @pytest.mark.parametrize("field,value,loads", [
+        ("seed", 0, True), ("seed", 2**64 + 5, True), ("seed", -1, False), ("seed", 5.0, False),
+        ("seed", True, False), ("pairs_per_setting", 1, True), ("pairs_per_setting", 0, False),
+        ("pairs_per_setting", 3.0, False), ("pairs_per_setting", True, False),
+    ], ids=repr)
+    def test_spec_takes_the_seed_and_size_its_file_loads_back(self, tmp_path, field, value, loads):
+        path = tmp_path / "run.jsonl"
+        fields = {"seed": 5, "pairs_per_setting": 3, field: value}
+        if loads:  # written, then loaded back as the same spec
+            spec = ExperimentSpec(setting_pairs=BELL_PAIRS, key=RAD2, **fields)
+            write_run_dataset(run_experiment(spec), path)
+            assert load_run_dataset(path).spec == spec
+            return
+        with pytest.raises(ValueError, match=rf"^{field} must be an integer >= [01], got {value!r}$"):
+            ExperimentSpec(setting_pairs=BELL_PAIRS, key=RAD2, **fields)
+        lines = dataset_text(run_experiment(_spec(n=3))).splitlines()
+        lines[0] = json.dumps(dict(json.loads(lines[0]), **{field: value}))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"line 1: header {field} {value!r} is not an integer >= [01]$"):
+            load_run_dataset(path)
+
     def test_header_fault_is_named_before_a_record_fault(self, tmp_path):
-        lines = run_dataset_text(run_experiment(_spec(n=3))).splitlines()
+        lines = dataset_text(run_experiment(_spec(n=3))).splitlines()
         lines[0] = json.dumps(dict(json.loads(lines[0]), seed=1.7))
         lines[4] = "not a record"
         path = tmp_path / "header.jsonl"
@@ -567,10 +588,17 @@ class TestChunkedLoads:
         _assert_chunked_load_is_the_json_load(path, data.draw(st.sampled_from([200, 300, 500])))
 
 
+def _written_text(write, rows) -> str:
+    """What a table writer writes to a text stream."""
+    buf = io.StringIO()
+    write(rows, buf)
+    return buf.getvalue()
+
+
 class TestCsv:
     def test_sweep_csv_shape_and_values(self):
         points = sweep_angle(seed=3, n_per_step=2_000, steps=6, key=RAD2)
-        text = sweep_csv_text(points)
+        text = _written_text(write_sweep_csv, points)
         lines = text.splitlines()
         assert lines[0] == "# schema=eqrc.sweep.v1"
         assert lines[1] == "theta_radians,expectation,std_error,n"
@@ -582,8 +610,8 @@ class TestCsv:
             assert int(row["n"]) == 2_000
 
     def test_sweep_csv_is_byte_reproducible(self):
-        a = sweep_csv_text(sweep_angle(seed=3, n_per_step=500, steps=4, key=RAD2))
-        b = sweep_csv_text(sweep_angle(seed=3, n_per_step=500, steps=4, key=RAD2))
+        a = _written_text(write_sweep_csv, sweep_angle(seed=3, n_per_step=500, steps=4, key=RAD2))
+        b = _written_text(write_sweep_csv, sweep_angle(seed=3, n_per_step=500, steps=4, key=RAD2))
         assert a == b
 
     def test_expectation_csv_layout(self):
@@ -591,7 +619,7 @@ class TestCsv:
             "left_b2": 1.0, "left_b3": 0.0, "right_b2": 0.5, "right_b3": math.sqrt(3) / 2,
             "n": 100, "expectation": -0.52, "std_error": 0.08, "seed": 7, "gauge": "rademacher:j=2",
         }
-        text = expectation_csv_text([row])
+        text = _written_text(write_expectation_csv, [row])
         lines = text.splitlines()
         assert lines[0] == "# schema=eqrc.expectation.v1"
         parsed = list(csv.DictReader(lines[1:]))[0]
@@ -602,7 +630,8 @@ class TestCsv:
         events = sample_pair_stream(5, 4_000)
         tables = [build_triple_table(kind, events, RAD2, BELL_SETTINGS) for kind in ("abc'", "ab'c")]
         path = tmp_path / "triples.csv"
-        write_triple_csv(tables, path)
+        with path.open("w", encoding="utf-8", newline="") as fh:
+            write_triple_csv(tables, fh)
         lines = path.read_text().splitlines()
         assert lines[0] == "# schema=eqrc.triples.v1"
         rows = list(csv.DictReader(lines[1:]))
@@ -615,7 +644,8 @@ class TestReportsJsonl:
     def test_reports_file_has_header_and_machine_readable_rows(self, tmp_path):
         rep = bell_check(-0.5, 0.5, -0.5)
         path = tmp_path / "reports.jsonl"
-        write_reports_jsonl([rep], path)
+        with path.open("w", encoding="utf-8", newline="") as fh:
+            write_reports_jsonl([rep], fh)
         lines = path.read_text().splitlines()
         assert lines[0] == '{"kind":"inequality-reports","v":1}'
         row = json.loads(lines[1])

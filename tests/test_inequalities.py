@@ -41,7 +41,7 @@ CELLS = list(itertools.product((1, -1), repeat=3))
 def _table(weights):
     """A cyclic table holding ``weights[i]`` rows of the sign assignment ``CELLS[i]``."""
     cols = np.repeat(np.array(CELLS, dtype=np.int8), weights, axis=0)
-    return CyclicTable(h=np.arange(1, len(cols) + 1), s_a=cols[:, 0], s_b=cols[:, 1], s_c=cols[:, 2])
+    return CyclicTable(s_a=cols[:, 0], s_b=cols[:, 1], s_c=cols[:, 2])
 
 
 def _single_space_wigner(table):
@@ -174,7 +174,7 @@ class TestCyclic:
         events = sample_pair_stream(5, 300)
         table = cyclic_concatenate(events, RAD3, BELL_SETTINGS)
         lam, t = events.lam.tolist(), events.t.tolist()
-        assert table.h.tolist() == events.n.tolist()
+        assert len(table) == len(events)
         assert table.s_a.tolist() == [gauge_oracle(RAD3, t_i) for t_i in t]
         for x, col in ((B, table.s_b), (C, table.s_c)):  # a right wing set to x reports -A(x); the table flips it
             assert col.tolist() == [a_oracle(RAD3, x, lam_i, t_i) for lam_i, t_i in zip(lam, t)]

@@ -17,7 +17,7 @@ from hypothesis import strategies as hst
 from helpers import EDGE_INTS, run_live
 
 from eqrc.experiments import CANONICAL_LEFT, ExperimentSpec, run_experiment
-from eqrc.formats import _RENDER_ROWS, run_dataset_text
+from eqrc.formats import _RENDER_ROWS, dataset_record_lines
 from eqrc.model import (GaugeKey, MODE_CONSTANT, MODE_RADEMACHER, MODE_RADEMACHER_RARB, PairStream, Setting,
                         measure_pairs)
 from eqrc.stats import estimate_expectation
@@ -826,8 +826,8 @@ class TestLiveRun:
         spec = ExperimentSpec(setting_pairs=((CANONICAL_LEFT, B60),), pairs_per_setting=800,
                               seed=42, key=RAD3)
         local = run_experiment(spec)
-        live_lines = run_dataset_text(live["collator"].dataset).splitlines()[1:]
-        local_lines = run_dataset_text(local).splitlines()[1:]
+        live_lines = list(dataset_record_lines(live["collator"].dataset))
+        local_lines = list(dataset_record_lines(local))
         assert live_lines == local_lines
 
     def test_both_stations_received_identical_triples(self, live):
@@ -1211,7 +1211,7 @@ class TestCollate:
         lb, rb = st.station_batches(grp)
         d1 = st.collate(lb, rb, strategy="pair-id").dataset
         d2 = st.collate(lb, rb, strategy="sequence-order").dataset
-        assert run_dataset_text(d1).splitlines()[1:] == run_dataset_text(d2).splitlines()[1:]
+        assert list(dataset_record_lines(d1)) == list(dataset_record_lines(d2))
 
     def test_sequence_order_drop_destroys_the_tail(self):
         n = 20_000
@@ -1249,10 +1249,10 @@ class TestCollate:
         lb_re = st.inject_fault("reorder", 100, lb)
         by_id = st.collate(lb_re, rb, strategy="pair-id").dataset
         by_id_clean = st.collate(lb, rb, strategy="pair-id").dataset
-        assert run_dataset_text(by_id).splitlines()[1:] == run_dataset_text(by_id_clean).splitlines()[1:]
+        assert list(dataset_record_lines(by_id)) == list(dataset_record_lines(by_id_clean))
         by_seq = st.collate(lb_re, rb, strategy="sequence-order").dataset
         by_seq_clean = st.collate(lb, rb, strategy="sequence-order").dataset
-        assert run_dataset_text(by_seq).splitlines()[1:] != run_dataset_text(by_seq_clean).splitlines()[1:]
+        assert list(dataset_record_lines(by_seq)) != list(dataset_record_lines(by_seq_clean))
 
     def test_emission_log_accounts_for_fully_lost_pairs(self):
         grp = _group(n=50)
