@@ -166,7 +166,7 @@ def build_parser() -> _Parser:
     p.add_argument("--right", default=None, help="R report log (offline mode)")
     p.add_argument("--match", choices=("pair-id", "sequence"), default="pair-id")
     p.add_argument("--inject", default=None, help="fault kind@position applied before joining")
-    p.add_argument("--inject-station", choices=("L", "R"), default="L")
+    p.add_argument("--inject-station", choices=("L", "R"), default=None, help="report log --inject edits (default L)")
     p.add_argument("--emissions", default=None, help="emission log for gap accounting")
     p.add_argument("--out", default=None, help="dataset path (JSONL)")
 
@@ -298,6 +298,8 @@ def cmd_collate(args) -> int:
     if (args.port is None) == (args.left is None and args.right is None):
         raise UsageError("collate needs either --port (live) or --left/--right report logs")
     fault = None if args.inject is None else parse_inject(args.inject)
+    if args.inject_station is not None and fault is None:  # with --port, --inject is refused below
+        raise UsageError("--inject-station picks the report log that --inject edits; it needs --inject")
     if args.port is not None:
         if fault is not None or args.emissions is not None:
             raise UsageError("--inject and --emissions apply to offline collation from report logs, not --port")
@@ -311,10 +313,10 @@ def cmd_collate(args) -> int:
             if json.loads(lfh.readline())["key_digest"] != json.loads(rfh.readline())["key_digest"]:
                 raise stations.CollationError("gauge key digests differ between stations; refusing to collate")
         if fault is not None:
-            if args.inject_station == "L":
-                left = stations.inject_fault(*fault, left)
-            else:
+            if args.inject_station == "R":
                 right = stations.inject_fault(*fault, right)
+            else:
+                left = stations.inject_fault(*fault, left)
         emission_log = stations.load_emission_log(args.emissions) if args.emissions else None
         result = stations.collate(left, right, strategy=strategy, emission_log=emission_log)
     if args.out is not None:

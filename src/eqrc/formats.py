@@ -6,11 +6,13 @@ identical inputs give byte-identical data lines. Floats are written via
 their shortest round-trip decimal form, which re-parses to the same
 64-bit value. Table writers write to an open text stream.
 
-Dataset and report-log lines have one layout each, a ``_LineCodec`` that
-renders blocks of lines from numpy columns for the writers, and parses
-chunks of lines into columns with array operations for the loaders. A
-chunk is taken only if its columns render back to its bytes; any other
-takes the JSON path line by line. Emission logs always take the latter.
+Each record file kind states its layout once, as one template of
+literal fields per slot. The templates give the ``_LineCodec`` that
+renders blocks of dataset and report-log lines from numpy columns for
+the writers and parses chunks of them into columns with array
+operations for the loaders, and the JSON path's record check. A chunk
+is taken only if its columns render back to its bytes; any other takes
+the JSON path line by line. Emission logs always take the latter.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 from array import array
 from itertools import islice
 from operator import itemgetter
@@ -28,7 +31,7 @@ import numpy as np
 
 from .experiments import ExperimentSpec, InterleavedRecords, RunDataset, RunGroup, SweepPoint
 from .inequalities import InequalityReport
-from .model import GaugeKey, Setting
+from .model import GaugeKey, Setting, _dumps
 from .stats import TripleTable
 
 __all__ = [
@@ -48,19 +51,14 @@ SCHEMA_VERSION = 1
 LOG_SCHEMA_VERSION = 1
 
 
-def _dumps(obj) -> str:
-    """The JSON every file and frame writer writes: sorted keys, compact separators, no NaN or infinity."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
-
-
 def _setting_json(s: Setting) -> list[float]:
     return [s.b2, s.b3]
 
 
-def _written(setting: list) -> str:
-    """What two settings as written, from ``_setting_json`` or a JSON reader, share when they are the same:
-    -0.0 == 0 == 0.0, but repr, like JSON, writes each apart."""
-    return repr(setting)
+def _written(value) -> str:
+    """What two values as written, such as settings from ``_setting_json`` or a JSON reader, share when they
+    are the same: -0.0 == 0 == 0.0 == False, but repr, like JSON, writes each apart."""
+    return repr(value)
 
 
 def _dataset_header(ds: RunDataset) -> dict:
@@ -117,27 +115,41 @@ def _span_ints(b: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray | No
 
 
 class _LineCodec:
-    """One fixed line layout, rendered from int64 columns and parsed back into them.
+    """The lines of a file kind's records, rendered from int64 columns and parsed back into them.
 
-    ``parts`` are literal bytes, lists of literal bytes picked by each
-    line's slot, and the numbers of the columns whose decimal text sits
-    there. A column is parsed from the end of the literal before it to
-    the next comma, so a layout parses only if a comma follows each
-    column and the literal before it holds a comma or starts the line.
-    ``slot_of(b, starts, ends, commas)`` gives each parsed line's slot
-    from the bytes and the positions of each line's first byte, newline
-    and first comma (None, or any number, where no slot's line could be).
+    Each template is one slot's literal fields. A slot's line is the
+    dump of its template with the ``columns`` added, split where their
+    decimal text sits into literal bytes and column numbers. A column is
+    parsed from the end of the literal before it to the next comma, so a
+    layout parses only if a comma follows each column and the literal
+    before it holds a comma or starts the line. A parsed line's slot is
+    read from the bytes of its first and last literal that tell the
+    slots apart, and the render check refuses any other difference.
     """
 
-    def __init__(self, parts: list, slot_of=lambda b, starts, *_: np.zeros(len(starts), np.int64)) -> None:
-        tables = [[part] if type(part) is bytes else part for part in parts]  # a literal: a table of one slot
-        line = [table if type(table) is int else table[0] for table in tables]  # slot 0's line
-        # Each column: its number, the commas before it in a line, and how far past the last it starts.
-        self.fields = [(col, b"".join(p for p in line[:i] if type(p) is bytes).count(b","),
-                        len(line[i - 1]) - line[i - 1].rfind(b",")) for i, col in enumerate(line) if type(col) is int]
-        self.parts = [table if type(table) is int else np.array(table).view(np.uint8).reshape(len(table), -1)
-                      for table in tables]  # a literal: one row of bytes per slot, padded with NULs
-        self.slots, self.slot_of = max(len(table) for table in tables if type(table) is list), slot_of
+    def __init__(self, templates: Sequence[dict], columns: Sequence[str]) -> None:
+        marks = {name: f"\0{col}" for col, name in enumerate(columns)}  # dumped as "\u0000<col>"
+        lines = [re.split(r'"\\u0000(\d)"', _dumps({**template, **marks}) + "\n") for template in templates]
+        if any(len(line) != 2 * len(columns) + 1 for line in lines):
+            raise ValueError(f"a template holds a column mark: {templates}")
+        tables = [int(part) if i % 2 else [line[i].encode() for line in lines] for i, part in enumerate(lines[0])]
+        # Each column: its number, the commas before it in slot 0's line, and how far past the last it starts.
+        self.fields = [(int(col), "".join(lines[0][:i:2]).count(","), len(lines[0][i - 1]) - lines[0][i - 1].rfind(","))
+                       for i, col in enumerate(lines[0]) if i % 2]
+        # A literal: a row of bytes per slot, padded with NULs, or one row that every slot shares.
+        self.parts = [table if type(table) is int else np.array(table[:1] if len(set(table)) == 1 else table)
+                      .view(np.uint8).reshape(-1, max(map(len, table))) for table in tables]
+        # Probes: offsets from a line's start (>= 0) and past its newline (< 0) within every slot's first and
+        # last literal, where a byte splits slots that the probes before it do not.
+        head, tail = min(map(len, tables[0])), min(map(len, tables[-1]))
+        edges = np.frombuffer(b"".join(f[:head] + l[len(l) - tail:] for f, l in zip(tables[0], tables[-1])), np.uint8)
+        edges, probes = edges.reshape(len(lines), head + tail), [0]  # a key of one byte at least: the "{"
+        for at in np.flatnonzero((edges != edges[0]).any(axis=0)):
+            if len(set(map(bytes, edges[:, probes + [at]]))) > len(set(map(bytes, edges[:, probes]))):
+                probes.append(at)
+        keys = np.ascontiguousarray(edges[:, probes]).view(f"V{len(probes)}").ravel()
+        self.order, self.keys = np.argsort(keys), np.sort(keys)
+        self.probes = np.array([at if at < head else at - head - tail for at in probes])
 
     def render(self, slot: np.ndarray, cols: Sequence[np.ndarray]) -> bytes:
         """The lines of rows with these slots and columns: laid out at a fixed width, less the NULs."""
@@ -154,6 +166,11 @@ class _LineCodec:
         if not data.endswith(b"\n") or not len(commas):
             return None
         starts = np.r_[0, ends[:-1] + 1]
+        at = np.where(self.probes >= 0, starts[:, None], ends[:, None] + 1) + self.probes
+        keys = np.ascontiguousarray(b.take(at, mode="clip")).view(self.keys.dtype).ravel()
+        found = np.searchsorted(self.keys, keys).clip(max=len(self.keys) - 1)
+        if (self.keys[found] != keys).any():  # a line of no slot: refused before any column is read
+            return None
         first = np.searchsorted(commas, starts)  # each line's first comma
         cols = [None] * len(self.fields)
         for col, before, since in self.fields:
@@ -161,34 +178,13 @@ class _LineCodec:
             if (value := _span_ints(b, lo, commas.take(first + before, mode="clip"))) is None:
                 return None
             cols[col] = value
-        slot = self.slot_of(b, starts, ends, commas.take(first, mode="clip"))
-        if slot is None or ((slot < 0) | (slot >= self.slots)).any() or self.render(slot, cols) != data:
-            return None
-        return slot, cols
+        return None if self.render(slot := self.order[found], cols) != data else (slot, cols)
 
 
-def _dataset_slots(b: np.ndarray, starts: np.ndarray, ends: np.ndarray, commas: np.ndarray) -> np.ndarray | None:
-    """Slot 2 * gid + side of dataset lines: gid ends at the quote before the first comma, and the station
-    is 9 bytes before the newline."""
-    gid = _span_ints(b, starts + len('{"group":"pair'), commas - 1)
-    return None if gid is None else 2 * gid + (b.take(ends - 9, mode="clip") == ord("R"))
-
-
-def _dataset_codec(groups: Iterable[tuple[str, Setting, Setting]]) -> _LineCodec:
-    """Record lines of groups (label, left, right), columns (n, outcome): slot 2g is group g's L, 2g + 1 its R."""
-    heads, tails = [], []
-    for label, *settings in groups:  # a record's sorted keys: group, n, outcome, setting, station, v
-        for station, setting in zip("LR", settings):
-            heads.append(_dumps({"group": label})[:-1].encode())
-            tail = _dumps({"setting": _setting_json(setting), "station": station, "v": SCHEMA_VERSION})
-            tails.append(f",{tail[1:]}\n".encode())
-    return _LineCodec([heads, b',"n":', 0, b',"outcome":', 1, tails], _dataset_slots)
-
-
-def _report_codec(station: str, setting: Setting) -> _LineCodec:
-    """Report-log lines of a station session, with columns (n, outcome, clock_ns) and sorted keys."""
-    tail = _dumps({"setting": _setting_json(setting), "station": station, "type": "report", "v": LOG_SCHEMA_VERSION})
-    return _LineCodec([b'{"clock_ns":', 2, b',"n":', 0, b',"outcome":', 1, f",{tail[1:]}\n".encode()])
+def _dataset_templates(groups: Iterable[tuple[str, Setting, Setting]]) -> list[dict]:
+    """Record templates of groups (label, left, right): slot 2g is group g's L record, 2g + 1 its R."""
+    return [{"group": label, "setting": _setting_json(setting), "station": station, "v": SCHEMA_VERSION}
+            for label, *settings in groups for station, setting in zip("LR", settings)]
 
 
 def run_dataset_blocks(ds: RunDataset) -> Iterator[bytes]:
@@ -196,11 +192,12 @@ def run_dataset_blocks(ds: RunDataset) -> Iterator[bytes]:
     a time. Groups stream in turn; interleaved (switched, unsorted) records in emission order."""
     yield (_dumps(_dataset_header(ds)) + "\n").encode()
     if (inter := ds.interleaved) is not None:
-        codec = _dataset_codec((f"pair{gid}", *pair) for gid, pair in enumerate(ds.canonical_pairs))
+        groups = [(f"pair{gid}", *pair) for gid, pair in enumerate(ds.canonical_pairs)]
         runs = [(inter.group_ids, inter.pair_index, inter.left, inter.right)]
     else:
-        codec = _dataset_codec((g.label, g.left_setting, g.right_setting) for g in ds.groups)
+        groups = [(g.label, g.left_setting, g.right_setting) for g in ds.groups]
         runs = [(np.broadcast_to(gid, len(g)), g.pair_index, g.left, g.right) for gid, g in enumerate(ds.groups)]
+    codec = _LineCodec(_dataset_templates(groups), ("n", "outcome"))
     for gids, n, left, right in runs:
         for cut in (slice(at, at + _RENDER_ROWS // 2) for at in range(0, len(n), _RENDER_ROWS // 2)):
             slot = 2 * np.asarray(gids[cut], np.int64)[:, None] + [0, 1]
@@ -243,38 +240,33 @@ def _header_ints(kind: str, path, header: dict, least: dict) -> dict:
     return header
 
 
-def _read_records(path, kind: str, version: int, ints: tuple, floats: tuple = (), slot: tuple = (),
-                  slots_of=lambda header: {(): None}, foreign: str = "", trailer: frozenset = frozenset(),
-                  chunks_of=None, check_header=lambda header: header):
+def _read_records(path, kind: str, version: int, templates_of, ints: tuple, floats: tuple = (), foreign: str = "",
+                  trailer: frozenset = frozenset(), check_header=lambda header: header):
     """Read a header line and record lines into typed columns, refusing what the writer never writes.
 
-    ``ints`` and ``floats`` hold (name, validity of a column or None,
-    refusal formatted with the bad value). ``slot`` names the string
-    fields that pick a record's slot, and ``slots_of(header)`` maps each
-    slot key to the setting the header gives it (None: the records have
-    no setting); ``foreign`` is the refusal of a record of another slot
-    or setting. ``ints``, ``floats`` and ``slot`` each name no field or
-    at least two, so that their getters return tuples. A line is one
-    JSON object and its newline, and a record has exactly the keys they
-    name, and ``setting`` if ``slot`` names any. Its numbers go into
-    int64 and float64 columns that are range-checked as columns; its
-    setting must be its slot's as the writer writes it (``_written``:
-    the same floats, no int, and the sign of a zero kept). Nothing may follow
-    a line with the ``trailer`` keys. ``check_header(header)`` runs
-    before any data line is read.
-    Returns (what ``check_header`` gives, slot number of each record, int columns,
-    float columns, trailer or None); raises ValueError naming the first
-    bad line.
+    ``templates_of(header)`` gives each slot's template: the literal
+    fields of its records, ``v`` among them, and strings but for
+    ``setting`` and ``v``. ``ints`` and ``floats`` hold (name, validity
+    of a column or None, refusal formatted with the bad value): one int
+    at least, and no float or two at least. A line is one JSON object and its
+    newline. A record has the keys of the templates and the columns, its
+    ``v`` is ``version`` and its literal fields are a slot's as written
+    (``_written``: the same floats, no int, and the sign of a zero
+    kept); ``foreign`` is the refusal of other literal fields. Its
+    numbers go into int64 and float64 columns, range-checked as columns.
+    Nothing may follow a line with the ``trailer`` keys.
+    ``check_header(header)`` runs before any data line is read.
+    Returns (what ``check_header`` gives, slot number of each record, int
+    columns, float columns, trailer or None); raises ValueError naming
+    the first bad line.
 
-    ``chunks_of(header)`` (no floats or trailer) gives the writer's
-    codec of the data lines, or None. A chunk of whole lines that it
-    parses is taken from its columns, which are those of ``ints`` after
-    ``v``: the codec's lines carry ``version`` as a literal.
+    Without floats, the templates also give the writer's ``_LineCodec``:
+    a chunk of whole lines that it parses is taken from its columns.
     """
-    get_slot, get_ints, get_floats = (itemgetter(*names) if names else lambda rec: ()
-                                      for names in (slot, [f[0] for f in ints], [f[0] for f in floats]))
-    keys = frozenset([*slot, *(["setting"] if slot else []), *(f[0] for f in (*ints, *floats))])
+    names = [field[0] for field in (*ints, *floats)]
     int_col, float_col, slot_col = array("q"), array("d"), array("q")
+    get_ints, get_floats = itemgetter(*names[:len(ints)]), itemgetter(*names[len(ints):]) if floats else None
+    add_ints = int_col.extend if len(ints) > 1 else int_col.append  # one name: a getter gives the value alone
     last = problem = None
     with Path(path).open("r", encoding="utf-8", newline="\n") as fh:  # a writer's lines end in \n alone
         try:
@@ -285,15 +277,17 @@ def _read_records(path, kind: str, version: int, ints: tuple, floats: tuple = ()
             raise ValueError(f"not a v{version} {kind} file: {path}")
         if line[end:] not in ("\n", ""):
             _refuse(kind, path, -1, f"text after the object: {line[end:]!r}")
-        try:  # slot key -> (slot number, the header's setting as written, or None)
-            slots = {key: (i, None if want is None else _written(_setting_json(want)))
-                     for i, (key, want) in enumerate(slots_of(header).items())}
-            if odd := [key for key in slots if any(type(field) is not str for field in key)]:
+        try:
+            templates = templates_of(header)
+            if odd := [t for t in templates if any(type(t[k]) is not str for k in t.keys() - {"setting", "v"})]:
                 raise TypeError(f"slot {odd[0]!r} is not all strings")
+            codec = _LineCodec(templates, names) if templates and not floats else None
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{kind} {path} line 1: header without valid slots: {exc!r}") from None
+        literal = sorted({"v"}.union(*templates))
+        keys, get_literals = frozenset([*literal, *names]), itemgetter(*literal)
+        slots = {_written(get_literals(template)): i for i, template in enumerate(templates)}
         checked = check_header(header)
-        codec = chunks_of(header) if chunks_of else None
 
         def pieces():  # the data lines, less those of each chunk that ``codec`` takes into the columns
             while codec is not None and (text := fh.read(_CHUNK_BYTES) + fh.readline()):
@@ -301,28 +295,8 @@ def _read_records(path, kind: str, version: int, ints: tuple, floats: tuple = ()
                     yield from io.StringIO(text)  # split at newlines only, as ``fh`` splits
                     continue
                 slot_col.frombytes(got[0].tobytes())
-                int_col.frombytes(np.column_stack((np.full(len(got[0]), version), *got[1])).tobytes())
+                int_col.frombytes(np.column_stack(got[1]).tobytes())
             yield from fh
-
-        def in_slot(rec, at) -> bool:
-            return at[1] is None or _written(rec["setting"]) == at[1]
-
-        def problem_of(rec) -> str | None:
-            """Why a decoded line is not a record (None if it is one)."""
-            if not isinstance(rec, dict) or rec.keys() != keys:
-                return f"{rec!r} does not have the keys {sorted(keys)}"
-            for fields, code in ((ints, "q"), (floats, "d")):
-                for name, _, what in fields:
-                    try:  # None stands in for a boolean, which a column would take as 1 or 0
-                        array(code, [None if type(rec[name]) is bool else rec[name]])
-                    except (TypeError, OverflowError):
-                        return what.format(rec[name])
-            try:
-                if in_slot(rec, slots[get_slot(rec)]):
-                    return None
-            except (KeyError, TypeError):  # an unknown or unhashable slot
-                pass
-            return f"{foreign}: {get_slot(rec)!r} with setting {rec.get('setting')!r}"
 
         for line in pieces():
             try:
@@ -330,33 +304,38 @@ def _read_records(path, kind: str, version: int, ints: tuple, floats: tuple = ()
             except json.JSONDecodeError as exc:
                 problem = f"not a JSON object: {exc}"
                 break
-            try:
-                at = slots[get_slot(rec)]
-                # The slow path refuses booleans, which the columns would take as 1 or 0.
-                if (line[end:] == "\n" and rec.keys() == keys and in_slot(rec, at)
-                        and "true" not in line and "false" not in line):
-                    int_col.extend(get_ints(rec))
-                    float_col.extend(get_floats(rec))
-                    slot_col.append(at[0])
+            try:  # a record; a failure ends the read, and the columns are cut to the rows of ``slot_col``
+                if (line[end:] in ("\n", "") and rec.keys() == keys
+                        and not (("true" in line or "false" in line) and bool in map(type, map(rec.get, names)))):
+                    add_ints(get_ints(rec))
+                    if floats:
+                        float_col.extend(get_floats(rec))
+                    slot_col.append(slots[_written(get_literals(rec))])
                     continue
-            except (TypeError, KeyError, AttributeError, OverflowError):
-                rows = len(slot_col)
-                del int_col[rows * len(ints):], float_col[rows * len(floats):]  # a failed extend's part
-            # The slow path: the trailer, or a line the fast path did not take.
+            except (AttributeError, KeyError, TypeError, OverflowError):
+                pass
+            # Not a record, or the trailer: the first check it fails names it.
             if line[end:] not in ("\n", ""):
                 problem = f"text after the object: {line[end:]!r}"
             elif trailer and isinstance(rec, dict) and rec.keys() == trailer:
                 last, problem = rec, "a line after the trailer" if fh.readline() else None
-            else:
-                problem = problem_of(rec)
-            if problem is not None or last is not None:
-                break
-            int_col.extend(get_ints(rec))
-            float_col.extend(get_floats(rec))
-            slot_col.append(slots[get_slot(rec)][0])
+            elif not isinstance(rec, dict) or rec.keys() != keys:
+                problem = f"{rec!r} does not have the keys {sorted(keys)}"
+            elif type(rec["v"]) is not int or rec["v"] != version:
+                problem = f"unsupported {kind.rsplit('-', 1)[-1]} schema version {rec['v']!r}"
+            elif _written(get_literals(rec)) not in slots:
+                problem = f"{foreign}: {({name: rec[name] for name in literal})}"
+            else:  # a column that does not take its value
+                for (name, _, what), code in zip((*ints, *floats), "q" * len(ints) + "d" * len(floats)):
+                    try:  # None stands in for a boolean, which a column would take as 1 or 0
+                        array(code, [None if type(rec[name]) is bool else rec[name]])
+                    except (TypeError, OverflowError):
+                        problem = what.format(rec[name])
+                        break
+            break
     rows = len(slot_col)
-    cols = (np.frombuffer(int_col, dtype=np.int64).reshape(rows, len(ints)),
-            np.frombuffer(float_col, dtype=np.float64).reshape(rows, len(floats)))
+    cols = (np.frombuffer(int_col, np.int64, rows * len(ints)).reshape(rows, len(ints)),
+            np.frombuffer(float_col, np.float64, rows * len(floats)).reshape(rows, len(floats)))
     bad = [(rows + (last is not None), problem)] if problem else []
     for fields, col in zip((ints, floats), cols):
         for j, (_, ok, what) in enumerate(fields):
@@ -365,12 +344,6 @@ def _read_records(path, kind: str, version: int, ints: tuple, floats: tuple = ()
     if bad:
         _refuse(kind, path, *min(bad))
     return checked, np.frombuffer(slot_col, dtype=np.int64), *cols, last
-
-
-def _dataset_chunks(header) -> _LineCodec:
-    """The codec of a dataset with the header's pairs (see ``_read_records``)."""
-    return _dataset_codec((f"pair{gid}", *(Setting(*setting) for setting in pair))
-                          for gid, pair in enumerate(header["pairs"]))
 
 
 def load_run_dataset(path) -> RunDataset:
@@ -405,18 +378,14 @@ def load_run_dataset(path) -> RunDataset:
 
     (header, spec, meta), slot, ints, _, _ = _read_records(
         path, DATASET_KIND, SCHEMA_VERSION,
-        ints=(("v", lambda v: v == SCHEMA_VERSION, "record with unsupported schema version {!r}"),
-              _PAIR_INDEX, _OUTCOME),
-        slot=("group", "station"),
-        slots_of=lambda header: {(f"pair{gid}", station): Setting(*setting)
-                                 for gid, pair in enumerate(header["pairs"])
-                                 for station, setting in zip("LR", pair)},
-        foreign="unknown group or station, or a setting other than the header's", chunks_of=_dataset_chunks,
+        lambda header: _dataset_templates((f"pair{gid}", *(Setting(*setting) for setting in pair))
+                                          for gid, pair in enumerate(header["pairs"])),
+        ints=(_PAIR_INDEX, _OUTCOME), foreign="unknown group or station, or a setting other than the header's",
         check_header=header_spec)
     pairs = tuple((Setting(*l), Setting(*r)) for l, r in header["pairs"])
     labels = [f"pair{i}" for i in range(len(pairs))]
     gids, sides = slot >> 1, slot & 1
-    _, ns, outcomes = ints.T
+    ns, outcomes = ints.T
     # Sorted by (gid, n, station), a valid file is a run of (L, R) couples;
     # the first couple that is not starts a pair with a missing or extra record.
     order = np.lexsort((sides, ns, gids))

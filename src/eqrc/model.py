@@ -57,6 +57,11 @@ __all__ = [
 NORM_TOL = 1e-12
 
 
+def _dumps(obj) -> str:
+    """The JSON of every writer and the key digest: sorted keys, compact separators, no NaN or infinity."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
 @dataclass(frozen=True)
 class Setting:
     """Unit vector in the plane transverse to the emission axis.
@@ -229,8 +234,7 @@ class GaugeKey:
         return cls(mode=obj["mode"], j=obj["j"], rarb_seed=obj["rarb_seed"])
 
     def digest_hex(self) -> str:
-        payload = json.dumps(self.to_json(), sort_keys=True, separators=(",", ":")).encode()
-        return hashlib.sha256(payload).hexdigest()
+        return hashlib.sha256(_dumps(self.to_json()).encode()).hexdigest()
 
 
 def gauge_eval(key: GaugeKey, t: np.ndarray) -> np.ndarray:

@@ -35,9 +35,10 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .experiments import RunDataset, RunGroup
-from .formats import (_OUTCOME, _PAIR_INDEX, _RENDER_ROWS, LOG_SCHEMA_VERSION, _dumps, _header_ints, _read_records,
-                      _refuse, _report_codec, _setting_json, _written)
-from .model import GaugeKey, PairStream, Setting, derive_subseed, measure_pairs, sample_pair_stream
+from .formats import (_OUTCOME, _PAIR_INDEX, _RENDER_ROWS, LOG_SCHEMA_VERSION, _header_ints, _LineCodec, _read_records,
+                      _refuse, _setting_json, _written)
+from .model import (GaugeKey, PairStream, Setting, _dumps, derive_subseed, measure_left, measure_right,
+                    sample_pair_stream)
 
 __all__ = [
     "WIRE_VERSION",
@@ -253,8 +254,8 @@ def _report_batch(msg: dict, last_n: int, station_id: str, setting: Setting, key
     Every element is checked first: ``n`` must rise strictly from
     ``last_n``, the last pair index accepted (0 before the first), and
     ``lambda`` and ``t`` must lie in [0, 1), which NaN does not; raises
-    SchemaError naming the first bad position. One ``measure_pairs``
-    call then measures the batch, stamped with the station clock once.
+    SchemaError naming the first bad position. One call of its own wing
+    function then measures the batch, stamped with the station clock once.
     """
     n, lam, t = _columns("emit_batch", msg, {"n": "<i8", "lambda": "<f8", "t": "<f8"})
     prev = np.concatenate(([last_n], n[:-1]))
@@ -265,8 +266,7 @@ def _report_batch(msg: dict, last_n: int, station_id: str, setting: Setting, key
             f"non-increasing pair index {n[i]} after {prev[i]}" if not rising[i]
             else f"lambda {float(lam[i])!r} is not in [0, 1)" if not lam_ok[i]
             else f"t {float(t[i])!r} is not in [0, 1)"))
-    left, right = measure_pairs(setting, PairStream(n=n, lam=lam, t=t), key)
-    out = left if station_id == "L" else right
+    out = (measure_left if station_id == "L" else measure_right)(setting, PairStream(n=n, lam=lam, t=t), key)
     return ({"v": WIRE_VERSION, "type": "report_batch", "station": station_id, "setting": _setting_json(setting),
              "clock_ns": time.monotonic_ns()}, {"n": msg["n"], "outcome": _pack(out, "i1")}, n, out)
 
@@ -397,9 +397,6 @@ def write_emission_log(log: SourceLog, path) -> None:
         fh.write(_dumps({"v": LOG_SCHEMA_VERSION, "status": log.status, "sent": len(e), "detail": log.detail}) + "\n")
 
 
-_LOG_VERSION = ("v", lambda v: v == LOG_SCHEMA_VERSION, "unsupported log schema version {!r}")
-
-
 def load_emission_log(path) -> SourceLog:
     """Load an emission log; its events come back as one PairStream.
 
@@ -412,13 +409,13 @@ def load_emission_log(path) -> SourceLog:
     a trailer loads as partial.
     """
     header, _, ints, floats, trailer = _read_records(
-        path, "emission-log", LOG_SCHEMA_VERSION,
-        ints=(_LOG_VERSION, ("n", None, "pair index {!r} is not an integer")),
+        path, "emission-log", LOG_SCHEMA_VERSION, lambda header: [{"v": LOG_SCHEMA_VERSION}],
+        ints=(("n", None, "pair index {!r} is not an integer"),),
         floats=(("lambda", _unit_interval, "lambda {!r} is not in [0, 1)"),
                 ("t", _unit_interval, "t {!r} is not in [0, 1)")),
         trailer=frozenset({"v", "status", "sent", "detail"}),
         check_header=lambda header: _header_ints("emission-log", path, header, {"seed": 0, "session": 0, "count": 0}))
-    n, (lam, t) = ints[:, 1], floats.T
+    n, (lam, t) = ints[:, 0], floats.T
     count, session = header["count"], header["session"]
     first, rows = session * count + 1, np.arange(len(n))
     bad = np.flatnonzero((n != first + rows) | (rows >= count))
@@ -437,6 +434,12 @@ def load_emission_log(path) -> SourceLog:
                      emissions=PairStream(n=n.copy(), lam=lam.copy(), t=t.copy()), status=status, detail=detail)
 
 
+def _report_templates(header: dict) -> list[dict]:
+    """The one record template of a report log with this header: its station session's."""
+    return [{"setting": _setting_json(Setting(*header["setting"])), "station": header["station"], "type": "report",
+             "v": LOG_SCHEMA_VERSION}]
+
+
 def write_report_log(log: StationLog, path) -> None:
     """Header line, then one line per report: its fields, ``type`` "report" and ``v``, the bytes of dumping
     its object, rendered from the batch's int columns a block at a time."""
@@ -444,14 +447,9 @@ def write_report_log(log: StationLog, path) -> None:
         header = {"v": LOG_SCHEMA_VERSION, "kind": "report-log", "station": log.station,
                   "setting": _setting_json(log.setting), "key_digest": log.key_digest}
         fh.write((_dumps(header) + "\n").encode())
-        codec, r = _report_codec(log.station, log.setting), log.reports
+        codec, r = _LineCodec(_report_templates(header), ("n", "outcome", "clock_ns")), log.reports
         for cut in (slice(at, at + _RENDER_ROWS) for at in range(0, len(r), _RENDER_ROWS)):
             fh.write(codec.render(np.zeros(len(r.n[cut]), np.int64), (r.n[cut], r.outcome[cut], r.clock_ns[cut])))
-
-
-def _report_chunks(header):
-    """The codec of a report log (see ``formats._read_records``)."""
-    return _report_codec(header["station"], Setting(*header["setting"]))
 
 
 def load_report_log(path) -> ReportBatch:
@@ -470,15 +468,12 @@ def load_report_log(path) -> ReportBatch:
         return header
 
     header, _, ints, _, _ = _read_records(
-        path, "report-log", LOG_SCHEMA_VERSION,
-        ints=(_LOG_VERSION, _PAIR_INDEX, _OUTCOME, ("clock_ns", None, "clock_ns {!r} is not an integer")),
-        slot=("station", "type"),
-        slots_of=lambda header: {(header["station"], "report"): Setting(*header["setting"])},
-        foreign="a report batch must come from one station session", chunks_of=_report_chunks,
-        check_header=header_digest)
+        path, "report-log", LOG_SCHEMA_VERSION, _report_templates,
+        ints=(_PAIR_INDEX, _OUTCOME, ("clock_ns", None, "clock_ns {!r} is not an integer")),
+        foreign="a report batch must come from one station session", check_header=header_digest)
     if not len(ints):
         raise ValueError(f"report log {path} holds no reports")
-    _, n, outcome, clock_ns = ints.T
+    n, outcome, clock_ns = ints.T
     return ReportBatch(station=header["station"], setting=Setting(*header["setting"]), n=n.copy(),
                        outcome=outcome.astype(np.int8), clock_ns=clock_ns.copy())
 
@@ -601,8 +596,8 @@ def station_run(
     key file). The station dials exactly two endpoints (source and
     collator), and the grammar of what it can receive contains no field
     that could carry the remote setting. Refuses to start without the
-    key file. Each emit_batch frame is measured with one
-    ``measure_pairs`` call and answered with one report_batch frame;
+    key file. Each emit_batch frame is measured with one call of the
+    station's own wing function and answered with one report_batch frame;
     a malformed batch, or one holding a bad element (such as a pair
     index not above the one before it), is rejected whole and logged
     once with its first bad position, not measured. The log keeps the

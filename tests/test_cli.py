@@ -227,6 +227,8 @@ class TestExitCodes:
         ["--left", "L.jsonl", "--right", "R.jsonl", "--inject", "drop@1x"],
         ["--port", "PORT", "--inject", "drop@1"],
         ["--port", "PORT", "--emissions", "emissions.jsonl"],
+        ["--left", "L.jsonl", "--right", "R.jsonl", "--inject-station", "R"],
+        ["--port", "PORT", "--inject-station", "R"],
     ], ids=repr)
     def test_collate_argument_it_cannot_use_is_a_usage_error(self, capsys, tmp_path, monkeypatch, args):
         monkeypatch.chdir(tmp_path)

@@ -510,8 +510,8 @@ def _with_int_text(line: str, field: str, edit: str) -> str:
     return line if value is None else line[:value.start(1)] + _INT_TEXT[edit](value[1]) + line[value.end(1):]
 
 
-def _no_chunks(header):
-    return None  # no codec: every line takes the JSON path
+def _no_chunks(codec, data):
+    return None  # no chunk parses: every line takes the JSON path
 
 
 def _assert_chunked_load_is_the_json_load(path, chunk_bytes: int) -> None:
@@ -519,8 +519,7 @@ def _assert_chunked_load_is_the_json_load(path, chunk_bytes: int) -> None:
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(formats, "_CHUNK_BYTES", chunk_bytes)
         chunked = _loaded(path)
-        mp.setattr(formats, "_dataset_chunks", _no_chunks)
-        mp.setattr(stations, "_report_chunks", _no_chunks)
+        mp.setattr(formats._LineCodec, "parse", _no_chunks)
         assert chunked == _loaded(path)
 
 
@@ -542,8 +541,7 @@ class TestChunkedLoads:
             decoded.clear()
             assert _loaded(path) == expected[name]
             assert decoded == [path.read_text().split("\n", 1)[0] + "\n"], name  # the header line only
-        monkeypatch.setattr(formats, "_dataset_chunks", _no_chunks)
-        monkeypatch.setattr(stations, "_report_chunks", _no_chunks)
+        monkeypatch.setattr(formats._LineCodec, "parse", _no_chunks)
         for name, path in paths.items():
             assert _loaded(path) == expected[name]  # the JSON path agrees
 

@@ -625,7 +625,8 @@ class TestReportLogs:
     @pytest.mark.parametrize("fields", [
         {"v": 7}, {"v": True}, {"type": "emit"}, {"v": 7, "type": "emit", "outcome": 3},
         {"outcome": 3}, {"outcome": 1.0}, {"outcome": True},
-        {"n": 1.9}, {"n": True}, {"n": 0}, {"clock_ns": 1.5}, {"clock_ns": "10"},
+        {"n": 1.9}, {"n": True}, {"n": 0}, {"clock_ns": 1.5}, {"clock_ns": "10"}, {"clock_ns": True},
+        {"clock_ns": 2**63},
     ], ids=repr)
     def test_line_the_writer_never_writes_is_refused(self, tmp_path, fields):
         _, path = _report_log(tmp_path)
@@ -668,6 +669,17 @@ class TestReportLogs:
         _, path = _report_log(tmp_path)
         _edit_line(path, 1, station=station)
         with pytest.raises(ValueError, match="line 1: header without valid slots: .* is not all strings"):
+            st.load_report_log(path)
+
+    @pytest.mark.parametrize("station", ["\x000", "\x002"], ids=repr)
+    def test_station_that_dumps_as_a_column_mark_is_refused(self, tmp_path, station):
+        # The line codec finds its columns by dumping them as "\u0000<column>"; a field that dumps the same
+        # would add a column to the layout, so neither the writer nor the loader takes it.
+        log, path = _report_log(tmp_path)
+        with pytest.raises(ValueError, match="a template holds a column mark"):
+            st.write_report_log(st.StationLog(station, log.setting, "ab", log.reports), tmp_path / "mark.jsonl")
+        _edit_line(path, 1, station=station)
+        with pytest.raises(ValueError, match="line 1: header without valid slots: .*holds a column mark"):
             st.load_report_log(path)
 
     @pytest.mark.parametrize("setting", [[1.0, 1e-15], [1.0 + 2**-52, 0.0], [1, 0], [1.0, 0], [1.0, -0.0]], ids=repr)
@@ -752,6 +764,12 @@ class TestEmissionLogs:
         (3, {"lambda": 7.0}, r"line 3: lambda 7.0 is not in \[0, 1\)"),
         (4, {"t": -3.0}, r"line 4: t -3.0 is not in \[0, 1\)"),
         (2, {"v": 9}, "line 2: unsupported log schema version 9"),
+        (2, {"v": True}, "line 2: unsupported log schema version True"),
+        (3, {"n": True}, "line 3: pair index True is not an integer"),
+        (3, {"n": "5"}, "line 3: pair index '5' is not an integer"),
+        (3, {"n": 2**63}, "line 3: pair index 9223372036854775808 is not an integer"),
+        (3, {"lambda": True}, r"line 3: lambda True is not in \[0, 1\)"),
+        (4, {"t": "0.5"}, r"line 4: t '0.5' is not in \[0, 1\)"),
         (5, {"sent": 1}, "line 5: trailer .* does not close 3 events"),
         (5, {"status": "done"}, "line 5: trailer"),
     ], ids=repr)
