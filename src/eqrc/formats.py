@@ -10,9 +10,12 @@ Each record file kind states its layout once, as one template of
 literal fields per slot. The templates give the ``_LineCodec`` that
 renders blocks of dataset and report-log lines from numpy columns for
 the writers and parses chunks of them into columns with array
-operations for the loaders, and the JSON path's record check. A chunk
-is taken only if its columns render back to its bytes; any other takes
-the JSON path line by line. Emission logs always take the latter.
+operations for the loaders, and the JSON path's record check. A block
+is laid out at a fixed width and its NULs dropped in one step. The
+loaders read bytes; a chunk is taken only if its columns render back to
+its bytes, compared a block at a time, and any other takes the JSON
+path line by line, decoded as UTF-8 then. Emission logs always take the
+latter.
 """
 
 from __future__ import annotations
@@ -23,9 +26,10 @@ import json
 import re
 from array import array
 from itertools import islice
+from math import copysign
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, NoReturn, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, NoReturn, Sequence, TextIO
 
 import numpy as np
 
@@ -55,10 +59,13 @@ def _setting_json(s: Setting) -> list[float]:
     return [s.b2, s.b3]
 
 
-def _written(value) -> str:
-    """What two values as written, such as settings from ``_setting_json`` or a JSON reader, share when they
-    are the same: -0.0 == 0 == 0.0 == False, but repr, like JSON, writes each apart."""
-    return repr(value)
+def _setting_check(want: list) -> Callable[[object], bool]:
+    """A test of whether a value, as ``_setting_json`` or a JSON reader gives it, is the setting ``want`` as
+    written: == to it, and of its type and sign at each integral number, where == also takes values that
+    JSON writes apart (-0.0 == 0 == 0.0 == False, 1 == 1.0 == True); no float is formatted."""
+    exact = [(at, type(w), copysign(1.0, w)) for at, w in enumerate(want) if float(w).is_integer()]
+    return lambda got: got == want and all(type(got[at]) is t and copysign(1.0, got[at]) == sign
+                                           for at, t, sign in exact)
 
 
 def _dataset_header(ds: RunDataset) -> dict:
@@ -81,37 +88,63 @@ def _dataset_header(ds: RunDataset) -> dict:
 # ---------------------------------------------------------------------------
 # The line codec behind the dataset and report-log writers and their chunked loads
 
-# Most lines a writer renders at once: a block's arrays stay under glibc's 128 KiB mmap threshold. Freed
-# larger blocks raise it, and the heap then held about 3 MB more in the live benchmark's checks.
+# Most lines rendered at once, by a writer or a load's check: a block's arrays stay under glibc's 128 KiB mmap
+# threshold. Freed larger blocks raise it, and the heap then held about 3 MB more in the live benchmark's checks.
 _RENDER_ROWS = 1 << 10
 
 
+def _limb_table() -> np.ndarray:
+    """The 4 ASCII bytes of each value below 10**4 as a uint32, three ways: zero-padded (a limb below a nonzero
+    one), with NULs for leading zeros (a limb below none), and the same but for a zero's last digit (the lowest)."""
+    v, table = np.arange(10**4, dtype=np.uint16), np.empty((3, 10**4, 4), np.uint8)
+    for at, power in enumerate((1000, 100, 10, 1)):  # no array past glibc's mmap threshold (see _RENDER_ROWS)
+        table[:, :, at] = v // power % 10 + ord("0")
+        table[1:, v < power, at] = 0
+    table[2, 0, 3] = ord("0")
+    return table.view(np.uint32).ravel()
+
+
+_LIMB_TEXT = _limb_table()
+
+
 def _digit_block(col: np.ndarray) -> np.ndarray:
-    """Rows of each value's sign and decimal digits, right-aligned, with NULs for no byte."""
-    neg, mag = col < 0, col.view(np.uint64)
-    mag = np.where(neg, -mag, mag)  # int64 min's magnitude, 2**63, is a uint64
-    width = len(str(top := mag.max(initial=0)))
-    if 1 < width and top < 2**32:  # uint32 division is the faster; one digit is not worth the cast
-        mag = mag.astype(np.uint32)
-    text = np.empty((len(col), width + 1), np.uint8)
-    text[:, 0] = neg * ord("-")
-    for at in range(width, 0, -1):
-        lead = mag == 0  # a leading zero, unless it is the last digit
-        mag, digit = np.divmod(mag, mag.dtype.type(10))
-        text[:, at] = digit + ord("0") if at == width else np.where(lead, 0, digit + ord("0"))
-    return text
+    """Rows of each value's decimal text, right-aligned, with NULs for no byte: a sign column, if any value
+    is negative, then the digits, rendered 4 at a time from ``_LIMB_TEXT``."""
+    neg = col.min(initial=0) < 0
+    mag = np.abs(col).view(np.uint64) if neg else col.view(np.uint64)  # int64 min's magnitude 2**63 is a uint64
+    width = len(str(top := int(mag.max(initial=0))))
+    if top < 10:  # one digit: no leading zero, and no table
+        text = (mag + ord("0")).astype(np.uint8)[:, None]
+    else:
+        limbs, part = [], 2 * 10**4  # lowest first, each offset to its part of the table: the lowest's, a higher's
+        while True:
+            if top < 2**32 and mag.dtype != np.uint32:  # uint32 division is the faster
+                mag = mag.astype(np.uint32)
+            if top < 10**4:
+                break
+            mag, low = np.divmod(mag, mag.dtype.type(10**4))
+            low += (mag == 0) * low.dtype.type(part)  # the zero-padded part where a limb above is nonzero
+            limbs.append(low)
+            top, part = top // 10**4, 10**4
+        text = _LIMB_TEXT.take(np.column_stack([mag + mag.dtype.type(part), *limbs[::-1]])).view(np.uint8)
+    if not neg:
+        return text[:, text.shape[1] - width:]
+    block = np.empty((len(col), width + 1), np.uint8)
+    block[:, 0], block[:, 1:] = (col < 0) * np.uint8(ord("-")), text[:, text.shape[1] - width:]
+    return block
 
 
-def _span_ints(b: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray | None:
-    """The int64 each b[lo:hi] reads as, '-' and up to 19 digits (None: longer); a render check refuses a wrap."""
-    neg = b.take(lo, mode="clip") == ord("-")
-    lo = lo + neg
-    if (width := int((hi - lo).max(initial=0))) > 19:
-        return None
-    value = np.zeros(len(lo), np.int64)
-    for at in range(width, 0, -1):  # most significant first
-        value = value * 10 + np.where(hi - at >= lo, b.take(hi - at, mode="clip").astype(np.int64) - ord("0"), 0)
-    return np.where(neg, -value, value)
+def _ints_at(b: np.ndarray, at: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The int64 that each b[at:] starts with, '-' and up to 19 digits, and the offset past each (None: one
+    is longer). Digits are read while any row has more; a render check refuses a wrap or no digit."""
+    neg = b.take(at, mode="clip") == ord("-")
+    at, value = at + neg, np.zeros(len(at), np.int64)
+    for _ in range(20):
+        digit = b.take(at, mode="clip") - np.uint8(ord("0"))  # past 9 if not a digit
+        if not (more := digit < 10).any():
+            return np.where(neg, -value, value), at
+        value, at = np.where(more, value * 10 + digit, value), at + more
+    return None
 
 
 class _LineCodec:
@@ -119,12 +152,12 @@ class _LineCodec:
 
     Each template is one slot's literal fields. A slot's line is the
     dump of its template with the ``columns`` added, split where their
-    decimal text sits into literal bytes and column numbers. A column is
-    parsed from the end of the literal before it to the next comma, so a
-    layout parses only if a comma follows each column and the literal
-    before it holds a comma or starts the line. A parsed line's slot is
-    read from the bytes of its first and last literal that tell the
-    slots apart, and the render check refuses any other difference.
+    decimal text sits into literal bytes and column numbers. A parsed
+    line's slot is read from the bytes of its first and last literal
+    that tell the slots apart; then its parts are read in turn from its
+    start, a literal as its slot's length and a column as a '-' and the
+    digits that follow (JSON puts a ',' or '}' after a number). The
+    render check, a piece at a time, refuses any other difference.
     """
 
     def __init__(self, templates: Sequence[dict], columns: Sequence[str]) -> None:
@@ -133,52 +166,77 @@ class _LineCodec:
         if any(len(line) != 2 * len(columns) + 1 for line in lines):
             raise ValueError(f"a template holds a column mark: {templates}")
         tables = [int(part) if i % 2 else [line[i].encode() for line in lines] for i, part in enumerate(lines[0])]
-        # Each column: its number, the commas before it in slot 0's line, and how far past the last it starts.
-        self.fields = [(int(col), "".join(lines[0][:i:2]).count(","), len(lines[0][i - 1]) - lines[0][i - 1].rfind(","))
-                       for i, col in enumerate(lines[0]) if i % 2]
         # A literal: a row of bytes per slot, padded with NULs, or one row that every slot shares.
         self.parts = [table if type(table) is int else np.array(table[:1] if len(set(table)) == 1 else table)
                       .view(np.uint8).reshape(-1, max(map(len, table))) for table in tables]
+        # A literal's length, or each slot's if they differ (the layout pads them); None for a column.
+        self.sizes = [None if type(table) is int else len(table[0]) if len(set(map(len, table))) == 1
+                      else np.array(list(map(len, table))) for table in tables]
+        self.padded = any(type(size) is np.ndarray for size in self.sizes)
+        self.slots, self.layouts = len(lines), {}  # layouts: the ``_layout`` of each set of column widths
         # Probes: offsets from a line's start (>= 0) and past its newline (< 0) within every slot's first and
         # last literal, where a byte splits slots that the probes before it do not.
         head, tail = min(map(len, tables[0])), min(map(len, tables[-1]))
         edges = np.frombuffer(b"".join(f[:head] + l[len(l) - tail:] for f, l in zip(tables[0], tables[-1])), np.uint8)
-        edges, probes = edges.reshape(len(lines), head + tail), [0]  # a key of one byte at least: the "{"
+        edges, probes = edges.reshape(len(lines), head + tail), []
         for at in np.flatnonzero((edges != edges[0]).any(axis=0)):
             if len(set(map(bytes, edges[:, probes + [at]]))) > len(set(map(bytes, edges[:, probes]))):
                 probes.append(at)
-        keys = np.ascontiguousarray(edges[:, probes]).view(f"V{len(probes)}").ravel()
+        # Keys as unsigned ints, which search the fastest, padded with the "{" to 1, 2, 4 or 8 bytes; bytes if wider.
+        size = next(size for size in (1, 2, 4, 8, len(probes)) if size >= len(probes))
+        probes += [0] * (size - len(probes))
+        keys = np.ascontiguousarray(edges[:, probes]).view(f"u{size}" if size <= 8 else f"V{size}").ravel()
         self.order, self.keys = np.argsort(keys), np.sort(keys)
         self.probes = np.array([at if at < head else at - head - tail for at in probes])
 
+    def _layout(self, widths: tuple[int, ...]) -> tuple[np.ndarray, list[tuple[int, int]]]:
+        """Each slot's line with NULs for its columns at these widths, and the columns' spans in it."""
+        width = iter(widths)
+        parts = [np.zeros((1, next(width)), np.uint8) if type(part) is int else part for part in self.parts]
+        ends = np.cumsum([part.shape[1] for part in parts]).tolist()
+        spans = [(end - part.shape[1], end) for part, end, given in zip(parts, ends, self.parts) if type(given) is int]
+        return np.hstack([np.broadcast_to(part, (self.slots, part.shape[1])) for part in parts]), spans
+
     def render(self, slot: np.ndarray, cols: Sequence[np.ndarray]) -> bytes:
         """The lines of rows with these slots and columns: laid out at a fixed width, less the NULs."""
-        rows = len(slot)
-        blocks = [_digit_block(np.asarray(cols[part], np.int64)) if type(part) is int
-                  else part.take(slot, axis=0) if len(part) > 1 else np.broadcast_to(part, (rows, part.shape[1]))
-                  for part in self.parts]
-        return np.concatenate(blocks, axis=1).tobytes().translate(None, b"\0")  # JSON text holds no NUL
+        blocks = [_digit_block(np.asarray(cols[part], np.int64)) for part in self.parts if type(part) is int]
+        if (widths := tuple(block.shape[1] for block in blocks)) not in self.layouts:
+            self.layouts[widths] = self._layout(widths)
+        lines, spans = self.layouts[widths]
+        layout = lines.take(slot, axis=0)
+        for block, (lo, hi) in zip(blocks, spans):
+            layout[:, lo:hi] = block
+        # JSON text holds no NUL. bytes.replace takes a few the fastest, but a mask the many of slots' pads.
+        return layout[layout != 0].tobytes() if self.padded else layout.tobytes().replace(b"\0", b"")
 
     def parse(self, data: bytes) -> tuple[np.ndarray, list[np.ndarray]] | None:
         """The slots and columns of newline-ended lines, if they render back to ``data`` byte for byte."""
         b = np.frombuffer(data, np.uint8)
-        ends, commas = np.flatnonzero(b == ord("\n")), np.flatnonzero(b == ord(","))
-        if not data.endswith(b"\n") or not len(commas):
+        if not data.endswith(b"\n"):
             return None
+        ends = np.flatnonzero(b == ord("\n"))
         starts = np.r_[0, ends[:-1] + 1]
-        at = np.where(self.probes >= 0, starts[:, None], ends[:, None] + 1) + self.probes
-        keys = np.ascontiguousarray(b.take(at, mode="clip")).view(self.keys.dtype).ravel()
-        found = np.searchsorted(self.keys, keys).clip(max=len(self.keys) - 1)
-        if (self.keys[found] != keys).any():  # a line of no slot: refused before any column is read
-            return None
-        first = np.searchsorted(commas, starts)  # each line's first comma
-        cols = [None] * len(self.fields)
-        for col, before, since in self.fields:
-            lo = (commas.take(first + before - 1, mode="clip") if before else starts - 1) + since
-            if (value := _span_ints(b, lo, commas.take(first + before, mode="clip"))) is None:
+        slot = np.zeros(len(ends), np.int64)
+        if self.slots > 1:
+            at = np.where(self.probes >= 0, starts[:, None], ends[:, None] + 1) + self.probes
+            keys = np.ascontiguousarray(b.take(at, mode="clip")).view(self.keys.dtype).ravel()
+            found = np.searchsorted(self.keys, keys).clip(max=len(self.keys) - 1)
+            if (self.keys[found] != keys).any():  # a line of no slot: refused before any column is read
                 return None
-            cols[col] = value
-        return None if self.render(slot := self.order[found], cols) != data else (slot, cols)
+            slot = self.order[found]
+        cols, at = [None] * sum(size is None for size in self.sizes), starts
+        for part, size in zip(self.parts, self.sizes):  # each line's parts in turn, from its start
+            if size is not None:
+                at = at + (size if type(size) is int else size.take(slot))
+            elif (got := _ints_at(b, at)) is None:
+                return None
+            else:
+                cols[part], at = got
+        for lo in range(0, len(slot), _RENDER_ROWS):  # checked a render block at a time, while it is in cache
+            hi = min(lo + _RENDER_ROWS, len(slot))
+            if self.render(slot[lo:hi], [col[lo:hi] for col in cols]) != data[starts[lo]:ends[hi - 1] + 1]:
+                return None
+        return slot, cols
 
 
 def _dataset_templates(groups: Iterable[tuple[str, Setting, Setting]]) -> list[dict]:
@@ -197,6 +255,8 @@ def run_dataset_blocks(ds: RunDataset) -> Iterator[bytes]:
     else:
         groups = [(g.label, g.left_setting, g.right_setting) for g in ds.groups]
         runs = [(np.broadcast_to(gid, len(g)), g.pair_index, g.left, g.right) for gid, g in enumerate(ds.groups)]
+    if not groups:  # no setting pair, so no record: the header line alone
+        return
     codec = _LineCodec(_dataset_templates(groups), ("n", "outcome"))
     for gids, n, left, right in runs:
         for cut in (slice(at, at + _RENDER_ROWS // 2) for at in range(0, len(n), _RENDER_ROWS // 2)):
@@ -246,13 +306,14 @@ def _read_records(path, kind: str, version: int, templates_of, ints: tuple, floa
 
     ``templates_of(header)`` gives each slot's template: the literal
     fields of its records, ``v`` among them, and strings but for
-    ``setting`` and ``v``. ``ints`` and ``floats`` hold (name, validity
-    of a column or None, refusal formatted with the bad value): one int
-    at least, and no float or two at least. A line is one JSON object and its
-    newline. A record has the keys of the templates and the columns, its
-    ``v`` is ``version`` and its literal fields are a slot's as written
-    (``_written``: the same floats, no int, and the sign of a zero
-    kept); ``foreign`` is the refusal of other literal fields. Its
+    ``setting`` and ``v`` that tell the slots apart. ``ints`` and
+    ``floats`` hold (name, validity of a column or None, refusal
+    formatted with the bad value): one int at least, and no float or two
+    at least. A line is UTF-8 text: one JSON object and its newline. A
+    record has the keys of the templates and the columns, its ``v`` is
+    ``version`` and its literal fields are a slot's as written (``v`` an
+    int, and ``_setting_check``: the same floats, no int, and the sign of
+    a zero kept); ``foreign`` is the refusal of other literal fields. Its
     numbers go into int64 and float64 columns, range-checked as columns.
     Nothing may follow a line with the ``trailer`` keys.
     ``check_header(header)`` runs before any data line is read.
@@ -268,10 +329,10 @@ def _read_records(path, kind: str, version: int, templates_of, ints: tuple, floa
     get_ints, get_floats = itemgetter(*names[:len(ints)]), itemgetter(*names[len(ints):]) if floats else None
     add_ints = int_col.extend if len(ints) > 1 else int_col.append  # one name: a getter gives the value alone
     last = problem = None
-    with Path(path).open("r", encoding="utf-8", newline="\n") as fh:  # a writer's lines end in \n alone
+    with Path(path).open("rb") as fh:  # lines end in \n alone, as a writer ends them
         try:
-            header, end = _decode(line := fh.readline())
-        except json.JSONDecodeError:
+            header, end = _decode(line := fh.readline().decode())
+        except (UnicodeDecodeError, json.JSONDecodeError):
             header = None
         if not isinstance(header, dict) or header.get("kind") != kind or header.get("v") != version:
             raise ValueError(f"not a v{version} {kind} file: {path}")
@@ -285,54 +346,74 @@ def _read_records(path, kind: str, version: int, templates_of, ints: tuple, floa
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{kind} {path} line 1: header without valid slots: {exc!r}") from None
         literal = sorted({"v"}.union(*templates))
-        keys, get_literals = frozenset([*literal, *names]), itemgetter(*literal)
-        slots = {_written(get_literals(template)): i for i, template in enumerate(templates)}
+        keys = frozenset([*literal, *names])
+        # A record's slot is looked up by its strings and ``v``; then the type of its ``v`` and its setting are checked.
+        get_named = itemgetter(*(name for name in literal if name != "setting"))
+        slots = {get_named(template): i for i, template in enumerate(templates)}
+        same_setting = [_setting_check(template["setting"]) if "setting" in template else None
+                        for template in templates]
+
+        def slot_of(rec: dict) -> int | None:  # the slot whose literal fields ``rec``'s are as written, if any
+            try:
+                slot = slots[get_named(rec)]
+            except (KeyError, TypeError):  # no slot's, or a field that is not hashable
+                return None
+            same = same_setting[slot]
+            return slot if type(rec["v"]) is int and (same is None or same(rec["setting"])) else None
+
         checked = check_header(header)
 
-        def pieces():  # the data lines, less those of each chunk that ``codec`` takes into the columns
-            while codec is not None and (text := fh.read(_CHUNK_BYTES) + fh.readline()):
-                if (got := codec.parse(text.encode())) is None:
-                    yield from io.StringIO(text)  # split at newlines only, as ``fh`` splits
+        def lines():  # the data lines as text, less those of each chunk that ``codec`` takes into the columns
+            while chunk := fh.read(_CHUNK_BYTES) + fh.readline():
+                if codec is not None and (got := codec.parse(chunk)) is not None:
+                    slot_col.frombytes(got[0].tobytes())
+                    int_col.frombytes(np.column_stack(got[1]).tobytes())
                     continue
-                slot_col.frombytes(got[0].tobytes())
-                int_col.frombytes(np.column_stack(got[1]).tobytes())
-            yield from fh
+                try:  # split at newlines only, as ``fh`` splits
+                    yield from io.StringIO(chunk.decode())
+                except UnicodeDecodeError:  # a line that is not UTF-8: the lines before it, then its error
+                    yield from map(bytes.decode, io.BytesIO(chunk))
 
-        for line in pieces():
-            try:
-                rec, end = _decode(line)
-            except json.JSONDecodeError as exc:
-                problem = f"not a JSON object: {exc}"
+        data = lines()
+        try:
+            for line in data:
+                try:
+                    rec, end = _decode(line)
+                except json.JSONDecodeError as exc:
+                    problem = f"not a JSON object: {exc}"
+                    break
+                try:  # a record; a failure ends the read, and the columns are cut to the rows of ``slot_col``
+                    if (line[end:] in ("\n", "") and rec.keys() == keys
+                            and not (("true" in line or "false" in line) and bool in map(type, map(rec.get, names)))):
+                        add_ints(get_ints(rec))
+                        if floats:
+                            float_col.extend(get_floats(rec))
+                        slot_col.append(slot_of(rec))  # None, of no slot, is a TypeError
+                        continue
+                except (AttributeError, KeyError, TypeError, OverflowError):
+                    pass
+                # Not a record, or the trailer: the first check it fails names it.
+                if line[end:] not in ("\n", ""):
+                    problem = f"text after the object: {line[end:]!r}"
+                elif trailer and isinstance(rec, dict) and rec.keys() == trailer:
+                    last = rec
+                    problem = "a line after the trailer" if next(data, None) is not None else None
+                elif not isinstance(rec, dict) or rec.keys() != keys:
+                    problem = f"{rec!r} does not have the keys {sorted(keys)}"
+                elif type(rec["v"]) is not int or rec["v"] != version:
+                    problem = f"unsupported {kind.rsplit('-', 1)[-1]} schema version {rec['v']!r}"
+                elif slot_of(rec) is None:
+                    problem = f"{foreign}: {({name: rec[name] for name in literal})}"
+                else:  # a column that does not take its value
+                    for (name, _, what), code in zip((*ints, *floats), "q" * len(ints) + "d" * len(floats)):
+                        try:  # None stands in for a boolean, which a column would take as 1 or 0
+                            array(code, [None if type(rec[name]) is bool else rec[name]])
+                        except (TypeError, OverflowError):
+                            problem = what.format(rec[name])
+                            break
                 break
-            try:  # a record; a failure ends the read, and the columns are cut to the rows of ``slot_col``
-                if (line[end:] in ("\n", "") and rec.keys() == keys
-                        and not (("true" in line or "false" in line) and bool in map(type, map(rec.get, names)))):
-                    add_ints(get_ints(rec))
-                    if floats:
-                        float_col.extend(get_floats(rec))
-                    slot_col.append(slots[_written(get_literals(rec))])
-                    continue
-            except (AttributeError, KeyError, TypeError, OverflowError):
-                pass
-            # Not a record, or the trailer: the first check it fails names it.
-            if line[end:] not in ("\n", ""):
-                problem = f"text after the object: {line[end:]!r}"
-            elif trailer and isinstance(rec, dict) and rec.keys() == trailer:
-                last, problem = rec, "a line after the trailer" if fh.readline() else None
-            elif not isinstance(rec, dict) or rec.keys() != keys:
-                problem = f"{rec!r} does not have the keys {sorted(keys)}"
-            elif type(rec["v"]) is not int or rec["v"] != version:
-                problem = f"unsupported {kind.rsplit('-', 1)[-1]} schema version {rec['v']!r}"
-            elif _written(get_literals(rec)) not in slots:
-                problem = f"{foreign}: {({name: rec[name] for name in literal})}"
-            else:  # a column that does not take its value
-                for (name, _, what), code in zip((*ints, *floats), "q" * len(ints) + "d" * len(floats)):
-                    try:  # None stands in for a boolean, which a column would take as 1 or 0
-                        array(code, [None if type(rec[name]) is bool else rec[name]])
-                    except (TypeError, OverflowError):
-                        problem = what.format(rec[name])
-                        break
-            break
+        except UnicodeDecodeError as exc:
+            problem = f"not UTF-8 text: {exc}"
     rows = len(slot_col)
     cols = (np.frombuffer(int_col, np.int64, rows * len(ints)).reshape(rows, len(ints)),
             np.frombuffer(float_col, np.float64, rows * len(floats)).reshape(rows, len(floats)))

@@ -36,7 +36,7 @@ import numpy as np
 
 from .experiments import RunDataset, RunGroup
 from .formats import (_OUTCOME, _PAIR_INDEX, _RENDER_ROWS, LOG_SCHEMA_VERSION, _header_ints, _LineCodec, _read_records,
-                      _refuse, _setting_json, _written)
+                      _refuse, _setting_check, _setting_json)
 from .model import (GaugeKey, PairStream, Setting, _dumps, derive_subseed, measure_left, measure_right,
                     sample_pair_stream)
 
@@ -369,10 +369,10 @@ class StationLog:
     def __post_init__(self) -> None:
         if not isinstance(self.reports, ReportBatch):
             n, stations, settings, outcome, clock_ns = list(zip(*self.reports)) or [()] * 5
-            written = _written(_setting_json(self.setting))
+            written = _setting_check(_setting_json(self.setting))
             for station, setting in zip(stations, settings):
                 same = station is self.station and setting is self.setting
-                if not same and (station != self.station or _written(_setting_json(setting)) != written):
+                if not same and (station != self.station or not written(_setting_json(setting))):
                     raise ValueError(f"station {self.station} log of {self.setting} given a report of station "
                                      f"{station!r} with {setting}")
             self.reports = ReportBatch(self.station, self.setting, np.array(n, np.int64),
@@ -825,10 +825,11 @@ def collator_serve(
             try:
                 if len(msg["setting"]) != 2:
                     raise ValueError("it is not two numbers")
-                settings[name] = (_written(msg["setting"]), Setting(*msg["setting"]))
+                setting = Setting(*msg["setting"])
+                settings[name] = (_setting_check(msg["setting"]), setting)
             except (TypeError, ValueError, OverflowError) as exc:
                 raise SchemaError(f"station {name} report_batch setting {msg['setting']} is refused: {exc}") from None
-        elif _written(msg["setting"]) != settings[name][0]:
+        elif not settings[name][0](msg["setting"]):
             raise CollationError(f"station {name} batch with setting {msg['setting']}: "
                                  "a report batch must come from one station session")
         batches[name].append(_report_columns(msg))

@@ -14,6 +14,7 @@ whole report log from a fixed run group's right wing.
 """
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import socket
@@ -25,7 +26,8 @@ import pytest
 
 from eqrc import stations as st
 from eqrc.cli import main
-from eqrc.experiments import CANONICAL_LEFT, ExperimentSpec, run_experiment
+from eqrc.experiments import BELL_PAIRS, CANONICAL_LEFT, ExperimentSpec, run_experiment
+from eqrc.formats import write_run_dataset
 from eqrc.model import GaugeKey, MODE_RADEMACHER, Setting
 
 N = "2000"
@@ -167,3 +169,38 @@ LOG_EXPECTED = {
 def test_log_digest(kind, seed, tmp_path):
     digest = hashlib.sha256(log_bytes(kind, seed, tmp_path)).hexdigest()
     assert digest == LOG_EXPECTED[(kind, seed)]
+
+
+# Two layouts the digests above leave out. A switched file of BELL_PAIRS has three groups whose per-slot literals
+# differ in length (the settings' decimals), so its lines are laid out with padding per slot. A report log stamped
+# with 19-digit clocks, as ``time.monotonic_ns()`` can give, takes clocks past 2**63 / 10, and its pair indices
+# cross from three digits to four.
+def layout_bytes(kind: str, workdir: Path) -> bytes:
+    path = workdir / f"{kind}.jsonl"
+    if kind == "switched-dataset":
+        ds = run_experiment(ExperimentSpec(setting_pairs=BELL_PAIRS, pairs_per_setting=700, seed=19, key=RAD3,
+                                           switching="random-switched"))
+        write_run_dataset(dataclasses.replace(ds, meta={"schema_version": 1}), path)
+    elif kind == "report-log-19-digit-clocks":
+        spec = ExperimentSpec(setting_pairs=((CANONICAL_LEFT, B60),), pairs_per_setting=1500, seed=19, key=RAD3)
+        grp = run_experiment(spec).groups[0]
+        clock_ns = 9_000_000_000_000_000_000 + 7919 * np.arange(len(grp)) ** 2
+        reports = st.ReportBatch(station="L", setting=grp.left_setting, n=grp.pair_index, outcome=grp.left,
+                                 clock_ns=clock_ns)
+        st.write_report_log(st.StationLog(station="L", setting=grp.left_setting,
+                                          key_digest=RAD3.digest_hex(), reports=reports), path)
+    else:
+        raise ValueError(kind)
+    return path.read_bytes()
+
+
+LAYOUT_EXPECTED = {
+    "switched-dataset": "9133f44916a966fe2e66041393de0f7f6dee857fd06460c4ef9f16254f5e9a2c",
+    "report-log-19-digit-clocks": "ec85f2802c67788d1d723b1e6ee3cb23a7414f3850c8df66de651132336ec36e",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LAYOUT_EXPECTED))
+def test_layout_digest(kind, tmp_path):
+    digest = hashlib.sha256(layout_bytes(kind, tmp_path)).hexdigest()
+    assert digest == LAYOUT_EXPECTED[kind]

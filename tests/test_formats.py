@@ -98,6 +98,13 @@ class TestDatasetJsonl:
             assert g1.right_setting.b2 == g2.right_setting.b2
             assert g1.right_setting.b3 == g2.right_setting.b3
 
+    def test_dataset_without_pairs_is_its_header_line_alone(self, tmp_path):
+        path = tmp_path / "empty.jsonl"
+        write_run_dataset(RunDataset(canonical_pairs=(), groups=()), path)
+        assert path.read_text().count("\n") == 1 and list(dataset_record_lines(load_run_dataset(path))) == []
+        back = load_run_dataset(path)
+        assert (back.canonical_pairs, back.groups, back.interleaved, back.spec) == ((), (), None, None)
+
     def test_load_rejects_wrong_kind(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"v":1,"kind":"something-else"}\n')
@@ -296,6 +303,28 @@ class TestLoaderRefusals:
         with pytest.raises(ValueError, match=f"line {line}: text after the object: {text}"):
             load(path)
 
+    @pytest.mark.parametrize("kind", ["run-dataset", "report-log"])
+    @pytest.mark.parametrize("taken", [False, True], ids=["first-chunk", "after-a-taken-chunk"])
+    def test_line_that_is_not_utf8_is_refused(self, tmp_path, monkeypatch, kind, taken):
+        monkeypatch.setattr(formats, "_CHUNK_BYTES", 2000)
+        path = tmp_path / f"{kind}.jsonl"
+        if kind == "run-dataset":
+            write_run_dataset(run_experiment(_spec(n=100)), path)
+        else:
+            _report_log_file(path, 200)
+        lines = path.read_bytes().split(b"\n")
+        starts = np.cumsum([len(line) + 1 for line in lines[1:]])  # where each line after a data line starts
+        at = int(np.searchsorted(starts, 3 * formats._CHUNK_BYTES)) + 2 if taken else 3  # 0-based, past a chunk
+        lines[at] = lines[at].replace(b'"station":"', b'"station":"\xff')
+        path.write_bytes(b"\n".join(lines))
+        decoded = []
+        decode = formats._decode
+        monkeypatch.setattr(formats, "_decode", lambda line: decoded.append(line) or decode(line))
+        load = load_run_dataset if kind == "run-dataset" else stations.load_report_log
+        with pytest.raises(ValueError, match=f"{kind} {path} line {at + 1}: not UTF-8 text: .* 0xff"):
+            load(path)
+        assert (lines[1].decode() + "\n" in decoded) is not taken  # the first chunk took the JSON path or not
+
     @pytest.mark.parametrize("field,value,loads", [
         ("seed", 0, True), ("seed", 2**64 + 5, True), ("seed", -1, False), ("seed", 5.0, False),
         ("seed", True, False), ("pairs_per_setting", 1, True), ("pairs_per_setting", 0, False),
@@ -418,20 +447,6 @@ class TestRecordTemplate:
         assert _columns(load_run_dataset(path)) == _columns(ds)
 
 
-def _uint64_digit_block(col):
-    """``formats._digit_block`` as it was before its uint32 path: every division in uint64."""
-    neg, mag = col < 0, col.view(np.uint64)
-    mag = np.where(neg, -mag, mag)
-    width = len(str(mag.max(initial=0)))
-    text = np.empty((len(col), width + 1), np.uint8)
-    text[:, 0] = neg * ord("-")
-    for at in range(width, 0, -1):
-        lead = mag == 0
-        mag, digit = np.divmod(mag, np.uint64(10))
-        text[:, at] = digit + ord("0") if at == width else np.where(lead, 0, digit + ord("0"))
-    return text
-
-
 _block_values = st.one_of(st.integers(-2**63, 2**63 - 1), st.sampled_from(EDGE_INTS),
                           st.integers(-3, 3).map(lambda d: 2**32 + d), st.integers(-3, 3).map(lambda d: -2**32 + d),
                           st.integers(-9, 9), st.integers(-10**10, 10**10))
@@ -446,9 +461,9 @@ class TestDigitBlock:
     @example([2**32])
     @example([-2**63, 2**63 - 1])
     @example([])
-    def test_blocks_equal_those_of_uint64_division(self, values):
-        col = np.array(values, dtype=np.int64)
-        assert np.array_equal(formats._digit_block(col), _uint64_digit_block(col))
+    def test_rows_less_nuls_are_each_values_decimal_text(self, values):
+        block = formats._digit_block(np.array(values, dtype=np.int64))
+        assert [row.tobytes().replace(b"\0", b"") for row in block] == [str(v).encode() for v in values]
 
 
 def _columns(ds):
@@ -525,6 +540,21 @@ def _assert_chunked_load_is_the_json_load(path, chunk_bytes: int) -> None:
 
 class TestChunkedLoads:
     """A chunk of data lines the writer re-renders skips json; any other takes the JSON path."""
+
+    @pytest.mark.parametrize("slots", [1, 2, 3, 12])
+    def test_codec_parses_back_the_slots_and_columns_it_renders(self, slots):
+        # Labels that differ at a byte of their own: slots past 8 take more key bytes than an int holds.
+        labels = ["x" * at + "y" + "x" * (slots - at) for at in range(slots)]
+        codec = formats._LineCodec([{"group": label, "v": 1} for label in labels], ("n", "outcome"))
+        rng = np.random.default_rng(slots)
+        slot = rng.integers(0, slots, 3000)
+        cols = [rng.integers(-2**63, 2**63 - 1, 3000) >> rng.integers(0, 63, 3000), rng.integers(-9, 9, 3000)]
+        data = codec.render(slot, cols)
+        assert data.decode().splitlines() == [json.dumps({"group": labels[s], "n": int(n), "outcome": int(o), "v": 1},
+                                                         separators=(",", ":")) for s, n, o in zip(slot, *cols)]
+        got = codec.parse(data)
+        assert got is not None and np.array_equal(got[0], slot) and all(map(np.array_equal, got[1], cols))
+        assert codec.parse(data[:-1]) is None and codec.parse(data.replace(b'"v":1', b'"v":2', 1)) is None
 
     def test_chunk_parsers_take_every_line_the_writers_write(self, tmp_path, monkeypatch):
         monkeypatch.setattr(formats, "_CHUNK_BYTES", 2000)

@@ -813,6 +813,15 @@ class TestEmissionLogs:
         with pytest.raises(ValueError, match=r"line 1: text after the object: ' trailing garbage"):
             st.load_emission_log(path)
 
+    @pytest.mark.parametrize("at", [2, 6])
+    def test_line_that_is_not_utf8_is_refused(self, tmp_path, at):
+        # A data line, or a line after the trailer, with a byte no UTF-8 text holds.
+        _, path = _emission_log(tmp_path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(b"".join(lines[:at - 1] + [b'{"\xff":1}\n'] + lines[at - 1:]))
+        with pytest.raises(ValueError, match=f"emission-log {path} line {at}: not UTF-8 text: .* 0xff"):
+            st.load_emission_log(path)
+
     def test_line_after_the_trailer_is_refused(self, tmp_path):
         _, path = _emission_log(tmp_path)
         lines = path.read_text().splitlines(keepends=True)
