@@ -18,7 +18,6 @@ from eqrc import (
     build_triple_table,
     cyclic_concatenate,
     cyclic_oracle,
-    sample_pair_stream,
 )
 from eqrc.experiments import BELL_SETTINGS, run_bell_suite, run_wigner_suite
 
@@ -34,7 +33,7 @@ for row in cyclic_oracle():
 
 # ## Simulated: one space vs three spaces
 
-table = cyclic_concatenate(sample_pair_stream(seed=5, count=100_000), key, BELL_SETTINGS)
+table = cyclic_concatenate(seed=5, count=100_000, key=key, settings=BELL_SETTINGS)
 single = bell_check(*table.pair_expectations(), mode="simulated-single-space")
 print(f"\nsingle space (same lam, t for all settings): lhs = {single.lhs:.4f}, "
       f"rhs = {single.rhs:.4f}, violated = {single.violated}")
@@ -54,9 +53,9 @@ print(f"equal-count bound, single-space: {w_one.lhs:.4f} <= {w_one.rhs:.4f} ? "
 
 # ## Triple tables: each triple brings its own measure
 
-events = sample_pair_stream(seed=7, count=500_000)
-t1 = build_triple_table("abc'", events, key, BELL_SETTINGS)
-t2 = build_triple_table("ab'c", events, key, BELL_SETTINGS)
+# Both tables measure the same seeded stream of 500,000 pairs, drawn block by block.
+t1 = build_triple_table("abc'", seed=7, count=500_000, key=key, settings=BELL_SETTINGS)
+t2 = build_triple_table("ab'c", seed=7, count=500_000, key=key, settings=BELL_SETTINGS)
 print(f"\nfraction(+1,+1,+1): abc' table {t1.fraction((1, 1, 1)):.4f} (3/8 = 0.375),"
       f" ab'c table {t2.fraction((1, 1, 1)):.4f} (1/8 = 0.125)")
 print("same event stream, same gauge; the two triples do not share a joint measure")

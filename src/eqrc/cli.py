@@ -19,14 +19,7 @@ import sys
 import numpy as np
 
 from . import experiments, formats, inequalities, stations
-from .model import (
-    GaugeKey,
-    MODE_CONSTANT,
-    MODE_RADEMACHER,
-    MODE_RADEMACHER_RARB,
-    Setting,
-    sample_pair_stream,
-)
+from .model import GaugeKey, MODE_CONSTANT, MODE_RADEMACHER, MODE_RADEMACHER_RARB, Setting
 from .stats import build_triple_table
 
 __all__ = ["main", "DEFAULT_SEED", "DEFAULT_GAUGE"]
@@ -55,6 +48,15 @@ def _seed_of(args) -> int:
     if (seed := DEFAULT_SEED if seed is None else seed) < 0:
         raise UsageError(f"seed must be >= 0, got {seed}")
     return seed
+
+
+def _at_least(least: int):
+    """An argparse type: an integer >= ``least``, so a bad count is a usage error before a command starts."""
+    def count(text: str) -> int:
+        if (value := int(text)) < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
+        return value
+    return count
 
 
 def parse_setting(text: str) -> Setting:
@@ -103,8 +105,8 @@ def parse_inject(text: str) -> tuple[str, int]:
     return kind, int(pos)
 
 
-def _add_common(p: argparse.ArgumentParser, pairs_default: int = 1_000_000) -> None:
-    p.add_argument("-n", "--n", "--pairs", dest="pairs", type=int, default=pairs_default,
+def _add_common(p: argparse.ArgumentParser, pairs_default: int = 1_000_000, least: int = 1) -> None:
+    p.add_argument("-n", "--n", "--pairs", dest="pairs", type=_at_least(least), default=pairs_default,
                    help=f"events per setting pair (default {pairs_default})")
     p.add_argument("--seed", type=int, default=None,
                    help=f"master seed (default: EQRC_SEED or {DEFAULT_SEED})")
@@ -126,7 +128,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("sweep", help="fixed left wing, right setting swept over an angle grid (CSV)")
     _add_common(p, pairs_default=100_000)
-    p.add_argument("--steps", type=int, default=experiments.DEFAULT_SWEEP_STEPS,
+    p.add_argument("--steps", type=_at_least(2), default=experiments.DEFAULT_SWEEP_STEPS,
                    help=f"grid points on [0, 2pi) (default {experiments.DEFAULT_SWEEP_STEPS})")
 
     p = sub.add_parser("bell", help="three-pair suite at the 0/60/120 settings")
@@ -143,7 +145,7 @@ def build_parser() -> _Parser:
     _add_common(p)
 
     p = sub.add_parser("cyclic-demo", help="eight-assignment oracle table; optional simulated check")
-    _add_common(p, pairs_default=0)
+    _add_common(p, pairs_default=0, least=0)  # 0: no simulated check
 
     p = sub.add_parser("source", help="pair source process (listens; streams to both stations)")
     p.add_argument("--port", type=int, required=True)
@@ -244,10 +246,8 @@ def cmd_wigner(args) -> int:
 
 
 def cmd_triples(args) -> int:
-    key = parse_gauge(args.gauge)
-    events = sample_pair_stream(_seed_of(args), args.pairs)
-    tables = [build_triple_table(kind, events, key, experiments.BELL_SETTINGS)
-              for kind in ("abc'", "ab'c")]
+    seed, key = _seed_of(args), parse_gauge(args.gauge)
+    tables = [build_triple_table(kind, seed, args.pairs, key, experiments.BELL_SETTINGS) for kind in ("abc'", "ab'c")]
     for table in tables:
         print(f"{table.kind} fraction(+1,+1,+1) = {table.fraction((1, 1, 1))!r}  (n={table.total})")
     if args.out is not None:
@@ -257,19 +257,18 @@ def cmd_triples(args) -> int:
 
 
 def cmd_cyclic_demo(args) -> int:
+    seed, key, reports = _seed_of(args), parse_gauge(args.gauge), []  # a bad seed or gauge fails before any output
+    if args.pairs:
+        table = inequalities.cyclic_concatenate(seed, args.pairs, key, experiments.BELL_SETTINGS)
+        reports.append(inequalities.bell_check(*table.pair_expectations(), mode="simulated-single-space"))
     rows = inequalities.cyclic_oracle()
     print("assignment  lhs  rhs  satisfied")
     for row in rows:
         sa, sb, sc = row.assignment
         print(f"({sa:+d},{sb:+d},{sc:+d})   {row.lhs}    {row.rhs}    {row.satisfied}")
     print(f"satisfied: {sum(r.satisfied for r in rows)}/8")
-    if args.pairs:
-        key = parse_gauge(args.gauge)
-        events = sample_pair_stream(_seed_of(args), args.pairs)
-        table = inequalities.cyclic_concatenate(events, key, experiments.BELL_SETTINGS)
-        e_ab, e_ac, e_bc = table.pair_expectations()
-        rep = inequalities.bell_check(e_ab, e_ac, e_bc, mode="simulated-single-space")
-        _report_out([rep], args.out)
+    if reports:
+        _report_out(reports, args.out)
     return 0
 
 
@@ -362,10 +361,7 @@ def main(argv=None) -> int:
             print("eqrc: a command is required", file=sys.stderr)
             return 1
         return _HANDLERS[args.command](args)
-    except UsageError as exc:
-        print(f"eqrc: {exc}", file=sys.stderr)
-        return 1
-    except stations.KeyFileError as exc:
+    except (UsageError, stations.KeyFileError) as exc:
         print(f"eqrc: {exc}", file=sys.stderr)
         return 1
     except (ValueError, stations.CollationError, stations.ProtocolError, OSError) as exc:

@@ -19,13 +19,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .inequalities import InequalityReport, bell_check, chsh_check, wigner_check, cyclic_concatenate
-from .model import (
-    GaugeKey,
-    Setting,
-    derive_subseed,
-    measure_stream,
-    sample_pair_stream,
-)
+from .model import GaugeKey, Setting, derive_subseed, measure_stream
 from .stats import ExpectationEstimate, estimate_expectation
 
 __all__ = [
@@ -200,7 +194,8 @@ def run_experiment(spec: ExperimentSpec) -> RunDataset:
     n = spec.pairs_per_setting
     groups = []
     for i, (lft, rgt) in enumerate(canonical):
-        left, right = measure_stream(rgt, derive_subseed(spec.seed, i), n, spec.key)
+        left, (right,) = measure_stream(derive_subseed(spec.seed, i), n, spec.key, (rgt,))
+        np.negative(right, out=right)  # the right wing reports -A(b)
         pair_index = np.arange(i * n + 1, (i + 1) * n + 1, dtype=np.int64)
         groups.append(RunGroup(f"pair{i}", lft, rgt, pair_index, left, right))
 
@@ -303,8 +298,7 @@ def run_wigner_suite(seed: int, n: int, key: GaugeKey, mode: str = "per-space") 
             tallies.append((int(np.sum(prods == 1)), len(grp)))
         return wigner_check(tallies, mode="simulated-per-space")
     if mode == "single-space":
-        events = sample_pair_stream(derive_subseed(seed, 0), n)
-        table = cyclic_concatenate(events, key, (a, c, b))
+        table = cyclic_concatenate(derive_subseed(seed, 0), n, key, (a, c, b))
         return wigner_check(table.equal_tallies(), mode="simulated-single-space")
     raise ValueError(f"unknown wigner mode {mode!r}")
 
@@ -326,7 +320,8 @@ def sweep_angle(seed: int, n_per_step: int, steps: int, key: GaugeKey) -> list[S
     points = []
     for k in range(steps):
         theta = 2.0 * math.pi * k / steps
-        l_out, r_out = measure_stream(Setting.from_angle(theta), derive_subseed(seed, k), n_per_step, key)
+        l_out, (r_out,) = measure_stream(derive_subseed(seed, k), n_per_step, key, (Setting.from_angle(theta),))
+        np.negative(r_out, out=r_out)
         grp = SimpleNamespace(left=l_out, right=r_out)  # the estimate reads no pair-index column: none is built
         points.append(SweepPoint(theta=theta, estimate=estimate_expectation(grp)))
     return points

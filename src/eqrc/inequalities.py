@@ -18,7 +18,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .model import GaugeKey, PairStream, Setting, outcome_columns
+from .model import GaugeKey, Setting, measure_stream
 from .stats import ExpectationEstimate
 
 __all__ = [
@@ -235,12 +235,9 @@ class CyclicTable:
         (every row has zero slack), so downstream comparisons must not
         depend on float rounding; exact values keep ties ties.
         """
-        n = len(self)
-        sa = self.s_a.astype(np.int64)
-        e_ab = Fraction(-int(np.sum(sa * self.s_b)), n)
-        e_ac = Fraction(-int(np.sum(sa * self.s_c)), n)
-        e_bc = Fraction(-int(np.sum(self.s_b.astype(np.int64) * self.s_c)), n)
-        return e_ab, e_ac, e_bc
+        n = len(self)  # int8 products of ±1 are exact; summed in int64
+        return tuple(Fraction(-int(np.sum(x * y, dtype=np.int64)), n)
+                     for x, y in ((self.s_a, self.s_b), (self.s_a, self.s_c), (self.s_b, self.s_c)))
 
     def equal_tallies(self) -> list[EqualCounts]:
         """Equal-outcome tallies for column pairs (a,b), (a,c), (c,b), in that order.
@@ -254,11 +251,14 @@ class CyclicTable:
 
 
 def cyclic_concatenate(
-    events: PairStream,
+    seed: int,
+    count: int,
     key: GaugeKey,
     settings: Sequence[Setting],
 ) -> CyclicTable:
     """Evaluate all three settings on the SAME lam and t per event.
+
+    The events are the ``count`` pairs of the seeded stream, measured by ``measure_stream``.
 
     This is the one-probability-space shortcut: A(a) is the left outcome,
     A(b) and A(c) are sign-flipped right outcomes computed with the same
@@ -269,9 +269,7 @@ def cyclic_concatenate(
     for x, y in ((a, b), (a, c), (b, c)):
         if x.close_to(y):
             raise ValueError("the three settings must be pairwise distinct")
-    if len(events) == 0:
-        raise ValueError("no events to concatenate")
-    g, (a_b, a_c) = outcome_columns(events.lam, events.t, key, (b, c))
+    g, (a_b, a_c) = measure_stream(seed, count, key, (b, c))
     return CyclicTable(s_a=g, s_b=a_b, s_c=a_c)
 
 

@@ -11,8 +11,9 @@ key file). The product of the two outcomes averages to minus the dot
 product of the two settings; a balanced gauge (e.g. a Rademacher
 function) makes both marginal means vanish.
 
-The rule lives in one vectorized kernel, ``outcome_columns``, which
-the wing, pair-run and table functions call on ``PairStream`` columns.
+The rule lives in one vectorized kernel, ``outcome_columns``: the wing
+and pair-run functions call it on a drawn ``PairStream``, and every
+in-process run calls it through ``measure_stream``.
 All operations here are pure and deterministic: identical inputs give
 identical outcomes, so everything is safe to evaluate concurrently.
 
@@ -325,26 +326,30 @@ def measure_right(b: Setting, events: PairStream, key: GaugeKey) -> np.ndarray:
 
 
 def measure_pairs(b: Setting, events: PairStream, key: GaugeKey) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized run of both wings over a pair stream.
+    """Vectorized run of both wings over a pair stream that is already drawn.
 
     Returns int8 arrays (left, right) = (g, -A(b)): the columns of
     measure_left and measure_right, with the gauge evaluated once.
+    ``measure_stream`` gives the same columns for a seeded stream it never holds whole.
     """
     g, (a_b,) = outcome_columns(events.lam, events.t, key, (b,))
     return g, -a_b
 
 
-def measure_stream(b: Setting, seed: int, count: int, key: GaugeKey) -> tuple[np.ndarray, np.ndarray]:
-    """``measure_pairs(b, sample_pair_stream(seed, count), key)``, drawn and measured block by block.
+def measure_stream(seed: int, count: int, key: GaugeKey,
+                   settings: Sequence[Setting]) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """``outcome_columns`` over ``sample_pair_stream(seed, count)``, drawn and measured block by block.
 
-    Fills the int8 columns (left, right) in blocks of ``BLOCK_PAIRS`` pairs through two reused
-    float64 buffers, one ``outcome_columns`` call per block: no float column is built at full length.
+    Gives the int8 columns ``(g, (A(x1), A(x2), ...))``; a pair run at right setting ``b`` is ``(g, -A(b))``.
+    Fills them in blocks of ``BLOCK_PAIRS`` pairs through two reused float64 buffers, one
+    ``outcome_columns`` call per block: no float column is built at full length.
     """
     lam_rng, t_rng = _stream_generators(seed, count)
-    left, right = np.empty(count, dtype=np.int8), np.empty(count, dtype=np.int8)
+    g, cols = np.empty(count, dtype=np.int8), tuple(np.empty(count, dtype=np.int8) for _ in settings)
     lam, t = np.empty((2, min(count, BLOCK_PAIRS)))
     for lo in range(0, count, BLOCK_PAIRS):  # a slice past the end stops there: the last block is short
-        g, (a_b,) = outcome_columns(lam_rng.random(out=lam[:count - lo]), t_rng.random(out=t[:count - lo]), key, (b,))
-        left[lo:lo + BLOCK_PAIRS] = g
-        np.negative(a_b, out=right[lo:lo + BLOCK_PAIRS])
-    return left, right
+        g_blk, blks = outcome_columns(lam_rng.random(out=lam[:count - lo]), t_rng.random(out=t[:count - lo]), key,
+                                      settings)
+        for col, blk in zip((g, *cols), (g_blk, *blks)):
+            col[lo:lo + BLOCK_PAIRS] = blk
+    return g, cols

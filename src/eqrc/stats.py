@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import GaugeKey, PairStream, Setting, outcome_columns
+from .model import GaugeKey, Setting, measure_stream
 
 __all__ = [
     "ExpectationEstimate",
@@ -101,11 +101,14 @@ class TripleTable:
 
 def build_triple_table(
     kind: str,
-    events: PairStream,
+    seed: int,
+    count: int,
     key: GaugeKey,
     settings: Sequence[Setting],
 ) -> TripleTable:
     """Tally the triple obtained from one measured pair plus a constant column.
+
+    The pairs are the ``count`` events of the seeded stream, measured by ``measure_stream``.
 
     With settings (a, b, c): kind ``abc'`` uses columns
     (A(a), A(b), +1) and kind ``ab'c`` uses (A(a), A(c), +1), where
@@ -120,19 +123,8 @@ def build_triple_table(
     for x, y in ((a, b), (a, c), (b, c)):
         if x.close_to(y):
             raise ValueError("the three settings must be pairwise distinct")
-    if len(events) == 0:
-        raise ValueError("no events to tally")
-
-    partner = b if kind == "abc'" else c
-    col1, (col2,) = outcome_columns(events.lam, events.t, key, (partner,))
-
-    # Encode (s1, s2, +1) as a 2-bit cell index and tally.
-    idx = ((col1 > 0).astype(np.int64) << 1) | (col2 > 0).astype(np.int64)
-    tally = np.bincount(idx, minlength=4)
-    counts: dict[tuple[int, int, int], int] = {}
-    for s1 in (1, -1):
-        for s2 in (1, -1):
-            cell = int(tally[((s1 > 0) << 1) | (s2 > 0)])
-            counts[(s1, s2, 1)] = cell
-            counts[(s1, s2, -1)] = 0
-    return TripleTable(kind=kind, counts=counts, total=len(events))
+    col1, (col2,) = measure_stream(seed, count, key, (b if kind == "abc'" else c,))
+    cell = col1 * 2 + col2  # int8: (s1, s2) is the cell 2*s1 + s2, one of -3, -1, 1, 3
+    counts = {(s1, s2, s3): int(np.count_nonzero(cell == 2 * s1 + s2)) if s3 == 1 else 0
+              for s1 in (1, -1) for s2 in (1, -1) for s3 in (1, -1)}
+    return TripleTable(kind=kind, counts=counts, total=count)

@@ -28,7 +28,6 @@ from eqrc.model import (
     MODE_RADEMACHER,
     MODE_RADEMACHER_RARB,
     Setting,
-    sample_pair_stream,
 )
 from eqrc.stats import build_triple_table, estimate_expectation, estimate_marginals
 from eqrc import stations as st
@@ -101,9 +100,8 @@ def test_criterion_05_chsh_at_idealized_pairs():
 
 
 def test_criterion_06_triple_probabilities():
-    events = sample_pair_stream(7, N)
-    f1 = build_triple_table("abc'", events, RAD3, BELL_SETTINGS).fraction((1, 1, 1))
-    f2 = build_triple_table("ab'c", events, RAD3, BELL_SETTINGS).fraction((1, 1, 1))
+    f1 = build_triple_table("abc'", 7, N, RAD3, BELL_SETTINGS).fraction((1, 1, 1))
+    f2 = build_triple_table("ab'c", 7, N, RAD3, BELL_SETTINGS).fraction((1, 1, 1))
     sigma = math.sqrt(f1 * (1 - f1) / N + f2 * (1 - f2) / N)
     ok = abs(f1 - 0.375) <= 0.005 and abs(f2 - 0.125) <= 0.005 and (f1 - f2) / sigma > 4.0
     criterion(6, "all-plus fractions 0.375 +/- 0.005 and 0.125 +/- 0.005, difference > 4 sigma",
@@ -114,7 +112,7 @@ def test_criterion_07_cyclic_never_violates():
     oracle_ok = all(row.satisfied for row in cyclic_oracle())
     violations = 0
     for seed in range(100):
-        table = cyclic_concatenate(sample_pair_stream(seed, 10_000), RAD3, BELL_SETTINGS)
+        table = cyclic_concatenate(seed, 10_000, RAD3, BELL_SETTINGS)
         rep = bell_check(*table.pair_expectations(), mode="simulated-single-space")
         violations += rep.violated
     ok = oracle_ok and violations == 0

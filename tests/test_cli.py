@@ -200,6 +200,22 @@ class TestExitCodes:
         rc, _, err = run_cli(["collate"], capsys)
         assert rc == 1
 
+    @pytest.mark.parametrize("argv, message", [
+        (["cyclic-demo", "--pairs", "-5"], "argument -n/--n/--pairs: must be >= 0, got -5"),
+        (["triples", "-n", "0"], "argument -n/--n/--pairs: must be >= 1, got 0"),
+        (["sweep", "-n", "0"], "argument -n/--n/--pairs: must be >= 1, got 0"),
+        (["wigner", "--mode", "single-space", "-n", "0"], "argument -n/--n/--pairs: must be >= 1, got 0"),
+        (["bell", "-n", "0"], "argument -n/--n/--pairs: must be >= 1, got 0"),
+        (["run", "-n", "-1"], "argument -n/--n/--pairs: must be >= 1, got -1"),
+        (["sweep", "--steps", "1"], "argument --steps: must be >= 2, got 1"),
+        (["cyclic-demo", "--pairs", "10", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["cyclic-demo", "--seed", "-1"], "seed must be >= 0, got -1"),
+    ], ids=" ".join)
+    def test_bad_count_is_a_usage_error_before_any_output(self, capsys, tmp_path, argv, message):
+        path = tmp_path / "out"
+        rc, out, err = run_cli([*argv, "--out", str(path)], capsys)
+        assert (rc, out, err, path.exists()) == (1, "", f"eqrc: {message}\n", False)
+
     def test_runtime_error_is_exit_two(self, capsys, tmp_path):
         bad = tmp_path / "junk.jsonl"
         bad.write_text('{"kind":"other"}\n')

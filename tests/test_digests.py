@@ -3,10 +3,10 @@
 Each case runs one command at n=2000 for a fixed (seed, gauge) and hashes
 the bytes it produces: the data lines of ``run --format jsonl`` (the
 header carries a wall-clock stamp and is excluded), the ``sweep`` CSV,
-the ``triples --out`` CSV, and the stdout of ``bell`` and ``wigner``.
-Any refactor of the model, estimators or writers must reproduce them
-exactly. Pair products do not depend on the gauge, so the sweep, bell
-and wigner digests depend on the seed only.
+the ``triples --out`` CSV, and the stdout of ``bell``, ``wigner`` and
+``cyclic-demo``. Any refactor of the model, estimators or writers must
+reproduce them exactly. Pair products do not depend on the gauge, so the
+sweep, bell, wigner and cyclic-demo digests depend on the seed only.
 
 The two log writers are pinned the same way: a whole emission log from
 a source session served to two draining stations over loopback, and a
@@ -117,6 +117,21 @@ EXPECTED = {
 def test_output_digest(kind, seed, gauge, tmp_path):
     digest = hashlib.sha256(output_bytes(kind, seed, gauge, tmp_path)).hexdigest()
     assert digest == EXPECTED[(kind, seed, gauge)]
+
+
+# The stdout of ``cyclic-demo``: the eight-row oracle and the simulated single-space report.
+CYCLIC_EXPECTED = {
+    1: "201d20cf16357d420de0f67754dd9dc8c278090f7a0fc735da778e1095e9db31",
+    42: "e707e0b26f04705ec50ea9df88821f85edd5e6098431053c983a25e5980acad1",
+    12345: "30d5888f1eb7b1ecfdb534e03a19df13532f1ab305df67ca02731d7900b768e5",
+}
+
+
+@pytest.mark.parametrize("gauge", GAUGES)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_cyclic_demo_digest(seed, gauge):
+    out = _cli_stdout(["cyclic-demo", "--pairs", N, "--seed", str(seed), "--gauge", gauge])
+    assert hashlib.sha256(out.encode()).hexdigest() == CYCLIC_EXPECTED[seed]
 
 
 LOG_PAIRS = 300

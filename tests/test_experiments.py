@@ -23,8 +23,9 @@ from eqrc.experiments import (
     sort_wigner_sets,
     sweep_angle,
 )
-from eqrc.inequalities import analytic_expectation
+from eqrc.inequalities import analytic_expectation, cyclic_concatenate
 from eqrc.model import BLOCK_PAIRS, GaugeKey, MODE_CONSTANT, MODE_RADEMACHER, MODE_RADEMACHER_RARB, Setting
+from eqrc.stats import build_triple_table
 from helpers import run_experiment_oracle, sweep_oracle
 
 ONE = GaugeKey(mode=MODE_CONSTANT)
@@ -326,3 +327,19 @@ class TestBlockedRuns:
         n = 200_000
         spec = ExperimentSpec(setting_pairs=BELL_PAIRS, pairs_per_setting=n, seed=3, key=RARB)
         assert self._peak_bytes(run_experiment, spec) < 12 * 3 * n
+
+    def test_triple_table_peak_stays_under_twelve_bytes_per_pair(self):
+        n = 200_000
+        assert self._peak_bytes(build_triple_table, "abc'", 3, n, RARB, BELL_SETTINGS) < 12 * n
+
+    def test_cyclic_table_peak_stays_under_twelve_bytes_per_pair(self):
+        def tally(n):
+            table = cyclic_concatenate(3, n, RARB, BELL_SETTINGS)
+            return table.pair_expectations(), table.equal_tallies()
+
+        n = 200_000
+        assert self._peak_bytes(tally, n) < 12 * n
+
+    def test_single_space_wigner_peak_stays_under_twelve_bytes_per_pair(self):
+        n = 200_000
+        assert self._peak_bytes(run_wigner_suite, 3, n, RARB, "single-space") < 12 * n

@@ -35,7 +35,7 @@ from eqrc.formats import (
     write_triple_csv,
 )
 from eqrc.inequalities import bell_check
-from eqrc.model import GaugeKey, MODE_RADEMACHER, PairStream, Setting, sample_pair_stream
+from eqrc.model import GaugeKey, MODE_RADEMACHER, PairStream, Setting
 from eqrc.stats import build_triple_table
 from eqrc.experiments import BELL_SETTINGS
 
@@ -655,8 +655,7 @@ class TestCsv:
         assert parsed["gauge"] == "rademacher:j=2"
 
     def test_triple_csv(self, tmp_path):
-        events = sample_pair_stream(5, 4_000)
-        tables = [build_triple_table(kind, events, RAD2, BELL_SETTINGS) for kind in ("abc'", "ab'c")]
+        tables = [build_triple_table(kind, 5, 4_000, RAD2, BELL_SETTINGS) for kind in ("abc'", "ab'c")]
         path = tmp_path / "triples.csv"
         with path.open("w", encoding="utf-8", newline="") as fh:
             write_triple_csv(tables, fh)

@@ -172,7 +172,7 @@ class TestWignerCheck:
 class TestCyclic:
     def test_rows_match_the_rule_oracle(self):
         events = sample_pair_stream(5, 300)
-        table = cyclic_concatenate(events, RAD3, BELL_SETTINGS)
+        table = cyclic_concatenate(5, 300, RAD3, BELL_SETTINGS)
         lam, t = events.lam.tolist(), events.t.tolist()
         assert len(table) == len(events)
         assert table.s_a.tolist() == [gauge_oracle(RAD3, t_i) for t_i in t]
@@ -180,28 +180,25 @@ class TestCyclic:
             assert col.tolist() == [a_oracle(RAD3, x, lam_i, t_i) for lam_i, t_i in zip(lam, t)]
 
     def test_every_row_satisfies_the_three_pair_bound(self):
-        events = sample_pair_stream(23, 5_000)
-        table = cyclic_concatenate(events, RAD3, BELL_SETTINGS)
+        table = cyclic_concatenate(23, 5_000, RAD3, BELL_SETTINGS)
         s_a, s_b, s_c = (col.astype(np.int64) for col in (table.s_a, table.s_b, table.s_c))
         p_ab, p_ac, p_bc = -s_a * s_b, -s_a * s_c, -s_b * s_c  # B = -A flips each sign
         assert np.all(np.abs(p_ab - p_ac) <= 1 + p_bc)
 
     def test_pairwise_product_of_products_is_minus_one(self):
-        table = cyclic_concatenate(sample_pair_stream(8, 2_000), RAD3, BELL_SETTINGS)
+        table = cyclic_concatenate(8, 2_000, RAD3, BELL_SETTINGS)
         s_a, s_b, s_c = (col.astype(np.int64) for col in (table.s_a, table.s_b, table.s_c))
         assert np.all((-s_a * s_b) * (-s_a * s_c) * (-s_b * s_c) == -1)
 
     @pytest.mark.parametrize("key", [ONE, RAD3], ids=["identity-gauge", "rademacher"])
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_row_averaged_bell_never_violated(self, key, seed):
-        events = sample_pair_stream(seed, 100_000)
-        table = cyclic_concatenate(events, key, BELL_SETTINGS)
+        table = cyclic_concatenate(seed, 100_000, key, BELL_SETTINGS)
         rep = bell_check(*table.pair_expectations(), mode="simulated-single-space")
         assert not rep.violated
 
     def test_pair_expectations_are_exact_rationals(self):
-        events = sample_pair_stream(2, 1_000)
-        table = cyclic_concatenate(events, RAD3, BELL_SETTINGS)
+        table = cyclic_concatenate(2, 1_000, RAD3, BELL_SETTINGS)
         e_ab, e_ac, e_bc = table.pair_expectations()
         assert isinstance(e_ab, Fraction)
         # the construction saturates the bound exactly at these settings
@@ -209,13 +206,11 @@ class TestCyclic:
 
     def test_wigner_on_cyclic_table_never_violated(self):
         for seed in range(5):
-            events = sample_pair_stream(seed, 20_000)
-            table = cyclic_concatenate(events, RAD3, (A, C, B))
+            table = cyclic_concatenate(seed, 20_000, RAD3, (A, C, B))
             assert not _single_space_wigner(table).violated
 
     def test_counts_round_trip(self):
-        events = sample_pair_stream(4, 3_000)
-        table = cyclic_concatenate(events, RAD3, BELL_SETTINGS)
+        table = cyclic_concatenate(4, 3_000, RAD3, BELL_SETTINGS)
         # the table's tallies agree with a per-row count and share its total
         tallies = table.equal_tallies()
         rows = list(zip(table.s_a.tolist(), table.s_b.tolist(), table.s_c.tolist()))
@@ -224,7 +219,7 @@ class TestCyclic:
 
     def test_duplicate_settings_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
-            cyclic_concatenate(sample_pair_stream(1, 10), ONE, (A, B, B))
+            cyclic_concatenate(1, 10, ONE, (A, B, B))
 
 
 class TestCyclicOracle:

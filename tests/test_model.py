@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eqrc.inequalities import cyclic_concatenate
 from eqrc.model import (
     BLOCK_PAIRS,
     GaugeKey,
@@ -26,6 +27,7 @@ from eqrc.model import (
     rarb_eval,
     sample_pair_stream,
 )
+from eqrc.stats import build_triple_table
 from helpers import a_oracle, gauge_oracle, sign_of_sine, splitmix64_sign
 
 ONE = GaugeKey(mode=MODE_CONSTANT)
@@ -243,21 +245,47 @@ class TestMeasureStream:
     """The blocked path against the whole stream, on both sides of every block edge."""
 
     B = BLOCK_PAIRS
+    N = 3 * BLOCK_PAIRS + 7  # three whole blocks and a partial one
     KEYS = (ONE, GaugeKey(mode=MODE_RADEMACHER, j=3), GaugeKey(mode=MODE_RADEMACHER_RARB, j=3, rarb_seed=2**64 - 1))
+    BELL = (Setting(1, 0), Setting(0.5, math.sqrt(3) / 2), Setting(-0.5, math.sqrt(3) / 2))
 
     @pytest.mark.parametrize("key", KEYS, ids=lambda key: key.mode)
-    @pytest.mark.parametrize("count", [1, B - 1, B, B + 1, 3 * B + 7])
-    def test_matches_measure_pairs_on_the_whole_stream(self, count, key):
-        b = Setting(0.5, math.sqrt(3) / 2)
+    @pytest.mark.parametrize("n_settings", [1, 2, 3])
+    @pytest.mark.parametrize("count", [1, B - 1, B, B + 1, N])
+    def test_matches_outcome_columns_on_the_whole_stream(self, count, n_settings, key):
+        xs = (Setting(0.5, math.sqrt(3) / 2), Setting(-1, 0), Setting(0.3, -0.7))[:n_settings]
         for seed in (0, 1, 2**63 + 5, 2**64 - 1, -3):  # -3 is taken modulo 2**64
-            left, right = measure_stream(b, seed, count, key)
-            want_left, want_right = measure_pairs(b, sample_pair_stream(seed, count), key)
-            assert left.dtype == right.dtype == np.int8
-            assert np.array_equal(left, want_left) and np.array_equal(right, want_right)
+            g, cols = measure_stream(seed, count, key, xs)
+            stream = sample_pair_stream(seed, count)
+            want_g, want_cols = outcome_columns(stream.lam, stream.t, key, xs)
+            assert g.dtype == np.int8 and all(col.dtype == np.int8 for col in cols)
+            assert np.array_equal(g, want_g) and len(cols) == n_settings
+            assert all(np.array_equal(col, want) for col, want in zip(cols, want_cols))
+            if n_settings == 1:  # the pair run at right setting b is (g, -A(b))
+                left, right = measure_pairs(xs[0], stream, key)
+                assert np.array_equal(g, left) and np.array_equal(-cols[0], right)
+
+    @pytest.mark.parametrize("key", KEYS, ids=lambda key: key.mode)
+    def test_triple_table_counts_match_the_whole_stream(self, key):
+        _, b, c = self.BELL
+        stream = sample_pair_stream(4, self.N)
+        for kind, partner in (("abc'", b), ("ab'c", c)):
+            g, (a_x,) = outcome_columns(stream.lam, stream.t, key, (partner,))
+            want = {(s1, s2, s3): int(np.count_nonzero((g == s1) & (a_x == s2))) if s3 == 1 else 0
+                    for s1 in (1, -1) for s2 in (1, -1) for s3 in (1, -1)}
+            table = build_triple_table(kind, 4, self.N, key, self.BELL)
+            assert table.counts == want and table.total == self.N
+
+    @pytest.mark.parametrize("key", KEYS, ids=lambda key: key.mode)
+    def test_cyclic_columns_match_the_whole_stream(self, key):
+        stream = sample_pair_stream(4, self.N)
+        g, (a_b, a_c) = outcome_columns(stream.lam, stream.t, key, self.BELL[1:])
+        table = cyclic_concatenate(4, self.N, key, self.BELL)
+        assert all(np.array_equal(col, want) for col, want in zip((table.s_a, table.s_b, table.s_c), (g, a_b, a_c)))
 
     def test_negative_seed_is_masked_to_64_bits(self):
-        assert np.array_equal(measure_stream(Setting(0, 1), -3, 100, ONE)[1],
-                              measure_stream(Setting(0, 1), 2**64 - 3, 100, ONE)[1])
+        assert np.array_equal(measure_stream(-3, 100, ONE, (Setting(0, 1),))[1][0],
+                              measure_stream(2**64 - 3, 100, ONE, (Setting(0, 1),))[1][0])
 
     def test_stream_is_one_pcg64_sequence(self):
         """lam is outputs 0..count-1 of the seed's PCG64 and t outputs count..2*count-1."""
@@ -267,7 +295,7 @@ class TestMeasureStream:
 
     def test_count_validation(self):
         with pytest.raises(ValueError, match="count must be >= 1"):
-            measure_stream(Setting(1, 0), 1, 0, ONE)
+            measure_stream(1, 0, ONE, (Setting(1, 0),))
 
 
 class TestWingFunctions:
