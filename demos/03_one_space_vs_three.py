@@ -7,7 +7,7 @@ three-pair bound with zero slack, so no average over rows can break it.
 Three separate experiments are under no such constraint.
 
 The appended-column triple tables show the same thing as probabilities:
-the two triples built from the same stream carry different measures
+the two triples tallied from one single-space table carry different measures
 (all-plus fractions 3/8 vs 1/8), so no single joint distribution covers
 both.
 """
@@ -53,9 +53,10 @@ print(f"equal-count bound, single-space: {w_one.lhs:.4f} <= {w_one.rhs:.4f} ? "
 
 # ## Triple tables: each triple brings its own measure
 
-# Both tables measure the same seeded stream of 500,000 pairs, drawn block by block.
-t1 = build_triple_table("abc'", seed=7, count=500_000, key=key, settings=BELL_SETTINGS)
-t2 = build_triple_table("ab'c", seed=7, count=500_000, key=key, settings=BELL_SETTINGS)
+# Both tables are tallies of one single-space table over 500,000 pairs of one seeded stream.
+triples = cyclic_concatenate(seed=7, count=500_000, key=key, settings=BELL_SETTINGS)
+t1 = build_triple_table("abc'", triples)
+t2 = build_triple_table("ab'c", triples)
 print(f"\nfraction(+1,+1,+1): abc' table {t1.fraction((1, 1, 1)):.4f} (3/8 = 0.375),"
       f" ab'c table {t2.fraction((1, 1, 1)):.4f} (1/8 = 0.125)")
 print("same event stream, same gauge; the two triples do not share a joint measure")

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import experiments, formats, inequalities, stations
 from .model import GaugeKey, MODE_CONSTANT, MODE_RADEMACHER, MODE_RADEMACHER_RARB, Setting
-from .stats import build_triple_table
+from .stats import TRIPLE_KINDS, build_triple_table
 
 __all__ = ["main", "DEFAULT_SEED", "DEFAULT_GAUGE"]
 
@@ -50,13 +50,18 @@ def _seed_of(args) -> int:
     return seed
 
 
-def _at_least(least: int):
-    """An argparse type: an integer >= ``least``, so a bad count is a usage error before a command starts."""
+def _at_least(least: int, most: int | None = None):
+    """An argparse type: an integer >= ``least`` (and <= ``most``, if given), so a bad count or port is a
+    usage error before a command starts or binds."""
     def count(text: str) -> int:
-        if (value := int(text)) < least:
-            raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
+        if (value := int(text)) < least or most is not None and value > most:
+            raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}" if most is None
+                                             else f"must be in {least}..{most}, got {value}")
         return value
     return count
+
+
+_PORT = _at_least(0, 65535)  # 0: any free port
 
 
 def parse_setting(text: str) -> Setting:
@@ -92,9 +97,10 @@ def parse_gauge(text: str) -> GaugeKey:
 
 
 def parse_hostport(text: str) -> tuple[str, int]:
+    """An argparse type: HOST:PORT with PORT in 1..65535, an endpoint a station can dial."""
     host, _, port = text.rpartition(":")
-    if not host or not port.isdigit():
-        raise UsageError(f"invalid endpoint {text!r}, expected HOST:PORT")
+    if not host or not port.isdigit() or not 1 <= int(port) <= 65535:
+        raise argparse.ArgumentTypeError(f"invalid endpoint {text!r}, expected HOST:PORT with PORT in 1..65535")
     return host, int(port)
 
 
@@ -148,22 +154,22 @@ def build_parser() -> _Parser:
     _add_common(p, pairs_default=0, least=0)  # 0: no simulated check
 
     p = sub.add_parser("source", help="pair source process (listens; streams to both stations)")
-    p.add_argument("--port", type=int, required=True)
-    p.add_argument("--pairs", "-n", "--n", dest="pairs", type=int, required=True)
+    p.add_argument("--port", type=_PORT, required=True)
+    p.add_argument("--pairs", "-n", "--n", dest="pairs", type=_at_least(0), required=True)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--session", type=int, default=0, help="session index (disjoint pair-index ranges)")
+    p.add_argument("--session", type=_at_least(0), default=0, help="session index (disjoint pair-index ranges)")
     p.add_argument("--out", default=None, help="emission log path (JSONL)")
 
     p = sub.add_parser("station", help="measurement station process (dials source and collator)")
     p.add_argument("--station", choices=("L", "R"), required=True)
     p.add_argument("--setting", default="1,0", help="own setting b2,b3")
     p.add_argument("--key", required=True, help="gauge key file (out-of-band)")
-    p.add_argument("--source", required=True, help="source endpoint HOST:PORT")
-    p.add_argument("--collator", required=True, help="collator endpoint HOST:PORT")
+    p.add_argument("--source", type=parse_hostport, required=True, help="source endpoint HOST:PORT")
+    p.add_argument("--collator", type=parse_hostport, required=True, help="collator endpoint HOST:PORT")
     p.add_argument("--out", default=None, help="report log path (JSONL)")
 
     p = sub.add_parser("collate", help="join reports: live (--port) or from report logs")
-    p.add_argument("--port", type=int, default=None, help="listen for both stations")
+    p.add_argument("--port", type=_PORT, default=None, help="listen for both stations")
     p.add_argument("--left", default=None, help="L report log (offline mode)")
     p.add_argument("--right", default=None, help="R report log (offline mode)")
     p.add_argument("--match", choices=("pair-id", "sequence"), default="pair-id")
@@ -247,7 +253,8 @@ def cmd_wigner(args) -> int:
 
 def cmd_triples(args) -> int:
     seed, key = _seed_of(args), parse_gauge(args.gauge)
-    tables = [build_triple_table(kind, seed, args.pairs, key, experiments.BELL_SETTINGS) for kind in ("abc'", "ab'c")]
+    cyclic = inequalities.cyclic_concatenate(seed, args.pairs, key, experiments.BELL_SETTINGS)
+    tables = [build_triple_table(kind, cyclic) for kind in TRIPLE_KINDS]
     for table in tables:
         print(f"{table.kind} fraction(+1,+1,+1) = {table.fraction((1, 1, 1))!r}  (n={table.total})")
     if args.out is not None:
@@ -284,8 +291,7 @@ def cmd_source(args) -> int:
 def cmd_station(args) -> int:
     log = stations.station_run(
         station_id=args.station, setting=parse_setting(args.setting), key_path=args.key,
-        source=parse_hostport(args.source), collator=parse_hostport(args.collator),
-        log_path=args.out,
+        source=args.source, collator=args.collator, log_path=args.out,
     )
     print(json.dumps({"station": log.station, "reports": len(log.reports),
                       "rejected": len(log.rejected)}, sort_keys=True))

@@ -243,9 +243,9 @@ def sort_wigner_sets(interleaved: RunDataset) -> RunDataset:
                 label=f"pair{i}",
                 left_setting=lft,
                 right_setting=rgt,
-                pair_index=inter.pair_index[order].copy(),
-                left=inter.left[order].copy(),
-                right=inter.right[order].copy(),
+                pair_index=inter.pair_index[order],
+                left=inter.left[order],
+                right=inter.right[order],
             )
         )
     meta = dict(interleaved.meta)

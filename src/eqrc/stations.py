@@ -531,6 +531,7 @@ def source_run(
     both stations.
     """
     if min(seed, session_index, count) < 0:  # the emission log's loader refuses them
+        sock.close()
         raise ValueError(f"seed, session_index and count must be >= 0, got {seed}, {session_index}, {count}")
     nothing = PairStream(n=np.empty(0, dtype=np.int64), lam=np.empty(0), t=np.empty(0))
     log = SourceLog(seed=seed, session_index=session_index, count=count, emissions=nothing,

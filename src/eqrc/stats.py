@@ -1,21 +1,19 @@
 """Estimators over matched runs of outcomes.
 
 Pair-product expectations, single-wing marginals, and the triple tables
-obtained by appending a hypothetical constant third column to a measured
-pair. Accumulation uses exact int64 sums of ±1 data, so results are
-independent of summation order and reproducible bit-for-bit; parallel
-partial tallies merge exactly.
+obtained by appending a hypothetical constant third column to two
+columns of one single-space table. Nothing here draws a stream: each
+estimator reads columns it is given. Accumulation uses exact int64 sums
+of ±1 data, so results are independent of summation order and
+reproducible bit-for-bit; parallel partial tallies merge exactly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
-
-from .model import GaugeKey, Setting, measure_stream
 
 __all__ = [
     "ExpectationEstimate",
@@ -99,32 +97,22 @@ class TripleTable:
         return self.counts[pattern] / self.total
 
 
-def build_triple_table(
-    kind: str,
-    seed: int,
-    count: int,
-    key: GaugeKey,
-    settings: Sequence[Setting],
-) -> TripleTable:
-    """Tally the triple obtained from one measured pair plus a constant column.
+def build_triple_table(kind: str, table) -> TripleTable:
+    """Tally the triple obtained from two columns of one table plus a constant column.
 
-    The pairs are the ``count`` events of the seeded stream, measured by ``measure_stream``.
-
-    With settings (a, b, c): kind ``abc'`` uses columns
-    (A(a), A(b), +1) and kind ``ab'c`` uses (A(a), A(c), +1), where
-    A(a) is the left outcome, A(x) is the sign-flipped right outcome at x
-    evaluated with the *same* gauge as the first column, and the appended
-    hypothetical column stays at +1 and never carries the gauge. Only
-    this construction reproduces the distinct per-triple measures.
+    ``table`` is a ``CyclicTable`` over settings (a, b, c), whose
+    columns A(a), A(b), A(c) are evaluated on one draw per row (see
+    ``cyclic_concatenate``). Kind ``abc'`` tallies (A(a), A(b), +1) and
+    kind ``ab'c`` tallies (A(a), A(c), +1): A(a) is the left outcome,
+    A(x) the sign-flipped right outcome at x under the *same* gauge,
+    and the appended hypothetical column stays at +1 and never carries
+    the gauge. Only this construction reproduces the distinct
+    per-triple measures.
     """
     if kind not in TRIPLE_KINDS:
         raise ValueError(f"kind must be one of {TRIPLE_KINDS}, got {kind!r}")
-    a, b, c = settings
-    for x, y in ((a, b), (a, c), (b, c)):
-        if x.close_to(y):
-            raise ValueError("the three settings must be pairwise distinct")
-    col1, (col2,) = measure_stream(seed, count, key, (b if kind == "abc'" else c,))
-    cell = col1 * 2 + col2  # int8: (s1, s2) is the cell 2*s1 + s2, one of -3, -1, 1, 3
+    # int8: (s1, s2) is the cell 2*s1 + s2, one of -3, -1, 1, 3
+    cell = table.s_a * 2 + (table.s_b if kind == "abc'" else table.s_c)
     counts = {(s1, s2, s3): int(np.count_nonzero(cell == 2 * s1 + s2)) if s3 == 1 else 0
               for s1 in (1, -1) for s2 in (1, -1) for s3 in (1, -1)}
-    return TripleTable(kind=kind, counts=counts, total=count)
+    return TripleTable(kind=kind, counts=counts, total=len(cell))

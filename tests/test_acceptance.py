@@ -100,8 +100,9 @@ def test_criterion_05_chsh_at_idealized_pairs():
 
 
 def test_criterion_06_triple_probabilities():
-    f1 = build_triple_table("abc'", 7, N, RAD3, BELL_SETTINGS).fraction((1, 1, 1))
-    f2 = build_triple_table("ab'c", 7, N, RAD3, BELL_SETTINGS).fraction((1, 1, 1))
+    cyclic = cyclic_concatenate(7, N, RAD3, BELL_SETTINGS)
+    f1 = build_triple_table("abc'", cyclic).fraction((1, 1, 1))
+    f2 = build_triple_table("ab'c", cyclic).fraction((1, 1, 1))
     sigma = math.sqrt(f1 * (1 - f1) / N + f2 * (1 - f2) / N)
     ok = abs(f1 - 0.375) <= 0.005 and abs(f2 - 0.125) <= 0.005 and (f1 - f2) / sigma > 4.0
     criterion(6, "all-plus fractions 0.375 +/- 0.005 and 0.125 +/- 0.005, difference > 4 sigma",

@@ -16,6 +16,7 @@ from helpers import dataset_text
 
 from eqrc.cli import main
 from eqrc.formats import load_run_dataset
+from eqrc.model import measure_stream
 
 
 def run_cli(argv, capsys):
@@ -131,6 +132,20 @@ class TestTriplesAndCyclic:
         assert f1 == pytest.approx(0.375, abs=0.01)
         assert f2 == pytest.approx(0.125, abs=0.01)
 
+    def test_triples_draws_one_stream(self, capsys, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return measure_stream(*args)
+
+        for name, module in list(sys.modules.items()):  # every eqrc module that bound the name
+            if name.split(".")[0] == "eqrc" and getattr(module, "measure_stream", None) is measure_stream:
+                monkeypatch.setattr(module, "measure_stream", counted)
+        rc, out, _ = run_cli(["triples", "-n", "1000", "--seed", "7"], capsys)
+        assert rc == 0 and len(out.splitlines()) == 2
+        assert [args[:2] for args in calls] == [(7, 1000)]
+
     def test_cyclic_demo_prints_full_oracle(self, capsys):
         rc, out, _ = run_cli(["cyclic-demo"], capsys)
         assert rc == 0
@@ -210,8 +225,21 @@ class TestExitCodes:
         (["sweep", "--steps", "1"], "argument --steps: must be >= 2, got 1"),
         (["cyclic-demo", "--pairs", "10", "--seed", "-1"], "seed must be >= 0, got -1"),
         (["cyclic-demo", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["source", "--port", "70000", "--pairs", "5"], "argument --port: must be in 0..65535, got 70000"),
+        (["collate", "--port", "-1"], "argument --port: must be in 0..65535, got -1"),
+        (["source", "--port", "0", "--pairs", "-1"], "argument --pairs/-n/--n: must be >= 0, got -1"),
+        (["source", "--port", "0", "--pairs", "5", "--session", "-1"], "argument --session: must be >= 0, got -1"),
+        (["station", "--station", "L", "--key", "k.json", "--source", "127.0.0.1:99999", "--collator", "127.0.0.1:1"],
+         "argument --source: invalid endpoint '127.0.0.1:99999', expected HOST:PORT with PORT in 1..65535"),
+        (["station", "--station", "R", "--key", "k.json", "--source", "127.0.0.1:1", "--collator", "127.0.0.1:0"],
+         "argument --collator: invalid endpoint '127.0.0.1:0', expected HOST:PORT with PORT in 1..65535"),
     ], ids=" ".join)
-    def test_bad_count_is_a_usage_error_before_any_output(self, capsys, tmp_path, argv, message):
+    def test_bad_argument_is_a_usage_error_before_any_output_or_socket(self, capsys, monkeypatch, tmp_path, argv,
+                                                                       message):
+        def no_socket(*args, **kwargs):
+            raise AssertionError("a socket was made before the arguments were checked")
+
+        monkeypatch.setattr(socket, "socket", no_socket)
         path = tmp_path / "out"
         rc, out, err = run_cli([*argv, "--out", str(path)], capsys)
         assert (rc, out, err, path.exists()) == (1, "", f"eqrc: {message}\n", False)

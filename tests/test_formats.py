@@ -34,7 +34,7 @@ from eqrc.formats import (
     write_sweep_csv,
     write_triple_csv,
 )
-from eqrc.inequalities import bell_check
+from eqrc.inequalities import bell_check, cyclic_concatenate
 from eqrc.model import GaugeKey, MODE_RADEMACHER, PairStream, Setting
 from eqrc.stats import build_triple_table
 from eqrc.experiments import BELL_SETTINGS
@@ -655,7 +655,8 @@ class TestCsv:
         assert parsed["gauge"] == "rademacher:j=2"
 
     def test_triple_csv(self, tmp_path):
-        tables = [build_triple_table(kind, 5, 4_000, RAD2, BELL_SETTINGS) for kind in ("abc'", "ab'c")]
+        cyclic = cyclic_concatenate(5, 4_000, RAD2, BELL_SETTINGS)
+        tables = [build_triple_table(kind, cyclic) for kind in ("abc'", "ab'c")]
         path = tmp_path / "triples.csv"
         with path.open("w", encoding="utf-8", newline="") as fh:
             write_triple_csv(tables, fh)

@@ -269,11 +269,12 @@ class TestMeasureStream:
     def test_triple_table_counts_match_the_whole_stream(self, key):
         _, b, c = self.BELL
         stream = sample_pair_stream(4, self.N)
+        cyclic = cyclic_concatenate(4, self.N, key, self.BELL)
         for kind, partner in (("abc'", b), ("ab'c", c)):
             g, (a_x,) = outcome_columns(stream.lam, stream.t, key, (partner,))
             want = {(s1, s2, s3): int(np.count_nonzero((g == s1) & (a_x == s2))) if s3 == 1 else 0
                     for s1 in (1, -1) for s2 in (1, -1) for s3 in (1, -1)}
-            table = build_triple_table(kind, 4, self.N, key, self.BELL)
+            table = build_triple_table(kind, cyclic)
             assert table.counts == want and table.total == self.N
 
     @pytest.mark.parametrize("key", KEYS, ids=lambda key: key.mode)

@@ -1186,7 +1186,7 @@ class TestSourceEdgeCases:
         sock = st.make_server_socket()
         with pytest.raises(ValueError, match="seed, session_index and count must be >= 0"):
             st.source_run(**dict(dict(seed=1, count=5, sock=sock, timeout=0.2), **args))
-        sock.close()
+        assert sock.fileno() == -1  # refused, the source still closes its listening socket
 
     def test_no_station_is_an_accept_timeout(self, tmp_path):
         path = tmp_path / "log.jsonl"

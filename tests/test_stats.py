@@ -16,6 +16,7 @@ from eqrc.model import (
     sample_pair_stream,
 )
 from eqrc.experiments import BELL_SETTINGS, CANONICAL_LEFT, ExperimentSpec, RunGroup, run_experiment
+from eqrc.inequalities import cyclic_concatenate
 from eqrc.stats import (
     TripleTable,
     build_triple_table,
@@ -133,40 +134,43 @@ def _brute_force_triple(kind, events, key, settings):
 class TestTripleTables:
     def test_vectorized_table_matches_brute_force(self):
         events = sample_pair_stream(17, 2_000)
+        cyclic = cyclic_concatenate(17, 2_000, RAD3, BELL_SETTINGS)
         for kind in ("abc'", "ab'c"):
-            table = build_triple_table(kind, 17, 2_000, RAD3, BELL_SETTINGS)
+            table = build_triple_table(kind, cyclic)
             assert table.counts == _brute_force_triple(kind, events, RAD3, BELL_SETTINGS)
 
     def test_all_plus_fractions_at_bell_settings(self):
-        t1 = build_triple_table("abc'", 7, 1_000_000, RAD3, BELL_SETTINGS)
-        t2 = build_triple_table("ab'c", 7, 1_000_000, RAD3, BELL_SETTINGS)
+        cyclic = cyclic_concatenate(7, 1_000_000, RAD3, BELL_SETTINGS)
+        t1, t2 = build_triple_table("abc'", cyclic), build_triple_table("ab'c", cyclic)
         assert t1.fraction((1, 1, 1)) == pytest.approx(0.375, abs=0.005)
         assert t2.fraction((1, 1, 1)) == pytest.approx(0.125, abs=0.005)
 
     def test_identity_gauge_removes_dilution(self):
-        table = build_triple_table("abc'", 7, 1_000_000, ONE, BELL_SETTINGS)
+        table = build_triple_table("abc'", cyclic_concatenate(7, 1_000_000, ONE, BELL_SETTINGS))
         assert table.fraction((1, 1, 1)) == pytest.approx(0.75, abs=0.005)
 
     def test_tables_from_one_stream_disagree_beyond_four_sigma(self):
         n = 1_000_000
-        f1 = build_triple_table("abc'", 19, n, RAD3, BELL_SETTINGS).fraction((1, 1, 1))
-        f2 = build_triple_table("ab'c", 19, n, RAD3, BELL_SETTINGS).fraction((1, 1, 1))
+        cyclic = cyclic_concatenate(19, n, RAD3, BELL_SETTINGS)
+        f1 = build_triple_table("abc'", cyclic).fraction((1, 1, 1))
+        f2 = build_triple_table("ab'c", cyclic).fraction((1, 1, 1))
         sigma = math.sqrt(f1 * (1 - f1) / n + f2 * (1 - f2) / n)
         assert (f1 - f2) / sigma > 4.0
 
     def test_each_table_is_a_valid_probability_table(self):
-        table = build_triple_table("ab'c", 3, 10_000, RAD3, BELL_SETTINGS)
+        table = build_triple_table("ab'c", cyclic_concatenate(3, 10_000, RAD3, BELL_SETTINGS))
         assert sum(table.counts.values()) == table.total == 10_000
         assert all(v >= 0 for v in table.counts.values())
         assert len(table.counts) == 8
 
     def test_duplicate_settings_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
-            build_triple_table("abc'", 3, 10, ONE, (A, B, B))
+            build_triple_table("abc'", cyclic_concatenate(3, 10, ONE, (A, B, B)))
 
     def test_unknown_kind_rejected(self):
+        cyclic = cyclic_concatenate(3, 10, ONE, BELL_SETTINGS)
         with pytest.raises(ValueError):
-            build_triple_table("abc", 3, 10, ONE, BELL_SETTINGS)
+            build_triple_table("abc", cyclic)
 
     def test_table_validation(self):
         counts = {(s1, s2, s3): 1 for s1 in (1, -1) for s2 in (1, -1) for s3 in (1, -1)}
