@@ -280,6 +280,8 @@ def cmd_cyclic_demo(args) -> int:
 
 
 def cmd_source(args) -> int:
+    if (args.session + 1) * args.pairs > 2**63 - 1:
+        raise UsageError(f"session {args.session} of {args.pairs} pairs runs past pair index 2**63 - 1")
     log = stations.source_run(
         seed=_seed_of(args), count=args.pairs, sock=stations.make_server_socket("127.0.0.1", args.port),
         session_index=args.session, log_path=args.out,
@@ -312,8 +314,8 @@ def cmd_collate(args) -> int:
     else:
         if args.left is None or args.right is None:
             raise UsageError("offline collation needs both --left and --right report logs")
-        left = stations.load_report_log(args.left)
-        right = stations.load_report_log(args.right)
+        left = formats.load_report_log(args.left)
+        right = formats.load_report_log(args.right)
         with open(args.left, encoding="utf-8") as lfh, open(args.right, encoding="utf-8") as rfh:  # checked by the loads
             if json.loads(lfh.readline())["key_digest"] != json.loads(rfh.readline())["key_digest"]:
                 raise stations.CollationError("gauge key digests differ between stations; refusing to collate")
@@ -322,7 +324,7 @@ def cmd_collate(args) -> int:
                 right = stations.inject_fault(*fault, right)
             else:
                 left = stations.inject_fault(*fault, left)
-        emission_log = stations.load_emission_log(args.emissions) if args.emissions else None
+        emission_log = formats.load_emission_log(args.emissions) if args.emissions else None
         result = stations.collate(left, right, strategy=strategy, emission_log=emission_log)
     if args.out is not None:
         formats.write_run_dataset(result.dataset, args.out)

@@ -1,4 +1,5 @@
-"""File schemas: JSON-lines for datasets and reports, CSV for tables.
+"""File schemas: JSON-lines for the three record files (run datasets, emission logs and report logs)
+and inequality reports, CSV for tables. Record files are laid out, written and read here alone.
 
 Every file carries a schema-version marker. Wall-clock metadata is
 isolated in the JSONL header line (CSV outputs carry none at all), so
@@ -25,17 +26,17 @@ import io
 import json
 import re
 from array import array
-from itertools import islice
-from math import copysign
+from dataclasses import dataclass, field
+from itertools import islice, repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NoReturn, Sequence, TextIO
+from typing import Iterable, Iterator, NamedTuple, NoReturn, Sequence, TextIO
 
 import numpy as np
 
 from .experiments import ExperimentSpec, InterleavedRecords, RunDataset, RunGroup, SweepPoint
 from .inequalities import InequalityReport
-from .model import GaugeKey, Setting, _dumps
+from .model import GaugeKey, PairStream, Setting, _dumps, _setting_check, _setting_json, _unit_interval
 from .stats import TripleTable
 
 __all__ = [
@@ -47,25 +48,20 @@ __all__ = [
     "write_expectation_csv",
     "write_triple_csv",
     "write_reports_jsonl",
+    "StationReport",
+    "ReportBatch",
+    "SourceLog",
+    "StationLog",
+    "write_emission_log",
+    "load_emission_log",
+    "write_report_log",
+    "load_report_log",
 ]
 
 DATASET_KIND = "run-dataset"
 SCHEMA_VERSION = 1
 #: Version of the emission-log and report-log files.
 LOG_SCHEMA_VERSION = 1
-
-
-def _setting_json(s: Setting) -> list[float]:
-    return [s.b2, s.b3]
-
-
-def _setting_check(want: list) -> Callable[[object], bool]:
-    """A test of whether a value, as ``_setting_json`` or a JSON reader gives it, is the setting ``want`` as
-    written: == to it, and of its type and sign at each integral number, where == also takes values that
-    JSON writes apart (-0.0 == 0 == 0.0 == False, 1 == 1.0 == True); no float is formatted."""
-    exact = [(at, type(w), copysign(1.0, w)) for at, w in enumerate(want) if float(w).is_integer()]
-    return lambda got: got == want and all(type(got[at]) is t and copysign(1.0, got[at]) == sign
-                                           for at, t, sign in exact)
 
 
 def _dataset_header(ds: RunDataset) -> dict:
@@ -549,3 +545,183 @@ def write_reports_jsonl(reports: Sequence[InequalityReport], fh: TextIO) -> None
     fh.write(_dumps({"v": SCHEMA_VERSION, "kind": "inequality-reports"}) + "\n")
     for rep in reports:
         fh.write(_dumps(rep.to_json()) + "\n")
+
+
+# ---------------------------------------------------------------------------
+# The source's emission log and a station's report log
+
+
+class StationReport(NamedTuple):
+    """One row of a ReportBatch: a wing's outcome, its own setting and its batch's station-local clock stamp."""
+
+    n: int
+    station: str
+    setting: Setting
+    outcome: int
+    clock_ns: int
+
+
+@dataclass(frozen=True)
+class ReportBatch:
+    """Columnar report stream of one station session; iterates as ``StationReport`` rows."""
+
+    station: str
+    setting: Setting
+    n: np.ndarray
+    outcome: np.ndarray
+    clock_ns: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.n)
+
+    def __iter__(self) -> Iterator[StationReport]:
+        return map(StationReport, self.n.tolist(), repeat(self.station), repeat(self.setting),
+                   self.outcome.tolist(), self.clock_ns.tolist())
+
+
+@dataclass
+class SourceLog:
+    seed: int
+    session_index: int
+    count: int
+    emissions: PairStream  # the events sent to both stations, in order
+    status: str = "complete"  # or "partial"
+    detail: str = ""
+
+
+@dataclass
+class StationLog:
+    """One station session: its reports as one ReportBatch with clocks, its dials and its rejects.
+
+    ``StationReport`` rows given as ``reports`` become that batch; a batch or row of another
+    station, or with a setting not the log's bit for bit, is a ValueError.
+    """
+
+    station: str
+    setting: Setting
+    key_digest: str
+    reports: ReportBatch | Sequence[StationReport] = ()
+    connections: list[tuple[str, str, int]] = field(default_factory=list)
+    rejected: list[str] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        if isinstance(batch := self.reports, ReportBatch):
+            stations, settings = (batch.station,), (batch.setting,)
+        else:
+            n, stations, settings, outcome, clock_ns = list(zip(*self.reports)) or [()] * 5
+            batch = ReportBatch(self.station, self.setting, np.array(n, np.int64), np.array(outcome, np.int8),
+                                np.array(clock_ns, np.int64))
+        written = _setting_check(_setting_json(self.setting))
+        for station, setting in zip(stations, settings):
+            same = station is self.station and setting is self.setting
+            if not same and (station != self.station or not written(_setting_json(setting))):
+                raise ValueError(f"station {self.station} log of {self.setting} given a report of station "
+                                 f"{station!r} with {setting}")
+        self.reports = batch
+
+
+def write_emission_log(log: SourceLog, path) -> None:
+    """Header line, one line per emitted event, then a trailer with the status."""
+    e = log.emissions
+    with Path(path).open("w", encoding="utf-8") as fh:
+        header = {
+            "v": LOG_SCHEMA_VERSION,
+            "kind": "emission-log",
+            "seed": log.seed,
+            "session": log.session_index,
+            "count": log.count,
+        }
+        fh.write(_dumps(header) + "\n")
+        # The sorted-key dump of each event: JSON writes a finite float as its repr.
+        fh.writelines(f'{{"lambda":{lam!r},"n":{n},"t":{t!r},"v":{LOG_SCHEMA_VERSION}}}\n'
+                      for n, lam, t in zip(e.n.tolist(), e.lam.tolist(), e.t.tolist()))
+        fh.write(_dumps({"v": LOG_SCHEMA_VERSION, "status": log.status, "sent": len(e), "detail": log.detail}) + "\n")
+
+
+def load_emission_log(path) -> SourceLog:
+    """Load an emission log; its events come back as one PairStream.
+
+    Raises ValueError naming the line for what the reader refuses, for
+    a header ``seed``, ``session`` or ``count`` that is not an integer
+    >= 0, for a pair index other than the next of the session's range
+    session*count+1 .. (session+1)*count (out of the range, repeated or
+    out of order), and for a trailer whose ``sent`` is not the number of
+    events or, if "complete", not the header's ``count``; and, naming line
+    1, for a session whose range runs past the int64 pair index 2**63 - 1.
+    A log without a trailer loads as partial.
+    """
+    def header_range(header) -> dict:
+        _header_ints("emission-log", path, header, {"seed": 0, "session": 0, "count": 0})
+        if (header["session"] + 1) * header["count"] > 2**63 - 1:
+            _refuse("emission-log", path, -1, f"header session {header['session']} of {header['count']} pairs runs "
+                                              "past pair index 2**63 - 1")
+        return header
+
+    header, _, ints, floats, trailer = _read_records(
+        path, "emission-log", LOG_SCHEMA_VERSION, lambda header: [{"v": LOG_SCHEMA_VERSION}],
+        ints=(("n", None, "pair index {!r} is not an integer"),),
+        floats=(("lambda", _unit_interval, "lambda {!r} is not in [0, 1)"),
+                ("t", _unit_interval, "t {!r} is not in [0, 1)")),
+        trailer=frozenset({"v", "status", "sent", "detail"}),
+        check_header=header_range)
+    n, (lam, t) = ints[:, 0], floats.T
+    count, session = header["count"], header["session"]
+    first, rows = session * count + 1, np.arange(len(n))
+    bad = np.flatnonzero((n != first + rows) | (rows >= count))
+    if bad.size:
+        _refuse("emission-log", path, bad[0], f"pair index {n[bad[0]]} is not {first + bad[0]}: out of the session's "
+                                              f"range {first}..{first + count - 1}, repeated or out of order")
+    status, detail = "partial", "missing trailer"
+    if trailer is not None:
+        status, sent, detail = trailer["status"], trailer["sent"], trailer["detail"]
+        if ([type(trailer["v"]), type(sent), type(detail)] != [int, int, str] or trailer["v"] != LOG_SCHEMA_VERSION
+                or status not in ("complete", "partial") or sent != len(n)
+                or (status == "complete" and sent != count)):
+            _refuse("emission-log", path, len(n), f"trailer {trailer} does not close {len(n)} events "
+                                                  f"of a session of {count}")
+    return SourceLog(seed=header["seed"], session_index=session, count=count,
+                     emissions=PairStream(n=n.copy(), lam=lam.copy(), t=t.copy()), status=status, detail=detail)
+
+
+def _report_templates(header: dict) -> list[dict]:
+    """The one record template of a report log with this header: its station session's."""
+    return [{"setting": _setting_json(Setting(*header["setting"])), "station": header["station"], "type": "report",
+             "v": LOG_SCHEMA_VERSION}]
+
+
+def write_report_log(log: StationLog, path) -> None:
+    """Header line, then one line per report: its fields, ``type`` "report" and ``v``, the bytes of dumping
+    its object, rendered from the batch's int columns a block at a time."""
+    with Path(path).open("wb") as fh:
+        header = {"v": LOG_SCHEMA_VERSION, "kind": "report-log", "station": log.station,
+                  "setting": _setting_json(log.setting), "key_digest": log.key_digest}
+        fh.write((_dumps(header) + "\n").encode())
+        codec, r = _LineCodec(_report_templates(header), ("n", "outcome", "clock_ns")), log.reports
+        for cut in (slice(at, at + _RENDER_ROWS) for at in range(0, len(r), _RENDER_ROWS)):
+            fh.write(codec.render(np.zeros(len(r.n[cut]), np.int64), (r.n[cut], r.outcome[cut], r.clock_ns[cut])))
+
+
+def load_report_log(path) -> ReportBatch:
+    """Load a report log into one batch, column by column.
+
+    Raises ValueError naming the line for what the reader refuses: a
+    report whose ``v``/``type`` is not 1/"report", whose ``n`` is not an
+    integer >= 1, whose outcome is not -1/+1 or whose ``clock_ns`` is not
+    an integer, and a report from another station or setting than the
+    header's (whose station and ``key_digest`` must be strings); and for a
+    log that holds no reports.
+    """
+    def header_digest(header) -> dict:
+        if type(header.get("key_digest")) is not str:
+            _refuse("report-log", path, -1, f"header key_digest {header.get('key_digest')!r} is not a string")
+        return header
+
+    header, _, ints, _, _ = _read_records(
+        path, "report-log", LOG_SCHEMA_VERSION, _report_templates,
+        ints=(_PAIR_INDEX, _OUTCOME, ("clock_ns", None, "clock_ns {!r} is not an integer")),
+        foreign="a report batch must come from one station session", check_header=header_digest)
+    if not len(ints):
+        raise ValueError(f"report log {path} holds no reports")
+    n, outcome, clock_ns = ints.T
+    return ReportBatch(station=header["station"], setting=Setting(*header["setting"]), n=n.copy(),
+                       outcome=outcome.astype(np.int8), clock_ns=clock_ns.copy())

@@ -30,7 +30,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -103,6 +103,23 @@ class Setting:
 
     def close_to(self, other: "Setting", tol: float = NORM_TOL) -> bool:
         return abs(self.b2 - other.b2) <= tol and abs(self.b3 - other.b3) <= tol
+
+
+def _setting_json(s: Setting) -> list[float]:
+    return [s.b2, s.b3]
+
+
+def _setting_check(want: list) -> Callable[[object], bool]:
+    """A test of whether a value, as ``_setting_json`` or a JSON reader gives it, is the setting ``want`` as
+    written: == to it, and of its type and sign at each integral number, where == also takes values that
+    JSON writes apart (-0.0 == 0 == 0.0 == False, 1 == 1.0 == True); no float is formatted."""
+    exact = [(at, type(w), math.copysign(1.0, w)) for at, w in enumerate(want) if float(w).is_integer()]
+    return lambda got: got == want and all(type(got[at]) is t and math.copysign(1.0, got[at]) == sign
+                                           for at, t, sign in exact)
+
+
+def _unit_interval(x):
+    return (x >= 0.0) & (x < 1.0)
 
 
 @dataclass(frozen=True)
@@ -282,6 +299,8 @@ def sample_pair_stream(seed: int, count: int, start: int = 1) -> PairStream:
     lam_rng, t_rng = _stream_generators(seed, count)
     if start < 1:
         raise ValueError(f"start index must be >= 1, got {start}")
+    if start + count - 1 > 2**63 - 1:
+        raise ValueError(f"last pair index {start + count - 1} is past 2**63 - 1")
     return PairStream(n=np.arange(start, start + count, dtype=np.int64), lam=lam_rng.random(count),
                       t=t_rng.random(count))
 

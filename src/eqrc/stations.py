@@ -1,4 +1,4 @@
-"""Distributed two-station realization over TCP with schema-enforced locality.
+"""Distributed two-station realization over TCP with schema-enforced locality: the wire, the roles and collation.
 
 Topology: a source process and a collator process listen; the two
 station processes dial both and nothing else. The source broadcasts
@@ -8,13 +8,14 @@ events, and a gauge key file distributed out-of-band; the key never
 travels on the wire. Stations stream outcome reports to the collator,
 which joins them into a dataset either by pair index or by arrival
 order (the latter deliberately fragile: one lost report misaligns the
-whole tail, and nothing in the data can reveal it).
+whole tail, and nothing in the data can reveal it). The roles' emission
+and report logs are record files, laid out, written and read in ``formats``.
 
 Wire format: 4-byte big-endian length prefix, then a body of a 4-byte
 big-endian header length, a strict UTF-8 JSON header object and the raw
 bytes of the columns the header lists as [name, byte length] pairs.
-Events and reports travel in columnar batches of at most ``BATCH_PAIRS``
-pairs (``emit_batch``: n/lambda/t; ``report_batch``: n/outcome and one
+Events and reports travel in columnar batches of at most ``BLOCK_PAIRS``
+pairs, the blocks ``measure_stream`` draws (``emit_batch``: n/lambda/t; ``report_batch``: n/outcome and one
 ``clock_ns``), each column a little-endian fixed-width array, and a batch
 with one bad element is rejected whole. No field of the fixed grammar a
 station can receive is a list or can carry the other wing's setting.
@@ -28,22 +29,18 @@ import socket
 import struct
 import time
 from dataclasses import dataclass, field
-from itertools import repeat
 from pathlib import Path
-from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .experiments import RunDataset, RunGroup
-from .formats import (_OUTCOME, _PAIR_INDEX, _RENDER_ROWS, LOG_SCHEMA_VERSION, _header_ints, _LineCodec, _read_records,
-                      _refuse, _setting_check, _setting_json)
-from .model import (GaugeKey, PairStream, Setting, _dumps, derive_subseed, measure_left, measure_right,
-                    sample_pair_stream)
+from .formats import ReportBatch, SourceLog, StationLog, write_emission_log, write_report_log
+from .formats import StationReport, load_report_log  # unused here: perfbench/ reaches them as stations names
+from .model import (BLOCK_PAIRS, GaugeKey, PairStream, Setting, _dumps, _setting_check, _setting_json, _unit_interval,
+                    derive_subseed, measure_left, measure_right, sample_pair_stream)
 
 __all__ = [
     "WIRE_VERSION",
-    "BATCH_PAIRS",
-    "LOG_SCHEMA_VERSION",
     "MAX_FRAME_BYTES",
     "STATION_RECEIVABLE_SCHEMAS",
     "COLLATOR_RECEIVABLE_SCHEMAS",
@@ -52,10 +49,6 @@ __all__ = [
     "SchemaError",
     "KeyFileError",
     "CollationError",
-    "StationReport",
-    "ReportBatch",
-    "SourceLog",
-    "StationLog",
     "CollationResult",
     "send_frame",
     "recv_frame",
@@ -69,15 +62,9 @@ __all__ = [
     "station_batches",
     "inject_fault",
     "collator_serve",
-    "write_emission_log",
-    "load_emission_log",
-    "write_report_log",
-    "load_report_log",
 ]
 
 WIRE_VERSION = 4
-#: Most pairs one emit_batch frame carries; a report_batch answers one emit_batch.
-BATCH_PAIRS = 4096
 #: Largest frame body ``recv_frame`` accepts, far above any frame a role sends.
 MAX_FRAME_BYTES = 1 << 20
 #: Connection attempts a station makes per endpoint, and the pause after a failed one.
@@ -225,10 +212,6 @@ def validate_message(msg, schemas: dict) -> str:
     return kind
 
 
-def _unit_interval(x):
-    return (x >= 0.0) & (x < 1.0)
-
-
 def _pack(values, dtype: str) -> bytes:
     return np.asarray(values, dtype=dtype).tobytes()
 
@@ -280,34 +263,6 @@ def _report_columns(msg: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return n, outcome, np.full(len(n), msg["clock_ns"], dtype=np.int64)
 
 
-class StationReport(NamedTuple):
-    """One row of a ReportBatch: a wing's outcome, its own setting and its batch's station-local clock stamp."""
-
-    n: int
-    station: str
-    setting: Setting
-    outcome: int
-    clock_ns: int
-
-
-@dataclass(frozen=True)
-class ReportBatch:
-    """Columnar report stream of one station session; iterates as ``StationReport`` rows."""
-
-    station: str
-    setting: Setting
-    n: np.ndarray
-    outcome: np.ndarray
-    clock_ns: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.n)
-
-    def __iter__(self) -> Iterator[StationReport]:
-        return map(StationReport, self.n.tolist(), repeat(self.station), repeat(self.setting),
-                   self.outcome.tolist(), self.clock_ns.tolist())
-
-
 def station_batches(group) -> tuple[ReportBatch, ReportBatch]:
     """The (L, R) report streams a run group would have produced on the wire, with zero clocks."""
     return tuple(ReportBatch(station, setting, group.pair_index.copy(), outcome.copy(), np.zeros(len(group), np.int64))
@@ -335,147 +290,6 @@ def load_key_file(path) -> GaugeKey:
         return GaugeKey.from_json(obj)
     except (OSError, ValueError) as exc:
         raise KeyFileError(f"unreadable gauge key file {path}: {exc}") from exc
-
-
-# ---------------------------------------------------------------------------
-# Logs
-
-
-@dataclass
-class SourceLog:
-    seed: int
-    session_index: int
-    count: int
-    emissions: PairStream  # the events sent to both stations, in order
-    status: str = "complete"  # or "partial"
-    detail: str = ""
-
-
-@dataclass
-class StationLog:
-    """One station session: its reports as one ReportBatch with clocks, its dials and its rejects.
-
-    ``StationReport`` rows given as ``reports`` become that batch; a row of another
-    station, or with a setting not the log's bit for bit, is a ValueError.
-    """
-
-    station: str
-    setting: Setting
-    key_digest: str
-    reports: ReportBatch | Sequence[StationReport] = ()
-    connections: list[tuple[str, str, int]] = field(default_factory=list)
-    rejected: list[str] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.reports, ReportBatch):
-            n, stations, settings, outcome, clock_ns = list(zip(*self.reports)) or [()] * 5
-            written = _setting_check(_setting_json(self.setting))
-            for station, setting in zip(stations, settings):
-                same = station is self.station and setting is self.setting
-                if not same and (station != self.station or not written(_setting_json(setting))):
-                    raise ValueError(f"station {self.station} log of {self.setting} given a report of station "
-                                     f"{station!r} with {setting}")
-            self.reports = ReportBatch(self.station, self.setting, np.array(n, np.int64),
-                                       np.array(outcome, np.int8), np.array(clock_ns, np.int64))
-
-
-def write_emission_log(log: SourceLog, path) -> None:
-    """Header line, one line per emitted event, then a trailer with the status."""
-    e = log.emissions
-    with Path(path).open("w", encoding="utf-8") as fh:
-        header = {
-            "v": LOG_SCHEMA_VERSION,
-            "kind": "emission-log",
-            "seed": log.seed,
-            "session": log.session_index,
-            "count": log.count,
-        }
-        fh.write(_dumps(header) + "\n")
-        # The sorted-key dump of each event: JSON writes a finite float as its repr.
-        fh.writelines(f'{{"lambda":{lam!r},"n":{n},"t":{t!r},"v":{LOG_SCHEMA_VERSION}}}\n'
-                      for n, lam, t in zip(e.n.tolist(), e.lam.tolist(), e.t.tolist()))
-        fh.write(_dumps({"v": LOG_SCHEMA_VERSION, "status": log.status, "sent": len(e), "detail": log.detail}) + "\n")
-
-
-def load_emission_log(path) -> SourceLog:
-    """Load an emission log; its events come back as one PairStream.
-
-    Raises ValueError naming the line for what the reader refuses, for
-    a header ``seed``, ``session`` or ``count`` that is not an integer
-    >= 0, for a pair index other than the next of the session's range
-    session*count+1 .. (session+1)*count (out of the range, repeated or
-    out of order), and for a trailer whose ``sent`` is not the number of
-    events or, if "complete", not the header's ``count``. A log without
-    a trailer loads as partial.
-    """
-    header, _, ints, floats, trailer = _read_records(
-        path, "emission-log", LOG_SCHEMA_VERSION, lambda header: [{"v": LOG_SCHEMA_VERSION}],
-        ints=(("n", None, "pair index {!r} is not an integer"),),
-        floats=(("lambda", _unit_interval, "lambda {!r} is not in [0, 1)"),
-                ("t", _unit_interval, "t {!r} is not in [0, 1)")),
-        trailer=frozenset({"v", "status", "sent", "detail"}),
-        check_header=lambda header: _header_ints("emission-log", path, header, {"seed": 0, "session": 0, "count": 0}))
-    n, (lam, t) = ints[:, 0], floats.T
-    count, session = header["count"], header["session"]
-    first, rows = session * count + 1, np.arange(len(n))
-    bad = np.flatnonzero((n != first + rows) | (rows >= count))
-    if bad.size:
-        _refuse("emission-log", path, bad[0], f"pair index {n[bad[0]]} is not {first + bad[0]}: out of the session's "
-                                              f"range {first}..{first + count - 1}, repeated or out of order")
-    status, detail = "partial", "missing trailer"
-    if trailer is not None:
-        status, sent, detail = trailer["status"], trailer["sent"], trailer["detail"]
-        if ([type(trailer["v"]), type(sent), type(detail)] != [int, int, str] or trailer["v"] != LOG_SCHEMA_VERSION
-                or status not in ("complete", "partial") or sent != len(n)
-                or (status == "complete" and sent != count)):
-            _refuse("emission-log", path, len(n), f"trailer {trailer} does not close {len(n)} events "
-                                                  f"of a session of {count}")
-    return SourceLog(seed=header["seed"], session_index=session, count=count,
-                     emissions=PairStream(n=n.copy(), lam=lam.copy(), t=t.copy()), status=status, detail=detail)
-
-
-def _report_templates(header: dict) -> list[dict]:
-    """The one record template of a report log with this header: its station session's."""
-    return [{"setting": _setting_json(Setting(*header["setting"])), "station": header["station"], "type": "report",
-             "v": LOG_SCHEMA_VERSION}]
-
-
-def write_report_log(log: StationLog, path) -> None:
-    """Header line, then one line per report: its fields, ``type`` "report" and ``v``, the bytes of dumping
-    its object, rendered from the batch's int columns a block at a time."""
-    with Path(path).open("wb") as fh:
-        header = {"v": LOG_SCHEMA_VERSION, "kind": "report-log", "station": log.station,
-                  "setting": _setting_json(log.setting), "key_digest": log.key_digest}
-        fh.write((_dumps(header) + "\n").encode())
-        codec, r = _LineCodec(_report_templates(header), ("n", "outcome", "clock_ns")), log.reports
-        for cut in (slice(at, at + _RENDER_ROWS) for at in range(0, len(r), _RENDER_ROWS)):
-            fh.write(codec.render(np.zeros(len(r.n[cut]), np.int64), (r.n[cut], r.outcome[cut], r.clock_ns[cut])))
-
-
-def load_report_log(path) -> ReportBatch:
-    """Load a report log into one batch, column by column.
-
-    Raises ValueError naming the line for what the reader refuses: a
-    report whose ``v``/``type`` is not 1/"report", whose ``n`` is not an
-    integer >= 1, whose outcome is not -1/+1 or whose ``clock_ns`` is not
-    an integer, and a report from another station or setting than the
-    header's (whose station and ``key_digest`` must be strings); and for a
-    log that holds no reports.
-    """
-    def header_digest(header) -> dict:
-        if type(header.get("key_digest")) is not str:
-            _refuse("report-log", path, -1, f"header key_digest {header.get('key_digest')!r} is not a string")
-        return header
-
-    header, _, ints, _, _ = _read_records(
-        path, "report-log", LOG_SCHEMA_VERSION, _report_templates,
-        ints=(_PAIR_INDEX, _OUTCOME, ("clock_ns", None, "clock_ns {!r} is not an integer")),
-        foreign="a report batch must come from one station session", check_header=header_digest)
-    if not len(ints):
-        raise ValueError(f"report log {path} holds no reports")
-    n, outcome, clock_ns = ints.T
-    return ReportBatch(station=header["station"], setting=Setting(*header["setting"]), n=n.copy(),
-                       outcome=outcome.astype(np.int8), clock_ns=clock_ns.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -524,15 +338,16 @@ def source_run(
     Session ``i`` draws from sub-seed ``i`` of the master seed and owns
     pair indices i*count+1 .. (i+1)*count, so successive sessions (e.g.
     the right wing re-running with another setting) live on disjoint
-    sample spaces. Waits for both stations before emitting, then sends
-    the sampled stream in emit_batch frames of ``BATCH_PAIRS`` pairs. The
-    log is partial until both end markers have gone out: a station
-    disconnect aborts the run, and the log keeps the batches sent to
-    both stations.
+    sample spaces, the last index at most 2**63 - 1. Waits for both
+    stations before emitting, then sends the sampled stream in emit_batch
+    frames of ``BLOCK_PAIRS`` pairs. The log is partial until both end
+    markers have gone out: a station disconnect aborts the run, and the
+    log keeps the batches sent to both stations.
     """
-    if min(seed, session_index, count) < 0:  # the emission log's loader refuses them
+    if min(seed, session_index, count) < 0 or (session_index + 1) * count > 2**63 - 1:  # the log's loader refuses them
         sock.close()
-        raise ValueError(f"seed, session_index and count must be >= 0, got {seed}, {session_index}, {count}")
+        raise ValueError(f"seed, session_index and count must be >= 0, and (session_index + 1) * count at most "
+                         f"2**63 - 1, got {seed}, {session_index}, {count}")
     nothing = PairStream(n=np.empty(0, dtype=np.int64), lam=np.empty(0), t=np.empty(0))
     log = SourceLog(seed=seed, session_index=session_index, count=count, emissions=nothing,
                     status="partial", detail="ended before both end markers went out")
@@ -544,8 +359,8 @@ def source_run(
             if count > 0:
                 stream = sample_pair_stream(derive_subseed(seed, session_index), count,
                                             start=session_index * count + 1)
-            for lo in range(0, count, BATCH_PAIRS):
-                hi = min(lo + BATCH_PAIRS, count)
+            for lo in range(0, count, BLOCK_PAIRS):
+                hi = min(lo + BLOCK_PAIRS, count)
                 columns = {"n": _pack(stream.n[lo:hi], "<i8"), "lambda": _pack(stream.lam[lo:hi], "<f8"),
                            "t": _pack(stream.t[lo:hi], "<f8")}
                 for station in ("L", "R"):

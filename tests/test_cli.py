@@ -229,6 +229,8 @@ class TestExitCodes:
         (["collate", "--port", "-1"], "argument --port: must be in 0..65535, got -1"),
         (["source", "--port", "0", "--pairs", "-1"], "argument --pairs/-n/--n: must be >= 0, got -1"),
         (["source", "--port", "0", "--pairs", "5", "--session", "-1"], "argument --session: must be >= 0, got -1"),
+        (["source", "--port", "0", "--pairs", "5", "--session", str(2**63 // 5)],
+         f"session {2**63 // 5} of 5 pairs runs past pair index 2**63 - 1"),
         (["station", "--station", "L", "--key", "k.json", "--source", "127.0.0.1:99999", "--collator", "127.0.0.1:1"],
          "argument --source: invalid endpoint '127.0.0.1:99999', expected HOST:PORT with PORT in 1..65535"),
         (["station", "--station", "R", "--key", "k.json", "--source", "127.0.0.1:1", "--collator", "127.0.0.1:0"],
@@ -252,16 +254,16 @@ class TestExitCodes:
 
     def test_sequence_collation_with_emissions_is_exit_two(self, capsys, tmp_path):
         from eqrc.experiments import CANONICAL_LEFT
+        from eqrc.formats import SourceLog, StationLog, StationReport, write_emission_log, write_report_log
         from eqrc.model import PairStream, Setting
-        from eqrc import stations as st
 
         paths = {name: tmp_path / f"{name}.jsonl" for name in ("L", "R", "emissions")}
         for side, setting in (("L", CANONICAL_LEFT), ("R", Setting(0.0, 1.0))):
-            reports = [st.StationReport(n=n, station=side, setting=setting, outcome=1, clock_ns=0) for n in (1, 2, 3)]
-            st.write_report_log(st.StationLog(station=side, setting=setting, key_digest="ab", reports=reports),
-                                paths[side])
+            reports = [StationReport(n=n, station=side, setting=setting, outcome=1, clock_ns=0) for n in (1, 2, 3)]
+            write_report_log(StationLog(station=side, setting=setting, key_digest="ab", reports=reports),
+                             paths[side])
         emitted = PairStream(n=np.arange(1, 3), lam=np.full(2, 0.5), t=np.full(2, 0.5))
-        st.write_emission_log(st.SourceLog(seed=1, session_index=0, count=2, emissions=emitted), paths["emissions"])
+        write_emission_log(SourceLog(seed=1, session_index=0, count=2, emissions=emitted), paths["emissions"])
         rc, out, err = run_cli(["collate", "--left", str(paths["L"]), "--right", str(paths["R"]),
                                 "--match", "sequence", "--emissions", str(paths["emissions"])], capsys)
         assert rc == 2 and out == "" and "cannot account for an emission log" in err
@@ -294,14 +296,14 @@ class TestExitCodes:
 
     def test_offline_collation_refuses_logs_of_different_keys(self, capsys, tmp_path):
         from eqrc.experiments import CANONICAL_LEFT
-        from eqrc import stations as st
+        from eqrc.formats import StationLog, StationReport, write_report_log
 
         paths = []
         for side, digest in (("L", "a" * 64), ("R", "b" * 64)):
-            reports = [st.StationReport(n=n, station=side, setting=CANONICAL_LEFT, outcome=1, clock_ns=0) for n in (1, 2)]
+            reports = [StationReport(n=n, station=side, setting=CANONICAL_LEFT, outcome=1, clock_ns=0) for n in (1, 2)]
             paths.append(tmp_path / f"{side}.jsonl")
-            st.write_report_log(st.StationLog(station=side, setting=CANONICAL_LEFT, key_digest=digest, reports=reports),
-                                paths[-1])
+            write_report_log(StationLog(station=side, setting=CANONICAL_LEFT, key_digest=digest, reports=reports),
+                             paths[-1])
         rc, out, err = run_cli(["collate", "--left", str(paths[0]), "--right", str(paths[1])], capsys)
         assert (rc, out) == (2, "")
         assert err == "eqrc: runtime error: gauge key digests differ between stations; refusing to collate\n"
@@ -320,14 +322,14 @@ class TestExitCodes:
 def _report_logs(tmp_path, pairs):
     """Report logs L.jsonl and R.jsonl in ``tmp_path`` of +1 outcomes at ``pairs[side]``; their paths by side."""
     from eqrc.experiments import CANONICAL_LEFT
-    from eqrc import stations as st
+    from eqrc.formats import ReportBatch, StationLog, write_report_log
 
     paths = {side: tmp_path / f"{side}.jsonl" for side in pairs}
     for side, ns in pairs.items():
-        batch = st.ReportBatch(side, CANONICAL_LEFT, np.array(ns, np.int64), np.ones(len(ns), np.int8),
-                               np.zeros(len(ns), np.int64))
-        st.write_report_log(st.StationLog(station=side, setting=CANONICAL_LEFT, key_digest="ab", reports=batch),
-                            paths[side])
+        batch = ReportBatch(side, CANONICAL_LEFT, np.array(ns, np.int64), np.ones(len(ns), np.int8),
+                            np.zeros(len(ns), np.int64))
+        write_report_log(StationLog(station=side, setting=CANONICAL_LEFT, key_digest="ab", reports=batch),
+                         paths[side])
     return paths
 
 

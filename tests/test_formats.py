@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from helpers import EDGE_INTS, dataset_text
 
-from eqrc import formats, stations
+from eqrc import formats
 from eqrc.experiments import (
     BELL_PAIRS,
     ExperimentSpec,
@@ -290,7 +290,7 @@ class TestLoaderRefusals:
         elif kind == "report-log":
             _report_log_file(path, 6)
         else:
-            stations.write_emission_log(stations.SourceLog(seed=0, session_index=0, count=3, emissions=PairStream(
+            formats.write_emission_log(formats.SourceLog(seed=0, session_index=0, count=3, emissions=PairStream(
                 n=np.arange(1, 4), lam=np.full(3, 0.5), t=np.full(3, 0.25))), path)
         raw = path.read_bytes()
         if ending == b"one \r\n":  # the second data line alone
@@ -298,8 +298,8 @@ class TestLoaderRefusals:
             path.write_bytes(first + b"\n" + second + b"\n" + rest.replace(b"\n", b"\r\n", 1))
         else:
             path.write_bytes(raw.replace(b"\n", ending))
-        load = {"run-dataset": load_run_dataset, "report-log": stations.load_report_log,
-                "emission-log": stations.load_emission_log}[kind]
+        load = {"run-dataset": load_run_dataset, "report-log": formats.load_report_log,
+                "emission-log": formats.load_emission_log}[kind]
         with pytest.raises(ValueError, match=f"line {line}: text after the object: {text}"):
             load(path)
 
@@ -320,7 +320,7 @@ class TestLoaderRefusals:
         decoded = []
         decode = formats._decode
         monkeypatch.setattr(formats, "_decode", lambda line: decoded.append(line) or decode(line))
-        load = load_run_dataset if kind == "run-dataset" else stations.load_report_log
+        load = load_run_dataset if kind == "run-dataset" else formats.load_report_log
         with pytest.raises(ValueError, match=f"{kind} {path} line {at + 1}: not UTF-8 text: .* 0xff"):
             load(path)
         assert (lines[1].decode() + "\n" in decoded) is not taken  # the first chunk took the JSON path or not
@@ -478,16 +478,16 @@ def _report_log_file(path, count, seed=0):
     """Write station R's log of ``count`` reports with rising pair indices, random outcomes and clocks."""
     rng, setting = np.random.default_rng(seed), BELL_SETTINGS[1]
     ns = np.cumsum(rng.integers(1, 3, count))
-    log = stations.StationLog(station="R", setting=setting, key_digest="ab", reports=stations.ReportBatch(
+    log = formats.StationLog(station="R", setting=setting, key_digest="ab", reports=formats.ReportBatch(
         "R", setting, ns, rng.choice([-1, 1], count).astype(np.int8), rng.integers(0, 2**63, count)))
-    stations.write_report_log(log, path)
+    formats.write_report_log(log, path)
 
 
 def _loaded(path):
     """What a load gives: its columns as lists, or its refusal's text."""
     try:
         if json.loads(path.read_text().split("\n", 1)[0])["kind"] == "report-log":
-            b = stations.load_report_log(path)
+            b = formats.load_report_log(path)
             return b.station, b.setting, b.n.tolist(), b.outcome.tolist(), b.clock_ns.tolist(), b.outcome.dtype
         ds = load_run_dataset(path)
         inter = ds.interleaved

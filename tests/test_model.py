@@ -214,6 +214,9 @@ class TestPairStream:
         assert np.array_equal(stream.t, sample_pair_stream(5, 4).t)  # same draws
         with pytest.raises(ValueError, match="start index"):
             sample_pair_stream(5, 4, start=0)
+        assert sample_pair_stream(5, 4, start=2**63 - 4).n[-1] == 2**63 - 1
+        with pytest.raises(ValueError, match=r"last pair index 9223372036854775808 is past 2\*\*63 - 1"):
+            sample_pair_stream(5, 4, start=2**63 - 3)
 
     def test_deterministic_given_seed(self):
         a, b = sample_pair_stream(77, 1000), sample_pair_stream(77, 1000)

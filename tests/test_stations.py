@@ -1,6 +1,7 @@
 """Distributed harness: framing, schemas, live runs, collation, faults."""
 
 import contextlib
+import dataclasses
 import json
 import math
 import re
@@ -17,11 +18,13 @@ from hypothesis import strategies as hst
 from helpers import EDGE_INTS, run_live
 
 from eqrc.experiments import CANONICAL_LEFT, ExperimentSpec, run_experiment
-from eqrc.formats import _RENDER_ROWS, dataset_record_lines
-from eqrc.model import (GaugeKey, MODE_CONSTANT, MODE_RADEMACHER, MODE_RADEMACHER_RARB, PairStream, Setting,
-                        measure_pairs)
+from eqrc.formats import (_RENDER_ROWS, LOG_SCHEMA_VERSION, ReportBatch, SourceLog, StationLog, StationReport,
+                          dataset_record_lines, load_emission_log, load_report_log, write_emission_log,
+                          write_report_log)
+from eqrc.model import (BLOCK_PAIRS, GaugeKey, MODE_CONSTANT, MODE_RADEMACHER, MODE_RADEMACHER_RARB, PairStream,
+                        Setting, measure_pairs)
 from eqrc.stats import estimate_expectation
-from eqrc import stations as st
+from eqrc import formats, stations as st
 
 RAD3 = GaugeKey(mode=MODE_RADEMACHER, j=3)
 B60 = Setting(0.5, math.sqrt(3) / 2)
@@ -456,15 +459,16 @@ class TestBatches:
         # A column's size depends only on its length: a full batch has one
         # frame size whatever its values, and the report's setting and clock
         # below are the longest a report can carry.
-        top, size = 2**63 - 1, st.BATCH_PAIRS
+        top, size = 2**63 - 1, BLOCK_PAIRS
         n = list(range(top - size + 1, top + 1))
         emit = _emit_batch(n, [2.2250738585072014e-308] * size, [0.9999999999999999] * size)
         header, columns, _, _ = st._report_batch(emit, top - size, "R",
                                                  Setting(-0.7071067811865476, -0.7071067811865475), RAD3)
         report = dict(header, clock_ns=top, **columns)
-        # 32,768 bytes per 8-byte column and 4,096 for outcome, behind the two 4-byte lengths and the JSON
-        # header (80 bytes for an emit_batch, 167 for this report_batch).
-        expected = {"emit_batch": 8 + 80 + 98_304, "report_batch": 8 + 167 + 36_864}
+        # A full batch is one BLOCK_PAIRS block of 8,192 pairs: 65,536 bytes per 8-byte column and 8,192 for
+        # outcome, behind the two 4-byte lengths and the JSON header (80 bytes for an emit_batch, 167 for this
+        # report_batch).
+        expected = {"emit_batch": 8 + 80 + 196_608, "report_batch": 8 + 167 + 73_728}
         for frame, schemas in ((emit, st.STATION_RECEIVABLE_SCHEMAS), (report, st.COLLATOR_RECEIVABLE_SCHEMAS)):
             raw = _wire(frame)
             assert len(raw) == expected[frame["type"]] < st.MAX_FRAME_BYTES
@@ -555,10 +559,10 @@ class TestKeyFiles:
 
 def _report_log(tmp_path, count=4, side="L", setting=CANONICAL_LEFT):
     rows = np.arange(count)
-    log = st.StationLog(station=side, setting=setting, key_digest=RAD3.digest_hex(), reports=st.ReportBatch(
+    log = StationLog(station=side, setting=setting, key_digest=RAD3.digest_hex(), reports=ReportBatch(
         side, setting, n=rows + 1, outcome=(1 - 2 * (rows % 2)).astype(np.int8), clock_ns=10 * rows))
     path = tmp_path / f"{side}.jsonl"
-    st.write_report_log(log, path)
+    write_report_log(log, path)
     return log, path
 
 
@@ -587,7 +591,7 @@ def _at_edge_clocks(test):
 def _reference_report_lines(reports) -> list[str]:
     """The pre-codec writer: one sorted-key dump per report row."""
     return [json.dumps(dict(r._asdict(), setting=[r.setting.b2, r.setting.b3], type="report",
-                            v=st.LOG_SCHEMA_VERSION), sort_keys=True, separators=(",", ":"))
+                            v=LOG_SCHEMA_VERSION), sort_keys=True, separators=(",", ":"))
             for r in reports]
 
 
@@ -597,26 +601,26 @@ class TestReportLogs:
     @_at_edge_clocks
     def test_template_lines_equal_dumping_each_report(self, tmp_path_factory, station, setting, fields):
         path = tmp_path_factory.mktemp("log") / "log.jsonl"
-        reports = [st.StationReport(n, station, setting, outcome, clock_ns) for n, outcome, clock_ns in fields]
-        log = st.StationLog(station=station, setting=setting, key_digest="ab", reports=reports)
-        st.write_report_log(log, path)
+        reports = [StationReport(n, station, setting, outcome, clock_ns) for n, outcome, clock_ns in fields]
+        log = StationLog(station=station, setting=setting, key_digest="ab", reports=reports)
+        write_report_log(log, path)
         assert path.read_text(encoding="utf-8").splitlines()[1:] == _reference_report_lines(reports)
 
     def test_log_of_several_render_blocks_equals_dumping_and_loads_back(self, tmp_path):
         count, rng = 2 * _RENDER_ROWS + 5, np.random.default_rng(13)
-        batch = st.ReportBatch("L", B60, n=np.cumsum(rng.integers(1, 4, count)),
-                               outcome=rng.choice(np.array([-1, 1], np.int8), count),
-                               clock_ns=rng.integers(-2**63, 2**63 - 1, count, endpoint=True))
+        batch = ReportBatch("L", B60, n=np.cumsum(rng.integers(1, 4, count)),
+                            outcome=rng.choice(np.array([-1, 1], np.int8), count),
+                            clock_ns=rng.integers(-2**63, 2**63 - 1, count, endpoint=True))
         path = tmp_path / "log.jsonl"
-        st.write_report_log(st.StationLog(station="L", setting=B60, key_digest="ab", reports=batch), path)
+        write_report_log(StationLog(station="L", setting=B60, key_digest="ab", reports=batch), path)
         assert path.read_text(encoding="utf-8").splitlines()[1:] == _reference_report_lines(batch)
-        back = st.load_report_log(path)
+        back = load_report_log(path)
         for name in ("n", "outcome", "clock_ns"):
             assert np.array_equal(getattr(back, name), getattr(batch, name)), name
 
     def test_round_trip_is_columnar(self, tmp_path):
         log, path = _report_log(tmp_path, count=6, side="R", setting=B60)
-        batch = st.load_report_log(path)
+        batch = load_report_log(path)
         assert batch.station == "R" and batch.setting == B60
         assert batch.n.tolist() == log.reports.n.tolist() and batch.n.dtype == np.int64
         assert batch.outcome.tolist() == log.reports.outcome.tolist() and batch.outcome.dtype == np.int8
@@ -632,44 +636,44 @@ class TestReportLogs:
         _, path = _report_log(tmp_path)
         _edit_line(path, 3, **fields)
         with pytest.raises(ValueError, match=r"line 3"):
-            st.load_report_log(path)
+            load_report_log(path)
 
     def test_another_station_session_is_refused(self, tmp_path):
         _, path = _report_log(tmp_path)
         _edit_line(path, 4, setting=[B60.b2, B60.b3])
         with pytest.raises(ValueError, match="line 4: a report batch must come from one station session"):
-            st.load_report_log(path)
+            load_report_log(path)
         _edit_line(path, 4, setting=[1.0, 0.0], station="R")
         with pytest.raises(ValueError, match="line 4: a report batch must come from one station session"):
-            st.load_report_log(path)
+            load_report_log(path)
 
     @pytest.mark.parametrize("fields", [{"station": "R"}, {"setting": [0.0, 1.0]}], ids=repr)
     def test_header_must_name_its_reports_session(self, tmp_path, fields):
         _, path = _report_log(tmp_path)
         _edit_line(path, 1, **fields)
         with pytest.raises(ValueError, match="line 2: a report batch must come from one station session"):
-            st.load_report_log(path)
+            load_report_log(path)
 
     @pytest.mark.parametrize("digest", [[1, 2], None, 7], ids=repr)
     def test_header_key_digest_must_be_a_string(self, tmp_path, digest):
         _, path = _report_log(tmp_path)
         _edit_line(path, 1, key_digest=digest)
         with pytest.raises(ValueError, match=rf"line 1: header key_digest {re.escape(repr(digest))} is not a string$"):
-            st.load_report_log(path)
+            load_report_log(path)
 
     def test_text_after_the_header_object_is_refused(self, tmp_path):
         _, path = _report_log(tmp_path)
         lines = path.read_text().splitlines(keepends=True)
         path.write_text(lines[0][:-1] + ' trailing garbage {"x":1}\n' + "".join(lines[1:]))
         with pytest.raises(ValueError, match=r"line 1: text after the object: ' trailing garbage"):
-            st.load_report_log(path)
+            load_report_log(path)
 
     @pytest.mark.parametrize("station", [1, True, None], ids=repr)
     def test_header_station_must_be_a_string(self, tmp_path, station):
         _, path = _report_log(tmp_path)
         _edit_line(path, 1, station=station)
         with pytest.raises(ValueError, match="line 1: header without valid slots: .* is not all strings"):
-            st.load_report_log(path)
+            load_report_log(path)
 
     @pytest.mark.parametrize("station", ["\x000", "\x002"], ids=repr)
     def test_station_that_dumps_as_a_column_mark_is_refused(self, tmp_path, station):
@@ -677,40 +681,41 @@ class TestReportLogs:
         # would add a column to the layout, so neither the writer nor the loader takes it.
         log, path = _report_log(tmp_path)
         with pytest.raises(ValueError, match="a template holds a column mark"):
-            st.write_report_log(st.StationLog(station, log.setting, "ab", log.reports), tmp_path / "mark.jsonl")
+            write_report_log(StationLog(station, log.setting, "ab", dataclasses.replace(log.reports, station=station)),
+                             tmp_path / "mark.jsonl")
         _edit_line(path, 1, station=station)
         with pytest.raises(ValueError, match="line 1: header without valid slots: .*holds a column mark"):
-            st.load_report_log(path)
+            load_report_log(path)
 
     @pytest.mark.parametrize("setting", [[1.0, 1e-15], [1.0 + 2**-52, 0.0], [1, 0], [1.0, 0], [1.0, -0.0]], ids=repr)
     def test_a_setting_not_as_the_writer_writes_it_is_another_session(self, tmp_path, setting):
         _, path = _report_log(tmp_path)  # the header's setting is [1.0, 0.0]
         _edit_line(path, 4, setting=setting)
         with pytest.raises(ValueError, match="line 4: a report batch must come from one station session"):
-            st.load_report_log(path)
+            load_report_log(path)
 
     @pytest.mark.parametrize("setting", [["1.0", "0.0"], [True, 0.0], [1.0, 0.0, 0.0]], ids=repr)
     def test_header_setting_must_be_two_numbers(self, tmp_path, setting):
         _, path = _report_log(tmp_path)
         _edit_line(path, 1, setting=setting)
         with pytest.raises(ValueError, match="line 1: header without valid slots"):
-            st.load_report_log(path)
+            load_report_log(path)
 
     def test_empty_log_is_refused(self, tmp_path):
         _, path = _report_log(tmp_path, count=0)
         with pytest.raises(ValueError, match="holds no reports"):
-            st.load_report_log(path)
+            load_report_log(path)
 
 
 class TestStationLogs:
     def test_rows_become_one_batch_that_iterates_as_the_same_rows(self):
-        rows = [st.StationReport(n, "R", B60, outcome, 10 * n) for n, outcome in ((2, 1), (5, -1), (9, -1))]
-        log = st.StationLog(station="R", setting=B60, key_digest="ab", reports=rows)
-        assert isinstance(log.reports, st.ReportBatch) and len(log.reports) == 3
+        rows = [StationReport(n, "R", B60, outcome, 10 * n) for n, outcome in ((2, 1), (5, -1), (9, -1))]
+        log = StationLog(station="R", setting=B60, key_digest="ab", reports=rows)
+        assert isinstance(log.reports, ReportBatch) and len(log.reports) == 3
         assert (log.reports.n.dtype, log.reports.outcome.dtype, log.reports.clock_ns.dtype) == (
             np.int64, np.int8, np.int64)
         assert list(log.reports) == rows
-        assert len(st.StationLog(station="L", setting=CANONICAL_LEFT, key_digest="ab").reports) == 0
+        assert len(StationLog(station="L", setting=CANONICAL_LEFT, key_digest="ab").reports) == 0
 
     @pytest.mark.parametrize("station,setting,match", [
         ("R", Setting(1.0, 0.0), r"given a report of station 'R' with Setting\(b2=1\.0, b3=0\.0\)$"),
@@ -718,9 +723,12 @@ class TestStationLogs:
     ], ids=["foreign-station", "negative-zero-setting"])
     def test_report_of_another_session_is_refused(self, station, setting, match):
         own = Setting(1.0, 0.0)
-        rows = [st.StationReport(1, "L", own, 1, 0), st.StationReport(2, station, setting, -1, 0)]
+        rows = [StationReport(1, "L", own, 1, 0), StationReport(2, station, setting, -1, 0)]
         with pytest.raises(ValueError, match=match):
-            st.StationLog(station="L", setting=own, key_digest="ab", reports=rows)
+            StationLog(station="L", setting=own, key_digest="ab", reports=rows)
+        batch = ReportBatch(station, setting, np.array([1]), np.array([1], np.int8), np.array([0]))
+        with pytest.raises(ValueError, match=match):  # a batch is one session's: its station and setting
+            StationLog(station="L", setting=own, key_digest="ab", reports=batch)
 
     def test_a_group_gives_batches_with_zero_clocks_that_a_log_writes(self, tmp_path):
         grp = _group(n=3)
@@ -728,8 +736,8 @@ class TestStationLogs:
             assert batch.clock_ns.tolist() == [0, 0, 0] and batch.clock_ns.dtype == np.int64
             assert batch.n.tolist() == grp.pair_index.tolist() and batch.outcome.tolist() == outcome.tolist()
             path = tmp_path / f"{batch.station}.jsonl"
-            st.write_report_log(st.StationLog(batch.station, batch.setting, "ab", batch), path)
-            assert list(st.load_report_log(path)) == list(batch)
+            write_report_log(StationLog(batch.station, batch.setting, "ab", batch), path)
+            assert list(load_report_log(path)) == list(batch)
 
 
 def _emission_log(tmp_path, count=3, session=1):
@@ -737,14 +745,14 @@ def _emission_log(tmp_path, count=3, session=1):
     events = PairStream(n=np.arange(first, first + count), lam=np.array([0.5, 0.25, 0.0])[:count],
                         t=np.array([0.125, 0.75, 0.5])[:count])
     path = tmp_path / "emissions.jsonl"
-    st.write_emission_log(st.SourceLog(seed=9, session_index=session, count=count, emissions=events), path)
+    write_emission_log(SourceLog(seed=9, session_index=session, count=count, emissions=events), path)
     return events, path
 
 
 class TestEmissionLogs:
     def test_round_trip_is_a_pair_stream(self, tmp_path):
         events, path = _emission_log(tmp_path)
-        log = st.load_emission_log(path)
+        log = load_emission_log(path)
         assert (log.seed, log.session_index, log.count, log.status) == (9, 1, 3, "complete")
         for name in ("n", "lam", "t"):
             assert np.array_equal(getattr(log.emissions, name), getattr(events, name))
@@ -752,7 +760,7 @@ class TestEmissionLogs:
     def test_missing_trailer_loads_as_partial(self, tmp_path):
         _, path = _emission_log(tmp_path)
         path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
-        log = st.load_emission_log(path)
+        log = load_emission_log(path)
         assert (log.status, log.detail, len(log.emissions)) == ("partial", "missing trailer", 3)
 
     @pytest.mark.parametrize("lineno,fields,match", [
@@ -777,7 +785,7 @@ class TestEmissionLogs:
         _, path = _emission_log(tmp_path)
         _edit_line(path, lineno, **fields)
         with pytest.raises(ValueError, match=match):
-            st.load_emission_log(path)
+            load_emission_log(path)
 
     @pytest.mark.parametrize("fields", [
         {"count": 2.7, "seed": "9"}, {"count": True}, {"count": -3}, {"seed": "9"}, {"seed": -1}, {"seed": None},
@@ -788,7 +796,15 @@ class TestEmissionLogs:
         _edit_line(path, 1, **fields)
         name = next(f for f in ("seed", "session", "count") if f in fields)  # the first field checked
         with pytest.raises(ValueError, match=f"line 1: header {name} .* is not an integer >= 0"):
-            st.load_emission_log(path)
+            load_emission_log(path)
+
+    @pytest.mark.parametrize("session,count", [(2**62, 5), (2**63 // 3, 3), (0, 2**63)], ids=repr)
+    def test_header_session_past_the_last_int64_pair_index_is_refused(self, tmp_path, session, count):
+        _, path = _emission_log(tmp_path)
+        _edit_line(path, 1, session=session, count=count)
+        with pytest.raises(ValueError, match=f"line 1: header session {session} of {count} pairs runs past pair "
+                                             r"index 2\*\*63 - 1$"):
+            load_emission_log(path)
 
     def test_header_fault_is_named_before_a_record_fault(self, tmp_path):
         _, path = _emission_log(tmp_path)
@@ -796,22 +812,22 @@ class TestEmissionLogs:
         lines = path.read_text().splitlines(keepends=True)
         path.write_text("".join(lines[:4]) + "not a record\n")
         with pytest.raises(ValueError, match=f"emission-log {path} line 1: header seed 1.7 is not an integer >= 0$"):
-            st.load_emission_log(path)
+            load_emission_log(path)
 
     def test_complete_trailer_must_close_the_whole_session(self, tmp_path):
         _, path = _emission_log(tmp_path, session=0)
         _edit_line(path, 1, count=4)
         with pytest.raises(ValueError, match="line 5: trailer .* of a session of 4"):
-            st.load_emission_log(path)
+            load_emission_log(path)
         _edit_line(path, 5, status="partial")  # three of four sent
-        assert len(st.load_emission_log(path).emissions) == 3
+        assert len(load_emission_log(path).emissions) == 3
 
     def test_text_after_the_header_object_is_refused(self, tmp_path):
         _, path = _emission_log(tmp_path)
         lines = path.read_text().splitlines(keepends=True)
         path.write_text(lines[0][:-1] + ' trailing garbage {"x":1}\n' + "".join(lines[1:]))
         with pytest.raises(ValueError, match=r"line 1: text after the object: ' trailing garbage"):
-            st.load_emission_log(path)
+            load_emission_log(path)
 
     @pytest.mark.parametrize("at", [2, 6])
     def test_line_that_is_not_utf8_is_refused(self, tmp_path, at):
@@ -820,14 +836,14 @@ class TestEmissionLogs:
         lines = path.read_bytes().splitlines(keepends=True)
         path.write_bytes(b"".join(lines[:at - 1] + [b'{"\xff":1}\n'] + lines[at - 1:]))
         with pytest.raises(ValueError, match=f"emission-log {path} line {at}: not UTF-8 text: .* 0xff"):
-            st.load_emission_log(path)
+            load_emission_log(path)
 
     def test_line_after_the_trailer_is_refused(self, tmp_path):
         _, path = _emission_log(tmp_path)
         lines = path.read_text().splitlines(keepends=True)
         path.write_text("".join(lines + lines[-2:-1]))
         with pytest.raises(ValueError, match="line 6: a line after the trailer"):
-            st.load_emission_log(path)
+            load_emission_log(path)
 
 
 # ---------------------------------------------------------------------------
@@ -858,7 +874,7 @@ class TestLiveRun:
         assert live_lines == local_lines
 
     def test_both_stations_received_identical_triples(self, live):
-        log = st.load_emission_log(live["emission_log_path"])
+        log = load_emission_log(live["emission_log_path"])
         assert log.emissions.n.tolist() == list(range(1, 801))
         assert log.status == "complete"
         # reports from both wings cover exactly the emitted pairs
@@ -877,14 +893,14 @@ class TestLiveRun:
     def test_replaying_the_emission_log_reproduces_the_outcomes(self, live):
         # One measure_pairs call over the whole logged stream: a match also
         # shows that measuring batch by batch changed no outcome.
-        log = st.load_emission_log(live["emission_log_path"])
+        log = load_emission_log(live["emission_log_path"])
         left, right = measure_pairs(B60, log.emissions, RAD3)
         assert left.tolist() == [r.outcome for r in live["L"].reports]
         assert right.tolist() == [r.outcome for r in live["R"].reports]
 
     def test_report_logs_load_as_batches(self, live):
         lp, rp = live["report_log_paths"]
-        lb, rb = st.load_report_log(lp), st.load_report_log(rp)
+        lb, rb = load_report_log(lp), load_report_log(rp)
         assert lb.station == "L" and rb.station == "R"
         assert len(lb) == len(rb) == 800
         res = st.collate(lb, rb, strategy="pair-id")
@@ -943,23 +959,25 @@ class TestNoPerReportObjects:
         def refuse(*args, **kwargs):
             raise AssertionError("a StationReport was built")
 
-        monkeypatch.setattr(st, "StationReport", refuse)
+        monkeypatch.setattr(formats, "StationReport", refuse)
 
     def _same_columns(self, batch, loaded):
         return all(np.array_equal(getattr(batch, c), getattr(loaded, c)) for c in ("n", "outcome", "clock_ns"))
 
     def test_live_session_logs_columns(self, tmp_path, monkeypatch):
-        ends, send = {}, st.send_frame
+        ends, frames, send = {}, {"L": 0, "R": 0}, st.send_frame
 
         def send_recording_ends(sock, obj, columns=None):
             if obj["type"] == "end" and "station" in obj:
                 ends[obj["station"]] = obj["count"]
+            if obj["type"] == "report_batch":
+                frames[obj["station"]] += 1
             send(sock, obj, columns)
 
         monkeypatch.setattr(st, "send_frame", send_recording_ends)
         key_path, paths = tmp_path / "key.json", (tmp_path / "L.jsonl", tmp_path / "R.jsonl")
         st.write_key_file(key_path, RAD3)
-        count = 2 * st.BATCH_PAIRS + 7
+        count = 2 * BLOCK_PAIRS + 7
         results = run_live(seed=3, count=count, key=RAD3, right_setting=B60, key_path=key_path, report_logs=paths)
         grp = results["collator"].dataset.groups[0]
         for side, outcome, path in (("L", grp.left, paths[0]), ("R", grp.right, paths[1])):
@@ -967,8 +985,9 @@ class TestNoPerReportObjects:
             assert np.array_equal(reports.n, results["source"].emissions.n)
             assert np.array_equal(reports.outcome, outcome) and reports.outcome.dtype == np.int8
             assert len(reports) == ends[side] == count
+            assert frames[side] == math.ceil(count / BLOCK_PAIRS)  # one report frame per block the source sends
             assert len(np.unique(reports.clock_ns)) <= 3  # one stamp per batch
-            assert self._same_columns(reports, st.load_report_log(path))
+            assert self._same_columns(reports, load_report_log(path))
 
     def test_session_with_a_rejected_batch_writes_a_loadable_log(self, tmp_path):
         key_path, log_path = tmp_path / "key.json", tmp_path / "R.jsonl"
@@ -1003,7 +1022,7 @@ class TestNoPerReportObjects:
             sink_sock.close()
         assert log.rejected == ["emit_batch rejected at position 0: non-increasing pair index 2 after 2"]
         assert log.reports.n.tolist() == [1, 2, 3, 4]
-        loaded = st.load_report_log(log_path)
+        loaded = load_report_log(log_path)
         assert (loaded.station, loaded.setting) == ("R", B60) and self._same_columns(log.reports, loaded)
 
 
@@ -1158,7 +1177,7 @@ class TestSourceEdgeCases:
             t.join(timeout=15)
         assert log.status == "complete" and len(log.emissions) == 0
         assert seen_l == [] and seen_r == []
-        assert len(st.load_emission_log(tmp_path / "log.jsonl").emissions) == 0
+        assert len(load_emission_log(tmp_path / "log.jsonl").emissions) == 0
 
     def test_silent_connection_does_not_abort_the_source(self):
         sock = st.make_server_socket()
@@ -1188,11 +1207,19 @@ class TestSourceEdgeCases:
             st.source_run(**dict(dict(seed=1, count=5, sock=sock, timeout=0.2), **args))
         assert sock.fileno() == -1  # refused, the source still closes its listening socket
 
+    @pytest.mark.parametrize("session_index,count", [(2**63 // 5, 5), (0, 2**63), (2**62, 2)], ids=repr)
+    def test_session_past_the_last_int64_pair_index_is_refused(self, session_index, count):
+        # Its indices would wrap in int64 or overflow the draw once both stations connect.
+        sock = st.make_server_socket()
+        with pytest.raises(ValueError, match=r"\(session_index \+ 1\) \* count at most 2\*\*63 - 1"):
+            st.source_run(seed=1, count=count, sock=sock, session_index=session_index, timeout=0.2)
+        assert sock.fileno() == -1
+
     def test_no_station_is_an_accept_timeout(self, tmp_path):
         path = tmp_path / "log.jsonl"
         with pytest.raises(TimeoutError):
             st.source_run(seed=1, count=5, sock=st.make_server_socket(), log_path=path, timeout=0.2)
-        log = st.load_emission_log(path)  # a log the source writes, its loader takes
+        log = load_emission_log(path)  # a log the source writes, its loader takes
         assert (log.status, len(log.emissions)) == ("partial", 0) and log.detail
 
     def test_station_disconnect_marks_the_log_partial(self):
@@ -1214,7 +1241,7 @@ class TestSourceEdgeCases:
             assert not t.is_alive()
         assert log.status == "partial"
         # Whole batches only, and none after the one L refused (it may be the first).
-        assert len(log.emissions) < 50_000 and len(log.emissions) % st.BATCH_PAIRS == 0
+        assert len(log.emissions) < 50_000 and len(log.emissions) % BLOCK_PAIRS == 0
         assert log.detail.startswith(f"station disconnected after {len(log.emissions)} emissions")
 
 
@@ -1284,14 +1311,14 @@ class TestCollate:
     def test_emission_log_accounts_for_fully_lost_pairs(self):
         grp = _group(n=50)
         lb, rb = st.station_batches(grp)
-        log = st.SourceLog(seed=0, session_index=0, count=51, emissions=_emissions(51))  # pair 51 lost
+        log = SourceLog(seed=0, session_index=0, count=51, emissions=_emissions(51))  # pair 51 lost
         res = st.collate(lb, rb, strategy="pair-id", emission_log=log)
         assert res.incomplete == (51,)
 
     def test_emission_log_rejects_never_emitted_reports(self):
         grp = _group(n=50)
         lb, rb = st.station_batches(grp)
-        log = st.SourceLog(seed=0, session_index=0, count=10, emissions=_emissions(10))
+        log = SourceLog(seed=0, session_index=0, count=10, emissions=_emissions(10))
         with pytest.raises(st.CollationError, match="never-emitted"):
             st.collate(lb, rb, strategy="pair-id", emission_log=log)
 
@@ -1299,7 +1326,7 @@ class TestCollate:
         # Pairs 1-2 emitted, 1-3 reported: pair-id refuses pair 3, and
         # sequence-order, which cannot see it, must not pair it silently.
         lb, rb = st.station_batches(_group(n=3))
-        log = st.SourceLog(seed=0, session_index=0, count=2, emissions=_emissions(2))
+        log = SourceLog(seed=0, session_index=0, count=2, emissions=_emissions(2))
         with pytest.raises(st.CollationError, match="never-emitted pair index 3"):
             st.collate(lb, rb, strategy="pair-id", emission_log=log)
         with pytest.raises(st.CollationError, match="sequence-order matching cannot account for an emission log"):
@@ -1308,9 +1335,9 @@ class TestCollate:
     def test_stray_report_from_one_station_is_an_error(self):
         grp = _group(n=50)
         lb, rb = st.station_batches(grp)
-        stray = st.ReportBatch(station="L", setting=lb.setting, n=np.append(lb.n, 99), outcome=np.append(lb.outcome, 1),
-                               clock_ns=np.append(lb.clock_ns, 0))
-        log = st.SourceLog(seed=0, session_index=0, count=50, emissions=_emissions(50))
+        stray = ReportBatch(station="L", setting=lb.setting, n=np.append(lb.n, 99), outcome=np.append(lb.outcome, 1),
+                            clock_ns=np.append(lb.clock_ns, 0))
+        log = SourceLog(seed=0, session_index=0, count=50, emissions=_emissions(50))
         with pytest.raises(st.CollationError, match="never-emitted pair index 99"):
             st.collate(stray, rb, strategy="pair-id", emission_log=log)
 
@@ -1325,12 +1352,12 @@ class TestCollate:
         def right_outcome(n):
             return np.where(n % 2 == 0, 1, -1).astype(np.int8)
 
-        lb, rb = (st.ReportBatch(station, CANONICAL_LEFT, n, outcome(n), 0 * n) for station, n, outcome in (
+        lb, rb = (ReportBatch(station, CANONICAL_LEFT, n, outcome(n), 0 * n) for station, n, outcome in (
             ("L", np.array(ln, dtype=np.int64), left_outcome), ("R", np.array(rn, dtype=np.int64), right_outcome)))
         log = None
         if emitted is not None:
             e = np.array(sorted(emitted), dtype=np.int64)
-            log = st.SourceLog(seed=0, session_index=0, count=len(e), emissions=PairStream(n=e, lam=e * 0.0, t=e * 0.0))
+            log = SourceLog(seed=0, session_index=0, count=len(e), emissions=PairStream(n=e, lam=e * 0.0, t=e * 0.0))
         lset, rset, error = set(ln), set(rn), None
         for station, ns in (("R", rn), ("L", ln)):  # L's is the error named, if both repeat
             if repeated := sorted(n for n in set(ns) if ns.count(n) > 1):
@@ -1383,7 +1410,7 @@ class TestInjectFault:
                                            ("reorder", [0, 1, 3, 2])])
     def test_clocks_move_with_their_reports(self, kind, rows):
         lb, _ = st.station_batches(_group(n=4))
-        lb = st.ReportBatch("L", lb.setting, lb.n, lb.outcome, 10 * lb.n)
+        lb = ReportBatch("L", lb.setting, lb.n, lb.outcome, 10 * lb.n)
         out = st.inject_fault(kind, 2, lb)
         assert out.n.tolist() == lb.n[rows].tolist() and out.clock_ns.tolist() == lb.clock_ns[rows].tolist()
 
