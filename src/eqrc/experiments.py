@@ -113,13 +113,18 @@ class RunGroup:
 class InterleavedRecords:
     """Emission-order records of a randomly switched run, tagged by active pair."""
 
-    group_ids: np.ndarray  # int64, index into the spec's setting pairs
+    group_ids: np.ndarray  # index into the spec's k setting pairs, of id_dtype(k): uint8 up to 256 pairs
     pair_index: np.ndarray
     left: np.ndarray
     right: np.ndarray
 
     def __len__(self) -> int:
         return len(self.group_ids)
+
+    @staticmethod
+    def id_dtype(k: int) -> np.dtype:
+        """The narrowest unsigned dtype that holds every id 0 .. k-1."""
+        return np.min_scalar_type(k - 1)
 
 
 @dataclass
@@ -186,37 +191,32 @@ def run_experiment(spec: ExperimentSpec) -> RunDataset:
     """Run every setting pair of the spec on its own disjoint event stream.
 
     Group i draws from sub-seed i of the master seed and owns pair
-    indices i*N+1 .. (i+1)*N. Random-switched mode additionally shuffles
-    a schedule over the exact per-pair quotas (every listed pair occurs
-    exactly N times) and reports records in emission order.
+    indices i*N+1 .. (i+1)*N. Random-switched mode shuffles a schedule
+    of group ids (of ``InterleavedRecords.id_dtype``) over the exact
+    per-pair quotas (every listed pair occurs exactly N times) and
+    scatters each group's stream and pair indices straight into the
+    emission-order columns as it is drawn, so no group is held.
     """
     canonical = tuple(rotate_to_canonical(p) for p in spec.setting_pairs)
-    n = spec.pairs_per_setting
+    n, k = spec.pairs_per_setting, len(canonical)
+    inter = None
+    if spec.switching == "random-switched":
+        schedule = np.repeat(np.arange(k, dtype=InterleavedRecords.id_dtype(k)), n)
+        np.random.Generator(np.random.PCG64(derive_subseed(spec.seed, _SCHEDULE_DERIVATION_INDEX))).shuffle(schedule)
+        inter = InterleavedRecords(schedule, np.empty(k * n, np.int64), np.empty(k * n, np.int8),
+                                   np.empty(k * n, np.int8))
     groups = []
     for i, (lft, rgt) in enumerate(canonical):
         left, (right,) = measure_stream(derive_subseed(spec.seed, i), n, spec.key, (rgt,))
         np.negative(right, out=right)  # the right wing reports -A(b)
         pair_index = np.arange(i * n + 1, (i + 1) * n + 1, dtype=np.int64)
-        groups.append(RunGroup(f"pair{i}", lft, rgt, pair_index, left, right))
-
-    if spec.switching == "fixed":
-        return RunDataset(canonical_pairs=canonical, groups=tuple(groups), spec=spec, meta=_meta())
-
-    k = len(canonical)
-    schedule = np.repeat(np.arange(k, dtype=np.int64), n)
-    rng = np.random.Generator(np.random.PCG64(derive_subseed(spec.seed, _SCHEDULE_DERIVATION_INDEX)))
-    rng.shuffle(schedule)
-    total = k * n
-    pair_index = np.empty(total, dtype=np.int64)
-    left = np.empty(total, dtype=np.int8)
-    right = np.empty(total, dtype=np.int8)
-    for i, grp in enumerate(groups):
-        slots = np.flatnonzero(schedule == i)
-        pair_index[slots] = grp.pair_index
-        left[slots] = grp.left
-        right[slots] = grp.right
-    inter = InterleavedRecords(group_ids=schedule, pair_index=pair_index, left=left, right=right)
-    return RunDataset(canonical_pairs=canonical, groups=(), interleaved=inter, spec=spec, meta=_meta())
+        if inter is None:
+            groups.append(RunGroup(f"pair{i}", lft, rgt, pair_index, left, right))
+            continue
+        slots = np.flatnonzero(inter.group_ids == i)
+        inter.pair_index[slots], inter.left[slots], inter.right[slots] = pair_index, left, right
+        del pair_index, slots  # not held while the next group is drawn and placed
+    return RunDataset(canonical_pairs=canonical, groups=tuple(groups), interleaved=inter, spec=spec, meta=_meta())
 
 
 def sort_wigner_sets(interleaved: RunDataset) -> RunDataset:
@@ -224,38 +224,28 @@ def sort_wigner_sets(interleaved: RunDataset) -> RunDataset:
 
     Each set is an ordinary separate experiment: outcomes depend only on
     (setting, event, key), so estimates on the sorted sets match a fixed
-    run over the same streams exactly.
+    run over the same streams exactly. A set keeps its records in pair
+    index order, ties in emission order: each group's pair indices are
+    gathered once and sorted only if they are not already ascending,
+    which a run's emission order always is.
     """
     inter = interleaved.interleaved
     if inter is None:
         raise ValueError("dataset carries no interleaved records to sort")
     if len(inter) == 0:
         raise ValueError("interleaved dataset is empty")
-    k = len(interleaved.canonical_pairs)
-    if np.any(inter.group_ids < 0) or np.any(inter.group_ids >= k):
+    if inter.group_ids.min() < 0 or inter.group_ids.max() >= len(interleaved.canonical_pairs):
         raise ValueError("interleaved records carry tags outside the spec's setting pairs")
     groups = []
     for i, (lft, rgt) in enumerate(interleaved.canonical_pairs):
         slots = np.flatnonzero(inter.group_ids == i)
-        order = slots[np.argsort(inter.pair_index[slots], kind="stable")]
-        groups.append(
-            RunGroup(
-                label=f"pair{i}",
-                left_setting=lft,
-                right_setting=rgt,
-                pair_index=inter.pair_index[order],
-                left=inter.left[order],
-                right=inter.right[order],
-            )
-        )
-    meta = dict(interleaved.meta)
-    meta["sorted_from_switched"] = True
-    return RunDataset(
-        canonical_pairs=interleaved.canonical_pairs,
-        groups=tuple(groups),
-        spec=interleaved.spec,
-        meta=meta,
-    )
+        pair_index = inter.pair_index[slots]
+        if np.any(pair_index[1:] < pair_index[:-1]):
+            order = np.argsort(pair_index, kind="stable")
+            slots, pair_index = slots[order], pair_index[order]
+        groups.append(RunGroup(f"pair{i}", lft, rgt, pair_index, inter.left[slots], inter.right[slots]))
+    return RunDataset(canonical_pairs=interleaved.canonical_pairs, groups=tuple(groups), spec=interleaved.spec,
+                      meta={**interleaved.meta, "sorted_from_switched": True})
 
 
 def run_bell_suite(seed: int, n: int, key: GaugeKey) -> InequalityReport:
@@ -285,17 +275,9 @@ def run_wigner_suite(seed: int, n: int, key: GaugeKey, mode: str = "per-space") 
     """
     a, b, c = BELL_SETTINGS
     if mode == "per-space":
-        spec = ExperimentSpec(
-            setting_pairs=((a, c), (a, b), (b, c)),
-            pairs_per_setting=n,
-            seed=seed,
-            key=key,
-        )
-        ds = run_experiment(spec)
-        tallies = []
-        for grp in ds.groups:
-            prods = grp.products()
-            tallies.append((int(np.sum(prods == 1)), len(grp)))
+        ds = run_experiment(ExperimentSpec(setting_pairs=((a, c), (a, b), (b, c)), pairs_per_setting=n, seed=seed,
+                                           key=key))
+        tallies = [(int(np.sum(grp.products() == 1)), len(grp)) for grp in ds.groups]
         return wigner_check(tallies, mode="simulated-per-space")
     if mode == "single-space":
         table = cyclic_concatenate(derive_subseed(seed, 0), n, key, (a, c, b))

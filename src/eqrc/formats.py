@@ -461,7 +461,7 @@ def load_run_dataset(path) -> RunDataset:
         check_header=header_spec)
     pairs = tuple((Setting(*l), Setting(*r)) for l, r in header["pairs"])
     labels = [f"pair{i}" for i in range(len(pairs))]
-    gids, sides = slot >> 1, slot & 1
+    gids, sides = (slot >> 1).astype(InterleavedRecords.id_dtype(len(pairs))), slot & 1
     ns, outcomes = ints.T
     # Sorted by (gid, n, station), a valid file is a run of (L, R) couples;
     # the first couple that is not starts a pair with a missing or extra record.
@@ -691,12 +691,24 @@ def _report_templates(header: dict) -> list[dict]:
 
 def write_report_log(log: StationLog, path) -> None:
     """Header line, then one line per report: its fields, ``type`` "report" and ``v``, the bytes of dumping
-    its object, rendered from the batch's int columns a block at a time."""
+    its object, rendered from the batch's int columns a block at a time.
+
+    A batch the loader would refuse (columns of unequal lengths, an ``n`` below 1 or an outcome other than
+    -1/+1) is a ValueError naming its first bad report, raised before ``path`` is opened.
+    """
+    r, bad = log.reports, []
+    if len(set(lengths := (len(r.n), len(r.outcome), len(r.clock_ns)))) > 1:
+        bad.append((min(lengths), "columns n, outcome and clock_ns of {}, {} and {} reports".format(*lengths)))
+    for (_, valid, what), col in ((_PAIR_INDEX, r.n), (_OUTCOME, r.outcome)):
+        if (wrong := np.flatnonzero(~valid(col))).size:
+            bad.append((int(wrong[0]), what.format(col[wrong[0]].item())))
+    if bad:
+        raise ValueError("station {} report at index {}: {}; no report log is written".format(log.station, *min(bad)))
     with Path(path).open("wb") as fh:
         header = {"v": LOG_SCHEMA_VERSION, "kind": "report-log", "station": log.station,
                   "setting": _setting_json(log.setting), "key_digest": log.key_digest}
         fh.write((_dumps(header) + "\n").encode())
-        codec, r = _LineCodec(_report_templates(header), ("n", "outcome", "clock_ns")), log.reports
+        codec = _LineCodec(_report_templates(header), ("n", "outcome", "clock_ns"))
         for cut in (slice(at, at + _RENDER_ROWS) for at in range(0, len(r), _RENDER_ROWS)):
             fh.write(codec.render(np.zeros(len(r.n[cut]), np.int64), (r.n[cut], r.outcome[cut], r.clock_ns[cut])))
 

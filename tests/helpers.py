@@ -1,7 +1,7 @@
 """Shared test machinery: a live four-process experiment on loopback threads, int64 edge values, a dataset's
 full text, and
-per-event oracles of the outcome rule written apart from the vectorized kernel, and full-length oracles of the
-blocked experiment runs."""
+per-event oracles of the outcome rule written apart from the vectorized kernel, full-length oracles of the
+blocked experiment runs, and oracles of the switched run and its sort-back on int64 ids."""
 
 import math
 import struct
@@ -62,6 +62,30 @@ def run_experiment_oracle(spec):
     for i, pair in enumerate(spec.setting_pairs):
         events = sample_pair_stream(derive_subseed(spec.seed, i), n, start=i * n + 1)
         out.append((events.n, *measure_pairs(rotate_to_canonical(pair)[1], events, spec.key)))
+    return out
+
+
+def switched_run_oracle(spec):
+    """(group_ids, pair_index, left, right) of a switched run in emission order, the ids int64: the fixed run's
+    groups placed at their slots of a schedule that the schedule's generator (sub-seed -1) shuffles as int64."""
+    n, k = spec.pairs_per_setting, len(spec.setting_pairs)
+    schedule = np.repeat(np.arange(k, dtype=np.int64), n)
+    np.random.Generator(np.random.PCG64(derive_subseed(spec.seed, -1))).shuffle(schedule)
+    columns = [np.empty(k * n, np.int64), np.empty(k * n, np.int8), np.empty(k * n, np.int8)]
+    for i, group in enumerate(run_experiment_oracle(spec)):
+        for col, part in zip(columns, group):
+            col[schedule == i] = part
+    return (schedule, *columns)
+
+
+def sort_oracle(inter, k):
+    """(pair_index, left, right) of each of k groups of interleaved records: the slots of its records,
+    stably argsorted by their pair indices."""
+    out = []
+    for i in range(k):
+        slots = np.flatnonzero(inter.group_ids == i)
+        slots = slots[np.argsort(inter.pair_index[slots], kind="stable")]
+        out.append((inter.pair_index[slots], inter.left[slots], inter.right[slots]))
     return out
 
 

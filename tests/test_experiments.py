@@ -13,6 +13,7 @@ from eqrc.experiments import (
     BELL_SETTINGS,
     CANONICAL_LEFT,
     ExperimentSpec,
+    InterleavedRecords,
     RunDataset,
     RunGroup,
     rotate_to_canonical,
@@ -26,7 +27,7 @@ from eqrc.experiments import (
 from eqrc.inequalities import analytic_expectation, cyclic_concatenate
 from eqrc.model import BLOCK_PAIRS, GaugeKey, MODE_CONSTANT, MODE_RADEMACHER, MODE_RADEMACHER_RARB, Setting
 from eqrc.stats import TRIPLE_KINDS, build_triple_table
-from helpers import run_experiment_oracle, sweep_oracle
+from helpers import run_experiment_oracle, sort_oracle, sweep_oracle, switched_run_oracle
 
 ONE = GaugeKey(mode=MODE_CONSTANT)
 RAD3 = GaugeKey(mode=MODE_RADEMACHER, j=3)
@@ -207,6 +208,44 @@ class TestSwitching:
         ds.interleaved.group_ids[0] = 7
         with pytest.raises(ValueError, match="tags"):
             sort_wigner_sets(ds)
+        with pytest.raises(ValueError, match="tags"):  # a wide id column may hold a negative tag
+            sort_wigner_sets(_interleaved([0, -1, 1], [1, 2, 3]))
+
+    @pytest.mark.parametrize("k", [1, 3, 4, 7, 257])
+    def test_switched_run_is_the_fixed_run_placed_by_an_int64_schedule(self, k):
+        # Ids of the narrowest unsigned dtype: the generator shuffles them as it would int64 ids.
+        pairs = tuple((Setting.from_angle(0.1 * j), Setting.from_angle(0.7 * j + 0.3)) for j in range(k))
+        spec = ExperimentSpec(setting_pairs=pairs, pairs_per_setting=5 if k > 7 else 300, seed=17, key=RARB,
+                              switching="random-switched")
+        inter = run_experiment(spec).interleaved
+        assert inter.group_ids.dtype == (np.uint8 if k <= 256 else np.uint16)
+        for got, want in zip((inter.group_ids, inter.pair_index, inter.left, inter.right), switched_run_oracle(spec),
+                             strict=True):
+            assert np.array_equal(got, want)
+        assert (inter.pair_index.dtype, inter.left.dtype, inter.right.dtype) == (np.int64, np.int8, np.int8)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+    @pytest.mark.parametrize("gids,pair_index", [
+        ([0, 1, 0, 1, 0], [5, 10, 3, 11, 1]),  # group 0 descending
+        ([1, 0, 1, 0, 1, 0], [2, 9, 1, 7, 3, 8]),  # group 1 below group 0, both out of order
+        ([1, 1, 1, 0, 0], [1, 2, 3, 7, 8]),  # groups in runs, the later group first
+    ], ids=["descending", "out-of-order", "group-runs"])
+    def test_sort_falls_back_to_the_stable_argsort(self, dtype, gids, pair_index):
+        ds = _interleaved(gids, pair_index, dtype)
+        for grp, want in zip(sort_wigner_sets(ds).groups, sort_oracle(ds.interleaved, 2), strict=True):
+            assert all(np.array_equal(got, part) for got, part in zip((grp.pair_index, grp.left, grp.right), want))
+
+    @pytest.mark.parametrize("pair_index", [[3, 2, 3, 1], [1, 2, 3, 3]], ids=["out-of-order", "ascending"])
+    def test_a_pair_index_repeated_within_one_group_is_refused_after_the_sort(self, pair_index):
+        with pytest.raises(ValueError, match="pair-index ranges of separate groups must be disjoint"):
+            sort_wigner_sets(_interleaved([0, 1, 0, 0], pair_index))
+
+
+def _interleaved(gids, pair_index, dtype=np.int64):
+    """A two-pair switched dataset of these records, built directly; outcomes alternate by record."""
+    outcomes = np.resize(np.array([1, -1, -1], np.int8), len(gids))
+    inter = InterleavedRecords(np.array(gids, dtype), np.array(pair_index, np.int64), outcomes, -outcomes)
+    return RunDataset(canonical_pairs=BELL_PAIRS[:2], groups=(), interleaved=inter)
 
 
 class TestBellSuite:
@@ -327,6 +366,14 @@ class TestBlockedRuns:
         n = 200_000
         spec = ExperimentSpec(setting_pairs=BELL_PAIRS, pairs_per_setting=n, seed=3, key=RARB)
         assert self._peak_bytes(run_experiment, spec) < 12 * 3 * n
+
+    def test_switched_run_sorted_back_peaks_under_twenty_eight_bytes_per_record(self):
+        # The records (11 B: a uint8 id, an int64 pair index, two int8 outcomes), the sorted copies (10 B) and
+        # the slots of a group or two read about 24 B; int64 ids alone would add 7 B.
+        n = 200_000
+        spec = ExperimentSpec(setting_pairs=BELL_PAIRS, pairs_per_setting=n, seed=3, key=RARB,
+                              switching="random-switched")
+        assert self._peak_bytes(lambda: sort_wigner_sets(run_experiment(spec))) < 28 * 3 * n
 
     def test_triple_tables_peak_stays_under_twelve_bytes_per_pair(self):
         def tables(n):  # what `eqrc triples` runs: one single-space table, then both tallies of it

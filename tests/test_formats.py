@@ -73,6 +73,17 @@ class TestDatasetJsonl:
             assert np.array_equal(g1.left, g2.left)
             assert np.array_equal(g1.right, g2.right)
 
+    @pytest.mark.parametrize("k", [3, 257])
+    def test_switched_ids_load_back_in_the_runs_dtype(self, tmp_path, k):
+        pairs = tuple((Setting.from_angle(0.1 * j), Setting.from_angle(0.7 * j + 0.3)) for j in range(k))
+        ds = run_experiment(ExperimentSpec(setting_pairs=pairs, pairs_per_setting=3, seed=9, key=RAD2,
+                                           switching="random-switched"))
+        write_run_dataset(ds, tmp_path / "switched.jsonl")
+        back = load_run_dataset(tmp_path / "switched.jsonl").interleaved
+        assert ds.interleaved.group_ids.dtype == back.group_ids.dtype == (np.uint8 if k <= 256 else np.uint16)
+        for name in ("group_ids", "pair_index", "left", "right"):
+            assert np.array_equal(getattr(back, name), getattr(ds.interleaved, name))
+
     def test_payload_is_reproducible_and_header_isolated(self):
         t1 = dataset_text(run_experiment(_spec()))
         t2 = dataset_text(run_experiment(_spec()))

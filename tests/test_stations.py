@@ -701,6 +701,22 @@ class TestReportLogs:
         with pytest.raises(ValueError, match="line 1: header without valid slots"):
             load_report_log(path)
 
+    @pytest.mark.parametrize("columns,match", [
+        ({"outcome": [1, -1, 7, 1]}, r"report at index 2: outcome 7 is not -1 or \+1"),
+        ({"n": [1, 2, 3, 0]}, r"report at index 3: pair index 0 is not an integer >= 1"),
+        ({"outcome": [1, -1, 1]}, r"report at index 3: columns n, outcome and clock_ns of 4, 3 and 4 reports"),
+        ({"n": [1, 0, 3, 4], "clock_ns": [0, 0]}, r"report at index 1: pair index 0"),  # the first of two faults
+    ], ids=["outcome", "n-below-one", "unequal-lengths", "first-fault"])
+    def test_batch_the_loader_would_refuse_is_not_written(self, tmp_path, columns, match):
+        cols = {"n": [1, 2, 3, 4], "outcome": [1, -1, 1, 1], "clock_ns": [0, 10, 20, 30], **columns}
+        batch = ReportBatch("L", B60, np.array(cols["n"], np.int64), np.array(cols["outcome"], np.int8),
+                            np.array(cols["clock_ns"], np.int64))
+        path = tmp_path / "log.jsonl"
+        path.write_text("an earlier file\n")
+        with pytest.raises(ValueError, match=rf"^station L {match}.*; no report log is written$"):
+            write_report_log(StationLog("L", B60, "ab", batch), path)
+        assert path.read_text() == "an earlier file\n"
+
     def test_empty_log_is_refused(self, tmp_path):
         _, path = _report_log(tmp_path, count=0)
         with pytest.raises(ValueError, match="holds no reports"):
