@@ -102,6 +102,11 @@ class RunGroup:
     left: np.ndarray  # int8 outcomes
     right: np.ndarray  # int8 outcomes
 
+    def __post_init__(self) -> None:
+        if not len(self.pair_index) == len(self.left) == len(self.right):
+            raise ValueError(f"group {self.label} columns pair_index, left and right are of lengths "
+                             f"{len(self.pair_index)}, {len(self.left)} and {len(self.right)}")
+
     def __len__(self) -> int:
         return len(self.pair_index)
 

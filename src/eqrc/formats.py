@@ -36,10 +36,14 @@ import numpy as np
 
 from .experiments import ExperimentSpec, InterleavedRecords, RunDataset, RunGroup, SweepPoint
 from .inequalities import InequalityReport
-from .model import GaugeKey, PairStream, Setting, _dumps, _setting_check, _setting_json, _unit_interval
+from .model import GaugeKey, PairStream, Setting, _dumps, _setting_check, _setting_json
 from .stats import TripleTable
 
 __all__ = [
+    "DATASET_COLUMNS",
+    "REPORT_COLUMNS",
+    "EMISSION_COLUMNS",
+    "column_fault",
     "dataset_record_lines",
     "run_dataset_blocks",
     "write_run_dataset",
@@ -64,15 +68,40 @@ SCHEMA_VERSION = 1
 LOG_SCHEMA_VERSION = 1
 
 
+# ---------------------------------------------------------------------------
+# Record column rules, stated once for the wire checks, the writers and the loaders. A column: (name, dtype on the
+# wire, validity of a column or None, refusal formatted with the bad value). The rules across rows stay with their
+# record: ``n`` rising on the wire, contiguous in an emission log, unique in a dataset.
+_PAIR_INDEX = ("n", "<i8", lambda n: n >= 1, "pair index {!r} is not an integer >= 1")
+_OUTCOME = ("outcome", "i1", lambda o: (o == 1) | (o == -1), "outcome {!r} is not -1 or +1")
+#: A dataset record: one wing's outcome of a pair.
+DATASET_COLUMNS = (_PAIR_INDEX, _OUTCOME)
+
+
+def column_fault(columns: tuple, cols: Sequence[np.ndarray], *more) -> tuple[int, str] | None:
+    """The first row of ``cols``, an array per column of ``columns``, that breaks a rule, and the refusal; None if
+    none does. Columns of unequal lengths break theirs at the shortest's end. ``more`` are the faults (row,
+    refusal) or None of rules across rows; at one row the columns' rules come first, in order."""
+    faults, rows = [], min(lengths := [len(col) for col in cols])
+    if len(set(lengths)) > 1:
+        faults.append((rows, f"columns {[name for name, *_ in columns]} of lengths {lengths}"))
+    for (_, _, valid, what), col in zip(columns, cols):
+        if valid is not None and not (ok := valid(col[:rows])).all():
+            faults.append((at := int(np.argmin(ok)), what.format(col[at].item())))
+    return min(filter(None, (*faults, *more)), key=itemgetter(0), default=None)
+
+
+def _unwritable(kind: str, where: str, problem: str) -> NoReturn:
+    raise ValueError(f"{where}: {problem}; no {kind} is written")
+
+
 def _dataset_header(ds: RunDataset) -> dict:
     spec = ds.spec
     return {
         "v": SCHEMA_VERSION,
         "kind": DATASET_KIND,
         "pairs": [[_setting_json(l), _setting_json(r)] for l, r in ds.canonical_pairs],
-        "spec_pairs": (
-            [[_setting_json(l), _setting_json(r)] for l, r in spec.setting_pairs] if spec else None
-        ),
+        "spec_pairs": [[_setting_json(l), _setting_json(r)] for l, r in spec.setting_pairs] if spec else None,
         "switching": spec.switching if spec else None,
         "pairs_per_setting": spec.pairs_per_setting if spec else None,
         "seed": spec.seed if spec else None,
@@ -253,7 +282,7 @@ def run_dataset_blocks(ds: RunDataset) -> Iterator[bytes]:
         runs = [(np.broadcast_to(gid, len(g)), g.pair_index, g.left, g.right) for gid, g in enumerate(ds.groups)]
     if not groups:  # no setting pair, so no record: the header line alone
         return
-    codec = _LineCodec(_dataset_templates(groups), ("n", "outcome"))
+    codec = _LineCodec(_dataset_templates(groups), [name for name, *_ in DATASET_COLUMNS])
     for gids, n, left, right in runs:
         for cut in (slice(at, at + _RENDER_ROWS // 2) for at in range(0, len(n), _RENDER_ROWS // 2)):
             slot = 2 * np.asarray(gids[cut], np.int64)[:, None] + [0, 1]
@@ -267,9 +296,34 @@ def dataset_record_lines(ds: RunDataset) -> Iterable[str]:
 
 
 def write_run_dataset(ds: RunDataset, path) -> None:
-    """Stream the dataset file to ``path`` block by block."""
+    """Stream the dataset file to ``path`` block by block.
+
+    What the loader would refuse is a ValueError naming the first bad pair, raised before ``path`` is opened: a
+    value ``DATASET_COLUMNS`` refuses, fixed groups other than pair0, pair1, ... with the settings of the setting
+    pairs in turn, and switched records with a group id not below the number of setting pairs or a repeated index.
+    """
+    pair = (_PAIR_INDEX, _OUTCOME, _OUTCOME)  # a pair's index and its L and R outcomes, as columns
+    k, inter = len(ds.canonical_pairs), ds.interleaved
+    if inter is None:
+        if ([_dumps([g.label, _setting_json(g.left_setting), _setting_json(g.right_setting)]) for g in ds.groups]
+                != [_dumps([f"pair{i}", *map(_setting_json, lr)]) for i, lr in enumerate(ds.canonical_pairs)]):
+            _unwritable("dataset", f"groups {[g.label for g in ds.groups]}",
+                        f"not pair0, pair1, ... with the settings of the {k} setting pairs in turn")
+        faults = [(f"group {g.label} pair", column_fault(pair, (g.pair_index, g.left, g.right))) for g in ds.groups]
+    else:
+        n, order, again = inter.pair_index, np.argsort(inter.pair_index, kind="stable"), None
+        if (later := order[1:][n[order[1:]] == n[order[:-1]]]).size:  # the records after the first of an index
+            again = (at := int(later.min()), f"pair index {n[at]} repeats an earlier record's")
+        gid = ("group", "<i8", lambda i: (i >= 0) & (i < k), "group id {!r} is not below the number of setting pairs")
+        faults = [("pair", column_fault((*pair, gid), (n, inter.left, inter.right, inter.group_ids), again))]
+    for where, fault in faults:
+        if fault:
+            _unwritable("dataset", f"{where} at index {fault[0]}", fault[1])
+    blocks = run_dataset_blocks(ds)
+    head = next(blocks)  # the header, rendered before the file is opened
     with Path(path).open("wb") as fh:
-        fh.writelines(run_dataset_blocks(ds))
+        fh.write(head)
+        fh.writelines(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -279,51 +333,45 @@ _decode = json.JSONDecoder().raw_decode
 _CHUNK_BYTES = 1 << 20  # about how much text of data lines a chunk parser takes at once
 
 
-# Numeric fields as the reader takes them: (name, validity of a column, refusal).
-_PAIR_INDEX = ("n", lambda n: n >= 1, "pair index {!r} is not an integer >= 1")
-_OUTCOME = ("outcome", lambda o: (o == 1) | (o == -1), "outcome {!r} is not -1 or +1")
-
-
 def _refuse(kind: str, path, row: int, problem: str) -> NoReturn:
     raise ValueError(f"{kind} {path} line {row + 2}: {problem}")
 
 
-def _header_ints(kind: str, path, header: dict, least: dict) -> dict:
-    """The header, unless a field of ``least`` (name -> least value) is not an integer >= that value."""
+def _header_fault(header: dict, least: dict) -> str | None:
+    """The refusal of the first field of ``least`` (name -> least value) that is not an integer >= that value."""
     for name, low in least.items():
         if type(header.get(name)) is not int or header[name] < low:
-            _refuse(kind, path, -1, f"header {name} {header.get(name)!r} is not an integer >= {low}")
-    return header
+            return f"header {name} {header.get(name)!r} is not an integer >= {low}"
+    return None
 
 
-def _read_records(path, kind: str, version: int, templates_of, ints: tuple, floats: tuple = (), foreign: str = "",
+def _read_records(path, kind: str, version: int, templates_of, columns: tuple, foreign: str = "",
                   trailer: frozenset = frozenset(), check_header=lambda header: header):
     """Read a header line and record lines into typed columns, refusing what the writer never writes.
 
     ``templates_of(header)`` gives each slot's template: the literal
     fields of its records, ``v`` among them, and strings but for
-    ``setting`` and ``v`` that tell the slots apart. ``ints`` and
-    ``floats`` hold (name, validity of a column or None, refusal
-    formatted with the bad value): one int at least, and no float or two
-    at least. A line is UTF-8 text: one JSON object and its newline. A
+    ``setting`` and ``v`` that tell the slots apart. ``columns`` are the
+    record's column rules, int columns first: one at least, and no float
+    column or two at least. A line is UTF-8 text: one JSON object and its newline. A
     record has the keys of the templates and the columns, its ``v`` is
     ``version`` and its literal fields are a slot's as written (``v`` an
     int, and ``_setting_check``: the same floats, no int, and the sign of
     a zero kept); ``foreign`` is the refusal of other literal fields. Its
-    numbers go into int64 and float64 columns, range-checked as columns.
+    numbers go into int64 and float64 columns, checked by ``column_fault``.
     Nothing may follow a line with the ``trailer`` keys.
     ``check_header(header)`` runs before any data line is read.
-    Returns (what ``check_header`` gives, slot number of each record, int
-    columns, float columns, trailer or None); raises ValueError naming
-    the first bad line.
+    Returns (what ``check_header`` gives, slot number of each record, the
+    columns in the order of ``columns``, trailer or None); raises
+    ValueError naming the first bad line.
 
     Without floats, the templates also give the writer's ``_LineCodec``:
     a chunk of whole lines that it parses is taken from its columns.
     """
-    names = [field[0] for field in (*ints, *floats)]
+    names, ints = [name for name, *_ in columns], sum(np.dtype(dtype).kind == "i" for _, dtype, *_ in columns)
     int_col, float_col, slot_col = array("q"), array("d"), array("q")
-    get_ints, get_floats = itemgetter(*names[:len(ints)]), itemgetter(*names[len(ints):]) if floats else None
-    add_ints = int_col.extend if len(ints) > 1 else int_col.append  # one name: a getter gives the value alone
+    get_ints, get_floats = itemgetter(*names[:ints]), itemgetter(*names[ints:]) if ints < len(names) else None
+    add_ints = int_col.extend if ints > 1 else int_col.append  # one name: a getter gives the value alone
     last = problem = None
     with Path(path).open("rb") as fh:  # lines end in \n alone, as a writer ends them
         try:
@@ -338,7 +386,7 @@ def _read_records(path, kind: str, version: int, templates_of, ints: tuple, floa
             templates = templates_of(header)
             if odd := [t for t in templates if any(type(t[k]) is not str for k in t.keys() - {"setting", "v"})]:
                 raise TypeError(f"slot {odd[0]!r} is not all strings")
-            codec = _LineCodec(templates, names) if templates and not floats else None
+            codec = _LineCodec(templates, names) if templates and not get_floats else None
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{kind} {path} line 1: header without valid slots: {exc!r}") from None
         literal = sorted({"v"}.union(*templates))
@@ -382,7 +430,7 @@ def _read_records(path, kind: str, version: int, templates_of, ints: tuple, floa
                     if (line[end:] in ("\n", "") and rec.keys() == keys
                             and not (("true" in line or "false" in line) and bool in map(type, map(rec.get, names)))):
                         add_ints(get_ints(rec))
-                        if floats:
+                        if get_floats:
                             float_col.extend(get_floats(rec))
                         slot_col.append(slot_of(rec))  # None, of no slot, is a TypeError
                         continue
@@ -401,7 +449,7 @@ def _read_records(path, kind: str, version: int, templates_of, ints: tuple, floa
                 elif slot_of(rec) is None:
                     problem = f"{foreign}: {({name: rec[name] for name in literal})}"
                 else:  # a column that does not take its value
-                    for (name, _, what), code in zip((*ints, *floats), "q" * len(ints) + "d" * len(floats)):
+                    for (name, _, _, what), code in zip(columns, "q" * ints + "d" * len(names)):
                         try:  # None stands in for a boolean, which a column would take as 1 or 0
                             array(code, [None if type(rec[name]) is bool else rec[name]])
                         except (TypeError, OverflowError):
@@ -410,17 +458,15 @@ def _read_records(path, kind: str, version: int, templates_of, ints: tuple, floa
                 break
         except UnicodeDecodeError as exc:
             problem = f"not UTF-8 text: {exc}"
-    rows = len(slot_col)
-    cols = (np.frombuffer(int_col, np.int64, rows * len(ints)).reshape(rows, len(ints)),
-            np.frombuffer(float_col, np.float64, rows * len(floats)).reshape(rows, len(floats)))
+    rows, floats = len(slot_col), len(names) - ints
+    cols = [*np.frombuffer(int_col, np.int64, rows * ints).reshape(rows, ints).T,
+            *np.frombuffer(float_col, np.float64, rows * floats).reshape(rows, floats).T]
     bad = [(rows + (last is not None), problem)] if problem else []
-    for fields, col in zip((ints, floats), cols):
-        for j, (_, ok, what) in enumerate(fields):
-            if ok is not None and (wrong := np.flatnonzero(~ok(col[:, j]))).size:
-                bad.append((int(wrong[0]), what.format(col[wrong[0], j].item())))
+    if fault := column_fault(columns, cols):
+        bad.append(fault)
     if bad:
         _refuse(kind, path, *min(bad))
-    return checked, np.frombuffer(slot_col, dtype=np.int64), *cols, last
+    return checked, np.frombuffer(slot_col, dtype=np.int64), cols, last
 
 
 def load_run_dataset(path) -> RunDataset:
@@ -431,19 +477,19 @@ def load_run_dataset(path) -> RunDataset:
     Raises ValueError, naming the line or pair, for what ``_read_records``
     refuses, among it a record of another schema version, of an unknown
     group or station, or with a setting other than its group's in the
-    header, a pair index that is not an integer >= 1 and an outcome other
-    than -1/+1; for a header ``seed`` or ``pairs_per_setting`` that is
-    not an integer >= 0 or >= 1, other spec fields ``ExperimentSpec``
-    refuses or a ``meta`` that is not an object; and for a pair without
-    exactly one L and one R record, or a switched file's pair index with
-    records in two groups.
+    header, and a value ``DATASET_COLUMNS`` refuses; for a header ``seed``
+    or ``pairs_per_setting`` that is not an integer >= 0 or >= 1, other
+    spec fields ``ExperimentSpec`` refuses or a ``meta`` that is not an
+    object; and for a pair without exactly one L and one R record, or a
+    switched file's pair index with records in two groups.
     """
     def header_spec(header) -> tuple[dict, ExperimentSpec | None, dict]:
         spec, meta = None, header.get("meta", {})
         if type(meta) is not dict:
             _refuse(DATASET_KIND, path, -1, f"header meta {meta!r} is not an object")
         if header.get("seed") is not None:
-            _header_ints(DATASET_KIND, path, header, {"seed": 0, "pairs_per_setting": 1})
+            if problem := _header_fault(header, {"seed": 0, "pairs_per_setting": 1}):
+                _refuse(DATASET_KIND, path, -1, problem)
             try:
                 spec = ExperimentSpec(
                     setting_pairs=tuple((Setting(*l), Setting(*r)) for l, r in header["spec_pairs"]),
@@ -453,16 +499,15 @@ def load_run_dataset(path) -> RunDataset:
                 _refuse(DATASET_KIND, path, -1, f"header spec is refused: {exc!r}")
         return header, spec, meta
 
-    (header, spec, meta), slot, ints, _, _ = _read_records(
+    (header, spec, meta), slot, (ns, outcomes), _ = _read_records(
         path, DATASET_KIND, SCHEMA_VERSION,
         lambda header: _dataset_templates((f"pair{gid}", *(Setting(*setting) for setting in pair))
                                           for gid, pair in enumerate(header["pairs"])),
-        ints=(_PAIR_INDEX, _OUTCOME), foreign="unknown group or station, or a setting other than the header's",
+        DATASET_COLUMNS, foreign="unknown group or station, or a setting other than the header's",
         check_header=header_spec)
     pairs = tuple((Setting(*l), Setting(*r)) for l, r in header["pairs"])
     labels = [f"pair{i}" for i in range(len(pairs))]
     gids, sides = (slot >> 1).astype(InterleavedRecords.id_dtype(len(pairs))), slot & 1
-    ns, outcomes = ints.T
     # Sorted by (gid, n, station), a valid file is a run of (L, R) couples;
     # the first couple that is not starts a pair with a missing or extra record.
     order = np.lexsort((sides, ns, gids))
@@ -472,24 +517,13 @@ def load_run_dataset(path) -> RunDataset:
     bad = np.flatnonzero(~coupled)
     if bad.size or len(lrow) != m:
         at = int(lrow[bad[0]] if bad.size else lrow[m])
-        raise ValueError(
-            f"pair {int(ns[at])} in group {labels[gids[at]]} (line {at + 2}) is incomplete or repeated: "
-            f"it needs exactly one L and one R record in file {path}"
-        )
+        raise ValueError(f"pair {int(ns[at])} in group {labels[gids[at]]} (line {at + 2}) is incomplete or repeated: "
+                         f"it needs exactly one L and one R record in file {path}")
 
     bounds = np.searchsorted(gids[lrow], np.arange(len(pairs) + 1))
     pair_index, left, right = ns[lrow], outcomes[lrow].astype(np.int8), outcomes[rrow].astype(np.int8)
-    groups = tuple(
-        RunGroup(
-            label=labels[gid],
-            left_setting=lft,
-            right_setting=rgt,
-            pair_index=pair_index[lo:hi],
-            left=left[lo:hi],
-            right=right[lo:hi],
-        )
-        for gid, ((lft, rgt), lo, hi) in enumerate(zip(pairs, bounds[:-1], bounds[1:]))
-    )
+    groups = tuple(RunGroup(labels[gid], lft, rgt, pair_index[lo:hi], left[lo:hi], right[lo:hi])
+                   for gid, ((lft, rgt), lo, hi) in enumerate(zip(pairs, bounds[:-1], bounds[1:])))
     if header.get("switching") != "random-switched":
         return RunDataset(canonical_pairs=pairs, groups=groups, spec=spec, meta=meta)
     try:  # the groups a switched file sorts into: RunDataset's check refuses a pair index in two of them
@@ -530,15 +564,7 @@ def write_triple_csv(tables: Sequence[TripleTable], fh: TextIO) -> None:
     writer.writerow(["kind", "s1", "s2", "s3", "count", "total", "fraction"])
     for table in tables:
         for pattern in sorted(table.counts, reverse=True):
-            writer.writerow(
-                [
-                    table.kind,
-                    *pattern,
-                    table.counts[pattern],
-                    table.total,
-                    repr(table.fraction(pattern)),
-                ]
-            )
+            writer.writerow([table.kind, *pattern, table.counts[pattern], table.total, repr(table.fraction(pattern))])
 
 
 def write_reports_jsonl(reports: Sequence[InequalityReport], fh: TextIO) -> None:
@@ -549,6 +575,10 @@ def write_reports_jsonl(reports: Sequence[InequalityReport], fh: TextIO) -> None
 
 # ---------------------------------------------------------------------------
 # The source's emission log and a station's report log
+
+
+#: A report-log record: a station's outcome of a pair, stamped with its batch's station-local clock.
+REPORT_COLUMNS = (_PAIR_INDEX, _OUTCOME, ("clock_ns", "<i8", None, "clock_ns {!r} is not an integer"))
 
 
 class StationReport(NamedTuple):
@@ -577,6 +607,16 @@ class ReportBatch:
     def __iter__(self) -> Iterator[StationReport]:
         return map(StationReport, self.n.tolist(), repeat(self.station), repeat(self.setting),
                    self.outcome.tolist(), self.clock_ns.tolist())
+
+
+def _unit_interval(x: np.ndarray) -> np.ndarray:
+    return (x >= 0.0) & (x < 1.0)  # NaN is not in it
+
+
+#: An emission-log record: a pair event. ``n`` is a pair index by the session's range, not by its own rule.
+EMISSION_COLUMNS = (("n", "<i8", None, "pair index {!r} is not an integer"),
+                    ("lambda", "<f8", _unit_interval, "lambda {!r} is not in [0, 1)"),
+                    ("t", "<f8", _unit_interval, "t {!r} is not in [0, 1)"))
 
 
 @dataclass
@@ -620,66 +660,70 @@ class StationLog:
         self.reports = batch
 
 
+def _emission_fault(header: dict, cols: Sequence[np.ndarray] = (), trailer: dict | None = None):
+    """An emission log's first fault as (row, refusal), row -1 the header and len(events) the trailer, or None: a
+    header ``seed``, ``session`` or ``count`` not an integer >= 0, or a session range session*count+1 ..
+    (session+1)*count past pair index 2**63 - 1; then, given the events, a value ``EMISSION_COLUMNS`` refuses, a
+    pair index other than the next of the range, an event past ``count``, and a trailer whose ``sent`` is not
+    the number of events or, if "complete", ``count``."""
+    if problem := _header_fault(header, {"seed": 0, "session": 0, "count": 0}):
+        return -1, problem
+    session, count = header["session"], header["count"]
+    if (session + 1) * count > 2**63 - 1:
+        return -1, f"header session {session} of {count} pairs runs past pair index 2**63 - 1"
+    if not cols:
+        return None
+    n, first, ranged, closed = cols[0], session * count + 1, None, None
+    if (bad := np.flatnonzero(n[:count] != first + np.arange(min(len(n), count)))).size:
+        ranged = (int(bad[0]), f"pair index {n[bad[0]]} is not {first + bad[0]}: out of the session's range "
+                               f"{first}..{first + count - 1}, repeated or out of order")
+    elif len(n) > count:
+        ranged = (count, f"event {count + 1} (pair index {n[count]}) is past the session's count {count}")
+    if trailer is not None and ([type(trailer[k]) for k in ("v", "sent", "detail")] != [int, int, str]
+                                or [trailer["v"], trailer["sent"]] != [LOG_SCHEMA_VERSION, len(n)]
+                                or trailer["status"] not in ("partial", "complete" if len(n) == count else "partial")):
+        closed = (len(n), f"trailer {trailer} does not close {len(n)} events of a session of {count}")
+    return column_fault(EMISSION_COLUMNS, cols, ranged, closed)
+
+
 def write_emission_log(log: SourceLog, path) -> None:
-    """Header line, one line per emitted event, then a trailer with the status."""
+    """Header line, one line per emitted event, then a trailer with the status.
+
+    A log the loader would refuse is a ValueError naming the first line it would refuse (see
+    ``_emission_fault``), raised before ``path`` is opened.
+    """
     e = log.emissions
+    header = {"v": LOG_SCHEMA_VERSION, "kind": "emission-log", "seed": log.seed, "session": log.session_index,
+              "count": log.count}
+    trailer = {"v": LOG_SCHEMA_VERSION, "status": log.status, "sent": len(e), "detail": log.detail}
+    if fault := _emission_fault(header, (e.n, e.lam, e.t), trailer):
+        _unwritable("emission log", f"{path} line {fault[0] + 2}", fault[1])
     with Path(path).open("w", encoding="utf-8") as fh:
-        header = {
-            "v": LOG_SCHEMA_VERSION,
-            "kind": "emission-log",
-            "seed": log.seed,
-            "session": log.session_index,
-            "count": log.count,
-        }
         fh.write(_dumps(header) + "\n")
         # The sorted-key dump of each event: JSON writes a finite float as its repr.
         fh.writelines(f'{{"lambda":{lam!r},"n":{n},"t":{t!r},"v":{LOG_SCHEMA_VERSION}}}\n'
                       for n, lam, t in zip(e.n.tolist(), e.lam.tolist(), e.t.tolist()))
-        fh.write(_dumps({"v": LOG_SCHEMA_VERSION, "status": log.status, "sent": len(e), "detail": log.detail}) + "\n")
+        fh.write(_dumps(trailer) + "\n")
 
 
 def load_emission_log(path) -> SourceLog:
     """Load an emission log; its events come back as one PairStream.
 
-    Raises ValueError naming the line for what the reader refuses, for
-    a header ``seed``, ``session`` or ``count`` that is not an integer
-    >= 0, for a pair index other than the next of the session's range
-    session*count+1 .. (session+1)*count (out of the range, repeated or
-    out of order), and for a trailer whose ``sent`` is not the number of
-    events or, if "complete", not the header's ``count``; and, naming line
-    1, for a session whose range runs past the int64 pair index 2**63 - 1.
-    A log without a trailer loads as partial.
+    Raises ValueError naming the line for what the reader or ``_emission_fault`` refuses; a header fault is
+    named before any data line is read. A log without a trailer loads as partial.
     """
     def header_range(header) -> dict:
-        _header_ints("emission-log", path, header, {"seed": 0, "session": 0, "count": 0})
-        if (header["session"] + 1) * header["count"] > 2**63 - 1:
-            _refuse("emission-log", path, -1, f"header session {header['session']} of {header['count']} pairs runs "
-                                              "past pair index 2**63 - 1")
+        if fault := _emission_fault(header):
+            _refuse("emission-log", path, *fault)
         return header
 
-    header, _, ints, floats, trailer = _read_records(
-        path, "emission-log", LOG_SCHEMA_VERSION, lambda header: [{"v": LOG_SCHEMA_VERSION}],
-        ints=(("n", None, "pair index {!r} is not an integer"),),
-        floats=(("lambda", _unit_interval, "lambda {!r} is not in [0, 1)"),
-                ("t", _unit_interval, "t {!r} is not in [0, 1)")),
-        trailer=frozenset({"v", "status", "sent", "detail"}),
-        check_header=header_range)
-    n, (lam, t) = ints[:, 0], floats.T
-    count, session = header["count"], header["session"]
-    first, rows = session * count + 1, np.arange(len(n))
-    bad = np.flatnonzero((n != first + rows) | (rows >= count))
-    if bad.size:
-        _refuse("emission-log", path, bad[0], f"pair index {n[bad[0]]} is not {first + bad[0]}: out of the session's "
-                                              f"range {first}..{first + count - 1}, repeated or out of order")
-    status, detail = "partial", "missing trailer"
-    if trailer is not None:
-        status, sent, detail = trailer["status"], trailer["sent"], trailer["detail"]
-        if ([type(trailer["v"]), type(sent), type(detail)] != [int, int, str] or trailer["v"] != LOG_SCHEMA_VERSION
-                or status not in ("complete", "partial") or sent != len(n)
-                or (status == "complete" and sent != count)):
-            _refuse("emission-log", path, len(n), f"trailer {trailer} does not close {len(n)} events "
-                                                  f"of a session of {count}")
-    return SourceLog(seed=header["seed"], session_index=session, count=count,
+    header, _, (n, lam, t), trailer = _read_records(
+        path, "emission-log", LOG_SCHEMA_VERSION, lambda header: [{"v": LOG_SCHEMA_VERSION}], EMISSION_COLUMNS,
+        trailer=frozenset({"v", "status", "sent", "detail"}), check_header=header_range)
+    if fault := _emission_fault(header, (n, lam, t), trailer):
+        _refuse("emission-log", path, *fault)
+    status, detail = ("partial", "missing trailer") if trailer is None else (trailer["status"], trailer["detail"])
+    return SourceLog(seed=header["seed"], session_index=header["session"], count=header["count"],
                      emissions=PairStream(n=n.copy(), lam=lam.copy(), t=t.copy()), status=status, detail=detail)
 
 
@@ -693,22 +737,17 @@ def write_report_log(log: StationLog, path) -> None:
     """Header line, then one line per report: its fields, ``type`` "report" and ``v``, the bytes of dumping
     its object, rendered from the batch's int columns a block at a time.
 
-    A batch the loader would refuse (columns of unequal lengths, an ``n`` below 1 or an outcome other than
-    -1/+1) is a ValueError naming its first bad report, raised before ``path`` is opened.
+    A batch the loader would refuse (a column ``REPORT_COLUMNS`` refuses) is a ValueError naming its first bad
+    report, raised before ``path`` is opened.
     """
-    r, bad = log.reports, []
-    if len(set(lengths := (len(r.n), len(r.outcome), len(r.clock_ns)))) > 1:
-        bad.append((min(lengths), "columns n, outcome and clock_ns of {}, {} and {} reports".format(*lengths)))
-    for (_, valid, what), col in ((_PAIR_INDEX, r.n), (_OUTCOME, r.outcome)):
-        if (wrong := np.flatnonzero(~valid(col))).size:
-            bad.append((int(wrong[0]), what.format(col[wrong[0]].item())))
-    if bad:
-        raise ValueError("station {} report at index {}: {}; no report log is written".format(log.station, *min(bad)))
+    r = log.reports
+    if fault := column_fault(REPORT_COLUMNS, (r.n, r.outcome, r.clock_ns)):
+        _unwritable("report log", "station {} report at index {}".format(log.station, *fault), fault[1])
+    header = {"v": LOG_SCHEMA_VERSION, "kind": "report-log", "station": log.station,
+              "setting": _setting_json(log.setting), "key_digest": log.key_digest}
+    codec = _LineCodec(_report_templates(header), [name for name, *_ in REPORT_COLUMNS])
     with Path(path).open("wb") as fh:
-        header = {"v": LOG_SCHEMA_VERSION, "kind": "report-log", "station": log.station,
-                  "setting": _setting_json(log.setting), "key_digest": log.key_digest}
         fh.write((_dumps(header) + "\n").encode())
-        codec = _LineCodec(_report_templates(header), ("n", "outcome", "clock_ns"))
         for cut in (slice(at, at + _RENDER_ROWS) for at in range(0, len(r), _RENDER_ROWS)):
             fh.write(codec.render(np.zeros(len(r.n[cut]), np.int64), (r.n[cut], r.outcome[cut], r.clock_ns[cut])))
 
@@ -717,23 +756,18 @@ def load_report_log(path) -> ReportBatch:
     """Load a report log into one batch, column by column.
 
     Raises ValueError naming the line for what the reader refuses: a
-    report whose ``v``/``type`` is not 1/"report", whose ``n`` is not an
-    integer >= 1, whose outcome is not -1/+1 or whose ``clock_ns`` is not
-    an integer, and a report from another station or setting than the
-    header's (whose station and ``key_digest`` must be strings); and for a
-    log that holds no reports.
+    report whose ``v``/``type`` is not 1/"report", a value
+    ``REPORT_COLUMNS`` refuses, and a report from another station or
+    setting than the header's (whose station and ``key_digest`` must be
+    strings). A log of no reports loads as an empty batch.
     """
     def header_digest(header) -> dict:
         if type(header.get("key_digest")) is not str:
             _refuse("report-log", path, -1, f"header key_digest {header.get('key_digest')!r} is not a string")
         return header
 
-    header, _, ints, _, _ = _read_records(
-        path, "report-log", LOG_SCHEMA_VERSION, _report_templates,
-        ints=(_PAIR_INDEX, _OUTCOME, ("clock_ns", None, "clock_ns {!r} is not an integer")),
+    header, _, (n, outcome, clock_ns), _ = _read_records(
+        path, "report-log", LOG_SCHEMA_VERSION, _report_templates, REPORT_COLUMNS,
         foreign="a report batch must come from one station session", check_header=header_digest)
-    if not len(ints):
-        raise ValueError(f"report log {path} holds no reports")
-    n, outcome, clock_ns = ints.T
     return ReportBatch(station=header["station"], setting=Setting(*header["setting"]), n=n.copy(),
                        outcome=outcome.astype(np.int8), clock_ns=clock_ns.copy())

@@ -118,10 +118,6 @@ def _setting_check(want: list) -> Callable[[object], bool]:
                                            for at, t, sign in exact)
 
 
-def _unit_interval(x):
-    return (x >= 0.0) & (x < 1.0)
-
-
 @dataclass(frozen=True)
 class PairStream:
     """A run of pair events as columns: index ``n``, hidden variable ``lam``, time parameter ``t``.

@@ -34,10 +34,11 @@ from pathlib import Path
 import numpy as np
 
 from .experiments import RunDataset, RunGroup
-from .formats import ReportBatch, SourceLog, StationLog, write_emission_log, write_report_log
+from .formats import (EMISSION_COLUMNS, REPORT_COLUMNS, ReportBatch, SourceLog, StationLog, column_fault,
+                      write_emission_log, write_report_log)
 from .formats import StationReport, load_report_log  # unused here: perfbench/ reaches them as stations names
-from .model import (BLOCK_PAIRS, GaugeKey, PairStream, Setting, _dumps, _setting_check, _setting_json, _unit_interval,
-                    derive_subseed, measure_left, measure_right, sample_pair_stream)
+from .model import (BLOCK_PAIRS, GaugeKey, PairStream, Setting, _dumps, _setting_check, _setting_json, derive_subseed,
+                    measure_left, measure_right, sample_pair_stream)
 
 __all__ = [
     "WIRE_VERSION",
@@ -216,50 +217,43 @@ def _pack(values, dtype: str) -> bytes:
     return np.asarray(values, dtype=dtype).tobytes()
 
 
-def _columns(kind: str, msg: dict, dtypes: dict) -> list[np.ndarray]:
-    """The batch columns of a validated frame, read as ``dtypes``.
+def _columns(kind: str, msg: dict, columns: tuple, after: int | None = None) -> list[np.ndarray]:
+    """The batch columns of a validated frame, read as the record ``columns`` state them.
 
-    Raises SchemaError naming a column not of whole items, or for unequal or empty columns.
+    Raises SchemaError naming a column not of whole items or an empty batch, else the first position that
+    ``column_fault`` refuses: by the columns' rules, or, given ``after``, as ``n`` does not rise strictly from it.
     """
     cols = []
-    for name, dtype in dtypes.items():
+    for name, dtype, *_ in columns:
         if len(raw := msg[name]) % np.dtype(dtype).itemsize:
             raise SchemaError(f"{kind} rejected: column {name} holds {len(raw)} bytes, not whole {dtype} items")
         cols.append(np.frombuffer(raw, dtype=dtype))
-    if len({len(c) for c in cols}) > 1 or not len(cols[0]):
-        raise SchemaError(f"{kind} rejected: columns {list(dtypes)} of lengths {[len(c) for c in cols]}")
+    if not any(map(len, cols)):
+        raise SchemaError(f"{kind} rejected: an empty batch")
+    n, rising = cols[0], None
+    if after is not None and not (up := n > (prev := np.concatenate(([after], n[:-1])))).all():
+        rising = (i := int(np.argmin(up)), f"non-increasing pair index {n[i]} after {prev[i]}")
+    if fault := column_fault(columns, cols, rising):
+        raise SchemaError("{} rejected at position {}: {}".format(kind, *fault))
     return cols
 
 
 def _report_batch(msg: dict, last_n: int, station_id: str, setting: Setting, key: GaugeKey) -> tuple:
     """(report_batch header, columns, n, outcome) a station sends and logs for a validated emit_batch frame.
 
-    Every element is checked first: ``n`` must rise strictly from
-    ``last_n``, the last pair index accepted (0 before the first), and
-    ``lambda`` and ``t`` must lie in [0, 1), which NaN does not; raises
-    SchemaError naming the first bad position. One call of its own wing
-    function then measures the batch, stamped with the station clock once.
+    Every element is checked first: the columns by ``EMISSION_COLUMNS``, and ``n`` must rise strictly from
+    ``last_n``, the last pair index accepted (0 before the first); raises SchemaError naming the first bad
+    position. One call of its own wing function then measures the batch, stamped with the station clock once.
     """
-    n, lam, t = _columns("emit_batch", msg, {"n": "<i8", "lambda": "<f8", "t": "<f8"})
-    prev = np.concatenate(([last_n], n[:-1]))
-    rising, lam_ok, t_ok = n > prev, _unit_interval(lam), _unit_interval(t)
-    if not (ok := rising & lam_ok & t_ok).all():
-        i = int(np.argmin(ok))
-        raise SchemaError(f"emit_batch rejected at position {i}: " + (
-            f"non-increasing pair index {n[i]} after {prev[i]}" if not rising[i]
-            else f"lambda {float(lam[i])!r} is not in [0, 1)" if not lam_ok[i]
-            else f"t {float(t[i])!r} is not in [0, 1)"))
+    n, lam, t = _columns("emit_batch", msg, EMISSION_COLUMNS, after=last_n)
     out = (measure_left if station_id == "L" else measure_right)(setting, PairStream(n=n, lam=lam, t=t), key)
     return ({"v": WIRE_VERSION, "type": "report_batch", "station": station_id, "setting": _setting_json(setting),
              "clock_ns": time.monotonic_ns()}, {"n": msg["n"], "outcome": _pack(out, "i1")}, n, out)
 
 
 def _report_columns(msg: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (n, outcome, clock_ns) columns of a validated report_batch frame: n >= 1, outcomes -1/+1."""
-    n, outcome = _columns("report_batch", msg, {"n": "<i8", "outcome": "i1"})
-    if not (ok := (n >= 1) & (np.abs(outcome) == 1)).all():
-        i = int(np.argmin(ok))
-        raise SchemaError(f"report_batch rejected at position {i}: pair index {n[i]} with outcome {outcome[i]}")
+    """The (n, outcome, clock_ns) columns of a validated report_batch frame, checked by ``REPORT_COLUMNS``."""
+    n, outcome = _columns("report_batch", msg, REPORT_COLUMNS[:2])
     return n, outcome, np.full(len(n), msg["clock_ns"], dtype=np.int64)
 
 
@@ -325,14 +319,8 @@ def _accept_stations(server: socket.socket, schemas: dict, timeout: float) -> di
     return conns
 
 
-def source_run(
-    seed: int,
-    count: int,
-    sock: socket.socket,
-    session_index: int = 0,
-    log_path=None,
-    timeout: float = 60.0,
-) -> SourceLog:
+def source_run(seed: int, count: int, sock: socket.socket, session_index: int = 0, log_path=None,
+               timeout: float = 60.0) -> SourceLog:
     """Broadcast one session of pair events to both stations.
 
     Session ``i`` draws from sub-seed ``i`` of the master seed and owns
@@ -397,15 +385,8 @@ def _dial(endpoint: tuple[str, int], timeout: float) -> socket.socket:
     raise ProtocolError(f"cannot connect to {endpoint[0]}:{endpoint[1]}: {last}")
 
 
-def station_run(
-    station_id: str,
-    setting: Setting,
-    key_path,
-    source: tuple[str, int],
-    collator: tuple[str, int],
-    log_path=None,
-    timeout: float = 60.0,
-) -> StationLog:
+def station_run(station_id: str, setting: Setting, key_path, source: tuple[str, int], collator: tuple[str, int],
+                log_path=None, timeout: float = 60.0) -> StationLog:
     """Run one measurement station.
 
     Computes each outcome from ONLY (own setting, received event, local
@@ -486,12 +467,8 @@ def _found_in(rising: np.ndarray, values: np.ndarray) -> np.ndarray:
     return hit
 
 
-def collate(
-    left: ReportBatch,
-    right: ReportBatch,
-    strategy: str = "pair-id",
-    emission_log: SourceLog | None = None,
-) -> CollationResult:
+def collate(left: ReportBatch, right: ReportBatch, strategy: str = "pair-id",
+            emission_log: SourceLog | None = None) -> CollationResult:
     """Join the two wings' report batches into a dataset.
 
     pair-id joins on the pair index: duplicates are a hard error, gaps
@@ -538,20 +515,11 @@ def collate(
         l_out = left.outcome[:m]
         r_out = right.outcome[:m]
 
-    group = RunGroup(
-        label="pair0",
-        left_setting=left.setting,
-        right_setting=right.setting,
-        pair_index=np.asarray(idx, dtype=np.int64),
-        left=np.asarray(l_out, dtype=np.int8),
-        right=np.asarray(r_out, dtype=np.int8),
-    )
-    ds = RunDataset(
-        canonical_pairs=((left.setting, right.setting),),
-        groups=(group,),
-        spec=None,
-        meta={"schema_version": 1, "collation": strategy},
-    )
+    group = RunGroup(label="pair0", left_setting=left.setting, right_setting=right.setting,
+                     pair_index=np.asarray(idx, dtype=np.int64), left=np.asarray(l_out, dtype=np.int8),
+                     right=np.asarray(r_out, dtype=np.int8))
+    ds = RunDataset(canonical_pairs=((left.setting, right.setting),), groups=(group,), spec=None,
+                    meta={"schema_version": 1, "collation": strategy})
     return CollationResult(dataset=ds, strategy=strategy, incomplete=tuple(incomplete.tolist()))
 
 
@@ -579,11 +547,7 @@ def inject_fault(kind: str, position: int, stream: ReportBatch) -> ReportBatch:
 # Live collator
 
 
-def collator_serve(
-    sock: socket.socket,
-    match: str = "pair-id",
-    timeout: float = 60.0,
-) -> CollationResult:
+def collator_serve(sock: socket.socket, match: str = "pair-id", timeout: float = 60.0) -> CollationResult:
     """Accept both stations, verify key agreement, join their report batches.
 
     Reads both connections in the calling thread with ``select``; a

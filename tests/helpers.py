@@ -1,5 +1,5 @@
-"""Shared test machinery: a live four-process experiment on loopback threads, int64 edge values, a dataset's
-full text, and
+"""Shared test machinery: a live four-process experiment on loopback threads, int64 edge values, a drawn
+column with now and then a bad value, a dataset's full text, and
 per-event oracles of the outcome rule written apart from the vectorized kernel, full-length oracles of the
 blocked experiment runs, and oracles of the switched run and its sort-back on int64 ids."""
 
@@ -9,6 +9,7 @@ import threading
 from fractions import Fraction
 
 import numpy as np
+from hypothesis import strategies as hst
 
 from eqrc.experiments import CANONICAL_LEFT, rotate_to_canonical
 from eqrc.formats import run_dataset_blocks
@@ -17,6 +18,16 @@ from eqrc import stations as st
 
 # int64 values where a decimal rendering changes digit count or sign, and int64's two ends.
 EDGE_INTS = [0, 1, -1, 9, 10, 99, 100, 10**18 - 1, 10**18, -2**63, 2**63 - 1]
+#: Floats where a [0, 1) column's rule or a float's written form turns: non-finite, the interval's ends and
+#: just past them, and a negative zero (in the interval, written apart from 0.0).
+EDGE_FLOATS = [math.nan, math.inf, -math.inf, 1.0, 1.5, -2**-1074, 1 - 2**-53, 0.0, -0.0]
+
+
+def mostly(draw, values: list, bad) -> list:
+    """``values`` with, one time in three, one of them replaced by a draw of the strategy ``bad``."""
+    if values and draw(hst.integers(0, 2)) == 0:
+        values[draw(hst.integers(0, len(values) - 1))] = draw(bad)
+    return values
 
 
 def dataset_text(ds):

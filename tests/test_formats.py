@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import EDGE_INTS, dataset_text
+from helpers import EDGE_INTS, dataset_text, mostly
 
 from eqrc import formats
 from eqrc.experiments import (
@@ -691,3 +691,122 @@ class TestReportsJsonl:
         assert row["violated"] is True
         assert row["name"] == "bell"
         assert row["lhs"] == pytest.approx(1.0)
+
+
+# ---------------------------------------------------------------------------
+# The dataset writer refuses what its loader refuses, before it opens the path
+
+_EARLIER = b"an earlier file\n"
+
+
+def _refused_write(tmp_path, ds, match):
+    """Assert that writing ``ds`` over an earlier file is refused with ``match`` and leaves that file as it was."""
+    path = tmp_path / "run.jsonl"
+    path.write_bytes(_EARLIER)
+    with pytest.raises(ValueError, match=f"^{match}; no dataset is written$"):
+        write_run_dataset(ds, path)
+    assert path.read_bytes() == _EARLIER
+
+
+def _group(n, left, right=None, label="pair0", settings=(BELL_SETTINGS[0], BELL_SETTINGS[1])):
+    right = [1] * len(n) if right is None else right
+    return RunGroup(label, *settings, np.array(n, np.int64), np.array(left, np.int8), np.array(right, np.int8))
+
+
+def _switched(ids, n, left, right=None, pairs=BELL_PAIRS):
+    right = [1] * len(n) if right is None else right
+    return RunDataset(canonical_pairs=pairs, groups=(), interleaved=InterleavedRecords(
+        np.array(ids, np.int64), np.array(n, np.int64), np.array(left, np.int8), np.array(right, np.int8)),
+        spec=_spec(n=1, switching="random-switched"))
+
+
+class TestDatasetWriterRefusals:
+    @pytest.mark.parametrize("group,match", [
+        (_group([1, 2], [1, 7]), r"group pair0 pair at index 1: outcome 7 is not -1 or \+1"),
+        (_group([1, 2], [1, 1], [0, 1]), r"group pair0 pair at index 0: outcome 0 is not -1 or \+1"),
+        (_group([0, 2], [1, 1]), "group pair0 pair at index 0: pair index 0 is not an integer >= 1"),
+        (_group([-2**63, 3], [1, 7]), "group pair0 pair at index 0: pair index -9223372036854775808 is not an "
+                                      "integer >= 1"),
+    ], ids=["outcome-7", "right-outcome-0", "pair-index-0", "first-of-two"])
+    def test_fixed_group_value_the_loader_refuses(self, tmp_path, group, match):
+        _refused_write(tmp_path, RunDataset(canonical_pairs=(BELL_PAIRS[0],), groups=(group,)), match)
+
+    @pytest.mark.parametrize("groups", [
+        (_group([1], [1], label="g"),),
+        (_group([1], [1], settings=(BELL_SETTINGS[0], Setting(0.5, BELL_SETTINGS[1].b3 * (1 + 2**-52)))),),
+        (_group([1], [1], settings=(Setting(1.0, -0.0), BELL_SETTINGS[1])),),
+        (),
+        (_group([1], [1]), _group([2], [1], label="pair1")),
+    ], ids=["label", "setting-ulp", "negative-zero", "no-group", "extra-group"])
+    def test_fixed_groups_other_than_one_per_setting_pair_are_refused(self, tmp_path, groups):
+        _refused_write(tmp_path, RunDataset(canonical_pairs=(BELL_PAIRS[0],), groups=groups),
+                       r"groups .*: not pair0, pair1, \.\.\. with the settings of the 1 setting pairs in turn")
+
+    @pytest.mark.parametrize("ds,match", [
+        (_switched([0, 3, 1], [1, 2, 3], [1, 1, 1]), "pair at index 1: group id 3 is not below the number of setting pairs"),
+        (_switched([0, -1], [1, 2], [1, 1]), "pair at index 1: group id -1 is not below the number of setting pairs"),
+        (_switched([0, 2, 1], [5, 6, 5], [1, 1, 1]), "pair at index 2: pair index 5 repeats an earlier record's"),
+        (_switched([1, 1], [5, 5], [1, 1]), "pair at index 1: pair index 5 repeats an earlier record's"),
+        (_switched([0, 1, 2], [1, 2, 3], [1, 1, 7]), r"pair at index 2: outcome 7 is not -1 or \+1"),
+        (_switched([0, 1], [1, 2], [1, 1, 1]),
+         r"pair at index 2: columns \['n', 'outcome', 'outcome', 'group'\] of lengths \[2, 3, 2, 2\]"),
+    ], ids=["id-k", "id-negative", "repeat-across-groups", "repeat-in-group", "outcome-7", "unequal"])
+    def test_switched_record_the_loader_refuses(self, tmp_path, ds, match):
+        _refused_write(tmp_path, ds, match)
+
+    def test_unequal_group_columns_are_refused_when_built(self):
+        with pytest.raises(ValueError, match="group pair0 columns pair_index, left and right are of lengths 2, 1 and 2"):
+            _group([1, 2], [1], [1, -1])
+
+
+@st.composite
+def _generated_datasets(draw):
+    """A dataset of generated columns, or the ValueError that builds none: fixed groups of unordered pair
+    indices or switched records, now and then with a pair index from int64's edges or repeated, an outcome
+    that is any int8, a group id out of range, unequal lengths, and often no rows."""
+    k = draw(st.integers(1, 3))
+    n = mostly(draw, draw(st.lists(st.integers(1, 2**63 - 1), max_size=12, unique=True)),
+                st.sampled_from(EDGE_INTS) | st.integers(-2**63, 2**63 - 1))
+    if n and draw(st.integers(0, 3)) == 0:
+        n.append(draw(st.sampled_from(n)))  # a repeated pair index
+    outs = [mostly(draw, draw(st.lists(st.sampled_from([-1, 1]), min_size=len(n), max_size=len(n))),
+                    st.integers(-128, 127)) for _ in range(2)]
+    if draw(st.integers(0, 9)) == 0:  # one column a row short
+        outs[draw(st.integers(0, 1))] = outs[0][:-1]
+    if draw(st.booleans()):
+        ids = mostly(draw, draw(st.lists(st.integers(0, k - 1), min_size=len(n), max_size=len(n))),
+                      st.integers(-1, k))
+        return _switched(ids, n, *outs, pairs=BELL_PAIRS[:k])
+    cuts = sorted(draw(st.lists(st.integers(0, len(n)), min_size=k - 1, max_size=k - 1)))
+    pairs = BELL_PAIRS[:k]
+    try:
+        groups = tuple(RunGroup(f"pair{i}", *pairs[i], np.array(n[lo:hi], np.int64), np.array(outs[0][lo:hi], np.int8),
+                                np.array(outs[1][lo:hi], np.int8))
+                       for i, (lo, hi) in enumerate(zip([0, *cuts], [*cuts, len(n)])))
+        return RunDataset(canonical_pairs=pairs, groups=groups)
+    except ValueError as exc:  # unequal lengths, or a pair index in two groups
+        return exc
+
+
+def _by_pair_index(ds):
+    """A dataset's columns as lists, each fixed group's rows in pair index order, as a loaded fixed file has them."""
+    inter = ds.interleaved
+    return ([(g.label, g.left_setting, g.right_setting, sorted(zip(*(a.tolist() for a in (g.pair_index, g.left, g.right)))))
+             for g in ds.groups],
+            None if inter is None else [a.tolist() for a in (inter.group_ids, inter.pair_index, inter.left, inter.right)])
+
+
+class TestDatasetRoundTripProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(_generated_datasets())
+    def test_writer_refuses_or_the_file_loads_back_the_same_columns(self, tmp_path_factory, ds):
+        if isinstance(ds, ValueError):  # refused when built: nothing to write
+            return
+        path = tmp_path_factory.mktemp("ds") / "run.jsonl"
+        path.write_bytes(_EARLIER)
+        try:
+            write_run_dataset(ds, path)
+        except ValueError:
+            assert path.read_bytes() == _EARLIER
+            return
+        assert _by_pair_index(load_run_dataset(path)) == _by_pair_index(ds)

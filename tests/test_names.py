@@ -49,3 +49,28 @@ def test_record_files_sit_behind_formats():
     assert [name for module, name in _imported("eqrc.stations") if module == "eqrc.formats" and name[0] == "_"] == []
     assert [(module, name) for module, name in _imported("eqrc.formats")
             if "eqrc.stations" in (module, f"{module}.{name}")] == []
+
+
+def _string_constants(name: str) -> list[str]:
+    """Every string constant of an eqrc module's source, the literal parts of f-strings among them."""
+    tree = ast.parse(Path(importlib.import_module(name).__file__).read_text(encoding="utf-8"))
+    return [node.value for node in ast.walk(tree) if isinstance(node, ast.Constant) and type(node.value) is str]
+
+
+_COLUMN_REFUSALS = sorted({what for record in ("DATASET_COLUMNS", "REPORT_COLUMNS", "EMISSION_COLUMNS")
+                           for *_, what in getattr(importlib.import_module("eqrc.formats"), record)})
+
+
+@pytest.mark.parametrize("template", _COLUMN_REFUSALS)
+def test_each_column_refusal_is_written_once(template):
+    """A record column's rule is stated once, in ``formats``' table: its refusal occurs once in the package, and
+    ``stations`` words no refusal of its own with the rule's text."""
+    assert sum(constants.count(template) for constants in map(_string_constants, MODULES)) == 1
+    tail = template.split("{!r}")[1]
+    assert [text for text in _string_constants("eqrc.stations") if tail in text] == []
+
+
+def test_stations_imports_no_column_predicate():
+    """The wire checks call the table's rules: ``stations`` imports no [0, 1) or other column test of its own."""
+    assert [name for _, name in _imported("eqrc.stations") if name == "_unit_interval"] == []
+    assert {"EMISSION_COLUMNS", "REPORT_COLUMNS", "column_fault"} <= {name for _, name in _imported("eqrc.stations")}

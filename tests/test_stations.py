@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
-from helpers import EDGE_INTS, run_live
+from helpers import EDGE_FLOATS, EDGE_INTS, mostly, run_live
 
 from eqrc.experiments import CANONICAL_LEFT, ExperimentSpec, run_experiment
 from eqrc.formats import (_RENDER_ROWS, LOG_SCHEMA_VERSION, ReportBatch, SourceLog, StationLog, StationReport,
@@ -398,7 +398,7 @@ class TestBatches:
         assert n_out.tolist() == n and outcome.tolist() == expected
         # The collator reads back what the station sent, and the float columns went bit for bit.
         assert [c.tolist() for c in st._report_columns(report)[:2]] == [n, expected]
-        assert np.array_equal(st._columns("emit_batch", msg, {"lambda": "<f8"})[0].view(np.uint64),
+        assert np.array_equal(st._columns("emit_batch", msg, formats.EMISSION_COLUMNS[1:2])[0].view(np.uint64),
                               np.array(lam, dtype=float).view(np.uint64))
 
     @settings(max_examples=300, deadline=None)
@@ -432,27 +432,30 @@ class TestBatches:
         with pytest.raises(st.SchemaError, match="position 0: non-increasing pair index 0 after 0$"):
             st._report_batch(_emit_batch([0, 1]), 0, "L", CANONICAL_LEFT, RAD3)
 
-    @pytest.mark.parametrize("columns", [
-        {"n": [], "lambda": [], "t": []}, {"n": [1, 2]}, {"lambda": [0.5, 0.5]}, {"t": []},
+    @pytest.mark.parametrize("columns,match", [
+        ({"n": [], "lambda": [], "t": []}, ": an empty batch"),
+        ({"n": [1, 2]}, r" at position 1: columns \['n', 'lambda', 't'\] of lengths \[2, 1, 1\]"),
+        ({"lambda": [0.5, 0.5]}, r" at position 1: columns \['n', 'lambda', 't'\] of lengths \[1, 2, 1\]"),
+        ({"t": []}, r" at position 0: columns \['n', 'lambda', 't'\] of lengths \[1, 1, 0\]"),
     ], ids=repr)
-    def test_unequal_or_empty_columns_are_refused(self, columns):
+    def test_unequal_or_empty_columns_are_refused(self, columns, match):
         msg = dict(_emit_batch([1]), **_packed(columns))
-        with pytest.raises(st.SchemaError, match="emit_batch rejected: columns"):
+        with pytest.raises(st.SchemaError, match=f"^emit_batch rejected{match}$"):
             st._report_batch(msg, 0, "L", CANONICAL_LEFT, RAD3)
 
     @pytest.mark.parametrize("column,raw,match", [
-        ("n", bytes(7), "column n holds 7 bytes, not whole <i8 items"),
-        ("n", bytes(9), "column n holds 9 bytes, not whole <i8 items"),
-        ("lambda", bytes(12), "column lambda holds 12 bytes, not whole <f8 items"),
-        ("lambda", bytes(1), "column lambda holds 1 bytes, not whole <f8 items"),
-        ("t", b"AAAAAAAA4D8=", "column t holds 12 bytes, not whole <f8 items"),  # base64 text of one float
-        ("t", b"", r"columns \['n', 'lambda', 't'\] of lengths \[1, 1, 0\]"),
-        ("n", bytes(16), r"columns \['n', 'lambda', 't'\] of lengths \[2, 1, 1\]"),
+        ("n", bytes(7), ": column n holds 7 bytes, not whole <i8 items"),
+        ("n", bytes(9), ": column n holds 9 bytes, not whole <i8 items"),
+        ("lambda", bytes(12), ": column lambda holds 12 bytes, not whole <f8 items"),
+        ("lambda", bytes(1), ": column lambda holds 1 bytes, not whole <f8 items"),
+        ("t", b"AAAAAAAA4D8=", ": column t holds 12 bytes, not whole <f8 items"),  # base64 text of one float
+        ("t", b"", r" at position 0: columns \['n', 'lambda', 't'\] of lengths \[1, 1, 0\]"),
+        ("n", _packed({"n": [1, 2]})["n"], r" at position 1: columns \['n', 'lambda', 't'\] of lengths \[2, 1, 1\]"),
     ], ids=["ragged-n", "ragged-n-long", "ragged-lambda", "one-byte-lambda", "base64-t", "empty-t", "long-n"])
     def test_column_that_is_not_whole_fixed_width_items_is_refused(self, column, raw, match):
         msg = dict(_emit_batch([1]), **{column: raw})
         assert st.validate_message(msg, st.STATION_RECEIVABLE_SCHEMAS) == "emit_batch"
-        with pytest.raises(st.SchemaError, match=f"^emit_batch rejected: {match}$"):
+        with pytest.raises(st.SchemaError, match=f"^emit_batch rejected{match}$"):
             st._report_batch(msg, 0, "L", CANONICAL_LEFT, RAD3)
 
     def test_longest_full_batches_fit_under_the_frame_cap(self):
@@ -704,7 +707,8 @@ class TestReportLogs:
     @pytest.mark.parametrize("columns,match", [
         ({"outcome": [1, -1, 7, 1]}, r"report at index 2: outcome 7 is not -1 or \+1"),
         ({"n": [1, 2, 3, 0]}, r"report at index 3: pair index 0 is not an integer >= 1"),
-        ({"outcome": [1, -1, 1]}, r"report at index 3: columns n, outcome and clock_ns of 4, 3 and 4 reports"),
+        ({"outcome": [1, -1, 1]},
+         r"report at index 3: columns \['n', 'outcome', 'clock_ns'\] of lengths \[4, 3, 4\]"),
         ({"n": [1, 0, 3, 4], "clock_ns": [0, 0]}, r"report at index 1: pair index 0"),  # the first of two faults
     ], ids=["outcome", "n-below-one", "unequal-lengths", "first-fault"])
     def test_batch_the_loader_would_refuse_is_not_written(self, tmp_path, columns, match):
@@ -717,10 +721,34 @@ class TestReportLogs:
             write_report_log(StationLog("L", B60, "ab", batch), path)
         assert path.read_text() == "an earlier file\n"
 
-    def test_empty_log_is_refused(self, tmp_path):
+    def test_empty_log_loads_as_an_empty_batch(self, tmp_path):
         _, path = _report_log(tmp_path, count=0)
-        with pytest.raises(ValueError, match="holds no reports"):
-            load_report_log(path)
+        batch = load_report_log(path)
+        assert (batch.station, batch.setting, len(batch)) == ("L", CANONICAL_LEFT, 0)
+        assert (batch.n.dtype, batch.outcome.dtype, batch.clock_ns.dtype) == (np.int64, np.int8, np.int64)
+
+    @settings(max_examples=300, deadline=None)
+    @given(hst.data())
+    def test_writer_refuses_or_the_log_loads_back_the_same_columns(self, tmp_path_factory, data):
+        draw, size = data.draw, data.draw(hst.integers(0, 10), label="size")
+        ints = hst.sampled_from(EDGE_INTS) | hst.integers(-2**63, 2**63 - 1)
+        cols = [mostly(draw, draw(hst.lists(hst.integers(1, 2**63 - 1), min_size=size, max_size=size)), ints),
+                mostly(draw, draw(hst.lists(hst.sampled_from([-1, 1]), min_size=size, max_size=size)),
+                       hst.integers(-128, 127)),
+                draw(hst.lists(ints, min_size=size, max_size=size))]
+        if size and draw(hst.integers(0, 9)) == 0:  # one column a row short
+            cols[draw(hst.integers(0, 2))].pop()
+        path = tmp_path_factory.mktemp("log") / "R.jsonl"
+        path.write_bytes(_EARLIER)
+        batch = ReportBatch("R", B60, *(np.array(col, dtype) for col, dtype in zip(cols, (np.int64, np.int8, np.int64))))
+        try:
+            write_report_log(StationLog("R", B60, "ab", batch), path)
+        except ValueError:
+            assert path.read_bytes() == _EARLIER
+            return
+        back = load_report_log(path)
+        assert (back.station, back.setting, [back.n.tolist(), back.outcome.tolist(), back.clock_ns.tolist()]) == (
+            "R", B60, cols)
 
 
 class TestStationLogs:
@@ -754,6 +782,16 @@ class TestStationLogs:
             path = tmp_path / f"{batch.station}.jsonl"
             write_report_log(StationLog(batch.station, batch.setting, "ab", batch), path)
             assert list(load_report_log(path)) == list(batch)
+
+
+_EARLIER = b"an earlier file\n"
+
+
+def _source_log(n, lam=None, t=None, count=3, session=0, **fields):
+    """A SourceLog of events with these pair indices; lambda and t default to 0.5 and 0.25 for each."""
+    lam, t = ([0.5] * len(n) if lam is None else lam), ([0.25] * len(n) if t is None else t)
+    return SourceLog(seed=fields.pop("seed", 9), session_index=session, count=count, emissions=PairStream(
+        n=np.array(n, np.int64), lam=np.array(lam, float), t=np.array(t, float)), **fields)
 
 
 def _emission_log(tmp_path, count=3, session=1):
@@ -829,6 +867,65 @@ class TestEmissionLogs:
         path.write_text("".join(lines[:4]) + "not a record\n")
         with pytest.raises(ValueError, match=f"emission-log {path} line 1: header seed 1.7 is not an integer >= 0$"):
             load_emission_log(path)
+
+    def test_event_past_the_header_count_is_named(self, tmp_path):
+        _, path = _emission_log(tmp_path, session=0)
+        _edit_line(path, 1, count=2)
+        with pytest.raises(ValueError, match=rf"emission-log {path} line 4: event 3 \(pair index 3\) is past the "
+                                             "session's count 2$"):
+            load_emission_log(path)
+
+    @pytest.mark.parametrize("log,match", [
+        (_source_log([1, 2, 3], lam=[0.5, 1.5, 0.0]), r"3: lambda 1\.5 is not in \[0, 1\)"),
+        (_source_log([1, 2, 3], t=[0.5, 0.5, math.nan]), r"4: t nan is not in \[0, 1\)"),
+        (_source_log([1, 2], lam=[-math.inf, 0.5], status="partial"), r"2: lambda -inf is not in \[0, 1\)"),
+        (_source_log([1, 3], status="partial"), r"3: pair index 3 is not 2: out of the session's range 1\.\.3, "
+                                                "repeated or out of order"),
+        (_source_log([4, 5], count=2), r"2: pair index 4 is not 1: out of the session's range 1\.\.2, "
+                                                 "repeated or out of order"),
+        (_source_log([1, 2, 3], count=2), r"4: event 3 \(pair index 3\) is past the session's count 2"),
+        (_source_log([1, 2], seed=-1), "1: header seed -1 is not an integer >= 0"),
+        (_source_log([], session=2**62, count=5), r"1: header session 4611686018427387904 of 5 pairs runs past "
+                                                  r"pair index 2\*\*63 - 1"),
+        (_source_log([1, 2]), "4: trailer .* does not close 2 events of a session of 3"),
+        (_source_log([1, 2, 3], status="done"), "5: trailer .* does not close 3 events of a session of 3"),
+        (_source_log([1, 2, 3], detail=None), "5: trailer .* does not close 3 events of a session of 3"),
+    ], ids=["lambda-1.5", "nan-t", "minus-inf-lambda", "gap", "other-session", "past-count", "negative-seed",
+            "session-range", "complete-short", "status", "detail"])
+    def test_log_the_loader_would_refuse_is_not_written(self, tmp_path, log, match):
+        path = tmp_path / "emissions.jsonl"
+        path.write_bytes(_EARLIER)
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))} line {match}; no emission log is written$"):
+            write_emission_log(log, path)
+        assert path.read_bytes() == _EARLIER
+
+    @settings(max_examples=300, deadline=None)
+    @given(hst.data())
+    def test_writer_refuses_or_the_log_loads_back_the_same_events(self, tmp_path_factory, data):
+        draw = data.draw
+        seed, session, count = (draw(hst.integers(-1, 3) | hst.just(0)) for _ in range(3))
+        size = draw(hst.integers(0, max(count, 0) + 1), label="size")
+        first = max(session, 0) * count + 1
+        n = mostly(draw, list(range(first, first + size)), hst.sampled_from(EDGE_INTS))
+        floats = hst.floats(0, 1, exclude_max=True)
+        lam, t = (mostly(draw, draw(hst.lists(floats, min_size=size, max_size=size)), hst.sampled_from(EDGE_FLOATS))
+                  for _ in range(2))
+        if size and draw(hst.integers(0, 9)) == 0:  # one column an event short
+            draw(hst.sampled_from([n, lam, t])).pop()
+        status = draw(hst.sampled_from(["complete", "partial", "done"]))
+        path = tmp_path_factory.mktemp("log") / "emissions.jsonl"
+        path.write_bytes(_EARLIER)
+        try:  # a PairStream refuses unequal lengths and a pair index that does not rise
+            write_emission_log(_source_log(n, lam, t, count, session, seed=seed, status=status), path)
+        except ValueError:
+            assert path.read_bytes() == _EARLIER
+            return
+        back = load_emission_log(path)
+        assert (back.seed, back.session_index, back.count, back.status, back.detail) == (seed, session, count,
+                                                                                         status, "")
+        e = back.emissions
+        assert [e.n.tolist(), e.lam.view(np.uint64).tolist(), e.t.view(np.uint64).tolist()] == [
+            n, np.array(lam).view(np.uint64).tolist(), np.array(t).view(np.uint64).tolist()]
 
     def test_complete_trailer_must_close_the_whole_session(self, tmp_path):
         _, path = _emission_log(tmp_path, session=0)
@@ -921,6 +1018,42 @@ class TestLiveRun:
         assert len(lb) == len(rb) == 800
         res = st.collate(lb, rb, strategy="pair-id")
         assert len(res.dataset.groups[0]) == 800
+
+    def test_session_without_a_batch_leaves_report_logs_that_load_empty(self, tmp_path):
+        key_path, paths = tmp_path / "key.json", (tmp_path / "L.jsonl", tmp_path / "R.jsonl")
+        st.write_key_file(key_path, RAD3)
+        with pytest.raises(AssertionError, match="one or both stations sent no reports"):
+            run_live(1, 0, RAD3, B60, key_path, report_logs=paths)
+        for path, station, setting in zip(paths, "LR", (CANONICAL_LEFT, B60)):
+            batch = load_report_log(path)
+            assert (batch.station, batch.setting, len(batch)) == (station, setting, 0)
+
+    def test_every_frame_a_role_sends_passes_the_receiving_roles_check(self, tmp_path, monkeypatch):
+        sent, send = [], st.send_frame
+
+        def recording(sock, obj, columns=None):
+            sent.append((sock, dict(obj, **(columns or {}))))  # the message as ``recv_frame`` gives it back
+            send(sock, obj, columns)
+
+        monkeypatch.setattr(st, "send_frame", recording)
+        key_path = tmp_path / "key.json"
+        st.write_key_file(key_path, RAD3)
+        run_live(5, 2 * BLOCK_PAIRS + 3, RAD3, B60, key_path)
+        last_n, kinds = {}, []
+        for sock, msg in sent:
+            if msg["type"] == "hello":
+                kinds.append(st.validate_message(msg, st.SOURCE_RECEIVABLE_SCHEMAS))
+            elif msg["type"] in ("emit_batch", "end") and "station" not in msg:
+                kinds.append(st.validate_message(msg, st.STATION_RECEIVABLE_SCHEMAS))
+                if msg["type"] == "emit_batch":  # the receiving station's own check, from its last pair index
+                    n, _, _ = st._columns("emit_batch", msg, formats.EMISSION_COLUMNS, after=last_n.get(sock, 0))
+                    last_n[sock] = int(n[-1])
+            else:
+                kinds.append(st.validate_message(msg, st.COLLATOR_RECEIVABLE_SCHEMAS))
+                if msg["type"] == "report_batch":
+                    assert len(st._report_columns(msg)[0]) in (BLOCK_PAIRS, 3)
+        assert sorted(kinds) == sorted(["hello", "key_digest", "end", "end"] * 2 + ["emit_batch", "report_batch"] * 6)
+        assert sorted(last_n.values()) == [2 * BLOCK_PAIRS + 3] * 2
 
     def test_anticorrelation_holds_across_the_wire_at_equal_settings(self, tmp_path):
         key_path = tmp_path / "key.json"
@@ -1523,12 +1656,13 @@ class TestCollatorChecks(_FakeStations):
         assert grp.pair_index.tolist() == [1, 2, 3, 4, 5] and result.incomplete == ()
 
     @pytest.mark.parametrize("fields,error,match", [
-        ({"outcome": [1, 0, 1]}, st.SchemaError, "report_batch rejected at position 1: pair index 2 with outcome 0"),
-        ({"outcome": [1, -128, 1]}, st.SchemaError, "report_batch rejected at position 1: .* with outcome -128"),
+        ({"outcome": [1, 0, 1]}, st.SchemaError, r"report_batch rejected at position 1: outcome 0 is not -1 or \+1"),
+        ({"outcome": [1, -128, 1]}, st.SchemaError, "report_batch rejected at position 1: outcome -128 is not"),
         ({"n": [0, 2, 3]}, st.SchemaError, "report_batch rejected at position 0: pair index 0"),
         ({"n": [1, 2, -3]}, st.SchemaError, "report_batch rejected at position 2: pair index -3"),
-        ({"outcome": [1, 1]}, st.SchemaError, "report_batch rejected: columns"),
-        ({"n": [], "outcome": []}, st.SchemaError, r"report_batch rejected: columns \['n', 'outcome'\] of lengths"),
+        ({"outcome": [1, 1]}, st.SchemaError,
+         r"report_batch rejected at position 2: columns \['n', 'outcome'\] of lengths \[3, 2\]"),
+        ({"n": [], "outcome": []}, st.SchemaError, "report_batch rejected: an empty batch"),
         ({"outcome": 7}, st.SchemaError, "field 'outcome' of 'report_batch' is not a column"),
         ({"n": "AQAAAAAAAAA="}, st.SchemaError, "field 'n' of 'report_batch' is not a column"),
         ({"n": bytes(20)}, st.SchemaError, "report_batch rejected: column n holds 20 bytes, not whole <i8"),
