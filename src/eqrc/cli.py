@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -121,6 +122,7 @@ def _add_common(p: argparse.ArgumentParser, pairs_default: int = 1_000_000, leas
     p.add_argument("--out", default=None, help="output file (default: stdout)")
 
 
+@functools.cache  # one parser per process: building it costs about 2 ms, and parsing leaves it as it was
 def build_parser() -> _Parser:
     parser = _Parser(prog="eqrc", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")

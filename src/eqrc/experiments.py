@@ -19,7 +19,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .inequalities import InequalityReport, bell_check, chsh_check, wigner_check, cyclic_concatenate
-from .model import GaugeKey, Setting, derive_subseed, measure_stream
+from .model import BLOCK_PAIRS, GaugeKey, Setting, derive_subseed, measure_stream
 from .stats import ExpectationEstimate, estimate_expectation
 
 __all__ = [
@@ -69,6 +69,8 @@ CHSH_PAIRS = (
 DEFAULT_SWEEP_STEPS = 72  # 5-degree resolution
 
 _SCHEDULE_DERIVATION_INDEX = -1  # sub-seed slot reserved for the switching schedule
+# Switched records placed or gathered back at a time: a piece's slots and pair indices take at most 256 KiB each.
+_PIECE = 4 * BLOCK_PAIRS
 
 
 @dataclass(frozen=True)
@@ -199,8 +201,8 @@ def run_experiment(spec: ExperimentSpec) -> RunDataset:
     indices i*N+1 .. (i+1)*N. Random-switched mode shuffles a schedule
     of group ids (of ``InterleavedRecords.id_dtype``) over the exact
     per-pair quotas (every listed pair occurs exactly N times) and
-    scatters each group's stream and pair indices straight into the
-    emission-order columns as it is drawn, so no group is held.
+    scatters each group's stream and pair indices into the emission-order
+    columns as it is drawn, a piece of the schedule at a time.
     """
     canonical = tuple(rotate_to_canonical(p) for p in spec.setting_pairs)
     n, k = spec.pairs_per_setting, len(canonical)
@@ -208,19 +210,21 @@ def run_experiment(spec: ExperimentSpec) -> RunDataset:
     if spec.switching == "random-switched":
         schedule = np.repeat(np.arange(k, dtype=InterleavedRecords.id_dtype(k)), n)
         np.random.Generator(np.random.PCG64(derive_subseed(spec.seed, _SCHEDULE_DERIVATION_INDEX))).shuffle(schedule)
-        inter = InterleavedRecords(schedule, np.empty(k * n, np.int64), np.empty(k * n, np.int8),
-                                   np.empty(k * n, np.int8))
+        inter = InterleavedRecords(schedule, *(np.empty(k * n, dtype) for dtype in (np.int64, np.int8, np.int8)))
     groups = []
     for i, (lft, rgt) in enumerate(canonical):
         left, (right,) = measure_stream(derive_subseed(spec.seed, i), n, spec.key, (rgt,))
         np.negative(right, out=right)  # the right wing reports -A(b)
-        pair_index = np.arange(i * n + 1, (i + 1) * n + 1, dtype=np.int64)
         if inter is None:
-            groups.append(RunGroup(f"pair{i}", lft, rgt, pair_index, left, right))
+            groups.append(RunGroup(f"pair{i}", lft, rgt, np.arange(i * n + 1, (i + 1) * n + 1, dtype=np.int64),
+                                   left, right))
             continue
-        slots = np.flatnonzero(inter.group_ids == i)
-        inter.pair_index[slots], inter.left[slots], inter.right[slots] = pair_index, left, right
-        del pair_index, slots  # not held while the next group is drawn and placed
+        placed = slice(0, 0)  # the group's records placed by a piece, of pair indices i*N+1+start ..
+        for lo in range(0, k * n, _PIECE):
+            slots = np.flatnonzero(inter.group_ids[lo:lo + _PIECE] == i) + lo
+            placed = slice(placed.stop, placed.stop + len(slots))
+            inter.pair_index[slots] = np.arange(i * n + 1 + placed.start, i * n + 1 + placed.stop, dtype=np.int64)
+            inter.left[slots], inter.right[slots] = left[placed], right[placed]
     return RunDataset(canonical_pairs=canonical, groups=tuple(groups), interleaved=inter, spec=spec, meta=_meta())
 
 
@@ -230,26 +234,33 @@ def sort_wigner_sets(interleaved: RunDataset) -> RunDataset:
     Each set is an ordinary separate experiment: outcomes depend only on
     (setting, event, key), so estimates on the sorted sets match a fixed
     run over the same streams exactly. A set keeps its records in pair
-    index order, ties in emission order: each group's pair indices are
-    gathered once and sorted only if they are not already ascending,
-    which a run's emission order always is.
+    index order, ties in emission order: gathered a piece of the records
+    at a time and sorted only if its pair indices are not ascending, as
+    a run's emission order always has them.
     """
-    inter = interleaved.interleaved
+    inter, pairs = interleaved.interleaved, interleaved.canonical_pairs
     if inter is None:
         raise ValueError("dataset carries no interleaved records to sort")
-    if len(inter) == 0:
-        raise ValueError("interleaved dataset is empty")
-    if inter.group_ids.min() < 0 or inter.group_ids.max() >= len(interleaved.canonical_pairs):
+    ids, columns, pieces = inter.group_ids, (inter.pair_index, inter.left, inter.right), range(0, len(inter), _PIECE)
+    if len(ids) == 0 or any(len(col) != len(ids) for col in columns):  # the gathers below take equal lengths
+        raise ValueError(f"interleaved columns of lengths {[len(ids), *map(len, columns)]}: empty or unequal")
+    if ids.min() < 0 or ids.max() >= len(pairs):
         raise ValueError("interleaved records carry tags outside the spec's setting pairs")
-    groups = []
-    for i, (lft, rgt) in enumerate(interleaved.canonical_pairs):
-        slots = np.flatnonzero(inter.group_ids == i)
-        pair_index = inter.pair_index[slots]
-        if np.any(pair_index[1:] < pair_index[:-1]):
-            order = np.argsort(pair_index, kind="stable")
-            slots, pair_index = slots[order], pair_index[order]
-        groups.append(RunGroup(f"pair{i}", lft, rgt, pair_index, inter.left[slots], inter.right[slots]))
-    return RunDataset(canonical_pairs=interleaved.canonical_pairs, groups=tuple(groups), spec=interleaved.spec,
+    counts = [sum(np.count_nonzero(ids[lo:lo + _PIECE] == i) for lo in pieces) for i in range(len(pairs))]
+    sets, done = [[np.empty(count, col.dtype) for col in columns] for count in counts], [0] * len(pairs)
+    for lo in pieces:  # each piece once for every group, while it is in cache
+        piece, views = ids[lo:lo + _PIECE], [col[lo:lo + _PIECE] for col in columns]
+        for i, group in enumerate(sets):
+            slots = np.flatnonzero(piece == i)
+            for view, col in zip(views, group):  # "clip" writes into ``out``; the default "raise" would buffer it
+                np.take(view, slots, out=col[done[i]:done[i] + len(slots)], mode="clip")
+            done[i] += len(slots)
+    for group in sets:
+        if np.any(group[0][1:] < group[0][:-1]):
+            order = np.argsort(group[0], kind="stable")
+            group[:] = [col[order] for col in group]
+    groups = tuple(RunGroup(f"pair{i}", *pair, *group) for i, (pair, group) in enumerate(zip(pairs, sets)))
+    return RunDataset(canonical_pairs=pairs, groups=groups, spec=interleaved.spec,
                       meta={**interleaved.meta, "sorted_from_switched": True})
 
 

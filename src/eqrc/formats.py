@@ -300,8 +300,11 @@ def write_run_dataset(ds: RunDataset, path) -> None:
 
     What the loader would refuse is a ValueError naming the first bad pair, raised before ``path`` is opened: a
     value ``DATASET_COLUMNS`` refuses, fixed groups other than pair0, pair1, ... with the settings of the setting
-    pairs in turn, and switched records with a group id not below the number of setting pairs or a repeated index.
+    pairs in turn, and switched records with a group id not below the number of setting pairs or a repeated index;
+    before them, a header ``meta`` that is not an object.
     """
+    if type(ds.meta) is not dict:
+        _unwritable("dataset", f"{path} line 1", f"header meta {ds.meta!r} is not an object")
     pair = (_PAIR_INDEX, _OUTCOME, _OUTCOME)  # a pair's index and its L and R outcomes, as columns
     k, inter = len(ds.canonical_pairs), ds.interleaved
     if inter is None:
@@ -473,7 +476,8 @@ def load_run_dataset(path) -> RunDataset:
     """Rebuild a dataset from its JSONL form.
 
     Fixed-mode files come back as groups; randomly switched files come
-    back interleaved (file order) so they can be sorted downstream.
+    back interleaved (file order) so they can be sorted downstream, and
+    those of sorted-back runs (``meta`` ``sorted_from_switched``) as groups.
     Raises ValueError, naming the line or pair, for what ``_read_records``
     refuses, among it a record of another schema version, of an unknown
     group or station, or with a setting other than its group's in the
@@ -524,7 +528,7 @@ def load_run_dataset(path) -> RunDataset:
     pair_index, left, right = ns[lrow], outcomes[lrow].astype(np.int8), outcomes[rrow].astype(np.int8)
     groups = tuple(RunGroup(labels[gid], lft, rgt, pair_index[lo:hi], left[lo:hi], right[lo:hi])
                    for gid, ((lft, rgt), lo, hi) in enumerate(zip(pairs, bounds[:-1], bounds[1:])))
-    if header.get("switching") != "random-switched":
+    if header.get("switching") != "random-switched" or meta.get("sorted_from_switched") is True:
         return RunDataset(canonical_pairs=pairs, groups=groups, spec=spec, meta=meta)
     try:  # the groups a switched file sorts into: RunDataset's check refuses a pair index in two of them
         RunDataset(canonical_pairs=pairs, groups=groups)
@@ -737,9 +741,12 @@ def write_report_log(log: StationLog, path) -> None:
     """Header line, then one line per report: its fields, ``type`` "report" and ``v``, the bytes of dumping
     its object, rendered from the batch's int columns a block at a time.
 
-    A batch the loader would refuse (a column ``REPORT_COLUMNS`` refuses) is a ValueError naming its first bad
-    report, raised before ``path`` is opened.
+    A log the loader would refuse is a ValueError raised before ``path`` is opened, naming a header ``station`` or
+    ``key_digest`` that is not a string, else the batch's first report of a value ``REPORT_COLUMNS`` refuses.
     """
+    for name in ("station", "key_digest"):
+        if type(value := getattr(log, name)) is not str:
+            _unwritable("report log", f"{path} line 1", f"header {name} {value!r} is not a string")
     r = log.reports
     if fault := column_fault(REPORT_COLUMNS, (r.n, r.outcome, r.clock_ns)):
         _unwritable("report log", "station {} report at index {}".format(log.station, *fault), fault[1])

@@ -174,6 +174,19 @@ class TestSeedHandling:
         _, out2, _ = run_cli(["run", "--pairs", "1000", "--seed", "5"], capsys)
         assert out1 == out2
 
+    def test_successive_calls_parse_independently(self, capsys, monkeypatch):
+        """One parser serves every call of a process: no argument, default or refusal carries over to the next."""
+        monkeypatch.setenv("EQRC_SEED", "777")
+        rc, out, _ = run_cli(["run", "--pairs", "1000", "--seed", "5", "--right", "0,1", "--gauge", "one"], capsys)
+        assert rc == 0 and next(csv.DictReader(out.splitlines()[1:]))["seed"] == "5"
+        assert run_cli(["run", "--pairs", "0"], capsys)[0] == 1
+        monkeypatch.setenv("EQRC_SEED", "8")
+        rc, out, _ = run_cli(["run", "--pairs", "10"], capsys)
+        row = next(csv.DictReader(out.splitlines()[1:]))
+        assert (rc, row["n"], row["seed"], row["right_b2"], row["gauge"]) == (0, "10", "8", "0.5", "rademacher:j=3")
+        monkeypatch.delenv("EQRC_SEED")
+        assert run_cli(["run", "--pairs", "10", "--seed", "8"], capsys) == (0, out, "")
+
     def test_bad_env_seed_is_a_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv("EQRC_SEED", "not-a-number")
         rc, _, err = run_cli(["run", "--pairs", "10"], capsys)

@@ -1,5 +1,6 @@
 """Suites, rotation, switching, sorting, and the angle sweep."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -211,6 +212,17 @@ class TestSwitching:
         with pytest.raises(ValueError, match="tags"):  # a wide id column may hold a negative tag
             sort_wigner_sets(_interleaved([0, -1, 1], [1, 2, 3]))
 
+    @pytest.mark.parametrize("column,values", [("left", [1, -1]), ("right", [1, 1, 1, 1]), ("pair_index", [])])
+    def test_sorting_refuses_columns_of_unequal_lengths(self, column, values):
+        ds = _interleaved([0, 1, 1], [1, 2, 3])
+        setattr(ds.interleaved, column, np.array(values, getattr(ds.interleaved, column).dtype))
+        with pytest.raises(ValueError, match=r"interleaved columns of lengths \[3, .*\]: empty or unequal"):
+            sort_wigner_sets(ds)
+
+    def test_sorting_refuses_an_empty_run(self):
+        with pytest.raises(ValueError, match=r"interleaved columns of lengths \[0, 0, 0, 0\]: empty or unequal"):
+            sort_wigner_sets(_interleaved([], []))
+
     @pytest.mark.parametrize("k", [1, 3, 4, 7, 257])
     def test_switched_run_is_the_fixed_run_placed_by_an_int64_schedule(self, k):
         # Ids of the narrowest unsigned dtype: the generator shuffles them as it would int64 ids.
@@ -343,6 +355,19 @@ class TestBlockedRuns:
             assert np.array_equal(grp.pair_index, pair_index)
             assert np.array_equal(grp.left, left) and np.array_equal(grp.right, right)
 
+    @pytest.mark.parametrize("order", ["emission", "reversed"])
+    def test_switched_run_and_its_sort_back_match_the_oracles(self, order):
+        spec = self._switched_spec(self.N)  # the schedule in whole pieces and a partial one
+        ds = run_experiment(spec)
+        placed = [col.copy() for col in dataclasses.astuple(ds.interleaved)]
+        if order == "reversed":  # every group's pair indices descending: the sort-back's stable argsort
+            ds.interleaved.pair_index[:] = ds.interleaved.pair_index[::-1].copy()
+        groups = sort_wigner_sets(ds).groups  # sorted back before the oracles free arrays of the groups' sizes
+        for got, want in zip(placed, switched_run_oracle(spec), strict=True):
+            assert np.array_equal(got, want)
+        for grp, want in zip(groups, sort_oracle(ds.interleaved, 3), strict=True):
+            assert all(np.array_equal(got, part) for got, part in zip((grp.pair_index, grp.left, grp.right), want))
+
     def test_sweep_matches_the_whole_stream_oracle(self):
         points = sweep_angle(seed=5, n_per_step=self.N, steps=6, key=RARB)
         got = [(p.theta, p.estimate.value, p.estimate.std_error, p.estimate.n_samples) for p in points]
@@ -367,13 +392,29 @@ class TestBlockedRuns:
         spec = ExperimentSpec(setting_pairs=BELL_PAIRS, pairs_per_setting=n, seed=3, key=RARB)
         assert self._peak_bytes(run_experiment, spec) < 12 * 3 * n
 
-    def test_switched_run_sorted_back_peaks_under_twenty_eight_bytes_per_record(self):
-        # The records (11 B: a uint8 id, an int64 pair index, two int8 outcomes), the sorted copies (10 B) and
-        # the slots of a group or two read about 24 B; int64 ids alone would add 7 B.
-        n = 200_000
-        spec = ExperimentSpec(setting_pairs=BELL_PAIRS, pairs_per_setting=n, seed=3, key=RARB,
+    @staticmethod
+    def _switched_spec(n):
+        return ExperimentSpec(setting_pairs=BELL_PAIRS, pairs_per_setting=n, seed=3, key=RARB,
                               switching="random-switched")
-        assert self._peak_bytes(lambda: sort_wigner_sets(run_experiment(spec))) < 28 * 3 * n
+
+    def test_switched_run_sorted_back_peaks_under_twenty_three_bytes_per_record(self):
+        # The records (11 B: a uint8 id, an int64 pair index, two int8 outcomes), the sorted copies (10 B) and
+        # one piece of the schedule read about 21.4 B; a group's int64 slots at once would add 2.7 B.
+        n = 200_000
+        assert self._peak_bytes(lambda: sort_wigner_sets(run_experiment(self._switched_spec(n)))) < 23 * 3 * n
+
+    def test_switched_run_peaks_under_fourteen_bytes_per_record(self):
+        # The records (11 B), the group being placed (2 B per record of its own) and one piece read about 12.9 B; a
+        # group's slots and pair indices at once would add 5.3 B.
+        n = 200_000
+        assert self._peak_bytes(run_experiment, self._switched_spec(n)) < 14 * 3 * n
+
+    def test_sort_back_peaks_under_eleven_and_a_half_bytes_per_record(self):
+        # The sorted copies (10 B), a group's order check (1 B per record of its own) and one piece read about 10.4 B;
+        # a group's slots at once would add 2.7 B.
+        n = 200_000
+        switched = run_experiment(self._switched_spec(n))
+        assert self._peak_bytes(sort_wigner_sets, switched) < 11.5 * 3 * n
 
     def test_triple_tables_peak_stays_under_twelve_bytes_per_pair(self):
         def tables(n):  # what `eqrc triples` runs: one single-space table, then both tallies of it

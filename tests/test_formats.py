@@ -73,6 +73,19 @@ class TestDatasetJsonl:
             assert np.array_equal(g1.left, g2.left)
             assert np.array_equal(g1.right, g2.right)
 
+    def test_sorted_back_switched_run_loads_back_as_its_groups(self, tmp_path):
+        ds = sort_wigner_sets(run_experiment(_spec(n=3, switching="random-switched")))
+        write_run_dataset(ds, tmp_path / "sorted.jsonl")
+        back = load_run_dataset(tmp_path / "sorted.jsonl")
+        assert (back.interleaved, back.spec, back.canonical_pairs, back.meta) == (None, ds.spec, ds.canonical_pairs,
+                                                                                 ds.meta)
+        assert [(g.label, g.left_setting, g.right_setting) for g in back.groups] == [
+            (g.label, g.left_setting, g.right_setting) for g in ds.groups]
+        for g1, g2 in zip(ds.groups, back.groups, strict=True):
+            for name in ("pair_index", "left", "right"):
+                assert np.array_equal(getattr(g1, name), getattr(g2, name))
+                assert getattr(g1, name).dtype == getattr(g2, name).dtype
+
     @pytest.mark.parametrize("k", [3, 257])
     def test_switched_ids_load_back_in_the_runs_dtype(self, tmp_path, k):
         pairs = tuple((Setting.from_angle(0.1 * j), Setting.from_angle(0.7 * j + 0.3)) for j in range(k))
@@ -753,6 +766,12 @@ class TestDatasetWriterRefusals:
     ], ids=["id-k", "id-negative", "repeat-across-groups", "repeat-in-group", "outcome-7", "unequal"])
     def test_switched_record_the_loader_refuses(self, tmp_path, ds, match):
         _refused_write(tmp_path, ds, match)
+
+    @pytest.mark.parametrize("meta", [["x"], None, "sorted_from_switched"], ids=repr)
+    def test_header_meta_that_is_not_an_object_is_refused(self, tmp_path, meta):
+        ds = run_experiment(_spec(n=2))
+        ds.meta = meta
+        _refused_write(tmp_path, ds, rf".*run\.jsonl line 1: header meta {re.escape(repr(meta))} is not an object")
 
     def test_unequal_group_columns_are_refused_when_built(self):
         with pytest.raises(ValueError, match="group pair0 columns pair_index, left and right are of lengths 2, 1 and 2"):

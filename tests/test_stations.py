@@ -721,6 +721,18 @@ class TestReportLogs:
             write_report_log(StationLog("L", B60, "ab", batch), path)
         assert path.read_text() == "an earlier file\n"
 
+    @pytest.mark.parametrize("field,value", [("key_digest", None), ("key_digest", 5), ("station", None)])
+    def test_header_the_loader_would_refuse_is_not_written(self, tmp_path, field, value):
+        log = StationLog("L", B60, "ab", ReportBatch("L", B60, np.array([1, 2], np.int64), np.array([1, -1], np.int8),
+                                                     np.array([0, 10], np.int64)))
+        setattr(log, field, value)
+        path = tmp_path / "log.jsonl"
+        path.write_text("an earlier file\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))} line 1: header {field} {value!r} is not a "
+                                             "string; no report log is written$"):
+            write_report_log(log, path)
+        assert path.read_text() == "an earlier file\n"
+
     def test_empty_log_loads_as_an_empty_batch(self, tmp_path):
         _, path = _report_log(tmp_path, count=0)
         batch = load_report_log(path)
