@@ -1,10 +1,10 @@
 """Randomly switched settings sort back into ordinary per-pair experiments.
 
-A switched run interleaves the three setting pairs under a seeded
-schedule, tagging each record with the active pair. Sorting the tags
-recovers three sets that are exactly the fixed-mode runs over the same
-event streams: the outcome functions have no memory, so the switching
-order carries no information.
+A switched run measures the three setting pairs under a seeded
+schedule that names the active pair at each emission. Sorting back
+drops the schedule; the three sets left are exactly the fixed-mode runs
+over the same event streams: the outcome functions have no memory, so
+the switching order carries no information.
 """
 
 import numpy as np
@@ -19,10 +19,10 @@ key = GaugeKey(mode="rademacher", j=3)
 switched_spec = ExperimentSpec(setting_pairs=BELL_PAIRS, pairs_per_setting=50_000,
                                seed=11, key=key, switching="random-switched")
 switched = run_experiment(switched_spec)
-inter = switched.interleaved
-print(f"interleaved records: {len(inter)}; first ten active pairs: "
-      f"{inter.group_ids[:10].tolist()}")
-counts = np.bincount(inter.group_ids, minlength=3)
+schedule = switched.schedule
+print(f"interleaved records: {len(schedule)}; first ten active pairs: "
+      f"{schedule[:10].tolist()}")
+counts = np.bincount(schedule, minlength=3)
 print(f"per-pair quotas in the schedule: {counts.tolist()}")
 
 # ## Sort into per-pair sets

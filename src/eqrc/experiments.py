@@ -5,8 +5,9 @@ Every setting pair is first rotated so the left magnet points along
 between the magnets, so the rotation changes nothing). Each pair then
 gets its own disjoint pair-index range and its own sub-seeded event
 stream: three setting-pair experiments mean three separate sample
-spaces. A randomly switched run interleaves the same per-pair streams
-under a seeded schedule and can be sorted back into its per-pair sets.
+spaces. A randomly switched run is the same per-pair groups plus a
+seeded schedule of the pair active at each emission; sorting it back
+into its per-pair sets drops the schedule.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ CHSH_PAIRS = (
 DEFAULT_SWEEP_STEPS = 72  # 5-degree resolution
 
 _SCHEDULE_DERIVATION_INDEX = -1  # sub-seed slot reserved for the switching schedule
-# Switched records placed or gathered back at a time: a piece's slots and pair indices take at most 256 KiB each.
+# Schedule ids counted or records interleaved at a time: a piece's slots take at most 256 KiB.
 _PIECE = 4 * BLOCK_PAIRS
 
 
@@ -95,12 +96,13 @@ class ExperimentSpec:
 
 @dataclass
 class RunGroup:
-    """Matched outcomes of one setting-pair experiment (one sample space)."""
+    """Matched outcomes of one setting-pair experiment (one sample space), by ascending pair index; in emission
+    order in a switched run (a run's own ascend too), and in arrival order after sequence-order collation."""
 
     label: str
     left_setting: Setting
     right_setting: Setting
-    pair_index: np.ndarray  # int64; ascending except after sequence-order collation
+    pair_index: np.ndarray  # int64
     left: np.ndarray  # int8 outcomes
     right: np.ndarray  # int8 outcomes
 
@@ -118,7 +120,7 @@ class RunGroup:
 
 @dataclass
 class InterleavedRecords:
-    """Emission-order records of a randomly switched run, tagged by active pair."""
+    """Emission-order records of a randomly switched run, tagged by active pair (see ``RunDataset.interleaved``)."""
 
     group_ids: np.ndarray  # index into the spec's k setting pairs, of id_dtype(k): uint8 up to 256 pairs
     pair_index: np.ndarray
@@ -136,23 +138,32 @@ class InterleavedRecords:
 
 @dataclass
 class RunDataset:
-    """Results of one experiment run.
+    """Results of one experiment run: one group per setting pair.
 
-    Fixed-mode runs carry per-pair groups; randomly switched runs carry
-    the interleaved tagged sequence until sorted. No pair index occurs
-    twice in the groups, whether in two groups or within one; a group's
-    indices need not be ascending. ``spec`` is None for datasets
-    reassembled by a collator, which does not know how the events were
-    generated.
+    A randomly switched run adds its ``schedule``, the group id at each
+    emission (of ``InterleavedRecords.id_dtype``), and keeps each group
+    in emission order: id i occurs exactly ``len(groups[i])`` times. No
+    pair index occurs twice in the groups, whether in two groups or
+    within one. ``spec`` is None for datasets reassembled by a collator,
+    which does not know how the events were generated.
     """
 
     canonical_pairs: tuple[tuple[Setting, Setting], ...]
     groups: tuple[RunGroup, ...]
-    interleaved: InterleavedRecords | None = None
+    schedule: np.ndarray | None = None
     spec: ExperimentSpec | None = None
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if (ids := self.schedule) is not None:
+            sizes = [len(g) for g in self.groups]
+            if len(ids) and (ids.min() < 0 or ids.max() >= len(sizes)):
+                raise ValueError(f"schedule ids outside 0 .. {len(sizes) - 1}, the groups' own")
+            counts = np.zeros(len(sizes), np.int64)
+            for lo in range(0, len(ids), _PIECE):  # a piece at a time: bincount takes its input as intp, 8 B per id
+                counts += np.bincount(ids[lo:lo + _PIECE], minlength=len(sizes))
+            if counts.tolist() != sizes:
+                raise ValueError(f"schedule ids counted {counts.tolist()}, not the groups' sizes {sizes}")
         indices = [g.pair_index for g in self.groups if len(g.pair_index)]
         # Strictly ascending groups whose [first, last] intervals do not
         # overlap are disjoint: O(n) to check, no sort.
@@ -168,6 +179,23 @@ class RunDataset:
         all_idx = np.sort(np.concatenate(indices))
         if np.any(all_idx[1:] == all_idx[:-1]):
             raise ValueError("pair-index ranges of separate groups must be disjoint")
+
+    @property
+    def interleaved(self) -> InterleavedRecords | None:
+        """A switched run's records in emission order, built anew a piece of the schedule at a time; else None."""
+        if (ids := self.schedule) is None:
+            return None
+        columns, done = [np.empty(len(ids), dtype) for dtype in (np.int64, np.int8, np.int8)], [0] * len(self.groups)
+        for lo in range(0, len(ids), _PIECE):
+            piece, views = ids[lo:lo + _PIECE], [col[lo:lo + _PIECE] for col in columns]
+            for i, g in enumerate(self.groups):
+                slots = np.flatnonzero(piece == i)
+                for view, src in zip(views, (g.pair_index, g.left, g.right)):
+                    view[slots] = src[done[i]:done[i] + len(slots)]
+                done[i] += len(slots)
+        if done != [len(g) for g in self.groups]:  # a schedule changed since construction
+            raise ValueError("schedule does not place every record of the groups")
+        return InterleavedRecords(ids, *columns)
 
     def group_expectations(self) -> list[ExpectationEstimate]:
         return [estimate_expectation(g) for g in self.groups]
@@ -198,70 +226,47 @@ def run_experiment(spec: ExperimentSpec) -> RunDataset:
     """Run every setting pair of the spec on its own disjoint event stream.
 
     Group i draws from sub-seed i of the master seed and owns pair
-    indices i*N+1 .. (i+1)*N. Random-switched mode shuffles a schedule
-    of group ids (of ``InterleavedRecords.id_dtype``) over the exact
-    per-pair quotas (every listed pair occurs exactly N times) and
-    scatters each group's stream and pair indices into the emission-order
-    columns as it is drawn, a piece of the schedule at a time.
+    indices i*N+1 .. (i+1)*N. A random-switched run adds a schedule of
+    group ids over the exact per-pair quotas (every listed pair occurs
+    exactly N times), shuffled by sub-seed -1: group i is emitted in
+    order at the slots of id i.
     """
     canonical = tuple(rotate_to_canonical(p) for p in spec.setting_pairs)
     n, k = spec.pairs_per_setting, len(canonical)
-    inter = None
-    if spec.switching == "random-switched":
-        schedule = np.repeat(np.arange(k, dtype=InterleavedRecords.id_dtype(k)), n)
-        np.random.Generator(np.random.PCG64(derive_subseed(spec.seed, _SCHEDULE_DERIVATION_INDEX))).shuffle(schedule)
-        inter = InterleavedRecords(schedule, *(np.empty(k * n, dtype) for dtype in (np.int64, np.int8, np.int8)))
     groups = []
     for i, (lft, rgt) in enumerate(canonical):
         left, (right,) = measure_stream(derive_subseed(spec.seed, i), n, spec.key, (rgt,))
         np.negative(right, out=right)  # the right wing reports -A(b)
-        if inter is None:
-            groups.append(RunGroup(f"pair{i}", lft, rgt, np.arange(i * n + 1, (i + 1) * n + 1, dtype=np.int64),
-                                   left, right))
-            continue
-        placed = slice(0, 0)  # the group's records placed by a piece, of pair indices i*N+1+start ..
-        for lo in range(0, k * n, _PIECE):
-            slots = np.flatnonzero(inter.group_ids[lo:lo + _PIECE] == i) + lo
-            placed = slice(placed.stop, placed.stop + len(slots))
-            inter.pair_index[slots] = np.arange(i * n + 1 + placed.start, i * n + 1 + placed.stop, dtype=np.int64)
-            inter.left[slots], inter.right[slots] = left[placed], right[placed]
-    return RunDataset(canonical_pairs=canonical, groups=tuple(groups), interleaved=inter, spec=spec, meta=_meta())
+        groups.append(RunGroup(f"pair{i}", lft, rgt, np.arange(i * n + 1, (i + 1) * n + 1, dtype=np.int64),
+                               left, right))
+    schedule = None
+    if spec.switching == "random-switched":
+        schedule = np.repeat(np.arange(k, dtype=InterleavedRecords.id_dtype(k)), n)
+        np.random.Generator(np.random.PCG64(derive_subseed(spec.seed, _SCHEDULE_DERIVATION_INDEX))).shuffle(schedule)
+    return RunDataset(canonical_pairs=canonical, groups=tuple(groups), schedule=schedule, spec=spec, meta=_meta())
 
 
-def sort_wigner_sets(interleaved: RunDataset) -> RunDataset:
+def sort_wigner_sets(switched: RunDataset) -> RunDataset:
     """Partition a randomly switched run back into its per-pair sets.
 
     Each set is an ordinary separate experiment: outcomes depend only on
     (setting, event, key), so estimates on the sorted sets match a fixed
-    run over the same streams exactly. A set keeps its records in pair
-    index order, ties in emission order: gathered a piece of the records
-    at a time and sorted only if its pair indices are not ascending, as
-    a run's emission order always has them.
+    run over the same streams exactly. The result is the run's groups
+    less the schedule, ``meta`` marked ``sorted_from_switched``. A set
+    is in pair index order, ties in emission order: a group out of that
+    order is sorted stably, and any other (as a run's all are) is the
+    run's own, so the result shares its arrays.
     """
-    inter, pairs = interleaved.interleaved, interleaved.canonical_pairs
-    if inter is None:
-        raise ValueError("dataset carries no interleaved records to sort")
-    ids, columns, pieces = inter.group_ids, (inter.pair_index, inter.left, inter.right), range(0, len(inter), _PIECE)
-    if len(ids) == 0 or any(len(col) != len(ids) for col in columns):  # the gathers below take equal lengths
-        raise ValueError(f"interleaved columns of lengths {[len(ids), *map(len, columns)]}: empty or unequal")
-    if ids.min() < 0 or ids.max() >= len(pairs):
-        raise ValueError("interleaved records carry tags outside the spec's setting pairs")
-    counts = [sum(np.count_nonzero(ids[lo:lo + _PIECE] == i) for lo in pieces) for i in range(len(pairs))]
-    sets, done = [[np.empty(count, col.dtype) for col in columns] for count in counts], [0] * len(pairs)
-    for lo in pieces:  # each piece once for every group, while it is in cache
-        piece, views = ids[lo:lo + _PIECE], [col[lo:lo + _PIECE] for col in columns]
-        for i, group in enumerate(sets):
-            slots = np.flatnonzero(piece == i)
-            for view, col in zip(views, group):  # "clip" writes into ``out``; the default "raise" would buffer it
-                np.take(view, slots, out=col[done[i]:done[i] + len(slots)], mode="clip")
-            done[i] += len(slots)
-    for group in sets:
-        if np.any(group[0][1:] < group[0][:-1]):
-            order = np.argsort(group[0], kind="stable")
-            group[:] = [col[order] for col in group]
-    groups = tuple(RunGroup(f"pair{i}", *pair, *group) for i, (pair, group) in enumerate(zip(pairs, sets)))
-    return RunDataset(canonical_pairs=pairs, groups=groups, spec=interleaved.spec,
-                      meta={**interleaved.meta, "sorted_from_switched": True})
+    if switched.schedule is None or not len(switched.schedule):
+        raise ValueError("dataset carries no switched records to sort back")
+    groups = []
+    for g in switched.groups:
+        if np.any(g.pair_index[1:] < g.pair_index[:-1]):
+            order = np.argsort(g.pair_index, kind="stable")
+            g = RunGroup(g.label, g.left_setting, g.right_setting, g.pair_index[order], g.left[order], g.right[order])
+        groups.append(g)
+    return RunDataset(canonical_pairs=switched.canonical_pairs, groups=tuple(groups), spec=switched.spec,
+                      meta={**switched.meta, "sorted_from_switched": True})
 
 
 def run_bell_suite(seed: int, n: int, key: GaugeKey) -> InequalityReport:

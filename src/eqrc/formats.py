@@ -272,17 +272,16 @@ def _dataset_templates(groups: Iterable[tuple[str, Setting, Setting]]) -> list[d
 
 def run_dataset_blocks(ds: RunDataset) -> Iterator[bytes]:
     """The dataset file: its header line, then record lines, L before R per pair, ``_RENDER_ROWS`` at most at
-    a time. Groups stream in turn; interleaved (switched, unsorted) records in emission order."""
+    a time. Groups stream in turn; a switched run's records (one with a schedule) in emission order."""
     yield (_dumps(_dataset_header(ds)) + "\n").encode()
+    if not ds.groups:  # no group, so no record: the header line alone
+        return
+    groups = [(g.label, g.left_setting, g.right_setting) for g in ds.groups]
+    codec = _LineCodec(_dataset_templates(groups), [name for name, *_ in DATASET_COLUMNS])
     if (inter := ds.interleaved) is not None:
-        groups = [(f"pair{gid}", *pair) for gid, pair in enumerate(ds.canonical_pairs)]
         runs = [(inter.group_ids, inter.pair_index, inter.left, inter.right)]
     else:
-        groups = [(g.label, g.left_setting, g.right_setting) for g in ds.groups]
         runs = [(np.broadcast_to(gid, len(g)), g.pair_index, g.left, g.right) for gid, g in enumerate(ds.groups)]
-    if not groups:  # no setting pair, so no record: the header line alone
-        return
-    codec = _LineCodec(_dataset_templates(groups), [name for name, *_ in DATASET_COLUMNS])
     for gids, n, left, right in runs:
         for cut in (slice(at, at + _RENDER_ROWS // 2) for at in range(0, len(n), _RENDER_ROWS // 2)):
             slot = 2 * np.asarray(gids[cut], np.int64)[:, None] + [0, 1]
@@ -298,30 +297,24 @@ def dataset_record_lines(ds: RunDataset) -> Iterable[str]:
 def write_run_dataset(ds: RunDataset, path) -> None:
     """Stream the dataset file to ``path`` block by block.
 
-    What the loader would refuse is a ValueError naming the first bad pair, raised before ``path`` is opened: a
-    value ``DATASET_COLUMNS`` refuses, fixed groups other than pair0, pair1, ... with the settings of the setting
-    pairs in turn, and switched records with a group id not below the number of setting pairs or a repeated index;
-    before them, a header ``meta`` that is not an object.
+    What the loader would refuse or read back otherwise is a ValueError naming the first bad pair, raised before
+    ``path`` is opened: in turn, a header ``meta`` that is not an object, a schedule unless the loader reads
+    emission order (a ``random-switched`` spec, no ``sorted_from_switched`` mark) or none if it does, groups
+    other than pair0, pair1, ... with the settings of the setting pairs in turn, a value ``DATASET_COLUMNS`` refuses.
     """
     if type(ds.meta) is not dict:
         _unwritable("dataset", f"{path} line 1", f"header meta {ds.meta!r} is not an object")
-    pair = (_PAIR_INDEX, _OUTCOME, _OUTCOME)  # a pair's index and its L and R outcomes, as columns
-    k, inter = len(ds.canonical_pairs), ds.interleaved
-    if inter is None:
-        if ([_dumps([g.label, _setting_json(g.left_setting), _setting_json(g.right_setting)]) for g in ds.groups]
-                != [_dumps([f"pair{i}", *map(_setting_json, lr)]) for i, lr in enumerate(ds.canonical_pairs)]):
-            _unwritable("dataset", f"groups {[g.label for g in ds.groups]}",
-                        f"not pair0, pair1, ... with the settings of the {k} setting pairs in turn")
-        faults = [(f"group {g.label} pair", column_fault(pair, (g.pair_index, g.left, g.right))) for g in ds.groups]
-    else:
-        n, order, again = inter.pair_index, np.argsort(inter.pair_index, kind="stable"), None
-        if (later := order[1:][n[order[1:]] == n[order[:-1]]]).size:  # the records after the first of an index
-            again = (at := int(later.min()), f"pair index {n[at]} repeats an earlier record's")
-        gid = ("group", "<i8", lambda i: (i >= 0) & (i < k), "group id {!r} is not below the number of setting pairs")
-        faults = [("pair", column_fault((*pair, gid), (n, inter.left, inter.right, inter.group_ids), again))]
-    for where, fault in faults:
-        if fault:
-            _unwritable("dataset", f"{where} at index {fault[0]}", fault[1])
+    switching, mark = ds.spec and ds.spec.switching, ds.meta.get("sorted_from_switched")
+    if (switching == "random-switched" and mark is not True) != (ds.schedule is not None):
+        _unwritable("dataset", f"{path} line 1", f"switching {switching!r} and meta sorted_from_switched {mark!r} "
+                    f"with{'' if ds.schedule is not None else 'out'} a schedule: not the order its loader reads")
+    if ([_dumps([g.label, _setting_json(g.left_setting), _setting_json(g.right_setting)]) for g in ds.groups]
+            != [_dumps([f"pair{i}", *map(_setting_json, lr)]) for i, lr in enumerate(ds.canonical_pairs)]):
+        _unwritable("dataset", f"groups {[g.label for g in ds.groups]}",
+                    f"not pair0, pair1, ... with the settings of the {len(ds.canonical_pairs)} setting pairs in turn")
+    for g in ds.groups:  # a pair's index and its L and R outcomes, as columns
+        if fault := column_fault((_PAIR_INDEX, _OUTCOME, _OUTCOME), (g.pair_index, g.left, g.right)):
+            _unwritable("dataset", f"group {g.label} pair at index {fault[0]}", fault[1])
     blocks = run_dataset_blocks(ds)
     head = next(blocks)  # the header, rendered before the file is opened
     with Path(path).open("wb") as fh:
@@ -475,9 +468,9 @@ def _read_records(path, kind: str, version: int, templates_of, columns: tuple, f
 def load_run_dataset(path) -> RunDataset:
     """Rebuild a dataset from its JSONL form.
 
-    Fixed-mode files come back as groups; randomly switched files come
-    back interleaved (file order) so they can be sorted downstream, and
-    those of sorted-back runs (``meta`` ``sorted_from_switched``) as groups.
+    A file comes back as its groups in pair index order; a randomly
+    switched one, unless of a sorted-back run (``meta`` mark
+    ``sorted_from_switched``), in file order plus its schedule.
     Raises ValueError, naming the line or pair, for what ``_read_records``
     refuses, among it a record of another schema version, of an unknown
     group or station, or with a setting other than its group's in the
@@ -524,21 +517,19 @@ def load_run_dataset(path) -> RunDataset:
         raise ValueError(f"pair {int(ns[at])} in group {labels[gids[at]]} (line {at + 2}) is incomplete or repeated: "
                          f"it needs exactly one L and one R record in file {path}")
 
-    bounds = np.searchsorted(gids[lrow], np.arange(len(pairs) + 1))
+    bounds, schedule = np.searchsorted(gids[lrow], np.arange(len(pairs) + 1)), None
+    if header.get("switching") == "random-switched" and meta.get("sorted_from_switched") is not True:
+        # Emission order: a pair sits where the earlier of its records does, in its group and in the schedule.
+        first = np.minimum(lrow, rrow)
+        schedule, order = gids[lrow][np.argsort(first)], np.lexsort((first, gids[lrow]))
+        lrow, rrow = lrow[order], rrow[order]
     pair_index, left, right = ns[lrow], outcomes[lrow].astype(np.int8), outcomes[rrow].astype(np.int8)
     groups = tuple(RunGroup(labels[gid], lft, rgt, pair_index[lo:hi], left[lo:hi], right[lo:hi])
                    for gid, ((lft, rgt), lo, hi) in enumerate(zip(pairs, bounds[:-1], bounds[1:])))
-    if header.get("switching") != "random-switched" or meta.get("sorted_from_switched") is True:
-        return RunDataset(canonical_pairs=pairs, groups=groups, spec=spec, meta=meta)
-    try:  # the groups a switched file sorts into: RunDataset's check refuses a pair index in two of them
-        RunDataset(canonical_pairs=pairs, groups=groups)
-    except ValueError as exc:
+    try:
+        return RunDataset(canonical_pairs=pairs, groups=groups, schedule=schedule, spec=spec, meta=meta)
+    except ValueError as exc:  # a pair index in two groups: one group's twice is incomplete or repeated above
         raise ValueError(f"{exc}: a pair index has records in two groups of file {path}") from None
-    # First-appearance order: a pair sits where the earlier of its records does.
-    first_seen = np.argsort(np.minimum(lrow, rrow))
-    inter = InterleavedRecords(group_ids=gids[lrow][first_seen], pair_index=pair_index[first_seen],
-                               left=left[first_seen], right=right[first_seen])
-    return RunDataset(canonical_pairs=pairs, groups=(), interleaved=inter, spec=spec, meta=meta)
 
 
 def write_sweep_csv(points: Sequence[SweepPoint], fh: TextIO) -> None:

@@ -1,7 +1,8 @@
 """Shared test machinery: a live four-process experiment on loopback threads, int64 edge values, a drawn
 column with now and then a bad value, a dataset's full text, and
 per-event oracles of the outcome rule written apart from the vectorized kernel, full-length oracles of the
-blocked experiment runs, and oracles of the switched run and its sort-back on int64 ids."""
+blocked experiment runs, a switched dataset built from emission-order columns, and oracles of the switched run
+and its sort-back on int64 ids."""
 
 import math
 import struct
@@ -11,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import strategies as hst
 
-from eqrc.experiments import CANONICAL_LEFT, rotate_to_canonical
+from eqrc.experiments import CANONICAL_LEFT, RunDataset, RunGroup, rotate_to_canonical
 from eqrc.formats import run_dataset_blocks
 from eqrc.model import MODE_CONSTANT, MODE_RADEMACHER_RARB, Setting, derive_subseed, measure_pairs, sample_pair_stream
 from eqrc import stations as st
@@ -89,14 +90,25 @@ def switched_run_oracle(spec):
     return (schedule, *columns)
 
 
-def sort_oracle(inter, k):
-    """(pair_index, left, right) of each of k groups of interleaved records: the slots of its records,
-    stably argsorted by their pair indices."""
+def switched_dataset(pairs, ids, pair_index, left, right, spec=None):
+    """The switched dataset (groups plus schedule) of these emission-order columns: the schedule is ``ids`` as
+    given, and group i (``pair<i>``, with the settings of ``pairs[i]``) holds the records of id i in emission
+    order. Raises the ValueError of the dataset's construction."""
+    ids = np.asarray(ids)
+    columns = [np.asarray(col, dtype) for col, dtype in ((pair_index, np.int64), (left, np.int8), (right, np.int8))]
+    groups = tuple(RunGroup(f"pair{i}", *pair, *(col[ids == i] for col in columns)) for i, pair in enumerate(pairs))
+    return RunDataset(canonical_pairs=tuple(pairs), groups=groups, schedule=ids, spec=spec)
+
+
+def sort_oracle(k, ids, pair_index, left, right):
+    """(pair_index, left, right) of each of k groups that ``switched_dataset`` builds of these emission-order
+    columns, sorted back: the slots of its id, stably argsorted by their pair indices."""
+    ids, pair_index, left, right = map(np.asarray, (ids, pair_index, left, right))
     out = []
     for i in range(k):
-        slots = np.flatnonzero(inter.group_ids == i)
-        slots = slots[np.argsort(inter.pair_index[slots], kind="stable")]
-        out.append((inter.pair_index[slots], inter.left[slots], inter.right[slots]))
+        slots = np.flatnonzero(ids == i)
+        slots = slots[np.argsort(pair_index[slots], kind="stable")]
+        out.append((pair_index[slots], left[slots], right[slots]))
     return out
 
 

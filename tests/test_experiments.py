@@ -1,6 +1,5 @@
 """Suites, rotation, switching, sorting, and the angle sweep."""
 
-import dataclasses
 import math
 import tracemalloc
 
@@ -14,7 +13,6 @@ from eqrc.experiments import (
     BELL_SETTINGS,
     CANONICAL_LEFT,
     ExperimentSpec,
-    InterleavedRecords,
     RunDataset,
     RunGroup,
     rotate_to_canonical,
@@ -28,7 +26,7 @@ from eqrc.experiments import (
 from eqrc.inequalities import analytic_expectation, cyclic_concatenate
 from eqrc.model import BLOCK_PAIRS, GaugeKey, MODE_CONSTANT, MODE_RADEMACHER, MODE_RADEMACHER_RARB, Setting
 from eqrc.stats import TRIPLE_KINDS, build_triple_table
-from helpers import run_experiment_oracle, sort_oracle, sweep_oracle, switched_run_oracle
+from helpers import run_experiment_oracle, sort_oracle, sweep_oracle, switched_dataset, switched_run_oracle
 
 ONE = GaugeKey(mode=MODE_CONSTANT)
 RAD3 = GaugeKey(mode=MODE_RADEMACHER, j=3)
@@ -182,45 +180,54 @@ class TestDatasetDisjointness:
 
 
 class TestSwitching:
-    def test_switched_run_is_interleaved_and_tagged(self):
+    def test_switched_run_is_the_fixed_groups_and_a_schedule(self):
         ds = run_experiment(_bell_spec(2_000, 5, switching="random-switched"))
-        assert ds.groups == ()
-        assert len(ds.interleaved) == 6_000
-        counts = np.bincount(ds.interleaved.group_ids, minlength=3)
+        fixed = run_experiment(_bell_spec(2_000, 5))
+        for gs, gf in zip(ds.groups, fixed.groups, strict=True):
+            assert gs.label == gf.label and (gs.left_setting, gs.right_setting) == (gf.left_setting, gf.right_setting)
+            assert all(np.array_equal(getattr(gs, a), getattr(gf, a)) for a in ("pair_index", "left", "right"))
+        assert len(ds.schedule) == len(ds.interleaved) == 6_000 and fixed.schedule is fixed.interleaved is None
+        counts = np.bincount(ds.schedule, minlength=3)
         assert counts.tolist() == [2_000, 2_000, 2_000]  # every listed pair occurs, exact quotas
 
     def test_sorting_recovers_the_fixed_run_exactly(self):
         switched = run_experiment(_bell_spec(2_000, 5, switching="random-switched"))
         fixed = run_experiment(_bell_spec(2_000, 5))
         sorted_ds = sort_wigner_sets(switched)
-        assert len(sorted_ds.groups) == 3
-        for gs, gf in zip(sorted_ds.groups, fixed.groups):
+        assert sorted_ds.schedule is None and sorted_ds.meta == {**switched.meta, "sorted_from_switched": True}
+        for gs, gw, gf in zip(sorted_ds.groups, switched.groups, fixed.groups, strict=True):
+            assert gs is gw  # a run's groups ascend: the sort-back shares them
             assert np.array_equal(gs.pair_index, gf.pair_index)
             assert np.array_equal(gs.left, gf.left)
             assert np.array_equal(gs.right, gf.right)
 
-    def test_sorting_requires_interleaved_records(self):
+    def test_sorting_requires_a_schedule(self):
         fixed = run_experiment(_bell_spec(100, 5))
-        with pytest.raises(ValueError, match="interleaved"):
+        with pytest.raises(ValueError, match="no switched records to sort back"):
             sort_wigner_sets(fixed)
 
-    def test_sorting_rejects_foreign_tags(self):
-        ds = run_experiment(_bell_spec(100, 5, switching="random-switched"))
-        ds.interleaved.group_ids[0] = 7
-        with pytest.raises(ValueError, match="tags"):
-            sort_wigner_sets(ds)
-        with pytest.raises(ValueError, match="tags"):  # a wide id column may hold a negative tag
-            sort_wigner_sets(_interleaved([0, -1, 1], [1, 2, 3]))
+    @pytest.mark.parametrize("dtype,tag", [(np.uint8, 7), (np.uint16, 2), (np.int64, 7), (np.int64, -1)])
+    def test_construction_rejects_foreign_tags(self, dtype, tag):
+        with pytest.raises(ValueError, match=r"schedule ids outside 0 \.\. 1"):  # a wide id column may hold a negative
+            _interleaved([0, tag, 1], [1, 2, 3], dtype)
 
-    @pytest.mark.parametrize("column,values", [("left", [1, -1]), ("right", [1, 1, 1, 1]), ("pair_index", [])])
-    def test_sorting_refuses_columns_of_unequal_lengths(self, column, values):
-        ds = _interleaved([0, 1, 1], [1, 2, 3])
-        setattr(ds.interleaved, column, np.array(values, getattr(ds.interleaved, column).dtype))
-        with pytest.raises(ValueError, match=r"interleaved columns of lengths \[3, .*\]: empty or unequal"):
-            sort_wigner_sets(ds)
+    @pytest.mark.parametrize("schedule,match", [
+        ([0, 0, 1, 1], r"schedule ids counted \[2, 2\], not the groups' sizes \[1, 2\]"),
+        ([0, 1], r"schedule ids counted \[1, 1\], not the groups' sizes \[1, 2\]"),
+    ], ids=["id-too-often", "id-too-seldom"])
+    def test_construction_rejects_a_schedule_of_other_counts(self, schedule, match):
+        groups = _interleaved([0, 1, 1], [1, 2, 3]).groups
+        with pytest.raises(ValueError, match=match):
+            RunDataset(canonical_pairs=BELL_PAIRS[:2], groups=groups, schedule=np.array(schedule, np.uint8))
+
+    def test_a_schedule_changed_after_construction_is_refused_when_interleaved(self):
+        ds = _interleaved([0, 1, 1], [1, 2, 3], np.uint8)
+        ds.schedule[1] = 5
+        with pytest.raises(ValueError, match="schedule does not place every record of the groups"):
+            ds.interleaved
 
     def test_sorting_refuses_an_empty_run(self):
-        with pytest.raises(ValueError, match=r"interleaved columns of lengths \[0, 0, 0, 0\]: empty or unequal"):
+        with pytest.raises(ValueError, match="no switched records to sort back"):
             sort_wigner_sets(_interleaved([], []))
 
     @pytest.mark.parametrize("k", [1, 3, 4, 7, 257])
@@ -229,14 +236,15 @@ class TestSwitching:
         pairs = tuple((Setting.from_angle(0.1 * j), Setting.from_angle(0.7 * j + 0.3)) for j in range(k))
         spec = ExperimentSpec(setting_pairs=pairs, pairs_per_setting=5 if k > 7 else 300, seed=17, key=RARB,
                               switching="random-switched")
-        inter = run_experiment(spec).interleaved
-        assert inter.group_ids.dtype == (np.uint8 if k <= 256 else np.uint16)
+        ds = run_experiment(spec)
+        inter = ds.interleaved
+        assert ds.schedule.dtype == inter.group_ids.dtype == (np.uint8 if k <= 256 else np.uint16)
         for got, want in zip((inter.group_ids, inter.pair_index, inter.left, inter.right), switched_run_oracle(spec),
                              strict=True):
             assert np.array_equal(got, want)
         assert (inter.pair_index.dtype, inter.left.dtype, inter.right.dtype) == (np.int64, np.int8, np.int8)
 
-    @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int64])
     @pytest.mark.parametrize("gids,pair_index", [
         ([0, 1, 0, 1, 0], [5, 10, 3, 11, 1]),  # group 0 descending
         ([1, 0, 1, 0, 1, 0], [2, 9, 1, 7, 3, 8]),  # group 1 below group 0, both out of order
@@ -244,20 +252,27 @@ class TestSwitching:
     ], ids=["descending", "out-of-order", "group-runs"])
     def test_sort_falls_back_to_the_stable_argsort(self, dtype, gids, pair_index):
         ds = _interleaved(gids, pair_index, dtype)
-        for grp, want in zip(sort_wigner_sets(ds).groups, sort_oracle(ds.interleaved, 2), strict=True):
+        for grp, want in zip(sort_wigner_sets(ds).groups, sort_oracle(2, *_columns(gids, pair_index)), strict=True):
             assert all(np.array_equal(got, part) for got, part in zip((grp.pair_index, grp.left, grp.right), want))
 
-    @pytest.mark.parametrize("pair_index", [[3, 2, 3, 1], [1, 2, 3, 3]], ids=["out-of-order", "ascending"])
-    def test_a_pair_index_repeated_within_one_group_is_refused_after_the_sort(self, pair_index):
+    @pytest.mark.parametrize("gids,pair_index", [([0, 1, 0, 0], [3, 2, 3, 1]), ([0, 1, 0, 0], [1, 2, 3, 3]),
+                                                 ([0, 1, 1], [4, 4, 5])],
+                             ids=["out-of-order", "ascending", "across-groups"])
+    def test_a_repeated_pair_index_is_refused_when_built(self, gids, pair_index):
         with pytest.raises(ValueError, match="pair-index ranges of separate groups must be disjoint"):
-            sort_wigner_sets(_interleaved([0, 1, 0, 0], pair_index))
+            _interleaved(gids, pair_index)
+
+
+def _columns(gids, pair_index, dtype=np.int64):
+    """Emission-order columns (ids, pair_index, left, right) of a two-pair switched run; outcomes alternate by
+    record."""
+    outcomes = np.resize(np.array([1, -1, -1], np.int8), len(gids))
+    return np.array(gids, dtype), np.array(pair_index, np.int64), outcomes, -outcomes
 
 
 def _interleaved(gids, pair_index, dtype=np.int64):
-    """A two-pair switched dataset of these records, built directly; outcomes alternate by record."""
-    outcomes = np.resize(np.array([1, -1, -1], np.int8), len(gids))
-    inter = InterleavedRecords(np.array(gids, dtype), np.array(pair_index, np.int64), outcomes, -outcomes)
-    return RunDataset(canonical_pairs=BELL_PAIRS[:2], groups=(), interleaved=inter)
+    """A two-pair switched dataset of these emission-order records (see ``_columns``)."""
+    return switched_dataset(BELL_PAIRS[:2], *_columns(gids, pair_index, dtype))
 
 
 class TestBellSuite:
@@ -359,13 +374,15 @@ class TestBlockedRuns:
     def test_switched_run_and_its_sort_back_match_the_oracles(self, order):
         spec = self._switched_spec(self.N)  # the schedule in whole pieces and a partial one
         ds = run_experiment(spec)
-        placed = [col.copy() for col in dataclasses.astuple(ds.interleaved)]
-        if order == "reversed":  # every group's pair indices descending: the sort-back's stable argsort
-            ds.interleaved.pair_index[:] = ds.interleaved.pair_index[::-1].copy()
-        groups = sort_wigner_sets(ds).groups  # sorted back before the oracles free arrays of the groups' sizes
+        inter = ds.interleaved
+        placed = [inter.group_ids, inter.pair_index, inter.left, inter.right]
         for got, want in zip(placed, switched_run_oracle(spec), strict=True):
             assert np.array_equal(got, want)
-        for grp, want in zip(groups, sort_oracle(ds.interleaved, 3), strict=True):
+        if order == "reversed":  # the pair indices reversed in emission order: the sort-back's stable argsort
+            placed[1] = placed[1][::-1].copy()
+            ds = switched_dataset(ds.canonical_pairs, *placed)
+            assert all(np.any(g.pair_index[1:] < g.pair_index[:-1]) for g in ds.groups)
+        for grp, want in zip(sort_wigner_sets(ds).groups, sort_oracle(3, *placed), strict=True):
             assert all(np.array_equal(got, part) for got, part in zip((grp.pair_index, grp.left, grp.right), want))
 
     def test_sweep_matches_the_whole_stream_oracle(self):
@@ -397,24 +414,24 @@ class TestBlockedRuns:
         return ExperimentSpec(setting_pairs=BELL_PAIRS, pairs_per_setting=n, seed=3, key=RARB,
                               switching="random-switched")
 
-    def test_switched_run_sorted_back_peaks_under_twenty_three_bytes_per_record(self):
-        # The records (11 B: a uint8 id, an int64 pair index, two int8 outcomes), the sorted copies (10 B) and
-        # one piece of the schedule read about 21.4 B; a group's int64 slots at once would add 2.7 B.
+    def test_switched_run_sorted_back_peaks_under_twelve_and_a_half_bytes_per_record(self):
+        # The run peaks at about 11.5 B (see below); the sort-back of its ascending groups adds only a group's
+        # order check, 0.34 B. A gathered copy of the sorted records would add 10 B.
         n = 200_000
-        assert self._peak_bytes(lambda: sort_wigner_sets(run_experiment(self._switched_spec(n)))) < 23 * 3 * n
+        assert self._peak_bytes(lambda: sort_wigner_sets(run_experiment(self._switched_spec(n)))) < 12.5 * 3 * n
 
-    def test_switched_run_peaks_under_fourteen_bytes_per_record(self):
-        # The records (11 B), the group being placed (2 B per record of its own) and one piece read about 12.9 B; a
-        # group's slots and pair indices at once would add 5.3 B.
+    def test_switched_run_peaks_under_twelve_and_a_half_bytes_per_record(self):
+        # The groups (10 B: an int64 pair index, two int8 outcomes), the uint8 schedule (1 B) and the last group's
+        # draw read about 11.5 B; the schedule counted as intp at once, not a piece at a time, would add 8 B.
         n = 200_000
-        assert self._peak_bytes(run_experiment, self._switched_spec(n)) < 14 * 3 * n
+        assert self._peak_bytes(run_experiment, self._switched_spec(n)) < 12.5 * 3 * n
 
-    def test_sort_back_peaks_under_eleven_and_a_half_bytes_per_record(self):
-        # The sorted copies (10 B), a group's order check (1 B per record of its own) and one piece read about 10.4 B;
-        # a group's slots at once would add 2.7 B.
+    def test_sort_back_peaks_under_one_byte_per_record(self):
+        # The run's groups are ascending, so the sort-back shares them: a group's order check (1 B per record of
+        # its own) reads about 0.34 B; a copy of the records would add 10 B.
         n = 200_000
         switched = run_experiment(self._switched_spec(n))
-        assert self._peak_bytes(sort_wigner_sets, switched) < 11.5 * 3 * n
+        assert self._peak_bytes(sort_wigner_sets, switched) < 1 * 3 * n
 
     def test_triple_tables_peak_stays_under_twelve_bytes_per_pair(self):
         def tables(n):  # what `eqrc triples` runs: one single-space table, then both tallies of it

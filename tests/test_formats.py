@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -12,13 +13,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import EDGE_INTS, dataset_text, mostly
+from helpers import EDGE_INTS, dataset_text, mostly, switched_dataset
 
 from eqrc import formats
 from eqrc.experiments import (
     BELL_PAIRS,
     ExperimentSpec,
-    InterleavedRecords,
     RunDataset,
     RunGroup,
     run_experiment,
@@ -65,7 +65,7 @@ class TestDatasetJsonl:
         path = tmp_path / "switched.jsonl"
         write_run_dataset(ds, path)
         back = load_run_dataset(path)
-        assert back.interleaved is not None
+        assert np.array_equal(back.schedule, ds.schedule)
         sorted_back = sort_wigner_sets(back)
         sorted_orig = sort_wigner_sets(ds)
         for g1, g2 in zip(sorted_orig.groups, sorted_back.groups):
@@ -77,8 +77,8 @@ class TestDatasetJsonl:
         ds = sort_wigner_sets(run_experiment(_spec(n=3, switching="random-switched")))
         write_run_dataset(ds, tmp_path / "sorted.jsonl")
         back = load_run_dataset(tmp_path / "sorted.jsonl")
-        assert (back.interleaved, back.spec, back.canonical_pairs, back.meta) == (None, ds.spec, ds.canonical_pairs,
-                                                                                 ds.meta)
+        assert (back.schedule, back.spec, back.canonical_pairs, back.meta) == (None, ds.spec, ds.canonical_pairs,
+                                                                              ds.meta)
         assert [(g.label, g.left_setting, g.right_setting) for g in back.groups] == [
             (g.label, g.left_setting, g.right_setting) for g in ds.groups]
         for g1, g2 in zip(ds.groups, back.groups, strict=True):
@@ -93,7 +93,7 @@ class TestDatasetJsonl:
                                            switching="random-switched"))
         write_run_dataset(ds, tmp_path / "switched.jsonl")
         back = load_run_dataset(tmp_path / "switched.jsonl").interleaved
-        assert ds.interleaved.group_ids.dtype == back.group_ids.dtype == (np.uint8 if k <= 256 else np.uint16)
+        assert ds.schedule.dtype == back.group_ids.dtype == (np.uint8 if k <= 256 else np.uint16)
         for name in ("group_ids", "pair_index", "left", "right"):
             assert np.array_equal(getattr(back, name), getattr(ds.interleaved, name))
 
@@ -127,7 +127,7 @@ class TestDatasetJsonl:
         write_run_dataset(RunDataset(canonical_pairs=(), groups=()), path)
         assert path.read_text().count("\n") == 1 and list(dataset_record_lines(load_run_dataset(path))) == []
         back = load_run_dataset(path)
-        assert (back.canonical_pairs, back.groups, back.interleaved, back.spec) == ((), (), None, None)
+        assert (back.canonical_pairs, back.groups, back.schedule, back.spec) == ((), (), None, None)
 
     def test_load_rejects_wrong_kind(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -405,7 +405,7 @@ def _reference_lines(groups):
 
 @st.composite
 def _datasets(draw):
-    """Disjoint groups with n up to 2**62, as grouped or as interleaved records."""
+    """Disjoint groups with n up to 2**62, as fixed groups or as a switched run's, in a drawn emission order."""
     k = draw(st.integers(1, 3))
     ns = draw(st.lists(st.integers(1, 2**62), min_size=k, max_size=k + 12, unique=True))
     cuts = sorted(draw(st.lists(st.integers(0, len(ns)), min_size=k - 1, max_size=k - 1)))
@@ -421,11 +421,10 @@ def _datasets(draw):
         return RunDataset(canonical_pairs=pairs, groups=tuple(groups)), [
             (g.label, g.left_setting, g.right_setting, g.pair_index, g.left, g.right) for g in groups]
     perm = draw(st.permutations(range(len(ns))))
-    gids = np.concatenate([np.full(len(g), gid) for gid, g in enumerate(groups)])[perm]
+    gids = np.concatenate([np.full(len(g), gid, np.int64) for gid, g in enumerate(groups)])[perm]
     idx, left, right = (np.concatenate([getattr(g, a) for g in groups])[perm] for a in ("pair_index", "left", "right"))
-    inter = InterleavedRecords(group_ids=gids.astype(np.int64), pair_index=idx, left=left, right=right)
     ref = [(f"pair{g}", *pairs[g], [n], [lo], [ro]) for g, n, lo, ro in zip(gids, idx, left, right)]
-    return RunDataset(canonical_pairs=pairs, groups=(), interleaved=inter), ref
+    return switched_dataset(pairs, gids, idx, left, right), ref
 
 
 def _edge_case(ns):
@@ -727,10 +726,10 @@ def _group(n, left, right=None, label="pair0", settings=(BELL_SETTINGS[0], BELL_
 
 
 def _switched(ids, n, left, right=None, pairs=BELL_PAIRS):
+    """A switched dataset of these emission-order columns, with int64 ids, under a random-switched spec."""
     right = [1] * len(n) if right is None else right
-    return RunDataset(canonical_pairs=pairs, groups=(), interleaved=InterleavedRecords(
-        np.array(ids, np.int64), np.array(n, np.int64), np.array(left, np.int8), np.array(right, np.int8)),
-        spec=_spec(n=1, switching="random-switched"))
+    return switched_dataset(pairs, np.array(ids, np.int64), n, left, right,
+                            spec=_spec(n=1, switching="random-switched"))
 
 
 class TestDatasetWriterRefusals:
@@ -755,17 +754,31 @@ class TestDatasetWriterRefusals:
         _refused_write(tmp_path, RunDataset(canonical_pairs=(BELL_PAIRS[0],), groups=groups),
                        r"groups .*: not pair0, pair1, \.\.\. with the settings of the 1 setting pairs in turn")
 
-    @pytest.mark.parametrize("ds,match", [
-        (_switched([0, 3, 1], [1, 2, 3], [1, 1, 1]), "pair at index 1: group id 3 is not below the number of setting pairs"),
-        (_switched([0, -1], [1, 2], [1, 1]), "pair at index 1: group id -1 is not below the number of setting pairs"),
-        (_switched([0, 2, 1], [5, 6, 5], [1, 1, 1]), "pair at index 2: pair index 5 repeats an earlier record's"),
-        (_switched([1, 1], [5, 5], [1, 1]), "pair at index 1: pair index 5 repeats an earlier record's"),
-        (_switched([0, 1, 2], [1, 2, 3], [1, 1, 7]), r"pair at index 2: outcome 7 is not -1 or \+1"),
-        (_switched([0, 1], [1, 2], [1, 1, 1]),
-         r"pair at index 2: columns \['n', 'outcome', 'outcome', 'group'\] of lengths \[2, 3, 2, 2\]"),
-    ], ids=["id-k", "id-negative", "repeat-across-groups", "repeat-in-group", "outcome-7", "unequal"])
-    def test_switched_record_the_loader_refuses(self, tmp_path, ds, match):
-        _refused_write(tmp_path, ds, match)
+    @pytest.mark.parametrize("args,match", [
+        (([0, 3, 1], [1, 2, 3], [1, 1, 1]), r"schedule ids outside 0 \.\. 2, the groups' own"),
+        (([0, -1], [1, 2], [1, 1]), r"schedule ids outside 0 \.\. 2, the groups' own"),
+        (([0, 2, 1], [5, 6, 5], [1, 1, 1]), "pair-index ranges of separate groups must be disjoint"),
+        (([1, 1], [5, 5], [1, 1]), "pair-index ranges of separate groups must be disjoint"),
+    ], ids=["id-k", "id-negative", "repeat-across-groups", "repeat-in-group"])
+    def test_switched_record_the_loader_refuses_is_refused_when_built(self, args, match):
+        with pytest.raises(ValueError, match=match):
+            _switched(*args)
+
+    def test_switched_outcome_the_loader_refuses(self, tmp_path):
+        _refused_write(tmp_path, _switched([0, 1, 2], [1, 2, 3], [1, 1, 7]),
+                       r"group pair2 pair at index 0: outcome 7 is not -1 or \+1")
+
+    @pytest.mark.parametrize("switching,mark,schedule", [
+        ("random-switched", {"sorted_from_switched": True}, "with"),  # loaded back as groups, not emission order
+        ("random-switched", {}, "without"),  # the groups' records loaded back as emission order
+        ("fixed", {}, "with"),  # the emission order loaded back as groups
+    ], ids=["schedule-marked-sorted-back", "random-switched-without-schedule", "schedule-under-fixed-spec"])
+    def test_schedule_other_than_the_header_makes_the_loader_read_is_refused(self, tmp_path, switching, mark,
+                                                                             schedule):
+        ds = run_experiment(_spec(n=3, switching="random-switched" if schedule == "with" else "fixed"))
+        ds = dataclasses.replace(ds, spec=_spec(n=3, switching=switching), meta={**ds.meta, **mark})
+        _refused_write(tmp_path, ds, rf".*run\.jsonl line 1: switching '{switching}' and meta sorted_from_switched "
+                                     rf"{mark.get('sorted_from_switched')} {schedule} a schedule: not the order its loader reads")
 
     @pytest.mark.parametrize("meta", [["x"], None, "sorted_from_switched"], ids=repr)
     def test_header_meta_that_is_not_an_object_is_refused(self, tmp_path, meta):
@@ -782,7 +795,7 @@ class TestDatasetWriterRefusals:
 def _generated_datasets(draw):
     """A dataset of generated columns, or the ValueError that builds none: fixed groups of unordered pair
     indices or switched records, now and then with a pair index from int64's edges or repeated, an outcome
-    that is any int8, a group id out of range, unequal lengths, and often no rows."""
+    that is any int8, a group id out of range, fixed columns of unequal lengths, and often no rows."""
     k = draw(st.integers(1, 3))
     n = mostly(draw, draw(st.lists(st.integers(1, 2**63 - 1), max_size=12, unique=True)),
                 st.sampled_from(EDGE_INTS) | st.integers(-2**63, 2**63 - 1))
@@ -790,12 +803,15 @@ def _generated_datasets(draw):
         n.append(draw(st.sampled_from(n)))  # a repeated pair index
     outs = [mostly(draw, draw(st.lists(st.sampled_from([-1, 1]), min_size=len(n), max_size=len(n))),
                     st.integers(-128, 127)) for _ in range(2)]
-    if draw(st.integers(0, 9)) == 0:  # one column a row short
-        outs[draw(st.integers(0, 1))] = outs[0][:-1]
     if draw(st.booleans()):
         ids = mostly(draw, draw(st.lists(st.integers(0, k - 1), min_size=len(n), max_size=len(n))),
                       st.integers(-1, k))
-        return _switched(ids, n, *outs, pairs=BELL_PAIRS[:k])
+        try:
+            return _switched(ids, n, *outs, pairs=BELL_PAIRS[:k])
+        except ValueError as exc:  # an id out of range, or a pair index repeated
+            return exc
+    if draw(st.integers(0, 9)) == 0:  # one column a row short
+        outs[draw(st.integers(0, 1))] = outs[0][:-1]
     cuts = sorted(draw(st.lists(st.integers(0, len(n)), min_size=k - 1, max_size=k - 1)))
     pairs = BELL_PAIRS[:k]
     try:

@@ -74,3 +74,29 @@ def test_stations_imports_no_column_predicate():
     """The wire checks call the table's rules: ``stations`` imports no [0, 1) or other column test of its own."""
     assert [name for _, name in _imported("eqrc.stations") if name == "_unit_interval"] == []
     assert {"EMISSION_COLUMNS", "REPORT_COLUMNS", "column_fault"} <= {name for _, name in _imported("eqrc.stations")}
+
+
+def _calls_of(name: str, callee: str) -> list[str]:
+    """The qualified name of the function or class body around each call of ``callee`` in an eqrc module."""
+    tree = ast.parse(Path(importlib.import_module(name).__file__).read_text(encoding="utf-8"))
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{where}.{child.name}" if where else child.name)
+                continue
+            if isinstance(child, ast.Call) and callee in (getattr(child.func, "id", None),
+                                                          getattr(child.func, "attr", None)):
+                found.append(where or "<module>")
+            visit(child, where)
+
+    visit(tree, "")
+    return found
+
+
+def test_emission_order_is_built_in_one_place():
+    """A switched run is stored as its groups and a schedule: ``InterleavedRecords`` is only ever the view that
+    ``RunDataset.interleaved`` builds, so a second stored shape cannot come back unnoticed."""
+    assert {name: calls for name in MODULES if (calls := _calls_of(name, "InterleavedRecords"))} == {
+        "eqrc.experiments": ["RunDataset.interleaved"]}

@@ -1,12 +1,51 @@
-"""NumPy behaviours that the byte-identical outputs rest on, each checked against a pure-Python oracle.
+"""NumPy behaviours that the byte-identical outputs rest on, each checked against PCG64's raw words.
 
-A switched run's schedule is a uint8 or uint16 array of group ids that
-``Generator.shuffle`` permutes; its digests hold only while that
-permutation is the one below, for every dtype alike.
+A pair stream's ``lam`` and ``t`` are ``Generator.random`` floats of one
+PCG64 sequence, the ``t`` half reached by ``PCG64.advance`` and both
+drawn a block at a time into reused buffers. A switched run's schedule
+is a uint8 or uint16 array of group ids that ``Generator.shuffle``
+permutes. Every digest holds only while these stay as the oracles below
+have them; NumPy fixes only the bit generators' raw streams across
+versions, so a failure names the behaviour that changed.
 """
 
 import numpy as np
 import pytest
+
+from eqrc.model import BLOCK_PAIRS
+
+SEEDS = [1, 7, 12_345]
+
+
+def _changed(behaviour: str) -> str:
+    return f"{behaviour} changed under numpy {np.__version__}: every digest that draws through it changes with it"
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_random_is_the_top_53_bits_of_each_raw_word(seed):
+    raw = np.random.PCG64(seed).random_raw(1_000)
+    want = [(int(word) >> 11) * 2.0**-53 for word in raw]  # exact: a 53-bit integer times a power of two
+    got = np.random.Generator(np.random.PCG64(seed)).random(1_000).tolist()
+    assert got == want, _changed("Generator.random as (raw >> 11) * 2**-53 over PCG64 raw words")
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("k", [0, 1, 8_192, 100_003])
+def test_advance_is_discarding_raw_words(seed, k):
+    got = np.random.PCG64(seed).advance(k).random_raw(16)
+    want = np.random.PCG64(seed).random_raw(k + 16)[k:]
+    assert np.array_equal(got, want), _changed(f"PCG64.advance({k}) as discarding {k} raw words")
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_blocked_random_into_a_buffer_is_one_whole_draw(seed):
+    count = 2 * BLOCK_PAIRS + 5  # two whole blocks and a short one, as ``measure_stream`` draws them
+    whole = np.random.Generator(np.random.PCG64(seed)).random(count)
+    rng, buf, blocks = np.random.Generator(np.random.PCG64(seed)), np.empty(BLOCK_PAIRS), []
+    for lo in range(0, count, BLOCK_PAIRS):
+        blocks.append(rng.random(out=buf[:count - lo]).copy())
+    assert np.array_equal(np.concatenate(blocks), whole), _changed(
+        f"Generator.random(out=...) in blocks of {BLOCK_PAIRS} as one whole draw")
 
 
 def _fisher_yates(seed: int, size: int) -> list[int]:
