@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import experiments, formats, inequalities, stations
-from .model import GaugeKey, MODE_CONSTANT, MODE_RADEMACHER, MODE_RADEMACHER_RARB, Setting
+from .model import GaugeKey, MODE_CONSTANT, MODE_RADEMACHER, MODE_RADEMACHER_RARB, Setting, pair_range
 from .stats import TRIPLE_KINDS, build_triple_table
 
 __all__ = ["main", "DEFAULT_SEED", "DEFAULT_GAUGE"]
@@ -282,8 +282,10 @@ def cmd_cyclic_demo(args) -> int:
 
 
 def cmd_source(args) -> int:
-    if (args.session + 1) * args.pairs > 2**63 - 1:
-        raise UsageError(f"session {args.session} of {args.pairs} pairs runs past pair index 2**63 - 1")
+    try:
+        pair_range(args.session, args.pairs, "session")
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     log = stations.source_run(
         seed=_seed_of(args), count=args.pairs, sock=stations.make_server_socket("127.0.0.1", args.port),
         session_index=args.session, log_path=args.out,

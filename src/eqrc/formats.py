@@ -36,7 +36,7 @@ import numpy as np
 
 from .experiments import ExperimentSpec, InterleavedRecords, RunDataset, RunGroup, SweepPoint
 from .inequalities import InequalityReport
-from .model import GaugeKey, PairStream, Setting, _dumps, _setting_check, _setting_json
+from .model import GaugeKey, PairStream, Setting, _dumps, _setting_check, _setting_json, pair_range
 from .stats import TripleTable
 
 __all__ = [
@@ -529,7 +529,7 @@ def load_run_dataset(path) -> RunDataset:
     try:
         return RunDataset(canonical_pairs=pairs, groups=groups, schedule=schedule, spec=spec, meta=meta)
     except ValueError as exc:  # a pair index in two groups: one group's twice is incomplete or repeated above
-        raise ValueError(f"{exc}: a pair index has records in two groups of file {path}") from None
+        raise ValueError(f"{exc} of file {path}") from None
 
 
 def write_sweep_csv(points: Sequence[SweepPoint], fh: TextIO) -> None:
@@ -657,18 +657,20 @@ class StationLog:
 
 def _emission_fault(header: dict, cols: Sequence[np.ndarray] = (), trailer: dict | None = None):
     """An emission log's first fault as (row, refusal), row -1 the header and len(events) the trailer, or None: a
-    header ``seed``, ``session`` or ``count`` not an integer >= 0, or a session range session*count+1 ..
-    (session+1)*count past pair index 2**63 - 1; then, given the events, a value ``EMISSION_COLUMNS`` refuses, a
-    pair index other than the next of the range, an event past ``count``, and a trailer whose ``sent`` is not
-    the number of events or, if "complete", ``count``."""
+    header ``seed``, ``session`` or ``count`` not an integer >= 0, or a session range ``pair_range`` refuses;
+    then, given the events, a value ``EMISSION_COLUMNS`` refuses, a pair index other than the next of the range,
+    an event past ``count``, and a trailer whose ``sent`` is not the number of events or, if "complete",
+    ``count``."""
     if problem := _header_fault(header, {"seed": 0, "session": 0, "count": 0}):
         return -1, problem
     session, count = header["session"], header["count"]
-    if (session + 1) * count > 2**63 - 1:
-        return -1, f"header session {session} of {count} pairs runs past pair index 2**63 - 1"
+    try:
+        first = pair_range(session, count, "header session").start
+    except ValueError as exc:
+        return -1, str(exc)
     if not cols:
         return None
-    n, first, ranged, closed = cols[0], session * count + 1, None, None
+    n, ranged, closed = cols[0], None, None
     if (bad := np.flatnonzero(n[:count] != first + np.arange(min(len(n), count)))).size:
         ranged = (int(bad[0]), f"pair index {n[bad[0]]} is not {first + bad[0]}: out of the session's range "
                                f"{first}..{first + count - 1}, repeated or out of order")

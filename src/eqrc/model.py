@@ -46,6 +46,7 @@ __all__ = [
     "rademacher",
     "rarb_eval",
     "gauge_eval",
+    "pair_range",
     "sample_pair_stream",
     "derive_subseed",
     "outcome_columns",
@@ -284,6 +285,17 @@ def _stream_generators(seed: int, count: int) -> tuple[np.random.Generator, np.r
     return np.random.Generator(np.random.PCG64(seed)), np.random.Generator(np.random.PCG64(seed).advance(count))
 
 
+def pair_range(run: int, count: int, what: str = "run", start: int | None = None) -> range:
+    """Pair indices run*count+1 .. (run+1)*count of ``what`` ``run`` of ``count`` pairs, so that runs of one count
+    are disjoint, or ``count`` from ``start`` if it is given. ValueError unless ``run`` and ``count`` are >= 0 and
+    the indices lie in 1 .. 2**63 - 1, the int64 pair indices of the wire, the record files and the join."""
+    first = run * count + 1 if start is None else start
+    if min(run, count, first - 1) < 0 or first + count - 1 > 2**63 - 1:
+        raise ValueError(f"{what} {run} of {count} pairs would hold pair indices {first}..{first + count - 1}, not "
+                         "all in 1..2**63 - 1")
+    return range(first, first + count)
+
+
 def sample_pair_stream(seed: int, count: int, start: int = 1) -> PairStream:
     """Draw ``count`` pair events: independent uniforms on [0, 1) for lam and t.
 
@@ -293,10 +305,7 @@ def sample_pair_stream(seed: int, count: int, start: int = 1) -> PairStream:
     count..2*count-1; PCG64's jump-ahead lets any block be drawn alone.
     """
     lam_rng, t_rng = _stream_generators(seed, count)
-    if start < 1:
-        raise ValueError(f"start index must be >= 1, got {start}")
-    if start + count - 1 > 2**63 - 1:
-        raise ValueError(f"last pair index {start + count - 1} is past 2**63 - 1")
+    pair_range(0, count, "stream", start)
     return PairStream(n=np.arange(start, start + count, dtype=np.int64), lam=lam_rng.random(count),
                       t=t_rng.random(count))
 

@@ -38,7 +38,7 @@ from .formats import (EMISSION_COLUMNS, REPORT_COLUMNS, ReportBatch, SourceLog, 
                       write_emission_log, write_report_log)
 from .formats import StationReport, load_report_log  # unused here: perfbench/ reaches them as stations names
 from .model import (BLOCK_PAIRS, GaugeKey, PairStream, Setting, _dumps, _setting_check, _setting_json, derive_subseed,
-                    measure_left, measure_right, sample_pair_stream)
+                    measure_left, measure_right, pair_range, sample_pair_stream)
 
 __all__ = [
     "WIRE_VERSION",
@@ -73,15 +73,15 @@ _DIAL_ATTEMPTS, _DIAL_PAUSE_S = 20, 0.15
 
 # Message grammars by receiving role: {type: {field: type}}. Validation is
 # exact-key-set, so a field outside the grammar is rejected, not ignored.
-# A batch column is a bytes field: a little-endian fixed-width array from the frame's tail.
+# A batch column is a bytes field, named by its record's table: a little-endian fixed-width array from the tail.
 STATION_RECEIVABLE_SCHEMAS = {
-    "emit_batch": {"v": int, "type": str, "n": bytes, "lambda": bytes, "t": bytes},
+    "emit_batch": {"v": int, "type": str, **dict.fromkeys([name for name, *_ in EMISSION_COLUMNS], bytes)},
     "end": {"v": int, "type": str, "count": int},
 }
 COLLATOR_RECEIVABLE_SCHEMAS = {
     "key_digest": {"v": int, "type": str, "station": str, "digest_hex": str},
-    "report_batch": {"v": int, "type": str, "station": str, "setting": list, "n": bytes, "outcome": bytes,
-                     "clock_ns": int},
+    "report_batch": {"v": int, "type": str, "station": str, "setting": list,
+                     **dict.fromkeys([name for name, *_ in REPORT_COLUMNS[:2]], bytes), "clock_ns": int},
     "end": {"v": int, "type": str, "station": str, "count": int},
 }
 SOURCE_RECEIVABLE_SCHEMAS = {
@@ -213,10 +213,6 @@ def validate_message(msg, schemas: dict) -> str:
     return kind
 
 
-def _pack(values, dtype: str) -> bytes:
-    return np.asarray(values, dtype=dtype).tobytes()
-
-
 def _columns(kind: str, msg: dict, columns: tuple, after: int | None = None) -> list[np.ndarray]:
     """The batch columns of a validated frame, read as the record ``columns`` state them.
 
@@ -248,7 +244,7 @@ def _report_batch(msg: dict, last_n: int, station_id: str, setting: Setting, key
     n, lam, t = _columns("emit_batch", msg, EMISSION_COLUMNS, after=last_n)
     out = (measure_left if station_id == "L" else measure_right)(setting, PairStream(n=n, lam=lam, t=t), key)
     return ({"v": WIRE_VERSION, "type": "report_batch", "station": station_id, "setting": _setting_json(setting),
-             "clock_ns": time.monotonic_ns()}, {"n": msg["n"], "outcome": _pack(out, "i1")}, n, out)
+             "clock_ns": time.monotonic_ns()}, {"n": msg["n"], "outcome": out.tobytes()}, n, out)
 
 
 def _report_columns(msg: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -324,18 +320,21 @@ def source_run(seed: int, count: int, sock: socket.socket, session_index: int = 
     """Broadcast one session of pair events to both stations.
 
     Session ``i`` draws from sub-seed ``i`` of the master seed and owns
-    pair indices i*count+1 .. (i+1)*count, so successive sessions (e.g.
-    the right wing re-running with another setting) live on disjoint
-    sample spaces, the last index at most 2**63 - 1. Waits for both
+    pair indices i*count+1 .. (i+1)*count (``pair_range``), so successive
+    sessions (e.g. the right wing re-running with another setting) live
+    on disjoint sample spaces. Waits for both
     stations before emitting, then sends the sampled stream in emit_batch
     frames of ``BLOCK_PAIRS`` pairs. The log is partial until both end
     markers have gone out: a station disconnect aborts the run, and the
     log keeps the batches sent to both stations.
     """
-    if min(seed, session_index, count) < 0 or (session_index + 1) * count > 2**63 - 1:  # the log's loader refuses them
+    try:  # the log's loader refuses what this refuses
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
+        first = pair_range(session_index, count, "session").start
+    except ValueError:
         sock.close()
-        raise ValueError(f"seed, session_index and count must be >= 0, and (session_index + 1) * count at most "
-                         f"2**63 - 1, got {seed}, {session_index}, {count}")
+        raise
     nothing = PairStream(n=np.empty(0, dtype=np.int64), lam=np.empty(0), t=np.empty(0))
     log = SourceLog(seed=seed, session_index=session_index, count=count, emissions=nothing,
                     status="partial", detail="ended before both end markers went out")
@@ -345,12 +344,11 @@ def source_run(seed: int, count: int, sock: socket.socket, session_index: int = 
         stream, sent = nothing, 0
         try:
             if count > 0:
-                stream = sample_pair_stream(derive_subseed(seed, session_index), count,
-                                            start=session_index * count + 1)
+                stream = sample_pair_stream(derive_subseed(seed, session_index), count, start=first)
             for lo in range(0, count, BLOCK_PAIRS):
                 hi = min(lo + BLOCK_PAIRS, count)
-                columns = {"n": _pack(stream.n[lo:hi], "<i8"), "lambda": _pack(stream.lam[lo:hi], "<f8"),
-                           "t": _pack(stream.t[lo:hi], "<f8")}
+                columns = {name: np.asarray(col[lo:hi], dtype).tobytes()
+                           for (name, dtype, *_), col in zip(EMISSION_COLUMNS, (stream.n, stream.lam, stream.t))}
                 for station in ("L", "R"):
                     send_frame(conns[station], {"v": WIRE_VERSION, "type": "emit_batch"}, columns)
                 sent = hi
@@ -409,9 +407,7 @@ def station_run(station_id: str, setting: Setting, key_path, source: tuple[str, 
     src = _dial(source, timeout)
     log.connections.append(("source", source[0], source[1]))
     col = _dial(collator, timeout)
-    log.connections.append(("collator", collator[0], collator[1]))
-    src.settimeout(timeout)
-    col.settimeout(timeout)
+    log.connections.append(("collator", collator[0], collator[1]))  # both keep ``timeout``, as they dialled with it
     try:
         send_frame(src, {"v": WIRE_VERSION, "type": "hello", "station": station_id})
         send_frame(col, {"v": WIRE_VERSION, "type": "key_digest", "station": station_id,
@@ -459,23 +455,18 @@ class CollationResult:
     partial: bool = False
 
 
-def _found_in(rising: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Whether each of ``values`` is in the strictly rising ``rising``."""
-    at = np.searchsorted(rising, values)
-    hit = at < len(rising)
-    hit[hit] = rising[at[hit]] == values[hit]
-    return hit
-
-
 def collate(left: ReportBatch, right: ReportBatch, strategy: str = "pair-id",
             emission_log: SourceLog | None = None) -> CollationResult:
     """Join the two wings' report batches into a dataset.
 
-    pair-id joins on the pair index: duplicates are a hard error, gaps
-    are reported and the rest survives untouched. sequence-order zips
-    the streams by arrival position; a join whose misalignment after a
-    lost report is undetectable by construction, and which cannot use
-    an emission log (CollationError).
+    pair-id joins the wings' pair-index sets L and R: the dataset is L ∩ R
+    in rising order, and ``incomplete`` is L △ R, or E − (L ∩ R) given an
+    emission log's indices E. A CollationError names the smallest index
+    repeated in a stream (L's first), or outside E. sequence-order zips
+    the streams by position up to the shorter's length, on L's indices,
+    and refuses a repeat among those; the misalignment after a lost or
+    repeated R report is undetectable by construction. It lists nothing
+    in ``incomplete`` and cannot use an emission log (CollationError).
     """
     if left.station != "L" or right.station != "R":
         raise CollationError(f"expected an L stream and an R stream, got {left.station!r}/{right.station!r}")
@@ -485,35 +476,26 @@ def collate(left: ReportBatch, right: ReportBatch, strategy: str = "pair-id",
         raise CollationError("sequence-order matching cannot account for an emission log; use pair-id")
 
     incomplete = np.empty(0, dtype=np.int64)
+    m = min(len(left), len(right))
+    # Pair indices whose repeats are refused: each stream's, or the L ones that sequence-order joins.
+    for station, n in (("L", left.n), ("R", right.n)) if strategy == "pair-id" else (("L", left.n[:m]),):
+        if not (n[1:] > n[:-1]).all():
+            s = np.sort(n)
+            if (repeats := s[1:][s[1:] == s[:-1]]).size:
+                raise CollationError(f"duplicate pair index {repeats[0]} in station {station} stream")
     if strategy == "pair-id":
-        streams = []  # each wing's (n, outcome) in rising pair index
-        for batch in (left, right):
-            n, outcome = batch.n, batch.outcome
-            if not (n[1:] > n[:-1]).all():
-                order = np.argsort(n, kind="stable")
-                n, outcome = n[order], outcome[order]
-                repeats = n[1:][n[1:] == n[:-1]]
-                if repeats.size:
-                    raise CollationError(f"duplicate pair index {int(repeats[0])} in station {batch.station} stream")
-            streams.append((n, outcome))
-        (ls, l_outcome), (rs, r_outcome) = streams
-        l_hit, r_hit = _found_in(rs, ls), _found_in(ls, rs)
-        idx, l_out, r_out = ls[l_hit], l_outcome[l_hit], r_outcome[r_hit]
-        incomplete = np.sort(np.concatenate((ls[~l_hit], rs[~r_hit])))  # disjoint, each unique
+        idx, at_l, at_r = np.intersect1d(left.n, right.n, assume_unique=True, return_indices=True)
+        l_out, r_out = left.outcome[at_l], right.outcome[at_r]
+        incomplete = np.setxor1d(left.n, right.n, assume_unique=True)
         if emission_log is not None:
-            emitted = emission_log.emissions.n  # rising, as a PairStream's pair indices are
-            stray = np.concatenate((ls[~_found_in(emitted, ls)], rs[~_found_in(emitted, rs)]))
-            if stray.size:
-                raise CollationError(f"report for never-emitted pair index {int(stray.min())}")
-            lost = emitted[~_found_in(ls, emitted) & ~_found_in(rs, emitted)]
-            incomplete = np.sort(np.concatenate((incomplete, lost)))
+            emitted = emission_log.emissions.n  # unique: a PairStream's pair indices rise
+            if (stray := np.setdiff1d(np.union1d(left.n, right.n), emitted, assume_unique=True)).size:
+                raise CollationError(f"report for never-emitted pair index {stray[0]}")
+            incomplete = np.setdiff1d(emitted, idx, assume_unique=True)
+    elif m == 0:
+        raise CollationError("nothing to collate")
     else:
-        m = min(len(left), len(right))
-        if m == 0:
-            raise CollationError("nothing to collate")
-        idx = left.n[:m]
-        l_out = left.outcome[:m]
-        r_out = right.outcome[:m]
+        idx, l_out, r_out = left.n[:m], left.outcome[:m], right.outcome[:m]
 
     group = RunGroup(label="pair0", left_setting=left.setting, right_setting=right.setting,
                      pair_index=np.asarray(idx, dtype=np.int64), left=np.asarray(l_out, dtype=np.int8),

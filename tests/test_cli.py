@@ -243,7 +243,8 @@ class TestExitCodes:
         (["source", "--port", "0", "--pairs", "-1"], "argument --pairs/-n/--n: must be >= 0, got -1"),
         (["source", "--port", "0", "--pairs", "5", "--session", "-1"], "argument --session: must be >= 0, got -1"),
         (["source", "--port", "0", "--pairs", "5", "--session", str(2**63 // 5)],
-         f"session {2**63 // 5} of 5 pairs runs past pair index 2**63 - 1"),
+         f"session {2**63 // 5} of 5 pairs would hold pair indices {2**63 // 5 * 5 + 1}..{(2**63 // 5 + 1) * 5}, "
+         "not all in 1..2**63 - 1"),
         (["station", "--station", "L", "--key", "k.json", "--source", "127.0.0.1:99999", "--collator", "127.0.0.1:1"],
          "argument --source: invalid endpoint '127.0.0.1:99999', expected HOST:PORT with PORT in 1..65535"),
         (["station", "--station", "R", "--key", "k.json", "--source", "127.0.0.1:1", "--collator", "127.0.0.1:0"],
@@ -306,6 +307,12 @@ class TestExitCodes:
         assert json.loads(out) == {"strategy": "pair-id", "pairs": 0, "incomplete": [1, 2, 3, 4], "expectation": None}
         back = load_run_dataset(out_path)
         assert [len(g) for g in back.groups] == [0] and back.groups[0].pair_index.dtype == np.int64
+
+    def test_sequence_collation_of_a_repeated_l_report_is_a_collation_error(self, capsys, tmp_path):
+        paths = _report_logs(tmp_path, {"L": range(1, 7), "R": range(1, 7)})
+        rc, out, err = run_cli(["collate", "--left", str(paths["L"]), "--right", str(paths["R"]), "--match", "sequence",
+                                "--inject", "duplicate@3"], capsys)
+        assert (rc, out, err) == (2, "", "eqrc: runtime error: duplicate pair index 4 in station L stream\n")
 
     def test_offline_collation_refuses_logs_of_different_keys(self, capsys, tmp_path):
         from eqrc.experiments import CANONICAL_LEFT

@@ -83,6 +83,14 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             ExperimentSpec(setting_pairs=BELL_PAIRS, pairs_per_setting=1, seed=0, key=ONE, switching="maybe")
 
+    def test_rejects_groups_past_the_last_int64_pair_index(self):
+        # Group i holds pair indices i*N+1 .. (i+1)*N: three groups fit while 3*N <= 2**63 - 1.
+        most = (2**63 - 1) // 3
+        assert ExperimentSpec(setting_pairs=BELL_PAIRS, pairs_per_setting=most, seed=0, key=ONE).pairs_per_setting == most
+        with pytest.raises(ValueError, match=rf"^group 2 of {most + 1} pairs would hold pair indices "
+                                             rf"{2 * most + 3}\.\.{3 * most + 3}, not all in 1\.\.2\*\*63 - 1$"):
+            ExperimentSpec(setting_pairs=BELL_PAIRS, pairs_per_setting=most + 1, seed=0, key=ONE)
+
 
 def _bell_spec(n, seed, key=RAD3, switching="fixed"):
     return ExperimentSpec(setting_pairs=BELL_PAIRS, pairs_per_setting=n, seed=seed, key=key, switching=switching)
@@ -138,7 +146,7 @@ def _dataset(indices):
 
 class TestDatasetDisjointness:
     def test_groups_sharing_a_pair_index_are_rejected(self):
-        with pytest.raises(ValueError, match="disjoint"):
+        with pytest.raises(ValueError, match="^pair index 10 occurs twice in the groups$"):
             RunDataset(canonical_pairs=((CANONICAL_LEFT, B),) * 2,
                        groups=(_group("pair0", 1, 10), _group("pair1", 10, 20)))
 
@@ -148,9 +156,9 @@ class TestDatasetDisjointness:
         assert [len(g) for g in ds.groups] == [10, 10]
 
     def test_repeat_within_one_group_is_rejected(self):
-        with pytest.raises(ValueError, match="disjoint"):
+        with pytest.raises(ValueError, match="^pair index 2 occurs twice in the groups$"):
             _dataset([np.array([1, 2, 3, 2])])
-        with pytest.raises(ValueError, match="disjoint"):
+        with pytest.raises(ValueError, match="^pair index 2 occurs twice in the groups$"):
             _dataset([np.array([1, 2, 2, 3]), np.array([10, 11])])
 
     def test_interleaved_odd_and_even_groups_are_accepted(self):
@@ -173,7 +181,8 @@ class TestDatasetDisjointness:
             groups.append(np.array(values, dtype=np.int64))
         all_idx = np.concatenate(groups) if groups else np.array([], dtype=np.int64)
         if len(np.unique(all_idx)) != len(all_idx):
-            with pytest.raises(ValueError, match="disjoint"):
+            first = min(v for v in all_idx.tolist() if all_idx.tolist().count(v) > 1)
+            with pytest.raises(ValueError, match=f"^pair index {first} occurs twice in the groups$"):
                 _dataset(groups)
         else:
             _dataset(groups)
@@ -259,7 +268,8 @@ class TestSwitching:
                                                  ([0, 1, 1], [4, 4, 5])],
                              ids=["out-of-order", "ascending", "across-groups"])
     def test_a_repeated_pair_index_is_refused_when_built(self, gids, pair_index):
-        with pytest.raises(ValueError, match="pair-index ranges of separate groups must be disjoint"):
+        first = min(n for n in pair_index if pair_index.count(n) > 1)
+        with pytest.raises(ValueError, match=f"^pair index {first} occurs twice in the groups$"):
             _interleaved(gids, pair_index)
 
 

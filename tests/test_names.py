@@ -76,8 +76,8 @@ def test_stations_imports_no_column_predicate():
     assert {"EMISSION_COLUMNS", "REPORT_COLUMNS", "column_fault"} <= {name for _, name in _imported("eqrc.stations")}
 
 
-def _calls_of(name: str, callee: str) -> list[str]:
-    """The qualified name of the function or class body around each call of ``callee`` in an eqrc module."""
+def _places_of(name: str, wanted) -> list[str]:
+    """The qualified name of the function or class body around each node of an eqrc module that ``wanted`` takes."""
     tree = ast.parse(Path(importlib.import_module(name).__file__).read_text(encoding="utf-8"))
     found = []
 
@@ -86,13 +86,35 @@ def _calls_of(name: str, callee: str) -> list[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, f"{where}.{child.name}" if where else child.name)
                 continue
-            if isinstance(child, ast.Call) and callee in (getattr(child.func, "id", None),
-                                                          getattr(child.func, "attr", None)):
+            if wanted(child):
                 found.append(where or "<module>")
             visit(child, where)
 
     visit(tree, "")
     return found
+
+
+def _calls_of(name: str, callee: str) -> list[str]:
+    """Where an eqrc module calls ``callee`` (see ``_places_of``)."""
+    return _places_of(name, lambda node: isinstance(node, ast.Call) and callee in (getattr(node.func, "id", None),
+                                                                                   getattr(node.func, "attr", None)))
+
+
+def _int_value(node) -> int | None:
+    """The value of an expression of int literals and arithmetic on them, else None."""
+    if isinstance(node, ast.Constant):
+        return node.value if type(node.value) is int else None
+    if isinstance(node, ast.BinOp) and None not in (_int_value(node.left), _int_value(node.right)):
+        return eval(compile(ast.Expression(node), "<literal>", "eval"), {"__builtins__": {}})
+    return None
+
+
+def test_the_last_pair_index_is_stated_once():
+    """``model.pair_range`` owns the pair-index layout and its int64 limit: 2**63 - 1 (in whatever arithmetic of
+    literals) occurs in no other code of the package, where a second statement of the rule could drift."""
+    assert {name: places for name in MODULES
+            if (places := _places_of(name, lambda node: _int_value(node) == 2**63 - 1))} == {
+        "eqrc.model": ["pair_range"]}
 
 
 def test_emission_order_is_built_in_one_place():

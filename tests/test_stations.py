@@ -868,8 +868,9 @@ class TestEmissionLogs:
     def test_header_session_past_the_last_int64_pair_index_is_refused(self, tmp_path, session, count):
         _, path = _emission_log(tmp_path)
         _edit_line(path, 1, session=session, count=count)
-        with pytest.raises(ValueError, match=f"line 1: header session {session} of {count} pairs runs past pair "
-                                             r"index 2\*\*63 - 1$"):
+        with pytest.raises(ValueError, match=f"line 1: header session {session} of {count} pairs would hold pair "
+                                             rf"indices {session * count + 1}\.\.{(session + 1) * count}, not all in "
+                                             r"1\.\.2\*\*63 - 1$"):
             load_emission_log(path)
 
     def test_header_fault_is_named_before_a_record_fault(self, tmp_path):
@@ -897,8 +898,9 @@ class TestEmissionLogs:
                                                  "repeated or out of order"),
         (_source_log([1, 2, 3], count=2), r"4: event 3 \(pair index 3\) is past the session's count 2"),
         (_source_log([1, 2], seed=-1), "1: header seed -1 is not an integer >= 0"),
-        (_source_log([], session=2**62, count=5), r"1: header session 4611686018427387904 of 5 pairs runs past "
-                                                  r"pair index 2\*\*63 - 1"),
+        (_source_log([], session=2**62, count=5), r"1: header session 4611686018427387904 of 5 pairs would hold pair "
+                                                  r"indices 23058430092136939521\.\.23058430092136939525, not all in "
+                                                  r"1\.\.2\*\*63 - 1"),
         (_source_log([1, 2]), "4: trailer .* does not close 2 events of a session of 3"),
         (_source_log([1, 2, 3], status="done"), "5: trailer .* does not close 3 events of a session of 3"),
         (_source_log([1, 2, 3], detail=None), "5: trailer .* does not close 3 events of a session of 3"),
@@ -1360,11 +1362,15 @@ class TestSourceEdgeCases:
         assert seen_l == seen_r == [_emit_batch([1, 2, 3, 4, 5], log.emissions.lam.tolist(),
                                                 log.emissions.t.tolist())]
 
-    @pytest.mark.parametrize("args", [dict(seed=-1), dict(session_index=-1), dict(count=-1)], ids=repr)
-    def test_negative_seed_session_or_count_is_refused(self, args):
+    @pytest.mark.parametrize("args,match", [
+        (dict(seed=-1), "^seed must be >= 0, got -1$"),
+        (dict(session_index=-1), r"^session -1 of 5 pairs would hold pair indices -4\.\.0, not all in 1\.\."),
+        (dict(count=-1), r"^session 0 of -1 pairs would hold pair indices 1\.\.-1, not all in 1\.\."),
+    ], ids=["{'seed': -1}", "{'session_index': -1}", "{'count': -1}"])
+    def test_negative_seed_session_or_count_is_refused(self, args, match):
         # The emission log's loader refuses them, so the source never writes them.
         sock = st.make_server_socket()
-        with pytest.raises(ValueError, match="seed, session_index and count must be >= 0"):
+        with pytest.raises(ValueError, match=match):
             st.source_run(**dict(dict(seed=1, count=5, sock=sock, timeout=0.2), **args))
         assert sock.fileno() == -1  # refused, the source still closes its listening socket
 
@@ -1372,7 +1378,8 @@ class TestSourceEdgeCases:
     def test_session_past_the_last_int64_pair_index_is_refused(self, session_index, count):
         # Its indices would wrap in int64 or overflow the draw once both stations connect.
         sock = st.make_server_socket()
-        with pytest.raises(ValueError, match=r"\(session_index \+ 1\) \* count at most 2\*\*63 - 1"):
+        with pytest.raises(ValueError, match=rf"^session {session_index} of {count} pairs would hold pair indices "
+                                             rf"{session_index * count + 1}\.\.{(session_index + 1) * count}, not all"):
             st.source_run(seed=1, count=count, sock=sock, session_index=session_index, timeout=0.2)
         assert sock.fileno() == -1
 
@@ -1458,6 +1465,14 @@ class TestCollate:
         with pytest.raises(st.CollationError, match="duplicate pair index"):
             st.collate(lb_dup, rb, strategy="pair-id")
 
+    def test_sequence_order_refuses_a_repeated_l_pair_index(self):
+        lb, rb = st.station_batches(_group(n=100))
+        with pytest.raises(st.CollationError, match="^duplicate pair index 4 in station L stream$"):
+            st.collate(st.inject_fault("duplicate", 3, lb), rb, strategy="sequence-order")
+        # R's repeat misaligns the rows after it, and nothing in the reports can show it.
+        misaligned = st.collate(lb, st.inject_fault("duplicate", 3, rb), strategy="sequence-order").dataset.groups[0]
+        assert np.array_equal(misaligned.pair_index, lb.n) and misaligned.right[4] == rb.outcome[3]
+
     def test_reorder_moves_sequence_but_not_pair_id(self):
         grp = _group(n=1_000)
         lb, rb = st.station_batches(grp)
@@ -1534,6 +1549,26 @@ class TestCollate:
         assert np.array_equal(group.pair_index, joined)
         assert np.array_equal(group.left, left_outcome(joined)) and np.array_equal(group.right, right_outcome(joined))
         assert result.incomplete == tuple(sorted((lset ^ rset) | ((emitted or set()) - lset - rset)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(hst.lists(hst.integers(1, 40), max_size=30), hst.lists(hst.integers(1, 40), max_size=30))
+    def test_sequence_order_join_pairs_positions(self, ln, rn):
+        # Row i joins the i-th report of each stream, up to the shorter's length, on L's pair index.
+        lb, rb = (ReportBatch(station, CANONICAL_LEFT, np.array(n, dtype=np.int64), np.array(out, dtype=np.int8),
+                              np.zeros(len(n), np.int64))
+                  for station, n, out in (("L", ln, [1 - 2 * (i % 2) for i in range(len(ln))]),
+                                          ("R", rn, [1 - 2 * (i % 3 == 0) for i in range(len(rn))])))
+        m = min(len(ln), len(rn))
+        repeated = sorted(n for n in set(ln[:m]) if ln[:m].count(n) > 1)
+        if m == 0 or repeated:
+            error = "nothing to collate" if m == 0 else f"duplicate pair index {repeated[0]} in station L stream"
+            with pytest.raises(st.CollationError, match=f"^{error}$"):
+                st.collate(lb, rb, strategy="sequence-order")
+            return
+        result = st.collate(lb, rb, strategy="sequence-order")
+        group = result.dataset.groups[0]
+        assert group.pair_index.tolist() == ln[:m] and result.incomplete == ()
+        assert np.array_equal(group.left, lb.outcome[:m]) and np.array_equal(group.right, rb.outcome[:m])
 
     def test_station_roles_enforced(self):
         grp = _group(n=10)
