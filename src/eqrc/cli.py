@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import experiments, formats, inequalities, stations
-from .model import GaugeKey, MODE_CONSTANT, MODE_RADEMACHER, MODE_RADEMACHER_RARB, Setting, pair_range
+from .model import GaugeKey, MODE_CONSTANT, MODE_RADEMACHER, MODE_RADEMACHER_RARB, Setting, run_range
 from .stats import TRIPLE_KINDS, build_triple_table
 
 __all__ = ["main", "DEFAULT_SEED", "DEFAULT_GAUGE"]
@@ -283,9 +283,9 @@ def cmd_cyclic_demo(args) -> int:
 
 def cmd_source(args) -> int:
     try:
-        pair_range(args.session, args.pairs, "session")
+        run_range(args.session, args.pairs)
     except ValueError as exc:
-        raise UsageError(str(exc)) from None
+        raise UsageError(f"session {args.session} of {args.pairs} pairs: {exc}") from None
     log = stations.source_run(
         seed=_seed_of(args), count=args.pairs, sock=stations.make_server_socket("127.0.0.1", args.port),
         session_index=args.session, log_path=args.out,

@@ -20,7 +20,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .inequalities import InequalityReport, bell_check, chsh_check, wigner_check, cyclic_concatenate
-from .model import BLOCK_PAIRS, GaugeKey, Setting, derive_subseed, measure_stream, pair_range
+from .model import BLOCK_PAIRS, GaugeKey, Setting, derive_subseed, measure_stream, run_range
 from .stats import ExpectationEstimate, estimate_expectation
 
 __all__ = [
@@ -92,7 +92,7 @@ class ExperimentSpec:
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         if self.switching not in ("fixed", "random-switched"):
             raise ValueError(f"unknown switching mode {self.switching!r}")
-        pair_range(len(self.setting_pairs) - 1, self.pairs_per_setting, "group")  # the last group's range
+        run_range(len(self.setting_pairs) - 1, self.pairs_per_setting)  # the last group's pair indices
 
 
 @dataclass
@@ -168,12 +168,18 @@ class RunDataset:
         indices = [g.pair_index for g in self.groups if len(g.pair_index)]
         # Strictly ascending groups whose [first, last] intervals do not
         # overlap are disjoint: O(n) to check, no sort.
-        if all((idx[1:] > idx[:-1]).all() for idx in indices):
-            spans = sorted((int(idx[0]), int(idx[-1])) for idx in indices)
+        spans = []
+        for idx in indices:
+            if not np.all(idx[1:] > idx[:-1]):
+                break
+            spans.append((int(idx[0]), int(idx[-1])))
+        else:
+            spans.sort()
             if all(prev[1] < nxt[0] for prev, nxt in zip(spans, spans[1:])):
                 return
         all_idx = np.sort(np.concatenate(indices))
-        if (repeats := all_idx[1:][all_idx[1:] == all_idx[:-1]]).size:
+        repeats = all_idx[1:][all_idx[1:] == all_idx[:-1]]
+        if repeats.size:
             raise ValueError(f"pair index {repeats[0]} occurs twice in the groups")
 
     @property
@@ -214,12 +220,16 @@ def rotate_to_canonical(pair: tuple[Setting, Setting]) -> tuple[Setting, Setting
     return (CANONICAL_LEFT, Setting(b2, b3))
 
 
+def _meta() -> dict:
+    return {"schema_version": 1, "created": _dt.datetime.now(_dt.timezone.utc).isoformat(timespec="seconds")}
+
+
 def run_experiment(spec: ExperimentSpec) -> RunDataset:
     """Run every setting pair of the spec on its own disjoint event stream.
 
     Group i draws from sub-seed i of the master seed and owns pair
-    indices i*N+1 .. (i+1)*N (``pair_range``). A random-switched run adds a schedule of
-    group ids over the exact per-pair quotas (every listed pair occurs
+    indices i*N+1 .. (i+1)*N (``run_range``). A random-switched run adds
+    a schedule of group ids over the exact per-pair quotas (every listed pair occurs
     exactly N times), shuffled by sub-seed -1: group i is emitted in
     order at the slots of id i.
     """
@@ -229,14 +239,13 @@ def run_experiment(spec: ExperimentSpec) -> RunDataset:
     for i, (lft, rgt) in enumerate(canonical):
         left, (right,) = measure_stream(derive_subseed(spec.seed, i), n, spec.key, (rgt,))
         np.negative(right, out=right)  # the right wing reports -A(b)
-        first = pair_range(i, n).start
-        groups.append(RunGroup(f"pair{i}", lft, rgt, np.arange(first, first + n, dtype=np.int64), left, right))
+        span = run_range(i, n)
+        groups.append(RunGroup(f"pair{i}", lft, rgt, np.arange(span.start, span.stop, dtype=np.int64), left, right))
     schedule = None
     if spec.switching == "random-switched":
         schedule = np.repeat(np.arange(k, dtype=InterleavedRecords.id_dtype(k)), n)
         np.random.Generator(np.random.PCG64(derive_subseed(spec.seed, _SCHEDULE_DERIVATION_INDEX))).shuffle(schedule)
-    meta = {"schema_version": 1, "created": _dt.datetime.now(_dt.timezone.utc).isoformat(timespec="seconds")}
-    return RunDataset(canonical_pairs=canonical, groups=tuple(groups), schedule=schedule, spec=spec, meta=meta)
+    return RunDataset(canonical_pairs=canonical, groups=tuple(groups), schedule=schedule, spec=spec, meta=_meta())
 
 
 def sort_wigner_sets(switched: RunDataset) -> RunDataset:

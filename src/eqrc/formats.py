@@ -36,7 +36,7 @@ import numpy as np
 
 from .experiments import ExperimentSpec, InterleavedRecords, RunDataset, RunGroup, SweepPoint
 from .inequalities import InequalityReport
-from .model import GaugeKey, PairStream, Setting, _dumps, _setting_check, _setting_json, pair_range
+from .model import GaugeKey, PairStream, Setting, _dumps, _setting_check, _setting_json, run_range
 from .stats import TripleTable
 
 __all__ = [
@@ -657,7 +657,7 @@ class StationLog:
 
 def _emission_fault(header: dict, cols: Sequence[np.ndarray] = (), trailer: dict | None = None):
     """An emission log's first fault as (row, refusal), row -1 the header and len(events) the trailer, or None: a
-    header ``seed``, ``session`` or ``count`` not an integer >= 0, or a session range ``pair_range`` refuses;
+    header ``seed``, ``session`` or ``count`` not an integer >= 0, or a session range ``run_range`` refuses;
     then, given the events, a value ``EMISSION_COLUMNS`` refuses, a pair index other than the next of the range,
     an event past ``count``, and a trailer whose ``sent`` is not the number of events or, if "complete",
     ``count``."""
@@ -665,9 +665,9 @@ def _emission_fault(header: dict, cols: Sequence[np.ndarray] = (), trailer: dict
         return -1, problem
     session, count = header["session"], header["count"]
     try:
-        first = pair_range(session, count, "header session").start
+        first = run_range(session, count).start
     except ValueError as exc:
-        return -1, str(exc)
+        return -1, f"header session {session} of {count} pairs: {exc}"
     if not cols:
         return None
     n, ranged, closed = cols[0], None, None

@@ -47,6 +47,7 @@ __all__ = [
     "rarb_eval",
     "gauge_eval",
     "pair_range",
+    "run_range",
     "sample_pair_stream",
     "derive_subseed",
     "outcome_columns",
@@ -285,15 +286,18 @@ def _stream_generators(seed: int, count: int) -> tuple[np.random.Generator, np.r
     return np.random.Generator(np.random.PCG64(seed)), np.random.Generator(np.random.PCG64(seed).advance(count))
 
 
-def pair_range(run: int, count: int, what: str = "run", start: int | None = None) -> range:
-    """Pair indices run*count+1 .. (run+1)*count of ``what`` ``run`` of ``count`` pairs, so that runs of one count
-    are disjoint, or ``count`` from ``start`` if it is given. ValueError unless ``run`` and ``count`` are >= 0 and
-    the indices lie in 1 .. 2**63 - 1, the int64 pair indices of the wire, the record files and the join."""
-    first = run * count + 1 if start is None else start
-    if min(run, count, first - 1) < 0 or first + count - 1 > 2**63 - 1:
-        raise ValueError(f"{what} {run} of {count} pairs would hold pair indices {first}..{first + count - 1}, not "
-                         "all in 1..2**63 - 1")
+def pair_range(first: int, count: int) -> range:
+    """Pair indices first .. first+count-1. ValueError unless ``count`` is >= 0 and they lie in 1 .. 2**63 - 1,
+    the int64 pair indices of the wire, the record files and the join."""
+    if count < 0 or first < 1 or first + count - 1 > 2**63 - 1:
+        raise ValueError(f"pair indices {first}..{first + count - 1} are not all in 1..2**63 - 1")
     return range(first, first + count)
+
+
+def run_range(run: int, count: int) -> range:
+    """Pair indices run*count+1 .. (run+1)*count of run ``run`` of ``count`` pairs, so that the runs of one count
+    are disjoint; ``pair_range`` refuses a range outside the int64 pair indices."""
+    return pair_range(run * count + 1, count)
 
 
 def sample_pair_stream(seed: int, count: int, start: int = 1) -> PairStream:
@@ -305,7 +309,7 @@ def sample_pair_stream(seed: int, count: int, start: int = 1) -> PairStream:
     count..2*count-1; PCG64's jump-ahead lets any block be drawn alone.
     """
     lam_rng, t_rng = _stream_generators(seed, count)
-    pair_range(0, count, "stream", start)
+    pair_range(start, count)
     return PairStream(n=np.arange(start, start + count, dtype=np.int64), lam=lam_rng.random(count),
                       t=t_rng.random(count))
 

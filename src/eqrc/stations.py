@@ -38,7 +38,7 @@ from .formats import (EMISSION_COLUMNS, REPORT_COLUMNS, ReportBatch, SourceLog, 
                       write_emission_log, write_report_log)
 from .formats import StationReport, load_report_log  # unused here: perfbench/ reaches them as stations names
 from .model import (BLOCK_PAIRS, GaugeKey, PairStream, Setting, _dumps, _setting_check, _setting_json, derive_subseed,
-                    measure_left, measure_right, pair_range, sample_pair_stream)
+                    measure_left, measure_right, run_range, sample_pair_stream)
 
 __all__ = [
     "WIRE_VERSION",
@@ -320,18 +320,18 @@ def source_run(seed: int, count: int, sock: socket.socket, session_index: int = 
     """Broadcast one session of pair events to both stations.
 
     Session ``i`` draws from sub-seed ``i`` of the master seed and owns
-    pair indices i*count+1 .. (i+1)*count (``pair_range``), so successive
+    pair indices i*count+1 .. (i+1)*count (``run_range``), so successive
     sessions (e.g. the right wing re-running with another setting) live
-    on disjoint sample spaces. Waits for both
-    stations before emitting, then sends the sampled stream in emit_batch
-    frames of ``BLOCK_PAIRS`` pairs. The log is partial until both end
+    on disjoint sample spaces. Waits for both stations before emitting,
+    then sends the sampled stream in emit_batch frames of
+    ``BLOCK_PAIRS`` pairs. The log is partial until both end
     markers have gone out: a station disconnect aborts the run, and the
     log keeps the batches sent to both stations.
     """
     try:  # the log's loader refuses what this refuses
-        if seed < 0:
-            raise ValueError(f"seed must be >= 0, got {seed}")
-        first = pair_range(session_index, count, "session").start
+        if min(seed, session_index, count) < 0:
+            raise ValueError(f"seed, session_index and count must be >= 0, got {seed}, {session_index}, {count}")
+        first = run_range(session_index, count).start
     except ValueError:
         sock.close()
         raise
@@ -407,7 +407,9 @@ def station_run(station_id: str, setting: Setting, key_path, source: tuple[str, 
     src = _dial(source, timeout)
     log.connections.append(("source", source[0], source[1]))
     col = _dial(collator, timeout)
-    log.connections.append(("collator", collator[0], collator[1]))  # both keep ``timeout``, as they dialled with it
+    log.connections.append(("collator", collator[0], collator[1]))
+    src.settimeout(timeout)
+    col.settimeout(timeout)
     try:
         send_frame(src, {"v": WIRE_VERSION, "type": "hello", "station": station_id})
         send_frame(col, {"v": WIRE_VERSION, "type": "key_digest", "station": station_id,
@@ -477,25 +479,34 @@ def collate(left: ReportBatch, right: ReportBatch, strategy: str = "pair-id",
 
     incomplete = np.empty(0, dtype=np.int64)
     m = min(len(left), len(right))
-    # Pair indices whose repeats are refused: each stream's, or the L ones that sequence-order joins.
-    for station, n in (("L", left.n), ("R", right.n)) if strategy == "pair-id" else (("L", left.n[:m]),):
+    wings = []  # (pair indices, outcomes) in rising order of each stream pair-id joins, or of sequence-order's L
+    for batch, k in ((left, len(left)), (right, len(right))) if strategy == "pair-id" else ((left, m),):
+        n, outcome = batch.n[:k], batch.outcome[:k]
         if not (n[1:] > n[:-1]).all():
-            s = np.sort(n)
-            if (repeats := s[1:][s[1:] == s[:-1]]).size:
-                raise CollationError(f"duplicate pair index {repeats[0]} in station {station} stream")
+            order = np.argsort(n, kind="stable")
+            n, outcome = n[order], outcome[order]
+            repeats = n[1:][n[1:] == n[:-1]]
+            if repeats.size:
+                raise CollationError(f"duplicate pair index {int(repeats[0])} in station {batch.station} stream")
+        wings.append((n, outcome))
     if strategy == "pair-id":
-        idx, at_l, at_r = np.intersect1d(left.n, right.n, assume_unique=True, return_indices=True)
-        l_out, r_out = left.outcome[at_l], right.outcome[at_r]
-        incomplete = np.setxor1d(left.n, right.n, assume_unique=True)
+        (ls, l_outcome), (rs, r_outcome) = wings
+        in_r, in_l = np.isin(ls, rs, assume_unique=True), np.isin(rs, ls, assume_unique=True)
+        idx, l_out, r_out = ls[in_r], l_outcome[in_r], r_outcome[in_l]  # L ∩ R
+        incomplete = np.sort(np.concatenate((ls[~in_r], rs[~in_l])))  # L △ R, the union of L − R and R − L
         if emission_log is not None:
             emitted = emission_log.emissions.n  # unique: a PairStream's pair indices rise
-            if (stray := np.setdiff1d(np.union1d(left.n, right.n), emitted, assume_unique=True)).size:
-                raise CollationError(f"report for never-emitted pair index {stray[0]}")
-            incomplete = np.setdiff1d(emitted, idx, assume_unique=True)
+            # L ∪ R is the disjoint union of L ∩ R and L △ R
+            stray = np.setdiff1d(np.concatenate((idx, incomplete)), emitted, assume_unique=True)
+            if stray.size:
+                raise CollationError(f"report for never-emitted pair index {int(stray.min())}")
+            incomplete = np.setdiff1d(emitted, idx, assume_unique=True)  # E − (L ∩ R)
     elif m == 0:
         raise CollationError("nothing to collate")
     else:
-        idx, l_out, r_out = left.n[:m], left.outcome[:m], right.outcome[:m]
+        idx = left.n[:m]
+        l_out = left.outcome[:m]
+        r_out = right.outcome[:m]
 
     group = RunGroup(label="pair0", left_setting=left.setting, right_setting=right.setting,
                      pair_index=np.asarray(idx, dtype=np.int64), left=np.asarray(l_out, dtype=np.int8),

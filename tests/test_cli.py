@@ -243,8 +243,8 @@ class TestExitCodes:
         (["source", "--port", "0", "--pairs", "-1"], "argument --pairs/-n/--n: must be >= 0, got -1"),
         (["source", "--port", "0", "--pairs", "5", "--session", "-1"], "argument --session: must be >= 0, got -1"),
         (["source", "--port", "0", "--pairs", "5", "--session", str(2**63 // 5)],
-         f"session {2**63 // 5} of 5 pairs would hold pair indices {2**63 // 5 * 5 + 1}..{(2**63 // 5 + 1) * 5}, "
-         "not all in 1..2**63 - 1"),
+         f"session {2**63 // 5} of 5 pairs: pair indices {2**63 // 5 * 5 + 1}..{(2**63 // 5 + 1) * 5} are not all "
+         "in 1..2**63 - 1"),
         (["station", "--station", "L", "--key", "k.json", "--source", "127.0.0.1:99999", "--collator", "127.0.0.1:1"],
          "argument --source: invalid endpoint '127.0.0.1:99999', expected HOST:PORT with PORT in 1..65535"),
         (["station", "--station", "R", "--key", "k.json", "--source", "127.0.0.1:1", "--collator", "127.0.0.1:0"],

@@ -212,10 +212,11 @@ class TestPairStream:
         stream = sample_pair_stream(5, 4, start=101)
         assert list(stream.n) == [101, 102, 103, 104] and len(stream) == 4
         assert np.array_equal(stream.t, sample_pair_stream(5, 4).t)  # same draws
-        with pytest.raises(ValueError, match=r"^stream 0 of 4 pairs would hold pair indices 0\.\.3, not all in 1\.\."):
+        with pytest.raises(ValueError, match=r"^pair indices 0\.\.3 are not all in 1\.\.2\*\*63 - 1$"):
             sample_pair_stream(5, 4, start=0)
         assert sample_pair_stream(5, 4, start=2**63 - 4).n[-1] == 2**63 - 1
-        with pytest.raises(ValueError, match=r"pair indices 9223372036854775805\.\.9223372036854775808, not all in"):
+        with pytest.raises(ValueError, match=r"^pair indices 9223372036854775805\.\.9223372036854775808 are not "
+                                             r"all in 1\.\.2\*\*63 - 1$"):
             sample_pair_stream(5, 4, start=2**63 - 3)
 
     def test_deterministic_given_seed(self):

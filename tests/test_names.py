@@ -110,8 +110,9 @@ def _int_value(node) -> int | None:
 
 
 def test_the_last_pair_index_is_stated_once():
-    """``model.pair_range`` owns the pair-index layout and its int64 limit: 2**63 - 1 (in whatever arithmetic of
-    literals) occurs in no other code of the package, where a second statement of the rule could drift."""
+    """``model.pair_range`` owns the int64 limit of the pair indices (``run_range``, the run layout, calls it):
+    2**63 - 1 (in whatever arithmetic of literals) occurs in no other code of the package, where a second statement
+    of the rule could drift."""
     assert {name: places for name in MODULES
             if (places := _places_of(name, lambda node: _int_value(node) == 2**63 - 1))} == {
         "eqrc.model": ["pair_range"]}
